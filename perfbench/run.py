@@ -1,4 +1,4 @@
-"""stabilab benchmark: seconds per validated report, on four workloads.
+"""stabilab benchmark: time per validated report, on four workloads.
 
 One run sets up a workload, then repeats passes of it for ``--seconds``;
 a pass produces the workload's reports and checks them (see
@@ -9,9 +9,12 @@ the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
     python3 perfbench/run.py --workload all
 
 ``--trace 0`` reports the end-to-end metrics, measured untraced:
-``run_s`` (median seconds per pass), ``setup_s`` (median seconds to import
+``run_ref`` (median pass time in units of a reference loop timed during
+the pass, see :class:`HostClock`), ``setup_s`` (median time to import
 stabilab and validate the workload, over one in-process and four
-fresh-interpreter set-ups) and ``peak_rss_mib``. ``--trace 1`` alternates
+fresh-interpreter set-ups, in seconds at a nominal host speed) and
+``peak_rss_mib``. The wall seconds of both, ``run_s`` for the median
+pass, are printed beside them. ``--trace 1`` alternates
 untraced and traced passes and reports the per-layer metrics: each layer's
 share of the traced pass time, its call count, the named counters and the
 tracing overhead. ``--workload all`` runs every workload both ways in
@@ -34,6 +37,7 @@ import ctypes
 import json
 import platform
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -50,19 +54,33 @@ DEFAULT_SEED = 20250815
 SETUP_SAMPLES = 5
 MIN_PASSES = 3
 MIN_TRACED_PASSES = 2
+REFERENCE_INTERVAL_S = 0.02
+REFERENCE_LOOP = 3000
+# setup_s is reported in seconds at the host speed where one HostClock
+# unit takes this long.
+NOMINAL_UNIT_S = 0.0002
 
 
-def timed_setup(workload: str, seed: int):
-    """Import stabilab and validate the workload; return (pass, seconds)."""
+def timed_setup(workload: str, seed: int, clock):
+    """Import stabilab and validate the workload.
+
+    Returns the pass, the wall seconds and the seconds at the nominal host
+    speed (``NOMINAL_UNIT_S`` per :class:`HostClock` unit).
+    """
+    clock.start()
     start = time.perf_counter()
-    import workloads
+    try:
+        import workloads
 
-    run_pass = workloads.setup(workload, seed, str(OUT))
-    return run_pass, time.perf_counter() - start
+        run_pass = workloads.setup(workload, seed, str(OUT))
+    finally:
+        seconds = time.perf_counter() - start
+        sampling, unit = clock.stop()
+    return run_pass, seconds - sampling, (seconds - sampling) / unit * NOMINAL_UNIT_S
 
 
-def fresh_setup_seconds(workload: str, seed: int) -> float:
-    """Set-up time in a new interpreter, as a user pays it on every run."""
+def fresh_setup_seconds(workload: str, seed: int):
+    """Set-up (wall, nominal) seconds in a new interpreter, as every run pays."""
     done = subprocess.run(
         [sys.executable, __file__, "--workload", workload, "--seed", str(seed), "--setup-only"],
         capture_output=True,
@@ -70,7 +88,8 @@ def fresh_setup_seconds(workload: str, seed: int) -> float:
         timeout=120,
         check=True,
     )
-    return float(done.stdout.strip().splitlines()[-1])
+    wall, nominal = done.stdout.strip().splitlines()[-1].split()
+    return float(wall), float(nominal)
 
 
 def quartiles(values):
@@ -129,21 +148,67 @@ def pin_status(workload: str, seed: int, digest: str, env: dict) -> str:
     return "match" if pinned == digest else "mismatch"
 
 
+class HostClock:
+    """The host's speed over a pass or a set-up, as a reference unit of time.
+
+    On a shared host the same pass can take twice as long in one minute as
+    in the next, as other tenants load the cores: on a 2-vCPU x86_64 VM a
+    fixed pure-Python loop read 0.13 s in some minutes and 0.23 s in
+    others. So every ``REFERENCE_INTERVAL_S`` of an untraced pass or a
+    set-up, SIGALRM runs a fixed pure-Python loop and times it. The median
+    of these samples is the unit, taken over the same seconds as the work
+    it measures; the work's time divided by it is its time at a fixed host
+    speed. The loop calls no stabilab code, so a change to stabilab moves
+    the work's time but not the unit. The samples' own time is taken out
+    of the work's time. Of three loops tried (pure Python, numpy on 512 KiB,
+    numpy on 8 MiB), the pure-Python one followed the workloads best.
+    """
+
+    def __init__(self):
+        self.samples = []
+        signal.signal(signal.SIGALRM, self._sample)
+
+    def _sample(self, signum, frame) -> None:
+        start = time.perf_counter()
+        total = 0
+        for i in range(REFERENCE_LOOP):
+            total += i * i
+        self.samples.append(time.perf_counter() - start)
+
+    def start(self) -> None:
+        self.samples.clear()
+        signal.setitimer(signal.ITIMER_REAL, REFERENCE_INTERVAL_S, REFERENCE_INTERVAL_S)
+
+    def stop(self):
+        """Stop sampling; return (seconds spent sampling, the unit)."""
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        if not self.samples:
+            self._sample(None, None)
+            return 0.0, self.samples[0]
+        return sum(self.samples), statistics.median(self.samples)
+
+
 class Passes:
     """Runs passes, times them and records which ones failed."""
 
-    def __init__(self, run_pass):
+    def __init__(self, run_pass, clock):
         self.run_pass = run_pass
+        self.clock = clock
         self.times = {"untraced": [], "traced": []}  # seconds per pass
+        self.refs = []  # untraced pass times in HostClock units
         self.digests = []
         self.failed = 0
 
-    def run(self, tracer=None) -> None:
+    def run(self, tracer=None, timed=True) -> None:
         pass_id = len(self.digests)
         start = time.perf_counter()
         try:
             if tracer is None:
-                digest, problems = self.run_pass()
+                self.clock.start()
+                try:
+                    digest, problems = self.run_pass()
+                finally:
+                    sampling, unit = self.clock.stop()
             else:
                 tracer.install()
                 try:
@@ -153,7 +218,12 @@ class Passes:
         except Exception:
             traceback.print_exc()
             digest, problems = None, ["raised"]
-        self.times["untraced" if tracer is None else "traced"].append(time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        if timed and tracer is None:
+            self.times["untraced"].append(seconds - sampling)
+            self.refs.append((seconds - sampling) / unit)
+        elif timed:
+            self.times["traced"].append(seconds)
         if self.digests and digest != self.digests[0]:
             problems = problems + [f"digest {digest} differs from the first pass"]
         self.digests.append(digest)
@@ -172,30 +242,36 @@ def measure(args) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     OUT.mkdir(exist_ok=True)
-    run_pass, first_setup = timed_setup(args.workload, args.seed)
+    clock = HostClock()
+    run_pass, *first_setup = timed_setup(args.workload, args.seed, clock)
     if args.setup_only:
-        print(repr(first_setup))
+        print(*map(repr, first_setup))
         return 0
-    setups = [first_setup] + [
+    setups = [tuple(first_setup)] + [
         fresh_setup_seconds(args.workload, args.seed) for _ in range(SETUP_SAMPLES - 1)
     ]
     env = environment()
-    passes = Passes(run_pass)
+    passes = Passes(run_pass, clock)
     tracer = None
     if args.trace:
         from tracing import Tracer
 
         tracer = Tracer()
-    # Repeat passes (an untraced and a traced one when tracing) until one
-    # more, at the mean time so far, would end past --seconds.
+    # A warm-up pass, checked but not timed, keeps first-call costs out of
+    # the median. Then repeat passes (an untraced and a traced one when
+    # tracing) until one more, at the mean time so far, would end past
+    # --seconds, counted from the warm-up's start.
     minimum = MIN_TRACED_PASSES if tracer else MIN_PASSES
     start = time.perf_counter()
+    passes.run(timed=False)
+    loop_start = time.perf_counter()
     while True:
         passes.run()
         if tracer is not None:
             passes.run(tracer)
         done = len(passes.times["untraced"])
-        if done >= minimum and (time.perf_counter() - start) * (done + 1) / done > args.seconds:
+        now = time.perf_counter()
+        if done >= minimum and now - start + (now - loop_start) / done > args.seconds:
             break
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     digest = passes.digests[0]
@@ -204,20 +280,24 @@ def measure(args) -> int:
         passes.failed = passes.attempted
     untraced = passes.times["untraced"]
     q1, run_s, q3 = quartiles(untraced)
+    ref_q1, run_ref, ref_q3 = quartiles(passes.refs)
     lines = [
         f"workload {args.workload} seed {args.seed} trace {args.trace}",
         f"env {json.dumps(env, sort_keys=True)}",
         f"digest {digest} pin {pin}",
         f"failed_share {passes.failed / passes.attempted} ({passes.failed}/{passes.attempted} passes)",
         f"run_s {run_s:.4f} s (q1 {q1:.4f}, q3 {q3:.4f}, {len(untraced)} untraced passes)",
+        f"run_ref {run_ref:.1f} ref (q1 {ref_q1:.1f}, q3 {ref_q3:.1f}; "
+        f"run_s / run_ref = {run_s / run_ref * 1e3:.4f} ms)",
     ]
     if tracer is None:
         metrics = {
-            "run_s": (run_s, "s"),
-            "setup_s": (statistics.median(setups), "s"),
+            "run_ref": (run_ref, "ref"),
+            "setup_s": (statistics.median(nominal for _, nominal in setups), "s"),
             "peak_rss_mib": (peak_rss_mib, "MiB"),
         }
-        lines.append(f"setup_s samples {[round(s, 4) for s in setups]}")
+        lines.append(f"setup_s samples {[round(nominal, 4) for _, nominal in setups]}")
+        lines.append(f"setup wall seconds {[round(wall, 4) for wall, _ in setups]}")
     else:
         metrics, table = traced_metrics(tracer, passes, run_s)
         lines += table
@@ -236,7 +316,10 @@ def measure(args) -> int:
         "digest": digest,
         "pin": pin,
         "pass_seconds": passes.times,
-        "setup_seconds": setups,
+        "pass_refs": passes.refs,
+        "run_s": run_s,
+        "setup_seconds": [wall for wall, _ in setups],
+        "setup_nominal_seconds": [nominal for _, nominal in setups],
         **result,
     }
     record_path(args.workload, args.seed, args.trace).write_text(
@@ -297,7 +380,10 @@ def run_all(args) -> int:
             record = json.loads(record_path(workload, args.seed, trace).read_text())
             records.setdefault(workload, {})["traced" if trace else "untraced"] = record
     print()
-    print(f"{'workload':<12} {'run_s (q1, q3, passes)':>32} {'setup_s':>9} {'peak_rss_mib':>14} {'failed_share':>13}")
+    print(
+        f"{'workload':<12} {'run_s (q1, q3, passes)':>32} {'run_ref':>9} "
+        f"{'setup_s':>9} {'peak_rss_mib':>14} {'failed_share':>13}"
+    )
     for workload, runs in records.items():
         untraced = runs["untraced"]
         m = {name: entry["value"] for name, entry in untraced["metrics"].items()}
@@ -306,8 +392,8 @@ def run_all(args) -> int:
         failed = sum(r["failed"] for r in runs.values())
         attempted = sum(r["attempted"] for r in runs.values())
         print(
-            f"{workload:<12} {m['run_s']:9.4f} s ({q1:.4f}, {q3:.4f}, {passes:2d}) "
-            f"{m['setup_s']:7.4f} s {m['peak_rss_mib']:10.2f} MiB {failed / attempted:13.3f}"
+            f"{workload:<12} {untraced['run_s']:9.4f} s ({q1:.4f}, {q3:.4f}, {passes:2d}) "
+            f"{m['run_ref']:9.1f} {m['setup_s']:7.4f} s {m['peak_rss_mib']:10.2f} MiB {failed / attempted:13.3f}"
         )
     path = OUT / f"all-seed{args.seed}.json"
     path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

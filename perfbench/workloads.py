@@ -109,16 +109,37 @@ def _bound_problems(where: str, bound: dict) -> list:
     return [f"{where} {bound['name']}: total {bound['total']!r} != fsum {total!r}"]
 
 
+def _stability_problems(n: int, stab: dict, stochastic: bool) -> list:
+    """The measured stability must stay under the closed form it tests.
+
+    For ridge and penalized ERM the closed form bounds every replace-one
+    distance, so ``alpha_hat`` (the largest) must stay under it. For SGD it
+    bounds the distance between coupled twins in expectation over their
+    shared index stream (Hardt, Recht and Singer 2016, Theorems 3.8-3.12),
+    and one realization may exceed it: a stream that draws the replaced
+    index several times late in the run moves the twins apart each time.
+    There each index's mean distance over its replacements, the estimate of
+    that expectation, must stay under it.
+    """
+    theory = stab["theory_alpha"]
+    if stochastic:
+        measured = max(entry["mean"] for entry in stab["per_index"])
+        what = "largest per-index mean distance"
+    else:
+        measured, what = stab["alpha_hat"], "alpha_hat"
+    if theory is None or not measured <= theory + 1e-8:
+        return [f"n={n}: {what} {measured!r} > theory {theory!r}"]
+    return []
+
+
 def check_report(report, config) -> list:
     """Failed checks of one experiment report, empty when it is correct."""
     payload = report.to_dict()
+    stochastic = config.algorithm["preset"].startswith("sgd")
     problems = []
     for record in payload["records"]:
         n = record["n"]
-        stab = record["stability"]
-        theory = stab["theory_alpha"]
-        if theory is None or not stab["alpha_hat"] <= theory + 1e-8:
-            problems.append(f"n={n}: alpha_hat {stab['alpha_hat']!r} > theory {theory!r}")
+        problems += _stability_problems(n, record["stability"], stochastic)
         for bound in record["bounds"]:
             problems += _bound_problems(f"n={n}", bound)
         tail = record["tail"]
