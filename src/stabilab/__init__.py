@@ -30,7 +30,6 @@ from .datagen import (
     LogisticTeacher,
     RiskEstimate,
     SignFlip,
-    draw_example,
     draw_sample,
     true_risk,
 )
@@ -66,7 +65,6 @@ from .concentration import (
     TailExperiment,
     center_concentration_experiment,
     doob_decomposition,
-    doob_increment_norms,
     pinelis_tail_experiment,
 )
 from .lab import (
@@ -107,7 +105,6 @@ __all__ = [
     "SignFlip",
     "RiskEstimate",
     "draw_sample",
-    "draw_example",
     "true_risk",
     "StabilityReport",
     "measure_argument_stability",
@@ -134,7 +131,6 @@ __all__ = [
     "DoobDecomposition",
     "pinelis_tail_experiment",
     "doob_decomposition",
-    "doob_increment_norms",
     "center_concentration_experiment",
     "ExperimentConfig",
     "ExperimentReport",

@@ -17,18 +17,19 @@ The families:
   calling :func:`fast_rate_bound` directly.
 
 Totals are never clipped; a ``vacuous`` flag marks totals above the loss
-bound M instead.
+bound M instead. :data:`BOUND_FAMILIES` maps each family's name to the
+constants it reads and its calculator; the experiment harness and the CLI
+both evaluate bounds through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as _dc_replace
+from typing import Callable
 
 from .learners import SgdSpec
 from .stability import rerm_alpha, sgd_alpha
-
-BOUND_NAMES = ("complexity", "plain-gap", "fast-rate", "rerm-fast-rate", "sgd-fast-rate")
 
 
 @dataclass(frozen=True)
@@ -295,3 +296,87 @@ def deformed_gap(risk_true: float, risk_emp: float, deformation: float) -> float
     if deformation <= 1.0:
         raise ValueError("deformation parameter must be > 1")
     return risk_true - deformation / (deformation - 1.0) * risk_emp
+
+
+@dataclass(frozen=True)
+class BoundFamily:
+    """A bound family: its calculator and the constants it reads by name.
+
+    The calculator takes the constants as keyword arguments; ``optional``
+    maps each constant a table may leave out to the value used then.
+    """
+
+    name: str
+    calculate: Callable[..., BoundBreakdown]
+    required: frozenset
+    optional: dict
+
+    def evaluate(self, constants: dict) -> BoundBreakdown:
+        """The bound at the given constants; names the family does not read are ignored."""
+        missing = self.required - set(constants)
+        if missing:
+            raise ValueError(f"{self.name} constants missing: {sorted(missing)}")
+        accepted = self.required | set(self.optional)
+        kwargs = {**self.optional, **{k: v for k, v in constants.items() if k in accepted}}
+        kwargs["n"] = int(kwargs["n"])
+        return self.calculate(**kwargs)
+
+
+def _sgd_plan_gap_bound(
+    regime, steps, step, step_constant, projection_radius, **constants
+) -> BoundBreakdown:
+    spec = SgdSpec(
+        regime=regime,
+        steps=int(steps),
+        seed=0,
+        step=step,
+        step_constant=step_constant,
+        projection_radius=projection_radius,
+    )
+    return sgd_gap_bound(spec, **constants)
+
+
+_GAP = frozenset({"lipschitz", "feature_bound", "loss_bound", "delta", "n"})
+
+# The calculators are looked up when called, so a rebinding of this
+# module's attributes (a profiler's wrapper, say) reaches registry calls too.
+BOUND_FAMILIES = {
+    family.name: family
+    for family in (
+        BoundFamily(
+            "complexity",
+            lambda **c: complexity_bound(**c),
+            frozenset({"feature_bound", "delta", "alpha", "n"}),
+            {"smooth_constant": 1.0, "type_constant": 1.0, "type_exponent": 2.0},
+        ),
+        BoundFamily(
+            "plain-gap", lambda **c: plain_gap_bound(**c), _GAP | {"alpha"}, {}
+        ),
+        BoundFamily(
+            "fast-rate",
+            lambda **c: fast_rate_bound(**c),
+            _GAP | {"alpha"},
+            {"deformation": 2.0},
+        ),
+        BoundFamily(
+            "rerm-fast-rate",
+            lambda **c: rerm_gap_bound(**c),
+            _GAP | {"curvature", "lam"},
+            {"exponent": 2.0, "deformation": 2.0},
+        ),
+        BoundFamily(
+            "sgd-fast-rate",
+            lambda **c: _sgd_plan_gap_bound(**c),
+            _GAP | {"regime", "steps"},
+            {
+                "step": None,
+                "step_constant": None,
+                "projection_radius": None,
+                "deformation": 2.0,
+                "smoothness": None,
+                "gamma": None,
+                "smooth_constant": 1.0,
+            },
+        ),
+    )
+}

@@ -22,13 +22,7 @@ import math
 import os
 import sys
 
-from .bounds import (
-    complexity_bound,
-    fast_rate_bound,
-    plain_gap_bound,
-    rerm_gap_bound,
-    sgd_gap_bound,
-)
+from .bounds import BOUND_FAMILIES
 from .complexity import AlgorithmicBall, ball_rademacher, ball_radius, estimate_center
 from .concentration import (
     center_concentration_experiment,
@@ -44,41 +38,9 @@ from .lab import (
     run_experiment,
     validate_bound_coverage,
 )
-from .learners import SgdSpec
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
 from .stability import measure_argument_stability, theoretical_alpha
-
-_BOUND_FAMILIES = {
-    "complexity": (
-        {"feature_bound", "delta", "alpha", "n"},
-        {"smooth_constant", "type_constant", "type_exponent"},
-    ),
-    "plain-gap": (
-        {"lipschitz", "feature_bound", "loss_bound", "delta", "alpha", "n"},
-        set(),
-    ),
-    "fast-rate": (
-        {"lipschitz", "feature_bound", "loss_bound", "delta", "alpha", "n"},
-        {"deformation"},
-    ),
-    "rerm-fast-rate": (
-        {"lipschitz", "feature_bound", "loss_bound", "curvature", "lam", "delta", "n"},
-        {"exponent", "deformation"},
-    ),
-    "sgd-fast-rate": (
-        {"regime", "steps", "lipschitz", "feature_bound", "loss_bound", "delta", "n"},
-        {
-            "step",
-            "step_constant",
-            "projection_radius",
-            "deformation",
-            "smoothness",
-            "gamma",
-            "smooth_constant",
-        },
-    ),
-}
 
 
 def _load_json(path) -> dict:
@@ -187,78 +149,15 @@ def cmd_complexity(args) -> int:
 def _evaluate_bound_family(spec: dict):
     if "family" not in spec:
         raise ValueError("constants file needs a 'family' key")
-    family = spec["family"]
-    if family not in _BOUND_FAMILIES:
-        raise ValueError(f"unknown bound family {family!r}")
-    required, optional = _BOUND_FAMILIES[family]
-    given = set(spec) - {"family"}
-    missing = required - given
-    if missing:
-        raise ValueError(f"{family} constants missing: {sorted(missing)}")
-    unknown = given - required - optional
+    name = spec["family"]
+    if name not in BOUND_FAMILIES:
+        raise ValueError(f"unknown bound family {name!r}")
+    family = BOUND_FAMILIES[name]
+    constants = {key: value for key, value in spec.items() if key != "family"}
+    unknown = set(constants) - family.required - set(family.optional)
     if unknown:
-        raise ValueError(f"unknown {family} constants: {sorted(unknown)}")
-    if family == "complexity":
-        return complexity_bound(
-            spec.get("smooth_constant", 1.0),
-            spec.get("type_constant", 1.0),
-            spec["feature_bound"],
-            spec["delta"],
-            spec["alpha"],
-            int(spec["n"]),
-            spec.get("type_exponent", 2.0),
-        )
-    if family == "plain-gap":
-        return plain_gap_bound(
-            spec["lipschitz"],
-            spec["feature_bound"],
-            spec["loss_bound"],
-            spec["delta"],
-            spec["alpha"],
-            int(spec["n"]),
-        )
-    if family == "fast-rate":
-        return fast_rate_bound(
-            spec["lipschitz"],
-            spec["feature_bound"],
-            spec["loss_bound"],
-            spec["delta"],
-            spec["alpha"],
-            int(spec["n"]),
-            spec.get("deformation", 2.0),
-        )
-    if family == "rerm-fast-rate":
-        return rerm_gap_bound(
-            spec["lipschitz"],
-            spec["feature_bound"],
-            spec["loss_bound"],
-            spec["curvature"],
-            spec["lam"],
-            spec.get("exponent", 2.0),
-            spec["delta"],
-            int(spec["n"]),
-            spec.get("deformation", 2.0),
-        )
-    sgd_spec = SgdSpec(
-        regime=spec["regime"],
-        steps=int(spec["steps"]),
-        seed=0,
-        step=spec.get("step"),
-        step_constant=spec.get("step_constant"),
-        projection_radius=spec.get("projection_radius"),
-    )
-    return sgd_gap_bound(
-        sgd_spec,
-        spec["lipschitz"],
-        spec["feature_bound"],
-        spec["loss_bound"],
-        spec["delta"],
-        int(spec["n"]),
-        spec.get("deformation", 2.0),
-        smoothness=spec.get("smoothness"),
-        gamma=spec.get("gamma"),
-        smooth_constant=spec.get("smooth_constant", 1.0),
-    )
+        raise ValueError(f"unknown {name} constants: {sorted(unknown)}")
+    return family.evaluate(constants)
 
 
 def cmd_bounds(args) -> int:

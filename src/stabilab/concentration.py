@@ -6,13 +6,16 @@ Three experiments:
   (symmetric signs on cycling basis directions) is simulated and the rate
   of the prefix-maximum event ``max_t ||S_t|| >= c * eps`` is compared to
   the tail ``2 exp(-eps^2 / (2 D^2))``, with ``c = sqrt(sum b_t^2)``.
-* :func:`doob_decomposition` / :func:`doob_increment_norms` - the
-  conditional means E(h_S | first t examples), estimated by refitting with
-  the suffix resampled, whose increments a stable algorithm keeps below
-  alpha(n).
+* :func:`doob_decomposition` - the conditional means
+  E(h_S | first t examples), estimated by refitting with the suffix
+  resampled, whose increments a stable algorithm keeps below alpha(n).
 * :func:`center_concentration_experiment` - the rate at which a freshly
   trained hypothesis leaves the radius-r ball around the estimated mean,
   compared to the nominal level delta.
+
+Both refit experiments hand each batch of replicate samples to
+:func:`fit_batch`, so SGD presets advance all replicates of a batch in one
+stacked kernel and deterministic presets fit them one at a time.
 """
 
 from __future__ import annotations
@@ -196,17 +199,6 @@ def doob_decomposition(
         suffix_draws=suffix_draws,
         seed=seed,
     )
-
-
-def doob_increment_norms(
-    algorithm,
-    sample: Sample,
-    dist: DistributionSpec,
-    suffix_draws: int,
-    seed: int = 0,
-) -> list:
-    """Norms of the estimated Doob increments, one per training index."""
-    return doob_decomposition(algorithm, sample, dist, suffix_draws, seed).increment_norms()
 
 
 def center_concentration_experiment(

@@ -166,12 +166,6 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
     return Sample(X, y)
 
 
-def draw_example(spec: DistributionSpec, seed: int):
-    """A single labeled example, as the 1-sample special case of draw_sample."""
-    sample = draw_sample(spec, 1, seed)
-    return sample.example(0)
-
-
 @dataclass(frozen=True)
 class RiskEstimate:
     """Population risk value with its Monte Carlo standard error."""

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    complexity_bound,
-    deformed_gap,
-    fast_rate_bound,
-    plain_gap_bound,
-    rerm_gap_bound,
-    sgd_gap_bound,
-)
+from .bounds import BOUND_FAMILIES, deformed_gap
 from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, estimate_center
 from .datagen import (
     DistributionSpec,
@@ -58,7 +51,7 @@ from .stability import (
 )
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-1"
+ARTIFACT_VERSION = "report-2"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400
@@ -280,16 +273,26 @@ def _gap_pair(loss, algorithm, sample, dist, a, fit_seed, risk_seed):
     return {"plain": true - emp, "deformed": deformed_gap(true, emp, a)}
 
 
-def _bound_set(config: ExperimentConfig, algorithm, n: int, alpha: float):
+def _bound_constants(config: ExperimentConfig, algorithm, n: int, alpha: float) -> dict:
+    """The shared constants every bound family reads at one n."""
     loss = algorithm.loss_for(n)
     consts = loss.constants()
-    L, B, M = consts.lipschitz, loss.feature_bound, consts.bound
-    delta, a = config.delta, config.a
-    breakdowns = [
-        complexity_bound(1.0, 1.0, B, delta, alpha, n),
-        plain_gap_bound(L, B, M, delta, alpha, n),
-        fast_rate_bound(L, B, M, delta, alpha, n, a),
-    ]
+    return {
+        "lipschitz": consts.lipschitz,
+        "feature_bound": loss.feature_bound,
+        "loss_bound": consts.bound,
+        "smoothness": consts.smoothness,
+        "delta": config.delta,
+        "alpha": alpha,
+        "n": n,
+        "deformation": config.a,
+    }
+
+
+def _bound_set(config: ExperimentConfig, algorithm, n: int, alpha: float):
+    constants = _bound_constants(config, algorithm, n, alpha)
+    M = constants["loss_bound"]
+    names = ["complexity", "plain-gap", "fast-rate"]
     coefficients = {}
     if isinstance(algorithm, RidgeAlgorithm):
         reported = ridge_curvature(M, algorithm.lam)
@@ -300,34 +303,26 @@ def _bound_set(config: ExperimentConfig, algorithm, n: int, alpha: float):
             "alpha_reported": alpha,
             "alpha_exact": alpha * reported / exact,
         }
-        breakdowns.append(
-            rerm_gap_bound(L, B, M, reported, algorithm.lam, 2.0, delta, n, a)
-        )
+        names.append("rerm-fast-rate")
+        constants.update(curvature=reported, lam=algorithm.lam, exponent=2.0)
     elif isinstance(algorithm, LpRermAlgorithm):
         pen = algorithm.penalty
         cond = lp_penalty_constant(pen.p, M, pen.lam)
         coefficients = {"curvature": cond["curvature"], "exponent": cond["exponent"]}
-        breakdowns.append(
-            rerm_gap_bound(
-                L, B, M, cond["curvature"], pen.lam, cond["exponent"], delta, n, a
-            )
-        )
+        names.append("rerm-fast-rate")
+        constants.update(curvature=cond["curvature"], lam=pen.lam, exponent=cond["exponent"])
     elif isinstance(algorithm, SgdAlgorithm):
-        gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
-        breakdowns.append(
-            sgd_gap_bound(
-                algorithm.spec_for(n, 0),
-                L,
-                B,
-                M,
-                delta,
-                n,
-                a,
-                smoothness=consts.smoothness,
-                gamma=gamma,
-            )
+        spec = algorithm.spec_for(n, 0)
+        names.append("sgd-fast-rate")
+        constants.update(
+            regime=spec.regime,
+            steps=spec.steps,
+            step=spec.step,
+            step_constant=spec.step_constant,
+            projection_radius=spec.projection_radius,
+            gamma=algorithm.gamma if algorithm.regime == "strongly_convex" else None,
         )
-    return breakdowns, coefficients
+    return [BOUND_FAMILIES[name].evaluate(constants) for name in names], coefficients
 
 
 def _run_record(config: ExperimentConfig, algorithm, n: int):
@@ -412,20 +407,11 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
     dist = config.distribution
     seed = config.seed
     loss = algorithm.loss_for(n)
-    consts = loss.constants()
-    alpha = theoretical_alpha(algorithm, n)
-    plain_bd = plain_gap_bound(
-        consts.lipschitz, loss.feature_bound, consts.bound, config.delta, alpha, n
-    )
-    fast_bd = fast_rate_bound(
-        consts.lipschitz,
-        loss.feature_bound,
-        consts.bound,
-        config.delta,
-        alpha,
-        n,
-        config.a,
-    )
+    constants = _bound_constants(config, algorithm, n, theoretical_alpha(algorithm, n))
+    bounds = {
+        name: BOUND_FAMILIES[name].evaluate(constants).to_dict()
+        for name in ("plain-gap", "fast-rate")
+    }
     rows = []
     for rep in range(config.trials):
         sample = draw_sample(dist, n, child_seed(seed, "coverage-sample", rep))
@@ -445,7 +431,7 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
         "replications": config.trials,
         "delta": config.delta,
         "a": config.a,
-        "bounds": {"plain-gap": plain_bd.to_dict(), "fast-rate": fast_bd.to_dict()},
+        "bounds": bounds,
         "rows": rows,
     }
 

@@ -13,10 +13,14 @@ linear predictor:
   seeded index stream, and optional projection onto a centered ball.
 
 Algorithm presets bundle a trainer with the loss model it certifies, so
-experiment configs can address them by name. Batched helpers
-(:func:`fit_batch`, :func:`sgd_twin_distances`) advance many SGD runs in
-lockstep; they produce the same trajectories as :func:`run_sgd` called per
-cell with the matching seed.
+experiment configs can address them by name. Every preset fits C samples
+at once (``fit_many``, behind :func:`fit_batch`) and the replace-one twins
+of one sample (``fit_twins``). All SGD goes through one kernel that
+advances a stacked (rows, d) state: C independent runs for
+:func:`fit_batch`, one run with its trajectory for :func:`run_sgd`, and 2C
+coupled rows for :func:`sgd_twin_distances`. A row's arithmetic does not
+depend on the other rows, so every entry point gives bitwise the same
+iterates for the same sample and seed.
 """
 
 from __future__ import annotations
@@ -94,24 +98,31 @@ class Sample:
         return Sample(X, y)
 
 
+def _slack(bound: float) -> float:
+    """A domain limit widened by the round-off that norms and projections leave."""
+    return bound * (1.0 + 1e-9) + 1e-12
+
+
 def check_sample_domain(loss: LossModel, sample: Sample) -> None:
     """Raise DomainError if any example violates the loss model's domain."""
-    norms = np.linalg.norm(sample.features, axis=1)
-    limit = loss.feature_bound * (1.0 + 1e-9) + 1e-12
-    if np.any(norms > limit):
+    _check_examples(loss, sample.features, sample.labels)
+
+
+def _check_examples(loss: LossModel, features: np.ndarray, labels: np.ndarray) -> None:
+    """check_sample_domain on raw arrays: features (..., d), labels (...)."""
+    norms = np.linalg.norm(features, axis=-1)
+    if np.any(norms > _slack(loss.feature_bound)):
         worst = float(norms.max())
         raise DomainError(
             f"feature norm {worst:.6g} exceeds bound {loss.feature_bound:.6g}"
         )
-    y = sample.labels
     if loss.kind in ("hinge", "logistic"):
-        if np.any(np.abs(np.abs(y) - 1.0) > 1e-12):
+        if np.any(np.abs(np.abs(labels) - 1.0) > 1e-12):
             raise DomainError("classification labels must be exactly +1 or -1")
     else:
-        lim = loss.label_bound * (1.0 + 1e-9) + 1e-12
-        if np.any(np.abs(y) > lim):
+        if np.any(np.abs(labels) > _slack(loss.label_bound)):
             raise DomainError(
-                f"label magnitude {float(np.abs(y).max()):.6g} exceeds bound "
+                f"label magnitude {float(np.abs(labels).max()):.6g} exceeds bound "
                 f"{loss.label_bound:.6g}"
             )
 
@@ -330,6 +341,14 @@ class SgdSpec:
             return self.step_constant / np.arange(1.0, self.steps + 1.0)
         return np.full(self.steps, float(self.step))
 
+    def check_step_cap(self, smoothness: float) -> None:
+        """Constant steps must stay at or below 2/s (convex) or 1/s (strongly convex)."""
+        cap = (2.0 if self.regime == "convex" else 1.0) / smoothness
+        if self.step > cap * (1.0 + 1e-12):
+            raise ValueError(
+                f"step {self.step:.6g} exceeds the {self.regime} cap {cap:.6g}"
+            )
+
     def validate_against(self, loss: LossModel) -> None:
         """Check the regime's step cap against the loss's certified constants."""
         consts = loss.constants()
@@ -337,11 +356,7 @@ class SgdSpec:
             return
         if consts.smoothness is None:
             raise ValueError(f"{self.regime} regime requires a certified smoothness")
-        cap = (2.0 if self.regime == "convex" else 1.0) / consts.smoothness
-        if self.step > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"step {self.step:.6g} exceeds the {self.regime} cap {cap:.6g}"
-            )
+        self.check_step_cap(consts.smoothness)
         if self.regime == "strongly_convex" and consts.strong_convexity <= 0:
             raise ValueError(
                 "strongly_convex regime needs a strongly convex objective; "
@@ -365,90 +380,82 @@ def run_sgd(sample: Sample, loss: LossModel, spec: SgdSpec) -> SgdRun:
     runs on S and a replaced copy of S share their index stream when given
     the same spec.
     """
-    spec.validate_against(loss)
-    check_sample_domain(loss, sample)
-    n, d = sample.n, sample.dim
-    alphas = spec.step_sizes()
-    idx = substream(spec.seed, "sgd-indices").integers(0, n, size=spec.steps)
-    h = np.zeros(d)
-    traj = np.zeros((spec.steps + 1, d))
-    for t in range(spec.steps):
-        z = sample.example(int(idx[t]))
-        g = loss.gradient(h, z)
-        h = h - alphas[t] * g
-        if spec.projection_radius is not None:
-            nrm = float(np.linalg.norm(h))
-            if nrm > spec.projection_radius:
-                h = h * (spec.projection_radius / nrm)
-        if not np.all(np.isfinite(h)):
-            raise NonFiniteIterateError(step=t + 1)
-        traj[t + 1] = h
-    return SgdRun(final=h, trajectory=traj)
+    traj = _sgd_kernel(
+        loss, spec, [spec.seed], sample.features, sample.labels, trajectory=True
+    )[:, 0]
+    return SgdRun(final=traj[-1].copy(), trajectory=traj)
 
 
-def _batched_sgd(
+def _sgd_kernel(
     loss: LossModel,
-    alphas: np.ndarray,
-    projection_radius: float | None,
-    index_streams: np.ndarray,
+    spec: SgdSpec,
+    seeds,
     features: np.ndarray,
     labels: np.ndarray,
     twin: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-):
-    """Advance C SGD runs in lockstep; mirrors run_sgd's arithmetic.
+    trajectory: bool = False,
+) -> np.ndarray:
+    """Advance stacked SGD states from h_0 = 0 in lockstep: the one SGD update.
 
-    ``features`` is either one shared (n, d) training set or a per-run
-    (C, n, d) stack. With ``twin = (replaced_index, repl_x, repl_y)`` a
-    second state is advanced on the replaced samples using the same index
-    streams, and both final states are returned.
+    Run c follows the index stream of ``seeds[c]`` (``spec.seed`` is not
+    read) on ``features``, one shared (n, d) sample or a per-run (C, n, d)
+    stack. With ``twin = (replaced_index, repl_x, repl_y)`` the state has
+    2C rows: row C + c shares run c's stream but reads example
+    ``replaced_index[c]`` as ``(repl_x[c], repl_y[c])``.
+
+    The examples, the replacements and every row after every step are
+    checked against the loss's certified domain: a non-finite row raises
+    NonFiniteIterateError, a row outside the certified radius DomainError.
+    Returns the final (rows, d) state, or with ``trajectory`` all T + 1
+    states as (T + 1, rows, d).
     """
-    idx = np.asarray(index_streams)
-    cells, steps = idx.shape
-    shared = features.ndim == 2
-    d = features.shape[-1]
-    rows = np.arange(cells)
-    rho = loss.ridge_term
-    HA = np.zeros((cells, d))
-    HB = np.zeros((cells, d)) if twin is not None else None
+    spec.validate_against(loss)
+    _check_examples(loss, features, labels)
+    n, d = features.shape[-2:]
+    streams = np.stack(
+        [substream(s, "sgd-indices").integers(0, n, size=spec.steps) for s in seeds]
+    )
+    runs = len(streams)
+    gather_rows = None if features.ndim == 2 else np.arange(runs)
     if twin is not None:
         rep_i, rep_x, rep_y = twin
-    for t in range(steps):
-        it = idx[:, t]
-        if shared:
-            xa = features[it]
-            ya = labels[it]
+        _check_examples(loss, rep_x, rep_y)
+    alphas = spec.step_sizes()
+    radius = spec.projection_radius
+    limit = _slack(loss.radius)
+    rho = loss.ridge_term
+    H = np.zeros((runs if twin is None else 2 * runs, d))
+    traj = np.zeros((spec.steps + 1, *H.shape)) if trajectory else None
+    for t in range(spec.steps):
+        it = streams[:, t]
+        if gather_rows is None:
+            x, y = features[it], labels[it]
         else:
-            xa = features[rows, it]
-            ya = labels[rows, it]
-        ua = np.einsum("cd,cd->c", HA, xa)
-        ga = margin_slopes(loss.kind, ua, ya)[:, None] * xa
-        if rho:
-            ga = ga + 2.0 * rho * HA
-        HA = HA - alphas[t] * ga
-        if projection_radius is not None:
-            nrm = np.linalg.norm(HA, axis=1)
-            over = nrm > projection_radius
-            if np.any(over):
-                HA[over] *= (projection_radius / nrm[over])[:, None]
-        if HB is not None:
+            x, y = features[gather_rows, it], labels[gather_rows, it]
+        if twin is not None:
             hit = it == rep_i
-            xb = np.where(hit[:, None], rep_x, xa)
-            yb = np.where(hit, rep_y, ya)
-            ub = np.einsum("cd,cd->c", HB, xb)
-            gb = margin_slopes(loss.kind, ub, yb)[:, None] * xb
-            if rho:
-                gb = gb + 2.0 * rho * HB
-            HB = HB - alphas[t] * gb
-            if projection_radius is not None:
-                nrm = np.linalg.norm(HB, axis=1)
-                over = nrm > projection_radius
-                if np.any(over):
-                    HB[over] *= (projection_radius / nrm[over])[:, None]
-        if not np.all(np.isfinite(HA)) or (HB is not None and not np.all(np.isfinite(HB))):
-            raise NonFiniteIterateError(step=t + 1)
-    if HB is None:
-        return HA
-    return HA, HB
+            x = np.concatenate([x, np.where(hit[:, None], rep_x, x)])
+            y = np.concatenate([y, np.where(hit, rep_y, y)])
+        u = np.einsum("cd,cd->c", H, x)
+        g = margin_slopes(loss.kind, u, y)[:, None] * x
+        if rho:
+            g = g + 2.0 * rho * H
+        H = H - alphas[t] * g
+        nrm = np.linalg.norm(H, axis=1)
+        if radius is not None and nrm.max() > radius:
+            over = nrm > radius
+            H[over] *= (radius / nrm[over])[:, None]
+            nrm[over] = np.linalg.norm(H[over], axis=1)
+        if not nrm.max() <= limit:  # also true when a row is NaN
+            if not np.all(np.isfinite(H)):
+                raise NonFiniteIterateError(step=t + 1)
+            raise DomainError(
+                f"SGD iterate norm {float(nrm.max()):.6g} at step {t + 1} exceeds "
+                f"certified radius {loss.radius:.6g}"
+            )
+        if traj is not None:
+            traj[t + 1] = H
+    return H if traj is None else traj
 
 
 def strongly_convex_objective(loss: LossModel, lam: float) -> LossModel:
@@ -467,21 +474,41 @@ def strongly_convex_objective(loss: LossModel, lam: float) -> LossModel:
 # algorithm presets
 
 
-def _loss_value_at_zero(kind: str, label_bound: float) -> float:
-    if kind == "hinge":
-        return 1.0
-    if kind == "logistic":
-        return math.log(2.0)
-    if kind == "squared":
-        return label_bound**2
-    raise ValueError(f"unknown loss kind {kind!r}")
+class _Preset:
+    """The fitting protocol every preset implements.
+
+    ``fit`` fits one sample; ``fit_many`` fits C samples, one row each;
+    ``fit_twins`` fits the coupled pairs of a replace-one measurement. The
+    defaults here fit one sample at a time; SGD overrides both batched
+    methods with its stacked kernel.
+    """
+
+    stochastic = False
+
+    def fit_many(self, samples, seeds) -> np.ndarray:
+        return np.stack([self.fit(s, seed=k) for s, k in zip(samples, seeds)])
+
+    def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
+        """Fits (HA, HB) on S and on the replaced samples, one row per cell.
+
+        Cell c swaps example ``replaced_index[c]`` for ``(repl_x[c],
+        repl_y[c])`` and fits with ``seeds[c]``. A deterministic fit on S
+        does not depend on the cell, so HA repeats ``base``, the fit on S.
+        Replaced samples are built one at a time.
+        """
+        HB = np.stack(
+            [
+                self.fit(sample.replaced(int(i), LabeledExample(x, float(y))), seed=k)
+                for i, x, y, k in zip(replaced_index, repl_x, repl_y, seeds)
+            ]
+        )
+        return np.broadcast_to(base, HB.shape), HB
 
 
-class ConstantAlgorithm:
+class ConstantAlgorithm(_Preset):
     """Outputs a fixed vector regardless of the sample. Used as a null case."""
 
     name = "constant"
-    stochastic = False
 
     def __init__(self, output, loss: LossModel | None = None):
         out = np.asarray(output, dtype=np.float64)
@@ -498,7 +525,7 @@ class ConstantAlgorithm:
         return self.output.copy()
 
 
-class RidgeAlgorithm:
+class RidgeAlgorithm(_Preset):
     """Squared loss with an l2 penalty, solved exactly.
 
     The certified hypothesis radius comes from lam * ||h_S||^2 being at
@@ -506,7 +533,6 @@ class RidgeAlgorithm:
     """
 
     name = "ridge"
-    stochastic = False
 
     def __init__(self, lam: float, feature_bound: float, label_bound: float):
         if not (lam > 0 and math.isfinite(lam)):
@@ -514,8 +540,8 @@ class RidgeAlgorithm:
         self.lam = float(lam)
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
-        radius = math.sqrt(_loss_value_at_zero("squared", label_bound) / lam)
-        self._loss = make_loss("squared", feature_bound, radius, label_bound)
+        probe = make_loss("squared", feature_bound, 1.0, label_bound)
+        self._loss = _dc_replace(probe, radius=math.sqrt(probe.value_at_zero() / lam))
 
     def loss_for(self, n: int) -> LossModel:
         return self._loss
@@ -524,11 +550,10 @@ class RidgeAlgorithm:
         return fit_ridge(sample, self.lam)
 
 
-class LpRermAlgorithm:
+class LpRermAlgorithm(_Preset):
     """A certified margin loss with an l_p^p penalty, p in (1, 2]."""
 
     name = "rerm-lp"
-    stochastic = False
 
     def __init__(
         self,
@@ -543,9 +568,9 @@ class LpRermAlgorithm:
         self.feature_bound = float(feature_bound)
         self.tol = tol
         self.max_iter = max_iter
-        at_zero = _loss_value_at_zero(loss_kind, label_bound)
-        radius = (at_zero / penalty.lam) ** (1.0 / penalty.p)
-        self._loss = make_loss(loss_kind, feature_bound, radius, label_bound)
+        probe = make_loss(loss_kind, feature_bound, 1.0, label_bound)
+        radius = (probe.value_at_zero() / penalty.lam) ** (1.0 / penalty.p)
+        self._loss = _dc_replace(probe, radius=radius)
 
     def loss_for(self, n: int) -> LossModel:
         return self._loss
@@ -587,7 +612,7 @@ def _norm_policy(value, kind: str) -> dict:
     return out
 
 
-class SgdAlgorithm:
+class SgdAlgorithm(_Preset):
     """SGD preset with per-n schedule resolution and loss certification.
 
     Projected runs certify the loss on the projection ball; unprojected
@@ -717,6 +742,29 @@ class SgdAlgorithm:
         loss = self.loss_for(sample.n)
         return run_sgd(sample, loss, self.spec_for(sample.n, seed)).final
 
+    def fit_many(self, samples, seeds) -> np.ndarray:
+        n = samples[0].n
+        if any(s.n != n for s in samples):
+            # The schedule depends on n, so only equal sizes share a kernel.
+            return super().fit_many(samples, seeds)
+        X = np.stack([s.features for s in samples])
+        y = np.stack([s.labels for s in samples])
+        return _sgd_kernel(self.loss_for(n), self.spec_for(n, 0), seeds, X, y)
+
+    def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
+        """Coupled twins: HA and HB share each cell's index stream."""
+        _, HA, HB = sgd_twin_distances(
+            self,
+            sample.features,
+            sample.labels,
+            replaced_index,
+            repl_x,
+            repl_y,
+            seeds,
+            return_states=True,
+        )
+        return HA, HB
+
 
 def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:
     """Worst-case iterate norm of unprojected SGD from the origin."""
@@ -804,21 +852,15 @@ def sgd_twin_distances(
     ``seeds[c]``, exactly as run_sgd would.
     """
     n = features.shape[-2]
-    spec = algorithm.spec_for(n, 0)
-    loss = algorithm.loss_for(n)
-    spec.validate_against(loss)
-    idx = np.stack(
-        [substream(s, "sgd-indices").integers(0, n, size=spec.steps) for s in seeds]
-    )
-    HA, HB = _batched_sgd(
-        loss,
-        spec.step_sizes(),
-        spec.projection_radius,
-        idx,
+    H = _sgd_kernel(
+        algorithm.loss_for(n),
+        algorithm.spec_for(n, 0),
+        seeds,
         features,
         labels,
         twin=(np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y)),
     )
+    HA, HB = np.split(H, 2)
     distances = np.linalg.norm(HA - HB, axis=1)
     if return_states:
         return distances, HA, HB
@@ -826,28 +868,11 @@ def sgd_twin_distances(
 
 
 def fit_batch(algorithm, samples, seeds) -> np.ndarray:
-    """Fit the algorithm on each sample; batched for SGD presets."""
+    """Fit the algorithm on each sample with its seed, one row per sample."""
     samples = list(samples)
     seeds = list(seeds)
     if len(samples) != len(seeds):
         raise ValueError("need one seed per sample")
     if not samples:
         raise ValueError("need at least one sample")
-    if isinstance(algorithm, SgdAlgorithm) and len(samples) > 1:
-        n = samples[0].n
-        if all(s.n == n for s in samples):
-            spec = algorithm.spec_for(n, 0)
-            loss = algorithm.loss_for(n)
-            spec.validate_against(loss)
-            X = np.stack([s.features for s in samples])
-            y = np.stack([s.labels for s in samples])
-            idx = np.stack(
-                [
-                    substream(s, "sgd-indices").integers(0, n, size=spec.steps)
-                    for s in seeds
-                ]
-            )
-            return _batched_sgd(
-                loss, spec.step_sizes(), spec.projection_radius, idx, X, y
-            )
-    return np.stack([algorithm.fit(s, seed=sd) for s, sd in zip(samples, seeds)])
+    return algorithm.fit_many(samples, seeds)

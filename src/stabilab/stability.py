@@ -13,9 +13,11 @@ Measurement conventions:
 * the supremum over replacement examples is approximated by i.i.d. draws
   plus two adversarial anchors at the extreme-margin points
   ``+/- B * h_S / ||h_S||`` with flipped labels;
-* stochastic algorithms are compared as coupled twins, both runs consuming
-  the same example-index stream, so a replacement that the stream never
-  touches yields distance exactly zero;
+* every preset fits the whole cell list through its ``fit_twins``, which
+  returns the fits on S and on each replaced sample; stochastic algorithms
+  are compared as coupled twins, both runs consuming the same
+  example-index stream in one stacked SGD kernel, so a replacement that
+  the stream never touches yields distance exactly zero;
 * every (index, replacement) cell derives its own seed from the master
   seed, making reports independent of evaluation order.
 """
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .learners import (
     Sample,
     SgdAlgorithm,
     SgdSpec,
-    sgd_twin_distances,
 )
 from .losses import LabeledExample, LossModel, margin_values
 from .seeding import child_seed
@@ -147,9 +147,7 @@ def sgd_alpha(
         )
     if smoothness is None or smoothness <= 0:
         raise ValueError(f"{spec.regime} regime needs the smoothness constant")
-    cap = (2.0 if spec.regime == "convex" else 1.0) / smoothness
-    if spec.step > cap * (1.0 + 1e-12):
-        raise ValueError(f"step {spec.step:.6g} exceeds the {spec.regime} cap {cap:.6g}")
+    spec.check_step_cap(smoothness)
     if spec.regime == "convex":
         return 2.0 * BL / n * float(np.sum(spec.step_sizes()))
     if gamma is None or gamma <= 0:
@@ -160,32 +158,6 @@ def sgd_alpha(
 def beta_from_alpha(lipschitz: float, feature_bound: float, alpha: float) -> float:
     """Loss stability from argument stability: beta = L * B * alpha."""
     return lipschitz * feature_bound * alpha
-
-
-def rerm_beta(
-    lipschitz: float,
-    feature_bound: float,
-    curvature: float,
-    lam: float,
-    n: int,
-    exponent: float,
-) -> dict:
-    """Both quoted loss-stability forms for penalized ERM.
-
-    "direct" evaluates ((LB)^xi / (C*lam*n))^(1/(xi-1)); "via_lipschitz"
-    is L*B*alpha. The two are algebraically equal for every exponent, so
-    the "agree" flag only surfaces floating-point divergence between the
-    evaluation orders instead of silently picking one.
-    """
-    alpha = rerm_alpha(lipschitz, feature_bound, curvature, lam, n, exponent)
-    via = beta_from_alpha(lipschitz, feature_bound, alpha)
-    lb = lipschitz * feature_bound
-    direct = (lb**exponent / (curvature * lam * n)) ** (1.0 / (exponent - 1.0))
-    return {
-        "direct": direct,
-        "via_lipschitz": via,
-        "agree": bool(math.isclose(direct, via, rel_tol=1e-9, abs_tol=1e-15)),
-    }
 
 
 def check_penalty_condition(penalty, h, g, exponent: float, curvature: float) -> dict:
@@ -378,61 +350,34 @@ def measure_argument_stability(
     anchors = adversarial_anchors(h_base, dist) if use_anchors else []
     grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchors, seed)
 
-    cells = []
-    if isinstance(algorithm, SgdAlgorithm):
-        index_list, code_list, rep_x, rep_y, seeds = [], [], [], [], []
-        for i in range(n):
-            for code, z in _cell_replacements(dist, i, replacements, anchors, seed):
-                index_list.append(i)
-                code_list.append(code)
-                rep_x.append(z.x)
-                rep_y.append(z.y)
-                seeds.append(child_seed(seed, i, code))
-        distances, HA, HB = sgd_twin_distances(
-            algorithm,
-            sample.features,
-            sample.labels,
-            np.array(index_list),
-            np.stack(rep_x),
-            np.array(rep_y),
-            seeds,
-            return_states=True,
-        )
-        if eval_loss is None:
-            gaps = [None] * len(distances)
-        else:
-            va = _grid_values(eval_loss, HA, grid_X, grid_y)
-            vb = _grid_values(eval_loss, HB, grid_X, grid_y)
-            gaps = np.abs(va - vb).max(axis=0)
-        for c in range(len(distances)):
-            gap = None if eval_loss is None else float(gaps[c])
-            cells.append((index_list[c], code_list[c], float(distances[c]), gap))
-    else:
-        for i in range(n):
-            for code, z in _cell_replacements(dist, i, replacements, anchors, seed):
-                twin = sample.replaced(i, z)
-                try:
-                    h_twin = algorithm.fit(twin, seed=child_seed(seed, i, code))
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"fit failed at cell (i={i}, replacement={code}): {exc}"
-                    ) from exc
-                distance = float(np.linalg.norm(h_base - h_twin))
-                gap = None
-                if eval_loss is not None:
-                    va = _grid_values(eval_loss, h_base[None, :], grid_X, grid_y)
-                    vb = _grid_values(eval_loss, h_twin[None, :], grid_X, grid_y)
-                    gap = float(np.abs(va - vb).max())
-                cells.append((i, code, distance, gap))
-
-    per_index = []
+    cell_index, codes, rep_x, rep_y, seeds = [], [], [], [], []
     for i in range(n):
-        dvals = [c[2] for c in cells if c[0] == i]
-        per_index.append(
-            (("max_over_replacements", max(dvals)), ("mean", float(np.mean(dvals))))
+        for code, z in _cell_replacements(dist, i, replacements, anchors, seed):
+            cell_index.append(i)
+            codes.append(code)
+            rep_x.append(z.x)
+            rep_y.append(z.y)
+            seeds.append(child_seed(seed, i, code))
+    try:
+        HA, HB = algorithm.fit_twins(
+            sample, cell_index, np.stack(rep_x), np.array(rep_y), seeds, h_base
         )
-    alpha_hat = max(c[2] for c in cells)
-    beta_hat = None if eval_loss is None else max(c[3] for c in cells)
+    except Exception as exc:
+        raise RuntimeError(f"replace-one fits failed: {exc}") from exc
+
+    distances = [float(np.linalg.norm(a - b)) for a, b in zip(HA, HB)]
+    if eval_loss is None:
+        gaps = [None] * len(distances)
+    else:
+        gaps = [_loss_gap(eval_loss, a, b, grid_X, grid_y) for a, b in zip(HA, HB)]
+    cells = list(zip(cell_index, codes, distances, gaps))
+    by_index = np.array(distances).reshape(n, -1)
+    per_index = [
+        (("max_over_replacements", float(top)), ("mean", float(mean)))
+        for top, mean in zip(by_index.max(axis=1), by_index.mean(axis=1))
+    ]
+    alpha_hat = max(distances)
+    beta_hat = None if eval_loss is None else max(gaps)
     try:
         theory = theoretical_alpha(algorithm, n)
     except ValueError:
@@ -449,10 +394,18 @@ def measure_argument_stability(
     )
 
 
-def _grid_values(loss: LossModel, H: np.ndarray, grid_X: np.ndarray, grid_y: np.ndarray):
-    """Loss values of each hypothesis row on each grid point: (points, C)."""
+def _grid_values(loss: LossModel, h: np.ndarray, grid_X: np.ndarray, grid_y: np.ndarray):
+    """Loss values of one hypothesis on each grid point, as a (points, 1) column."""
+    H = h[None, :]
     margins = grid_X @ H.T
     vals = margin_values(loss.kind, margins, grid_y[:, None])
     if loss.ridge_term:
         vals = vals + loss.ridge_term * np.sum(H * H, axis=1)[None, :]
     return vals
+
+
+def _loss_gap(loss: LossModel, a: np.ndarray, b: np.ndarray, grid_X, grid_y) -> float:
+    """Largest loss difference between two hypotheses over the grid."""
+    va = _grid_values(loss, a, grid_X, grid_y)
+    vb = _grid_values(loss, b, grid_X, grid_y)
+    return float(np.abs(va - vb).max())

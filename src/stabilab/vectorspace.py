@@ -54,18 +54,6 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def inner(a, b) -> float:
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return float(a @ b)
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(as_vector(a)))
-
-
 def parallelogram_defect(h, g, smoothness: float = 1.0) -> float:
     """Slack of the 2-smoothness inequality at a pair of vectors.
 

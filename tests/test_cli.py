@@ -8,6 +8,14 @@ import os
 
 import pytest
 
+from stabilab import SgdSpec
+from stabilab.bounds import (
+    complexity_bound,
+    fast_rate_bound,
+    plain_gap_bound,
+    rerm_gap_bound,
+    sgd_gap_bound,
+)
 from stabilab.cli import main
 from stabilab.lab import report_digest
 
@@ -227,6 +235,70 @@ class TestBoundsCommand:
         path = write_json(tmp_path, "constants.json", spec)
         assert main(["bounds", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["name"] == "rerm-fast-rate"
+
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            pytest.param(
+                {
+                    "family": "complexity",
+                    "feature_bound": 1.0,
+                    "delta": 0.1,
+                    "alpha": 0.01,
+                    "n": 100,
+                    "type_exponent": 1.5,
+                },
+                lambda: complexity_bound(1.0, 1.0, 1.0, 0.1, 0.01, 100, 1.5),
+                id="complexity",
+            ),
+            pytest.param(
+                plain_constants(),
+                lambda: plain_gap_bound(1.0, 1.0, 1.0, 0.1, 0.01, 100),
+                id="plain-gap",
+            ),
+            pytest.param(
+                plain_constants(family="fast-rate", deformation=3.0),
+                lambda: fast_rate_bound(1.0, 1.0, 1.0, 0.1, 0.01, 100, 3.0),
+                id="fast-rate",
+            ),
+            pytest.param(
+                plain_constants(
+                    family="rerm-fast-rate", alpha=None, curvature=0.5, lam=0.1, exponent=1.5
+                ),
+                lambda: rerm_gap_bound(1.0, 1.0, 1.0, 0.5, 0.1, 1.5, 0.1, 100),
+                id="rerm-fast-rate",
+            ),
+            pytest.param(
+                plain_constants(
+                    family="sgd-fast-rate",
+                    alpha=None,
+                    regime="convex",
+                    steps=100,
+                    step=0.25,
+                    smoothness=2.0,
+                ),
+                lambda: sgd_gap_bound(
+                    SgdSpec(regime="convex", steps=100, seed=0, step=0.25),
+                    1.0,
+                    1.0,
+                    1.0,
+                    0.1,
+                    100,
+                    smoothness=2.0,
+                ),
+                id="sgd-fast-rate",
+            ),
+        ],
+    )
+    def test_every_family_total_equals_the_direct_call(self, tmp_path, spec, direct, capsys):
+        # alpha=None drops the key for the families that compose their own alpha.
+        spec = {key: value for key, value in spec.items() if value is not None}
+        path = write_json(tmp_path, "constants.json", spec)
+        assert main(["bounds", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = direct()
+        assert payload["name"] == expected.name == spec["family"]
+        assert payload["total"] == expected.total
 
     @pytest.mark.parametrize(
         "spec",

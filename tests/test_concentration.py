@@ -11,7 +11,6 @@ from stabilab import (
     TailExperiment,
     center_concentration_experiment,
     doob_decomposition,
-    doob_increment_norms,
     draw_sample,
     make_algorithm,
     pinelis_tail_experiment,
@@ -168,14 +167,6 @@ class TestDoob:
         slack = alpha + 3.0 * doob.combined_std_error()
         for norm in doob.increment_norms():
             assert norm <= slack
-
-    def test_helper_returns_the_same_norms(self):
-        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        spec = regression_spec()
-        sample = draw_sample(spec, 4, seed=7)
-        direct = doob_decomposition(algo, sample, spec, suffix_draws=256, seed=8)
-        norms = doob_increment_norms(algo, sample, spec, suffix_draws=256, seed=8)
-        assert norms == direct.increment_norms()
 
     def test_replays_for_a_fixed_seed(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)

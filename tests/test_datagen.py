@@ -10,7 +10,6 @@ from stabilab import (
     LinearNoise,
     LogisticTeacher,
     SignFlip,
-    draw_example,
     draw_sample,
     make_loss,
     true_risk,
@@ -186,13 +185,6 @@ class TestDrawSample:
         spec = linear_spec(teacher_scale=0.4, noise_sd=0.05)
         s = draw_sample(spec, 400, seed=4)
         assert np.all(np.abs(s.labels) <= 1.0)
-
-    def test_draw_example_matches_the_one_sample_draw(self):
-        spec = linear_spec()
-        z = draw_example(spec, seed=9)
-        w = draw_sample(spec, 1, seed=9).example(0)
-        assert np.array_equal(z.x, w.x)
-        assert z.y == w.y
 
 
 class TestTrueRisk:

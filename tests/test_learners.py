@@ -9,6 +9,7 @@ from stabilab import (
     ConvergenceError,
     DomainError,
     LabeledExample,
+    NonFiniteIterateError,
     PenaltySpec,
     Sample,
     SgdSpec,
@@ -28,6 +29,7 @@ from stabilab.learners import (
     check_sample_domain,
     sgd_twin_distances,
 )
+from sgd_oracle import serial_sgd
 
 
 def unit_ball_sample(rng, n, d, feature_scale=1.0, label_bound=1.0):
@@ -508,9 +510,91 @@ class TestBatchedHelpers:
         seeds = [101, 102, 103, 104, 105]
         batch = fit_batch(algo, samples, seeds)
         assert batch.shape == (5, 3)
+        loss = algo.loss_for(12)
         for row, sample, seed in zip(batch, samples, seeds):
-            single = algo.fit(sample, seed=seed)
+            single = serial_sgd(sample, loss, algo.spec_for(12, seed))[-1]
             assert np.linalg.norm(row - single) < 1e-12
+
+    def test_every_sgd_entry_point_gives_the_same_bits(self):
+        rng = np.random.default_rng(61)
+        algo = make_algorithm(
+            "sgd-convex", "squared", 1.0, 0.5, steps=40, step=0.2
+        )
+        loss = algo.loss_for(12)
+        for pair in range(60):
+            samples = [unit_ball_sample(rng, 12, 3, label_bound=0.5) for _ in range(2)]
+            seeds = [1000 + 2 * pair, 1001 + 2 * pair]
+            batch = fit_batch(algo, samples, seeds)
+            for row, sample, seed in zip(batch, samples, seeds):
+                alone = fit_batch(algo, [sample], [seed])[0]
+                fitted = algo.fit(sample, seed=seed)
+                run = run_sgd(sample, loss, algo.spec_for(12, seed)).final
+                assert np.array_equal(row, alone)
+                assert np.array_equal(row, fitted)
+                assert np.array_equal(row, run)
+
+    def test_batched_paths_check_the_certified_radius(self):
+        rng = np.random.default_rng(67)
+        n, d = 10, 3
+        algo = make_algorithm(
+            "sgd-convex", "squared", 1.0, 0.5, steps=30, step=0.2
+        )
+        # Certify a radius the iterates leave within a few steps.
+        algo.loss_for = lambda n: make_loss("squared", 1.0, 1e-3, 0.5)
+        samples = [unit_ball_sample(rng, n, d, label_bound=0.5) for _ in range(3)]
+        with pytest.raises(DomainError):
+            fit_batch(algo, samples, [1, 2, 3])
+        sample = samples[0]
+        with pytest.raises(DomainError):
+            sgd_twin_distances(
+                algo,
+                sample.features,
+                sample.labels,
+                np.array([0, 1]),
+                sample.features[:2],
+                sample.labels[:2],
+                [4, 5],
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_iterates_raise(self):
+        # Step 1 lands at norm 2e100, inside the radius; step 2 overflows.
+        sample = Sample([[1.0, 0.0]], [1e-200])
+        loss = make_loss("squared", 1.0, 1e150, 0.5)
+        spec = SgdSpec(regime="nonconvex", steps=3, seed=3, step_constant=1e300)
+        with pytest.raises(NonFiniteIterateError):
+            run_sgd(sample, loss, spec)
+        algo = make_algorithm("sgd-nonconvex", "squared", 1.0, 0.5, steps=3, c=1e300)
+        algo.loss_for = lambda n: loss
+        with pytest.raises(NonFiniteIterateError):
+            fit_batch(algo, [sample, sample], [4, 5])
+        with pytest.raises(NonFiniteIterateError):
+            sgd_twin_distances(
+                algo,
+                sample.features,
+                sample.labels,
+                np.array([0]),
+                np.array([[0.0, 1.0]]),
+                np.array([-1e-200]),
+                [4],
+            )
+
+    def test_twin_replacements_are_checked_against_the_domain(self):
+        rng = np.random.default_rng(71)
+        algo = make_algorithm(
+            "sgd-convex", "squared", 1.0, 0.5, steps=10, step=0.2
+        )
+        sample = unit_ball_sample(rng, 6, 2, label_bound=0.5)
+        with pytest.raises(DomainError):
+            sgd_twin_distances(
+                algo,
+                sample.features,
+                sample.labels,
+                np.array([0]),
+                np.array([[2.0, 0.0]]),
+                np.array([0.1]),
+                [9],
+            )
 
     def test_fit_batch_matches_exact_solver_for_ridge(self):
         rng = np.random.default_rng(53)
@@ -547,9 +631,9 @@ class TestBatchedHelpers:
         loss = algo.loss_for(n)
         for c in range(cells):
             spec = algo.spec_for(n, seeds[c])
-            a = run_sgd(sample, loss, spec).final
+            a = serial_sgd(sample, loss, spec)[-1]
             twin = sample.replaced(int(repl_i[c]), LabeledExample(repl_x[c], float(repl_y[c])))
-            b = run_sgd(twin, loss, spec).final
+            b = serial_sgd(twin, loss, spec)[-1]
             assert abs(dist[c] - np.linalg.norm(a - b)) < 1e-12
 
     def test_identical_replacement_gives_zero_distance(self):

@@ -29,7 +29,6 @@ from stabilab.stability import (
     ANCHOR_MINUS,
     ANCHOR_PLUS,
     adversarial_anchors,
-    rerm_beta,
     ridge_curvature,
 )
 
@@ -166,12 +165,6 @@ class TestSgdAlpha:
 
     def test_beta_is_the_lipschitz_multiple(self):
         assert beta_from_alpha(2.0, 1.5, 0.1) == pytest.approx(0.3)
-
-    def test_rerm_beta_routes_agree(self):
-        for xi in (1.5, 2.0, 3.0):
-            out = rerm_beta(2.0, 1.5, 0.7, 0.05, 80, xi)
-            assert out["agree"]
-            assert out["direct"] == pytest.approx(out["via_lipschitz"], rel=1e-9)
 
 
 class TestPenaltyCondition:
@@ -395,7 +388,7 @@ class TestMeasurement:
         report = measure_argument_stability(
             algo, sample, spec, replacements=2, seed=17, use_anchors=False
         )
-        from stabilab import run_sgd
+        from sgd_oracle import serial_sgd
         from stabilab.seeding import child_seed
 
         loss = algo.loss_for(sample.n)
@@ -403,10 +396,10 @@ class TestMeasurement:
         for i, code, distance, _gap in report.cells:
             z = draw_sample(spec, 1, child_seed(17, "replacement", i, code)).example(0)
             twin = sample.replaced(i, z)
-            h = run_sgd(twin, loss, algo.spec_for(sample.n, child_seed(17, i, code))).final
-            base_run = run_sgd(
+            h = serial_sgd(twin, loss, algo.spec_for(sample.n, child_seed(17, i, code)))[-1]
+            base_run = serial_sgd(
                 sample, loss, algo.spec_for(sample.n, child_seed(17, i, code))
-            ).final
+            )[-1]
             assert distance == pytest.approx(
                 float(np.linalg.norm(base_run - h)), abs=1e-12
             )
