@@ -25,6 +25,7 @@ both evaluate bounds through it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
@@ -318,7 +319,11 @@ class BoundFamily:
             raise ValueError(f"{self.name} constants missing: {sorted(missing)}")
         accepted = self.required | set(self.optional)
         kwargs = {**self.optional, **{k: v for k, v in constants.items() if k in accepted}}
-        kwargs["n"] = int(kwargs["n"])
+        n = kwargs["n"]
+        integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
+        if isinstance(n, bool) or not integral:
+            raise ValueError(f"n must be an integer sample size, got {n!r}")
+        kwargs["n"] = int(n)
         return self.calculate(**kwargs)
 
 

@@ -274,9 +274,12 @@ def _check_report(payload: dict) -> list:
         recomputed = report_digest(payload)
         if stored != recomputed:
             problems.append(f"digest mismatch: stored {stored[:12]}.. != {recomputed[:12]}..")
+    preset = str(payload.get("config", {}).get("algorithm", {}).get("preset", ""))
     for record in payload.get("records", []):
         n = record["n"]
         theory = record["stability"].get("theory_alpha")
+        if theory is not None:
+            problems.extend(_stability_problems(record["stability"], theory, preset, n))
         for bound in record["bounds"]:
             total = math.fsum(term["value"] for term in bound["terms"])
             if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
@@ -301,6 +304,24 @@ def _check_report(payload: dict) -> list:
     if payload.get("failed"):
         problems.append(f"report carries a failure marker: {payload['failed']}")
     return problems
+
+
+def _stability_problems(stability: dict, theory: float, preset: str, n: int) -> list:
+    """Measured stability above the closed form by more than 1e-8.
+
+    Ridge and penalized ERM bound every replace-one distance, so their
+    ``alpha_hat`` is checked. The SGD closed forms bound the coupled-twin
+    distance in expectation over the shared index stream, so SGD presets
+    check each index's mean distance over its replacements instead.
+    """
+    if preset.startswith("sgd-"):
+        label = "largest per-index mean distance"
+        measured = max(entry["mean"] for entry in stability["per_index"])
+    else:
+        label, measured = "alpha_hat", stability["alpha_hat"]
+    if measured > theory + 1e-8:
+        return [f"n={n} stability: {label} {measured:.6g} exceeds theory_alpha {theory:.6g}"]
+    return []
 
 
 def cmd_experiment_validate(args) -> int:

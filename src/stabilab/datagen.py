@@ -154,16 +154,35 @@ def _draw_features(spec: DistributionSpec, rng: np.random.Generator, n: int) -> 
     return X
 
 
-def draw_sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
-    """n i.i.d. examples; the same (spec, n, seed) always gives the same sample."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = substream(seed, "datagen")
+def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int):
+    """n (features, label) rows from one generator, labels clipped to the bound."""
     X = _draw_features(spec, rng, n)
     y = spec.mechanism.labels(rng, X @ spec.teacher)
     if not spec.mechanism.classification():
         np.clip(y, -spec.label_bound, spec.label_bound, out=y)
-    return Sample(X, y)
+    return X, y
+
+
+def draw_sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
+    """n i.i.d. examples; the same (spec, n, seed) always gives the same sample."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Sample(*_draw(spec, substream(seed, "datagen"), n))
+
+
+def draw_examples(spec: DistributionSpec, seeds):
+    """One example per seed, each exactly as ``draw_sample(spec, 1, seed)`` draws it.
+
+    Returns (len(seeds), d) features and (len(seeds),) labels without
+    building a Sample per row; raises ValueError if any entry is not finite.
+    """
+    X = np.empty((len(seeds), spec.dim))
+    y = np.empty(len(seeds))
+    for c, seed in enumerate(seeds):
+        X[c : c + 1], y[c : c + 1] = _draw(spec, substream(seed, "datagen"), 1)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("drawn examples must be finite")
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -206,11 +225,7 @@ def true_risk(
         return RiskEstimate(value=value, std_error=0.0, exact=True)
     if draws < 2:
         raise ValueError("draws must be >= 2 for a Monte Carlo estimate")
-    rng = substream(seed, "risk-mc")
-    X = _draw_features(spec, rng, draws)
-    y = spec.mechanism.labels(rng, X @ spec.teacher)
-    if not spec.mechanism.classification():
-        np.clip(y, -spec.label_bound, spec.label_bound, out=y)
+    X, y = _draw(spec, substream(seed, "risk-mc"), draws)
     vals = loss.values_raw(h, X, y)
     se = float(vals.std(ddof=1) / math.sqrt(draws))
     return RiskEstimate(value=float(vals.mean()), std_error=se, exact=False)

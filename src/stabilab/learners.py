@@ -15,12 +15,13 @@ linear predictor:
 Algorithm presets bundle a trainer with the loss model it certifies, so
 experiment configs can address them by name. Every preset fits C samples
 at once (``fit_many``, behind :func:`fit_batch`) and the replace-one twins
-of one sample (``fit_twins``). All SGD goes through one kernel that
-advances a stacked (rows, d) state: C independent runs for
-:func:`fit_batch`, one run with its trajectory for :func:`run_sgd`, and 2C
-coupled rows for :func:`sgd_twin_distances`. A row's arithmetic does not
-depend on the other rows, so every entry point gives bitwise the same
-iterates for the same sample and seed.
+of one sample (``fit_twins``). Every ridge fit goes through one stacked,
+certified normal-equation solve, :func:`solve_ridge_stack`. All SGD goes
+through one kernel that advances a stacked (rows, d) state: C independent
+runs for :func:`fit_batch`, one run with its trajectory for
+:func:`run_sgd`, and 2C coupled rows for :func:`sgd_twin_distances`. In
+both, a row's arithmetic does not depend on the other rows, so every entry
+point gives bitwise the same hypothesis for the same sample and seed.
 """
 
 from __future__ import annotations
@@ -143,23 +144,53 @@ def empirical_risk(loss: LossModel, h, sample: Sample) -> float:
 def fit_ridge(sample: Sample, lam: float) -> np.ndarray:
     """Exact minimizer of (1/n) sum (<h,x_i> - y_i)^2 + lam ||h||^2.
 
-    Solves the normal equations, with one refinement pass so the residual
-    gradient norm stays below 1e-10 at desk scale.
+    The one-sample case of :func:`solve_ridge_stack`.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
-    X, y = sample.features, sample.labels
+    A, b = _normal_equations(sample.features, sample.labels, lam)
+    return solve_ridge_stack(A[None], b[None])[0]
+
+
+def _normal_equations(X: np.ndarray, y: np.ndarray, lam: float):
+    """(A, b) with A = X^T X / n + lam I and b = X^T y / n."""
     n, d = X.shape
-    A = X.T @ X / n + lam * np.eye(d)
-    b = X.T @ y / n
-    h = np.linalg.solve(A, b)
-    resid = b - A @ h
-    if np.linalg.norm(resid) > 1e-14:
-        h = h + np.linalg.solve(A, resid)
-    grad_norm = 2.0 * float(np.linalg.norm(A @ h - b))
-    if grad_norm >= 1e-10:
-        raise ConvergenceError("ridge normal equations left a large residual", grad_norm)
-    return h
+    return X.T @ X / n + lam * np.eye(d), X.T @ y / n
+
+
+def solve_ridge_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve C ridge normal equations A[c] h = b[c] at once; (C, d, d), (C, d) -> (C, d).
+
+    One stacked solve, then one refinement pass for every cell whose
+    residual norm exceeds 1e-14, then a per-cell certificate: the gradient
+    norm 2 ||A h - b|| must stay below 1e-10, or ConvergenceError names the
+    first failing cell. Every cell goes through the same LAPACK and BLAS
+    calls as a lone solve, so a row does not depend on the other cells.
+    """
+    H = np.linalg.solve(A, b[..., None])[..., 0]
+    resid = b - _matvec(A, H)
+    refine = _row_norms(resid) > 1e-14
+    if refine.any():
+        H[refine] += np.linalg.solve(A[refine], resid[refine][..., None])[..., 0]
+    grad_norms = 2.0 * _row_norms(_matvec(A, H) - b)
+    failed = np.flatnonzero(~(grad_norms < 1e-10))
+    if failed.size:
+        cell = int(failed[0])
+        raise ConvergenceError(
+            f"ridge normal equations of cell {cell} left a large residual",
+            float(grad_norms[cell]),
+        )
+    return H
+
+
+def _matvec(A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Row c is A[c] @ H[c], by the matrix-vector product a lone (d, d) @ (d,) uses."""
+    return (A @ H[..., None])[..., 0]
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """Row c is ||R[c]||, by the dot product np.linalg.norm takes of a lone vector."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +510,8 @@ class _Preset:
 
     ``fit`` fits one sample; ``fit_many`` fits C samples, one row each;
     ``fit_twins`` fits the coupled pairs of a replace-one measurement. The
-    defaults here fit one sample at a time; SGD overrides both batched
-    methods with its stacked kernel.
+    defaults here fit one sample at a time; ridge overrides both batched
+    methods with its stacked solve and SGD with its stacked kernel.
     """
 
     stochastic = False
@@ -492,10 +523,13 @@ class _Preset:
         """Fits (HA, HB) on S and on the replaced samples, one row per cell.
 
         Cell c swaps example ``replaced_index[c]`` for ``(repl_x[c],
-        repl_y[c])`` and fits with ``seeds[c]``. A deterministic fit on S
-        does not depend on the cell, so HA repeats ``base``, the fit on S.
-        Replaced samples are built one at a time.
+        repl_y[c])`` and fits with ``seeds[c]``; a deterministic preset is
+        given ``seeds=None`` and fits with the default seed. A deterministic
+        fit on S does not depend on the cell, so HA repeats ``base``, the
+        fit on S. Replaced samples are built one at a time.
         """
+        if seeds is None:
+            seeds = [0] * len(replaced_index)
         HB = np.stack(
             [
                 self.fit(sample.replaced(int(i), LabeledExample(x, float(y))), seed=k)
@@ -548,6 +582,39 @@ class RidgeAlgorithm(_Preset):
 
     def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
         return fit_ridge(sample, self.lam)
+
+    def fit_many(self, samples, seeds) -> np.ndarray:
+        """One stacked solve over the samples' normal equations, formed one sample at a time."""
+        A, b = zip(*(_normal_equations(s.features, s.labels, self.lam) for s in samples))
+        return solve_ridge_stack(np.stack(A), np.stack(b))
+
+    def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
+        """HB from one stacked solve; HA repeats ``base``.
+
+        Cell c's normal equations come from the base features with row
+        ``replaced_index[c]`` swapped in place, the arithmetic fit_ridge
+        does on ``sample.replaced(...)``, so each HB row equals that fit
+        bit for bit. No replaced Sample is built.
+        """
+        index = np.asarray(replaced_index)
+        repl_x = np.asarray(repl_x, dtype=np.float64)
+        repl_y = np.asarray(repl_y, dtype=np.float64)
+        n, d = sample.features.shape
+        cells = len(index)
+        if repl_x.shape != (cells, d) or repl_y.shape != (cells,):
+            raise ValueError("need one replacement example of the sample's dimension per cell")
+        if cells and not (index.min() >= 0 and index.max() < n):
+            raise ValueError(f"replaced indices must lie in [0, {n})")
+        if not (np.all(np.isfinite(repl_x)) and np.all(np.isfinite(repl_y))):
+            raise ValueError("replacement examples must be finite")
+        X, y = sample.features.copy(), sample.labels.copy()
+        A, b = np.empty((cells, d, d)), np.empty((cells, d))
+        for c, i in enumerate(index):
+            X[i], y[i] = repl_x[c], repl_y[c]
+            A[c], b[c] = _normal_equations(X, y, self.lam)
+            X[i], y[i] = sample.features[i], sample.labels[i]
+        HB = solve_ridge_stack(A, b)
+        return np.broadcast_to(base, HB.shape), HB
 
 
 class LpRermAlgorithm(_Preset):

@@ -4,6 +4,11 @@ Every stochastic routine in the package takes an integer seed and derives
 the streams it needs from (seed, label, ...) paths. Streams with distinct
 paths are independent, replayable, and insensitive to execution order,
 which is what makes reports bitwise reproducible.
+
+A label names its path component by the ``repr`` of its plain Python
+value: NumPy integers, floats and booleans hash as the ``int``, ``float``
+and ``bool`` they equal, so a path does not depend on the type that
+carries an index. Other label types are rejected.
 """
 
 from __future__ import annotations
@@ -13,13 +18,33 @@ import hashlib
 import numpy as np
 
 
+_PLAIN_LABELS = frozenset((int, float, str, bool))
+
+
+def _canonical_label(label):
+    """The plain int, float, str or bool whose repr names the label's path component."""
+    if type(label) in _PLAIN_LABELS:
+        return label
+    if isinstance(label, (bool, np.bool_)):
+        return bool(label)
+    if isinstance(label, (int, np.integer)):
+        return int(label)
+    if isinstance(label, (float, np.floating)):
+        return float(label)
+    if isinstance(label, str):
+        return str(label)
+    raise TypeError(
+        f"seed labels must be int, float, str or bool, not {type(label).__name__}"
+    )
+
+
 def stream_key(master_seed: int, *labels: object) -> int:
     """128-bit Philox key derived from a master seed and a label path."""
     h = hashlib.blake2b(digest_size=16)
     h.update(str(int(master_seed)).encode())
     for label in labels:
         h.update(b"/")
-        h.update(repr(label).encode())
+        h.update(repr(_canonical_label(label)).encode())
     return int.from_bytes(h.digest(), "big")
 
 

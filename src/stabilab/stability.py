@@ -18,8 +18,9 @@ Measurement conventions:
   are compared as coupled twins, both runs consuming the same
   example-index stream in one stacked SGD kernel, so a replacement that
   the stream never touches yields distance exactly zero;
-* every (index, replacement) cell derives its own seed from the master
-  seed, making reports independent of evaluation order.
+* every (index, replacement) cell draws its replacement from its own
+  seeded stream and, for stochastic presets, derives its own fit seed from
+  the master seed, making reports independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import DistributionSpec, draw_sample
+from .datagen import DistributionSpec, draw_examples, draw_sample
 from .learners import (
     ConstantAlgorithm,
     LpRermAlgorithm,
@@ -296,16 +297,6 @@ def adversarial_anchors(h: np.ndarray, dist: DistributionSpec) -> list:
     ]
 
 
-def _cell_replacements(dist, i, replacements, anchors, seed):
-    """Replacement examples for index i: seeded i.i.d. draws, then anchors."""
-    out = []
-    for k in range(replacements):
-        z = draw_sample(dist, 1, child_seed(seed, "replacement", i, k)).example(0)
-        out.append((k, z))
-    out.extend(anchors)
-    return out
-
-
 def _loss_gap_grid(dist: DistributionSpec, eval_loss, anchors, seed):
     if eval_loss is None:
         return None, None
@@ -350,17 +341,26 @@ def measure_argument_stability(
     anchors = adversarial_anchors(h_base, dist) if use_anchors else []
     grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchors, seed)
 
-    cell_index, codes, rep_x, rep_y, seeds = [], [], [], [], []
-    for i in range(n):
-        for code, z in _cell_replacements(dist, i, replacements, anchors, seed):
-            cell_index.append(i)
-            codes.append(code)
-            rep_x.append(z.x)
-            rep_y.append(z.y)
-            seeds.append(child_seed(seed, i, code))
+    # Index i's cells: i.i.d. draws k = 0 .. replacements - 1, then the anchors.
+    codes = list(range(replacements)) + [code for code, _ in anchors]
+    draws_x, draws_y = draw_examples(
+        dist,
+        [child_seed(seed, "replacement", i, k) for i in range(n) for k in range(replacements)],
+    )
+    rep_x = np.empty((n, len(codes), dist.dim))
+    rep_y = np.empty((n, len(codes)))
+    rep_x[:, :replacements] = draws_x.reshape(n, replacements, dist.dim)
+    rep_y[:, :replacements] = draws_y.reshape(n, replacements)
+    for column, (_, z) in enumerate(anchors, start=replacements):
+        rep_x[:, column], rep_y[:, column] = z.x, z.y
+    cell_index = [i for i in range(n) for _ in codes]
+    codes = codes * n
+    seeds = None
+    if algorithm.stochastic:
+        seeds = [child_seed(seed, i, code) for i, code in zip(cell_index, codes)]
     try:
         HA, HB = algorithm.fit_twins(
-            sample, cell_index, np.stack(rep_x), np.array(rep_y), seeds, h_base
+            sample, cell_index, rep_x.reshape(-1, dist.dim), rep_y.ravel(), seeds, h_base
         )
     except Exception as exc:
         raise RuntimeError(f"replace-one fits failed: {exc}") from exc
@@ -369,7 +369,13 @@ def measure_argument_stability(
     if eval_loss is None:
         gaps = [None] * len(distances)
     else:
-        gaps = [_loss_gap(eval_loss, a, b, grid_X, grid_y) for a, b in zip(HA, HB)]
+        # A deterministic fit on S is the same in every cell: evaluate it once.
+        base_values = None
+        if not algorithm.stochastic:
+            base_values = _grid_values(eval_loss, h_base, grid_X, grid_y)
+        gaps = [
+            _loss_gap(eval_loss, a, b, grid_X, grid_y, base_values) for a, b in zip(HA, HB)
+        ]
     cells = list(zip(cell_index, codes, distances, gaps))
     by_index = np.array(distances).reshape(n, -1)
     per_index = [
@@ -404,8 +410,13 @@ def _grid_values(loss: LossModel, h: np.ndarray, grid_X: np.ndarray, grid_y: np.
     return vals
 
 
-def _loss_gap(loss: LossModel, a: np.ndarray, b: np.ndarray, grid_X, grid_y) -> float:
-    """Largest loss difference between two hypotheses over the grid."""
-    va = _grid_values(loss, a, grid_X, grid_y)
+def _loss_gap(loss: LossModel, a: np.ndarray, b: np.ndarray, grid_X, grid_y, va=None) -> float:
+    """Largest loss difference between two hypotheses over the grid.
+
+    ``va``, when given, holds a's grid values, so a fixed first hypothesis
+    is evaluated once rather than per call.
+    """
+    if va is None:
+        va = _grid_values(loss, a, grid_X, grid_y)
     vb = _grid_values(loss, b, grid_X, grid_y)
     return float(np.abs(va - vb).max())

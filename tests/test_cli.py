@@ -221,6 +221,21 @@ class TestBoundsCommand:
         assert "note:" in out
         assert "factor 2" in out
 
+    @pytest.mark.parametrize("n", [100.7, True, "100"])
+    def test_a_non_integer_sample_size_is_rejected(self, tmp_path, capsys, n):
+        path = write_json(tmp_path, "constants.json", plain_constants(n=n))
+        assert main(["bounds", path]) == 1
+        captured = capsys.readouterr()
+        assert "n must be an integer sample size" in captured.err
+        assert captured.out == ""
+
+    def test_an_integral_float_sample_size_is_accepted(self, tmp_path, capsys):
+        path = write_json(tmp_path, "constants.json", plain_constants(n=100.0))
+        assert main(["bounds", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == pytest.approx(
+            0.1562532379280837, rel=1e-12
+        )
+
     def test_rerm_family_smoke(self, tmp_path, capsys):
         spec = {
             "family": "rerm-fast-rate",
@@ -462,6 +477,38 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "tampered.json", payload)
         assert main(["experiment", "validate", path]) == 1
         assert "!= theoretical" in capsys.readouterr().out
+
+    def test_validate_flags_stability_above_the_closed_form(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        stability = payload["records"][1]["stability"]
+        stability["alpha_hat"] = stability["theory_alpha"] * 1.5
+        payload["digest"] = report_digest(payload)
+        path = write_json(tmp_path, "tampered.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: n=20 stability: alpha_hat")
+        assert "exceeds theory_alpha" in out
+        assert out.count("invalid:") == 1
+
+    def test_validate_checks_sgd_records_on_per_index_means(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        payload["config"]["algorithm"]["preset"] = "sgd-strongly-convex"
+        stability = payload["records"][0]["stability"]
+        theory = stability["theory_alpha"]
+        # One realization above the closed form is allowed for SGD ...
+        stability["alpha_hat"] = stability["per_index"][3]["max_over_replacements"] = 2 * theory
+        payload["digest"] = report_digest(payload)
+        path = write_json(tmp_path, "sgd.json", payload)
+        assert main(["experiment", "validate", path]) == 0
+        capsys.readouterr()
+        # ... an index whose mean distance exceeds it is not.
+        stability["per_index"][3]["mean"] = 1.1 * theory
+        payload["digest"] = report_digest(payload)
+        path = write_json(tmp_path, "sgd-mean.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        assert "largest per-index mean distance" in capsys.readouterr().out
 
     def test_validate_flags_a_failure_marker(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:

@@ -14,6 +14,7 @@ from stabilab import (
     make_loss,
     true_risk,
 )
+from stabilab.datagen import draw_examples
 
 
 def linear_spec(dim=3, feature_bound=1.0, teacher_scale=0.4, noise_sd=0.05, law="sphere"):
@@ -185,6 +186,44 @@ class TestDrawSample:
         spec = linear_spec(teacher_scale=0.4, noise_sd=0.05)
         s = draw_sample(spec, 400, seed=4)
         assert np.all(np.abs(s.labels) <= 1.0)
+
+
+class TestDrawExamples:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            linear_spec(dim=4),
+            linear_spec(dim=2, law="ball"),
+            DistributionSpec(
+                dim=3, feature_bound=2.0, teacher=[0.5, 0.0, 0.1], mechanism=SignFlip(0.2)
+            ),
+        ],
+        ids=["linear", "ball", "sign-flip"],
+    )
+    def test_each_row_is_the_one_example_sample_of_its_seed(self, spec):
+        seeds = [11, 5, 11, 2**62 + 3]
+        X, y = draw_examples(spec, seeds)
+        assert X.shape == (4, spec.dim) and y.shape == (4,)
+        for row, label, seed in zip(X, y, seeds):
+            one = draw_sample(spec, 1, seed)
+            assert np.array_equal(row, one.features[0])
+            assert label == one.labels[0]
+
+    def test_non_finite_rows_raise(self):
+        class NanLabels:
+            noise_sd = 0.0
+
+            def labels(self, rng, margins):
+                return np.full(margins.shape[0], np.nan)
+
+            def classification(self):
+                return False
+
+        spec = DistributionSpec(
+            dim=2, feature_bound=1.0, teacher=[0.1, 0.0], mechanism=NanLabels()
+        )
+        with pytest.raises(ValueError, match="finite"):
+            draw_examples(spec, [1, 2])
 
 
 class TestTrueRisk:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabilab import (
     ConvergenceError,
@@ -28,7 +29,9 @@ from stabilab.learners import (
     SgdAlgorithm,
     check_sample_domain,
     sgd_twin_distances,
+    solve_ridge_stack,
 )
+from ridge_oracle import serial_ridge
 from sgd_oracle import serial_sgd
 
 
@@ -654,3 +657,160 @@ class TestBatchedHelpers:
             [77],
         )
         assert dist[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stacked ridge solve against its serial oracle
+
+
+def replace_one_cells(rng, sample, cells, feature_scale=1.0, label_bound=1.0):
+    """Random replace-one cells: indices (with repeats), replacement rows and labels."""
+    index = rng.integers(0, sample.n, size=cells)
+    repl_x = rng.standard_normal((cells, sample.dim))
+    repl_x *= feature_scale / np.linalg.norm(repl_x, axis=1)[:, None]
+    repl_y = rng.uniform(-label_bound, label_bound, size=cells)
+    return index, repl_x, repl_y
+
+
+class TestStackedRidge:
+    @pytest.mark.parametrize(
+        "n, d, lam", [(1, 3, 0.5), (12, 1, 1e-3), (40, 6, 0.1), (400, 8, 1e-4)]
+    )
+    def test_fit_many_rows_equal_the_serial_fits(self, n, d, lam):
+        rng = np.random.default_rng(n + d)
+        algo = RidgeAlgorithm(lam, 1.0, 1.0)
+        samples = [unit_ball_sample(rng, n, d) for _ in range(5)]
+        rows = algo.fit_many(samples, range(5))
+        assert rows.shape == (5, d)
+        for row, sample in zip(rows, samples):
+            assert np.array_equal(row, fit_ridge(sample, lam))
+            assert np.array_equal(row, serial_ridge(sample, lam))
+
+    @pytest.mark.parametrize("n, d, lam", [(1, 2, 0.5), (25, 4, 1e-3), (400, 8, 0.05)])
+    def test_fit_twins_rows_equal_fits_on_the_replaced_samples(self, n, d, lam):
+        rng = np.random.default_rng(7 * n + d)
+        algo = RidgeAlgorithm(lam, 1.0, 1.0)
+        sample = unit_ball_sample(rng, n, d)
+        index, repl_x, repl_y = replace_one_cells(rng, sample, 60)
+        base = algo.fit(sample)
+        HA, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, base)
+        assert HA.shape == HB.shape == (60, d)
+        assert all(np.array_equal(row, base) for row in HA)
+        for c, i in enumerate(index):
+            replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            assert np.array_equal(HB[c], fit_ridge(replaced, lam))
+            assert np.array_equal(HB[c], serial_ridge(replaced, lam))
+        # The sample the cells were swapped into is left as it was.
+        assert np.array_equal(algo.fit(sample), base)
+
+    def test_refined_cells_match_the_serial_refinement(self):
+        # Tiny lam and far-out replacements push residuals over 1e-14, so
+        # the refinement pass runs for some cells and not for others.
+        rng = np.random.default_rng(61)
+        algo = RidgeAlgorithm(1e-9, 50.0, 1.0)
+        sample = unit_ball_sample(rng, 6, 5)
+        index, repl_x, repl_y = replace_one_cells(rng, sample, 40, feature_scale=50.0)
+        _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, algo.fit(sample))
+        for c, i in enumerate(index):
+            replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            assert np.array_equal(HB[c], serial_ridge(replaced, 1e-9))
+
+    def test_a_row_does_not_depend_on_the_other_cells(self):
+        rng = np.random.default_rng(67)
+        samples = [unit_ball_sample(rng, 15, 3) for _ in range(4)]
+        algo = RidgeAlgorithm(0.2, 1.0, 1.0)
+        together = algo.fit_many(samples, range(4))
+        for k in range(4):
+            assert np.array_equal(together[k], algo.fit_many(samples[k : k + 1], [0])[0])
+
+    def test_non_finite_replacements_raise(self):
+        rng = np.random.default_rng(71)
+        algo = RidgeAlgorithm(0.5, 1.0, 1.0)
+        sample = unit_ball_sample(rng, 8, 2)
+        index, repl_x, repl_y = replace_one_cells(rng, sample, 3)
+        base = algo.fit(sample)
+        bad_x = repl_x.copy()
+        bad_x[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            algo.fit_twins(sample, index, bad_x, repl_y, None, base)
+        bad_y = repl_y.copy()
+        bad_y[2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            algo.fit_twins(sample, index, repl_x, bad_y, None, base)
+
+    def test_fit_twins_validates_its_cells(self):
+        rng = np.random.default_rng(73)
+        algo = RidgeAlgorithm(0.5, 1.0, 1.0)
+        sample = unit_ball_sample(rng, 8, 2)
+        index, repl_x, repl_y = replace_one_cells(rng, sample, 3)
+        base = algo.fit(sample)
+        for bad_index in ([0, 8, 1], [0, -1, 1]):
+            with pytest.raises(ValueError, match="indices"):
+                algo.fit_twins(sample, bad_index, repl_x, repl_y, None, base)
+        with pytest.raises(ValueError, match="one replacement"):
+            algo.fit_twins(sample, index, repl_x[:, :1], repl_y, None, base)
+
+    def test_a_failed_certificate_names_its_cell(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        algo = RidgeAlgorithm(0.5, 1.0, 1.0)
+        sample = unit_ball_sample(rng, 8, 2)
+        index, repl_x, repl_y = replace_one_cells(rng, sample, 4)
+        base = algo.fit(sample)
+        solve = np.linalg.solve
+
+        def off_in_the_last_cell(a, b):
+            out = solve(a, b)
+            out[-1] += 1.0
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", off_in_the_last_cell)
+        with pytest.raises(ConvergenceError, match="cell 3 ") as caught:
+            algo.fit_twins(sample, index, repl_x, repl_y, None, base)
+        assert caught.value.achieved > 1e-10
+        with pytest.raises(ConvergenceError, match="cell 0 "):
+            fit_ridge(sample, 0.5)
+
+    def test_certificate_checks_every_cell(self):
+        A = np.stack([np.eye(2), np.eye(2)])
+        b = np.array([[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(ConvergenceError, match="cell 1 "):
+            solve_ridge_stack(A, b)
+        assert np.array_equal(solve_ridge_stack(A[:1], b[:1]), [[1.0, 2.0]])
+
+
+def preset_for(name: str, lam: float):
+    """Each preset on the squared loss, its regularization (or gamma) set to lam."""
+    steps = {"mode": "multiple_of_n", "factor": 2}
+    params = {
+        "constant": dict(vector=[0.25] * 3),
+        "ridge": dict(lam=lam),
+        "rerm-lp": dict(p=1.5, lam=lam, tol=1e-7),
+        "sgd-nonconvex": dict(steps=steps, c="inverse_smoothness", projection_radius=2.0),
+        "sgd-convex": dict(steps=steps, step="inverse_smoothness"),
+        "sgd-strongly-convex": dict(
+            steps=steps, step="inverse_smoothness", gamma=lam, projection_radius=2.0
+        ),
+    }[name]
+    return make_algorithm(name, "squared", 1.0, 1.0, **params)
+
+
+@pytest.mark.parametrize(
+    "preset", ["constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"]
+)
+@settings(max_examples=12)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 5),
+    lam=st.floats(1e-3, 10.0),
+    count=st.integers(1, 4),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_every_preset_fit_many_matches_its_serial_fits(preset, n, d, lam, count, data_seed):
+    rng = np.random.default_rng(data_seed)
+    algo = preset_for(preset, lam)
+    samples = [unit_ball_sample(rng, n, 3 if preset == "constant" else d) for _ in range(count)]
+    seeds = [data_seed + k for k in range(count)]
+    rows = algo.fit_many(samples, seeds)
+    assert len(rows) == count
+    for row, sample, seed in zip(rows, samples, seeds):
+        assert np.array_equal(row, algo.fit(sample, seed=seed))

@@ -25,9 +25,12 @@ from stabilab import (
     sgd_alpha,
     theoretical_alpha,
 )
+from stabilab.learners import fit_ridge
+from stabilab.seeding import child_seed
 from stabilab.stability import (
     ANCHOR_MINUS,
     ANCHOR_PLUS,
+    _loss_gap,
     adversarial_anchors,
     ridge_curvature,
 )
@@ -415,6 +418,105 @@ class TestMeasurement:
             measure_argument_stability(
                 algo, draw_sample(regression_spec(dim=3), 4, seed=0), spec, replacements=1
             )
+
+
+def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
+    """measure_argument_stability for ridge, one replaced Sample and one fit per cell.
+
+    Returns (cells, per_index, alpha_hat, beta_hat), the loss gaps two-sided:
+    the base fit's grid values are evaluated again for every cell.
+    """
+    base = fit_ridge(sample, algo.lam)
+    anchors = adversarial_anchors(base, dist)
+    grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
+    grid_X = np.concatenate([grid.features] + [z.x[None, :] for _, z in anchors])
+    grid_y = np.concatenate([grid.labels] + [np.array([z.y]) for _, z in anchors])
+    cells = []
+    for i in range(sample.n):
+        draws = [
+            (k, draw_sample(dist, 1, child_seed(seed, "replacement", i, k)).example(0))
+            for k in range(replacements)
+        ]
+        for code, z in draws + anchors:
+            h = fit_ridge(sample.replaced(i, z), algo.lam)
+            gap = _loss_gap(eval_loss, base, h, grid_X, grid_y)
+            cells.append((i, code, float(np.linalg.norm(base - h)), gap))
+    per_index = []
+    for i in range(sample.n):
+        distances = [cell[2] for cell in cells if cell[0] == i]
+        per_index.append(
+            (("max_over_replacements", max(distances)), ("mean", float(np.mean(distances))))
+        )
+    return (
+        tuple(cells),
+        tuple(per_index),
+        max(cell[2] for cell in cells),
+        max(cell[3] for cell in cells),
+    )
+
+
+class _NanLabels:
+    """A regression label mechanism that emits NaN labels."""
+
+    noise_sd = 0.0
+
+    def labels(self, rng, margins):
+        return np.full(margins.shape[0], np.nan)
+
+    def classification(self):
+        return False
+
+
+class TestRidgeMeasurementAgainstSerialFits:
+    @pytest.mark.parametrize("n, d, lam, replacements", [(6, 2, 0.5, 3), (25, 4, 0.01, 2)])
+    def test_report_equals_the_serial_reference(self, n, d, lam, replacements):
+        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=lam)
+        dist = regression_spec(dim=d)
+        sample = draw_sample(dist, n, seed=n)
+        loss = algo.loss_for(n)
+        report = measure_argument_stability(
+            algo, sample, dist, replacements, eval_loss=loss, seed=23
+        )
+        cells, per_index, alpha_hat, beta_hat = serial_ridge_report(
+            algo, sample, dist, replacements, loss, 23
+        )
+        assert report.trials == n * (replacements + 2)
+        assert report.cells == cells
+        assert report.per_index == per_index
+        assert report.alpha_hat == alpha_hat
+        assert report.beta_hat == beta_hat
+
+    def test_a_non_finite_replacement_draw_raises(self):
+        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
+        dist = regression_spec(dim=2)
+        sample = draw_sample(dist, 5, seed=1)
+        broken = DistributionSpec(
+            dim=2, feature_bound=1.0, teacher=dist.teacher, mechanism=_NanLabels()
+        )
+        with pytest.raises(ValueError, match="finite"):
+            measure_argument_stability(algo, sample, broken, replacements=2, seed=3)
+
+    def test_a_failed_certificate_names_its_cell(self, monkeypatch):
+        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
+        dist = regression_spec(dim=2)
+        sample = draw_sample(dist, 5, seed=1)
+        solve = np.linalg.solve
+        stacked = []
+
+        def off_in_the_last_cell(a, b):
+            # Leave the one-sample base fit alone; spoil the last cell of the
+            # stacked solve and of its refinement pass.
+            out = solve(a, b)
+            if out.shape[0] > 1 or stacked:
+                stacked.append(out.shape[0])
+                out[-1] += 1.0
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", off_in_the_last_cell)
+        # 5 indices x (2 draws + 2 anchors): the last cell is 19.
+        with pytest.raises(RuntimeError, match="replace-one fits failed: .*cell 19 "):
+            measure_argument_stability(algo, sample, dist, replacements=2, seed=3)
+        assert stacked == [20, 1]
 
 
 class TestReportSerialization:
