@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import draw_sample
 from .learners import fit_batch
-from .seeding import child_seed, rademacher_signs, substream
+from .seeding import child_seed, rademacher_rows, stream_keys
 
 
 def ball_radius(smooth_constant: float, alpha: float, n: int, delta: float) -> float:
@@ -170,14 +170,13 @@ def finite_class_draw_values(hypotheses, X, signs) -> np.ndarray:
 def _antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
     """(2*pairs, n) sign matrix; row 2k+1 is the negation of row 2k.
 
-    Pair k draws from its own substream, so any draw's signs can be
-    regenerated in isolation and results never depend on batch order.
+    Pair k draws from its own stream, ``(seed, "sigma", k)``, so any draw's
+    signs can be regenerated in isolation and results never depend on
+    batch order.
     """
     out = np.empty((2 * pairs, n))
-    for k in range(pairs):
-        sigma = rademacher_signs(substream(seed, "sigma", k), n)
-        out[2 * k] = sigma
-        out[2 * k + 1] = -sigma
+    rademacher_rows(stream_keys(seed, "sigma", each=range(pairs)), out[0::2])
+    np.negative(out[0::2], out=out[1::2])
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .complexity import ball_radius, estimate_center
 from .datagen import DistributionSpec, draw_sample
 from .learners import Sample, fit_batch
-from .seeding import child_seed, rademacher_signs, substream
+from .seeding import child_seed, rademacher_rows, stream_keys
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ def pinelis_tail_experiment(
     steps = bounds.size
     c = float(np.sqrt(np.sum(bounds**2)))
     threshold_sq = (c * epsilon) ** 2
-    signs = np.empty((trials, steps))
-    for k in range(trials):
-        signs[k] = rademacher_signs(substream(seed, "pinelis", k), steps)
+    signs = rademacher_rows(
+        stream_keys(seed, "pinelis", each=range(trials)), np.empty((trials, steps))
+    )
     coords = np.zeros((trials, dim))
     violated = np.zeros(trials, dtype=bool)
     for t in range(steps):

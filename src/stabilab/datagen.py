@@ -21,7 +21,7 @@ import numpy as np
 
 from .learners import Sample
 from .losses import LossModel, _sigmoid
-from .seeding import substream
+from .seeding import draw_each, stream_key, substream
 
 FEATURE_LAWS = ("sphere", "ball")
 
@@ -176,10 +176,13 @@ def draw_examples(spec: DistributionSpec, seeds):
     Returns (len(seeds), d) features and (len(seeds),) labels without
     building a Sample per row; raises ValueError if any entry is not finite.
     """
-    X = np.empty((len(seeds), spec.dim))
-    y = np.empty(len(seeds))
-    for c, seed in enumerate(seeds):
-        X[c : c + 1], y[c : c + 1] = _draw(spec, substream(seed, "datagen"), 1)
+    rows = draw_each(
+        [stream_key(seed, "datagen") for seed in seeds], lambda rng: _draw(spec, rng, 1)
+    )
+    X = np.empty((len(rows), spec.dim))
+    y = np.empty(len(rows))
+    for c, (x_c, y_c) in enumerate(rows):
+        X[c], y[c] = x_c[0], y_c[0]
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("drawn examples must be finite")
     return X, y

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .losses import LabeledExample, LossModel, make_loss, margin_slopes
-from .seeding import substream
+from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
 PRESETS = ("constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex")
@@ -110,18 +110,21 @@ def check_sample_domain(loss: LossModel, sample: Sample) -> None:
 
 
 def _check_examples(loss: LossModel, features: np.ndarray, labels: np.ndarray) -> None:
-    """check_sample_domain on raw arrays: features (..., d), labels (...)."""
+    """check_sample_domain on raw arrays: features (..., d), labels (...).
+
+    Every test is written as "all within the limit", so NaN fails it.
+    """
     norms = np.linalg.norm(features, axis=-1)
-    if np.any(norms > _slack(loss.feature_bound)):
+    if not np.all(norms <= _slack(loss.feature_bound)):
         worst = float(norms.max())
         raise DomainError(
             f"feature norm {worst:.6g} exceeds bound {loss.feature_bound:.6g}"
         )
     if loss.kind in ("hinge", "logistic"):
-        if np.any(np.abs(np.abs(labels) - 1.0) > 1e-12):
+        if not np.all(np.abs(np.abs(labels) - 1.0) <= 1e-12):
             raise DomainError("classification labels must be exactly +1 or -1")
     else:
-        if np.any(np.abs(labels) > _slack(loss.label_bound)):
+        if not np.all(np.abs(labels) <= _slack(loss.label_bound)):
             raise DomainError(
                 f"label magnitude {float(np.abs(labels).max()):.6g} exceeds bound "
                 f"{loss.label_bound:.6g}"
@@ -417,6 +420,15 @@ def run_sgd(sample: Sample, loss: LossModel, spec: SgdSpec) -> SgdRun:
     return SgdRun(final=traj[-1].copy(), trajectory=traj)
 
 
+def _sgd_index_streams(seeds, n: int, steps: int) -> np.ndarray:
+    """(len(seeds), steps) example indices: row c is the with-replacement
+    stream of ``substream(seeds[c], "sgd-indices")`` over n examples."""
+    keys = [stream_key(s, "sgd-indices") for s in seeds]
+    return np.array(
+        draw_each(keys, lambda rng: rng.integers(0, n, size=steps)), dtype=np.int64
+    ).reshape(len(keys), steps)
+
+
 def _sgd_kernel(
     loss: LossModel,
     spec: SgdSpec,
@@ -443,9 +455,7 @@ def _sgd_kernel(
     spec.validate_against(loss)
     _check_examples(loss, features, labels)
     n, d = features.shape[-2:]
-    streams = np.stack(
-        [substream(s, "sgd-indices").integers(0, n, size=spec.steps) for s in seeds]
-    )
+    streams = _sgd_index_streams(seeds, n, spec.steps)
     runs = len(streams)
     gather_rows = None if features.ndim == 2 else np.arange(runs)
     if twin is not None:

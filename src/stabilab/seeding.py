@@ -9,11 +9,21 @@ A label names its path component by the ``repr`` of its plain Python
 value: NumPy integers, floats and booleans hash as the ``int``, ``float``
 and ``bool`` they equal, so a path does not depend on the type that
 carries an index. Other label types are rejected.
+
+Loops that need one stream per item (a trial, a sign pair, a replacement
+row, an SGD run) use the batched forms: :func:`stream_keys` hashes a
+shared path prefix once, :func:`draw_each` runs a draw on the stream of
+each key through one re-keyed generator, and :func:`rademacher_rows` fills
+sign rows from raw Philox words. Each gives bitwise what the per-item
+:func:`substream` draw gives, because a Philox stream is fully defined by
+its 128-bit key: re-keying puts the bit generator in the exact state of a
+fresh ``Philox(key=k)`` (counter 0, empty buffer, no cached 32-bit half).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -38,14 +48,34 @@ def _canonical_label(label):
     )
 
 
-def stream_key(master_seed: int, *labels: object) -> int:
-    """128-bit Philox key derived from a master seed and a label path."""
+def _extend(h, label) -> None:
+    h.update(b"/" + repr(_canonical_label(label)).encode())
+
+
+def _path_hash(master_seed: int, labels):
     h = hashlib.blake2b(digest_size=16)
     h.update(str(int(master_seed)).encode())
     for label in labels:
-        h.update(b"/")
-        h.update(repr(_canonical_label(label)).encode())
-    return int.from_bytes(h.digest(), "big")
+        _extend(h, label)
+    return h
+
+
+def stream_key(master_seed: int, *labels: object) -> int:
+    """128-bit Philox key derived from a master seed and a label path."""
+    return int.from_bytes(_path_hash(master_seed, labels).digest(), "big")
+
+
+def stream_keys(master_seed: int, *prefix: object, each):
+    """Yield ``stream_key(master_seed, *prefix, label)`` for every label in ``each``.
+
+    The shared prefix is hashed once and its hash state copied per label;
+    keys are derived as they are consumed.
+    """
+    base = _path_hash(master_seed, prefix)
+    for label in each:
+        h = base.copy()
+        _extend(h, label)
+        yield int.from_bytes(h.digest(), "big")
 
 
 def child_seed(master_seed: int, *labels: object) -> int:
@@ -61,3 +91,68 @@ def substream(master_seed: int, *labels: object) -> np.random.Generator:
 def rademacher_signs(rng: np.random.Generator, size) -> np.ndarray:
     """Independent uniform ±1 variables."""
     return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+
+
+_WORD = (1 << 64) - 1
+_EMPTY = (0, 0, 0, 0)
+# Rows of raw words held at once by rademacher_rows.
+_ROW_CHUNK = 64
+
+
+def _rekey(bit_generator: np.random.Philox, key: int) -> None:
+    """Put ``bit_generator`` in the exact state of a fresh ``Philox(key=key)``."""
+    if not 0 <= key <= (1 << 128) - 1:
+        raise ValueError("a Philox key must lie in [0, 2**128)")
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _EMPTY, "key": (key & _WORD, key >> 64)},
+        "buffer": _EMPTY,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def draw_each(keys, draw) -> list:
+    """``[draw(Generator(Philox(key=k))) for k in keys]`` through one generator.
+
+    The generator is re-keyed before every draw, so ``draw`` must not keep
+    it past its own call.
+    """
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    results = []
+    for key in keys:
+        _rekey(bit_generator, key)
+        results.append(draw(rng))
+    return results
+
+
+def rademacher_rows(keys, out: np.ndarray) -> np.ndarray:
+    """Fill row r of the (rows, n) array ``out`` with the signs that
+    ``rademacher_signs(Generator(Philox(key=k_r)), n)`` draws; returns ``out``.
+
+    ``keys`` must yield exactly one key per row. ``integers(0, 2)`` returns
+    the top bit of one 32-bit half of a raw 64-bit word, low half first, so
+    each row reads ceil(n / 2) raw words. Keys are consumed and rows filled
+    in chunks, which bounds the memory held beside ``out``.
+    """
+    rows, n = out.shape
+    words = (n + 1) // 2
+    keys = iter(keys)
+    bit_generator = np.random.Philox(key=0)
+    raw = np.empty((min(rows, _ROW_CHUNK), words), dtype=np.uint64)
+    for start in range(0, rows, _ROW_CHUNK):
+        block = out[start : start + _ROW_CHUNK]
+        count = 0
+        for count, key in enumerate(itertools.islice(keys, len(block)), 1):
+            _rekey(bit_generator, key)
+            raw[count - 1] = bit_generator.random_raw(words)
+        if count != len(block):
+            raise ValueError("need one key per row of out")
+        halves = raw[:count].astype("<u8", copy=False).view("<u4")
+        np.multiply(halves[:, :n] >> 31, 2.0, out=block)
+        block -= 1.0
+    if next(keys, None) is not None:
+        raise ValueError("need one key per row of out")
+    return out

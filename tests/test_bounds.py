@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stabilab import (
     BoundBreakdown,
@@ -15,6 +16,7 @@ from stabilab import (
     rerm_gap_bound,
     sgd_gap_bound,
 )
+from stabilab.bounds import BOUND_FAMILIES
 from stabilab.stability import rerm_alpha, sgd_alpha
 
 
@@ -290,3 +292,91 @@ class TestDeformedGap:
 
     def test_can_be_negative(self):
         assert deformed_gap(0.1, 0.4, 2.0) == pytest.approx(-0.7, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# every registered family: total = fsum of its terms
+
+
+def _positive(low=1e-3, high=1e3):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+# The gap bounds hold at confidence 1 - 2 delta.
+_DELTA = st.floats(1e-6, 0.499, allow_nan=False)
+_GAP_CONSTANTS = {
+    "lipschitz": st.floats(0.0, 1e3, allow_nan=False),
+    "feature_bound": _positive(),
+    "loss_bound": _positive(),
+    "delta": _DELTA,
+    "alpha": st.floats(0.0, 1e3, allow_nan=False),
+    "n": st.integers(2, 10**6),
+}
+_DEFORMATION = st.floats(1.0 + 1e-6, 1e3, exclude_min=True, allow_nan=False)
+
+
+@st.composite
+def _sgd_constants(draw):
+    constants = draw(st.fixed_dictionaries(_GAP_CONSTANTS))
+    del constants["alpha"]
+    regime = draw(st.sampled_from(["nonconvex", "convex", "strongly_convex"]))
+    smoothness = draw(_positive())
+    constants.update(
+        regime=regime,
+        steps=draw(st.integers(0, 10**5)),
+        smoothness=smoothness,
+        deformation=draw(_DEFORMATION),
+    )
+    if regime == "nonconvex":
+        constants["step_constant"] = draw(_positive())
+    else:
+        cap = (2.0 if regime == "convex" else 1.0) / smoothness
+        constants["step"] = cap * draw(st.floats(1e-6, 1.0, allow_nan=False))
+    if regime == "strongly_convex":
+        constants["projection_radius"] = draw(_positive())
+        constants["gamma"] = draw(_positive())
+    return constants
+
+
+FAMILY_CONSTANTS = {
+    "complexity": st.fixed_dictionaries(
+        {
+            "feature_bound": _positive(),
+            "delta": st.floats(1e-6, 0.999, allow_nan=False),
+            "alpha": st.floats(0.0, 1e3, allow_nan=False),
+            "n": st.integers(1, 10**6),
+        },
+        optional={
+            "smooth_constant": _positive(),
+            "type_constant": _positive(),
+            "type_exponent": st.floats(1.0, 4.0, allow_nan=False),
+        },
+    ),
+    "plain-gap": st.fixed_dictionaries(_GAP_CONSTANTS),
+    "fast-rate": st.fixed_dictionaries(_GAP_CONSTANTS, optional={"deformation": _DEFORMATION}),
+    "rerm-fast-rate": st.fixed_dictionaries(
+        {k: v for k, v in _GAP_CONSTANTS.items() if k != "alpha"}
+        | {"curvature": _positive(), "lam": _positive()},
+        optional={"exponent": st.floats(1.5, 4.0, allow_nan=False), "deformation": _DEFORMATION},
+    ),
+    "sgd-fast-rate": _sgd_constants(),
+}
+
+
+def test_every_bound_family_has_a_constants_strategy():
+    assert set(FAMILY_CONSTANTS) == set(BOUND_FAMILIES)
+
+
+@given(
+    st.sampled_from(sorted(FAMILY_CONSTANTS)).flatmap(
+        lambda name: st.tuples(st.just(name), FAMILY_CONSTANTS[name])
+    )
+)
+def test_family_total_is_the_fsum_of_its_terms(case):
+    name, constants = case
+    bound = BOUND_FAMILIES[name].evaluate(constants)
+    assert bound.name == name
+    assert bound.terms
+    assert math.isclose(
+        bound.total, math.fsum(value for _, value in bound.terms), rel_tol=1e-12
+    )

@@ -25,6 +25,7 @@ from stabilab import (
 )
 from stabilab.learners import (
     ConstantAlgorithm,
+    _check_examples,
     RidgeAlgorithm,
     SgdAlgorithm,
     check_sample_domain,
@@ -131,6 +132,36 @@ class TestDomainChecks:
         check_sample_domain(loss, Sample([[0.5]], [0.5]))
         with pytest.raises(DomainError):
             check_sample_domain(loss, Sample([[0.5]], [0.75]))
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_fail_the_domain(self, kind, bad):
+        loss = make_loss(kind, 1.0, 1.0, 1.0)
+        X = np.array([[0.5, 0.0], [0.0, 0.5]])
+        y = np.array([1.0, -1.0])
+        _check_examples(loss, X, y)
+        with pytest.raises(DomainError):
+            _check_examples(loss, np.array([[bad, 0.0], [0.0, 0.5]]), y)
+        with pytest.raises(DomainError):
+            _check_examples(loss, X, np.array([1.0, bad]))
+
+    def test_non_finite_twin_replacement_is_rejected_up_front(self):
+        # With a [nan, 0] row the coupled run used to fail late with a
+        # non-finite iterate, or, when the stream never drew the replaced
+        # index past a zero iterate, report distance 0.
+        sample = Sample([[0.5, 0.0], [0.0, 0.5], [0.3, 0.3], [0.1, 0.2]], [0.2, -0.1, 0.0, 0.3])
+        for steps in (2, 10):
+            algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=steps, step=0.2)
+            with pytest.raises(DomainError):
+                sgd_twin_distances(
+                    algo,
+                    sample.features,
+                    sample.labels,
+                    np.array([0]),
+                    np.array([[np.nan, 0.0]]),
+                    np.array([0.1]),
+                    [0],
+                )
 
     def test_empirical_risk_hand_value(self):
         loss = make_loss("squared", 1.0, 1.0, 1.0)

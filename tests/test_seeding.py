@@ -1,7 +1,38 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stabilab.seeding import child_seed, rademacher_signs, stream_key, substream
+from stabilab import (
+    DistributionSpec,
+    LinearNoise,
+    LogisticTeacher,
+    SignFlip,
+    pinelis_tail_experiment,
+)
+from stabilab.complexity import _antithetic_signs
+from stabilab.datagen import draw_examples
+from stabilab.learners import _sgd_index_streams
+from stabilab.seeding import (
+    _rekey,
+    child_seed,
+    draw_each,
+    rademacher_rows,
+    rademacher_signs,
+    stream_key,
+    stream_keys,
+    substream,
+)
+from stream_oracle import (
+    serial_antithetic_signs,
+    serial_draw_each,
+    serial_draw_examples,
+    serial_pinelis_violations,
+    serial_rademacher_rows,
+    serial_sgd_index_streams,
+    serial_stream_keys,
+)
 
 
 def test_stream_key_distinguishes_paths():
@@ -59,3 +90,208 @@ def test_numpy_labels_hash_as_the_python_values_they_equal():
 def test_other_label_types_are_rejected(label):
     with pytest.raises(TypeError, match="seed labels"):
         child_seed(1, label)
+
+
+# ---------------------------------------------------------------------------
+# batched streams against the serial oracle
+
+KEYS = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.integers(2**127, 2**128 - 1),
+    st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]),
+)
+MASTER_SEEDS = st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1))
+WIDTHS = st.one_of(st.sampled_from([1, 2, 3, 400]), st.integers(1, 64))
+INT_LABELS = st.integers(-(2**40), 2**40).flatmap(
+    lambda v: st.sampled_from([v, np.int64(v), np.float64(v), str(v)])
+)
+# Draws that use 64-bit words, 32-bit halves (leaving one cached) and doubles.
+DRAWS = [
+    lambda rng: rng.integers(0, 2, size=5),
+    lambda rng: rng.integers(0, 97, size=13),
+    lambda rng: rng.integers(0, 10, size=3, dtype=np.int32),
+    lambda rng: rng.random(3, dtype=np.float32),
+    lambda rng: rng.standard_normal(4),
+    lambda rng: rng.bit_generator.random_raw(7),
+]
+
+
+@given(MASTER_SEEDS, st.lists(INT_LABELS, max_size=3), st.lists(INT_LABELS, max_size=20))
+def test_stream_keys_match_stream_key(master_seed, prefix, labels):
+    keys = list(stream_keys(master_seed, *prefix, each=labels))
+    assert keys == serial_stream_keys(master_seed, prefix, labels)
+
+
+def test_stream_keys_reject_what_stream_key_rejects():
+    assert list(stream_keys(3, "x", each=[])) == []
+    with pytest.raises(TypeError, match="seed labels"):
+        list(stream_keys(3, "x", each=[1, None]))
+    with pytest.raises(TypeError, match="seed labels"):
+        list(stream_keys(3, (1, 2), each=[1]))
+
+
+@given(st.lists(KEYS, max_size=12), st.sampled_from(range(len(DRAWS))))
+def test_draw_each_matches_fresh_generators(keys, which):
+    draw = DRAWS[which]
+    got = draw_each(keys, draw)
+    want = serial_draw_each(keys, draw)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@given(KEYS)
+def test_rekey_reaches_the_state_of_a_fresh_philox(key):
+    bit_generator = np.random.Philox(key=12345)
+    np.random.Generator(bit_generator).integers(0, 10, size=3, dtype=np.int32)
+    assert bit_generator.state["has_uint32"] == 1
+    _rekey(bit_generator, key)
+    fresh = np.random.Philox(key=key).state
+    state = bit_generator.state
+    assert state["bit_generator"] == fresh["bit_generator"]
+    for name in ("counter", "key"):
+        assert np.array_equal(state["state"][name], fresh["state"][name])
+    assert np.array_equal(state["buffer"], fresh["buffer"])
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert state[name] == fresh[name]
+
+
+@pytest.mark.parametrize("key", [-1, 2**128])
+def test_rekey_rejects_keys_outside_128_bits(key):
+    with pytest.raises(ValueError, match="Philox key"):
+        draw_each([key], lambda rng: rng.random())
+
+
+@given(st.lists(KEYS, max_size=12), WIDTHS)
+def test_rademacher_rows_match_rademacher_signs(keys, n):
+    out = rademacher_rows(keys, np.empty((len(keys), n)))
+    assert np.array_equal(out, serial_rademacher_rows(keys, n))
+
+
+@given(st.lists(KEYS, min_size=1, max_size=8), WIDTHS)
+def test_rademacher_rows_fill_a_strided_view(keys, n):
+    block = np.full((2 * len(keys), n), 7.0)
+    returned = rademacher_rows(keys, block[0::2])
+    assert returned.base is block
+    assert np.array_equal(block[0::2], serial_rademacher_rows(keys, n))
+    assert np.all(block[1::2] == 7.0)
+
+
+def test_rademacher_rows_across_chunk_boundaries():
+    keys = list(stream_keys(11, "rows", each=range(600)))
+    for n in (1, 3, 4):
+        out = rademacher_rows(iter(keys), np.empty((600, n)))
+        assert np.array_equal(out, serial_rademacher_rows(keys, n))
+
+
+@pytest.mark.parametrize("rows", [0, 3, 64, 65, 130])
+def test_rademacher_rows_need_one_key_per_row(rows):
+    for count in (rows - 1, rows + 1):
+        if count >= 0:
+            with pytest.raises(ValueError, match="one key per row"):
+                rademacher_rows(range(count), np.empty((rows, 4)))
+
+
+@given(MASTER_SEEDS, st.integers(1, 5), WIDTHS)
+def test_antithetic_signs_match_the_per_pair_loop(seed, pairs, n):
+    assert np.array_equal(_antithetic_signs(seed, pairs, n), serial_antithetic_signs(seed, pairs, n))
+
+
+@settings(max_examples=20)
+@given(
+    MASTER_SEEDS,
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.sampled_from([0.5, 0.8, 1.0, 1.3]),
+)
+def test_pinelis_violations_match_the_per_trial_loop(seed, steps, dim, epsilon):
+    bounds = np.linspace(1.0, 0.5, steps)
+    got = pinelis_tail_experiment(bounds, dim, 128, epsilon, seed=seed).violations
+    assert got == serial_pinelis_violations(bounds, dim, 128, epsilon, seed)
+
+
+MECHANISMS = [LinearNoise(0.02), LogisticTeacher(), SignFlip(0.0), SignFlip(0.2)]
+
+
+@given(
+    st.lists(MASTER_SEEDS.flatmap(lambda s: st.sampled_from([s, np.uint64(s)])), max_size=10),
+    st.sampled_from(range(len(MECHANISMS))),
+    st.sampled_from(["sphere", "ball"]),
+)
+def test_draw_examples_match_the_per_row_loop(seeds, which, law):
+    mechanism = MECHANISMS[which]
+    label_bound = 1.0 if mechanism.classification() else 0.5
+    spec = DistributionSpec(
+        dim=3,
+        feature_bound=1.0,
+        teacher=[0.1, -0.05, 0.0],
+        mechanism=mechanism,
+        label_bound=label_bound,
+        feature_law=law,
+    )
+    X, y = draw_examples(spec, seeds)
+    X_ref, y_ref = serial_draw_examples(spec, seeds)
+    assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
+
+
+@given(
+    st.lists(MASTER_SEEDS.flatmap(lambda s: st.sampled_from([s, np.int64(s)])), max_size=8),
+    WIDTHS,
+    st.integers(0, 50),
+)
+def test_sgd_index_streams_match_the_per_run_loop(seeds, n, steps):
+    got = _sgd_index_streams(seeds, n, steps)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, serial_sgd_index_streams(seeds, n, steps))
+
+
+# ---------------------------------------------------------------------------
+# pinned streams: sha256 of outputs recorded before the batched primitives,
+# so a change to any stream definition fails here, not only between runs.
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_pinned_antithetic_signs():
+    assert _sha256(_antithetic_signs(20250815, 64, 37)) == (
+        "5c1c7614257c85d1653ed37010bb169568da2fffe1d3eb3fdceab0291361db94"
+    )
+    assert _sha256(_antithetic_signs(0, 3, 400)) == (
+        "899e2aa6130bea67217e7514ee259b31dcd450f3df1b943cf947dc98d3034ae4"
+    )
+
+
+def test_pinned_pinelis_violation_counts():
+    counts = [
+        pinelis_tail_experiment(np.ones(steps), 3, 1000, eps, seed=4242).violations
+        for steps in (10, 33)
+        for eps in (0.75, 1.0, 1.25)
+    ]
+    assert counts == [891, 589, 240, 870, 577, 270]
+    assert _sha256(np.array(counts, dtype=np.int64)) == (
+        "0e4a8477fa6286435a1f00af0a9822ed47ef82d0f479fbcce91ccb4ddaa4d204"
+    )
+
+
+def test_pinned_draw_examples_rows():
+    spec = DistributionSpec(
+        dim=3,
+        feature_bound=1.0,
+        teacher=[0.5, -0.25, 0.0],
+        mechanism=SignFlip(0.2),
+        feature_law="ball",
+    )
+    X, y = draw_examples(spec, [0, 1, 2**63 - 1, 20250815, 7])
+    assert _sha256(X, y) == "b569fc4d6684a4d7b70ac4d5e57004aebecc00e60c1183f3efac4ebe7cd21c8f"
+
+
+def test_pinned_sgd_index_streams():
+    streams = _sgd_index_streams([0, 5, 2**63 - 1, 20250815], 97, 51)
+    assert streams.dtype == np.int64
+    assert _sha256(streams) == "16d92c13f8f133c1fca8475e943f0f4fe6eb84685583efcfa7ac09017d24dafd"
