@@ -10,7 +10,7 @@ experiments at desk scale.
 __version__ = "0.1.0"
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
-from .vectorspace import EUCLIDEAN, SpaceConstants, parallelogram_defect, type2_check
+from .vectorspace import parallelogram_defect, type2_check
 from .losses import LabeledExample, LossModel, certify_loss, make_loss
 from .learners import (
     PenaltySpec,
@@ -22,7 +22,6 @@ from .learners import (
     fit_ridge,
     make_algorithm,
     run_sgd,
-    strongly_convex_objective,
 )
 from .datagen import (
     DistributionSpec,
@@ -35,7 +34,6 @@ from .datagen import (
 )
 from .stability import (
     StabilityReport,
-    beta_from_alpha,
     check_penalty_condition,
     lp_penalty_constant,
     measure_argument_stability,
@@ -81,8 +79,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "NonFiniteIterateError",
-    "EUCLIDEAN",
-    "SpaceConstants",
     "parallelogram_defect",
     "type2_check",
     "LabeledExample",
@@ -97,7 +93,6 @@ __all__ = [
     "fit_rerm",
     "fit_batch",
     "run_sgd",
-    "strongly_convex_objective",
     "make_algorithm",
     "DistributionSpec",
     "LinearNoise",
@@ -113,7 +108,6 @@ __all__ = [
     "sgd_alpha",
     "lp_penalty_constant",
     "check_penalty_condition",
-    "beta_from_alpha",
     "AlgorithmicBall",
     "RademacherEstimate",
     "ball_radius",

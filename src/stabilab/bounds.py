@@ -91,6 +91,23 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def _gap_constants(lipschitz, feature_bound, loss_bound, delta, alpha, n) -> dict:
+    """The checked constants the plain and fast-rate gap bounds share."""
+    _check_delta(delta)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if alpha < 0 or lipschitz < 0 or feature_bound <= 0 or loss_bound <= 0:
+        raise ValueError("constants must be non-negative (B, M positive)")
+    return {
+        "lipschitz": lipschitz,
+        "feature_bound": feature_bound,
+        "loss_bound": loss_bound,
+        "delta": delta,
+        "alpha": alpha,
+        "n": n,
+    }
+
+
 def complexity_bound(
     smooth_constant: float,
     type_constant: float,
@@ -144,21 +161,9 @@ def plain_gap_bound(
     n: int,
 ) -> BoundBreakdown:
     """Bound on the plain gap R - R_emp holding with probability 1 - 2*delta."""
-    _check_delta(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alpha < 0 or lipschitz < 0 or feature_bound <= 0 or loss_bound <= 0:
-        raise ValueError("constants must be non-negative (B, M positive)")
+    constants = _gap_constants(lipschitz, feature_bound, loss_bound, delta, alpha, n)
     stability = 2.0 * lipschitz * feature_bound * math.sqrt(2.0 * math.log(2.0 / delta)) * alpha
     differences = loss_bound * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
-    constants = {
-        "lipschitz": lipschitz,
-        "feature_bound": feature_bound,
-        "loss_bound": loss_bound,
-        "delta": delta,
-        "alpha": alpha,
-        "n": n,
-    }
     return _assemble(
         "plain-gap",
         [("stability", stability), ("bounded-differences", differences)],
@@ -178,24 +183,12 @@ def fast_rate_bound(
     deformation: float = 2.0,
 ) -> BoundBreakdown:
     """Bound on the deformed gap R - a/(a-1) * R_emp at confidence 1 - 2*delta."""
-    _check_delta(delta)
     if deformation <= 1.0:
         raise ValueError("deformation parameter must be > 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alpha < 0 or lipschitz < 0 or feature_bound <= 0 or loss_bound <= 0:
-        raise ValueError("constants must be non-negative (B, M positive)")
+    constants = _gap_constants(lipschitz, feature_bound, loss_bound, delta, alpha, n)
+    constants["deformation"] = deformation
     stability = 8.0 * lipschitz * feature_bound * math.sqrt(2.0 * math.log(2.0 / delta)) * alpha
     fast = (6.0 * deformation + 8.0) * loss_bound * math.log(1.0 / delta) / (3.0 * n)
-    constants = {
-        "lipschitz": lipschitz,
-        "feature_bound": feature_bound,
-        "loss_bound": loss_bound,
-        "delta": delta,
-        "alpha": alpha,
-        "n": n,
-        "deformation": deformation,
-    }
     return _assemble(
         "fast-rate",
         [("stability", stability), ("fast-rate", fast)],

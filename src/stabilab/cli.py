@@ -2,7 +2,9 @@
 
 Subcommands mirror the library stages: ``stability`` measures replace-one
 argument stability for one config at one n, ``complexity`` estimates the
-confidence-ball Rademacher complexity, ``bounds`` evaluates one bound
+confidence-ball Rademacher complexity (both through the per-n stages that
+``experiment run`` records, so they print the record's numbers at the same
+n and seed), ``bounds`` evaluates one bound
 family from a constants file, ``concentrate`` runs a tail experiment,
 ``experiment run`` executes a full config, ``experiment validate``
 re-checks a written report, and ``losscheck`` certifies loss gradients
@@ -23,7 +25,6 @@ import os
 import sys
 
 from .bounds import BOUND_FAMILIES
-from .complexity import AlgorithmicBall, ball_rademacher, ball_radius, estimate_center
 from .concentration import (
     center_concentration_experiment,
     doob_decomposition,
@@ -34,13 +35,16 @@ from .lab import (
     MAX_N,
     ExperimentConfig,
     build_algorithm,
+    complexity_stage,
     report_digest,
     run_experiment,
+    sample_stage,
+    stability_stage,
     validate_bound_coverage,
 )
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
-from .stability import measure_argument_stability, theoretical_alpha
+from .stability import theoretical_alpha
 
 
 def _load_json(path) -> dict:
@@ -68,8 +72,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout)
+def _print_csv(header, rows, fh=None) -> None:
+    writer = csv.writer(sys.stdout if fh is None else fh)
     writer.writerow(header)
     writer.writerows(rows)
 
@@ -83,9 +87,7 @@ def _write_outputs(args, name: str, payload, header=None, rows=None) -> None:
         fh.write("\n")
     if header is not None:
         with open(os.path.join(args.out_dir, f"{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            _print_csv(header, rows, fh)
 
 
 def _emit(args, name: str, payload, header=None, rows=None) -> None:
@@ -102,16 +104,7 @@ def cmd_stability(args) -> int:
     config = _load_config(args)
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
-    dist = config.distribution
-    sample = draw_sample(dist, n, child_seed(config.seed, "sample", n))
-    report = measure_argument_stability(
-        algorithm,
-        sample,
-        dist,
-        config.replacements,
-        eval_loss=algorithm.loss_for(n),
-        seed=child_seed(config.seed, "stability", n),
-    )
+    report = stability_stage(config, algorithm, sample_stage(config, n))
     rows = list(report.csv_rows())
     _emit(args, "stability", report.to_dict(), ["i", "replacement", "distance", "loss_gap"], rows)
     return 0
@@ -121,17 +114,8 @@ def cmd_complexity(args) -> int:
     config = _load_config(args)
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
-    dist = config.distribution
     alpha = theoretical_alpha(algorithm, n)
-    radius = ball_radius(1.0, alpha, n, config.delta)
-    center = estimate_center(
-        algorithm, dist, n, m=config.center_replicates, seed=child_seed(config.seed, "center", n)
-    )
-    ball = AlgorithmicBall(center.vector, radius, n, config.delta)
-    sample = draw_sample(dist, n, child_seed(config.seed, "sample", n))
-    estimate = ball_rademacher(
-        ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
-    )
+    radius, center, estimate = complexity_stage(config, algorithm, sample_stage(config, n), alpha)
     payload = {
         "n": n,
         "delta": config.delta,
@@ -184,6 +168,13 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _emit_tail(args, experiment) -> int:
+    payload = experiment.to_dict()
+    header = ["threshold", "trials", "violations", "empirical_rate", "theoretical_rate"]
+    _emit(args, "concentrate", payload, header, [[payload[k] for k in header]])
+    return 0
+
+
 def cmd_concentrate(args) -> int:
     spec = _load_json(args.spec)
     if "kind" not in spec:
@@ -199,11 +190,7 @@ def cmd_concentrate(args) -> int:
             smooth_constant=spec.get("smooth_constant", 1.0),
             seed=seed,
         )
-        payload = experiment.to_dict()
-        header = ["threshold", "trials", "violations", "empirical_rate", "theoretical_rate"]
-        rows = [[payload[k] for k in header]]
-        _emit(args, "concentrate", payload, header, rows)
-        return 0
+        return _emit_tail(args, experiment)
     if kind not in ("center", "doob"):
         raise ValueError(f"unknown concentrate kind {kind!r}")
     if "config" not in spec or "n" not in spec:
@@ -224,11 +211,7 @@ def cmd_concentrate(args) -> int:
             seed=seed,
             center_replicates=spec.get("center_replicates"),
         )
-        payload = experiment.to_dict()
-        header = ["threshold", "trials", "violations", "empirical_rate", "theoretical_rate"]
-        rows = [[payload[k] for k in header]]
-        _emit(args, "concentrate", payload, header, rows)
-        return 0
+        return _emit_tail(args, experiment)
     sample = draw_sample(dist, n, child_seed(seed, "sample", n))
     decomposition = doob_decomposition(
         algorithm, sample, dist, int(spec.get("suffix_draws", 512)), seed

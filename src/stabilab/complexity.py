@@ -60,22 +60,6 @@ class AlgorithmicBall:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    @classmethod
-    def from_stability(
-        cls,
-        center,
-        alpha: float,
-        n: int,
-        delta: float,
-        smooth_constant: float = 1.0,
-    ) -> "AlgorithmicBall":
-        return cls(
-            center=center,
-            radius=ball_radius(smooth_constant, alpha, n, delta),
-            n=n,
-            delta=delta,
-        )
-
 
 @dataclass(frozen=True)
 class RademacherEstimate:
@@ -180,6 +164,18 @@ def _antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
     return out
 
 
+def _antithetic_estimate(draw_values, n: int, draws: int, seed: int) -> RademacherEstimate:
+    """Mean of ``draw_values(signs)`` over antithetic sign pairs, with its standard error."""
+    if draws < 2 or draws % 2 != 0:
+        raise ValueError("draws must be an even number >= 2 (antithetic pairing)")
+    pairs = draws // 2
+    values = draw_values(_antithetic_signs(seed, pairs, n))
+    pair_means = 0.5 * (values[0::2] + values[1::2])
+    mean = float(pair_means.mean())
+    se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))
+    return RademacherEstimate(mean=mean, std_error=se, draws=draws, seed=seed)
+
+
 def ball_rademacher(ball: AlgorithmicBall, X, draws: int, seed: int = 0) -> RademacherEstimate:
     """Monte-Carlo Rademacher complexity of the ball on the sample X.
 
@@ -188,19 +184,10 @@ def ball_rademacher(ball: AlgorithmicBall, X, draws: int, seed: int = 0) -> Rade
     (r/n) * mean ||u|| and in particular never negative. ``draws`` must be
     even; the standard error is computed over the independent pair means.
     """
-    if draws < 2 or draws % 2 != 0:
-        raise ValueError("draws must be an even number >= 2 (antithetic pairing)")
     X = _check_features(X)
-    pairs = draws // 2
-    signs = _antithetic_signs(seed, pairs, X.shape[0])
-    values = ball_draw_values(ball, X, signs)
-    pair_means = 0.5 * (values[0::2] + values[1::2])
-    mean = float(pair_means.mean())
-    if pairs == 1:
-        se = 0.0
-    else:
-        se = float(pair_means.std(ddof=1) / math.sqrt(pairs))
-    return RademacherEstimate(mean=mean, std_error=se, draws=draws, seed=seed)
+    return _antithetic_estimate(
+        lambda signs: ball_draw_values(ball, X, signs), X.shape[0], draws, seed
+    )
 
 
 def _exhaustive_signs(n: int, start: int, count: int) -> np.ndarray:
@@ -240,12 +227,6 @@ def brute_force_rademacher(
         return RademacherEstimate(
             mean=total / patterns, std_error=0.0, draws=patterns, seed=seed
         )
-    if draws < 2 or draws % 2 != 0:
-        raise ValueError("draws must be an even number >= 2 (antithetic pairing)")
-    pairs = draws // 2
-    signs = _antithetic_signs(seed, pairs, n)
-    values = finite_class_draw_values(H, X, signs)
-    pair_means = 0.5 * (values[0::2] + values[1::2])
-    mean = float(pair_means.mean())
-    se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))
-    return RademacherEstimate(mean=mean, std_error=se, draws=draws, seed=seed)
+    return _antithetic_estimate(
+        lambda signs: finite_class_draw_values(H, X, signs), n, draws, seed
+    )

@@ -132,14 +132,6 @@ class DistributionSpec:
                     "raise label_bound"
                 )
 
-    @property
-    def teacher_margin_scale(self) -> float:
-        """Root-mean-square of <teacher, x> under the feature law."""
-        second_moment = self.feature_bound**2 / self.dim
-        if self.feature_law == "ball":
-            second_moment *= self.dim / (self.dim + 2.0)
-        return float(np.linalg.norm(self.teacher)) * math.sqrt(second_moment)
-
 
 def _draw_features(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, spec.dim))

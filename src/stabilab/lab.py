@@ -35,20 +35,9 @@ from .datagen import (
     draw_sample,
     true_risk,
 )
-from .learners import (
-    LpRermAlgorithm,
-    RidgeAlgorithm,
-    SgdAlgorithm,
-    empirical_risk,
-    make_algorithm,
-)
+from .learners import Sample, empirical_risk, make_algorithm
 from .seeding import child_seed
-from .stability import (
-    lp_penalty_constant,
-    measure_argument_stability,
-    ridge_curvature,
-    theoretical_alpha,
-)
+from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
 ARTIFACT_VERSION = "report-2"
@@ -266,115 +255,116 @@ def report_digest(report) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _gap_pair(loss, algorithm, sample, dist, a, fit_seed, risk_seed):
+def _gap_pair(config: ExperimentConfig, algorithm, loss, sample, fit_seed, risk_seed, draws):
+    """Plain and deformed gap of one fit, its true risk from ``draws`` Monte-Carlo points."""
     h = algorithm.fit(sample, seed=fit_seed)
     emp = empirical_risk(loss, h, sample)
-    true = true_risk(loss, h, dist, draws=4096, seed=risk_seed).value
-    return {"plain": true - emp, "deformed": deformed_gap(true, emp, a)}
+    true = true_risk(loss, h, config.distribution, draws=draws, seed=risk_seed).value
+    return {"plain": true - emp, "deformed": deformed_gap(true, emp, config.a)}
 
 
-def _bound_constants(config: ExperimentConfig, algorithm, n: int, alpha: float) -> dict:
-    """The shared constants every bound family reads at one n."""
+def _bound_constants(config: ExperimentConfig, algorithm, n: int):
+    """The preset's closed form at n, and the constants its bound families read.
+
+    Beside the constants every family shares, the table holds the composed
+    family's own; a family ignores the names it does not read.
+    """
+    form = closed_form(algorithm, n)
     loss = algorithm.loss_for(n)
     consts = loss.constants()
-    return {
+    return form, {
         "lipschitz": consts.lipschitz,
         "feature_bound": loss.feature_bound,
         "loss_bound": consts.bound,
         "smoothness": consts.smoothness,
         "delta": config.delta,
-        "alpha": alpha,
+        "alpha": form.alpha,
         "n": n,
         "deformation": config.a,
+        **form.constants,
     }
 
 
-def _bound_set(config: ExperimentConfig, algorithm, n: int, alpha: float):
-    constants = _bound_constants(config, algorithm, n, alpha)
-    M = constants["loss_bound"]
+def _bound_set(config: ExperimentConfig, algorithm, n: int):
+    """Every applicable bound at n, and the preset's coefficient table."""
+    form, constants = _bound_constants(config, algorithm, n)
     names = ["complexity", "plain-gap", "fast-rate"]
-    coefficients = {}
-    if isinstance(algorithm, RidgeAlgorithm):
-        reported = ridge_curvature(M, algorithm.lam)
-        exact = ridge_curvature(M, algorithm.lam, "exact")
-        coefficients = {
-            "curvature_reported": reported,
-            "curvature_exact": exact,
-            "alpha_reported": alpha,
-            "alpha_exact": alpha * reported / exact,
-        }
-        names.append("rerm-fast-rate")
-        constants.update(curvature=reported, lam=algorithm.lam, exponent=2.0)
-    elif isinstance(algorithm, LpRermAlgorithm):
-        pen = algorithm.penalty
-        cond = lp_penalty_constant(pen.p, M, pen.lam)
-        coefficients = {"curvature": cond["curvature"], "exponent": cond["exponent"]}
-        names.append("rerm-fast-rate")
-        constants.update(curvature=cond["curvature"], lam=pen.lam, exponent=cond["exponent"])
-    elif isinstance(algorithm, SgdAlgorithm):
-        spec = algorithm.spec_for(n, 0)
-        names.append("sgd-fast-rate")
-        constants.update(
-            regime=spec.regime,
-            steps=spec.steps,
-            step=spec.step,
-            step_constant=spec.step_constant,
-            projection_radius=spec.projection_radius,
-            gamma=algorithm.gamma if algorithm.regime == "strongly_convex" else None,
-        )
-    return [BOUND_FAMILIES[name].evaluate(constants) for name in names], coefficients
+    if form.family is not None:
+        names.append(form.family)
+    return [BOUND_FAMILIES[name].evaluate(constants) for name in names], form.coefficients
+
+
+# The per-n stages below are shared by run_experiment and the CLI's
+# ``stability`` and ``complexity`` subcommands, so both read the same streams.
+
+
+def sample_stage(config: ExperimentConfig, n: int) -> Sample:
+    """The training sample at n that every per-n stage reads."""
+    return draw_sample(config.distribution, n, child_seed(config.seed, "sample", n))
+
+
+def stability_stage(config: ExperimentConfig, algorithm, sample: Sample) -> StabilityReport:
+    """Replace-one stability of the algorithm on the stage sample."""
+    n = sample.n
+    return measure_argument_stability(
+        algorithm,
+        sample,
+        config.distribution,
+        config.replacements,
+        eval_loss=algorithm.loss_for(n),
+        seed=child_seed(config.seed, "stability", n),
+    )
+
+
+def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha: float):
+    """(radius, center, Rademacher estimate) of the confidence ball at the sample's n."""
+    n = sample.n
+    radius = ball_radius(1.0, alpha, n, config.delta)
+    center = estimate_center(
+        algorithm,
+        config.distribution,
+        n,
+        m=config.center_replicates,
+        seed=child_seed(config.seed, "center", n),
+    )
+    ball = AlgorithmicBall(center.vector, radius, n, config.delta)
+    rademacher = ball_rademacher(
+        ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
+    )
+    return radius, center, rademacher
 
 
 def _run_record(config: ExperimentConfig, algorithm, n: int):
-    dist = config.distribution
     seed = config.seed
     stage = "sample"
     try:
-        sample = draw_sample(dist, n, child_seed(seed, "sample", n))
+        sample = sample_stage(config, n)
         loss = algorithm.loss_for(n)
         stage = "stability"
-        stability = measure_argument_stability(
-            algorithm,
-            sample,
-            dist,
-            config.replacements,
-            eval_loss=loss,
-            seed=child_seed(seed, "stability", n),
-        )
+        stability = stability_stage(config, algorithm, sample)
         alpha = stability.theory_alpha
         if alpha is None:
             raise ValueError("no theoretical alpha for this preset")
         stage = "complexity"
-        radius = ball_radius(1.0, alpha, n, config.delta)
-        center = estimate_center(
-            algorithm,
-            dist,
-            n,
-            m=config.center_replicates,
-            seed=child_seed(seed, "center", n),
-        )
-        ball = AlgorithmicBall(center.vector, radius, n, config.delta)
-        rademacher = ball_rademacher(
-            ball, sample.features, config.draws, seed=child_seed(seed, "sigma", n)
-        )
+        radius, center, rademacher = complexity_stage(config, algorithm, sample, alpha)
         stage = "bounds"
-        breakdowns, coefficients = _bound_set(config, algorithm, n, alpha)
+        breakdowns, coefficients = _bound_set(config, algorithm, n)
         stage = "gaps"
         gaps = _gap_pair(
-            loss,
+            config,
             algorithm,
+            loss,
             sample,
-            dist,
-            config.a,
             child_seed(seed, "record-fit", n),
             child_seed(seed, "risk", n),
+            draws=4096,
         )
         stage = "tail"
         tail = None
         if config.tail:
             tail = center_concentration_experiment(
                 algorithm,
-                dist,
+                config.distribution,
                 n,
                 trials=config.trials,
                 delta=config.delta,
@@ -404,28 +394,26 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
 
 def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
     n = config.coverage_n
-    dist = config.distribution
     seed = config.seed
     loss = algorithm.loss_for(n)
-    constants = _bound_constants(config, algorithm, n, theoretical_alpha(algorithm, n))
+    _, constants = _bound_constants(config, algorithm, n)
     bounds = {
         name: BOUND_FAMILIES[name].evaluate(constants).to_dict()
         for name in ("plain-gap", "fast-rate")
     }
     rows = []
     for rep in range(config.trials):
-        sample = draw_sample(dist, n, child_seed(seed, "coverage-sample", rep))
-        h = algorithm.fit(sample, seed=child_seed(seed, "coverage-fit", rep))
-        emp = empirical_risk(loss, h, sample)
-        true = true_risk(
-            loss, h, dist, draws=2048, seed=child_seed(seed, "coverage-risk", rep)
-        ).value
-        rows.append(
-            {
-                "plain_gap": true - emp,
-                "deformed_gap": deformed_gap(true, emp, config.a),
-            }
+        sample = draw_sample(config.distribution, n, child_seed(seed, "coverage-sample", rep))
+        gaps = _gap_pair(
+            config,
+            algorithm,
+            loss,
+            sample,
+            child_seed(seed, "coverage-fit", rep),
+            child_seed(seed, "coverage-risk", rep),
+            draws=2048,
         )
+        rows.append({"plain_gap": gaps["plain"], "deformed_gap": gaps["deformed"]})
     return {
         "n": n,
         "replications": config.trials,

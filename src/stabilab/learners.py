@@ -32,11 +32,10 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
-from .losses import LabeledExample, LossModel, make_loss, margin_slopes
+from .losses import LabeledExample, LossModel, _slack, make_loss, margin_slopes
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
-PRESETS = ("constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex")
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +63,6 @@ class Sample:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 
-    @classmethod
-    def from_examples(cls, examples) -> "Sample":
-        examples = list(examples)
-        if not examples:
-            raise ValueError("need at least one example")
-        X = np.stack([np.asarray(z.x, dtype=np.float64) for z in examples])
-        y = np.array([z.y for z in examples], dtype=np.float64)
-        return cls(X, y)
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -97,11 +87,6 @@ class Sample:
         X[i] = z.x
         y[i] = z.y
         return Sample(X, y)
-
-
-def _slack(bound: float) -> float:
-    """A domain limit widened by the round-off that norms and projections leave."""
-    return bound * (1.0 + 1e-9) + 1e-12
 
 
 def check_sample_domain(loss: LossModel, sample: Sample) -> None:
@@ -497,18 +482,6 @@ def _sgd_kernel(
         if traj is not None:
             traj[t + 1] = H
     return H if traj is None else traj
-
-
-def strongly_convex_objective(loss: LossModel, lam: float) -> LossModel:
-    """Add lam * ||h||^2 to a loss, making it 2*lam strongly convex.
-
-    The certified constants are recomputed on the same domain: the value
-    bound grows by lam * R^2, the smoothness by 2*lam, and the gradient
-    bound L*B by 2*lam*R.
-    """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
-    return _dc_replace(loss, ridge_term=loss.ridge_term + lam)
 
 
 # ---------------------------------------------------------------------------

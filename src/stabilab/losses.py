@@ -35,11 +35,6 @@ from .seeding import substream
 
 KINDS = ("hinge", "logistic", "squared")
 
-# Relative slack accepted by domain checks, covering float round-off from
-# projections and norm computations.
-_DOMAIN_RTOL = 1e-9
-_DOMAIN_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LabeledExample:
@@ -70,8 +65,9 @@ class LossConstants:
     strong_convexity: float
 
 
-def _within(value: float, limit: float) -> bool:
-    return value <= limit * (1.0 + _DOMAIN_RTOL) + _DOMAIN_ATOL
+def _slack(bound: float) -> float:
+    """A domain limit widened by the round-off that norms and projections leave."""
+    return bound * (1.0 + 1e-9) + 1e-12
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -182,7 +178,7 @@ class LossModel:
             raise ValueError("hypothesis must be a one-dimensional vector")
         if not np.all(np.isfinite(h)):
             raise ValueError("hypothesis entries must be finite")
-        if not _within(float(np.linalg.norm(h)), self.radius):
+        if not float(np.linalg.norm(h)) <= _slack(self.radius):
             raise DomainError(
                 f"hypothesis norm {np.linalg.norm(h):.6g} exceeds certified radius "
                 f"{self.radius:.6g}"
@@ -190,7 +186,7 @@ class LossModel:
         return h
 
     def check_example(self, z: LabeledExample) -> LabeledExample:
-        if not _within(float(np.linalg.norm(z.x)), self.feature_bound):
+        if not float(np.linalg.norm(z.x)) <= _slack(self.feature_bound):
             raise DomainError(
                 f"feature norm {np.linalg.norm(z.x):.6g} exceeds bound "
                 f"{self.feature_bound:.6g}"
@@ -198,7 +194,7 @@ class LossModel:
         if self.kind in ("hinge", "logistic"):
             if abs(abs(z.y) - 1.0) > 1e-12:
                 raise DomainError("classification labels must be exactly +1 or -1")
-        elif not _within(abs(z.y), self.label_bound):
+        elif not abs(z.y) <= _slack(self.label_bound):
             raise DomainError(
                 f"label magnitude {abs(z.y):.6g} exceeds bound {self.label_bound:.6g}"
             )
@@ -334,7 +330,6 @@ def certify_loss(
         raise ValueError("dim, points and triples must be positive")
     rng = substream(seed, "loss-certify")
     consts = loss.constants()
-    slack = lambda bound: bound * (1.0 + 1e-9) + 1e-12
 
     H, X, y = _certify_draws(loss, rng, points, dim, margin_gap=1e-3)
     V = rng.normal(size=(points, dim))
@@ -354,12 +349,12 @@ def certify_loss(
     vals1 = _row_values(loss, H1, X2, y2)
     vals2 = _row_values(loss, H2, X2, y2)
     dists = np.linalg.norm(H1 - H2, axis=1)
-    lip_limit = slack(consts.lipschitz * loss.feature_bound) * dists + 1e-15
+    lip_limit = _slack(consts.lipschitz * loss.feature_bound) * dists + 1e-15
     lip_excess = float(np.max(np.abs(vals1 - vals2) - lip_limit))
     all_vals = np.concatenate([vals1, vals2])
     value_low = float(all_vals.min())
     value_high = float(all_vals.max())
-    bound_ok = value_low >= -1e-12 and value_high <= slack(consts.bound)
+    bound_ok = value_low >= -1e-12 and value_high <= _slack(consts.bound)
 
     smooth = None
     if consts.smoothness is not None:
@@ -371,7 +366,7 @@ def certify_loss(
             G1 = G1 + 2.0 * loss.ridge_term * H1
             G2 = G2 + 2.0 * loss.ridge_term * H2
         grad_diffs = np.linalg.norm(G1 - G2, axis=1)
-        smooth_limit = slack(consts.smoothness) * dists + 1e-15
+        smooth_limit = _slack(consts.smoothness) * dists + 1e-15
         smooth_excess = float(np.max(grad_diffs - smooth_limit))
         smooth = {
             "triples": triples,

@@ -5,8 +5,10 @@ largest distance ||h_S - h_S'|| between hypotheses trained on samples that
 differ in a single example. :func:`measure_argument_stability` estimates it
 by replaying an algorithm on systematically perturbed samples, and the
 ``*_alpha`` functions evaluate the matching closed forms for penalized ERM
-and for SGD in its three step-size regimes. Loss stability follows through
-the Lipschitz link beta = L * B * alpha.
+and for SGD in its three step-size regimes. :func:`closed_form` is the one
+place that picks a preset's closed form, together with the bound family
+that composes it. Loss stability follows through the Lipschitz link
+beta = L * B * alpha.
 
 Measurement conventions:
 
@@ -26,7 +28,6 @@ Measurement conventions:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +157,6 @@ def sgd_alpha(
     return 2.0 * BL / (gamma * n)
 
 
-def beta_from_alpha(lipschitz: float, feature_bound: float, alpha: float) -> float:
-    """Loss stability from argument stability: beta = L * B * alpha."""
-    return lipschitz * feature_bound * alpha
-
-
 def check_penalty_condition(penalty, h, g, exponent: float, curvature: float) -> dict:
     """Evaluate the convexity condition N(h)+N(g)-2N((h+g)/2) >= C*||h-g||^xi.
 
@@ -184,38 +180,58 @@ def check_penalty_condition(penalty, h, g, exponent: float, curvature: float) ->
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs - 1e-12)}
 
 
-def theoretical_alpha(algorithm, n: int) -> float:
-    """Closed-form alpha(n) for a preset, from its own certified constants."""
+@dataclass(frozen=True)
+class ClosedForm:
+    """A preset's closed form at one n and the bound family that composes it.
+
+    ``alpha`` is the argument-stability coefficient; ``family`` names the
+    bound family that restates it as a gap bound (None for the constant
+    preset); ``constants`` holds that family's own constants, beside the
+    shared ones every family reads; ``coefficients`` is the report's
+    coefficient table.
+    """
+
+    alpha: float
+    family: str | None
+    constants: dict
+    coefficients: dict
+
+
+def closed_form(algorithm, n: int) -> ClosedForm:
+    """The closed form of a preset at n, from its own certified constants."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(algorithm, ConstantAlgorithm):
-        return 0.0
+        return ClosedForm(0.0, None, {}, {})
     if not hasattr(algorithm, "loss_for"):
         raise ValueError("algorithm does not expose loss_for(n)")
     loss = algorithm.loss_for(n)
     if loss is None:
         raise ValueError("algorithm has no certified loss model")
     consts = loss.constants()
-    if isinstance(algorithm, RidgeAlgorithm):
-        curv = ridge_curvature(consts.bound, algorithm.lam)
-        return rerm_alpha(
-            consts.lipschitz, loss.feature_bound, curv, algorithm.lam, n, 2.0
-        )
-    if isinstance(algorithm, LpRermAlgorithm):
-        pen = algorithm.penalty
-        cond = lp_penalty_constant(pen.p, consts.bound, pen.lam)
-        return rerm_alpha(
-            consts.lipschitz,
-            loss.feature_bound,
-            cond["curvature"],
-            pen.lam,
-            n,
-            cond["exponent"],
-        )
+    if isinstance(algorithm, (RidgeAlgorithm, LpRermAlgorithm)):
+        # Ridge is the p = 2 case of the l_p^p penalty.
+        ridge = isinstance(algorithm, RidgeAlgorithm)
+        p, lam = (2.0, algorithm.lam) if ridge else (algorithm.penalty.p, algorithm.penalty.lam)
+        cond = lp_penalty_constant(p, consts.bound, lam)
+        curvature, exponent = cond["curvature"], cond["exponent"]
+        alpha = rerm_alpha(consts.lipschitz, loss.feature_bound, curvature, lam, n, exponent)
+        if ridge:
+            exact = ridge_curvature(consts.bound, lam, "exact")
+            coefficients = {
+                "curvature_reported": curvature,
+                "curvature_exact": exact,
+                "alpha_reported": alpha,
+                "alpha_exact": alpha * curvature / exact,
+            }
+        else:
+            coefficients = {"curvature": curvature, "exponent": exponent}
+        constants = {"curvature": curvature, "lam": lam, "exponent": exponent}
+        return ClosedForm(alpha, "rerm-fast-rate", constants, coefficients)
     if isinstance(algorithm, SgdAlgorithm):
         spec = algorithm.spec_for(n, 0)
         gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
-        return sgd_alpha(
+        alpha = sgd_alpha(
             spec,
             consts.lipschitz,
             loss.feature_bound,
@@ -223,7 +239,16 @@ def theoretical_alpha(algorithm, n: int) -> float:
             smoothness=consts.smoothness,
             gamma=gamma,
         )
+        # The family rebuilds the run's plan from these SgdSpec fields.
+        plan = ("regime", "steps", "step", "step_constant", "projection_radius")
+        constants = {name: getattr(spec, name) for name in plan} | {"gamma": gamma}
+        return ClosedForm(alpha, "sgd-fast-rate", constants, {})
     raise ValueError(f"no closed-form alpha for algorithm {algorithm!r}")
+
+
+def theoretical_alpha(algorithm, n: int) -> float:
+    """Closed-form alpha(n) for a preset, from its own certified constants."""
+    return closed_form(algorithm, n).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +285,6 @@ class StabilityReport:
             "seed": self.seed,
             "theory_alpha": self.theory_alpha,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def csv_rows(self):
         """Rows (i, replacement, distance, loss_gap); anchors use codes -1, -2."""

@@ -20,30 +20,6 @@ import numpy as np
 from .seeding import rademacher_signs, substream
 
 
-@dataclass(frozen=True)
-class SpaceConstants:
-    """Smoothness and type constants of the ambient space.
-
-    ``smoothness`` is the D of 2-smoothness, ``type_constant`` the C_p of
-    type p, and ``type_exponent`` the p itself.
-    """
-
-    smoothness: float
-    type_constant: float
-    type_exponent: float
-
-    def __post_init__(self):
-        if not (self.smoothness > 0 and math.isfinite(self.smoothness)):
-            raise ValueError("smoothness constant must be positive and finite")
-        if not (self.type_constant > 0 and math.isfinite(self.type_constant)):
-            raise ValueError("type constant must be positive and finite")
-        if not 1.0 <= self.type_exponent <= 2.0:
-            raise ValueError("type exponent must lie in [1, 2]")
-
-
-EUCLIDEAN = SpaceConstants(smoothness=1.0, type_constant=1.0, type_exponent=2.0)
-
-
 def as_vector(v) -> np.ndarray:
     """Validate and return a finite 1-d float array."""
     arr = np.asarray(v, dtype=np.float64)

@@ -17,7 +17,7 @@ from stabilab.bounds import (
     sgd_gap_bound,
 )
 from stabilab.cli import main
-from stabilab.lab import report_digest
+from stabilab.lab import ExperimentConfig, report_digest, run_experiment
 
 
 def base_config(**overrides):
@@ -163,6 +163,45 @@ class TestComplexityCommand:
         assert len(rows) == 1
         assert float(rows[0][3]) == payload["radius"]
         assert float(rows[0][4]) == payload["rademacher"]["mean"]
+
+
+SGD_ALGORITHM = {
+    "preset": "sgd-strongly-convex",
+    "steps": {"mode": "multiple_of_n", "factor": 2},
+    "step": "inverse_smoothness",
+    "gamma": 0.5,
+    "projection_radius": 2.0,
+}
+
+
+class TestStagesMatchTheExperiment:
+    """The stability and complexity subcommands print the record's numbers."""
+
+    @pytest.fixture(scope="class", params=["ridge", "sgd"])
+    def setup(self, request, tmp_path_factory):
+        raw = base_config(seed=11)
+        if request.param == "sgd":
+            raw["algorithm"] = SGD_ALGORITHM
+        path = write_json(tmp_path_factory.mktemp("stages"), "config.json", raw)
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        return path, {record["n"]: record for record in report.records}
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_stability_equals_the_record(self, setup, n, capsys):
+        path, records = setup
+        assert main(["stability", path, "--n", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out) == records[n]["stability"]
+
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_complexity_equals_the_record(self, setup, n, capsys):
+        path, records = setup
+        assert main(["complexity", path, "--n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        record = records[n]
+        assert payload["radius"] == record["radius"]
+        assert payload["center_std_error"] == record["center_std_error"]
+        for key in ("mean", "std_error", "draws", "seed"):
+            assert payload["rademacher"][key] == record["rademacher"][key]
 
 
 class TestBoundsCommand:

@@ -58,11 +58,6 @@ class TestBallRadius:
 
 
 class TestAlgorithmicBall:
-    def test_from_stability_composes_the_radius(self):
-        ball = AlgorithmicBall.from_stability([0.1, 0.2], 0.01, 100, 0.2)
-        assert ball.radius == pytest.approx(ball_radius(1.0, 0.01, 100, 0.2))
-        assert ball.n == 100 and ball.delta == 0.2
-
     def test_center_is_frozen(self):
         ball = AlgorithmicBall(center=[0.1, 0.2], radius=0.5, n=10, delta=0.1)
         with pytest.raises(ValueError):

@@ -131,22 +131,6 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             spec.teacher[0] = 2.0
 
-    def test_margin_scale_on_the_sphere(self):
-        spec = DistributionSpec(
-            dim=4, feature_bound=2.0, teacher=[3.0, 0.0, 0.0, 0.0], mechanism=SignFlip()
-        )
-        assert spec.teacher_margin_scale == pytest.approx(3.0)
-
-    def test_margin_scale_in_the_ball(self):
-        spec = DistributionSpec(
-            dim=4,
-            feature_bound=2.0,
-            teacher=[3.0, 0.0, 0.0, 0.0],
-            mechanism=SignFlip(),
-            feature_law="ball",
-        )
-        assert spec.teacher_margin_scale == pytest.approx(3.0 * math.sqrt(4.0 / 6.0))
-
 
 class TestDrawSample:
     def test_rejects_empty_request(self):

@@ -21,7 +21,6 @@ from stabilab import (
     make_algorithm,
     make_loss,
     run_sgd,
-    strongly_convex_objective,
 )
 from stabilab.learners import (
     ConstantAlgorithm,
@@ -76,15 +75,6 @@ class TestSample:
         assert np.array_equal(t.labels, [1.0, -2.0])
         assert np.array_equal(s.features, [[1.0], [1.0]])
         assert np.array_equal(s.labels, [1.0, 1.0])
-
-    def test_from_examples_round_trip(self):
-        examples = [
-            LabeledExample(np.array([1.0, 2.0]), 1.0),
-            LabeledExample(np.array([3.0, 4.0]), -1.0),
-        ]
-        s = Sample.from_examples(examples)
-        assert np.array_equal(s.features, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(s.labels, [1.0, -1.0])
 
     @pytest.mark.parametrize(
         "features, labels",
@@ -349,7 +339,7 @@ class TestSgdSpec:
 
     def test_strongly_convex_cap_and_curvature_requirement(self):
         plain = make_loss("squared", 1.0, 1.0, 1.0)
-        curved = strongly_convex_objective(plain, 0.5)
+        curved = make_loss("squared", 1.0, 1.0, 1.0, ridge_term=0.5)
         spec = SgdSpec(
             regime="strongly_convex", steps=1, seed=0, step=0.25, projection_radius=1.0
         )
@@ -413,7 +403,7 @@ class TestRunSgd:
     def test_projection_keeps_every_iterate_inside_the_ball(self):
         rng = np.random.default_rng(23)
         sample = unit_ball_sample(rng, 10, 3, label_bound=1.0)
-        loss = strongly_convex_objective(make_loss("squared", 1.0, 1.0, 1.0), 0.5)
+        loss = make_loss("squared", 1.0, 1.0, 1.0, ridge_term=0.5)
         spec = SgdSpec(
             regime="strongly_convex",
             steps=60,
@@ -470,6 +460,20 @@ class TestPresets:
         assert algo.step_for(50) == pytest.approx(4.0)
         spec = algo.spec_for(50, seed=7)
         assert spec.steps == 100 and spec.seed == 7 and spec.regime == "convex"
+
+    def test_sgd_n_squared_steps_policy(self):
+        algo = make_algorithm(
+            "sgd-convex",
+            "logistic",
+            1.0,
+            steps={"mode": "n_squared", "factor": 0.5},
+            step="inverse_smoothness",
+        )
+        assert algo.steps_for(10) == 50
+        assert algo.spec_for(10, seed=0).steps == 50
+        assert algo.steps_for(7) == 24  # round(24.5) rounds half to even
+        default = make_algorithm("sgd-convex", "logistic", 1.0, steps="n_squared", step=0.1)
+        assert default.steps_for(7) == 49
 
     def test_sgd_strongly_convex_preset_resolves_gamma_step(self):
         algo = make_algorithm(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabilab import (
     DistributionSpec,
@@ -14,7 +15,6 @@ from stabilab import (
     PenaltySpec,
     Sample,
     SgdSpec,
-    beta_from_alpha,
     check_penalty_condition,
     draw_sample,
     lp_penalty_constant,
@@ -32,8 +32,10 @@ from stabilab.stability import (
     ANCHOR_PLUS,
     _loss_gap,
     adversarial_anchors,
+    closed_form,
     ridge_curvature,
 )
+from closed_form_oracle import oracle_alpha, oracle_family
 
 
 def regression_spec(dim=2, teacher_scale=0.3, noise_sd=0.05):
@@ -166,9 +168,6 @@ class TestSgdAlpha:
         with pytest.raises(ValueError):
             sgd_alpha(strong, 1.0, 1.0, 100, smoothness=1.0)
 
-    def test_beta_is_the_lipschitz_multiple(self):
-        assert beta_from_alpha(2.0, 1.5, 0.1) == pytest.approx(0.3)
-
 
 class TestPenaltyCondition:
     def test_ridge_condition_is_an_identity_at_one_half(self):
@@ -257,6 +256,113 @@ class TestTheoreticalAlpha:
         algo = make_algorithm("ridge", "squared", 1.0, 0.5, lam=0.5)
         with pytest.raises(ValueError):
             theoretical_alpha(algo, 0)
+
+
+PRESETS = ("constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex")
+
+
+@st.composite
+def preset_params(draw, name):
+    """(loss kind, feature bound, label bound, preset parameters) for a preset."""
+    kind = "squared" if name == "ridge" else draw(st.sampled_from(("hinge", "logistic", "squared")))
+    bounds = st.floats(0.25, 4.0)
+    lam = draw(st.floats(1e-3, 10.0))
+    steps = draw(
+        st.one_of(
+            st.integers(0, 60),
+            st.fixed_dictionaries(
+                {"mode": st.just("multiple_of_n"), "factor": st.floats(0.5, 3.0)}
+            ),
+            st.fixed_dictionaries({"mode": st.just("n_squared"), "factor": st.floats(0.01, 0.1)}),
+        )
+    )
+    step = st.one_of(st.floats(1e-3, 0.5), st.just("inverse_smoothness"))
+    projection = st.one_of(st.none(), st.floats(0.5, 4.0))
+    if name == "constant":
+        params = {"vector": draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))}
+    elif name == "ridge":
+        params = {"lam": lam}
+    elif name == "rerm-lp":
+        params = {"p": draw(st.floats(1.01, 2.0)), "lam": lam}
+    elif name == "sgd-nonconvex":
+        c = st.one_of(st.floats(0.01, 2.0), st.just("inverse_smoothness"))
+        params = {"steps": steps, "c": draw(c), "projection_radius": draw(projection)}
+    elif name == "sgd-convex":
+        params = {"steps": steps, "step": draw(step), "projection_radius": draw(projection)}
+    else:
+        params = {
+            "steps": steps,
+            "step": draw(st.one_of(step, st.just("inverse_gamma_n"))),
+            "gamma": lam,
+            "projection_radius": draw(st.floats(0.5, 4.0)),
+        }
+    return kind, draw(bounds), draw(bounds), params
+
+
+def _outcome(compute):
+    """compute()'s value, or the ValueError message it raises."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@settings(max_examples=60)
+@given(data=st.data(), n=st.integers(1, 400))
+def test_closed_form_equals_the_two_chains_it_replaced(name, data, n):
+    kind, feature_bound, label_bound, params = data.draw(preset_params(name))
+    algo = make_algorithm(name, kind, feature_bound, label_bound, **params)
+
+    def new():
+        form = closed_form(algo, n)
+        return form.alpha, form.family, form.constants, form.coefficients
+
+    def old():
+        alpha = oracle_alpha(algo, n)
+        return (alpha, *oracle_family(algo, n, alpha))
+
+    got, expected = _outcome(new), _outcome(old)
+    # json with sort_keys spells every number out, so 1 and 1.0 differ.
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    if got[0] != "ValueError":
+        assert theoretical_alpha(algo, n) == got[0]
+
+
+def test_closed_form_of_every_preset():
+    forms = {name: closed_form(preset_for(name), 50) for name in PRESETS}
+    assert [forms[name].family for name in PRESETS] == [
+        None,
+        "rerm-fast-rate",
+        "rerm-fast-rate",
+        "sgd-fast-rate",
+        "sgd-fast-rate",
+        "sgd-fast-rate",
+    ]
+    assert sorted(forms["ridge"].coefficients) == [
+        "alpha_exact",
+        "alpha_reported",
+        "curvature_exact",
+        "curvature_reported",
+    ]
+    assert sorted(forms["rerm-lp"].coefficients) == ["curvature", "exponent"]
+    assert forms["sgd-strongly-convex"].constants["gamma"] == 0.5
+    assert forms["sgd-convex"].constants["gamma"] is None
+
+
+def preset_for(name):
+    steps = {"mode": "multiple_of_n", "factor": 2}
+    params = {
+        "constant": dict(vector=[0.25] * 3),
+        "ridge": dict(lam=0.5),
+        "rerm-lp": dict(p=1.5, lam=0.5),
+        "sgd-nonconvex": dict(steps=steps, c="inverse_smoothness", projection_radius=2.0),
+        "sgd-convex": dict(steps=steps, step="inverse_smoothness"),
+        "sgd-strongly-convex": dict(
+            steps=steps, step="inverse_smoothness", gamma=0.5, projection_radius=2.0
+        ),
+    }[name]
+    return make_algorithm(name, "squared", 1.0, 1.0, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +637,7 @@ class TestReportSerialization:
 
     def test_json_round_trip(self):
         report = self.make_report()
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["alpha_hat"] == report.alpha_hat
         assert data["beta_hat"] == report.beta_hat
         assert data["n"] == 5

@@ -1,28 +1,8 @@
 import numpy as np
 import pytest
 
-from stabilab import EUCLIDEAN, SpaceConstants, parallelogram_defect, type2_check
+from stabilab import parallelogram_defect, type2_check
 from stabilab.vectorspace import as_vector
-
-
-def test_euclidean_constants():
-    assert EUCLIDEAN.smoothness == 1.0
-    assert EUCLIDEAN.type_constant == 1.0
-    assert EUCLIDEAN.type_exponent == 2.0
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"smoothness": 0.0, "type_constant": 1.0, "type_exponent": 2.0},
-        {"smoothness": 1.0, "type_constant": -1.0, "type_exponent": 2.0},
-        {"smoothness": 1.0, "type_constant": 1.0, "type_exponent": 2.5},
-        {"smoothness": float("inf"), "type_constant": 1.0, "type_exponent": 2.0},
-    ],
-)
-def test_space_constants_validation(kwargs):
-    with pytest.raises(ValueError):
-        SpaceConstants(**kwargs)
 
 
 def test_vector_helpers():
