@@ -17,7 +17,6 @@ from .learners import (
     Sample,
     SgdSpec,
     empirical_risk,
-    fit_batch,
     fit_rerm,
     fit_ridge,
     make_algorithm,
@@ -30,6 +29,7 @@ from .datagen import (
     RiskEstimate,
     SignFlip,
     draw_sample,
+    draw_samples,
     true_risk,
 )
 from .stability import (
@@ -91,7 +91,6 @@ __all__ = [
     "empirical_risk",
     "fit_ridge",
     "fit_rerm",
-    "fit_batch",
     "run_sgd",
     "make_algorithm",
     "DistributionSpec",
@@ -100,6 +99,7 @@ __all__ = [
     "SignFlip",
     "RiskEstimate",
     "draw_sample",
+    "draw_samples",
     "true_risk",
     "StabilityReport",
     "measure_argument_stability",

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import draw_sample
-from .learners import fit_batch
+from .datagen import fit_replicates
 from .seeding import child_seed, rademacher_rows, stream_keys
 
 
@@ -98,20 +97,7 @@ def estimate_center(algorithm, dist, n: int, m: int = 64, seed: int = 0) -> Cent
     """Estimate the mean hypothesis by averaging m independent refits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    samples = []
-    seeds = []
-    for j in range(m):
-        try:
-            samples.append(draw_sample(dist, n, child_seed(seed, "center-sample", j)))
-        except Exception as exc:
-            raise RuntimeError(f"center replicate {j} failed: {exc}") from exc
-        seeds.append(child_seed(seed, "center-fit", j))
-    try:
-        fits = fit_batch(algorithm, samples, seeds)
-    except Exception as exc:
-        raise RuntimeError(f"center replicate fits failed: {exc}") from exc
+    fits, _, _ = fit_replicates(algorithm, dist, n, m, seed, "center")
     vector = fits.mean(axis=0)
     if m == 1:
         return CenterEstimate(vector=vector, std_error=None, replicates=1, seed=seed)

@@ -13,9 +13,9 @@ Three experiments:
   trained hypothesis leaves the radius-r ball around the estimated mean,
   compared to the nominal level delta.
 
-Both refit experiments hand each batch of replicate samples to
-:func:`fit_batch`, so SGD presets advance all replicates of a batch in one
-stacked kernel and deterministic presets fit them one at a time.
+Both refit experiments draw each batch of replicate samples as one
+(C, n, d) stack and fit it through the preset's ``fit_many``, so SGD and
+ridge presets fit all replicates of a batch at once.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ball_radius, estimate_center
-from .datagen import DistributionSpec, draw_sample
-from .learners import Sample, fit_batch
+from .datagen import DistributionSpec, draw_samples, fit_replicates
+from .learners import Sample
 from .seeding import child_seed, rademacher_rows, stream_keys
 
 
@@ -166,22 +166,15 @@ def doob_decomposition(
     dim = sample.dim
     means = np.zeros((n + 1, dim))
     errors = np.zeros(n + 1)
+    draws = range(suffix_draws)
     for t in range(n):
-        replicates = []
-        seeds = []
-        for k in range(suffix_draws):
-            suffix = draw_sample(dist, n - t, child_seed(seed, "suffix", t, k))
-            if t == 0:
-                rep = suffix
-            else:
-                rep = Sample(
-                    np.concatenate([sample.features[:t], suffix.features]),
-                    np.concatenate([sample.labels[:t], suffix.labels]),
-                )
-            replicates.append(rep)
-            seeds.append(child_seed(seed, "suffix-fit", t, k))
+        # Every replicate keeps the first t examples and resamples the rest.
+        X, y = np.empty((suffix_draws, n, dim)), np.empty((suffix_draws, n))
+        X[:, :t], y[:, :t] = sample.features[:t], sample.labels[:t]
+        suffix_seeds = [child_seed(seed, "suffix", t, k) for k in draws]
+        X[:, t:], y[:, t:] = draw_samples(dist, n - t, suffix_seeds)
         try:
-            fits = fit_batch(algorithm, replicates, seeds)
+            fits = algorithm.fit_many(X, y, [child_seed(seed, "suffix-fit", t, k) for k in draws])
         except Exception as exc:
             raise RuntimeError(f"conditional mean at t={t} failed: {exc}") from exc
         means[t] = fits.mean(axis=0)
@@ -228,14 +221,7 @@ def center_concentration_experiment(
     center = estimate_center(
         algorithm, dist, n, m=center_replicates, seed=child_seed(seed, "center")
     )
-    samples = [
-        draw_sample(dist, n, child_seed(seed, "trial-sample", k)) for k in range(trials)
-    ]
-    seeds = [child_seed(seed, "trial-fit", k) for k in range(trials)]
-    try:
-        fits = fit_batch(algorithm, samples, seeds)
-    except Exception as exc:
-        raise RuntimeError(f"trial fits failed: {exc}") from exc
+    fits, _, _ = fit_replicates(algorithm, dist, n, trials, seed, "trial")
     distances = np.linalg.norm(fits - center.vector[None, :], axis=1)
     violations = int(np.sum(distances > radius))
     return TailExperiment(

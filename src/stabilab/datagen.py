@@ -10,6 +10,7 @@ come from a fixed teacher vector through one of three mechanisms:
 
 :func:`true_risk` evaluates the population risk of a hypothesis, exactly
 where a closed form exists and by seeded Monte Carlo otherwise.
+:func:`fit_replicates` is the replicate path: one sample stack, one fit call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .learners import Sample
 from .losses import LossModel, _sigmoid
-from .seeding import draw_each, stream_key, substream
+from .seeding import child_seed, draw_each, stream_key, substream
 
 FEATURE_LAWS = ("sphere", "ball")
 
@@ -162,22 +163,52 @@ def draw_sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
     return Sample(*_draw(spec, substream(seed, "datagen"), n))
 
 
-def draw_examples(spec: DistributionSpec, seeds):
-    """One example per seed, each exactly as ``draw_sample(spec, 1, seed)`` draws it.
+def draw_samples(spec: DistributionSpec, n: int, seeds):
+    """(C, n, d) features and (C, n) labels whose row c is bitwise
+    ``draw_sample(spec, n, seeds[c])``, allocated once and filled in place.
 
-    Returns (len(seeds), d) features and (len(seeds),) labels without
-    building a Sample per row; raises ValueError if any entry is not finite.
+    Raises ValueError if a label is not finite. Features always are (unit
+    directions scaled by the finite bound), so the check skips them and
+    keeps a temporary the size of the feature stack out of peak memory.
     """
-    rows = draw_each(
-        [stream_key(seed, "datagen") for seed in seeds], lambda rng: _draw(spec, rng, 1)
-    )
-    X = np.empty((len(rows), spec.dim))
-    y = np.empty(len(rows))
-    for c, (x_c, y_c) in enumerate(rows):
-        X[c], y[c] = x_c[0], y_c[0]
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    seeds = list(seeds)
+    X = np.empty((len(seeds), n, spec.dim))
+    y = np.empty((len(seeds), n))
+    rows = iter(zip(X, y))
+
+    def fill(rng):
+        x_c, y_c = next(rows)
+        x_c[...], y_c[...] = _draw(spec, rng, n)
+
+    draw_each((stream_key(seed, "datagen") for seed in seeds), fill)
+    if not np.all(np.isfinite(y)):
         raise ValueError("drawn examples must be finite")
     return X, y
+
+
+def draw_examples(spec: DistributionSpec, seeds):
+    """(C, d) features and (C,) labels: row c is the one example of
+    ``draw_sample(spec, 1, seeds[c])``, drawn as :func:`draw_samples` draws it."""
+    X, y = draw_samples(spec, 1, seeds)
+    return X[:, 0], y[:, 0]
+
+
+def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: int, label: str):
+    """(fits, features, labels) of ``count`` fresh samples of size n, drawn as
+    one stack and fitted through one ``fit_many`` call.
+
+    Replicate j draws on ``(seed, f"{label}-sample", j)`` and fits on
+    ``(seed, f"{label}-fit", j)``.
+    """
+    replicates = range(count)
+    X, y = draw_samples(dist, n, [child_seed(seed, f"{label}-sample", j) for j in replicates])
+    try:
+        fits = algorithm.fit_many(X, y, [child_seed(seed, f"{label}-fit", j) for j in replicates])
+    except Exception as exc:
+        raise RuntimeError(f"{label} replicate fits failed: {exc}") from exc
+    return fits, X, y
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,10 @@ from .datagen import (
     LogisticTeacher,
     SignFlip,
     draw_sample,
+    fit_replicates,
     true_risk,
 )
-from .learners import Sample, empirical_risk, make_algorithm
+from .learners import Sample, _check_examples, make_algorithm
 from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
@@ -255,12 +256,16 @@ def report_digest(report) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _gap_pair(config: ExperimentConfig, algorithm, loss, sample, fit_seed, risk_seed, draws):
-    """Plain and deformed gap of one fit, its true risk from ``draws`` Monte-Carlo points."""
-    h = algorithm.fit(sample, seed=fit_seed)
-    emp = empirical_risk(loss, h, sample)
-    true = true_risk(loss, h, config.distribution, draws=draws, seed=risk_seed).value
-    return {"plain": true - emp, "deformed": deformed_gap(true, emp, config.a)}
+def _gaps(config: ExperimentConfig, loss, fits, features, labels, risk_seeds, draws):
+    """Plain and deformed gap of each fitted row on its own sample, its true
+    risk from ``draws`` Monte-Carlo points on its risk seed."""
+    _check_examples(loss, features, labels)
+    gaps = []
+    for h, X, y, risk_seed in zip(fits, features, labels, risk_seeds):
+        emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())
+        true = true_risk(loss, h, config.distribution, draws=draws, seed=risk_seed).value
+        gaps.append({"plain": true - emp, "deformed": deformed_gap(true, emp, config.a)})
+    return gaps
 
 
 def _bound_constants(config: ExperimentConfig, algorithm, n: int):
@@ -350,15 +355,9 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         stage = "bounds"
         breakdowns, coefficients = _bound_set(config, algorithm, n)
         stage = "gaps"
-        gaps = _gap_pair(
-            config,
-            algorithm,
-            loss,
-            sample,
-            child_seed(seed, "record-fit", n),
-            child_seed(seed, "risk", n),
-            draws=4096,
-        )
+        X, y = sample.features[None], sample.labels[None]
+        fit = algorithm.fit_many(X, y, [child_seed(seed, "record-fit", n)])
+        (gaps,) = _gaps(config, loss, fit, X, y, [child_seed(seed, "risk", n)], draws=4096)
         stage = "tail"
         tail = None
         if config.tail:
@@ -401,19 +400,12 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
         name: BOUND_FAMILIES[name].evaluate(constants).to_dict()
         for name in ("plain-gap", "fast-rate")
     }
-    rows = []
-    for rep in range(config.trials):
-        sample = draw_sample(config.distribution, n, child_seed(seed, "coverage-sample", rep))
-        gaps = _gap_pair(
-            config,
-            algorithm,
-            loss,
-            sample,
-            child_seed(seed, "coverage-fit", rep),
-            child_seed(seed, "coverage-risk", rep),
-            draws=2048,
-        )
-        rows.append({"plain_gap": gaps["plain"], "deformed_gap": gaps["deformed"]})
+    fits, X, y = fit_replicates(algorithm, config.distribution, n, config.trials, seed, "coverage")
+    risk_seeds = [child_seed(seed, "coverage-risk", rep) for rep in range(config.trials)]
+    rows = [
+        {"plain_gap": gaps["plain"], "deformed_gap": gaps["deformed"]}
+        for gaps in _gaps(config, loss, fits, X, y, risk_seeds, draws=2048)
+    ]
     return {
         "n": n,
         "replications": config.trials,

@@ -13,12 +13,12 @@ linear predictor:
   seeded index stream, and optional projection onto a centered ball.
 
 Algorithm presets bundle a trainer with the loss model it certifies, so
-experiment configs can address them by name. Every preset fits C samples
-at once (``fit_many``, behind :func:`fit_batch`) and the replace-one twins
-of one sample (``fit_twins``). Every ridge fit goes through one stacked,
-certified normal-equation solve, :func:`solve_ridge_stack`. All SGD goes
-through one kernel that advances a stacked (rows, d) state: C independent
-runs for :func:`fit_batch`, one run with its trajectory for
+experiment configs can address them by name. Every preset fits a (C, n, d)
+stack of samples at once (``fit_many``, the one batch entry point) and the
+replace-one twins of one sample (``fit_twins``). Every ridge fit goes through
+one stacked, certified normal-equation solve, :func:`solve_ridge_stack`. All
+SGD goes through one kernel that advances a stacked (rows, d) state: C
+independent runs for ``fit_many``, one run with its trajectory for
 :func:`run_sgd`, and 2C coupled rows for :func:`sgd_twin_distances`. In
 both, a row's arithmetic does not depend on the other rows, so every entry
 point gives bitwise the same hypothesis for the same sample and seed.
@@ -491,16 +491,30 @@ def _sgd_kernel(
 class _Preset:
     """The fitting protocol every preset implements.
 
-    ``fit`` fits one sample; ``fit_many`` fits C samples, one row each;
-    ``fit_twins`` fits the coupled pairs of a replace-one measurement. The
-    defaults here fit one sample at a time; ridge overrides both batched
-    methods with its stacked solve and SGD with its stacked kernel.
+    ``fit`` fits one sample; ``fit_many`` checks a stack of C samples and
+    fits it through ``_fit_stack``, one row each; ``fit_twins`` fits the
+    coupled pairs of a replace-one measurement. The defaults fit one sample
+    at a time; ridge overrides both with its stacked solve, SGD with its kernel.
     """
 
     stochastic = False
 
-    def fit_many(self, samples, seeds) -> np.ndarray:
-        return np.stack([self.fit(s, seed=k) for s, k in zip(samples, seeds)])
+    def fit_many(self, features, labels, seeds) -> np.ndarray:
+        """Fit (C, n, d) features and (C, n) labels; row c fits sample c with ``seeds[c]``."""
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
+        seeds = list(seeds)
+        if features.ndim != 3 or 0 in features.shape:
+            raise ValueError("need a non-empty (C, n, d) stack of samples")
+        if labels.shape != features.shape[:2]:
+            raise ValueError("labels must be a (C, n) stack matching the features")
+        if len(seeds) != len(features):
+            raise ValueError("need one seed per sample")
+        return self._fit_stack(features, labels, seeds)
+
+    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
+        rows = zip(features, labels, seeds)
+        return np.stack([self.fit(Sample(X, y), seed=k) for X, y, k in rows])
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
         """Fits (HA, HB) on S and on the replaced samples, one row per cell.
@@ -566,9 +580,9 @@ class RidgeAlgorithm(_Preset):
     def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
         return fit_ridge(sample, self.lam)
 
-    def fit_many(self, samples, seeds) -> np.ndarray:
+    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
         """One stacked solve over the samples' normal equations, formed one sample at a time."""
-        A, b = zip(*(_normal_equations(s.features, s.labels, self.lam) for s in samples))
+        A, b = zip(*(_normal_equations(X, y, self.lam) for X, y in zip(features, labels)))
         return solve_ridge_stack(np.stack(A), np.stack(b))
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
@@ -629,13 +643,16 @@ class LpRermAlgorithm(_Preset):
         return fit_rerm(sample, self._loss, self.penalty, self.tol, self.max_iter)
 
 
+# Per policy kind, the modes it takes and the keys each mode takes beside 'mode'.
+_POLICY_MODES = {
+    "step": {"constant": {"value"}, "inverse_smoothness": set(), "inverse_gamma_n": set()},
+    "steps": {"fixed": {"value"}, "multiple_of_n": {"factor"}, "n_squared": {"factor"}},
+    "c": {"constant": {"value"}, "inverse_smoothness": set()},
+}
+
+
 def _norm_policy(value, kind: str) -> dict:
     """Normalize step/steps/c policies to {'mode': ..., ...} dictionaries."""
-    allowed = {
-        "step": ("constant", "inverse_smoothness", "inverse_gamma_n"),
-        "steps": ("fixed", "multiple_of_n", "n_squared"),
-        "c": ("constant", "inverse_smoothness"),
-    }[kind]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         mode = "fixed" if kind == "steps" else "constant"
         out = {"mode": mode, "value": float(value)}
@@ -647,18 +664,18 @@ def _norm_policy(value, kind: str) -> dict:
             raise ValueError(f"{kind} policy needs a 'mode' key")
     else:
         raise ValueError(f"cannot interpret {kind} policy {value!r}")
-    if out["mode"] not in allowed:
-        raise ValueError(f"unknown {kind} policy mode {out['mode']!r}")
-    if out["mode"] in ("constant", "fixed"):
-        if "value" not in out and "factor" not in out:
-            raise ValueError(f"{kind} policy {out['mode']!r} needs a value")
-    if out["mode"] == "multiple_of_n" and "factor" not in out:
-        raise ValueError("multiple_of_n policy needs a factor")
-    if out["mode"] == "n_squared":
+    mode = out["mode"]
+    if not isinstance(mode, str) or mode not in _POLICY_MODES[kind]:
+        raise ValueError(f"unknown {kind} policy mode {mode!r}")
+    if mode == "n_squared":
         out.setdefault("factor", 1.0)
-    extra = set(out) - {"mode", "value", "factor"}
+    keys = _POLICY_MODES[kind][mode]
+    extra = set(out) - keys - {"mode"}
     if extra:
-        raise ValueError(f"unknown {kind} policy keys {sorted(extra)}")
+        raise ValueError(f"{kind} policy {mode!r} takes no keys {sorted(extra)}")
+    missing = keys - set(out)
+    if missing:
+        raise ValueError(f"{kind} policy {mode!r} needs the keys {sorted(missing)}")
     return out
 
 
@@ -792,14 +809,9 @@ class SgdAlgorithm(_Preset):
         loss = self.loss_for(sample.n)
         return run_sgd(sample, loss, self.spec_for(sample.n, seed)).final
 
-    def fit_many(self, samples, seeds) -> np.ndarray:
-        n = samples[0].n
-        if any(s.n != n for s in samples):
-            # The schedule depends on n, so only equal sizes share a kernel.
-            return super().fit_many(samples, seeds)
-        X = np.stack([s.features for s in samples])
-        y = np.stack([s.labels for s in samples])
-        return _sgd_kernel(self.loss_for(n), self.spec_for(n, 0), seeds, X, y)
+    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
+        n = features.shape[1]
+        return _sgd_kernel(self.loss_for(n), self.spec_for(n, 0), seeds, features, labels)
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
         """Coupled twins: HA and HB share each cell's index stream."""
@@ -821,8 +833,9 @@ def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:
     if kind in ("hinge", "logistic"):
         # Margin slope is at most 1, so each step moves by at most alpha*B.
         return B * float(np.sum(alphas))
+    # Python floats reach inf without a NumPy overflow warning.
     r = 0.0
-    for a in alphas:
+    for a in alphas.tolist():
         r = r * (1.0 + 2.0 * a * B * B) + 2.0 * a * B * Y
         if not math.isfinite(r):
             return math.inf
@@ -915,14 +928,3 @@ def sgd_twin_distances(
     if return_states:
         return distances, HA, HB
     return distances
-
-
-def fit_batch(algorithm, samples, seeds) -> np.ndarray:
-    """Fit the algorithm on each sample with its seed, one row per sample."""
-    samples = list(samples)
-    seeds = list(seeds)
-    if len(samples) != len(seeds):
-        raise ValueError("need one seed per sample")
-    if not samples:
-        raise ValueError("need at least one sample")
-    return algorithm.fit_many(samples, seeds)

@@ -566,6 +566,20 @@ class TestExperimentCommands:
         assert main(["experiment", "run", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"steps": {"mode": "fixed", "factor": 10}, "step": 0.1},
+            {"steps": 10, "step": {"mode": "constant", "factor": 0.1}},
+            {"steps": {"mode": "multiple_of_n", "value": 2}, "step": 0.1},
+        ],
+    )
+    def test_run_rejects_a_policy_key_its_mode_does_not_read(self, policy, tmp_path, capsys):
+        algorithm = {"preset": "sgd-convex", **policy}
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        assert "takes no keys" in capsys.readouterr().err
+
     def test_seed_flag_fixes_the_digest(self, config_path, capsys):
         digests = []
         for seed in ("9", "9", "10"):

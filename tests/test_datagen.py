@@ -14,7 +14,7 @@ from stabilab import (
     make_loss,
     true_risk,
 )
-from stabilab.datagen import draw_examples
+from stabilab.datagen import draw_examples, draw_samples
 
 
 def linear_spec(dim=3, feature_bound=1.0, teacher_scale=0.4, noise_sd=0.05, law="sphere"):
@@ -172,18 +172,21 @@ class TestDrawSample:
         assert np.all(np.abs(s.labels) <= 1.0)
 
 
+STACK_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        linear_spec(dim=4),
+        linear_spec(dim=2, law="ball"),
+        DistributionSpec(
+            dim=3, feature_bound=2.0, teacher=[0.5, 0.0, 0.1], mechanism=SignFlip(0.2)
+        ),
+    ],
+    ids=["linear", "ball", "sign-flip"],
+)
+
+
 class TestDrawExamples:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            linear_spec(dim=4),
-            linear_spec(dim=2, law="ball"),
-            DistributionSpec(
-                dim=3, feature_bound=2.0, teacher=[0.5, 0.0, 0.1], mechanism=SignFlip(0.2)
-            ),
-        ],
-        ids=["linear", "ball", "sign-flip"],
-    )
+    @STACK_SPECS
     def test_each_row_is_the_one_example_sample_of_its_seed(self, spec):
         seeds = [11, 5, 11, 2**62 + 3]
         X, y = draw_examples(spec, seeds)
@@ -208,6 +211,29 @@ class TestDrawExamples:
         )
         with pytest.raises(ValueError, match="finite"):
             draw_examples(spec, [1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            draw_samples(spec, 3, [1, 2])
+
+
+class TestDrawSamples:
+    @STACK_SPECS
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_each_row_is_the_sample_of_its_seed(self, spec, n):
+        seeds = [11, 5, 11, 2**62 + 3, np.int64(9)]
+        X, y = draw_samples(spec, n, seeds)
+        assert X.shape == (5, n, spec.dim) and y.shape == (5, n)
+        for row_x, row_y, seed in zip(X, y, seeds):
+            sample = draw_sample(spec, n, seed)
+            assert np.array_equal(row_x, sample.features)
+            assert np.array_equal(row_y, sample.labels)
+
+    def test_no_seeds_give_an_empty_stack(self):
+        X, y = draw_samples(linear_spec(dim=4), 9, [])
+        assert X.shape == (0, 9, 4) and y.shape == (0, 9)
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be"):
+            draw_samples(linear_spec(), 0, [1])
 
 
 class TestTrueRisk:

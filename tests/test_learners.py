@@ -15,7 +15,6 @@ from stabilab import (
     Sample,
     SgdSpec,
     empirical_risk,
-    fit_batch,
     fit_rerm,
     fit_ridge,
     make_algorithm,
@@ -523,6 +522,42 @@ class TestPresets:
                 "sgd-strongly-convex", "squared", 1.0, steps=10, step=0.1, gamma=1.0
             )
 
+    @pytest.mark.parametrize(
+        "kind, policy",
+        [
+            ("steps", {"mode": "fixed", "factor": 10}),
+            ("steps", {"mode": "multiple_of_n", "value": 2}),
+            ("steps", {"mode": "n_squared", "value": 1}),
+            ("step", {"mode": "constant", "factor": 0.1}),
+            ("step", {"mode": "inverse_smoothness", "value": 0.1}),
+            ("step", {"mode": "inverse_gamma_n", "factor": 1}),
+            ("c", {"mode": "constant", "factor": 0.5}),
+            ("c", {"mode": "inverse_smoothness", "factor": 0.5}),
+        ],
+    )
+    def test_each_policy_mode_takes_only_its_own_key(self, kind, policy):
+        params = {"steps": 10, "step": 0.1, "c": 0.5, "projection_radius": 1.0, "gamma": 1.0}
+        params[kind] = policy
+        preset = "sgd-nonconvex" if kind == "c" else "sgd-strongly-convex"
+        if preset == "sgd-nonconvex":
+            del params["step"], params["gamma"]
+        else:
+            del params["c"]
+        with pytest.raises(ValueError, match="takes no keys"):
+            make_algorithm(preset, "logistic", 1.0, **params)
+
+    def test_policy_modes_need_their_key(self):
+        with pytest.raises(ValueError, match="needs the keys \\['value'\\]"):
+            make_algorithm("sgd-convex", "squared", 1.0, steps={"mode": "fixed"}, step=0.1)
+        with pytest.raises(ValueError, match="needs the keys \\['factor'\\]"):
+            make_algorithm(
+                "sgd-convex", "squared", 1.0, steps={"mode": "multiple_of_n"}, step=0.1
+            )
+        algo = make_algorithm("sgd-convex", "squared", 1.0, steps={"mode": "n_squared"}, step=0.1)
+        assert algo.steps_for(3) == 9
+        with pytest.raises(ValueError, match="unknown steps policy mode"):
+            make_algorithm("sgd-convex", "squared", 1.0, steps={"mode": ["fixed"]}, step=0.1)
+
     def test_policy_dictionaries_reject_unknown_keys(self):
         with pytest.raises(ValueError):
             SgdAlgorithm(
@@ -538,15 +573,20 @@ class TestPresets:
 # batched helpers
 
 
+def stack(samples):
+    """The (C, n, d) features and (C, n) labels of equal-size samples, for fit_many."""
+    return np.stack([s.features for s in samples]), np.stack([s.labels for s in samples])
+
+
 class TestBatchedHelpers:
-    def test_fit_batch_matches_single_runs_for_sgd(self):
+    def test_fit_many_matches_single_runs_for_sgd(self):
         rng = np.random.default_rng(51)
         algo = make_algorithm(
             "sgd-convex", "squared", 1.0, 0.5, steps=40, step=0.2
         )
         samples = [unit_ball_sample(rng, 12, 3, label_bound=0.5) for _ in range(5)]
         seeds = [101, 102, 103, 104, 105]
-        batch = fit_batch(algo, samples, seeds)
+        batch = algo.fit_many(*stack(samples), seeds)
         assert batch.shape == (5, 3)
         loss = algo.loss_for(12)
         for row, sample, seed in zip(batch, samples, seeds):
@@ -562,9 +602,9 @@ class TestBatchedHelpers:
         for pair in range(60):
             samples = [unit_ball_sample(rng, 12, 3, label_bound=0.5) for _ in range(2)]
             seeds = [1000 + 2 * pair, 1001 + 2 * pair]
-            batch = fit_batch(algo, samples, seeds)
+            batch = algo.fit_many(*stack(samples), seeds)
             for row, sample, seed in zip(batch, samples, seeds):
-                alone = fit_batch(algo, [sample], [seed])[0]
+                alone = algo.fit_many(*stack([sample]), [seed])[0]
                 fitted = algo.fit(sample, seed=seed)
                 run = run_sgd(sample, loss, algo.spec_for(12, seed)).final
                 assert np.array_equal(row, alone)
@@ -581,7 +621,7 @@ class TestBatchedHelpers:
         algo.loss_for = lambda n: make_loss("squared", 1.0, 1e-3, 0.5)
         samples = [unit_ball_sample(rng, n, d, label_bound=0.5) for _ in range(3)]
         with pytest.raises(DomainError):
-            fit_batch(algo, samples, [1, 2, 3])
+            algo.fit_many(*stack(samples), [1, 2, 3])
         sample = samples[0]
         with pytest.raises(DomainError):
             sgd_twin_distances(
@@ -605,7 +645,7 @@ class TestBatchedHelpers:
         algo = make_algorithm("sgd-nonconvex", "squared", 1.0, 0.5, steps=3, c=1e300)
         algo.loss_for = lambda n: loss
         with pytest.raises(NonFiniteIterateError):
-            fit_batch(algo, [sample, sample], [4, 5])
+            algo.fit_many(*stack([sample, sample]), [4, 5])
         with pytest.raises(NonFiniteIterateError):
             sgd_twin_distances(
                 algo,
@@ -634,21 +674,26 @@ class TestBatchedHelpers:
                 [9],
             )
 
-    def test_fit_batch_matches_exact_solver_for_ridge(self):
+    def test_fit_many_matches_exact_solver_for_ridge(self):
         rng = np.random.default_rng(53)
         algo = make_algorithm("ridge", "squared", 1.0, 0.5, lam=0.5)
         samples = [unit_ball_sample(rng, 10, 2, label_bound=0.5) for _ in range(3)]
-        batch = fit_batch(algo, samples, [0, 1, 2])
+        batch = algo.fit_many(*stack(samples), [0, 1, 2])
         for row, sample in zip(batch, samples):
             assert np.array_equal(row, fit_ridge(sample, 0.5))
 
-    def test_fit_batch_validates_lengths(self):
-        algo = make_algorithm("ridge", "squared", 1.0, 0.5, lam=0.5)
-        sample = Sample([[0.5]], [0.25])
-        with pytest.raises(ValueError):
-            fit_batch(algo, [sample], [1, 2])
-        with pytest.raises(ValueError):
-            fit_batch(algo, [], [])
+    @pytest.mark.parametrize("preset", ["ridge", "sgd-convex", "rerm-lp"])
+    def test_fit_many_validates_its_stack(self, preset):
+        algo = preset_for(preset, 0.5)
+        X, y = stack([Sample([[0.5]], [0.25])])
+        with pytest.raises(ValueError, match="one seed per sample"):
+            algo.fit_many(X, y, [1, 2])
+        with pytest.raises(ValueError, match="non-empty"):
+            algo.fit_many(X[:0], y[:0], [])
+        with pytest.raises(ValueError, match="non-empty"):
+            algo.fit_many(X[0], y[0], [1])
+        with pytest.raises(ValueError, match="matching the features"):
+            algo.fit_many(X, y[:, :0], [1])
 
     def test_twin_distances_match_paired_single_runs(self):
         rng = np.random.default_rng(57)
@@ -715,7 +760,7 @@ class TestStackedRidge:
         rng = np.random.default_rng(n + d)
         algo = RidgeAlgorithm(lam, 1.0, 1.0)
         samples = [unit_ball_sample(rng, n, d) for _ in range(5)]
-        rows = algo.fit_many(samples, range(5))
+        rows = algo.fit_many(*stack(samples), range(5))
         assert rows.shape == (5, d)
         for row, sample in zip(rows, samples):
             assert np.array_equal(row, fit_ridge(sample, lam))
@@ -754,9 +799,9 @@ class TestStackedRidge:
         rng = np.random.default_rng(67)
         samples = [unit_ball_sample(rng, 15, 3) for _ in range(4)]
         algo = RidgeAlgorithm(0.2, 1.0, 1.0)
-        together = algo.fit_many(samples, range(4))
+        together = algo.fit_many(*stack(samples), range(4))
         for k in range(4):
-            assert np.array_equal(together[k], algo.fit_many(samples[k : k + 1], [0])[0])
+            assert np.array_equal(together[k], algo.fit_many(*stack(samples[k : k + 1]), [0])[0])
 
     def test_non_finite_replacements_raise(self):
         rng = np.random.default_rng(71)
@@ -845,7 +890,7 @@ def test_every_preset_fit_many_matches_its_serial_fits(preset, n, d, lam, count,
     algo = preset_for(preset, lam)
     samples = [unit_ball_sample(rng, n, 3 if preset == "constant" else d) for _ in range(count)]
     seeds = [data_seed + k for k in range(count)]
-    rows = algo.fit_many(samples, seeds)
+    rows = algo.fit_many(*stack(samples), seeds)
     assert len(rows) == count
     for row, sample, seed in zip(rows, samples, seeds):
         assert np.array_equal(row, algo.fit(sample, seed=seed))
