@@ -18,9 +18,7 @@ from .learners import (
     SgdSpec,
     empirical_risk,
     fit_rerm,
-    fit_ridge,
     make_algorithm,
-    run_sgd,
 )
 from .datagen import (
     DistributionSpec,
@@ -89,9 +87,7 @@ __all__ = [
     "PenaltySpec",
     "SgdSpec",
     "empirical_risk",
-    "fit_ridge",
     "fit_rerm",
-    "run_sgd",
     "make_algorithm",
     "DistributionSpec",
     "LinearNoise",

@@ -292,6 +292,14 @@ def deformed_gap(risk_true: float, risk_emp: float, deformation: float) -> float
     return risk_true - deformation / (deformation - 1.0) * risk_emp
 
 
+def _integral(value, name: str, what: str = "an integer") -> int:
+    """``value`` as an int: an integer or an integral float, never a bool."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BoundFamily:
     """A bound family: its calculator and the constants it reads by name.
@@ -312,25 +320,14 @@ class BoundFamily:
             raise ValueError(f"{self.name} constants missing: {sorted(missing)}")
         accepted = self.required | set(self.optional)
         kwargs = {**self.optional, **{k: v for k, v in constants.items() if k in accepted}}
-        n = kwargs["n"]
-        integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
-        if isinstance(n, bool) or not integral:
-            raise ValueError(f"n must be an integer sample size, got {n!r}")
-        kwargs["n"] = int(n)
+        kwargs["n"] = _integral(kwargs["n"], "n", "an integer sample size")
         return self.calculate(**kwargs)
 
 
 def _sgd_plan_gap_bound(
     regime, steps, step, step_constant, projection_radius, **constants
 ) -> BoundBreakdown:
-    spec = SgdSpec(
-        regime=regime,
-        steps=int(steps),
-        seed=0,
-        step=step,
-        step_constant=step_constant,
-        projection_radius=projection_radius,
-    )
+    spec = SgdSpec(regime, _integral(steps, "steps"), step, step_constant, projection_radius)
     return sgd_gap_bound(spec, **constants)
 
 

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 
-from .bounds import BOUND_FAMILIES
+from .bounds import BOUND_FAMILIES, _integral
 from .concentration import (
     center_concentration_experiment,
     doob_decomposition,
@@ -34,6 +34,7 @@ from .datagen import draw_sample
 from .lab import (
     MAX_N,
     ExperimentConfig,
+    _center_replicates,
     build_algorithm,
     complexity_stage,
     report_digest,
@@ -62,7 +63,11 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 def _pick_n(args, config: ExperimentConfig) -> int:
-    n = args.n if args.n is not None else config.n_grid[-1]
+    return _check_n(args.n if args.n is not None else config.n_grid[-1])
+
+
+def _check_n(n) -> int:
+    n = _integral(n, "n")
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must lie in [1, {MAX_N}]")
     return n
@@ -198,8 +203,9 @@ def cmd_concentrate(args) -> int:
     config = ExperimentConfig.from_dict(spec["config"])
     algorithm = build_algorithm(config)
     dist = config.distribution
-    n = int(spec["n"])
+    n = _check_n(spec["n"])
     if kind == "center":
+        replicates = spec.get("center_replicates")
         alpha = theoretical_alpha(algorithm, n)
         experiment = center_concentration_experiment(
             algorithm,
@@ -209,7 +215,7 @@ def cmd_concentrate(args) -> int:
             delta=config.delta,
             alpha=alpha,
             seed=seed,
-            center_replicates=spec.get("center_replicates"),
+            center_replicates=None if replicates is None else _center_replicates(replicates),
         )
         return _emit_tail(args, experiment)
     sample = draw_sample(dist, n, child_seed(seed, "sample", n))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_FAMILIES, deformed_gap
+from .bounds import BOUND_FAMILIES, _integral, deformed_gap
 from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, estimate_center
 from .datagen import (
     DistributionSpec,
@@ -101,13 +101,20 @@ def _build_distribution(raw: dict) -> DistributionSpec:
         if key not in raw:
             raise ValueError(f"distribution is missing {key!r}")
     return DistributionSpec(
-        dim=int(raw["dim"]),
+        dim=_integral(raw["dim"], "dim"),
         feature_bound=float(raw["feature_bound"]),
         teacher=np.asarray(raw["teacher"], dtype=np.float64),
         mechanism=_build_mechanism(raw["mechanism"]),
         label_bound=float(raw.get("label_bound", 1.0)),
         feature_law=raw.get("feature_law", "sphere"),
     )
+
+
+def _center_replicates(value) -> int:
+    value = _integral(value, "center_replicates")
+    if not 1 <= value <= MAX_CENTER_REPLICATES:
+        raise ValueError(f"center_replicates must lie in [1, {MAX_CENTER_REPLICATES}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ class ExperimentConfig:
         dist = _build_distribution(raw["distribution"])
         if dist.dim > MAX_DIM:
             raise ValueError(f"dim exceeds the desk-scale cap {MAX_DIM}")
-        n_grid = tuple(int(v) for v in raw["n_grid"])
+        n_grid = tuple(_integral(v, "n_grid entry") for v in raw["n_grid"])
         if not n_grid or any(v < 1 for v in n_grid):
             raise ValueError("n_grid must be a non-empty list of positive counts")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -161,23 +168,22 @@ class ExperimentConfig:
         a = float(raw.get("a", 2.0))
         if a <= 1.0:
             raise ValueError("a must be > 1")
-        replacements = int(raw.get("replacements", 5))
+        replacements = _integral(raw.get("replacements", 5), "replacements")
         if not 1 <= replacements <= MAX_REPLACEMENTS:
             raise ValueError(f"replacements must lie in [1, {MAX_REPLACEMENTS}]")
-        trials = int(raw.get("trials", 100))
+        trials = _integral(raw.get("trials", 100), "trials")
         if not 1 <= trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
-        draws = int(raw.get("draws", 1024))
+        draws = _integral(raw.get("draws", 1024), "draws")
         if not (2 <= draws <= MAX_DRAWS and draws % 2 == 0):
             raise ValueError(f"draws must be even and lie in [2, {MAX_DRAWS}]")
-        center_replicates = int(raw.get("center_replicates", 64))
-        if not 1 <= center_replicates <= MAX_CENTER_REPLICATES:
-            raise ValueError(
-                f"center_replicates must lie in [1, {MAX_CENTER_REPLICATES}]"
-            )
+        center_replicates = _center_replicates(raw.get("center_replicates", 64))
+        tail = raw.get("tail", False)
+        if not isinstance(tail, bool):
+            raise ValueError(f"tail must be true or false, got {tail!r}")
         coverage_n = raw.get("coverage_n")
         if coverage_n is not None:
-            coverage_n = int(coverage_n)
+            coverage_n = _integral(coverage_n, "coverage_n")
             if not 1 <= coverage_n <= MAX_N:
                 raise ValueError("coverage_n outside the desk-scale budget")
         config = cls(
@@ -192,9 +198,9 @@ class ExperimentConfig:
             trials=trials,
             draws=draws,
             center_replicates=center_replicates,
-            seed=int(raw["seed"]),
+            seed=_integral(raw["seed"], "seed"),
             coverage_n=coverage_n,
-            tail=bool(raw.get("tail", False)),
+            tail=tail,
             out_dir=raw.get("out_dir"),
             echo=json.loads(json.dumps(raw, sort_keys=True)),
         )

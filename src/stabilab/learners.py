@@ -3,25 +3,25 @@
 Three trainers are provided, each returning a hypothesis vector for a
 linear predictor:
 
-* :func:`fit_ridge` - exact minimizer of mean squared error plus
-  ``lam * ||h||^2``, by the normal equations.
+* ridge - exact minimizer of mean squared error plus ``lam * ||h||^2``, by
+  the normal equations in one stacked, certified solve,
+  :func:`solve_ridge_stack`.
 * :func:`fit_rerm` - minimizer of a certified margin loss plus
   ``lam * ||h||_p^p`` for ``p`` in (1, 2], by proximal gradient descent
   (proximal subgradient descent for the hinge).
-* :func:`run_sgd` - one pass of stochastic gradient descent with a
-  per-regime step-size schedule, uniform with-replacement sampling from a
-  seeded index stream, and optional projection onto a centered ball.
+* SGD - one pass of stochastic gradient descent with a per-regime
+  step-size schedule, uniform with-replacement sampling from a seeded
+  index stream, and optional projection onto a centered ball.
 
 Algorithm presets bundle a trainer with the loss model it certifies, so
 experiment configs can address them by name. Every preset fits a (C, n, d)
-stack of samples at once (``fit_many``, the one batch entry point) and the
-replace-one twins of one sample (``fit_twins``). Every ridge fit goes through
-one stacked, certified normal-equation solve, :func:`solve_ridge_stack`. All
-SGD goes through one kernel that advances a stacked (rows, d) state: C
-independent runs for ``fit_many``, one run with its trajectory for
-:func:`run_sgd`, and 2C coupled rows for :func:`sgd_twin_distances`. In
-both, a row's arithmetic does not depend on the other rows, so every entry
-point gives bitwise the same hypothesis for the same sample and seed.
+stack of samples at once (``fit_many``, the one batch entry point); a
+single ``fit`` is the one-sample stack. Presets also fit the replace-one
+twins of one sample (``fit_twins``). All SGD goes through one kernel that
+advances a stacked (rows, d) state: C independent runs for ``fit_many``,
+and 2C coupled rows for the twins and :func:`sgd_twin_distances`. In both,
+a row's arithmetic does not depend on the other rows, so every entry point
+gives bitwise the same hypothesis for the same sample and seed.
 """
 
 from __future__ import annotations
@@ -127,17 +127,6 @@ def empirical_risk(loss: LossModel, h, sample: Sample) -> float:
 
 # ---------------------------------------------------------------------------
 # ridge regression
-
-
-def fit_ridge(sample: Sample, lam: float) -> np.ndarray:
-    """Exact minimizer of (1/n) sum (<h,x_i> - y_i)^2 + lam ||h||^2.
-
-    The one-sample case of :func:`solve_ridge_stack`.
-    """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
-    A, b = _normal_equations(sample.features, sample.labels, lam)
-    return solve_ridge_stack(A[None], b[None])[0]
 
 
 def _normal_equations(X: np.ndarray, y: np.ndarray, lam: float):
@@ -248,7 +237,7 @@ def fit_rerm(
     a sweep of 64 iterations. Raises ConvergenceError, carrying the
     achieved certificate, if ``max_iter`` is exhausted.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -330,7 +319,6 @@ class SgdSpec:
 
     regime: str
     steps: int
-    seed: int
     step: float | None = None
     step_constant: float | None = None
     projection_radius: float | None = None
@@ -383,28 +371,6 @@ class SgdSpec:
             )
 
 
-@dataclass(frozen=True)
-class SgdRun:
-    """Final iterate and the full trajectory h_0 .. h_T."""
-
-    final: np.ndarray
-    trajectory: np.ndarray
-
-
-def run_sgd(sample: Sample, loss: LossModel, spec: SgdSpec) -> SgdRun:
-    """One SGD pass from h_0 = 0 with uniform with-replacement sampling.
-
-    The index stream is drawn up front from ``spec.seed``, so two runs
-    with equal (sample, spec) produce bitwise-equal trajectories, and twin
-    runs on S and a replaced copy of S share their index stream when given
-    the same spec.
-    """
-    traj = _sgd_kernel(
-        loss, spec, [spec.seed], sample.features, sample.labels, trajectory=True
-    )[:, 0]
-    return SgdRun(final=traj[-1].copy(), trajectory=traj)
-
-
 def _sgd_index_streams(seeds, n: int, steps: int) -> np.ndarray:
     """(len(seeds), steps) example indices: row c is the with-replacement
     stream of ``substream(seeds[c], "sgd-indices")`` over n examples."""
@@ -421,21 +387,18 @@ def _sgd_kernel(
     features: np.ndarray,
     labels: np.ndarray,
     twin: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    trajectory: bool = False,
 ) -> np.ndarray:
     """Advance stacked SGD states from h_0 = 0 in lockstep: the one SGD update.
 
-    Run c follows the index stream of ``seeds[c]`` (``spec.seed`` is not
-    read) on ``features``, one shared (n, d) sample or a per-run (C, n, d)
-    stack. With ``twin = (replaced_index, repl_x, repl_y)`` the state has
-    2C rows: row C + c shares run c's stream but reads example
-    ``replaced_index[c]`` as ``(repl_x[c], repl_y[c])``.
+    Run c follows the index stream of ``seeds[c]`` on ``features``, one shared
+    (n, d) sample or a per-run (C, n, d) stack. With ``twin = (replaced_index,
+    repl_x, repl_y)`` the state has 2C rows: row C + c shares run c's stream
+    but reads example ``replaced_index[c]`` as ``(repl_x[c], repl_y[c])``.
 
     The examples, the replacements and every row after every step are
     checked against the loss's certified domain: a non-finite row raises
     NonFiniteIterateError, a row outside the certified radius DomainError.
-    Returns the final (rows, d) state, or with ``trajectory`` all T + 1
-    states as (T + 1, rows, d).
+    Returns the final (rows, d) state.
     """
     spec.validate_against(loss)
     _check_examples(loss, features, labels)
@@ -451,7 +414,6 @@ def _sgd_kernel(
     limit = _slack(loss.radius)
     rho = loss.ridge_term
     H = np.zeros((runs if twin is None else 2 * runs, d))
-    traj = np.zeros((spec.steps + 1, *H.shape)) if trajectory else None
     for t in range(spec.steps):
         it = streams[:, t]
         if gather_rows is None:
@@ -479,9 +441,7 @@ def _sgd_kernel(
                 f"SGD iterate norm {float(nrm.max()):.6g} at step {t + 1} exceeds "
                 f"certified radius {loss.radius:.6g}"
             )
-        if traj is not None:
-            traj[t + 1] = H
-    return H if traj is None else traj
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +451,19 @@ def _sgd_kernel(
 class _Preset:
     """The fitting protocol every preset implements.
 
-    ``fit`` fits one sample; ``fit_many`` checks a stack of C samples and
-    fits it through ``_fit_stack``, one row each; ``fit_twins`` fits the
-    coupled pairs of a replace-one measurement. The defaults fit one sample
-    at a time; ridge overrides both with its stacked solve, SGD with its kernel.
+    A preset defines ``_fit_stack``, which fits a checked (C, n, d) stack of
+    samples, one row each. ``fit_many`` checks a stack and hands it over;
+    ``fit`` is row 0 of a one-sample ``fit_many``. ``fit_twins`` fits the
+    coupled pairs of a replace-one measurement; the default fits one
+    replaced sample at a time, ridge overrides it with its stacked solve,
+    SGD with its kernel.
     """
 
     stochastic = False
+
+    def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
+        """Fit one sample with ``seed``: the one-sample case of ``fit_many``."""
+        return self.fit_many(sample.features[None], sample.labels[None], [seed])[0]
 
     def fit_many(self, features, labels, seeds) -> np.ndarray:
         """Fit (C, n, d) features and (C, n) labels; row c fits sample c with ``seeds[c]``."""
@@ -511,10 +477,6 @@ class _Preset:
         if len(seeds) != len(features):
             raise ValueError("need one seed per sample")
         return self._fit_stack(features, labels, seeds)
-
-    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
-        rows = zip(features, labels, seeds)
-        return np.stack([self.fit(Sample(X, y), seed=k) for X, y, k in rows])
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
         """Fits (HA, HB) on S and on the replaced samples, one row per cell.
@@ -552,8 +514,8 @@ class ConstantAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel | None:
         return self._loss
 
-    def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
-        return self.output.copy()
+    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
+        return np.tile(self.output, (len(seeds), 1))
 
 
 class RidgeAlgorithm(_Preset):
@@ -577,19 +539,19 @@ class RidgeAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel:
         return self._loss
 
-    def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
-        return fit_ridge(sample, self.lam)
-
     def _fit_stack(self, features, labels, seeds) -> np.ndarray:
         """One stacked solve over the samples' normal equations, formed one sample at a time."""
-        A, b = zip(*(_normal_equations(X, y, self.lam) for X, y in zip(features, labels)))
-        return solve_ridge_stack(np.stack(A), np.stack(b))
+        C, _, d = features.shape
+        A, b = np.empty((C, d, d)), np.empty((C, d))
+        for c in range(C):
+            A[c], b[c] = _normal_equations(features[c], labels[c], self.lam)
+        return solve_ridge_stack(A, b)
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
         """HB from one stacked solve; HA repeats ``base``.
 
         Cell c's normal equations come from the base features with row
-        ``replaced_index[c]`` swapped in place, the arithmetic fit_ridge
+        ``replaced_index[c]`` swapped in place, the arithmetic ``fit``
         does on ``sample.replaced(...)``, so each HB row equals that fit
         bit for bit. No replaced Sample is built.
         """
@@ -628,6 +590,10 @@ class LpRermAlgorithm(_Preset):
         tol: float = 1e-9,
         max_iter: int = 50000,
     ):
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ValueError("tol must be positive and finite")
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         self.penalty = penalty
         self.feature_bound = float(feature_bound)
         self.tol = tol
@@ -639,8 +605,10 @@ class LpRermAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel:
         return self._loss
 
-    def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
-        return fit_rerm(sample, self._loss, self.penalty, self.tol, self.max_iter)
+    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
+        """One :func:`fit_rerm` solve per sample."""
+        settings = (self._loss, self.penalty, self.tol, self.max_iter)
+        return np.stack([fit_rerm(Sample(X, y), *settings) for X, y in zip(features, labels)])
 
 
 # Per policy kind, the modes it takes and the keys each mode takes beside 'mode'.
@@ -771,11 +739,10 @@ class SgdAlgorithm(_Preset):
             return float(self.c_policy["value"])
         return self._inverse_smoothness()
 
-    def spec_for(self, n: int, seed: int) -> SgdSpec:
+    def spec_for(self, n: int) -> SgdSpec:
         return SgdSpec(
             regime=self.regime,
             steps=self.steps_for(n),
-            seed=seed,
             step=self.step_for(n),
             step_constant=self.c_for(n),
             projection_radius=self.projection_radius,
@@ -787,7 +754,7 @@ class SgdAlgorithm(_Preset):
         else:
             radius = _drift_radius(
                 self.loss_kind,
-                self.spec_for(n, 0).step_sizes(),
+                self.spec_for(n).step_sizes(),
                 self.feature_bound,
                 self.label_bound,
             )
@@ -805,27 +772,15 @@ class SgdAlgorithm(_Preset):
             self.ridge_term,
         )
 
-    def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
-        loss = self.loss_for(sample.n)
-        return run_sgd(sample, loss, self.spec_for(sample.n, seed)).final
-
-    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
-        n = features.shape[1]
-        return _sgd_kernel(self.loss_for(n), self.spec_for(n, 0), seeds, features, labels)
+    def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
+        """Final kernel states, ``features`` and ``twin`` as :func:`_sgd_kernel` takes them."""
+        n = features.shape[-2]
+        return _sgd_kernel(self.loss_for(n), self.spec_for(n), seeds, features, labels, twin)
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
         """Coupled twins: HA and HB share each cell's index stream."""
-        _, HA, HB = sgd_twin_distances(
-            self,
-            sample.features,
-            sample.labels,
-            replaced_index,
-            repl_x,
-            repl_y,
-            seeds,
-            return_states=True,
-        )
-        return HA, HB
+        twin = (np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y))
+        return np.split(self._fit_stack(sample.features, sample.labels, seeds, twin), 2)
 
 
 def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:
@@ -904,7 +859,6 @@ def sgd_twin_distances(
     repl_x: np.ndarray,
     repl_y: np.ndarray,
     seeds,
-    return_states: bool = False,
 ):
     """Final-iterate distances between coupled runs on S and on S with one
     example replaced, one entry per cell.
@@ -912,19 +866,8 @@ def sgd_twin_distances(
     ``features`` is a shared (n, d) sample or a per-cell (C, n, d) stack;
     cell c replaces index ``replaced_index[c]`` with ``(repl_x[c],
     repl_y[c])`` and drives both runs with the index stream derived from
-    ``seeds[c]``, exactly as run_sgd would.
+    ``seeds[c]``, exactly as :meth:`SgdAlgorithm.fit` would.
     """
-    n = features.shape[-2]
-    H = _sgd_kernel(
-        algorithm.loss_for(n),
-        algorithm.spec_for(n, 0),
-        seeds,
-        features,
-        labels,
-        twin=(np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y)),
-    )
-    HA, HB = np.split(H, 2)
-    distances = np.linalg.norm(HA - HB, axis=1)
-    if return_states:
-        return distances, HA, HB
-    return distances
+    twin = (np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y))
+    HA, HB = np.split(algorithm._fit_stack(features, labels, seeds, twin), 2)
+    return np.linalg.norm(HA - HB, axis=1)

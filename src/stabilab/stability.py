@@ -229,7 +229,7 @@ def closed_form(algorithm, n: int) -> ClosedForm:
         constants = {"curvature": curvature, "lam": lam, "exponent": exponent}
         return ClosedForm(alpha, "rerm-fast-rate", constants, coefficients)
     if isinstance(algorithm, SgdAlgorithm):
-        spec = algorithm.spec_for(n, 0)
+        spec = algorithm.spec_for(n)
         gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
         alpha = sgd_alpha(
             spec,

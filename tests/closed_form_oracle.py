@@ -51,7 +51,7 @@ def oracle_alpha(algorithm, n: int) -> float:
             cond["exponent"],
         )
     if isinstance(algorithm, SgdAlgorithm):
-        spec = algorithm.spec_for(n, 0)
+        spec = algorithm.spec_for(n)
         gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
         return sgd_alpha(
             spec,
@@ -93,7 +93,7 @@ def oracle_family(algorithm, n: int, alpha: float):
         }
         return "rerm-fast-rate", constants, coefficients
     if isinstance(algorithm, SgdAlgorithm):
-        spec = algorithm.spec_for(n, 0)
+        spec = algorithm.spec_for(n)
         constants = {
             "regime": spec.regime,
             "steps": spec.steps,

@@ -3,7 +3,7 @@
 One sample at a time: the normal equations of that sample, a lone 2-D
 ``np.linalg.solve``, one refinement pass when the residual norm exceeds
 1e-14, and the gradient certificate. The library's stacked solve must give
-bitwise the same hypothesis on every entry point: ``fit_ridge``, batched
+bitwise the same hypothesis on every entry point: single fits, batched
 fits and replace-one twins.
 """
 

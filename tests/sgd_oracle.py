@@ -13,12 +13,12 @@ from stabilab.learners import check_sample_domain
 from stabilab.seeding import substream
 
 
-def serial_sgd(sample, loss, spec) -> np.ndarray:
-    """The trajectory h_0 .. h_T of one SGD pass, as a (T + 1, d) array."""
+def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
+    """The trajectory h_0 .. h_T of one SGD pass with ``seed``, as a (T + 1, d) array."""
     spec.validate_against(loss)
     check_sample_domain(loss, sample)
     alphas = spec.step_sizes()
-    idx = substream(spec.seed, "sgd-indices").integers(0, sample.n, size=spec.steps)
+    idx = substream(seed, "sgd-indices").integers(0, sample.n, size=spec.steps)
     h = np.zeros(sample.dim)
     traj = [h]
     for t in range(spec.steps):

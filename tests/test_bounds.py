@@ -200,7 +200,7 @@ class TestComposedBounds:
 
     def sc_spec(self):
         return SgdSpec(
-            regime="strongly_convex", steps=200, seed=0, step=0.1, projection_radius=1.0
+            regime="strongly_convex", steps=200, step=0.1, projection_radius=1.0
         )
 
     def test_sgd_terms_match_the_direct_call_bitwise(self):
@@ -242,7 +242,7 @@ class TestComposedBounds:
 
     def test_convex_and_nonconvex_regimes_compose_too(self):
         convex = sgd_gap_bound(
-            SgdSpec(regime="convex", steps=100, seed=0, step=0.01),
+            SgdSpec(regime="convex", steps=100, step=0.01),
             1.0,
             1.0,
             1.0,
@@ -253,7 +253,7 @@ class TestComposedBounds:
         assert convex.constants_used["alpha"] == pytest.approx(0.02)
         assert convex.notes == ()
         noncon = sgd_gap_bound(
-            SgdSpec(regime="nonconvex", steps=100, seed=0, step_constant=1.0),
+            SgdSpec(regime="nonconvex", steps=100, step_constant=1.0),
             1.0,
             1.0,
             1.0,
@@ -266,7 +266,7 @@ class TestComposedBounds:
     def test_composition_surfaces_closed_form_errors(self):
         with pytest.raises(ValueError):
             sgd_gap_bound(
-                SgdSpec(regime="convex", steps=100, seed=0, step=0.01),
+                SgdSpec(regime="convex", steps=100, step=0.01),
                 1.0,
                 1.0,
                 1.0,

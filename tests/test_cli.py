@@ -332,7 +332,7 @@ class TestBoundsCommand:
                     smoothness=2.0,
                 ),
                 lambda: sgd_gap_bound(
-                    SgdSpec(regime="convex", steps=100, seed=0, step=0.25),
+                    SgdSpec(regime="convex", steps=100, step=0.25),
                     1.0,
                     1.0,
                     1.0,
@@ -461,6 +461,22 @@ class TestConcentrateCommand:
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["concentrate", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "center", "n": 401}, "n must lie in"),
+            ({"kind": "center", "n": 20.9}, "n must be an integer"),
+            ({"kind": "center", "n": 16, "center_replicates": 5000}, "center_replicates must lie"),
+            ({"kind": "center", "n": 16, "center_replicates": 100.5}, "center_replicates must be"),
+            ({"kind": "doob", "n": 401}, "n must lie in"),
+            ({"kind": "doob", "n": 8.5}, "n must be an integer"),
+        ],
+    )
+    def test_desk_scale_caps_hold(self, tmp_path, spec, message, capsys):
+        path = write_json(tmp_path, "spec.json", {**spec, "config": base_config(trials=25)})
+        assert main(["concentrate", path]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     def test_run_prints_a_summary(self, config_path, capsys):
@@ -579,6 +595,36 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         assert "takes no keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(seed=1.7), "seed must be an integer"),
+            (dict(n_grid=[25.9, 50.5]), "n_grid entry must be an integer"),
+            (dict(replacements=2.9), "replacements must be an integer"),
+            (dict(tail="false"), "tail must be true or false"),
+        ],
+    )
+    def test_run_rejects_values_it_would_truncate_or_misread(
+        self, overrides, message, tmp_path, capsys
+    ):
+        path = write_json(tmp_path, "config.json", base_config(**overrides))
+        assert main(["experiment", "run", path]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(tol=-1), "tol must be positive and finite"),
+            (dict(tol=math.nan), "tol must be positive and finite"),
+            (dict(max_iter=0), "max_iter must be >= 1"),
+        ],
+    )
+    def test_run_rejects_bad_rerm_solver_settings(self, settings, message, tmp_path, capsys):
+        algorithm = {"preset": "rerm-lp", "p": 1.5, "lam": 0.5, **settings}
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        assert message in capsys.readouterr().err
 
     def test_seed_flag_fixes_the_digest(self, config_path, capsys):
         digests = []

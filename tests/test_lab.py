@@ -89,6 +89,40 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(base_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n_grid=[25.9, 50.5]), "n_grid entry must be an integer"),
+            (dict(n_grid=[10, True]), "n_grid entry must be an integer"),
+            (dict(seed=1.7), "seed must be an integer"),
+            (dict(seed=False), "seed must be an integer"),
+            (dict(replacements=2.9), "replacements must be an integer"),
+            (dict(trials=100.5), "trials must be an integer"),
+            (dict(draws=64.5), "draws must be an integer"),
+            (dict(center_replicates=True), "center_replicates must be an integer"),
+            (dict(coverage_n=10.5), "coverage_n must be an integer"),
+            (dict(n_grid=["10", "20"]), "n_grid entry must be an integer"),
+            (dict(tail="false"), "tail must be true or false"),
+            (dict(tail=0), "tail must be true or false"),
+        ],
+    )
+    def test_rejects_values_it_would_truncate_or_misread(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(base_config(**overrides))
+
+    def test_rejects_a_non_integral_dimension(self):
+        distribution = {**base_config()["distribution"], "dim": 2.5}
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ExperimentConfig.from_dict(base_config(distribution=distribution))
+
+    def test_accepts_integral_floats_as_counts(self):
+        config = ExperimentConfig.from_dict(
+            base_config(n_grid=[10.0, 20.0], seed=7.0, replacements=2.0, coverage_n=10.0)
+        )
+        assert config.n_grid == (10, 20) and config.seed == 7
+        assert config.replacements == 2 and config.coverage_n == 10
+        assert all(type(v) is int for v in (*config.n_grid, config.seed, config.coverage_n))
+
     def test_rejects_missing_required_keys(self):
         for key in ("name", "algorithm", "loss", "distribution", "n_grid", "seed"):
             raw = base_config()

@@ -16,14 +16,14 @@ from stabilab import (
     SgdSpec,
     empirical_risk,
     fit_rerm,
-    fit_ridge,
     make_algorithm,
     make_loss,
-    run_sgd,
 )
 from stabilab.learners import (
     ConstantAlgorithm,
     _check_examples,
+    _sgd_kernel,
+    LpRermAlgorithm,
     RidgeAlgorithm,
     SgdAlgorithm,
     check_sample_domain,
@@ -171,32 +171,31 @@ class TestDomainChecks:
 class TestFitRidge:
     def test_one_dimensional_hand_value(self):
         s = Sample([[1.0], [1.0]], [1.0, 1.0])
-        h = fit_ridge(s, 1.0)
+        h = RidgeAlgorithm(1.0, 1.0, 1.0).fit(s)
         assert h == pytest.approx([0.5], abs=1e-12)
         t = s.replaced(1, LabeledExample(np.array([1.0]), 0.0))
-        g = fit_ridge(t, 1.0)
+        g = RidgeAlgorithm(1.0, 1.0, 1.0).fit(t)
         assert g == pytest.approx([0.25], abs=1e-12)
         assert abs(h[0] - g[0]) == pytest.approx(0.25, abs=1e-12)
 
     def test_orthogonal_design_hand_value(self):
         s = Sample([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-        h = fit_ridge(s, 0.5)
+        h = RidgeAlgorithm(0.5, 1.0, 2.0).fit(s)
         assert h == pytest.approx([0.5, 1.0], abs=1e-12)
 
     def test_stationarity_of_solution(self):
         rng = np.random.default_rng(7)
         s = unit_ball_sample(rng, 40, 5)
         lam = 0.3
-        h = fit_ridge(s, lam)
+        h = RidgeAlgorithm(lam, 1.0, 1.0).fit(s)
         X, y = s.features, s.labels
         grad = 2.0 * X.T @ (X @ h - y) / s.n + 2.0 * lam * h
         assert np.linalg.norm(grad) < 1e-10
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_bad_lam(self, lam):
-        s = Sample([[1.0]], [1.0])
-        with pytest.raises(ValueError):
-            fit_ridge(s, lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            RidgeAlgorithm(lam, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ class TestFitRerm:
         radius = math.sqrt(label_bound**2 / lam)
         loss = make_loss("squared", 1.0, radius, label_bound)
         h = fit_rerm(s, loss, PenaltySpec(p=2.0, lam=lam), tol=1e-10)
-        g = fit_ridge(s, lam)
+        g = serial_ridge(s, lam)
         assert np.linalg.norm(h - g) < 1e-6
 
     def test_logistic_solution_is_stationary(self):
@@ -294,7 +293,7 @@ class TestFitRerm:
         with pytest.raises(ConvergenceError):
             fit_rerm(s, loss, PenaltySpec(p=2.0, lam=0.5), tol=1e-14, max_iter=1)
 
-    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (-1.0, 100), (1e-8, 0)])
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (-1.0, 100), (1e-8, 0), (np.nan, 100)])
     def test_rejects_bad_budgets(self, tol, max_iter):
         s = Sample([[0.5]], [0.5])
         loss = make_loss("squared", 1.0, 1.0, 1.0)
@@ -308,22 +307,22 @@ class TestFitRerm:
 
 class TestSgdSpec:
     def test_step_sizes_constant_and_decaying(self):
-        convex = SgdSpec(regime="convex", steps=3, seed=0, step=0.1)
+        convex = SgdSpec(regime="convex", steps=3, step=0.1)
         assert np.array_equal(convex.step_sizes(), [0.1, 0.1, 0.1])
-        noncon = SgdSpec(regime="nonconvex", steps=3, seed=0, step_constant=0.6)
+        noncon = SgdSpec(regime="nonconvex", steps=3, step_constant=0.6)
         assert noncon.step_sizes() == pytest.approx([0.6, 0.3, 0.2], abs=1e-15)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(regime="banana", steps=1, seed=0, step=0.1),
-            dict(regime="convex", steps=-1, seed=0, step=0.1),
-            dict(regime="convex", steps=1, seed=0),
-            dict(regime="convex", steps=1, seed=0, step=0.0),
-            dict(regime="nonconvex", steps=1, seed=0),
-            dict(regime="nonconvex", steps=1, seed=0, step_constant=-0.5),
-            dict(regime="strongly_convex", steps=1, seed=0, step=0.1),
-            dict(regime="convex", steps=1, seed=0, step=0.1, projection_radius=0.0),
+            dict(regime="banana", steps=1, step=0.1),
+            dict(regime="convex", steps=-1, step=0.1),
+            dict(regime="convex", steps=1),
+            dict(regime="convex", steps=1, step=0.0),
+            dict(regime="nonconvex", steps=1),
+            dict(regime="nonconvex", steps=1, step_constant=-0.5),
+            dict(regime="strongly_convex", steps=1, step=0.1),
+            dict(regime="convex", steps=1, step=0.1, projection_radius=0.0),
         ],
     )
     def test_rejects_bad_plans(self, kwargs):
@@ -332,20 +331,20 @@ class TestSgdSpec:
 
     def test_convex_step_cap_uses_certified_smoothness(self):
         loss = make_loss("squared", 1.0, 1.0, 1.0)
-        SgdSpec(regime="convex", steps=1, seed=0, step=1.0).validate_against(loss)
+        SgdSpec(regime="convex", steps=1, step=1.0).validate_against(loss)
         with pytest.raises(ValueError):
-            SgdSpec(regime="convex", steps=1, seed=0, step=1.1).validate_against(loss)
+            SgdSpec(regime="convex", steps=1, step=1.1).validate_against(loss)
 
     def test_strongly_convex_cap_and_curvature_requirement(self):
         plain = make_loss("squared", 1.0, 1.0, 1.0)
         curved = make_loss("squared", 1.0, 1.0, 1.0, ridge_term=0.5)
         spec = SgdSpec(
-            regime="strongly_convex", steps=1, seed=0, step=0.25, projection_radius=1.0
+            regime="strongly_convex", steps=1, step=0.25, projection_radius=1.0
         )
         spec.validate_against(curved)
         with pytest.raises(ValueError):
             SgdSpec(
-                regime="strongly_convex", steps=1, seed=0, step=0.4, projection_radius=1.0
+                regime="strongly_convex", steps=1, step=0.4, projection_radius=1.0
             ).validate_against(curved)
         with pytest.raises(ValueError):
             spec.validate_against(plain)
@@ -353,65 +352,60 @@ class TestSgdSpec:
     def test_hinge_has_no_certified_smoothness(self):
         loss = make_loss("hinge", 1.0, 1.0)
         with pytest.raises(ValueError):
-            SgdSpec(regime="convex", steps=1, seed=0, step=0.1).validate_against(loss)
-        SgdSpec(regime="nonconvex", steps=1, seed=0, step_constant=0.5).validate_against(loss)
+            SgdSpec(regime="convex", steps=1, step=0.1).validate_against(loss)
+        SgdSpec(regime="nonconvex", steps=1, step_constant=0.5).validate_against(loss)
+
+
+def sgd_iterates(sample, seed, steps, label_bound=1.0, preset="sgd-convex", **params):
+    """h_0 .. h_T of one seeded run on the squared loss: h_t is the fit of the
+    preset cut at t steps, whose index stream is the T-step stream's first t."""
+    fits = [
+        make_algorithm(preset, "squared", 1.0, label_bound, steps=t, **params).fit(sample, seed)
+        for t in range(steps + 1)
+    ]
+    return np.array(fits)
 
 
 class TestRunSgd:
     def test_hand_iterates_on_one_example(self):
         sample = Sample([[1.0]], [1.0])
+        iterates = sgd_iterates(sample, 0, 2, step=0.1)
+        assert iterates == pytest.approx(np.array([[0.0], [0.2], [0.36]]), abs=1e-15)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
-        spec = SgdSpec(regime="convex", steps=2, seed=0, step=0.1)
-        run = run_sgd(sample, loss, spec)
-        assert run.trajectory == pytest.approx(
-            np.array([[0.0], [0.2], [0.36]]), abs=1e-15
-        )
-        assert np.array_equal(run.final, run.trajectory[-1])
-
-    def test_trajectory_shape_and_start(self):
-        rng = np.random.default_rng(31)
-        sample = unit_ball_sample(rng, 12, 4, label_bound=0.5)
-        loss = make_loss("squared", 1.0, 2.0, 0.5)
-        spec = SgdSpec(regime="convex", steps=25, seed=4, step=0.2)
-        run = run_sgd(sample, loss, spec)
-        assert run.trajectory.shape == (26, 4)
-        assert np.array_equal(run.trajectory[0], np.zeros(4))
+        spec = SgdSpec(regime="convex", steps=2, step=0.1)
+        assert iterates == pytest.approx(serial_sgd(sample, loss, spec, 0), abs=1e-15)
 
     def test_same_seed_reproduces_bitwise(self):
         rng = np.random.default_rng(13)
         sample = unit_ball_sample(rng, 15, 3, label_bound=0.5)
+        a = sgd_iterates(sample, 21, 40, 0.5, step=0.3)
+        b = sgd_iterates(sample, 21, 40, 0.5, step=0.3)
+        assert np.array_equal(a, b)
         loss = make_loss("squared", 1.0, 2.0, 0.5)
-        spec = SgdSpec(regime="convex", steps=40, seed=21, step=0.3)
-        a = run_sgd(sample, loss, spec)
-        b = run_sgd(sample, loss, spec)
-        assert np.array_equal(a.trajectory, b.trajectory)
+        spec = SgdSpec(regime="convex", steps=40, step=0.3)
+        assert np.abs(a - serial_sgd(sample, loss, spec, 21)).max() < 1e-12
 
     def test_different_seeds_pick_different_paths(self):
         rng = np.random.default_rng(17)
         sample = unit_ball_sample(rng, 15, 3, label_bound=0.5)
-        loss = make_loss("squared", 1.0, 2.0, 0.5)
-        finals = [
-            run_sgd(
-                sample, loss, SgdSpec(regime="convex", steps=30, seed=s, step=0.3)
-            ).final
-            for s in range(4)
-        ]
+        algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=30, step=0.3)
+        finals = [algo.fit(sample, seed=s) for s in range(4)]
         distinct = {tuple(f) for f in finals}
         assert len(distinct) > 1
 
     def test_projection_keeps_every_iterate_inside_the_ball(self):
         rng = np.random.default_rng(23)
         sample = unit_ball_sample(rng, 10, 3, label_bound=1.0)
-        loss = make_loss("squared", 1.0, 1.0, 1.0, ridge_term=0.5)
-        spec = SgdSpec(
-            regime="strongly_convex",
-            steps=60,
-            seed=2,
+        iterates = sgd_iterates(
+            sample,
+            2,
+            60,
+            preset="sgd-strongly-convex",
             step=0.25,
+            gamma=1.0,
             projection_radius=0.05,
         )
-        run = run_sgd(sample, loss, spec)
-        norms = np.linalg.norm(run.trajectory, axis=1)
+        norms = np.linalg.norm(iterates, axis=1)
         assert np.all(norms <= 0.05 + 1e-12)
 
 
@@ -436,7 +430,7 @@ class TestPresets:
         rng = np.random.default_rng(41)
         sample = unit_ball_sample(rng, 20, 3, label_bound=0.5)
         algo = RidgeAlgorithm(0.5, 1.0, 0.5)
-        assert np.array_equal(algo.fit(sample), fit_ridge(sample, 0.5))
+        assert np.array_equal(algo.fit(sample), serial_ridge(sample, 0.5))
         assert algo.loss_for(20).radius == pytest.approx(math.sqrt(0.5**2 / 0.5))
 
     def test_rerm_preset_at_p_two_matches_ridge(self):
@@ -445,7 +439,21 @@ class TestPresets:
         algo = make_algorithm(
             "rerm-lp", "squared", 1.0, 0.5, p=2.0, lam=0.5, tol=1e-10
         )
-        assert np.linalg.norm(algo.fit(sample) - fit_ridge(sample, 0.5)) < 1e-6
+        assert np.linalg.norm(algo.fit(sample) - serial_ridge(sample, 0.5)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(tol=-1.0), "tol must be positive and finite"),
+            (dict(tol=0.0), "tol must be positive and finite"),
+            (dict(tol=np.nan), "tol must be positive and finite"),
+            (dict(tol=np.inf), "tol must be positive and finite"),
+            (dict(max_iter=0), "max_iter must be >= 1"),
+        ],
+    )
+    def test_rerm_preset_checks_its_solver_settings_when_built(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            make_algorithm("rerm-lp", "squared", 1.0, 1.0, p=1.5, lam=0.5, **settings)
 
     def test_sgd_preset_schedule_resolution(self):
         algo = make_algorithm(
@@ -457,8 +465,8 @@ class TestPresets:
         )
         assert algo.steps_for(50) == 100
         assert algo.step_for(50) == pytest.approx(4.0)
-        spec = algo.spec_for(50, seed=7)
-        assert spec.steps == 100 and spec.seed == 7 and spec.regime == "convex"
+        spec = algo.spec_for(50)
+        assert spec.steps == 100 and spec.regime == "convex"
 
     def test_sgd_n_squared_steps_policy(self):
         algo = make_algorithm(
@@ -469,7 +477,7 @@ class TestPresets:
             step="inverse_smoothness",
         )
         assert algo.steps_for(10) == 50
-        assert algo.spec_for(10, seed=0).steps == 50
+        assert algo.spec_for(10).steps == 50
         assert algo.steps_for(7) == 24  # round(24.5) rounds half to even
         default = make_algorithm("sgd-convex", "logistic", 1.0, steps="n_squared", step=0.1)
         assert default.steps_for(7) == 49
@@ -590,7 +598,7 @@ class TestBatchedHelpers:
         assert batch.shape == (5, 3)
         loss = algo.loss_for(12)
         for row, sample, seed in zip(batch, samples, seeds):
-            single = serial_sgd(sample, loss, algo.spec_for(12, seed))[-1]
+            single = serial_sgd(sample, loss, algo.spec_for(12), seed)[-1]
             assert np.linalg.norm(row - single) < 1e-12
 
     def test_every_sgd_entry_point_gives_the_same_bits(self):
@@ -606,10 +614,11 @@ class TestBatchedHelpers:
             for row, sample, seed in zip(batch, samples, seeds):
                 alone = algo.fit_many(*stack([sample]), [seed])[0]
                 fitted = algo.fit(sample, seed=seed)
-                run = run_sgd(sample, loss, algo.spec_for(12, seed)).final
+                X, y = sample.features, sample.labels
+                shared = _sgd_kernel(loss, algo.spec_for(12), [seed], X, y)
                 assert np.array_equal(row, alone)
                 assert np.array_equal(row, fitted)
-                assert np.array_equal(row, run)
+                assert np.array_equal(row, shared[0])
 
     def test_batched_paths_check_the_certified_radius(self):
         rng = np.random.default_rng(67)
@@ -639,11 +648,10 @@ class TestBatchedHelpers:
         # Step 1 lands at norm 2e100, inside the radius; step 2 overflows.
         sample = Sample([[1.0, 0.0]], [1e-200])
         loss = make_loss("squared", 1.0, 1e150, 0.5)
-        spec = SgdSpec(regime="nonconvex", steps=3, seed=3, step_constant=1e300)
-        with pytest.raises(NonFiniteIterateError):
-            run_sgd(sample, loss, spec)
         algo = make_algorithm("sgd-nonconvex", "squared", 1.0, 0.5, steps=3, c=1e300)
         algo.loss_for = lambda n: loss
+        with pytest.raises(NonFiniteIterateError):
+            algo.fit(sample, seed=3)
         with pytest.raises(NonFiniteIterateError):
             algo.fit_many(*stack([sample, sample]), [4, 5])
         with pytest.raises(NonFiniteIterateError):
@@ -680,7 +688,7 @@ class TestBatchedHelpers:
         samples = [unit_ball_sample(rng, 10, 2, label_bound=0.5) for _ in range(3)]
         batch = algo.fit_many(*stack(samples), [0, 1, 2])
         for row, sample in zip(batch, samples):
-            assert np.array_equal(row, fit_ridge(sample, 0.5))
+            assert np.array_equal(row, serial_ridge(sample, 0.5))
 
     @pytest.mark.parametrize("preset", ["ridge", "sgd-convex", "rerm-lp"])
     def test_fit_many_validates_its_stack(self, preset):
@@ -713,10 +721,10 @@ class TestBatchedHelpers:
         assert dist.shape == (cells,)
         loss = algo.loss_for(n)
         for c in range(cells):
-            spec = algo.spec_for(n, seeds[c])
-            a = serial_sgd(sample, loss, spec)[-1]
+            spec = algo.spec_for(n)
+            a = serial_sgd(sample, loss, spec, seeds[c])[-1]
             twin = sample.replaced(int(repl_i[c]), LabeledExample(repl_x[c], float(repl_y[c])))
-            b = serial_sgd(twin, loss, spec)[-1]
+            b = serial_sgd(twin, loss, spec, seeds[c])[-1]
             assert abs(dist[c] - np.linalg.norm(a - b)) < 1e-12
 
     def test_identical_replacement_gives_zero_distance(self):
@@ -763,7 +771,7 @@ class TestStackedRidge:
         rows = algo.fit_many(*stack(samples), range(5))
         assert rows.shape == (5, d)
         for row, sample in zip(rows, samples):
-            assert np.array_equal(row, fit_ridge(sample, lam))
+            assert np.array_equal(row, algo.fit(sample))
             assert np.array_equal(row, serial_ridge(sample, lam))
 
     @pytest.mark.parametrize("n, d, lam", [(1, 2, 0.5), (25, 4, 1e-3), (400, 8, 0.05)])
@@ -778,7 +786,7 @@ class TestStackedRidge:
         assert all(np.array_equal(row, base) for row in HA)
         for c, i in enumerate(index):
             replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
-            assert np.array_equal(HB[c], fit_ridge(replaced, lam))
+            assert np.array_equal(HB[c], algo.fit(replaced))
             assert np.array_equal(HB[c], serial_ridge(replaced, lam))
         # The sample the cells were swapped into is left as it was.
         assert np.array_equal(algo.fit(sample), base)
@@ -848,7 +856,7 @@ class TestStackedRidge:
             algo.fit_twins(sample, index, repl_x, repl_y, None, base)
         assert caught.value.achieved > 1e-10
         with pytest.raises(ConvergenceError, match="cell 0 "):
-            fit_ridge(sample, 0.5)
+            algo.fit(sample)
 
     def test_certificate_checks_every_cell(self):
         A = np.stack([np.eye(2), np.eye(2)])
@@ -894,3 +902,20 @@ def test_every_preset_fit_many_matches_its_serial_fits(preset, n, d, lam, count,
     assert len(rows) == count
     for row, sample, seed in zip(rows, samples, seeds):
         assert np.array_equal(row, algo.fit(sample, seed=seed))
+        serial = serial_fit(algo, sample, seed)
+        if algo.stochastic:
+            assert np.abs(row - serial).max() < 1e-12
+        else:
+            assert np.array_equal(row, serial)
+
+
+def serial_fit(algo, sample, seed):
+    """One sample's fit by a path that stacks nothing: the oracles, or fit_rerm."""
+    if isinstance(algo, ConstantAlgorithm):
+        return algo.output
+    if isinstance(algo, RidgeAlgorithm):
+        return serial_ridge(sample, algo.lam)
+    loss = algo.loss_for(sample.n)
+    if isinstance(algo, LpRermAlgorithm):
+        return fit_rerm(sample, loss, algo.penalty, algo.tol, algo.max_iter)
+    return serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]

@@ -25,7 +25,6 @@ from stabilab import (
     sgd_alpha,
     theoretical_alpha,
 )
-from stabilab.learners import fit_ridge
 from stabilab.seeding import child_seed
 from stabilab.stability import (
     ANCHOR_MINUS,
@@ -36,6 +35,7 @@ from stabilab.stability import (
     ridge_curvature,
 )
 from closed_form_oracle import oracle_alpha, oracle_family
+from ridge_oracle import serial_ridge
 
 
 def regression_spec(dim=2, teacher_scale=0.3, noise_sd=0.05):
@@ -125,45 +125,45 @@ class TestPenaltyConstants:
 class TestSgdAlpha:
     def test_strongly_convex_hand_value(self):
         spec = SgdSpec(
-            regime="strongly_convex", steps=50, seed=0, step=1.0, projection_radius=1.0
+            regime="strongly_convex", steps=50, step=1.0, projection_radius=1.0
         )
         value = sgd_alpha(spec, 1.0, 1.0, 200, smoothness=1.0, gamma=0.5)
         assert value == pytest.approx(0.02, rel=1e-12)
 
     def test_convex_hand_value(self):
-        spec = SgdSpec(regime="convex", steps=100, seed=0, step=0.01)
+        spec = SgdSpec(regime="convex", steps=100, step=0.01)
         value = sgd_alpha(spec, 1.0, 1.0, 100, smoothness=1.0)
         assert value == pytest.approx(0.02, rel=1e-12)
 
     def test_nonconvex_hand_value(self):
-        spec = SgdSpec(regime="nonconvex", steps=100, seed=0, step_constant=1.0)
+        spec = SgdSpec(regime="nonconvex", steps=100, step_constant=1.0)
         value = sgd_alpha(spec, 1.0, 1.0, 101, smoothness=1.0)
         assert value == pytest.approx(0.2 * math.sqrt(2.0), rel=1e-12)
 
     def test_zero_steps_gives_zero(self):
-        spec = SgdSpec(regime="nonconvex", steps=0, seed=0, step_constant=1.0)
+        spec = SgdSpec(regime="nonconvex", steps=0, step_constant=1.0)
         assert sgd_alpha(spec, 1.0, 1.0, 10, smoothness=1.0) == 0.0
 
     def test_convex_alpha_scales_with_total_step_mass(self):
-        short = SgdSpec(regime="convex", steps=50, seed=0, step=0.01)
-        long = SgdSpec(regime="convex", steps=200, seed=0, step=0.01)
+        short = SgdSpec(regime="convex", steps=50, step=0.01)
+        long = SgdSpec(regime="convex", steps=200, step=0.01)
         a = sgd_alpha(short, 1.0, 1.0, 100, smoothness=1.0)
         b = sgd_alpha(long, 1.0, 1.0, 100, smoothness=1.0)
         assert b == pytest.approx(4.0 * a, rel=1e-12)
 
     def test_rejects_inconsistent_requests(self):
-        convex = SgdSpec(regime="convex", steps=10, seed=0, step=0.5)
+        convex = SgdSpec(regime="convex", steps=10, step=0.5)
         with pytest.raises(ValueError):
             sgd_alpha(convex, 1.0, 1.0, 100)
         with pytest.raises(ValueError):
             sgd_alpha(convex, 1.0, 1.0, 100, smoothness=5.0)
-        noncon = SgdSpec(regime="nonconvex", steps=10, seed=0, step_constant=0.5)
+        noncon = SgdSpec(regime="nonconvex", steps=10, step_constant=0.5)
         with pytest.raises(ValueError):
             sgd_alpha(noncon, 1.0, 1.0, 100)
         with pytest.raises(ValueError):
             sgd_alpha(noncon, 1.0, 1.0, 1, smoothness=1.0)
         strong = SgdSpec(
-            regime="strongly_convex", steps=10, seed=0, step=0.5, projection_radius=1.0
+            regime="strongly_convex", steps=10, step=0.5, projection_radius=1.0
         )
         with pytest.raises(ValueError):
             sgd_alpha(strong, 1.0, 1.0, 100, smoothness=1.0)
@@ -241,7 +241,7 @@ class TestTheoreticalAlpha:
         n = 100
         loss = algo.loss_for(n)
         expected = sgd_alpha(
-            algo.spec_for(n, 0),
+            algo.spec_for(n),
             loss.constants().lipschitz,
             1.0,
             n,
@@ -505,10 +505,9 @@ class TestMeasurement:
         for i, code, distance, _gap in report.cells:
             z = draw_sample(spec, 1, child_seed(17, "replacement", i, code)).example(0)
             twin = sample.replaced(i, z)
-            h = serial_sgd(twin, loss, algo.spec_for(sample.n, child_seed(17, i, code)))[-1]
-            base_run = serial_sgd(
-                sample, loss, algo.spec_for(sample.n, child_seed(17, i, code))
-            )[-1]
+            seed = child_seed(17, i, code)
+            h = serial_sgd(twin, loss, algo.spec_for(sample.n), seed)[-1]
+            base_run = serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]
             assert distance == pytest.approx(
                 float(np.linalg.norm(base_run - h)), abs=1e-12
             )
@@ -532,7 +531,7 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     Returns (cells, per_index, alpha_hat, beta_hat), the loss gaps two-sided:
     the base fit's grid values are evaluated again for every cell.
     """
-    base = fit_ridge(sample, algo.lam)
+    base = serial_ridge(sample, algo.lam)
     anchors = adversarial_anchors(base, dist)
     grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
     grid_X = np.concatenate([grid.features] + [z.x[None, :] for _, z in anchors])
@@ -544,7 +543,7 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
             for k in range(replacements)
         ]
         for code, z in draws + anchors:
-            h = fit_ridge(sample.replaced(i, z), algo.lam)
+            h = serial_ridge(sample.replaced(i, z), algo.lam)
             gap = _loss_gap(eval_loss, base, h, grid_X, grid_y)
             cells.append((i, code, float(np.linalg.norm(base - h)), gap))
     per_index = []
