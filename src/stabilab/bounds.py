@@ -25,11 +25,10 @@ both evaluate bounds through it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
-from .learners import SgdSpec
+from .learners import SgdSpec, _integral
 from .stability import rerm_alpha, sgd_alpha
 
 
@@ -292,14 +291,6 @@ def deformed_gap(risk_true: float, risk_emp: float, deformation: float) -> float
     return risk_true - deformation / (deformation - 1.0) * risk_emp
 
 
-def _integral(value, name: str, what: str = "an integer") -> int:
-    """``value`` as an int: an integer or an integral float, never a bool."""
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class BoundFamily:
     """A bound family: its calculator and the constants it reads by name.
@@ -327,7 +318,7 @@ class BoundFamily:
 def _sgd_plan_gap_bound(
     regime, steps, step, step_constant, projection_radius, **constants
 ) -> BoundBreakdown:
-    spec = SgdSpec(regime, _integral(steps, "steps"), step, step_constant, projection_radius)
+    spec = SgdSpec(regime, steps, step, step_constant, projection_radius)
     return sgd_gap_bound(spec, **constants)
 
 

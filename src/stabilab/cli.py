@@ -24,7 +24,7 @@ import math
 import os
 import sys
 
-from .bounds import BOUND_FAMILIES, _integral
+from .bounds import BOUND_FAMILIES
 from .concentration import (
     center_concentration_experiment,
     doob_decomposition,
@@ -43,6 +43,7 @@ from .lab import (
     stability_stage,
     validate_bound_coverage,
 )
+from .learners import _integral
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
 from .stability import theoretical_alpha
@@ -185,12 +186,12 @@ def cmd_concentrate(args) -> int:
     if "kind" not in spec:
         raise ValueError("concentrate spec needs a 'kind' key")
     kind = spec["kind"]
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed")
     if kind == "pinelis":
         experiment = pinelis_tail_experiment(
             spec["increment_bounds"],
-            int(spec["dim"]),
-            int(spec["trials"]),
+            _integral(spec["dim"], "dim"),
+            _integral(spec["trials"], "trials"),
             spec["epsilon"],
             smooth_constant=spec.get("smooth_constant", 1.0),
             seed=seed,
@@ -218,10 +219,9 @@ def cmd_concentrate(args) -> int:
             center_replicates=None if replicates is None else _center_replicates(replicates),
         )
         return _emit_tail(args, experiment)
+    suffix_draws = _integral(spec.get("suffix_draws", 512), "suffix_draws")
     sample = draw_sample(dist, n, child_seed(seed, "sample", n))
-    decomposition = doob_decomposition(
-        algorithm, sample, dist, int(spec.get("suffix_draws", 512)), seed
-    )
+    decomposition = doob_decomposition(algorithm, sample, dist, suffix_draws, seed)
     norms = decomposition.increment_norms()
     errors = decomposition.std_errors
     payload = {

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_FAMILIES, _integral, deformed_gap
+from .bounds import BOUND_FAMILIES, deformed_gap
 from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, estimate_center
 from .datagen import (
     DistributionSpec,
@@ -36,7 +36,7 @@ from .datagen import (
     fit_replicates,
     true_risk,
 )
-from .learners import Sample, _check_examples, make_algorithm
+from .learners import Sample, _check_examples, _integral, make_algorithm
 from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment

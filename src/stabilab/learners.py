@@ -16,17 +16,19 @@ linear predictor:
 Algorithm presets bundle a trainer with the loss model it certifies, so
 experiment configs can address them by name. Every preset fits a (C, n, d)
 stack of samples at once (``fit_many``, the one batch entry point); a
-single ``fit`` is the one-sample stack. Presets also fit the replace-one
-twins of one sample (``fit_twins``). All SGD goes through one kernel that
-advances a stacked (rows, d) state: C independent runs for ``fit_many``,
-and 2C coupled rows for the twins and :func:`sgd_twin_distances`. In both,
-a row's arithmetic does not depend on the other rows, so every entry point
-gives bitwise the same hypothesis for the same sample and seed.
+single ``fit`` is the one-sample stack. The replace-one twins of one sample
+(``fit_twins``) are one more stack: row c is the sample with one example
+swapped in, checked once for every preset. All SGD goes through one kernel
+that advances a stacked (rows, d) state: C independent runs for
+``fit_many``, and 2C coupled rows for the twins. In both, a row's
+arithmetic does not depend on the other rows, so every entry point gives
+bitwise the same hypothesis for the same sample and seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
@@ -36,6 +38,14 @@ from .losses import LabeledExample, LossModel, _slack, make_loss, margin_slopes
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
+
+
+def _integral(value, name: str, what: str = "an integer") -> int:
+    """``value`` as an int: an integer or an integral float, never a bool."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +336,7 @@ class SgdSpec:
     def __post_init__(self):
         if self.regime not in SGD_REGIMES:
             raise ValueError(f"unknown SGD regime {self.regime!r}")
+        object.__setattr__(self, "steps", _integral(self.steps, "steps"))
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.regime == "nonconvex":
@@ -451,12 +462,14 @@ def _sgd_kernel(
 class _Preset:
     """The fitting protocol every preset implements.
 
-    A preset defines ``_fit_stack``, which fits a checked (C, n, d) stack of
-    samples, one row each. ``fit_many`` checks a stack and hands it over;
-    ``fit`` is row 0 of a one-sample ``fit_many``. ``fit_twins`` fits the
-    coupled pairs of a replace-one measurement; the default fits one
-    replaced sample at a time, ridge overrides it with its stacked solve,
-    SGD with its kernel.
+    A preset defines ``_fit_stack(features, labels, seeds, twin=None)``,
+    which fits one row per seed. Without ``twin`` it fits a checked
+    (C, n, d) stack of samples, row c sample c. With ``twin = (index,
+    repl_x, repl_y)`` it is given one (n, d) sample, and row c fits that
+    sample with example ``index[c]`` swapped for ``(repl_x[c], repl_y[c])``.
+    ``fit_many`` checks a stack and hands it over; ``fit`` is row 0 of a
+    one-sample ``fit_many``; ``fit_twins`` checks the replace-one cells and
+    hands them over.
     """
 
     stochastic = False
@@ -482,20 +495,57 @@ class _Preset:
         """Fits (HA, HB) on S and on the replaced samples, one row per cell.
 
         Cell c swaps example ``replaced_index[c]`` for ``(repl_x[c],
-        repl_y[c])`` and fits with ``seeds[c]``; a deterministic preset is
-        given ``seeds=None`` and fits with the default seed. A deterministic
-        fit on S does not depend on the cell, so HA repeats ``base``, the
-        fit on S. Replaced samples are built one at a time.
+        repl_y[c])`` and fits with ``seeds[c]``; ``seeds=None`` fits every
+        cell with the default seed 0. A deterministic fit on S does not
+        depend on the cell, so HA repeats ``base``, the fit on S.
         """
-        if seeds is None:
-            seeds = [0] * len(replaced_index)
-        HB = np.stack(
-            [
-                self.fit(sample.replaced(int(i), LabeledExample(x, float(y))), seed=k)
-                for i, x, y, k in zip(replaced_index, repl_x, repl_y, seeds)
-            ]
-        )
+        twin, seeds = _twin_cells(sample, replaced_index, repl_x, repl_y, seeds)
+        HB = self._fit_stack(sample.features, sample.labels, seeds, twin)
         return np.broadcast_to(base, HB.shape), HB
+
+
+def _twin_cells(sample: Sample, replaced_index, repl_x, repl_y, seeds):
+    """Checked ``(twin, seeds)`` of a replace-one cell list, as ``_fit_stack`` takes them.
+
+    Raises ValueError unless there is at least one cell, each cell has an
+    integer index in [0, n), a replacement of the sample's dimension and
+    one seed; DomainError when a replacement is not finite.
+    """
+    index = np.asarray(replaced_index)
+    repl_x = np.asarray(repl_x, dtype=np.float64)
+    repl_y = np.asarray(repl_y, dtype=np.float64)
+    n, d = sample.features.shape
+    cells = len(index)
+    if index.shape != (cells,) or cells == 0 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError("replaced indices must be a non-empty vector of integers")
+    if repl_x.shape != (cells, d) or repl_y.shape != (cells,):
+        raise ValueError("need one replacement example of the sample's dimension per cell")
+    if not (index.min() >= 0 and index.max() < n):
+        raise ValueError(f"replaced indices must lie in [0, {n})")
+    if not (np.all(np.isfinite(repl_x)) and np.all(np.isfinite(repl_y))):
+        raise DomainError("replacement examples must be finite")
+    seeds = [0] * cells if seeds is None else list(seeds)
+    if len(seeds) != cells:
+        raise ValueError("need one seed per cell")
+    return (index, repl_x, repl_y), seeds
+
+
+def _stack_rows(features: np.ndarray, labels: np.ndarray, twin=None):
+    """Yield the (X, y) sample of each row of a ``_fit_stack`` call.
+
+    Without ``twin`` row c is ``(features[c], labels[c])``. With ``twin``
+    each row is one scratch copy of the (n, d) sample with the cell's
+    example swapped in; the swap is undone when the next row is asked for,
+    so a consumer must be done with a row by then.
+    """
+    if twin is None:
+        yield from zip(features, labels)
+        return
+    X, y = features.copy(), labels.copy()
+    for i, x_new, y_new in zip(*twin):
+        X[i], y[i] = x_new, y_new
+        yield X, y
+        X[i], y[i] = features[i], labels[i]
 
 
 class ConstantAlgorithm(_Preset):
@@ -514,7 +564,7 @@ class ConstantAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel | None:
         return self._loss
 
-    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
+    def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         return np.tile(self.output, (len(seeds), 1))
 
 
@@ -539,41 +589,13 @@ class RidgeAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel:
         return self._loss
 
-    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
-        """One stacked solve over the samples' normal equations, formed one sample at a time."""
-        C, _, d = features.shape
+    def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
+        """One stacked solve over the rows' normal equations, formed one row at a time."""
+        C, d = len(seeds), features.shape[-1]
         A, b = np.empty((C, d, d)), np.empty((C, d))
-        for c in range(C):
-            A[c], b[c] = _normal_equations(features[c], labels[c], self.lam)
-        return solve_ridge_stack(A, b)
-
-    def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
-        """HB from one stacked solve; HA repeats ``base``.
-
-        Cell c's normal equations come from the base features with row
-        ``replaced_index[c]`` swapped in place, the arithmetic ``fit``
-        does on ``sample.replaced(...)``, so each HB row equals that fit
-        bit for bit. No replaced Sample is built.
-        """
-        index = np.asarray(replaced_index)
-        repl_x = np.asarray(repl_x, dtype=np.float64)
-        repl_y = np.asarray(repl_y, dtype=np.float64)
-        n, d = sample.features.shape
-        cells = len(index)
-        if repl_x.shape != (cells, d) or repl_y.shape != (cells,):
-            raise ValueError("need one replacement example of the sample's dimension per cell")
-        if cells and not (index.min() >= 0 and index.max() < n):
-            raise ValueError(f"replaced indices must lie in [0, {n})")
-        if not (np.all(np.isfinite(repl_x)) and np.all(np.isfinite(repl_y))):
-            raise ValueError("replacement examples must be finite")
-        X, y = sample.features.copy(), sample.labels.copy()
-        A, b = np.empty((cells, d, d)), np.empty((cells, d))
-        for c, i in enumerate(index):
-            X[i], y[i] = repl_x[c], repl_y[c]
+        for c, (X, y) in enumerate(_stack_rows(features, labels, twin)):
             A[c], b[c] = _normal_equations(X, y, self.lam)
-            X[i], y[i] = sample.features[i], sample.labels[i]
-        HB = solve_ridge_stack(A, b)
-        return np.broadcast_to(base, HB.shape), HB
+        return solve_ridge_stack(A, b)
 
 
 class LpRermAlgorithm(_Preset):
@@ -592,6 +614,7 @@ class LpRermAlgorithm(_Preset):
     ):
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
+        max_iter = _integral(max_iter, "max_iter")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.penalty = penalty
@@ -605,10 +628,11 @@ class LpRermAlgorithm(_Preset):
     def loss_for(self, n: int) -> LossModel:
         return self._loss
 
-    def _fit_stack(self, features, labels, seeds) -> np.ndarray:
-        """One :func:`fit_rerm` solve per sample."""
+    def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
+        """One :func:`fit_rerm` solve per row."""
         settings = (self._loss, self.penalty, self.tol, self.max_iter)
-        return np.stack([fit_rerm(Sample(X, y), *settings) for X, y in zip(features, labels)])
+        rows = _stack_rows(features, labels, twin)
+        return np.stack([fit_rerm(Sample(X, y), *settings) for X, y in rows])
 
 
 # Per policy kind, the modes it takes and the keys each mode takes beside 'mode'.
@@ -644,6 +668,8 @@ def _norm_policy(value, kind: str) -> dict:
     missing = keys - set(out)
     if missing:
         raise ValueError(f"{kind} policy {mode!r} needs the keys {sorted(missing)}")
+    if mode == "fixed":
+        out["value"] = _integral(out["value"], "steps")
     return out
 
 
@@ -710,7 +736,7 @@ class SgdAlgorithm(_Preset):
     def steps_for(self, n: int) -> int:
         mode = self.steps_policy["mode"]
         if mode == "fixed":
-            return int(self.steps_policy["value"])
+            return self.steps_policy["value"]
         if mode == "multiple_of_n":
             return int(round(self.steps_policy["factor"] * n))
         return int(round(self.steps_policy["factor"] * n * n))
@@ -778,8 +804,8 @@ class SgdAlgorithm(_Preset):
         return _sgd_kernel(self.loss_for(n), self.spec_for(n), seeds, features, labels, twin)
 
     def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
-        """Coupled twins: HA and HB share each cell's index stream."""
-        twin = (np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y))
+        """Coupled twins: HA and HB share each cell's index stream; ``base`` is not read."""
+        twin, seeds = _twin_cells(sample, replaced_index, repl_x, repl_y, seeds)
         return np.split(self._fit_stack(sample.features, sample.labels, seeds, twin), 2)
 
 
@@ -820,7 +846,7 @@ def make_algorithm(
     if preset == "rerm-lp":
         penalty = PenaltySpec(p=params.pop("p"), lam=params.pop("lam"))
         tol = params.pop("tol", 1e-9)
-        max_iter = int(params.pop("max_iter", 50000))
+        max_iter = params.pop("max_iter", 50000)
         _reject_extra(preset, params)
         return LpRermAlgorithm(
             loss_kind, penalty, feature_bound, label_bound, tol=tol, max_iter=max_iter
@@ -846,28 +872,3 @@ def _reject_extra(preset: str, params: dict) -> None:
     if params:
         raise ValueError(f"unknown parameters for preset {preset!r}: {sorted(params)}")
 
-
-# ---------------------------------------------------------------------------
-# batched entry points
-
-
-def sgd_twin_distances(
-    algorithm: SgdAlgorithm,
-    features: np.ndarray,
-    labels: np.ndarray,
-    replaced_index: np.ndarray,
-    repl_x: np.ndarray,
-    repl_y: np.ndarray,
-    seeds,
-):
-    """Final-iterate distances between coupled runs on S and on S with one
-    example replaced, one entry per cell.
-
-    ``features`` is a shared (n, d) sample or a per-cell (C, n, d) stack;
-    cell c replaces index ``replaced_index[c]`` with ``(repl_x[c],
-    repl_y[c])`` and drives both runs with the index stream derived from
-    ``seeds[c]``, exactly as :meth:`SgdAlgorithm.fit` would.
-    """
-    twin = (np.asarray(replaced_index), np.asarray(repl_x), np.asarray(repl_y))
-    HA, HB = np.split(algorithm._fit_stack(features, labels, seeds, twin), 2)
-    return np.linalg.norm(HA - HB, axis=1)

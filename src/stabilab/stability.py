@@ -15,11 +15,13 @@ Measurement conventions:
 * the supremum over replacement examples is approximated by i.i.d. draws
   plus two adversarial anchors at the extreme-margin points
   ``+/- B * h_S / ||h_S||`` with flipped labels;
-* every preset fits the whole cell list through its ``fit_twins``, which
-  returns the fits on S and on each replaced sample; stochastic algorithms
-  are compared as coupled twins, both runs consuming the same
-  example-index stream in one stacked SGD kernel, so a replacement that
-  the stream never touches yields distance exactly zero;
+* every preset fits the whole cell list as one stack through its
+  ``fit_twins``, which checks every cell (index in range, finite
+  replacement, one seed) before any fit and returns the fits on S and on
+  each replaced sample; stochastic algorithms are compared as coupled
+  twins, both runs consuming the same example-index stream in one stacked
+  SGD kernel, so a replacement that the stream never touches yields
+  distance exactly zero;
 * every (index, replacement) cell draws its replacement from its own
   seeded stream and, for stochastic presets, derives its own fit seed from
   the master seed, making reports independent of evaluation order.

@@ -35,7 +35,7 @@ from stabilab import (
     validate_bound_coverage,
 )
 from stabilab.complexity import ball_draw_values, finite_class_draw_values
-from stabilab.learners import make_algorithm, sgd_twin_distances
+from stabilab.learners import make_algorithm
 from stabilab.seeding import child_seed
 
 SEED = 20250815
@@ -197,15 +197,8 @@ def test_c02_sgd_twin_trajectory_domination():
             repl = draw_sample(dist, 100, child_seed(SEED, "c2-repl", regime, n))
             idx = np.arange(100) % n
             seeds = [child_seed(SEED, "c2-cell", regime, n, k) for k in range(100)]
-            distances = sgd_twin_distances(
-                algorithm,
-                sample.features,
-                sample.labels,
-                idx,
-                repl.features,
-                repl.labels,
-                seeds,
-            )
+            HA, HB = algorithm.fit_twins(sample, idx, repl.features, repl.labels, seeds, None)
+            distances = np.linalg.norm(HA - HB, axis=1)
             theory = theoretical_alpha(algorithm, n)
             worst = max(worst, float(distances.max()) / theory)
             bad += int(np.sum(distances > theory + 1e-9))

@@ -477,6 +477,26 @@ class TestConcentrateCommand:
         assert main(["concentrate", path]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(dim=2.7), "dim must be an integer"),
+            (dict(trials=100.9), "trials must be an integer"),
+            (dict(seed=3.5), "seed must be an integer"),
+            (dict(trials=True), "trials must be an integer"),
+        ],
+    )
+    def test_pinelis_rejects_counts_it_would_truncate(self, tmp_path, overrides, message, capsys):
+        path = write_json(tmp_path, "spec.json", self.pinelis_spec(**overrides))
+        assert main(["concentrate", path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_doob_rejects_a_non_integral_suffix_draw_count(self, tmp_path, capsys):
+        spec = {"kind": "doob", "n": 8, "suffix_draws": 16.5, "config": base_config(trials=25)}
+        path = write_json(tmp_path, "spec.json", spec)
+        assert main(["concentrate", path]) == 1
+        assert "suffix_draws must be an integer" in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     def test_run_prints_a_summary(self, config_path, capsys):
@@ -625,6 +645,12 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         assert message in capsys.readouterr().err
+
+    def test_run_rejects_a_non_integral_fixed_step_count(self, tmp_path, capsys):
+        algorithm = {**SGD_ALGORITHM, "steps": {"mode": "fixed", "value": 10.7}}
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        assert "steps must be an integer" in capsys.readouterr().err
 
     def test_seed_flag_fixes_the_digest(self, config_path, capsys):
         digests = []

@@ -1,0 +1,133 @@
+"""Report digests pinned per build: a refactor must leave every reported bit.
+
+Four configs run in a child process with every BLAS pinned to one thread:
+the acceptance config with and without ``tail``, one small strongly convex
+SGD config and one small penalized-ERM config. Their digests must equal the
+pins recorded for this ``ARTIFACT_VERSION``, NumPy version and BLAS build.
+A multi-threaded BLAS may move a reduction by one ulp, which is why the
+runs do not share the test process. With no pin for the running key the
+test skips and names the key, so a new build can be pinned by hand.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_acceptance import ACCEPTANCE_CONFIG
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+LOGISTIC_DISTRIBUTION = {
+    "dim": 4,
+    "feature_bound": 1.0,
+    "teacher": [1.0, 0, 0, 0],
+    "mechanism": {"type": "logistic_teacher"},
+}
+
+CONFIGS = {
+    "acceptance": ACCEPTANCE_CONFIG,
+    "acceptance-tail": {**ACCEPTANCE_CONFIG, "tail": True},
+    "sgd-strongly-convex": {
+        "name": "sgd-pin",
+        "algorithm": {
+            "preset": "sgd-strongly-convex",
+            "steps": {"mode": "multiple_of_n", "factor": 2},
+            "step": "inverse_gamma_n",
+            "projection_radius": 1.0,
+            "gamma": 1.0,
+        },
+        "loss": "logistic",
+        "distribution": LOGISTIC_DISTRIBUTION,
+        "n_grid": [10, 20],
+        "delta": 0.25,
+        "replacements": 2,
+        "trials": 20,
+        "draws": 64,
+        "center_replicates": 8,
+        "coverage_n": 10,
+        "tail": True,
+        "seed": 7,
+    },
+    "rerm-lp": {
+        "name": "rerm-pin",
+        "algorithm": {"preset": "rerm-lp", "p": 1.5, "lam": 0.5},
+        "loss": "logistic",
+        "distribution": LOGISTIC_DISTRIBUTION,
+        "n_grid": [10, 20],
+        "delta": 0.25,
+        "replacements": 2,
+        "trials": 20,
+        "draws": 64,
+        "center_replicates": 8,
+        "seed": 7,
+    },
+}
+
+# Keyed "<ARTIFACT_VERSION> numpy <version> <BLAS as loaded>".
+PINS = {
+    "report-2 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": {
+        "acceptance": "a02b259b10f375fa0f6b67446b6cf1fc375a41fffd8e7d1bac7400c0cd75fa73",
+        "acceptance-tail": "e3d1f134ef1cc5f9e77774a4358a427734bca6760a4bdeaf7bf9d02390020d6f",
+        "sgd-strongly-convex": "c8faacd5e227fa595a3b9c93836d376ae1187481ca009e218d4b3915fe14066c",
+        "rerm-lp": "624e7add3adc230fcaffdc64f6906955e53cb763b1526b2913404d4277139a13",
+    },
+}
+
+# Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.
+CHILD = r"""
+import ctypes, json, sys
+import numpy as np
+from stabilab import ExperimentConfig, report_digest, run_experiment
+from stabilab.lab import ARTIFACT_VERSION
+
+def blas():
+    # The build string of the OpenBLAS numpy loaded, which names the kernel
+    # family picked at run time; the build-time string when it cannot be asked.
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        paths = []
+    symbols = ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config")
+    for path in paths:
+        for symbol in symbols:
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return " ".join(fn().decode().split())
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{build['name']} {build['version']} (build)"
+
+configs = json.load(sys.stdin)
+digests = {
+    name: report_digest(run_experiment(ExperimentConfig.from_dict(raw)))
+    for name, raw in configs.items()
+}
+key = f"{ARTIFACT_VERSION} numpy {np.__version__} {blas()}"
+print(json.dumps({"key": key, "digests": digests}))
+"""
+
+
+def test_report_digests_match_the_pins_for_this_build():
+    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD],
+        input=json.dumps(CONFIGS),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    pins = PINS.get(result["key"])
+    if pins is None:
+        pytest.skip(f"no digest pins for {result['key']!r}: {result['digests']}")
+    assert result["digests"] == pins

@@ -27,7 +27,6 @@ from stabilab.learners import (
     RidgeAlgorithm,
     SgdAlgorithm,
     check_sample_domain,
-    sgd_twin_distances,
     solve_ridge_stack,
 )
 from ridge_oracle import serial_ridge
@@ -142,10 +141,9 @@ class TestDomainChecks:
         for steps in (2, 10):
             algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=steps, step=0.2)
             with pytest.raises(DomainError):
-                sgd_twin_distances(
+                twin_distances(
                     algo,
-                    sample.features,
-                    sample.labels,
+                    sample,
                     np.array([0]),
                     np.array([[np.nan, 0.0]]),
                     np.array([0.1]),
@@ -455,6 +453,34 @@ class TestPresets:
         with pytest.raises(ValueError, match=message):
             make_algorithm("rerm-lp", "squared", 1.0, 1.0, p=1.5, lam=0.5, **settings)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_algorithm("rerm-lp", "squared", 1.0, 1.0, p=1.5, lam=0.5, max_iter=2.9),
+            lambda: make_algorithm("sgd-convex", "squared", 1.0, 1.0, steps=10.7, step=0.2),
+            lambda: make_algorithm(
+                "sgd-convex", "squared", 1.0, 1.0, steps={"mode": "fixed", "value": 10.7}, step=0.2
+            ),
+            lambda: make_algorithm(
+                "sgd-convex", "squared", 1.0, 1.0, steps={"mode": "fixed", "value": True}, step=0.2
+            ),
+            lambda: SgdSpec("nonconvex", 10.7, step_constant=1.0),
+        ],
+        ids=["rerm-max-iter", "sgd-steps", "sgd-fixed-steps", "sgd-bool-steps", "spec-steps"],
+    )
+    def test_counts_reject_values_they_would_truncate(self, build):
+        with pytest.raises(ValueError, match="(max_iter|steps) must be an integer"):
+            build()
+
+    def test_integral_float_counts_are_kept_as_ints(self):
+        rerm = make_algorithm("rerm-lp", "squared", 1.0, 1.0, p=1.5, lam=0.5, max_iter=50.0)
+        assert rerm.max_iter == 50 and type(rerm.max_iter) is int
+        sgd = make_algorithm("sgd-convex", "squared", 1.0, 1.0, steps=10.0, step=0.2)
+        assert sgd.steps_for(7) == 10 and type(sgd.steps_for(7)) is int
+        spec = SgdSpec("nonconvex", 10.0, step_constant=1.0)
+        assert spec.steps == 10 and type(spec.steps) is int
+        assert len(spec.step_sizes()) == 10
+
     def test_sgd_preset_schedule_resolution(self):
         algo = make_algorithm(
             "sgd-convex",
@@ -586,6 +612,12 @@ def stack(samples):
     return np.stack([s.features for s in samples]), np.stack([s.labels for s in samples])
 
 
+def twin_distances(algo, sample, index, repl_x, repl_y, seeds):
+    """||HA - HB|| of each replace-one cell of ``fit_twins``."""
+    HA, HB = algo.fit_twins(sample, index, repl_x, repl_y, seeds, None)
+    return np.linalg.norm(HA - HB, axis=1)
+
+
 class TestBatchedHelpers:
     def test_fit_many_matches_single_runs_for_sgd(self):
         rng = np.random.default_rng(51)
@@ -633,10 +665,9 @@ class TestBatchedHelpers:
             algo.fit_many(*stack(samples), [1, 2, 3])
         sample = samples[0]
         with pytest.raises(DomainError):
-            sgd_twin_distances(
+            twin_distances(
                 algo,
-                sample.features,
-                sample.labels,
+                sample,
                 np.array([0, 1]),
                 sample.features[:2],
                 sample.labels[:2],
@@ -655,10 +686,9 @@ class TestBatchedHelpers:
         with pytest.raises(NonFiniteIterateError):
             algo.fit_many(*stack([sample, sample]), [4, 5])
         with pytest.raises(NonFiniteIterateError):
-            sgd_twin_distances(
+            twin_distances(
                 algo,
-                sample.features,
-                sample.labels,
+                sample,
                 np.array([0]),
                 np.array([[0.0, 1.0]]),
                 np.array([-1e-200]),
@@ -672,10 +702,9 @@ class TestBatchedHelpers:
         )
         sample = unit_ball_sample(rng, 6, 2, label_bound=0.5)
         with pytest.raises(DomainError):
-            sgd_twin_distances(
+            twin_distances(
                 algo,
-                sample.features,
-                sample.labels,
+                sample,
                 np.array([0]),
                 np.array([[2.0, 0.0]]),
                 np.array([0.1]),
@@ -715,9 +744,7 @@ class TestBatchedHelpers:
         repl_x /= np.maximum(np.linalg.norm(repl_x, axis=1), 1.0)[:, None]
         repl_y = rng.uniform(-0.5, 0.5, size=cells)
         seeds = [200 + c for c in range(cells)]
-        dist = sgd_twin_distances(
-            algo, sample.features, sample.labels, repl_i, repl_x, repl_y, seeds
-        )
+        dist = twin_distances(algo, sample, repl_i, repl_x, repl_y, seeds)
         assert dist.shape == (cells,)
         loss = algo.loss_for(n)
         for c in range(cells):
@@ -735,10 +762,9 @@ class TestBatchedHelpers:
         )
         sample = unit_ball_sample(rng, n, d, label_bound=0.5)
         i = 3
-        dist = sgd_twin_distances(
+        dist = twin_distances(
             algo,
-            sample.features,
-            sample.labels,
+            sample,
             np.array([i]),
             sample.features[i][None, :],
             np.array([sample.labels[i]]),
@@ -907,6 +933,71 @@ def test_every_preset_fit_many_matches_its_serial_fits(preset, n, d, lam, count,
             assert np.abs(row - serial).max() < 1e-12
         else:
             assert np.array_equal(row, serial)
+
+
+PRESETS = ["constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@settings(max_examples=8)
+@given(
+    n=st.integers(1, 20),
+    d=st.integers(1, 4),
+    lam=st.floats(1e-2, 10.0),
+    cells=st.integers(1, 6),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_every_preset_fit_twins_rows_equal_fits_on_the_replaced_samples(
+    preset, n, d, lam, cells, data_seed
+):
+    # The ridge-only TestStackedRidge case of the same name, for every preset.
+    rng = np.random.default_rng(data_seed)
+    algo = preset_for(preset, lam)
+    sample = unit_ball_sample(rng, n, 3 if preset == "constant" else d)
+    index, repl_x, repl_y = replace_one_cells(rng, sample, cells)
+    seeds = [data_seed + c for c in range(cells)] if algo.stochastic else None
+    base = algo.fit(sample)
+    HA, HB = algo.fit_twins(sample, index, repl_x, repl_y, seeds, base)
+    assert HA.shape == HB.shape == (cells, sample.dim)
+    for c, i in enumerate(index):
+        replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        if algo.stochastic:
+            assert np.abs(HA[c] - serial_fit(algo, sample, seeds[c])).max() < 1e-12
+            assert np.abs(HB[c] - serial_fit(algo, replaced, seeds[c])).max() < 1e-12
+        else:
+            assert np.array_equal(HA[c], base)
+            assert np.array_equal(HB[c], algo.fit(replaced))
+    # The sample the cells were swapped into is left as it was.
+    assert np.array_equal(algo.fit(sample), base)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_every_preset_fit_twins_checks_its_cells(preset):
+    rng = np.random.default_rng(83)
+    algo = preset_for(preset, 0.5)
+    sample = unit_ball_sample(rng, 8, 3)
+    index, repl_x, repl_y = replace_one_cells(rng, sample, 3)
+    nan_x, inf_y = repl_x.copy(), repl_y.copy()
+    nan_x[1, 0], inf_y[2] = np.nan, np.inf
+    cells = dict(replaced_index=index, repl_x=repl_x, repl_y=repl_y, seeds=[1, 2, 3])
+    none = dict(replaced_index=[], repl_x=repl_x[:0], repl_y=repl_y[:0], seeds=[])
+    one = dict(replaced_index=index[:1], repl_x=repl_x[:1], repl_y=repl_y[:1])
+    cases = [
+        (dict(replaced_index=[0, 8, 1]), ValueError, r"indices must lie in \[0, 8\)"),
+        (dict(replaced_index=[0, -1, 1]), ValueError, r"indices must lie in \[0, 8\)"),
+        (dict(replaced_index=[0.0, 1.0, 2.0]), ValueError, "vector of integers"),
+        (none, ValueError, "non-empty"),
+        (dict(repl_x=repl_x[:, :2]), ValueError, "one replacement"),
+        (dict(repl_y=repl_y[:2]), ValueError, "one replacement"),
+        (dict(repl_x=nan_x), DomainError, "finite"),
+        (dict(repl_y=inf_y), DomainError, "finite"),
+        (dict(seeds=[1, 2]), ValueError, "one seed per cell"),
+        (dict(seeds=[1, 2, 3, 4]), ValueError, "one seed per cell"),
+        (one, ValueError, "one seed per cell"),
+    ]
+    for change, error, message in cases:
+        with pytest.raises(error, match=message):
+            algo.fit_twins(sample, **{**cells, **change}, base=algo.fit(sample))
 
 
 def serial_fit(algo, sample, seed):
