@@ -41,7 +41,7 @@ from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-2"
+ARTIFACT_VERSION = "report-3"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400

@@ -7,8 +7,10 @@ linear predictor:
   the normal equations in one stacked, certified solve,
   :func:`solve_ridge_stack`.
 * :func:`fit_rerm` - minimizer of a certified margin loss plus
-  ``lam * ||h||_p^p`` for ``p`` in (1, 2], by proximal gradient descent
-  (proximal subgradient descent for the hinge).
+  ``lam * ||h||_p^p`` for ``p`` in (1, 2], by accelerated proximal
+  gradient descent (proximal subgradient descent for the hinge) on a
+  (C, n, d) stack of samples at once, with an elementwise prox that is
+  closed-form at p = 2 and p = 3/2.
 * SGD - one pass of stochastic gradient descent with a per-regime
   step-size schedule, uniform with-replacement sampling from a seeded
   index stream, and optional projection onto a centered ball.
@@ -20,9 +22,10 @@ single ``fit`` is the one-sample stack. The replace-one twins of one sample
 (``fit_twins``) are one more stack: row c is the sample with one example
 swapped in, checked once for every preset. All SGD goes through one kernel
 that advances a stacked (rows, d) state: C independent runs for
-``fit_many``, and 2C coupled rows for the twins. In both, a row's
-arithmetic does not depend on the other rows, so every entry point gives
-bitwise the same hypothesis for the same sample and seed.
+``fit_many``, and 2C coupled rows for the twins. In both, and in the
+stacked ridge and penalized-ERM solves, a row's arithmetic does not depend
+on the other rows, so every entry point gives bitwise the same hypothesis
+for the same sample and seed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
-from .losses import LabeledExample, LossModel, _slack, make_loss, margin_slopes
+from .losses import (
+    LabeledExample,
+    LossModel,
+    _slack,
+    make_loss,
+    margin_slopes,
+    margin_values,
+)
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
@@ -197,119 +207,196 @@ class PenaltySpec:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("penalty weight lam must be positive and finite")
 
-    def value(self, h) -> float:
+    def value(self, h):
+        """||h||_p^p; for a (C, d) stack, one value per row."""
         h = np.asarray(h, dtype=np.float64)
-        return float(np.sum(np.abs(h) ** self.p))
+        return np.sum(np.abs(h) ** self.p, axis=-1)
 
     def gradient(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=np.float64)
         return self.p * np.sign(h) * np.abs(h) ** (self.p - 1.0)
 
     def prox(self, v: np.ndarray, step: float) -> np.ndarray:
-        """argmin_u 0.5 ||u - v||^2 + step * lam * ||u||_p^p, coordinatewise.
+        """argmin_u 0.5 ||u - v||^2 + step * lam * ||u||_p^p, elementwise.
 
-        Closed form at p = 2; otherwise a monotone bisection on each
-        coordinate, run to absolute tolerance 1e-12.
+        Each entry is sign(v) times the root u in [0, |v|] of
+        u + w p u^(p-1) = |v|, with w = step * lam. p = 2 and p = 3/2 have
+        closed forms (Chaux, Combettes, Pesquet & Wajs 2007); any other p
+        takes a safeguarded Newton iteration, :func:`_power_prox_root`. No
+        entry reads another, so the prox of a (C, d) stack is bitwise the
+        prox of each row.
         """
+        v = np.asarray(v, dtype=np.float64)
         w = step * self.lam
         if self.p == 2.0:
             return v / (1.0 + 2.0 * w)
         a = np.abs(v)
-        lo = np.zeros_like(a)
-        hi = a.copy()
-        # First-order condition u + w*p*u^(p-1) = |v| on [0, |v|]; the left
-        # side is increasing, so bisection converges unconditionally.
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            g = mid + w * self.p * mid ** (self.p - 1.0) - a
-            high = g > 0
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-            if float(np.max(hi - lo)) < 1e-12:
+        if self.p == 1.5:
+            # s = sqrt(u) solves s^2 + 1.5 w s = |v|; this root does not
+            # cancel when w is large.
+            s = 2.0 * a / (1.5 * w + np.sqrt(2.25 * w * w + 4.0 * a))
+            return np.sign(v) * (s * s)
+        return np.sign(v) * _power_prox_root(a, w, self.p).reshape(a.shape)
+
+
+def _power_prox_root(a: np.ndarray, w: float, p: float) -> np.ndarray:
+    """The root u in [0, a] of u + w p u^(p-1) = a, for each entry of a >= 0.
+
+    The root lies between min(a / 2, (a / 2wp)^q) and min(a, (a / wp)^q),
+    q = 1/(p-1). In t = log u the left side less a, G(t), is convex and
+    increasing, so a Newton step in t from the high end of the bracket lands
+    between the root and that end, and a chord step between the ends lands
+    between the low end and the root. Each round takes one of each, and the
+    sign of G at the new point makes it the new low or high end. A step
+    that does not land inside the bracket can only come from rounding at an
+    end that is already the root, so the bracket closes on the end with the
+    smaller |G|. An entry stops once its own bracket is narrower than
+    1e-15 (1 + u); the midpoint is returned.
+    """
+    a = a.ravel()
+    c = w * p
+
+    def point(u, a):  # rows: log u, u, G(log u)
+        return np.array([np.log(u), u, u + c * u ** (p - 1.0) - a])
+
+    def narrow(lo, hi, t, a):
+        end = point(np.exp(t), a)
+        up = end[2] > 0
+        inside = (lo[1] < end[1]) & (end[1] < hi[1])
+        root = np.where(np.abs(lo[2]) < np.abs(hi[2]), lo, hi)
+        return np.where(inside, np.where(up, lo, end), root), np.where(
+            inside, np.where(up, end, hi), root
+        )
+
+    q = 1.0 / (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = point(np.minimum(0.5 * a, (0.5 * a / c) ** q), a)
+        hi = point(np.minimum(a, (a / c) ** q), a)
+        for _ in range(64):
+            live = np.flatnonzero(hi[1] - lo[1] > 1e-15 * (1.0 + hi[1]))
+            if not live.size:
                 break
-        return np.sign(v) * 0.5 * (lo + hi)
+            l, h, al = lo[:, live], hi[:, live], a[live]
+            l, h = narrow(l, h, h[0] - h[2] / (h[1] + (p - 1.0) * c * h[1] ** (p - 1.0)), al)
+            l, h = narrow(l, h, l[0] - l[2] * (h[0] - l[0]) / (h[2] - l[2]), al)
+            lo[:, live], hi[:, live] = l, h
+    return 0.5 * (lo[1] + hi[1])
 
 
 def fit_rerm(
-    sample: Sample,
+    features,
+    labels,
     loss: LossModel,
     penalty: PenaltySpec,
     tol: float = 1e-8,
     max_iter: int = 50000,
 ) -> np.ndarray:
-    """Minimize empirical risk plus lam * ||h||_p^p.
+    """Minimize empirical risk plus lam * ||h||_p^p on each of a stack of samples.
 
-    Smooth losses use a monotone accelerated proximal-gradient iteration
-    with step 1/s and stop when the objective gradient norm drops below
-    ``tol`` (the penalty is differentiable for p > 1). The hinge uses a
-    projected proximal-subgradient iteration with diminishing steps and
-    stops when the best objective value improves by less than ``tol`` over
-    a sweep of 64 iterations. Raises ConvergenceError, carrying the
-    achieved certificate, if ``max_iter`` is exhausted.
+    ``features`` (C, n, d) and ``labels`` (C, n) hold C samples; row c of
+    the (C, d) result is the fit on sample c. Smooth losses use a monotone
+    accelerated proximal-gradient iteration (FISTA, Beck & Teboulle 2009)
+    with step 1/s, falling back to the plain step in any row whose
+    objective would rise, and a row stops when its objective gradient norm
+    drops below ``tol`` (the penalty is differentiable for p > 1). The
+    hinge uses a projected proximal-subgradient iteration with diminishing
+    steps, and a row stops when its best objective value improves by less
+    than ``tol`` over a sweep of 64 iterations. Rows that stop leave the
+    iteration; every row goes through the arithmetic of a one-sample fit,
+    so it is bitwise the fit of its sample alone. Raises ConvergenceError,
+    naming the first row still running and its certificate, if
+    ``max_iter`` is exhausted.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    max_iter = _integral(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    check_sample_domain(loss, sample)
-    X, y = sample.features, sample.labels
-    d = sample.dim
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    Y = np.ascontiguousarray(labels, dtype=np.float64)
+    if X.ndim != 3 or 0 in X.shape or Y.shape != X.shape[:2]:
+        raise ValueError("need (C, n, d) features and (C, n) labels")
+    _check_examples(loss, X, Y)
+    C, n, d = X.shape
+    rho = loss.ridge_term
 
-    def objective(h: np.ndarray) -> float:
-        return float(loss.values_raw(h, X, y).mean()) + penalty.lam * penalty.value(h)
+    def objective(H, X, Y):
+        vals = margin_values(loss.kind, _matvec(X, H), Y)
+        if rho:
+            vals = vals + rho * (H[:, None, :] @ H[:, :, None])[:, 0]
+        return vals.mean(axis=1) + penalty.lam * penalty.value(H)
 
+    def risk_gradient(H, X, Y):
+        slopes = margin_slopes(loss.kind, _matvec(X, H), Y)
+        G = _matvec(X.transpose(0, 2, 1), slopes) / n
+        return G + 2.0 * rho * H if rho else G
+
+    out = np.empty((C, d))
+    rows = np.arange(C)  # the result row of each running row
+    H = np.zeros((C, d))
+    F = objective(H, X, Y)
     smoothness = loss.constants().smoothness
     if smoothness is not None:
         eta = 1.0 / smoothness
-        x = np.zeros(d)
-        fx = objective(x)
-        mom = x
-        tk = 1.0
-        gnorm = math.inf
+        G = risk_gradient(H, X, Y)  # the risk gradient at H
+        M = H
+        T = np.ones(C)
         for _ in range(max_iter):
-            z = penalty.prox(mom - eta * loss.risk_gradient_raw(mom, X, y), eta)
-            fz = objective(z)
-            if fz > fx:
-                # Accelerated step overshot; fall back to the plain descent
-                # step from x, which cannot increase the objective.
-                z = penalty.prox(x - eta * loss.risk_gradient_raw(x, X, y), eta)
-                fz = objective(z)
-                tk = 1.0
-            tnext = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            mom = z + ((tk - 1.0) / tnext) * (z - x)
-            x, fx, tk = z, fz, tnext
-            grad = loss.risk_gradient_raw(x, X, y) + penalty.lam * penalty.gradient(x)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < tol:
-                return x
-        raise ConvergenceError("proximal gradient exhausted max_iter", gnorm)
+            Z = penalty.prox(M - eta * risk_gradient(M, X, Y), eta)
+            FZ = objective(Z, X, Y)
+            over = FZ > F
+            if over.any():
+                # The accelerated step overshot; fall back to the plain
+                # descent step from H, which cannot increase the objective.
+                Z[over] = penalty.prox(H[over] - eta * G[over], eta)
+                FZ[over] = objective(Z[over], X[over], Y[over])
+                T[over] = 1.0
+            T_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * T * T))
+            M = Z + ((T - 1.0) / T_next)[:, None] * (Z - H)
+            H, F, T = Z, FZ, T_next
+            G = risk_gradient(H, X, Y)
+            gnorm = _row_norms(G + penalty.lam * penalty.gradient(H))
+            done = gnorm < tol
+            if done.any():
+                out[rows[done]] = H[done]
+                run = ~done
+                if not run.any():
+                    return out
+                rows, X, Y, H, F, G, M, T = (a[run] for a in (rows, X, Y, H, F, G, M, T))
+                gnorm = gnorm[run]
+        raise ConvergenceError(
+            f"proximal gradient exhausted max_iter in row {rows[0]}", float(gnorm[0])
+        )
 
     # Hinge path. Iterates are projected onto the ball that provably
     # contains the minimizer (lam * ||h*||_p^p <= objective(0)).
     radius = (loss.value_at_zero() / penalty.lam) ** (1.0 / penalty.p)
     ggrad = loss.feature_bound + penalty.lam * penalty.p * radius ** (penalty.p - 1.0)
     step0 = max(radius, 1.0) / ggrad
-    x = np.zeros(d)
-    best = x
-    fbest = objective(x)
-    mark = fbest
+    best, mark = H, F
     sweep = 64
     for k in range(max_iter):
         step = step0 / math.sqrt(k + 1.0)
-        g = loss.risk_gradient_raw(x, X, y)
-        z = penalty.prox(x - step * g, step)
-        nrm = float(np.linalg.norm(z))
-        if nrm > radius:
-            z = z * (radius / nrm)
-        x = z
-        fz = objective(z)
-        if fz < fbest:
-            best, fbest = z, fz
+        Z = penalty.prox(H - step * risk_gradient(H, X, Y), step)
+        nrm = _row_norms(Z)
+        over = nrm > radius
+        Z[over] *= (radius / nrm[over])[:, None]
+        H = Z
+        FZ = objective(Z, X, Y)
+        better = FZ < F
+        best = np.where(better[:, None], Z, best)
+        F = np.where(better, FZ, F)
         if (k + 1) % sweep == 0:
-            if mark - fbest < tol:
-                return best
-            mark = fbest
-    raise ConvergenceError("subgradient method exhausted max_iter", mark - fbest)
+            done = mark - F < tol
+            out[rows[done]] = best[done]
+            run = ~done
+            if not run.any():
+                return out
+            rows, X, Y, H, F, best = (a[run] for a in (rows, X, Y, H, F, best))
+            mark = F
+    raise ConvergenceError(
+        f"subgradient method exhausted max_iter in row {rows[0]}", float(mark[0] - F[0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +685,10 @@ class RidgeAlgorithm(_Preset):
         return solve_ridge_stack(A, b)
 
 
+# Rows per fit_rerm call: bounds the (rows, n, d) stack one call holds.
+_RERM_BLOCK = 32
+
+
 class LpRermAlgorithm(_Preset):
     """A certified margin loss with an l_p^p penalty, p in (1, 2]."""
 
@@ -629,10 +720,25 @@ class LpRermAlgorithm(_Preset):
         return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
-        """One :func:`fit_rerm` solve per row."""
+        """One :func:`fit_rerm` solve per block of ``_RERM_BLOCK`` rows.
+
+        A block of twins is built from the one (n, d) sample: a copy per
+        cell, with the cell's example swapped in.
+        """
         settings = (self._loss, self.penalty, self.tol, self.max_iter)
-        rows = _stack_rows(features, labels, twin)
-        return np.stack([fit_rerm(Sample(X, y), *settings) for X, y in rows])
+        fits = []
+        for start in range(0, len(seeds), _RERM_BLOCK):
+            block = slice(start, start + _RERM_BLOCK)
+            if twin is None:
+                X, y = features[block], labels[block]
+            else:
+                index, repl_x, repl_y = (part[block] for part in twin)
+                cells = np.arange(len(index))
+                X = np.repeat(features[None], len(index), axis=0)
+                y = np.repeat(labels[None], len(index), axis=0)
+                X[cells, index], y[cells, index] = repl_x, repl_y
+            fits.append(fit_rerm(X, y, *settings))
+        return np.concatenate(fits)
 
 
 # Per policy kind, the modes it takes and the keys each mode takes beside 'mode'.

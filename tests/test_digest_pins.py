@@ -77,6 +77,15 @@ PINS = {
         "sgd-strongly-convex": "c8faacd5e227fa595a3b9c93836d376ae1187481ca009e218d4b3915fe14066c",
         "rerm-lp": "624e7add3adc230fcaffdc64f6906955e53cb763b1526b2913404d4277139a13",
     },
+    # The elementwise prox moved the rerm-lp fits; the other three configs
+    # moved only through the version string.
+    "report-3 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": {
+        "acceptance": "284198a432f9ecdd9a8015f7fe6fd842ca3427e8e7e7949f17c48f8229a01c24",
+        "acceptance-tail": "f76ba4fd3171ab742edb52593e3875ed80419cb9c0bee0c1c873ccb0f95261fd",
+        "sgd-strongly-convex": "934d59421596847f7e74f3b2d7775da2182c74cde4c3b0d2c0f9633793853ed6",
+        "rerm-lp": "349a21f49f460165535426047bc6f016059aad3be816a5be13c7e62bfe4e69c0",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.

@@ -29,6 +29,7 @@ from stabilab.learners import (
     check_sample_domain,
     solve_ridge_stack,
 )
+from rerm_oracle import bisection_prox, serial_rerm
 from ridge_oracle import serial_ridge
 from sgd_oracle import serial_sgd
 
@@ -229,6 +230,41 @@ class TestPenaltySpec:
         pen = PenaltySpec(p=1.5, lam=1.0)
         assert np.array_equal(pen.prox(np.zeros(3), 0.1), np.zeros(3))
 
+    @pytest.mark.parametrize("p", [1.5, 1.2, 1.7])
+    def test_prox_matches_the_bisection_oracle(self, p):
+        # 2,000 random (v, w) cases; at p = 3/2 w reaches 1e6.
+        rng = np.random.default_rng(int(10 * p))
+        pen = PenaltySpec(p=p, lam=1.0)
+        v = rng.uniform(-5.0, 5.0, size=2000) * 10.0 ** rng.uniform(-3.0, 0.0, size=2000)
+        steps = 10.0 ** rng.uniform(-4.0, 6.0 if p == 1.5 else 3.0, size=2000)
+        # One bisection over every case at once: each stops no earlier than alone.
+        oracle = bisection_prox(pen, v, steps)
+        for vk, step, expected in zip(v, steps, oracle):
+            u = pen.prox(np.array([vk, -vk, 0.0]), step)
+            assert abs(u[0] - expected) <= 5e-13
+            assert u[1] == -u[0] and u[2] == 0.0
+
+    def test_prox_at_three_halves_does_not_cancel_for_large_w(self):
+        # u + 1.5 w sqrt(u) = |v| to relative 1e-13; the textbook root
+        # (sqrt(2.25 w^2 + 4|v|) - 1.5 w) / 2 misses it by up to 1e-3 here.
+        rng = np.random.default_rng(17)
+        pen = PenaltySpec(p=1.5, lam=1.0)
+        v = rng.uniform(-5.0, 5.0, size=500)
+        for w in (1e3, 1e5, 1e6):
+            u = np.abs(pen.prox(v, w))
+            resid = u + 1.5 * w * np.sqrt(u) - np.abs(v)
+            assert np.all(np.abs(resid) <= 1e-13 * np.abs(v))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 1.3])
+    def test_prox_of_a_stack_equals_the_prox_of_each_row(self, p):
+        rng = np.random.default_rng(19)
+        pen = PenaltySpec(p=p, lam=0.7)
+        V = rng.standard_normal((9, 5)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(9, 1))
+        V[2] = 0.0
+        stacked = pen.prox(V, 0.4)
+        for row, v in zip(stacked, V):
+            assert np.array_equal(row, pen.prox(v.copy(), 0.4))
+
     @pytest.mark.parametrize("p, lam", [(1.0, 1.0), (2.5, 1.0), (0.5, 1.0), (1.5, 0.0), (1.5, -1.0), (1.5, np.inf)])
     def test_rejects_bad_parameters(self, p, lam):
         with pytest.raises(ValueError):
@@ -243,7 +279,8 @@ class TestFitRerm:
         s = unit_ball_sample(rng, 30, 4, label_bound=label_bound)
         radius = math.sqrt(label_bound**2 / lam)
         loss = make_loss("squared", 1.0, radius, label_bound)
-        h = fit_rerm(s, loss, PenaltySpec(p=2.0, lam=lam), tol=1e-10)
+        pen = PenaltySpec(p=2.0, lam=lam)
+        h = fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-10)[0]
         g = serial_ridge(s, lam)
         assert np.linalg.norm(h - g) < 1e-6
 
@@ -256,7 +293,7 @@ class TestFitRerm:
         pen = PenaltySpec(p=2.0, lam=0.3)
         radius = (math.log(2.0) / pen.lam) ** (1.0 / pen.p)
         loss = make_loss("logistic", 1.0, radius, 1.0)
-        h = fit_rerm(s, loss, pen, tol=1e-9)
+        h = fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-9)[0]
         grad = loss.risk_gradient_raw(h, X, y) + pen.lam * pen.gradient(h)
         assert np.linalg.norm(grad) < 1e-9
 
@@ -269,7 +306,7 @@ class TestFitRerm:
         pen = PenaltySpec(p=1.5, lam=0.4)
         radius = (1.0 / pen.lam) ** (1.0 / pen.p)
         loss = make_loss("hinge", 1.0, radius)
-        h = fit_rerm(s, loss, pen, tol=1e-7)
+        h = fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-7)[0]
 
         def objective(v):
             return empirical_risk(loss, v, s) + pen.lam * pen.value(v)
@@ -288,15 +325,42 @@ class TestFitRerm:
         rng = np.random.default_rng(2)
         s = unit_ball_sample(rng, 10, 3, label_bound=0.5)
         loss = make_loss("squared", 1.0, 1.0, 0.5)
+        pen = PenaltySpec(p=2.0, lam=0.5)
         with pytest.raises(ConvergenceError):
-            fit_rerm(s, loss, PenaltySpec(p=2.0, lam=0.5), tol=1e-14, max_iter=1)
+            fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-14, max_iter=1)[0]
 
-    @pytest.mark.parametrize("tol, max_iter", [(0.0, 100), (-1.0, 100), (1e-8, 0), (np.nan, 100)])
+    def test_a_ridge_term_loss_matches_the_serial_oracle(self):
+        rng = np.random.default_rng(6)
+        loss = make_loss("logistic", 1.0, 2.0, ridge_term=0.1)
+        pen = PenaltySpec(p=1.5, lam=0.2)
+        X = rng.standard_normal((5, 15, 3))
+        X /= np.maximum(np.linalg.norm(X, axis=2), 1.0)[..., None]
+        y = np.where(rng.uniform(size=(5, 15)) < 0.5, -1.0, 1.0)
+        rows = fit_rerm(X, y, loss, pen, tol=1e-9)
+        for row, Xc, yc in zip(rows, X, y):
+            assert np.array_equal(row, serial_rerm(Sample(Xc, yc), loss, pen, 1e-9, 50000))
+
+    def test_a_row_that_exhausts_max_iter_raises(self):
+        # Row 0 (all labels zero) stops at h = 0 after one step; row 1 needs more.
+        rng = np.random.default_rng(4)
+        loss = make_loss("squared", 1.0, 1.0, 0.5)
+        X = np.stack([unit_ball_sample(rng, 10, 3).features] * 2)
+        y = np.stack([np.zeros(10), rng.uniform(-0.5, 0.5, size=10)])
+        pen = PenaltySpec(p=1.5, lam=0.5)
+        assert np.array_equal(fit_rerm(X[:1], y[:1], loss, pen, max_iter=1), [[0.0, 0.0, 0.0]])
+        with pytest.raises(ConvergenceError, match="row 1 "):
+            fit_rerm(X, y, loss, pen, max_iter=2)
+
+    @pytest.mark.parametrize(
+        "tol, max_iter",
+        [(0.0, 100), (-1.0, 100), (1e-8, 0), (np.nan, 100), (1e-8, 2.9), (1e-8, True)],
+    )
     def test_rejects_bad_budgets(self, tol, max_iter):
         s = Sample([[0.5]], [0.5])
         loss = make_loss("squared", 1.0, 1.0, 1.0)
+        pen = PenaltySpec(p=2.0, lam=1.0)
         with pytest.raises(ValueError):
-            fit_rerm(s, loss, PenaltySpec(p=2.0, lam=1.0), tol=tol, max_iter=max_iter)
+            fit_rerm(s.features[None], s.labels[None], loss, pen, tol=tol, max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1001,12 +1065,46 @@ def test_every_preset_fit_twins_checks_its_cells(preset):
 
 
 def serial_fit(algo, sample, seed):
-    """One sample's fit by a path that stacks nothing: the oracles, or fit_rerm."""
+    """One sample's fit by a path that stacks nothing: the serial oracles."""
     if isinstance(algo, ConstantAlgorithm):
         return algo.output
     if isinstance(algo, RidgeAlgorithm):
         return serial_ridge(sample, algo.lam)
     loss = algo.loss_for(sample.n)
     if isinstance(algo, LpRermAlgorithm):
-        return fit_rerm(sample, loss, algo.penalty, algo.tol, algo.max_iter)
+        return serial_rerm(sample, loss, algo.penalty, algo.tol, algo.max_iter)
     return serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]
+
+
+# ---------------------------------------------------------------------------
+# the stacked penalized-ERM solver against its serial oracle
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared", "hinge"])
+@pytest.mark.parametrize("cells", [1, 33, 70])
+def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
+    # 33 and 70 cells span more than one block of the preset's stacked solve.
+    rng = np.random.default_rng(cells)
+    algo = make_algorithm("rerm-lp", kind, 1.0, 0.5, p=1.5, lam=0.3, tol=1e-7)
+    n, d = 12, 3
+
+    def draw(count):
+        X = rng.standard_normal((count, n, d))
+        X /= np.maximum(np.linalg.norm(X, axis=2), 1.0)[..., None]
+        if kind == "squared":
+            return X, rng.uniform(-0.5, 0.5, size=(count, n))
+        return X, np.where(rng.uniform(size=(count, n)) < 0.5, -1.0, 1.0)
+
+    X, y = draw(cells)
+    rows = algo.fit_many(X, y, range(cells))
+    for row, Xc, yc in zip(rows, X, y):
+        assert np.array_equal(row, serial_fit(algo, Sample(Xc, yc), 0))
+
+    sample = Sample(X[0], y[0])
+    index = rng.integers(0, n, size=cells)
+    repl_x, repl_y = (part[:, 0] for part in draw(cells))
+    base = algo.fit(sample)
+    _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, base)
+    for c, i in enumerate(index):
+        replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        assert np.array_equal(HB[c], serial_fit(algo, replaced, 0))

@@ -396,6 +396,27 @@ class TestAnchors:
 
 
 class TestMeasurement:
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_rerm_lp_replace_one_domination(self, p, n):
+        # The penalized-ERM counterpart of acceptance c01 (ridge): every
+        # replace-one distance of the logistic rerm-lp preset stays under
+        # its closed form.
+        teacher = np.zeros(4)
+        teacher[0] = 1.0
+        spec = DistributionSpec(
+            dim=4, feature_bound=1.0, teacher=teacher, mechanism=LogisticTeacher()
+        )
+        algo = make_algorithm("rerm-lp", "logistic", 1.0, p=p, lam=0.5)
+        sample = draw_sample(spec, n, seed=child_seed(11, "rerm-sample", str(p), n))
+        report = measure_argument_stability(
+            algo, sample, spec, 4, seed=child_seed(11, "rerm-stab", str(p), n)
+        )
+        theory = closed_form(algo, n).alpha
+        distances = [distance for _, _, distance, _ in report.cells]
+        assert len(distances) == n * 6
+        assert max(distances) <= theory + 1e-8
+
     def test_ridge_hand_measurement(self):
         lam = 1.0
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=lam)
