@@ -40,10 +40,10 @@ from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .losses import (
     LabeledExample,
     LossModel,
+    _matvec,
     _slack,
     make_loss,
     margin_slopes,
-    margin_values,
 )
 from .seeding import draw_each, stream_key
 
@@ -180,11 +180,6 @@ def solve_ridge_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return H
 
 
-def _matvec(A: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Row c is A[c] @ H[c], by the matrix-vector product a lone (d, d) @ (d,) uses."""
-    return (A @ H[..., None])[..., 0]
-
-
 def _row_norms(R: np.ndarray) -> np.ndarray:
     """Row c is ||R[c]||, by the dot product np.linalg.norm takes of a lone vector."""
     return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
@@ -222,9 +217,9 @@ class PenaltySpec:
         Each entry is sign(v) times the root u in [0, |v|] of
         u + w p u^(p-1) = |v|, with w = step * lam. p = 2 and p = 3/2 have
         closed forms (Chaux, Combettes, Pesquet & Wajs 2007); any other p
-        takes a safeguarded Newton iteration, :func:`_power_prox_root`. No
-        entry reads another, so the prox of a (C, d) stack is bitwise the
-        prox of each row.
+        bisects [0, |v|], each entry until its own bracket is narrower than
+        1e-12. No entry reads another, so the prox of a (C, d) stack is
+        bitwise the prox of each row.
         """
         v = np.asarray(v, dtype=np.float64)
         w = step * self.lam
@@ -236,51 +231,19 @@ class PenaltySpec:
             # cancel when w is large.
             s = 2.0 * a / (1.5 * w + np.sqrt(2.25 * w * w + 4.0 * a))
             return np.sign(v) * (s * s)
-        return np.sign(v) * _power_prox_root(a, w, self.p).reshape(a.shape)
-
-
-def _power_prox_root(a: np.ndarray, w: float, p: float) -> np.ndarray:
-    """The root u in [0, a] of u + w p u^(p-1) = a, for each entry of a >= 0.
-
-    The root lies between min(a / 2, (a / 2wp)^q) and min(a, (a / wp)^q),
-    q = 1/(p-1). In t = log u the left side less a, G(t), is convex and
-    increasing, so a Newton step in t from the high end of the bracket lands
-    between the root and that end, and a chord step between the ends lands
-    between the low end and the root. Each round takes one of each, and the
-    sign of G at the new point makes it the new low or high end. A step
-    that does not land inside the bracket can only come from rounding at an
-    end that is already the root, so the bracket closes on the end with the
-    smaller |G|. An entry stops once its own bracket is narrower than
-    1e-15 (1 + u); the midpoint is returned.
-    """
-    a = a.ravel()
-    c = w * p
-
-    def point(u, a):  # rows: log u, u, G(log u)
-        return np.array([np.log(u), u, u + c * u ** (p - 1.0) - a])
-
-    def narrow(lo, hi, t, a):
-        end = point(np.exp(t), a)
-        up = end[2] > 0
-        inside = (lo[1] < end[1]) & (end[1] < hi[1])
-        root = np.where(np.abs(lo[2]) < np.abs(hi[2]), lo, hi)
-        return np.where(inside, np.where(up, lo, end), root), np.where(
-            inside, np.where(up, end, hi), root
-        )
-
-    q = 1.0 / (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo = point(np.minimum(0.5 * a, (0.5 * a / c) ** q), a)
-        hi = point(np.minimum(a, (a / c) ** q), a)
-        for _ in range(64):
-            live = np.flatnonzero(hi[1] - lo[1] > 1e-15 * (1.0 + hi[1]))
-            if not live.size:
+        lo = np.zeros_like(a)
+        hi = a.copy()
+        # The left side of the first-order condition is increasing, so
+        # bisection converges unconditionally.
+        for _ in range(80):
+            live = hi - lo >= 1e-12
+            if not live.any():
                 break
-            l, h, al = lo[:, live], hi[:, live], a[live]
-            l, h = narrow(l, h, h[0] - h[2] / (h[1] + (p - 1.0) * c * h[1] ** (p - 1.0)), al)
-            l, h = narrow(l, h, l[0] - l[2] * (h[0] - l[0]) / (h[2] - l[2]), al)
-            lo[:, live], hi[:, live] = l, h
-    return 0.5 * (lo[1] + hi[1])
+            mid = 0.5 * (lo + hi)
+            high = mid + w * self.p * mid ** (self.p - 1.0) - a > 0
+            hi = np.where(live & high, mid, hi)
+            lo = np.where(live & ~high, mid, lo)
+        return np.sign(v) * 0.5 * (lo + hi)
 
 
 def fit_rerm(
@@ -317,19 +280,10 @@ def fit_rerm(
     if X.ndim != 3 or 0 in X.shape or Y.shape != X.shape[:2]:
         raise ValueError("need (C, n, d) features and (C, n) labels")
     _check_examples(loss, X, Y)
-    C, n, d = X.shape
-    rho = loss.ridge_term
+    C, d = X.shape[0], X.shape[2]
 
     def objective(H, X, Y):
-        vals = margin_values(loss.kind, _matvec(X, H), Y)
-        if rho:
-            vals = vals + rho * (H[:, None, :] @ H[:, :, None])[:, 0]
-        return vals.mean(axis=1) + penalty.lam * penalty.value(H)
-
-    def risk_gradient(H, X, Y):
-        slopes = margin_slopes(loss.kind, _matvec(X, H), Y)
-        G = _matvec(X.transpose(0, 2, 1), slopes) / n
-        return G + 2.0 * rho * H if rho else G
+        return loss.values_raw(H, X, Y).mean(axis=1) + penalty.lam * penalty.value(H)
 
     out = np.empty((C, d))
     rows = np.arange(C)  # the result row of each running row
@@ -338,11 +292,11 @@ def fit_rerm(
     smoothness = loss.constants().smoothness
     if smoothness is not None:
         eta = 1.0 / smoothness
-        G = risk_gradient(H, X, Y)  # the risk gradient at H
+        G = loss.risk_gradient_raw(H, X, Y)  # the risk gradient at H
         M = H
         T = np.ones(C)
         for _ in range(max_iter):
-            Z = penalty.prox(M - eta * risk_gradient(M, X, Y), eta)
+            Z = penalty.prox(M - eta * loss.risk_gradient_raw(M, X, Y), eta)
             FZ = objective(Z, X, Y)
             over = FZ > F
             if over.any():
@@ -354,7 +308,7 @@ def fit_rerm(
             T_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * T * T))
             M = Z + ((T - 1.0) / T_next)[:, None] * (Z - H)
             H, F, T = Z, FZ, T_next
-            G = risk_gradient(H, X, Y)
+            G = loss.risk_gradient_raw(H, X, Y)
             gnorm = _row_norms(G + penalty.lam * penalty.gradient(H))
             done = gnorm < tol
             if done.any():
@@ -365,7 +319,7 @@ def fit_rerm(
                 rows, X, Y, H, F, G, M, T = (a[run] for a in (rows, X, Y, H, F, G, M, T))
                 gnorm = gnorm[run]
         raise ConvergenceError(
-            f"proximal gradient exhausted max_iter in row {rows[0]}", float(gnorm[0])
+            "proximal gradient exhausted max_iter", float(gnorm[0]), int(rows[0])
         )
 
     # Hinge path. Iterates are projected onto the ball that provably
@@ -377,7 +331,7 @@ def fit_rerm(
     sweep = 64
     for k in range(max_iter):
         step = step0 / math.sqrt(k + 1.0)
-        Z = penalty.prox(H - step * risk_gradient(H, X, Y), step)
+        Z = penalty.prox(H - step * loss.risk_gradient_raw(H, X, Y), step)
         nrm = _row_norms(Z)
         over = nrm > radius
         Z[over] *= (radius / nrm[over])[:, None]
@@ -395,7 +349,7 @@ def fit_rerm(
             rows, X, Y, H, F, best = (a[run] for a in (rows, X, Y, H, F, best))
             mark = F
     raise ConvergenceError(
-        f"subgradient method exhausted max_iter in row {rows[0]}", float(mark[0] - F[0])
+        "subgradient method exhausted max_iter", float(mark[0] - F[0]), int(rows[0])
     )
 
 
@@ -722,22 +676,22 @@ class LpRermAlgorithm(_Preset):
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         """One :func:`fit_rerm` solve per block of ``_RERM_BLOCK`` rows.
 
-        A block of twins is built from the one (n, d) sample: a copy per
-        cell, with the cell's example swapped in.
+        A block is filled row by row from ``_stack_rows``. A row that does
+        not converge is named by its place in the whole stack.
         """
         settings = (self._loss, self.penalty, self.tol, self.max_iter)
+        n, d = features.shape[-2:]
+        rows = _stack_rows(features, labels, twin)
         fits = []
         for start in range(0, len(seeds), _RERM_BLOCK):
-            block = slice(start, start + _RERM_BLOCK)
-            if twin is None:
-                X, y = features[block], labels[block]
-            else:
-                index, repl_x, repl_y = (part[block] for part in twin)
-                cells = np.arange(len(index))
-                X = np.repeat(features[None], len(index), axis=0)
-                y = np.repeat(labels[None], len(index), axis=0)
-                X[cells, index], y[cells, index] = repl_x, repl_y
-            fits.append(fit_rerm(X, y, *settings))
+            size = min(_RERM_BLOCK, len(seeds) - start)
+            X, y = np.empty((size, n, d)), np.empty((size, n))
+            for c, row in zip(range(size), rows):
+                X[c], y[c] = row
+            try:
+                fits.append(fit_rerm(X, y, *settings))
+            except ConvergenceError as err:
+                raise ConvergenceError(err.message, err.achieved, start + err.row) from None
         return np.concatenate(fits)
 
 

@@ -81,6 +81,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _matvec(A: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A @ h; for stacks A (C, m, d) and h (C, d), row c is A[c] @ h[c] by
+    the matrix-vector product a lone (m, d) @ (d,) uses."""
+    return A @ h if h.ndim == 1 else (A @ h[..., None])[..., 0]
+
+
 def margin_values(kind: str, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """phi(u, y) for a batch of margins, without domain checks."""
     u = np.asarray(margins, dtype=np.float64)
@@ -227,15 +233,22 @@ class LossModel:
 
     # -- batch helpers (no domain checks; used by solvers and experiments) ---
 
+    # Each takes one hypothesis h (d,) on X (n, d) and y (n,), or a stack:
+    # h (C, d) on X (C, n, d) and y (C, n), row c by the arithmetic of the
+    # one-hypothesis form on sample c.
+
     def values_raw(self, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        vals = margin_values(self.kind, X @ h, y)
+        """The loss at each example: (n,), or (C, n) for a stack."""
+        vals = margin_values(self.kind, _matvec(X, h), y)
         if self.ridge_term:
-            vals = vals + self.ridge_term * float(h @ h)
+            sq = float(h @ h) if h.ndim == 1 else _matvec(h[:, None, :], h)
+            vals = vals + self.ridge_term * sq
         return vals
 
     def risk_gradient_raw(self, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        slopes = margin_slopes(self.kind, X @ h, y)
-        grad = X.T @ slopes / X.shape[0]
+        """The gradient of the mean loss: (d,), or (C, d) for a stack."""
+        slopes = margin_slopes(self.kind, _matvec(X, h), y)
+        grad = _matvec(np.swapaxes(X, -1, -2), slopes) / X.shape[-2]
         if self.ridge_term:
             grad = grad + 2.0 * self.ridge_term * h
         return grad

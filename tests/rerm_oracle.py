@@ -2,7 +2,8 @@
 
 ``bisection_prox`` is the coordinatewise bisection the elementwise prox
 replaced: it halves [0, |v|] on the first-order condition until the widest
-coordinate's bracket is below 1e-12, then returns the midpoints.
+coordinate's bracket is below 1e-12, then returns the midpoints (the prox
+keeps this bisection for p other than 3/2 and 2, with a stop per entry).
 ``serial_rerm`` fits one sample at a time with ``PenaltySpec.prox``, the
 objective and gradients of ``LossModel`` and ``np.linalg.norm``. The
 library's stacked ``fit_rerm`` must give bitwise the same hypothesis on

@@ -351,6 +351,21 @@ class TestFitRerm:
         with pytest.raises(ConvergenceError, match="row 1 "):
             fit_rerm(X, y, loss, pen, max_iter=2)
 
+    def test_a_failing_row_past_the_first_block_is_named_by_its_cell(self):
+        # Every cell's labels are 0, so it stops at h = 0 after one step,
+        # except cell 35 (the fourth row of the preset's second block).
+        rng = np.random.default_rng(8)
+        algo = make_algorithm("rerm-lp", "squared", 1.0, 0.5, p=1.5, lam=0.5, max_iter=2)
+        X = np.stack([unit_ball_sample(rng, 10, 3).features] * 40)
+        y = np.zeros((40, 10))
+        y[35] = 0.4
+        with pytest.raises(ConvergenceError, match=r"in row 35 \("):
+            algo.fit_many(X, y, range(40))
+        index = np.arange(40) % 10
+        repl_y = np.where(np.arange(40) == 35, 0.4, 0.0)
+        with pytest.raises(ConvergenceError, match=r"in row 35 \("):
+            algo.fit_twins(Sample(X[0], y[0]), index, X[0, index], repl_y, None, None)
+
     @pytest.mark.parametrize(
         "tol, max_iter",
         [(0.0, 100), (-1.0, 100), (1e-8, 0), (np.nan, 100), (1e-8, 2.9), (1e-8, True)],
