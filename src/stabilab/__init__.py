@@ -16,7 +16,6 @@ from .learners import (
     PenaltySpec,
     Sample,
     SgdSpec,
-    empirical_risk,
     fit_rerm,
     make_algorithm,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "Sample",
     "PenaltySpec",
     "SgdSpec",
-    "empirical_risk",
     "fit_rerm",
     "make_algorithm",
     "DistributionSpec",

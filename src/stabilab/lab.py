@@ -36,7 +36,7 @@ from .datagen import (
     fit_replicates,
     true_risk,
 )
-from .learners import Sample, _check_examples, _integral, make_algorithm
+from .learners import Sample, _integral, _real, make_algorithm
 from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
@@ -102,10 +102,10 @@ def _build_distribution(raw: dict) -> DistributionSpec:
             raise ValueError(f"distribution is missing {key!r}")
     return DistributionSpec(
         dim=_integral(raw["dim"], "dim"),
-        feature_bound=float(raw["feature_bound"]),
+        feature_bound=_real(raw["feature_bound"], "feature_bound"),
         teacher=np.asarray(raw["teacher"], dtype=np.float64),
         mechanism=_build_mechanism(raw["mechanism"]),
-        label_bound=float(raw.get("label_bound", 1.0)),
+        label_bound=_real(raw.get("label_bound", 1.0), "label_bound"),
         feature_law=raw.get("feature_law", "sphere"),
     )
 
@@ -162,10 +162,10 @@ class ExperimentConfig:
         loss = raw["loss"]
         if loss in ("hinge", "logistic") and not dist.mechanism.classification():
             raise ValueError("classification losses need a classification mechanism")
-        delta = float(raw.get("delta", 0.1))
+        delta = _real(raw.get("delta", 0.1), "delta")
         if not 0.0 < delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5) so 1 - 2*delta is a confidence")
-        a = float(raw.get("a", 2.0))
+        a = _real(raw.get("a", 2.0), "a")
         if a <= 1.0:
             raise ValueError("a must be > 1")
         replacements = _integral(raw.get("replacements", 5), "replacements")
@@ -186,6 +186,9 @@ class ExperimentConfig:
             coverage_n = _integral(coverage_n, "coverage_n")
             if not 1 <= coverage_n <= MAX_N:
                 raise ValueError("coverage_n outside the desk-scale budget")
+        out_dir = raw.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {out_dir!r}")
         config = cls(
             name=str(raw["name"]),
             algorithm=algorithm,
@@ -201,7 +204,7 @@ class ExperimentConfig:
             seed=_integral(raw["seed"], "seed"),
             coverage_n=coverage_n,
             tail=tail,
-            out_dir=raw.get("out_dir"),
+            out_dir=out_dir,
             echo=json.loads(json.dumps(raw, sort_keys=True)),
         )
         build_algorithm(config)  # fail fast on unresolvable presets
@@ -265,7 +268,7 @@ def report_digest(report) -> str:
 def _gaps(config: ExperimentConfig, loss, fits, features, labels, risk_seeds, draws):
     """Plain and deformed gap of each fitted row on its own sample, its true
     risk from ``draws`` Monte-Carlo points on its risk seed."""
-    _check_examples(loss, features, labels)
+    loss.check_examples(features, labels)
     gaps = []
     for h, X, y, risk_seed in zip(fits, features, labels, risk_seeds):
         emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())

@@ -58,6 +58,13 @@ def _integral(value, name: str, what: str = "an integer") -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float: a real number, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # samples
 
@@ -107,42 +114,6 @@ class Sample:
         X[i] = z.x
         y[i] = z.y
         return Sample(X, y)
-
-
-def check_sample_domain(loss: LossModel, sample: Sample) -> None:
-    """Raise DomainError if any example violates the loss model's domain."""
-    _check_examples(loss, sample.features, sample.labels)
-
-
-def _check_examples(loss: LossModel, features: np.ndarray, labels: np.ndarray) -> None:
-    """check_sample_domain on raw arrays: features (..., d), labels (...).
-
-    Every test is written as "all within the limit", so NaN fails it.
-    """
-    norms = np.linalg.norm(features, axis=-1)
-    if not np.all(norms <= _slack(loss.feature_bound)):
-        worst = float(norms.max())
-        raise DomainError(
-            f"feature norm {worst:.6g} exceeds bound {loss.feature_bound:.6g}"
-        )
-    if loss.kind in ("hinge", "logistic"):
-        if not np.all(np.abs(np.abs(labels) - 1.0) <= 1e-12):
-            raise DomainError("classification labels must be exactly +1 or -1")
-    else:
-        if not np.all(np.abs(labels) <= _slack(loss.label_bound)):
-            raise DomainError(
-                f"label magnitude {float(np.abs(labels).max()):.6g} exceeds bound "
-                f"{loss.label_bound:.6g}"
-            )
-
-
-def empirical_risk(loss: LossModel, h, sample: Sample) -> float:
-    """Mean loss of h over the sample."""
-    h = loss.check_hypothesis(h)
-    if h.shape != (sample.dim,):
-        raise ValueError("hypothesis dimension does not match the sample")
-    check_sample_domain(loss, sample)
-    return float(loss.values_raw(h, sample.features, sample.labels).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +250,7 @@ def fit_rerm(
     Y = np.ascontiguousarray(labels, dtype=np.float64)
     if X.ndim != 3 or 0 in X.shape or Y.shape != X.shape[:2]:
         raise ValueError("need (C, n, d) features and (C, n) labels")
-    _check_examples(loss, X, Y)
+    loss.check_examples(X, Y)
     C, d = X.shape[0], X.shape[2]
 
     def objective(H, X, Y):
@@ -453,14 +424,14 @@ def _sgd_kernel(
     Returns the final (rows, d) state.
     """
     spec.validate_against(loss)
-    _check_examples(loss, features, labels)
+    loss.check_examples(features, labels)
     n, d = features.shape[-2:]
     streams = _sgd_index_streams(seeds, n, spec.steps)
     runs = len(streams)
     gather_rows = None if features.ndim == 2 else np.arange(runs)
     if twin is not None:
         rep_i, rep_x, rep_y = twin
-        _check_examples(loss, rep_x, rep_y)
+        loss.check_examples(rep_x, rep_y)
     alphas = spec.step_sizes()
     radius = spec.projection_radius
     limit = _slack(loss.radius)
@@ -892,7 +863,7 @@ def make_algorithm(
 ):
     """Build a named algorithm preset bound to a loss and data domain."""
     if preset == "constant":
-        output = np.asarray(params.pop("vector"), dtype=np.float64)
+        output = np.asarray(_required(preset, params, "vector"), dtype=np.float64)
         _reject_extra(preset, params)
         radius = max(1.0, 2.0 * float(np.linalg.norm(output)))
         loss = make_loss(loss_kind, feature_bound, radius, label_bound)
@@ -900,11 +871,12 @@ def make_algorithm(
     if preset == "ridge":
         if loss_kind != "squared":
             raise ValueError("the ridge preset trains the squared loss")
-        lam = params.pop("lam")
+        lam = _required(preset, params, "lam")
         _reject_extra(preset, params)
         return RidgeAlgorithm(lam, feature_bound, label_bound)
     if preset == "rerm-lp":
-        penalty = PenaltySpec(p=params.pop("p"), lam=params.pop("lam"))
+        p, lam = _required(preset, params, "p"), _required(preset, params, "lam")
+        penalty = PenaltySpec(p=p, lam=lam)
         tol = params.pop("tol", 1e-9)
         max_iter = params.pop("max_iter", 50000)
         _reject_extra(preset, params)
@@ -914,18 +886,24 @@ def make_algorithm(
     if preset in ("sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"):
         regime = preset[len("sgd-") :].replace("-", "_")
         kwargs = {
-            "steps": params.pop("steps"),
+            "steps": _required(preset, params, "steps"),
             "projection_radius": params.pop("projection_radius", None),
         }
         if regime == "nonconvex":
-            kwargs["c"] = params.pop("c")
+            kwargs["c"] = _required(preset, params, "c")
         else:
-            kwargs["step"] = params.pop("step")
+            kwargs["step"] = _required(preset, params, "step")
         if regime == "strongly_convex":
-            kwargs["gamma"] = params.pop("gamma")
+            kwargs["gamma"] = _required(preset, params, "gamma")
         _reject_extra(preset, params)
         return SgdAlgorithm(regime, loss_kind, feature_bound, label_bound, **kwargs)
     raise ValueError(f"unknown algorithm preset {preset!r}")
+
+
+def _required(preset: str, params: dict, name: str):
+    if name not in params:
+        raise ValueError(f"preset {preset!r} needs the parameter {name!r}")
+    return params.pop(name)
 
 
 def _reject_extra(preset: str, params: dict) -> None:

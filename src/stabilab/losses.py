@@ -191,45 +191,45 @@ class LossModel:
             )
         return h
 
-    def check_example(self, z: LabeledExample) -> LabeledExample:
-        if not float(np.linalg.norm(z.x)) <= _slack(self.feature_bound):
+    def check_examples(self, features: np.ndarray, labels: np.ndarray) -> None:
+        """Raise DomainError if an example leaves the domain: features (..., d), labels (...).
+
+        Every test is written as "all within the limit", so NaN fails it.
+        """
+        norms = np.linalg.norm(features, axis=-1)
+        if not np.all(norms <= _slack(self.feature_bound)):
             raise DomainError(
-                f"feature norm {np.linalg.norm(z.x):.6g} exceeds bound "
-                f"{self.feature_bound:.6g}"
+                f"feature norm {float(norms.max()):.6g} exceeds bound {self.feature_bound:.6g}"
             )
         if self.kind in ("hinge", "logistic"):
-            if abs(abs(z.y) - 1.0) > 1e-12:
+            if not np.all(np.abs(np.abs(labels) - 1.0) <= 1e-12):
                 raise DomainError("classification labels must be exactly +1 or -1")
-        elif not abs(z.y) <= _slack(self.label_bound):
+        elif not np.all(np.abs(labels) <= _slack(self.label_bound)):
             raise DomainError(
-                f"label magnitude {abs(z.y):.6g} exceeds bound {self.label_bound:.6g}"
+                f"label magnitude {float(np.abs(labels).max()):.6g} exceeds bound "
+                f"{self.label_bound:.6g}"
             )
+
+    def check_example(self, z: LabeledExample) -> LabeledExample:
+        self.check_examples(z.x, z.y)
         return z
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, h, z: LabeledExample) -> float:
+    # One checked example: the batch helpers below on a one-row sample.
+
+    def _checked(self, h, z: LabeledExample):
         h = self.check_hypothesis(h)
         self.check_example(z)
         if h.shape != z.x.shape:
             raise ValueError(f"dimension mismatch: {h.size} vs {z.x.size}")
-        u = float(h @ z.x)
-        val = float(margin_values(self.kind, np.array([u]), np.array([z.y]))[0])
-        if self.ridge_term:
-            val += self.ridge_term * float(h @ h)
-        return val
+        return h, z.x[None, :], np.array([z.y])
+
+    def evaluate(self, h, z: LabeledExample) -> float:
+        return float(self.values_raw(*self._checked(h, z))[0])
 
     def gradient(self, h, z: LabeledExample) -> np.ndarray:
-        h = self.check_hypothesis(h)
-        self.check_example(z)
-        if h.shape != z.x.shape:
-            raise ValueError(f"dimension mismatch: {h.size} vs {z.x.size}")
-        u = float(h @ z.x)
-        slope = float(margin_slopes(self.kind, np.array([u]), np.array([z.y]))[0])
-        grad = slope * z.x
-        if self.ridge_term:
-            grad = grad + 2.0 * self.ridge_term * h
-        return grad
+        return self.risk_gradient_raw(*self._checked(h, z))
 
     # -- batch helpers (no domain checks; used by solvers and experiments) ---
 
@@ -310,13 +310,6 @@ def _certify_draws(loss: LossModel, rng, count: int, dim: int, margin_gap: float
     return np.concatenate(hs), np.concatenate(xs), np.concatenate(ys)
 
 
-def _row_values(loss: LossModel, H: np.ndarray, X: np.ndarray, y: np.ndarray):
-    vals = margin_values(loss.kind, np.einsum("td,td->t", H, X), y)
-    if loss.ridge_term:
-        vals = vals + loss.ridge_term * np.einsum("td,td->t", H, H)
-    return vals
-
-
 def certify_loss(
     loss: LossModel,
     dim: int = 4,
@@ -344,23 +337,24 @@ def certify_loss(
     rng = substream(seed, "loss-certify")
     consts = loss.constants()
 
+    # Row t of each draw is one hypothesis on a one-example sample: the batch
+    # helpers on (t, 1, d) stacks.
     H, X, y = _certify_draws(loss, rng, points, dim, margin_gap=1e-3)
+    X, y = X[:, None, :], y[:, None]
     V = rng.normal(size=(points, dim))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     eps = 1e-6 * loss.radius
-    plus = _row_values(loss, H + eps * V, X, y)
-    minus = _row_values(loss, H - eps * V, X, y)
+    plus = loss.values_raw(H + eps * V, X, y)[:, 0]
+    minus = loss.values_raw(H - eps * V, X, y)[:, 0]
     fd = (plus - minus) / (2.0 * eps)
-    slopes = margin_slopes(loss.kind, np.einsum("td,td->t", H, X), y)
-    dots = slopes * np.einsum("td,td->t", X, V)
-    if loss.ridge_term:
-        dots = dots + 2.0 * loss.ridge_term * np.einsum("td,td->t", H, V)
+    dots = np.einsum("td,td->t", loss.risk_gradient_raw(H, X, y), V)
     fd_rel = float(np.max(np.abs(fd - dots) / np.maximum(1.0, np.abs(dots))))
 
     H1, X2, y2 = _certify_draws(loss, rng, triples, dim, margin_gap=0.0)
     H2, _, _ = _certify_draws(loss, rng, triples, dim, margin_gap=0.0)
-    vals1 = _row_values(loss, H1, X2, y2)
-    vals2 = _row_values(loss, H2, X2, y2)
+    X2, y2 = X2[:, None, :], y2[:, None]
+    vals1 = loss.values_raw(H1, X2, y2)[:, 0]
+    vals2 = loss.values_raw(H2, X2, y2)[:, 0]
     dists = np.linalg.norm(H1 - H2, axis=1)
     lip_limit = _slack(consts.lipschitz * loss.feature_bound) * dists + 1e-15
     lip_excess = float(np.max(np.abs(vals1 - vals2) - lip_limit))
@@ -371,13 +365,8 @@ def certify_loss(
 
     smooth = None
     if consts.smoothness is not None:
-        s1 = margin_slopes(loss.kind, np.einsum("td,td->t", H1, X2), y2)
-        s2 = margin_slopes(loss.kind, np.einsum("td,td->t", H2, X2), y2)
-        G1 = s1[:, None] * X2
-        G2 = s2[:, None] * X2
-        if loss.ridge_term:
-            G1 = G1 + 2.0 * loss.ridge_term * H1
-            G2 = G2 + 2.0 * loss.ridge_term * H2
+        G1 = loss.risk_gradient_raw(H1, X2, y2)
+        G2 = loss.risk_gradient_raw(H2, X2, y2)
         grad_diffs = np.linalg.norm(G1 - G2, axis=1)
         smooth_limit = _slack(consts.smoothness) * dists + 1e-15
         smooth_excess = float(np.max(grad_diffs - smooth_limit))

@@ -24,7 +24,10 @@ Measurement conventions:
   distance exactly zero;
 * every (index, replacement) cell draws its replacement from its own
   seeded stream and, for stochastic presets, derives its own fit seed from
-  the master seed, making reports independent of evaluation order.
+  the master seed, making reports independent of evaluation order;
+* a cell's loss gap is its largest loss difference over one shared grid,
+  with the grid values taken by ``LossModel.values_raw`` on blocks of
+  cells; a deterministic fit on S is evaluated on the grid once.
 """
 
 from __future__ import annotations
@@ -43,14 +46,18 @@ from .learners import (
     Sample,
     SgdAlgorithm,
     SgdSpec,
+    _row_norms,
 )
-from .losses import LabeledExample, LossModel, margin_values
+from .losses import LabeledExample, LossModel
 from .seeding import child_seed
 
 # Replacement-column codes used in CSV rows: non-negative values are i.i.d.
 # replacement draws, the anchors carry negative codes.
 ANCHOR_PLUS = -1
 ANCHOR_MINUS = -2
+
+# Cells whose grid loss values are evaluated at once: a (cells, grid) block.
+_GAP_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -97,23 +104,6 @@ def lp_penalty_constant(p: float, bound: float, lam: float) -> dict:
         raise ValueError("bound and lam must be positive")
     curvature = 0.25 * p * (p - 1.0) * (bound / lam) ** ((p - 1.0) / p)
     return {"exponent": 2.0, "curvature": curvature}
-
-
-def ridge_curvature(bound: float, lam: float, convention: str = "reported") -> float:
-    """Convexity constant for the squared-norm penalty N(h) = ||h||^2.
-
-    Two conventions coexist: "reported" gives (1/2)*sqrt(M/lam), which is
-    the p = 2 case of :func:`lp_penalty_constant`; "exact" gives the
-    radius-free 1/2 that direct expansion of the condition yields (the
-    squared norm satisfies it with equality at C = 1/2). They agree only
-    at M = lam. Callers present the "reported" value by default and may
-    surface both.
-    """
-    if convention == "exact":
-        return 0.5
-    if convention == "reported":
-        return lp_penalty_constant(2.0, bound, lam)["curvature"]
-    raise ValueError(f"unknown convention {convention!r}")
 
 
 def sgd_alpha(
@@ -219,7 +209,10 @@ def closed_form(algorithm, n: int) -> ClosedForm:
         curvature, exponent = cond["curvature"], cond["exponent"]
         alpha = rerm_alpha(consts.lipschitz, loss.feature_bound, curvature, lam, n, exponent)
         if ridge:
-            exact = ridge_curvature(consts.bound, lam, "exact")
+            # The squared norm meets the convexity condition with equality at
+            # C = 1/2, whatever the radius; the reported curvature is the p = 2
+            # case of the l_p^p constant, and the two agree only at M = lam.
+            exact = 0.5
             coefficients = {
                 "curvature_reported": curvature,
                 "curvature_exact": exact,
@@ -389,17 +382,22 @@ def measure_argument_stability(
     except Exception as exc:
         raise RuntimeError(f"replace-one fits failed: {exc}") from exc
 
-    distances = [float(np.linalg.norm(a - b)) for a, b in zip(HA, HB)]
+    distances = _row_norms(HA - HB).tolist()
     if eval_loss is None:
         gaps = [None] * len(distances)
     else:
         # A deterministic fit on S is the same in every cell: evaluate it once.
         base_values = None
         if not algorithm.stochastic:
-            base_values = _grid_values(eval_loss, h_base, grid_X, grid_y)
-        gaps = [
-            _loss_gap(eval_loss, a, b, grid_X, grid_y, base_values) for a, b in zip(HA, HB)
-        ]
+            base_values = eval_loss.values_raw(h_base, grid_X, grid_y)
+        gaps = []
+        for start in range(0, len(HB), _GAP_BLOCK):
+            block = slice(start, start + _GAP_BLOCK)
+            va = base_values
+            if va is None:
+                va = eval_loss.values_raw(HA[block], grid_X, grid_y)
+            vb = eval_loss.values_raw(HB[block], grid_X, grid_y)
+            gaps.extend(np.abs(va - vb).max(axis=1).tolist())
     cells = list(zip(cell_index, codes, distances, gaps))
     by_index = np.array(distances).reshape(n, -1)
     per_index = [
@@ -422,25 +420,3 @@ def measure_argument_stability(
         theory_alpha=theory,
         cells=tuple(cells),
     )
-
-
-def _grid_values(loss: LossModel, h: np.ndarray, grid_X: np.ndarray, grid_y: np.ndarray):
-    """Loss values of one hypothesis on each grid point, as a (points, 1) column."""
-    H = h[None, :]
-    margins = grid_X @ H.T
-    vals = margin_values(loss.kind, margins, grid_y[:, None])
-    if loss.ridge_term:
-        vals = vals + loss.ridge_term * np.sum(H * H, axis=1)[None, :]
-    return vals
-
-
-def _loss_gap(loss: LossModel, a: np.ndarray, b: np.ndarray, grid_X, grid_y, va=None) -> float:
-    """Largest loss difference between two hypotheses over the grid.
-
-    ``va``, when given, holds a's grid values, so a fixed first hypothesis
-    is evaluated once rather than per call.
-    """
-    if va is None:
-        va = _grid_values(loss, a, grid_X, grid_y)
-    vb = _grid_values(loss, b, grid_X, grid_y)
-    return float(np.abs(va - vb).max())

@@ -4,8 +4,9 @@ Before :func:`stabilab.stability.closed_form` existed, two modules decided
 each preset's closed form on their own: ``theoretical_alpha`` chose the
 stability coefficient, and the experiment harness chose the composed bound
 family, its constants and the report's coefficient table. These are those
-two chains, unchanged, so tests can check that the one dispatch gives the
-same numbers bit for bit.
+two chains, with the ridge curvature's two conventions written out (the
+p = 2 case of the l_p^p constant, and the exact 1/2), so tests can check
+that the one dispatch gives the same numbers bit for bit.
 """
 
 from stabilab.learners import (
@@ -17,7 +18,6 @@ from stabilab.learners import (
 from stabilab.stability import (
     lp_penalty_constant,
     rerm_alpha,
-    ridge_curvature,
     sgd_alpha,
 )
 
@@ -35,7 +35,7 @@ def oracle_alpha(algorithm, n: int) -> float:
         raise ValueError("algorithm has no certified loss model")
     consts = loss.constants()
     if isinstance(algorithm, RidgeAlgorithm):
-        curv = ridge_curvature(consts.bound, algorithm.lam)
+        curv = lp_penalty_constant(2.0, consts.bound, algorithm.lam)["curvature"]
         return rerm_alpha(
             consts.lipschitz, loss.feature_bound, curv, algorithm.lam, n, 2.0
         )
@@ -72,8 +72,8 @@ def oracle_family(algorithm, n: int, alpha: float):
     """
     M = algorithm.loss_for(n).constants().bound
     if isinstance(algorithm, RidgeAlgorithm):
-        reported = ridge_curvature(M, algorithm.lam)
-        exact = ridge_curvature(M, algorithm.lam, "exact")
+        reported = lp_penalty_constant(2.0, M, algorithm.lam)["curvature"]
+        exact = 0.5
         coefficients = {
             "curvature_reported": reported,
             "curvature_exact": exact,

@@ -13,7 +13,7 @@ import numpy as np
 from stabilab.bounds import deformed_gap
 from stabilab.complexity import ball_radius
 from stabilab.datagen import draw_sample, true_risk
-from stabilab.learners import Sample, empirical_risk
+from stabilab.learners import Sample
 from stabilab.seeding import child_seed
 
 
@@ -71,7 +71,9 @@ def serial_coverage_rows(config, algorithm):
     for rep in range(config.trials):
         sample = draw_sample(config.distribution, n, child_seed(seed, "coverage-sample", rep))
         h = algorithm.fit(sample, seed=child_seed(seed, "coverage-fit", rep))
-        emp = empirical_risk(loss, h, sample)
+        X, y = sample.features, sample.labels
+        loss.check_examples(X, y)
+        emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())
         risk_seed = child_seed(seed, "coverage-risk", rep)
         true = true_risk(loss, h, config.distribution, draws=2048, seed=risk_seed).value
         rows.append((true - emp, deformed_gap(true, emp, config.a)))

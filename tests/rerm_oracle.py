@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from stabilab import ConvergenceError
-from stabilab.learners import check_sample_domain
 
 
 def bisection_prox(penalty, v, step: float) -> np.ndarray:
@@ -35,7 +34,7 @@ def bisection_prox(penalty, v, step: float) -> np.ndarray:
 
 
 def serial_rerm(sample, loss, penalty, tol: float, max_iter: int) -> np.ndarray:
-    check_sample_domain(loss, sample)
+    loss.check_examples(sample.features, sample.labels)
     X, y = sample.features, sample.labels
 
     def objective(h):

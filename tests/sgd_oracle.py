@@ -9,14 +9,13 @@ and coupled twins.
 import numpy as np
 
 from stabilab import NonFiniteIterateError
-from stabilab.learners import check_sample_domain
 from stabilab.seeding import substream
 
 
 def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
     """The trajectory h_0 .. h_T of one SGD pass with ``seed``, as a (T + 1, d) array."""
     spec.validate_against(loss)
-    check_sample_domain(loss, sample)
+    loss.check_examples(sample.features, sample.labels)
     alphas = spec.step_sizes()
     idx = substream(seed, "sgd-indices").integers(0, sample.n, size=spec.steps)
     h = np.zeros(sample.dim)

@@ -20,18 +20,21 @@ from stabilab.cli import main
 from stabilab.lab import ExperimentConfig, report_digest, run_experiment
 
 
+DISTRIBUTION = {
+    "dim": 2,
+    "feature_bound": 1.0,
+    "teacher": [0.3, 0.0],
+    "mechanism": {"type": "linear_noise", "noise_sd": 0.05},
+    "label_bound": 1.0,
+}
+
+
 def base_config(**overrides):
     raw = {
         "name": "ridge-smoke",
         "algorithm": {"preset": "ridge", "lam": 1.0},
         "loss": "squared",
-        "distribution": {
-            "dim": 2,
-            "feature_bound": 1.0,
-            "teacher": [0.3, 0.0],
-            "mechanism": {"type": "linear_noise", "noise_sd": 0.05},
-            "label_bound": 1.0,
-        },
+        "distribution": DISTRIBUTION,
         "n_grid": [10, 20],
         "delta": 0.1,
         "a": 2.0,
@@ -623,6 +626,17 @@ class TestExperimentCommands:
             (dict(n_grid=[25.9, 50.5]), "n_grid entry must be an integer"),
             (dict(replacements=2.9), "replacements must be an integer"),
             (dict(tail="false"), "tail must be true or false"),
+            (dict(out_dir=5), "out_dir must be a string"),
+            (dict(delta="0.2"), "delta must be a number"),
+            (dict(a=True), "a must be a number"),
+            (
+                dict(distribution=DISTRIBUTION | {"feature_bound": "1.0"}),
+                "feature_bound must be a number",
+            ),
+            (
+                dict(distribution=DISTRIBUTION | {"label_bound": False}),
+                "label_bound must be a number",
+            ),
         ],
     )
     def test_run_rejects_values_it_would_truncate_or_misread(
@@ -631,6 +645,21 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(**overrides))
         assert main(["experiment", "run", path]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm, missing",
+        [
+            ({"preset": "ridge"}, "lam"),
+            ({"preset": "sgd-convex", "step": 0.1}, "steps"),
+            ({"preset": "rerm-lp", "lam": 0.5}, "p"),
+            ({key: value for key, value in SGD_ALGORITHM.items() if key != "gamma"}, "gamma"),
+        ],
+    )
+    def test_run_rejects_a_preset_missing_a_parameter(self, algorithm, missing, tmp_path, capsys):
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        preset = algorithm["preset"]
+        assert f"preset {preset!r} needs the parameter {missing!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "settings, message",

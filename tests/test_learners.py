@@ -14,19 +14,16 @@ from stabilab import (
     PenaltySpec,
     Sample,
     SgdSpec,
-    empirical_risk,
     fit_rerm,
     make_algorithm,
     make_loss,
 )
 from stabilab.learners import (
     ConstantAlgorithm,
-    _check_examples,
     _sgd_kernel,
     LpRermAlgorithm,
     RidgeAlgorithm,
     SgdAlgorithm,
-    check_sample_domain,
     solve_ridge_stack,
 )
 from rerm_oracle import bisection_prox, serial_rerm
@@ -106,21 +103,21 @@ class TestSample:
 class TestDomainChecks:
     def test_feature_norm_limit(self):
         loss = make_loss("squared", 1.0, 1.0, 1.0)
-        check_sample_domain(loss, Sample([[1.0, 0.0]], [0.5]))
+        loss.check_examples([[1.0, 0.0]], [0.5])
         with pytest.raises(DomainError):
-            check_sample_domain(loss, Sample([[1.5, 0.0]], [0.5]))
+            loss.check_examples([[1.5, 0.0]], [0.5])
 
     def test_classification_labels_must_be_signs(self):
         loss = make_loss("hinge", 1.0, 1.0)
-        check_sample_domain(loss, Sample([[0.5]], [-1.0]))
+        loss.check_examples([[0.5]], [-1.0])
         with pytest.raises(DomainError):
-            check_sample_domain(loss, Sample([[0.5]], [0.5]))
+            loss.check_examples([[0.5]], [0.5])
 
     def test_regression_label_limit(self):
         loss = make_loss("squared", 1.0, 1.0, 0.5)
-        check_sample_domain(loss, Sample([[0.5]], [0.5]))
+        loss.check_examples([[0.5]], [0.5])
         with pytest.raises(DomainError):
-            check_sample_domain(loss, Sample([[0.5]], [0.75]))
+            loss.check_examples([[0.5]], [0.75])
 
     @pytest.mark.parametrize("kind", ["squared", "logistic"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -128,11 +125,11 @@ class TestDomainChecks:
         loss = make_loss(kind, 1.0, 1.0, 1.0)
         X = np.array([[0.5, 0.0], [0.0, 0.5]])
         y = np.array([1.0, -1.0])
-        _check_examples(loss, X, y)
+        loss.check_examples(X, y)
         with pytest.raises(DomainError):
-            _check_examples(loss, np.array([[bad, 0.0], [0.0, 0.5]]), y)
+            loss.check_examples(np.array([[bad, 0.0], [0.0, 0.5]]), y)
         with pytest.raises(DomainError):
-            _check_examples(loss, X, np.array([1.0, bad]))
+            loss.check_examples(X, np.array([1.0, bad]))
 
     def test_non_finite_twin_replacement_is_rejected_up_front(self):
         # With a [nan, 0] row the coupled run used to fail late with a
@@ -150,17 +147,6 @@ class TestDomainChecks:
                     np.array([0.1]),
                     [0],
                 )
-
-    def test_empirical_risk_hand_value(self):
-        loss = make_loss("squared", 1.0, 1.0, 1.0)
-        sample = Sample([[1.0], [1.0]], [1.0, 0.0])
-        assert empirical_risk(loss, [0.5], sample) == pytest.approx(0.25, abs=1e-15)
-
-    def test_empirical_risk_checks_dimension(self):
-        loss = make_loss("squared", 1.0, 1.0, 1.0)
-        sample = Sample([[1.0, 0.0]], [0.5])
-        with pytest.raises(ValueError):
-            empirical_risk(loss, [0.5], sample)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +295,7 @@ class TestFitRerm:
         h = fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-7)[0]
 
         def objective(v):
-            return empirical_risk(loss, v, s) + pen.lam * pen.value(v)
+            return float(loss.values_raw(v, X, y).mean()) + pen.lam * pen.value(v)
 
         assert np.linalg.norm(h) <= radius + 1e-9
         base = objective(h)
@@ -622,7 +608,7 @@ class TestPresets:
             make_algorithm("ridge", "hinge", 1.0, lam=0.5)
         with pytest.raises(ValueError):
             make_algorithm("ridge", "squared", 1.0, lam=0.5, extra=1)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="preset 'ridge' needs the parameter 'lam'"):
             make_algorithm("ridge", "squared", 1.0)
         with pytest.raises(ValueError):
             make_algorithm("sgd-convex", "squared", 1.0, steps=10, step={"mode": "warp"})

@@ -100,6 +100,10 @@ def test_evaluate_and_gradient_single_example():
     aug = make_loss("squared", 1.0, 2.0, label_bound=1.0, ridge_term=0.5)
     assert aug.evaluate(h, z) == pytest.approx(0.25 + 0.5 * 2.0)
     assert np.allclose(aug.gradient(h, z), [2.0, 1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        loss.evaluate(np.array([1.0]), z)
+    with pytest.raises(ValueError, match="dimension"):
+        loss.gradient(np.array([1.0]), z)
 
 
 def test_values_raw_matches_evaluate():

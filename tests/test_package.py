@@ -1,9 +1,11 @@
 """The package's public surface: every export resolves, and only once."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import stabilab
 
@@ -67,3 +69,36 @@ def test_docstring_references_resolve():
                     stale.append(f"{module.__name__}: {name}")
     assert stale == []
     assert references >= 30
+
+
+def _callers(path: Path, name: str) -> list:
+    """The enclosing function (None at module level) of each call to ``name``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_loss_arithmetic_goes_through_loss_model():
+    # LossModel's batch helpers are the one loss evaluator; the SGD kernel's
+    # inline row gradient is the one other caller of the margin slopes.
+    stray = []
+    for path in sorted(Path(stabilab.__file__).parent.glob("*.py")):
+        if path.name == "losses.py":
+            continue
+        for name, allowed in (("margin_values", ()), ("margin_slopes", ("_sgd_kernel",))):
+            stray += [
+                f"{path.name}: {owner} calls {name}"
+                for owner in _callers(path, name)
+                if owner not in allowed
+            ]
+    assert stray == []

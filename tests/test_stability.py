@@ -29,10 +29,8 @@ from stabilab.seeding import child_seed
 from stabilab.stability import (
     ANCHOR_MINUS,
     ANCHOR_PLUS,
-    _loss_gap,
     adversarial_anchors,
     closed_form,
-    ridge_curvature,
 )
 from closed_form_oracle import oracle_alpha, oracle_family
 from ridge_oracle import serial_ridge
@@ -113,13 +111,14 @@ class TestPenaltyConstants:
             lp_penalty_constant(1.5, 1.0, -0.1)
 
     def test_ridge_conventions(self):
-        assert ridge_curvature(4.0, 1.0, "reported") == pytest.approx(1.0)
-        assert ridge_curvature(4.0, 1.0, "exact") == 0.5
-        assert ridge_curvature(1.0, 1.0, "reported") == pytest.approx(
-            ridge_curvature(1.0, 1.0, "exact")
-        )
-        with pytest.raises(ValueError):
-            ridge_curvature(1.0, 1.0, "median")
+        # Reported: the p = 2 case, (1/2) sqrt(M/lam); exact: 1/2 at any M.
+        assert lp_penalty_constant(2.0, 4.0, 1.0)["curvature"] == pytest.approx(1.0)
+        assert lp_penalty_constant(2.0, 1.0, 1.0)["curvature"] == pytest.approx(0.5)
+        algo = make_algorithm("ridge", "squared", 1.0, 0.5, lam=0.5)
+        M = algo.loss_for(40).constants().bound
+        coefficients = closed_form(algo, 40).coefficients
+        assert coefficients["curvature_exact"] == 0.5
+        assert coefficients["curvature_reported"] == lp_penalty_constant(2.0, M, 0.5)["curvature"]
 
 
 class TestSgdAlpha:
@@ -215,7 +214,7 @@ class TestTheoreticalAlpha:
         algo = make_algorithm("ridge", "squared", B, Y, lam=lam)
         loss = algo.loss_for(100)
         consts = loss.constants()
-        curv = ridge_curvature(consts.bound, lam)
+        curv = lp_penalty_constant(2.0, consts.bound, lam)["curvature"]
         expected = rerm_alpha(consts.lipschitz, B, curv, lam, 100, 2.0)
         assert theoretical_alpha(algo, 100) == pytest.approx(expected, rel=1e-12)
 
@@ -546,6 +545,20 @@ class TestMeasurement:
             )
 
 
+def serial_grid(dist, anchors, seed):
+    """The loss-gap grid of measure_argument_stability: 1024 draws, then the anchors."""
+    grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
+    grid_X = np.concatenate([grid.features] + [z.x[None, :] for _, z in anchors])
+    grid_y = np.concatenate([grid.labels] + [np.array([z.y]) for _, z in anchors])
+    return grid_X, grid_y
+
+
+def serial_gap(loss, a, b, grid_X, grid_y):
+    """Largest loss difference of a and b over the grid, one values_raw call each."""
+    va = loss.values_raw(a, grid_X, grid_y)
+    return float(np.abs(va - loss.values_raw(b, grid_X, grid_y)).max())
+
+
 def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     """measure_argument_stability for ridge, one replaced Sample and one fit per cell.
 
@@ -554,9 +567,7 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     """
     base = serial_ridge(sample, algo.lam)
     anchors = adversarial_anchors(base, dist)
-    grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
-    grid_X = np.concatenate([grid.features] + [z.x[None, :] for _, z in anchors])
-    grid_y = np.concatenate([grid.labels] + [np.array([z.y]) for _, z in anchors])
+    grid_X, grid_y = serial_grid(dist, anchors, seed)
     cells = []
     for i in range(sample.n):
         draws = [
@@ -565,7 +576,7 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
         ]
         for code, z in draws + anchors:
             h = serial_ridge(sample.replaced(i, z), algo.lam)
-            gap = _loss_gap(eval_loss, base, h, grid_X, grid_y)
+            gap = serial_gap(eval_loss, base, h, grid_X, grid_y)
             cells.append((i, code, float(np.linalg.norm(base - h)), gap))
     per_index = []
     for i in range(sample.n):
@@ -643,6 +654,48 @@ class TestRidgeMeasurementAgainstSerialFits:
         with pytest.raises(RuntimeError, match="replace-one fits failed: .*cell 19 "):
             measure_argument_stability(algo, sample, dist, replacements=2, seed=3)
         assert stacked == [20, 1]
+
+
+class TestStochasticGapsAgainstPerCellReference:
+    def test_coupled_twins_match_one_hypothesis_evaluations(self, monkeypatch):
+        # The ridge term gamma/2 enters every value, and HA differs per cell;
+        # 20 indices x (2 draws + 2 anchors) = 80 cells span two gap blocks.
+        algo = make_algorithm(
+            "sgd-strongly-convex",
+            "logistic",
+            1.0,
+            steps=40,
+            step=0.05,
+            gamma=0.5,
+            projection_radius=1.0,
+        )
+        dist = DistributionSpec(
+            dim=3,
+            feature_bound=1.0,
+            teacher=np.array([1.0, 0.0, 0.0]),
+            mechanism=LogisticTeacher(),
+        )
+        sample = draw_sample(dist, 20, seed=5)
+        loss = algo.loss_for(20)
+        assert loss.ridge_term == 0.25
+        twins = []
+        fit_twins = algo.fit_twins
+
+        def recorded(*args):
+            twins.append(fit_twins(*args))
+            return twins[-1]
+
+        monkeypatch.setattr(algo, "fit_twins", recorded)
+        report = measure_argument_stability(algo, sample, dist, 2, eval_loss=loss, seed=29)
+        (HA, HB), = twins
+        assert report.trials == len(HA) == 80
+        assert len({tuple(a) for a in HA}) > 1
+        base = algo.fit(sample, seed=child_seed(29, "base-fit"))
+        grid_X, grid_y = serial_grid(dist, adversarial_anchors(base, dist), 29)
+        for (_, _, distance, gap), a, b in zip(report.cells, HA, HB):
+            assert distance == float(np.linalg.norm(a - b))
+            assert gap == serial_gap(loss, a, b, grid_X, grid_y)
+        assert report.beta_hat == max(cell[3] for cell in report.cells)
 
 
 class TestReportSerialization:
