@@ -34,6 +34,7 @@ from .datagen import draw_sample
 from .lab import (
     MAX_N,
     ExperimentConfig,
+    _as_list,
     _center_replicates,
     build_algorithm,
     complexity_stage,
@@ -43,7 +44,7 @@ from .lab import (
     stability_stage,
     validate_bound_coverage,
 )
-from .learners import _integral
+from .learners import _integral, _real
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
 from .stability import theoretical_alpha
@@ -188,12 +189,13 @@ def cmd_concentrate(args) -> int:
     kind = spec["kind"]
     seed = args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed")
     if kind == "pinelis":
+        bounds = _as_list(spec["increment_bounds"], "increment_bounds")
         experiment = pinelis_tail_experiment(
-            spec["increment_bounds"],
+            [_real(v, "increment bound") for v in bounds],
             _integral(spec["dim"], "dim"),
             _integral(spec["trials"], "trials"),
-            spec["epsilon"],
-            smooth_constant=spec.get("smooth_constant", 1.0),
+            _real(spec["epsilon"], "epsilon"),
+            smooth_constant=_real(spec.get("smooth_constant", 1.0), "smooth_constant"),
             seed=seed,
         )
         return _emit_tail(args, experiment)

@@ -16,12 +16,12 @@ independent oracle over finite hypothesis sets, exhaustive up to n = 20.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .datagen import fit_replicates
-from .seeding import child_seed, rademacher_rows, stream_keys
+from .seeding import sign_rows
 
 
 def ball_radius(smooth_constant: float, alpha: float, n: int, delta: float) -> float:
@@ -70,12 +70,7 @@ class RademacherEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "draws": self.draws,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,6 +109,20 @@ def _check_features(X) -> np.ndarray:
     return X
 
 
+def _sign_sums(signs, X) -> np.ndarray:
+    """``signs @ X`` summed in one fixed order: ``einsum`` without ``optimize``
+    never calls the BLAS, so no BLAS thread count can move the bits."""
+    return np.einsum("kn,nd->kd", signs, X)
+
+
+def _ball_values(ball: AlgorithmicBall, U, n: int) -> np.ndarray:
+    return (U @ ball.center + ball.radius * np.linalg.norm(U, axis=1)) / n
+
+
+def _finite_class_values(H, U, n: int) -> np.ndarray:
+    return (U @ H.T).max(axis=1) / n
+
+
 def ball_draw_values(ball: AlgorithmicBall, X, signs) -> np.ndarray:
     """Per-draw supremum over the ball, one value per row of signs."""
     X = _check_features(X)
@@ -122,8 +131,7 @@ def ball_draw_values(ball: AlgorithmicBall, X, signs) -> np.ndarray:
         raise ValueError("signs must be (draws, n) with n matching X")
     if ball.center.shape != (X.shape[1],):
         raise ValueError("ball center dimension does not match X")
-    U = signs @ X
-    return (U @ ball.center + ball.radius * np.linalg.norm(U, axis=1)) / X.shape[0]
+    return _ball_values(ball, _sign_sums(signs, X), X.shape[0])
 
 
 def finite_class_draw_values(hypotheses, X, signs) -> np.ndarray:
@@ -133,30 +141,28 @@ def finite_class_draw_values(hypotheses, X, signs) -> np.ndarray:
     if H.ndim != 2 or H.shape[0] == 0 or H.shape[1] != X.shape[1]:
         raise ValueError("hypotheses must be a non-empty (m, d) array matching X")
     signs = np.asarray(signs, dtype=np.float64)
-    U = signs @ X
-    return (U @ H.T).max(axis=1) / X.shape[0]
+    return _finite_class_values(H, _sign_sums(signs, X), X.shape[0])
 
 
 def _antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
-    """(2*pairs, n) sign matrix; row 2k+1 is the negation of row 2k.
+    """(pairs, n) signs; row k is sigma of pair k, whose other draw is -sigma.
 
-    Pair k draws from its own stream, ``(seed, "sigma", k)``, so any draw's
-    signs can be regenerated in isolation and results never depend on
-    batch order.
+    Row k is row k of the one sign stream ``(seed, "sigma")`` (see
+    :func:`sign_rows`), so it replays alone and does not depend on ``pairs``.
     """
-    out = np.empty((2 * pairs, n))
-    rademacher_rows(stream_keys(seed, "sigma", each=range(pairs)), out[0::2])
-    np.negative(out[0::2], out=out[1::2])
-    return out
+    return sign_rows(seed, "sigma", out=np.empty((pairs, n)))
 
 
-def _antithetic_estimate(draw_values, n: int, draws: int, seed: int) -> RademacherEstimate:
-    """Mean of ``draw_values(signs)`` over antithetic sign pairs, with its standard error."""
+def _antithetic_estimate(values_from_sums, X, draws: int, seed: int) -> RademacherEstimate:
+    """Mean of ``values_from_sums(signs @ X, n)`` over antithetic pairs, with its std error.
+
+    The sums of -sigma are exactly the negated sums of sigma, so each pair is summed once.
+    """
     if draws < 2 or draws % 2 != 0:
         raise ValueError("draws must be an even number >= 2 (antithetic pairing)")
-    pairs = draws // 2
-    values = draw_values(_antithetic_signs(seed, pairs, n))
-    pair_means = 0.5 * (values[0::2] + values[1::2])
+    pairs, n = draws // 2, X.shape[0]
+    sums = _sign_sums(_antithetic_signs(seed, pairs, n), X)
+    pair_means = 0.5 * (values_from_sums(sums, n) + values_from_sums(-sums, n))
     mean = float(pair_means.mean())
     se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))
     return RademacherEstimate(mean=mean, std_error=se, draws=draws, seed=seed)
@@ -171,9 +177,9 @@ def ball_rademacher(ball: AlgorithmicBall, X, draws: int, seed: int = 0) -> Rade
     even; the standard error is computed over the independent pair means.
     """
     X = _check_features(X)
-    return _antithetic_estimate(
-        lambda signs: ball_draw_values(ball, X, signs), X.shape[0], draws, seed
-    )
+    if ball.center.shape != (X.shape[1],):
+        raise ValueError("ball center dimension does not match X")
+    return _antithetic_estimate(lambda U, n: _ball_values(ball, U, n), X, draws, seed)
 
 
 def _exhaustive_signs(n: int, start: int, count: int) -> np.ndarray:
@@ -198,8 +204,8 @@ def brute_force_rademacher(
     """
     X = _check_features(X)
     H = np.asarray(hypotheses, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] == 0:
-        raise ValueError("hypotheses must be a non-empty (m, d) array")
+    if H.ndim != 2 or H.shape[0] == 0 or H.shape[1] != X.shape[1]:
+        raise ValueError("hypotheses must be a non-empty (m, d) array matching X")
     n = X.shape[0]
     if exhaustive:
         if n > 20:
@@ -213,6 +219,4 @@ def brute_force_rademacher(
         return RademacherEstimate(
             mean=total / patterns, std_error=0.0, draws=patterns, seed=seed
         )
-    return _antithetic_estimate(
-        lambda signs: finite_class_draw_values(H, X, signs), n, draws, seed
-    )
+    return _antithetic_estimate(lambda U, n: _finite_class_values(H, U, n), X, draws, seed)

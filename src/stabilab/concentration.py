@@ -21,14 +21,14 @@ ridge presets fit all replicates of a batch at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .complexity import ball_radius, estimate_center
 from .datagen import DistributionSpec, draw_samples, fit_replicates
 from .learners import Sample
-from .seeding import child_seed, rademacher_rows, stream_keys
+from .seeding import child_seed, sign_rows
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,7 @@ class TailExperiment:
         return math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "trials": self.trials,
-            "violations": self.violations,
-            "empirical_rate": self.empirical_rate,
-            "theoretical_rate": self.theoretical_rate,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def pinelis_tail_experiment(
@@ -78,6 +71,10 @@ def pinelis_tail_experiment(
     ||D_t|| <= b_t surely. The event counted is
     ``max over prefixes ||S_t|| >= c * epsilon`` with c = sqrt(sum b_t^2),
     against the theoretical rate min(1, 2 exp(-epsilon^2 / (2 D^2))).
+
+    Trial k's signs are row k of the one sign stream ``(seed, "pinelis")``
+    (see :func:`sign_rows`), so a trial replays alone and does not depend
+    on ``trials``.
     """
     bounds = np.asarray(increment_bounds, dtype=np.float64)
     if bounds.ndim != 1 or bounds.size == 0:
@@ -95,9 +92,7 @@ def pinelis_tail_experiment(
     steps = bounds.size
     c = float(np.sqrt(np.sum(bounds**2)))
     threshold_sq = (c * epsilon) ** 2
-    signs = rademacher_rows(
-        stream_keys(seed, "pinelis", each=range(trials)), np.empty((trials, steps))
-    )
+    signs = sign_rows(seed, "pinelis", out=np.empty((trials, steps)))
     coords = np.zeros((trials, dim))
     violated = np.zeros(trials, dtype=bool)
     for t in range(steps):

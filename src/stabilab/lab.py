@@ -41,7 +41,7 @@ from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-3"
+ARTIFACT_VERSION = "report-4"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400
@@ -70,9 +70,9 @@ _TOP_KEYS = {
 }
 _DIST_KEYS = {"dim", "feature_bound", "feature_law", "teacher", "mechanism", "label_bound"}
 _MECHANISMS = {
-    "linear_noise": ({"noise_sd"}, lambda p: LinearNoise(noise_sd=p["noise_sd"])),
+    "linear_noise": ({"noise_sd"}, lambda p: LinearNoise(_real(p["noise_sd"], "noise_sd"))),
     "logistic_teacher": (set(), lambda p: LogisticTeacher()),
-    "sign_flip": ({"flip_prob"}, lambda p: SignFlip(flip_prob=p.get("flip_prob", 0.0))),
+    "sign_flip": ({"flip_prob"}, lambda p: SignFlip(_real(p.get("flip_prob", 0.0), "flip_prob"))),
 }
 
 
@@ -80,6 +80,12 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _as_list(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _build_mechanism(raw: dict):
@@ -103,7 +109,7 @@ def _build_distribution(raw: dict) -> DistributionSpec:
     return DistributionSpec(
         dim=_integral(raw["dim"], "dim"),
         feature_bound=_real(raw["feature_bound"], "feature_bound"),
-        teacher=np.asarray(raw["teacher"], dtype=np.float64),
+        teacher=[_real(v, "teacher entry") for v in _as_list(raw["teacher"], "teacher")],
         mechanism=_build_mechanism(raw["mechanism"]),
         label_bound=_real(raw.get("label_bound", 1.0), "label_bound"),
         feature_law=raw.get("feature_law", "sphere"),
@@ -149,7 +155,7 @@ class ExperimentConfig:
         dist = _build_distribution(raw["distribution"])
         if dist.dim > MAX_DIM:
             raise ValueError(f"dim exceeds the desk-scale cap {MAX_DIM}")
-        n_grid = tuple(_integral(v, "n_grid entry") for v in raw["n_grid"])
+        n_grid = tuple(_integral(v, "n_grid entry") for v in _as_list(raw["n_grid"], "n_grid"))
         if not n_grid or any(v < 1 for v in n_grid):
             raise ValueError("n_grid must be a non-empty list of positive counts")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):

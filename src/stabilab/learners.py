@@ -701,6 +701,8 @@ def _norm_policy(value, kind: str) -> dict:
         raise ValueError(f"{kind} policy {mode!r} needs the keys {sorted(missing)}")
     if mode == "fixed":
         out["value"] = _integral(out["value"], "steps")
+    elif mode == "constant":
+        out["value"] = _real(out["value"], kind)
     return out
 
 
@@ -734,7 +736,7 @@ class SgdAlgorithm(_Preset):
         self.loss_kind = loss_kind
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
-        self.gamma = float(gamma)
+        self.gamma = _real(gamma, "gamma")
         self.projection_radius = projection_radius
         if regime == "strongly_convex":
             if not (self.gamma > 0 and math.isfinite(self.gamma)):
@@ -871,11 +873,11 @@ def make_algorithm(
     if preset == "ridge":
         if loss_kind != "squared":
             raise ValueError("the ridge preset trains the squared loss")
-        lam = _required(preset, params, "lam")
+        lam = _required(preset, params, "lam", real=True)
         _reject_extra(preset, params)
         return RidgeAlgorithm(lam, feature_bound, label_bound)
     if preset == "rerm-lp":
-        p, lam = _required(preset, params, "p"), _required(preset, params, "lam")
+        p, lam = (_required(preset, params, name, real=True) for name in ("p", "lam"))
         penalty = PenaltySpec(p=p, lam=lam)
         tol = params.pop("tol", 1e-9)
         max_iter = params.pop("max_iter", 50000)
@@ -885,9 +887,10 @@ def make_algorithm(
         )
     if preset in ("sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"):
         regime = preset[len("sgd-") :].replace("-", "_")
+        radius = params.pop("projection_radius", None)
         kwargs = {
             "steps": _required(preset, params, "steps"),
-            "projection_radius": params.pop("projection_radius", None),
+            "projection_radius": None if radius is None else _real(radius, "projection_radius"),
         }
         if regime == "nonconvex":
             kwargs["c"] = _required(preset, params, "c")
@@ -900,10 +903,10 @@ def make_algorithm(
     raise ValueError(f"unknown algorithm preset {preset!r}")
 
 
-def _required(preset: str, params: dict, name: str):
+def _required(preset: str, params: dict, name: str, real: bool = False):
     if name not in params:
         raise ValueError(f"preset {preset!r} needs the parameter {name!r}")
-    return params.pop(name)
+    return _real(params.pop(name), name) if real else params.pop(name)
 
 
 def _reject_extra(preset: str, params: dict) -> None:

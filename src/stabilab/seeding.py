@@ -10,20 +10,25 @@ value: NumPy integers, floats and booleans hash as the ``int``, ``float``
 and ``bool`` they equal, so a path does not depend on the type that
 carries an index. Other label types are rejected.
 
-Loops that need one stream per item (a trial, a sign pair, a replacement
-row, an SGD run) use the batched forms: :func:`stream_keys` hashes a
-shared path prefix once, :func:`draw_each` runs a draw on the stream of
-each key through one re-keyed generator, and :func:`rademacher_rows` fills
-sign rows from raw Philox words. Each gives bitwise what the per-item
-:func:`substream` draw gives, because a Philox stream is fully defined by
-its 128-bit key: re-keying puts the bit generator in the exact state of a
-fresh ``Philox(key=k)`` (counter 0, empty buffer, no cached 32-bit half).
+A batch of sign rows (the antithetic pairs of a Rademacher estimate, the
+trials of a martingale tail) reads one Philox stream keyed by the batch
+path, with each row at a fixed block offset (Salmon, Moraes, Dror & Shaw
+2011, "Parallel random numbers: as easy as 1, 2, 3"). :func:`sign_rows`
+fills them; any row replays alone through ``Philox.advance``, and a row
+depends only on (seed, path, width, row index), so raising the number of
+rows leaves the earlier rows unchanged.
+
+Loops that need one stream per item (a replacement row, an SGD run) use
+:func:`draw_each`, which runs a draw on the stream of each key through one
+re-keyed generator. It gives bitwise what the per-item :func:`substream`
+draw gives, because a Philox stream is fully defined by its 128-bit key:
+re-keying puts the bit generator in the exact state of a fresh
+``Philox(key=k)`` (counter 0, empty buffer, no cached 32-bit half).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -65,19 +70,6 @@ def stream_key(master_seed: int, *labels: object) -> int:
     return int.from_bytes(_path_hash(master_seed, labels).digest(), "big")
 
 
-def stream_keys(master_seed: int, *prefix: object, each):
-    """Yield ``stream_key(master_seed, *prefix, label)`` for every label in ``each``.
-
-    The shared prefix is hashed once and its hash state copied per label;
-    keys are derived as they are consumed.
-    """
-    base = _path_hash(master_seed, prefix)
-    for label in each:
-        h = base.copy()
-        _extend(h, label)
-        yield int.from_bytes(h.digest(), "big")
-
-
 def child_seed(master_seed: int, *labels: object) -> int:
     """63-bit integer seed for handing to APIs that take a plain seed."""
     return stream_key(master_seed, *labels) & ((1 << 63) - 1)
@@ -95,8 +87,6 @@ def rademacher_signs(rng: np.random.Generator, size) -> np.ndarray:
 
 _WORD = (1 << 64) - 1
 _EMPTY = (0, 0, 0, 0)
-# Rows of raw words held at once by rademacher_rows.
-_ROW_CHUNK = 64
 
 
 def _rekey(bit_generator: np.random.Philox, key: int) -> None:
@@ -128,31 +118,30 @@ def draw_each(keys, draw) -> list:
     return results
 
 
-def rademacher_rows(keys, out: np.ndarray) -> np.ndarray:
-    """Fill row r of the (rows, n) array ``out`` with the signs that
-    ``rademacher_signs(Generator(Philox(key=k_r)), n)`` draws; returns ``out``.
+# Raw 64-bit words held at once by sign_rows (at least one row's worth).
+_CHUNK_WORDS = 1 << 16
 
-    ``keys`` must yield exactly one key per row. ``integers(0, 2)`` returns
-    the top bit of one 32-bit half of a raw 64-bit word, low half first, so
-    each row reads ceil(n / 2) raw words. Keys are consumed and rows filled
-    in chunks, which bounds the memory held beside ``out``.
+
+def sign_rows(master_seed: int, *labels: object, out: np.ndarray) -> np.ndarray:
+    """Fill the (rows, n) array ``out`` with uniform ±1 signs; returns ``out``.
+
+    All rows come from one ``Philox(key=stream_key(master_seed, *labels))``.
+    Row j reads the four-word blocks [j * B, (j + 1) * B) with
+    B = ceil(n / 8): each sign is the top bit of one 32-bit half of a raw
+    word, low half first, and the unused words at the end of a row are
+    skipped. So row j is ``rademacher_signs(Generator(bg), n)`` after
+    ``bg = Philox(key=k); bg.advance(j * B)``, and it does not depend on
+    how many rows ``out`` has. Raw words are read in chunks of whole rows,
+    which bounds the memory held beside ``out``.
     """
     rows, n = out.shape
-    words = (n + 1) // 2
-    keys = iter(keys)
-    bit_generator = np.random.Philox(key=0)
-    raw = np.empty((min(rows, _ROW_CHUNK), words), dtype=np.uint64)
-    for start in range(0, rows, _ROW_CHUNK):
-        block = out[start : start + _ROW_CHUNK]
-        count = 0
-        for count, key in enumerate(itertools.islice(keys, len(block)), 1):
-            _rekey(bit_generator, key)
-            raw[count - 1] = bit_generator.random_raw(words)
-        if count != len(block):
-            raise ValueError("need one key per row of out")
-        halves = raw[:count].astype("<u8", copy=False).view("<u4")
+    words = 4 * ((n + 7) // 8)
+    bit_generator = np.random.Philox(key=stream_key(master_seed, *labels))
+    step = max(1, _CHUNK_WORDS // max(words, 1))
+    for start in range(0, rows, step):
+        block = out[start : start + step]
+        raw = bit_generator.random_raw(len(block) * words).reshape(len(block), words)
+        halves = raw.astype("<u8", copy=False).view("<u4")
         np.multiply(halves[:, :n] >> 31, 2.0, out=block)
         block -= 1.0
-    if next(keys, None) is not None:
-        raise ValueError("need one key per row of out")
     return out

@@ -1,9 +1,11 @@
 """Serial reference for the batched random streams.
 
-One fresh ``Generator(Philox(key=k))`` per item, as the per-trial, per-pair,
-per-row and per-run loops built them before the batched primitives of
-``stabilab.seeding`` replaced them. Every batched path must give bitwise
-the same values.
+Per-item streams get one fresh ``Generator(Philox(key=k))`` per item, as
+the per-row and per-run loops built them before the batched primitives of
+``stabilab.seeding`` replaced them. Sign rows are replayed one at a time:
+row j is the batch's Philox stream advanced to block j * ceil(n / 8), read
+by ``rademacher_signs``, so the raw-word reading of ``sign_rows`` is not
+shared. Every batched path must give bitwise the same values.
 """
 
 import numpy as np
@@ -12,27 +14,26 @@ from stabilab.datagen import _draw
 from stabilab.seeding import rademacher_signs, stream_key, substream
 
 
-def serial_stream_keys(master_seed, prefix, labels) -> list:
-    return [stream_key(master_seed, *prefix, label) for label in labels]
-
-
 def serial_draw_each(keys, draw) -> list:
     return [draw(np.random.Generator(np.random.Philox(key=key))) for key in keys]
 
 
-def serial_rademacher_rows(keys, n: int) -> np.ndarray:
-    rows = [
-        rademacher_signs(np.random.Generator(np.random.Philox(key=key)), n) for key in keys
-    ]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), n)
+def serial_sign_row(master_seed, labels, n: int, j: int) -> np.ndarray:
+    bit_generator = np.random.Philox(key=stream_key(master_seed, *labels))
+    bit_generator.advance(j * ((n + 7) // 8))
+    return rademacher_signs(np.random.Generator(bit_generator), n)
+
+
+def serial_sign_rows(master_seed, labels, rows: int, n: int) -> np.ndarray:
+    out = np.empty((rows, n))
+    for j in range(rows):
+        out[j] = serial_sign_row(master_seed, labels, n, j)
+    return out
 
 
 def serial_pinelis_signs(seed: int, trials: int, steps: int) -> np.ndarray:
-    """The sign matrix of ``pinelis_tail_experiment``, one stream per trial."""
-    signs = np.empty((trials, steps))
-    for k in range(trials):
-        signs[k] = rademacher_signs(substream(seed, "pinelis", k), steps)
-    return signs
+    """The sign matrix of ``pinelis_tail_experiment``, replayed one trial at a time."""
+    return serial_sign_rows(seed, ("pinelis",), trials, steps)
 
 
 def serial_pinelis_violations(bounds, dim: int, trials: int, epsilon: float, seed: int) -> int:
@@ -48,12 +49,8 @@ def serial_pinelis_violations(bounds, dim: int, trials: int, epsilon: float, see
 
 
 def serial_antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
-    out = np.empty((2 * pairs, n))
-    for k in range(pairs):
-        sigma = rademacher_signs(substream(seed, "sigma", k), n)
-        out[2 * k] = sigma
-        out[2 * k + 1] = -sigma
-    return out
+    """The sigma of each antithetic pair, replayed one pair at a time."""
+    return serial_sign_rows(seed, ("sigma",), pairs, n)
 
 
 def serial_draw_examples(spec, seeds):

@@ -20,11 +20,12 @@ from stabilab.cli import main
 from stabilab.lab import ExperimentConfig, report_digest, run_experiment
 
 
+MECHANISM = {"type": "linear_noise", "noise_sd": 0.05}
 DISTRIBUTION = {
     "dim": 2,
     "feature_bound": 1.0,
     "teacher": [0.3, 0.0],
-    "mechanism": {"type": "linear_noise", "noise_sd": 0.05},
+    "mechanism": MECHANISM,
     "label_bound": 1.0,
 }
 
@@ -494,6 +495,21 @@ class TestConcentrateCommand:
         assert main(["concentrate", path]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(epsilon="1.0"), "epsilon must be a number"),
+            (dict(epsilon=True), "epsilon must be a number"),
+            (dict(smooth_constant="2"), "smooth_constant must be a number"),
+            (dict(increment_bounds=["1", "2"]), "increment bound must be a number"),
+            (dict(increment_bounds=1.0), "increment_bounds must be a list"),
+        ],
+    )
+    def test_pinelis_rejects_reals_it_would_misread(self, tmp_path, overrides, message, capsys):
+        path = write_json(tmp_path, "spec.json", self.pinelis_spec(**overrides))
+        assert main(["concentrate", path]) == 1
+        assert message in capsys.readouterr().err
+
     def test_doob_rejects_a_non_integral_suffix_draw_count(self, tmp_path, capsys):
         spec = {"kind": "doob", "n": 8, "suffix_draws": 16.5, "config": base_config(trials=25)}
         path = write_json(tmp_path, "spec.json", spec)
@@ -636,6 +652,35 @@ class TestExperimentCommands:
             (
                 dict(distribution=DISTRIBUTION | {"label_bound": False}),
                 "label_bound must be a number",
+            ),
+            (
+                dict(distribution=DISTRIBUTION | {"teacher": ["0.3", 0.0]}),
+                "teacher entry must be a number",
+            ),
+            (dict(distribution=DISTRIBUTION | {"teacher": 0.3}), "teacher must be a list"),
+            (dict(n_grid=10), "n_grid must be a list"),
+            (
+                dict(distribution=DISTRIBUTION | {"mechanism": MECHANISM | {"noise_sd": "0.05"}}),
+                "noise_sd must be a number",
+            ),
+            (
+                dict(
+                    distribution=DISTRIBUTION
+                    | {"mechanism": {"type": "sign_flip", "flip_prob": "0.1"}}
+                ),
+                "flip_prob must be a number",
+            ),
+            (dict(algorithm={"preset": "ridge", "lam": True}), "lam must be a number"),
+            (dict(algorithm={"preset": "ridge", "lam": "1.0"}), "lam must be a number"),
+            (dict(algorithm={"preset": "rerm-lp", "p": "1.5", "lam": 0.5}), "p must be a number"),
+            (dict(algorithm=SGD_ALGORITHM | {"gamma": "0.5"}), "gamma must be a number"),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"projection_radius": True}),
+                "projection_radius must be a number",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"step": {"mode": "constant", "value": "0.1"}}),
+                "step must be a number",
             ),
         ],
     )

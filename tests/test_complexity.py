@@ -15,7 +15,7 @@ from stabilab import (
     estimate_center,
     make_algorithm,
 )
-from stabilab.complexity import ball_draw_values, finite_class_draw_values
+from stabilab.complexity import _antithetic_signs, ball_draw_values, finite_class_draw_values
 
 
 def sphere_features(rng, n, d, bound=1.0):
@@ -178,6 +178,29 @@ class TestBallRademacher:
             seed=6,
         )
         assert b.mean == pytest.approx(2.0 * a.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("n, pairs", [(5, 1), (37, 64), (400, 300)])
+    def test_pairs_summed_once_match_the_full_antithetic_matrix(self, n, pairs):
+        # Each pair's sign sums are taken once and negated for -sigma; the
+        # estimate must equal the one over all 2 * pairs rows, bit for bit.
+        rng = np.random.default_rng(n)
+        X = sphere_features(rng, n, 4)
+        ball = AlgorithmicBall(center=rng.standard_normal(4), radius=0.3, n=n, delta=0.1)
+        H = rng.standard_normal((7, 4))
+        sigma = _antithetic_signs(19, pairs, n)
+        signs = np.empty((2 * pairs, n))
+        signs[0::2], signs[1::2] = sigma, -sigma
+        for values, est in (
+            (ball_draw_values(ball, X, signs), ball_rademacher(ball, X, 2 * pairs, seed=19)),
+            (
+                finite_class_draw_values(H, X, signs),
+                brute_force_rademacher(H, X, exhaustive=False, seed=19, draws=2 * pairs),
+            ),
+        ):
+            pair_means = 0.5 * (values[0::2] + values[1::2])
+            assert est.mean == float(pair_means.mean())
+            se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))
+            assert est.std_error == se
 
     @pytest.mark.parametrize("draws", [0, 1, 3, 7])
     def test_rejects_odd_or_tiny_draw_counts(self, draws):

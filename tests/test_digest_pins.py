@@ -4,9 +4,10 @@ Four configs run in a child process with every BLAS pinned to one thread:
 the acceptance config with and without ``tail``, one small strongly convex
 SGD config and one small penalized-ERM config. Their digests must equal the
 pins recorded for this ``ARTIFACT_VERSION``, NumPy version and BLAS build.
-A multi-threaded BLAS may move a reduction by one ulp, which is why the
-runs do not share the test process. With no pin for the running key the
-test skips and names the key, so a new build can be pinned by hand.
+With no pin for the running key the test skips and names the key, so a new
+build can be pinned by hand. The same child runs again with the BLAS on two
+threads and must give the same digests: no reported value may depend on how
+the BLAS splits a reduction.
 """
 
 import json
@@ -86,6 +87,15 @@ PINS = {
         "sgd-strongly-convex": "934d59421596847f7e74f3b2d7775da2182c74cde4c3b0d2c0f9633793853ed6",
         "rerm-lp": "349a21f49f460165535426047bc6f016059aad3be816a5be13c7e62bfe4e69c0",
     },
+    # One sign stream per batch moved records[].rademacher.{mean,std_error};
+    # nothing else moved but the version string.
+    "report-4 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": {
+        "acceptance": "0cb2f01b2b75e78eaf5efc5b054e6176422c717a7be18f556b098181842ca35e",
+        "acceptance-tail": "939871cee140f5623e714e50f992196556e113511caeb4d4a8d7e8f14b993469",
+        "sgd-strongly-convex": "de1641875128b837780942eafcc497ac05e9a4dc47c4cb8c5eda50211bb5506a",
+        "rerm-lp": "c9064e6875d6655a8a17c53280a3e15b3cb6311f28d3fce8ad100ca1254ce7ea",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.
@@ -123,8 +133,8 @@ print(json.dumps({"key": key, "digests": digests}))
 """
 
 
-def test_report_digests_match_the_pins_for_this_build():
-    env = {**os.environ, **{var: "1" for var in THREAD_VARS}}
+def _run_child(threads: str) -> dict:
+    env = {**os.environ, **{var: threads for var in THREAD_VARS}}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD],
@@ -135,8 +145,20 @@ def test_report_digests_match_the_pins_for_this_build():
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
-    pins = PINS.get(result["key"])
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def one_thread() -> dict:
+    return _run_child("1")
+
+
+def test_report_digests_match_the_pins_for_this_build(one_thread):
+    pins = PINS.get(one_thread["key"])
     if pins is None:
-        pytest.skip(f"no digest pins for {result['key']!r}: {result['digests']}")
-    assert result["digests"] == pins
+        pytest.skip(f"no digest pins for {one_thread['key']!r}: {one_thread['digests']}")
+    assert one_thread["digests"] == pins
+
+
+def test_report_digests_do_not_depend_on_blas_threads(one_thread):
+    assert _run_child("2")["digests"] == one_thread["digests"]

@@ -14,14 +14,14 @@ from stabilab import (
 from stabilab.complexity import _antithetic_signs
 from stabilab.datagen import draw_examples
 from stabilab.learners import _sgd_index_streams
+from stabilab import seeding
 from stabilab.seeding import (
     _rekey,
     child_seed,
     draw_each,
-    rademacher_rows,
     rademacher_signs,
+    sign_rows,
     stream_key,
-    stream_keys,
     substream,
 )
 from stream_oracle import (
@@ -29,9 +29,9 @@ from stream_oracle import (
     serial_draw_each,
     serial_draw_examples,
     serial_pinelis_violations,
-    serial_rademacher_rows,
     serial_sgd_index_streams,
-    serial_stream_keys,
+    serial_sign_row,
+    serial_sign_rows,
 )
 
 
@@ -116,20 +116,6 @@ DRAWS = [
 ]
 
 
-@given(MASTER_SEEDS, st.lists(INT_LABELS, max_size=3), st.lists(INT_LABELS, max_size=20))
-def test_stream_keys_match_stream_key(master_seed, prefix, labels):
-    keys = list(stream_keys(master_seed, *prefix, each=labels))
-    assert keys == serial_stream_keys(master_seed, prefix, labels)
-
-
-def test_stream_keys_reject_what_stream_key_rejects():
-    assert list(stream_keys(3, "x", each=[])) == []
-    with pytest.raises(TypeError, match="seed labels"):
-        list(stream_keys(3, "x", each=[1, None]))
-    with pytest.raises(TypeError, match="seed labels"):
-        list(stream_keys(3, (1, 2), each=[1]))
-
-
 @given(st.lists(KEYS, max_size=12), st.sampled_from(range(len(DRAWS))))
 def test_draw_each_matches_fresh_generators(keys, which):
     draw = DRAWS[which]
@@ -163,34 +149,55 @@ def test_rekey_rejects_keys_outside_128_bits(key):
         draw_each([key], lambda rng: rng.random())
 
 
-@given(st.lists(KEYS, max_size=12), WIDTHS)
-def test_rademacher_rows_match_rademacher_signs(keys, n):
-    out = rademacher_rows(keys, np.empty((len(keys), n)))
-    assert np.array_equal(out, serial_rademacher_rows(keys, n))
+@given(MASTER_SEEDS, st.lists(INT_LABELS, max_size=3), st.integers(0, 12), WIDTHS)
+def test_sign_rows_match_per_row_replays(master_seed, labels, rows, n):
+    out = sign_rows(master_seed, *labels, out=np.empty((rows, n)))
+    assert np.array_equal(out, serial_sign_rows(master_seed, labels, rows, n))
 
 
-@given(st.lists(KEYS, min_size=1, max_size=8), WIDTHS)
-def test_rademacher_rows_fill_a_strided_view(keys, n):
-    block = np.full((2 * len(keys), n), 7.0)
-    returned = rademacher_rows(keys, block[0::2])
+@given(MASTER_SEEDS, st.integers(0, 300), WIDTHS)
+def test_one_sign_row_replays_alone(master_seed, j, n):
+    out = sign_rows(master_seed, "sigma", out=np.empty((j + 1, n)))
+    assert np.array_equal(out[j], serial_sign_row(master_seed, ("sigma",), n, j))
+
+
+@pytest.mark.parametrize("n", [1, 37, 400])
+def test_sign_rows_are_prefix_stable(n):
+    short = sign_rows(20250815, "pinelis", out=np.empty((100, n)))
+    long = sign_rows(20250815, "pinelis", out=np.empty((1000, n)))
+    assert np.array_equal(short, long[:100])
+
+
+def test_sign_rows_across_chunk_boundaries(monkeypatch):
+    # 400 signs take 200 raw words, so 700 rows span three chunks.
+    out = sign_rows(11, "rows", out=np.empty((700, 400)))
+    assert np.array_equal(out, serial_sign_rows(11, ("rows",), 700, 400))
+    for n in (1, 3, 9, 17):
+        whole = sign_rows(11, "rows", out=np.empty((130, n)))
+        with monkeypatch.context() as m:
+            m.setattr(seeding, "_CHUNK_WORDS", 8)
+            chunked = sign_rows(11, "rows", out=np.empty((130, n)))
+        assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 9, 15, 17, 399])
+def test_sign_rows_of_odd_width(n):
+    out = sign_rows(3, "odd", out=np.empty((40, n)))
+    assert np.array_equal(out, serial_sign_rows(3, ("odd",), 40, n))
+    assert set(np.unique(out)) == {-1.0, 1.0}
+    # An odd width leaves one 32-bit half of its row unread; one more sign
+    # reads it from the same blocks, so it only appends a column.
+    wider = sign_rows(3, "odd", out=np.empty((40, n + 1)))
+    assert np.array_equal(out, wider[:, :n])
+
+
+@given(MASTER_SEEDS, st.integers(1, 8), WIDTHS)
+def test_sign_rows_fill_a_strided_view(master_seed, rows, n):
+    block = np.full((2 * rows, n), 7.0)
+    returned = sign_rows(master_seed, "sigma", out=block[0::2])
     assert returned.base is block
-    assert np.array_equal(block[0::2], serial_rademacher_rows(keys, n))
+    assert np.array_equal(block[0::2], serial_sign_rows(master_seed, ("sigma",), rows, n))
     assert np.all(block[1::2] == 7.0)
-
-
-def test_rademacher_rows_across_chunk_boundaries():
-    keys = list(stream_keys(11, "rows", each=range(600)))
-    for n in (1, 3, 4):
-        out = rademacher_rows(iter(keys), np.empty((600, n)))
-        assert np.array_equal(out, serial_rademacher_rows(keys, n))
-
-
-@pytest.mark.parametrize("rows", [0, 3, 64, 65, 130])
-def test_rademacher_rows_need_one_key_per_row(rows):
-    for count in (rows - 1, rows + 1):
-        if count >= 0:
-            with pytest.raises(ValueError, match="one key per row"):
-                rademacher_rows(range(count), np.empty((rows, 4)))
 
 
 @given(MASTER_SEEDS, st.integers(1, 5), WIDTHS)
@@ -247,8 +254,9 @@ def test_sgd_index_streams_match_the_per_run_loop(seeds, n, steps):
 
 
 # ---------------------------------------------------------------------------
-# pinned streams: sha256 of outputs recorded before the batched primitives,
-# so a change to any stream definition fails here, not only between runs.
+# pinned streams: sha256 of outputs recorded before the batched primitives
+# (the sign rows: when each sign batch became one stream), so a change to
+# any stream definition fails here, not only between runs.
 
 
 def _sha256(*arrays) -> str:
@@ -260,10 +268,10 @@ def _sha256(*arrays) -> str:
 
 def test_pinned_antithetic_signs():
     assert _sha256(_antithetic_signs(20250815, 64, 37)) == (
-        "5c1c7614257c85d1653ed37010bb169568da2fffe1d3eb3fdceab0291361db94"
+        "6212f0939667bd8a44f38b054d07baf06566d9628039fac19c79defda31a6842"
     )
     assert _sha256(_antithetic_signs(0, 3, 400)) == (
-        "899e2aa6130bea67217e7514ee259b31dcd450f3df1b943cf947dc98d3034ae4"
+        "5dbf24459f416fb3d91aba352c8d254afbd591b552dd3fefdac538f8acbf1c45"
     )
 
 
@@ -273,9 +281,9 @@ def test_pinned_pinelis_violation_counts():
         for steps in (10, 33)
         for eps in (0.75, 1.0, 1.25)
     ]
-    assert counts == [891, 589, 240, 870, 577, 270]
+    assert counts == [896, 584, 230, 863, 576, 268]
     assert _sha256(np.array(counts, dtype=np.int64)) == (
-        "0e4a8477fa6286435a1f00af0a9822ed47ef82d0f479fbcce91ccb4ddaa4d204"
+        "448b5b6b50b2ad050f754c52875f1e364fca872a1129e083554ed9c057267054"
     )
 
 
