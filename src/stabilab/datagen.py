@@ -8,9 +8,16 @@ come from a fixed teacher vector through one of three mechanisms:
 * :class:`SignFlip` - ±1 labels ``sign(<h*, x>)`` flipped with fixed
   probability (zero gives a noiseless, realizable problem).
 
-:func:`true_risk` evaluates the population risk of a hypothesis, exactly
-where a closed form exists and by seeded Monte Carlo otherwise.
-:func:`fit_replicates` is the replicate path: one sample stack, one fit call.
+A mechanism labels in two steps: ``draw_raw(rng, out)`` reads its
+randomness for each example of ``out`` from a stream, and
+``labels_from(margins, raw)`` labels a whole block from margins and draws.
+
+One private sampler, over one Philox key per sample, draws every sample:
+:func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`,
+its n = 1 view :func:`draw_examples` and the Monte-Carlo branch of
+:func:`true_risk` (exact where a closed form exists). It reads each stream
+straight into the output buffers, then does the arithmetic in place a
+block at a time. :func:`fit_replicates` draws one stack, fits it once.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .learners import Sample
 from .losses import LossModel, _sigmoid
-from .seeding import child_seed, draw_each, stream_key, substream
+from .seeding import child_seed, draw_each, stream_key
 
 FEATURE_LAWS = ("sphere", "ball")
 
@@ -30,6 +37,10 @@ FEATURE_LAWS = ("sphere", "ball")
 # bound in a run of desk-scale length; this is the probability mass we are
 # willing to ignore when certifying that.
 _CLIP_MASS = 1e-12
+# A Gaussian feature row with a norm below this is redrawn before scaling.
+_MIN_NORM = 1e-12
+# Examples per block of the sampler's in-place arithmetic.
+_BLOCK_EXAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -42,10 +53,14 @@ class LinearNoise:
         if self.noise_sd < 0 or not math.isfinite(self.noise_sd):
             raise ValueError("noise_sd must be non-negative and finite")
 
-    def labels(self, rng: np.random.Generator, margins: np.ndarray) -> np.ndarray:
+    def draw_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        if self.noise_sd != 0:
+            rng.standard_normal(out=out)
+
+    def labels_from(self, margins: np.ndarray, raw: np.ndarray) -> np.ndarray:
         if self.noise_sd == 0:
-            return margins.copy()
-        return margins + self.noise_sd * rng.standard_normal(margins.shape[0])
+            return margins
+        return margins + self.noise_sd * raw
 
     def classification(self) -> bool:
         return False
@@ -55,9 +70,11 @@ class LinearNoise:
 class LogisticTeacher:
     """±1 labels with P(y = +1 | x) = sigmoid(<teacher, x>)."""
 
-    def labels(self, rng: np.random.Generator, margins: np.ndarray) -> np.ndarray:
-        p = _sigmoid(margins)
-        return np.where(rng.random(margins.shape[0]) < p, 1.0, -1.0)
+    def draw_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out)
+
+    def labels_from(self, margins: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        return np.where(raw < _sigmoid(margins), 1.0, -1.0)
 
     def classification(self) -> bool:
         return True
@@ -73,12 +90,15 @@ class SignFlip:
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError("flip_prob must lie in [0, 0.5)")
 
-    def labels(self, rng: np.random.Generator, margins: np.ndarray) -> np.ndarray:
+    def draw_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        if self.flip_prob != 0:
+            rng.random(out=out)
+
+    def labels_from(self, margins: np.ndarray, raw: np.ndarray) -> np.ndarray:
         base = np.where(margins >= 0, 1.0, -1.0)
         if self.flip_prob == 0:
             return base
-        flips = rng.random(margins.shape[0]) < self.flip_prob
-        return base * np.where(flips, -1.0, 1.0)
+        return base * np.where(raw < self.flip_prob, -1.0, 1.0)
 
     def classification(self) -> bool:
         return True
@@ -112,8 +132,8 @@ class DistributionSpec:
             raise ValueError("teacher must be a finite vector of length dim")
         teacher.flags.writeable = False
         object.__setattr__(self, "teacher", teacher)
-        if not hasattr(self.mechanism, "labels"):
-            raise ValueError("mechanism must provide a labels() method")
+        if not all(hasattr(self.mechanism, m) for m in ("draw_raw", "labels_from")):
+            raise ValueError("mechanism must provide draw_raw() and labels_from()")
         if self.mechanism.classification():
             if self.label_bound != 1.0:
                 raise ValueError("classification mechanisms use label_bound 1")
@@ -134,58 +154,61 @@ class DistributionSpec:
                 )
 
 
-def _draw_features(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, spec.dim))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        g[bad] = rng.standard_normal((int(bad.sum()), spec.dim))
-        norms = np.linalg.norm(g, axis=1)
-    X = g / norms[:, None] * spec.feature_bound
-    if spec.feature_law == "ball":
-        X = X * rng.random(n)[:, None] ** (1.0 / spec.dim)
-    return X
+def _sample_stack(spec: DistributionSpec, n: int, keys: list):
+    """(C, n, d) features and (C, n) labels, sample c read from the Philox
+    stream of ``keys[c]``: its n x d standard normals, its n radii (ball law
+    only), then its raw label draws. Rows with a norm below ``_MIN_NORM``
+    get fresh normals before the radii. Raises ValueError if a label is not
+    finite.
+    """
+    C, d = len(keys), spec.dim
+    X, y = np.empty((C, n, d)), np.empty((C, n))
+    step = max(1, _BLOCK_EXAMPLES // n)
+    radii = np.empty((step, n)) if spec.feature_law == "ball" else None
 
+    def read(rng, c, redraw=False):
+        rng.standard_normal(out=X[c])
+        while redraw and (low := np.linalg.norm(X[c], axis=1) < _MIN_NORM).any():
+            X[c][low] = rng.standard_normal((int(low.sum()), d))
+        if radii is not None:
+            rng.random(out=radii[c % step])
+        spec.mechanism.draw_raw(rng, y[c])
 
-def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int):
-    """n (features, label) rows from one generator, labels clipped to the bound."""
-    X = _draw_features(spec, rng, n)
-    y = spec.mechanism.labels(rng, X @ spec.teacher)
+    for start in range(0, C, step):
+        xb, yb = X[start : start + step], y[start : start + step]
+        rows = iter(range(start, start + len(xb)))
+        draw_each(keys[start : start + step], lambda rng: read(rng, next(rows)))
+        norms = np.linalg.norm(xb, axis=-1)
+        for c in start + np.flatnonzero((norms < _MIN_NORM).any(axis=1)):
+            draw_each([keys[c]], lambda rng: read(rng, c, redraw=True))
+            norms[c - start] = np.linalg.norm(X[c], axis=-1)
+        xb /= norms[..., None]
+        xb *= spec.feature_bound
+        if radii is not None:
+            rb = radii[: len(xb)]
+            rb **= 1.0 / d  # the ** operator, which NumPy turns into sqrt for 1/2
+            xb *= rb[..., None]
+        yb[...] = spec.mechanism.labels_from(xb @ spec.teacher, yb)
     if not spec.mechanism.classification():
         np.clip(y, -spec.label_bound, spec.label_bound, out=y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("drawn examples must be finite")
     return X, y
 
 
 def draw_sample(spec: DistributionSpec, n: int, seed: int) -> Sample:
-    """n i.i.d. examples; the same (spec, n, seed) always gives the same sample."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Sample(*_draw(spec, substream(seed, "datagen"), n))
+    """n i.i.d. examples, row 0 of ``draw_samples(spec, n, [seed])``."""
+    X, y = draw_samples(spec, n, [seed])
+    return Sample(X[0], y[0])
 
 
 def draw_samples(spec: DistributionSpec, n: int, seeds):
-    """(C, n, d) features and (C, n) labels whose row c is bitwise
-    ``draw_sample(spec, n, seeds[c])``, allocated once and filled in place.
-
-    Raises ValueError if a label is not finite. Features always are (unit
-    directions scaled by the finite bound), so the check skips them and
-    keeps a temporary the size of the feature stack out of peak memory.
-    """
+    """(C, n, d) features and (C, n) labels; row c is drawn on ``(seeds[c],
+    "datagen")``, so it depends only on (spec, n, seeds[c]). Raises
+    ValueError if a label is not finite."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    seeds = list(seeds)
-    X = np.empty((len(seeds), n, spec.dim))
-    y = np.empty((len(seeds), n))
-    rows = iter(zip(X, y))
-
-    def fill(rng):
-        x_c, y_c = next(rows)
-        x_c[...], y_c[...] = _draw(spec, rng, n)
-
-    draw_each((stream_key(seed, "datagen") for seed in seeds), fill)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("drawn examples must be finite")
-    return X, y
+    return _sample_stack(spec, n, [stream_key(seed, "datagen") for seed in seeds])
 
 
 def draw_examples(spec: DistributionSpec, seeds):
@@ -251,7 +274,7 @@ def true_risk(
         return RiskEstimate(value=value, std_error=0.0, exact=True)
     if draws < 2:
         raise ValueError("draws must be >= 2 for a Monte Carlo estimate")
-    X, y = _draw(spec, substream(seed, "risk-mc"), draws)
-    vals = loss.values_raw(h, X, y)
+    X, y = _sample_stack(spec, draws, [stream_key(seed, "risk-mc")])
+    vals = loss.values_raw(h, X[0], y[0])
     se = float(vals.std(ddof=1) / math.sqrt(draws))
     return RiskEstimate(value=float(vals.mean()), std_error=se, exact=False)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .losses import (
-    LabeledExample,
     LossModel,
     _matvec,
     _slack,
@@ -98,32 +97,9 @@ class Sample:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def example(self, i: int) -> LabeledExample:
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} out of range for sample of size {self.n}")
-        return LabeledExample(self.features[i].copy(), float(self.labels[i]))
-
-    def replaced(self, i: int, z: LabeledExample) -> "Sample":
-        """A copy of the sample with example i swapped for z."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} out of range for sample of size {self.n}")
-        if z.x.shape != (self.dim,):
-            raise ValueError("replacement example has the wrong dimension")
-        X = self.features.copy()
-        y = self.labels.copy()
-        X[i] = z.x
-        y[i] = z.y
-        return Sample(X, y)
-
 
 # ---------------------------------------------------------------------------
 # ridge regression
-
-
-def _normal_equations(X: np.ndarray, y: np.ndarray, lam: float):
-    """(A, b) with A = X^T X / n + lam I and b = X^T y / n."""
-    n, d = X.shape
-    return X.T @ X / n + lam * np.eye(d), X.T @ y / n
 
 
 def solve_ridge_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -605,8 +581,9 @@ class RidgeAlgorithm(_Preset):
         """One stacked solve over the rows' normal equations, formed one row at a time."""
         C, d = len(seeds), features.shape[-1]
         A, b = np.empty((C, d, d)), np.empty((C, d))
+        ridge = self.lam * np.eye(d)
         for c, (X, y) in enumerate(_stack_rows(features, labels, twin)):
-            A[c], b[c] = _normal_equations(X, y, self.lam)
+            A[c], b[c] = X.T @ X / len(X) + ridge, X.T @ y / len(X)
         return solve_ridge_stack(A, b)
 
 

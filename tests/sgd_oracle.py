@@ -11,6 +11,8 @@ import numpy as np
 from stabilab import NonFiniteIterateError
 from stabilab.seeding import substream
 
+from sample_oracle import example
+
 
 def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
     """The trajectory h_0 .. h_T of one SGD pass with ``seed``, as a (T + 1, d) array."""
@@ -21,7 +23,7 @@ def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
     h = np.zeros(sample.dim)
     traj = [h]
     for t in range(spec.steps):
-        h = h - alphas[t] * loss.gradient(h, sample.example(int(idx[t])))
+        h = h - alphas[t] * loss.gradient(h, example(sample, int(idx[t])))
         if spec.projection_radius is not None:
             nrm = float(np.linalg.norm(h))
             if nrm > spec.projection_radius:

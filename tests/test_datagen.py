@@ -14,7 +14,11 @@ from stabilab import (
     make_loss,
     true_risk,
 )
+from stabilab import datagen
 from stabilab.datagen import draw_examples, draw_samples
+from stabilab.seeding import substream
+
+from stream_oracle import serial_draw, serial_draw_examples, serial_draw_samples
 
 
 def linear_spec(dim=3, feature_bound=1.0, teacher_scale=0.4, noise_sd=0.05, law="sphere"):
@@ -38,11 +42,22 @@ class TestMechanisms:
 
     def test_linear_noise_zero_sd_returns_margins(self):
         rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        raw = np.full(3, 7.0)
+        LinearNoise(noise_sd=0.0).draw_raw(rng, raw)
+        assert rng.bit_generator.state == before
+        assert np.array_equal(raw, [7.0, 7.0, 7.0])
         margins = np.array([0.3, -0.2, 0.0])
-        out = LinearNoise(noise_sd=0.0).labels(rng, margins)
-        assert np.array_equal(out, margins)
-        out[0] = 9.0
-        assert margins[0] == 0.3
+        assert np.array_equal(LinearNoise(noise_sd=0.0).labels_from(margins, raw), margins)
+
+    def test_linear_noise_adds_scaled_normals(self):
+        rng = np.random.default_rng(3)
+        raw = np.empty(4)
+        LinearNoise(noise_sd=0.5).draw_raw(rng, raw)
+        assert np.array_equal(raw, np.random.default_rng(3).standard_normal(4))
+        margins = np.array([0.3, -0.2, 0.0, 0.1])
+        out = LinearNoise(noise_sd=0.5).labels_from(margins, raw)
+        assert np.array_equal(out, margins + 0.5 * raw)
 
     @pytest.mark.parametrize("flip_prob", [-0.1, 0.5, 0.9])
     def test_sign_flip_rejects_bad_probability(self, flip_prob):
@@ -51,21 +66,28 @@ class TestMechanisms:
 
     def test_sign_flip_zero_probability_is_deterministic(self):
         rng = np.random.default_rng(0)
-        margins = np.array([0.3, -0.2, 0.0])
-        out = SignFlip(flip_prob=0.0).labels(rng, margins)
+        before = rng.bit_generator.state
+        raw = np.full(3, 0.0)
+        SignFlip(flip_prob=0.0).draw_raw(rng, raw)
+        assert rng.bit_generator.state == before
+        out = SignFlip(flip_prob=0.0).labels_from(np.array([0.3, -0.2, 0.0]), raw)
         assert np.array_equal(out, [1.0, -1.0, 1.0])
 
     def test_sign_flip_flips_about_the_stated_fraction(self):
         rng = np.random.default_rng(1)
-        margins = np.ones(20000)
-        out = SignFlip(flip_prob=0.25).labels(rng, margins)
+        raw = np.empty(20000)
+        SignFlip(flip_prob=0.25).draw_raw(rng, raw)
+        out = SignFlip(flip_prob=0.25).labels_from(np.ones(20000), raw)
         flipped = np.mean(out < 0)
         assert abs(flipped - 0.25) < 0.01
 
     def test_logistic_teacher_emits_signs_with_margin_dependent_bias(self):
         rng = np.random.default_rng(2)
-        strong = LogisticTeacher().labels(rng, np.full(5000, 3.0))
-        weak = LogisticTeacher().labels(rng, np.zeros(5000))
+        raw = np.empty(5000)
+        LogisticTeacher().draw_raw(rng, raw)
+        strong = LogisticTeacher().labels_from(np.full(5000, 3.0), raw)
+        LogisticTeacher().draw_raw(rng, raw)
+        weak = LogisticTeacher().labels_from(np.zeros(5000), raw)
         assert set(np.unique(strong)) <= {-1.0, 1.0}
         assert np.mean(strong > 0) > 0.9
         assert abs(np.mean(weak > 0) - 0.5) < 0.03
@@ -200,8 +222,11 @@ class TestDrawExamples:
         class NanLabels:
             noise_sd = 0.0
 
-            def labels(self, rng, margins):
-                return np.full(margins.shape[0], np.nan)
+            def draw_raw(self, rng, out):
+                pass
+
+            def labels_from(self, margins, raw):
+                return np.full(margins.shape, np.nan)
 
             def classification(self):
                 return False
@@ -284,3 +309,100 @@ class TestTrueRisk:
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             true_risk(loss, np.zeros(2), spec)
+
+
+# ---------------------------------------------------------------------------
+# the one sampler against the frozen per-row oracle
+
+SERIAL_MECHANISMS = pytest.mark.parametrize(
+    "mechanism",
+    [LinearNoise(0.0), LinearNoise(0.02), LogisticTeacher(), SignFlip(0.0), SignFlip(0.2)],
+    ids=["noise-0", "noise-0.02", "logistic", "flip-0", "flip-0.2"],
+)
+LAWS = pytest.mark.parametrize("law", ["sphere", "ball"])
+SEEDS = [11, 5, 11, 2**63 - 1, np.int64(9), 0, 20250815]
+
+
+def oracle_spec(mechanism, law, dim=3):
+    teacher = np.zeros(dim)
+    teacher[0], teacher[-1] = 0.1, -0.05
+    return DistributionSpec(
+        dim=dim,
+        feature_bound=1.5,
+        teacher=teacher,
+        mechanism=mechanism,
+        label_bound=1.0 if mechanism.classification() else 0.5,
+        feature_law=law,
+    )
+
+
+def assert_same_stack(got, want):
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestSamplerAgainstSerialOracle:
+    @SERIAL_MECHANISMS
+    @LAWS
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_every_entry_point_matches_the_serial_sampler(self, mechanism, law, n):
+        spec = oracle_spec(mechanism, law)
+        want = serial_draw_samples(spec, n, SEEDS)
+        assert_same_stack(draw_samples(spec, n, SEEDS), want)
+        for c, seed in enumerate(SEEDS):
+            sample = draw_sample(spec, n, seed)
+            assert_same_stack((sample.features, sample.labels), (want[0][c], want[1][c]))
+        if n == 1:
+            assert_same_stack(draw_examples(spec, SEEDS), serial_draw_examples(spec, SEEDS))
+
+    @LAWS
+    def test_a_stack_of_several_blocks_matches(self, law):
+        # 400 examples a sample: 10 samples a block, so 25 samples fill three.
+        spec = oracle_spec(LogisticTeacher(), law, dim=8)
+        seeds = list(range(25))
+        assert_same_stack(draw_samples(spec, 400, seeds), serial_draw_samples(spec, 400, seeds))
+
+    @SERIAL_MECHANISMS
+    @LAWS
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_small_blocks_match(self, monkeypatch, mechanism, law, n):
+        monkeypatch.setattr(datagen, "_BLOCK_EXAMPLES", 12)
+        spec = oracle_spec(mechanism, law)
+        seeds = list(range(30))
+        assert_same_stack(draw_samples(spec, n, seeds), serial_draw_samples(spec, n, seeds))
+
+    @SERIAL_MECHANISMS
+    @LAWS
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_near_zero_norm_rows_are_redrawn_in_stream_order(self, monkeypatch, mechanism, law, n):
+        # Raise the threshold so that many rows redraw (a 2-d standard
+        # normal has norm below 1 with probability 0.39); the oracle redraws
+        # on the same threshold, in the per-row order.
+        monkeypatch.setattr(datagen, "_MIN_NORM", 1.0)
+        monkeypatch.setattr(datagen, "_BLOCK_EXAMPLES", 8)
+        spec = oracle_spec(mechanism, law, dim=2)
+        seeds = list(range(20))
+        want = serial_draw_samples(spec, n, seeds, min_norm=1.0)
+        assert not np.array_equal(want[0], serial_draw_samples(spec, n, seeds)[0])
+        assert_same_stack(draw_samples(spec, n, seeds), want)
+
+    @pytest.mark.parametrize(
+        "mechanism, law, kind",
+        [
+            (LinearNoise(0.02), "ball", "squared"),
+            (LinearNoise(0.0), "ball", "squared"),
+            (LogisticTeacher(), "sphere", "logistic"),
+            (SignFlip(0.0), "ball", "hinge"),
+            (SignFlip(0.2), "sphere", "logistic"),
+        ],
+    )
+    def test_monte_carlo_risk_matches_the_serial_sampler(self, mechanism, law, kind):
+        spec = oracle_spec(mechanism, law)
+        loss = make_loss(kind, 1.5, 1.0, spec.label_bound)
+        h = np.array([0.3, -0.2, 0.1])
+        est = true_risk(loss, h, spec, draws=777, seed=31)
+        X, y = serial_draw(spec, substream(31, "risk-mc"), 777)
+        vals = loss.values_raw(h, X, y)
+        assert not est.exact
+        assert est.value == float(vals.mean())
+        assert est.std_error == float(vals.std(ddof=1) / math.sqrt(777))

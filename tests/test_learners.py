@@ -28,6 +28,7 @@ from stabilab.learners import (
 )
 from rerm_oracle import bisection_prox, serial_rerm
 from ridge_oracle import serial_ridge
+from sample_oracle import example, replaced
 from sgd_oracle import serial_sgd
 
 
@@ -47,7 +48,7 @@ class TestSample:
         s = Sample([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [1.0, -1.0, 0.5])
         assert s.n == 3
         assert s.dim == 2
-        z = s.example(1)
+        z = example(s, 1)
         assert z.y == -1.0
         assert np.array_equal(z.x, [0.0, 2.0])
 
@@ -60,13 +61,13 @@ class TestSample:
 
     def test_example_returns_a_copy(self):
         s = Sample([[1.0], [2.0]], [0.0, 0.0])
-        z = s.example(0)
+        z = example(s, 0)
         z.x[0] = 99.0
         assert s.features[0, 0] == 1.0
 
     def test_replaced_swaps_one_row_and_keeps_original(self):
         s = Sample([[1.0], [1.0]], [1.0, 1.0])
-        t = s.replaced(1, LabeledExample(np.array([3.0]), -2.0))
+        t = replaced(s, 1, LabeledExample(np.array([3.0]), -2.0))
         assert np.array_equal(t.features, [[1.0], [3.0]])
         assert np.array_equal(t.labels, [1.0, -2.0])
         assert np.array_equal(s.features, [[1.0], [1.0]])
@@ -90,14 +91,14 @@ class TestSample:
     def test_index_range_checks(self, index):
         s = Sample([[1.0], [2.0]], [0.0, 0.0])
         with pytest.raises(ValueError):
-            s.example(index)
+            example(s, index)
         with pytest.raises(ValueError):
-            s.replaced(index, LabeledExample(np.array([0.0]), 0.0))
+            replaced(s, index, LabeledExample(np.array([0.0]), 0.0))
 
     def test_replaced_rejects_wrong_dimension(self):
         s = Sample([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError):
-            s.replaced(0, LabeledExample(np.array([1.0]), 0.0))
+            replaced(s, 0, LabeledExample(np.array([1.0]), 0.0))
 
 
 class TestDomainChecks:
@@ -158,7 +159,7 @@ class TestFitRidge:
         s = Sample([[1.0], [1.0]], [1.0, 1.0])
         h = RidgeAlgorithm(1.0, 1.0, 1.0).fit(s)
         assert h == pytest.approx([0.5], abs=1e-12)
-        t = s.replaced(1, LabeledExample(np.array([1.0]), 0.0))
+        t = replaced(s, 1, LabeledExample(np.array([1.0]), 0.0))
         g = RidgeAlgorithm(1.0, 1.0, 1.0).fit(t)
         assert g == pytest.approx([0.25], abs=1e-12)
         assert abs(h[0] - g[0]) == pytest.approx(0.25, abs=1e-12)
@@ -815,7 +816,7 @@ class TestBatchedHelpers:
         for c in range(cells):
             spec = algo.spec_for(n)
             a = serial_sgd(sample, loss, spec, seeds[c])[-1]
-            twin = sample.replaced(int(repl_i[c]), LabeledExample(repl_x[c], float(repl_y[c])))
+            twin = replaced(sample, int(repl_i[c]), LabeledExample(repl_x[c], float(repl_y[c])))
             b = serial_sgd(twin, loss, spec, seeds[c])[-1]
             assert abs(dist[c] - np.linalg.norm(a - b)) < 1e-12
 
@@ -876,9 +877,9 @@ class TestStackedRidge:
         assert HA.shape == HB.shape == (60, d)
         assert all(np.array_equal(row, base) for row in HA)
         for c, i in enumerate(index):
-            replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
-            assert np.array_equal(HB[c], algo.fit(replaced))
-            assert np.array_equal(HB[c], serial_ridge(replaced, lam))
+            twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            assert np.array_equal(HB[c], algo.fit(twin))
+            assert np.array_equal(HB[c], serial_ridge(twin, lam))
         # The sample the cells were swapped into is left as it was.
         assert np.array_equal(algo.fit(sample), base)
 
@@ -891,8 +892,8 @@ class TestStackedRidge:
         index, repl_x, repl_y = replace_one_cells(rng, sample, 40, feature_scale=50.0)
         _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, algo.fit(sample))
         for c, i in enumerate(index):
-            replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
-            assert np.array_equal(HB[c], serial_ridge(replaced, 1e-9))
+            twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            assert np.array_equal(HB[c], serial_ridge(twin, 1e-9))
 
     def test_a_row_does_not_depend_on_the_other_cells(self):
         rng = np.random.default_rng(67)
@@ -1025,13 +1026,13 @@ def test_every_preset_fit_twins_rows_equal_fits_on_the_replaced_samples(
     HA, HB = algo.fit_twins(sample, index, repl_x, repl_y, seeds, base)
     assert HA.shape == HB.shape == (cells, sample.dim)
     for c, i in enumerate(index):
-        replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
         if algo.stochastic:
             assert np.abs(HA[c] - serial_fit(algo, sample, seeds[c])).max() < 1e-12
-            assert np.abs(HB[c] - serial_fit(algo, replaced, seeds[c])).max() < 1e-12
+            assert np.abs(HB[c] - serial_fit(algo, twin, seeds[c])).max() < 1e-12
         else:
             assert np.array_equal(HA[c], base)
-            assert np.array_equal(HB[c], algo.fit(replaced))
+            assert np.array_equal(HB[c], algo.fit(twin))
     # The sample the cells were swapped into is left as it was.
     assert np.array_equal(algo.fit(sample), base)
 
@@ -1107,5 +1108,5 @@ def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
     base = algo.fit(sample)
     _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, base)
     for c, i in enumerate(index):
-        replaced = sample.replaced(int(i), LabeledExample(repl_x[c], float(repl_y[c])))
-        assert np.array_equal(HB[c], serial_fit(algo, replaced, 0))
+        twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        assert np.array_equal(HB[c], serial_fit(algo, twin, 0))

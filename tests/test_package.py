@@ -7,7 +7,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import stabilab
+import stabilab.datagen
 
 
 def test_every_export_resolves_once():
@@ -102,3 +105,19 @@ def test_loss_arithmetic_goes_through_loss_model():
                 if owner not in allowed
             ]
     assert stray == []
+
+
+
+def test_sampling_draws_only_in_the_one_sampler():
+    # Every sample's stream is read by the sampler's per-key step (``read``
+    # inside ``_sample_stack``) and by the mechanisms' ``draw_raw`` methods.
+    path = Path(stabilab.datagen.__file__)
+    draws = [
+        (owner, name)
+        for name in [*dir(np.random.Generator), "random_raw"]
+        if not name.startswith("_") and name not in ("bit_generator", "spawn")
+        for owner in _callers(path, name)
+    ]
+    stray = [f"{owner} calls {name}" for owner, name in draws if owner not in ("read", "draw_raw")]
+    assert stray == []
+    assert {owner for owner, _ in draws} == {"read", "draw_raw"}

@@ -34,6 +34,7 @@ from stabilab.stability import (
 )
 from closed_form_oracle import oracle_alpha, oracle_family
 from ridge_oracle import serial_ridge
+from sample_oracle import example, replaced
 
 
 def regression_spec(dim=2, teacher_scale=0.3, noise_sd=0.05):
@@ -432,9 +433,9 @@ class TestMeasurement:
         worst = 0.0
         for i, code, distance, _gap in report.cells:
             if code == ANCHOR_PLUS:
-                twin = sample.replaced(i, LabeledExample(np.array([1.0]), -1.0))
+                twin = replaced(sample, i, LabeledExample(np.array([1.0]), -1.0))
             elif code == ANCHOR_MINUS:
-                twin = sample.replaced(i, LabeledExample(np.array([-1.0]), 1.0))
+                twin = replaced(sample, i, LabeledExample(np.array([-1.0]), 1.0))
             else:
                 continue
             expected = abs(base - float(np.mean(twin.features[:, 0] * twin.labels)) / 2.0)
@@ -523,8 +524,8 @@ class TestMeasurement:
         loss = algo.loss_for(sample.n)
         base = algo.fit(sample, seed=child_seed(17, "base-fit"))
         for i, code, distance, _gap in report.cells:
-            z = draw_sample(spec, 1, child_seed(17, "replacement", i, code)).example(0)
-            twin = sample.replaced(i, z)
+            z = example(draw_sample(spec, 1, child_seed(17, "replacement", i, code)), 0)
+            twin = replaced(sample, i, z)
             seed = child_seed(17, i, code)
             h = serial_sgd(twin, loss, algo.spec_for(sample.n), seed)[-1]
             base_run = serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]
@@ -571,11 +572,11 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     cells = []
     for i in range(sample.n):
         draws = [
-            (k, draw_sample(dist, 1, child_seed(seed, "replacement", i, k)).example(0))
+            (k, example(draw_sample(dist, 1, child_seed(seed, "replacement", i, k)), 0))
             for k in range(replacements)
         ]
         for code, z in draws + anchors:
-            h = serial_ridge(sample.replaced(i, z), algo.lam)
+            h = serial_ridge(replaced(sample, i, z), algo.lam)
             gap = serial_gap(eval_loss, base, h, grid_X, grid_y)
             cells.append((i, code, float(np.linalg.norm(base - h)), gap))
     per_index = []
@@ -597,8 +598,11 @@ class _NanLabels:
 
     noise_sd = 0.0
 
-    def labels(self, rng, margins):
-        return np.full(margins.shape[0], np.nan)
+    def draw_raw(self, rng, out):
+        pass
+
+    def labels_from(self, margins, raw):
+        return np.full(margins.shape, np.nan)
 
     def classification(self):
         return False
