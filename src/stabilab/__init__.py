@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .vectorspace import parallelogram_defect, type2_check
-from .losses import LabeledExample, LossModel, certify_loss, make_loss
+from .losses import LossModel, certify_loss, make_loss
 from .learners import (
     PenaltySpec,
     Sample,
@@ -78,7 +78,6 @@ __all__ = [
     "NonFiniteIterateError",
     "parallelogram_defect",
     "type2_check",
-    "LabeledExample",
     "LossModel",
     "make_loss",
     "certify_loss",

@@ -36,6 +36,7 @@ from .lab import (
     ExperimentConfig,
     _as_list,
     _center_replicates,
+    _reject_unknown,
     build_algorithm,
     complexity_stage,
     report_digest,
@@ -148,6 +149,12 @@ def _evaluate_bound_family(spec: dict):
     unknown = set(constants) - family.required - set(family.optional)
     if unknown:
         raise ValueError(f"unknown {name} constants: {sorted(unknown)}")
+    # Every constant is a number, bar the SGD regime, the counts the family
+    # checks itself, and an optional constant left at its default None.
+    for key, value in constants.items():
+        may_be_none = key in family.optional and family.optional[key] is None
+        if key not in ("regime", "n", "steps") and not (value is None and may_be_none):
+            constants[key] = _real(value, key)
     return family.evaluate(constants)
 
 
@@ -182,11 +189,27 @@ def _emit_tail(args, experiment) -> int:
     return 0
 
 
+# Per concentrate kind: the keys its spec needs, and the optional ones
+# beside 'kind' and 'seed'.
+_CONCENTRATE_KEYS = {
+    "pinelis": ({"increment_bounds", "dim", "trials", "epsilon"}, {"smooth_constant"}),
+    "center": ({"config", "n"}, {"center_replicates"}),
+    "doob": ({"config", "n"}, {"suffix_draws"}),
+}
+
+
 def cmd_concentrate(args) -> int:
     spec = _load_json(args.spec)
     if "kind" not in spec:
         raise ValueError("concentrate spec needs a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _CONCENTRATE_KEYS:
+        raise ValueError(f"unknown concentrate kind {kind!r}")
+    required, optional = _CONCENTRATE_KEYS[kind]
+    _reject_unknown(spec, required | optional | {"kind", "seed"}, f"{kind} spec")
+    missing = required - set(spec)
+    if missing:
+        raise ValueError(f"{kind} spec needs the keys {sorted(missing)}")
     seed = args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed")
     if kind == "pinelis":
         bounds = _as_list(spec["increment_bounds"], "increment_bounds")
@@ -199,10 +222,6 @@ def cmd_concentrate(args) -> int:
             seed=seed,
         )
         return _emit_tail(args, experiment)
-    if kind not in ("center", "doob"):
-        raise ValueError(f"unknown concentrate kind {kind!r}")
-    if "config" not in spec or "n" not in spec:
-        raise ValueError(f"{kind} spec needs 'config' and 'n' keys")
     config = ExperimentConfig.from_dict(spec["config"])
     algorithm = build_algorithm(config)
     dist = config.distribution

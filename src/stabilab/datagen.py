@@ -15,7 +15,8 @@ randomness for each example of ``out`` from a stream, and
 One private sampler, over one Philox key per sample, draws every sample:
 :func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`,
 its n = 1 view :func:`draw_examples` and the Monte-Carlo branch of
-:func:`true_risk` (exact where a closed form exists). It reads each stream
+:func:`true_risks` (exact where a closed form exists), the risks of a
+stack of hypotheses whose row 0 is :func:`true_risk`. It reads each stream
 straight into the output buffers, then does the arithmetic in place a
 block at a time. :func:`fit_replicates` draws one stack, fits it once.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import Sample
-from .losses import LossModel, _sigmoid
+from .losses import LossModel, _matvec, _sigmoid
 from .seeding import child_seed, draw_each, stream_key
 
 FEATURE_LAWS = ("sphere", "ball")
@@ -250,31 +251,47 @@ def true_risk(
     draws: int = 4096,
     seed: int = 0,
 ) -> RiskEstimate:
-    """Population risk of h under the distribution.
+    """Population risk of h, row 0 of ``true_risks(loss, [h], spec, draws, [seed])``."""
+    values, errors, exact = true_risks(loss, [h], spec, draws, [seed])
+    return RiskEstimate(value=float(values[0]), std_error=float(errors[0]), exact=exact)
+
+
+def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds):
+    """(values, std_errors, exact): the population risk of each row of a
+    (C, d) stack of hypotheses.
 
     Squared loss with LinearNoise on the uniform sphere has the closed
     form ||h - teacher||^2 * B^2 / d + noise_sd^2 (plus the determinate
     ridge term); everything else falls back to Monte Carlo with the given
-    number of draws.
+    number of draws, row c's drawn on ``(seeds[c], "risk-mc")``. Rows are
+    drawn and scored by ``values_raw`` in blocks of at most
+    ``_BLOCK_EXAMPLES`` points (one row at least); no row reads another.
     """
-    h = loss.check_hypothesis(h)
-    if h.shape != (spec.dim,):
+    H = loss.check_hypothesis(H)
+    if H.ndim != 2 or H.shape[1] != spec.dim:
         raise ValueError("hypothesis dimension does not match the distribution")
+    if len(seeds) != len(H):
+        raise ValueError("true_risks needs one seed per hypothesis")
     closed = (
         loss.kind == "squared"
         and isinstance(spec.mechanism, LinearNoise)
         and spec.feature_law == "sphere"
     )
     if closed:
-        gap = h - spec.teacher
-        value = float(gap @ gap) * spec.feature_bound**2 / spec.dim
-        value += spec.mechanism.noise_sd**2
+        G = H - spec.teacher
+        values = _matvec(G[:, None, :], G)[:, 0] * spec.feature_bound**2 / spec.dim
+        values += spec.mechanism.noise_sd**2
         if loss.ridge_term:
-            value += loss.ridge_term * float(h @ h)
-        return RiskEstimate(value=value, std_error=0.0, exact=True)
+            values += loss.ridge_term * _matvec(H[:, None, :], H)[:, 0]
+        return values, np.zeros(len(H)), True
     if draws < 2:
         raise ValueError("draws must be >= 2 for a Monte Carlo estimate")
-    X, y = _sample_stack(spec, draws, [stream_key(seed, "risk-mc")])
-    vals = loss.values_raw(h, X[0], y[0])
-    se = float(vals.std(ddof=1) / math.sqrt(draws))
-    return RiskEstimate(value=float(vals.mean()), std_error=se, exact=False)
+    values, errors = np.empty(len(H)), np.empty(len(H))
+    step = max(1, _BLOCK_EXAMPLES // draws)
+    for start in range(0, len(H), step):
+        rows = slice(start, start + step)
+        X, y = _sample_stack(spec, draws, [stream_key(seed, "risk-mc") for seed in seeds[rows]])
+        vals = loss.values_raw(H[rows], X, y)
+        values[rows] = vals.mean(axis=1)
+        errors[rows] = vals.std(ddof=1, axis=1) / math.sqrt(draws)
+    return values, errors, False

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .datagen import (
     SignFlip,
     draw_sample,
     fit_replicates,
-    true_risk,
+    true_risks,
 )
 from .learners import Sample, _integral, _real, make_algorithm
 from .seeding import child_seed
@@ -172,8 +173,8 @@ class ExperimentConfig:
         if not 0.0 < delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5) so 1 - 2*delta is a confidence")
         a = _real(raw.get("a", 2.0), "a")
-        if a <= 1.0:
-            raise ValueError("a must be > 1")
+        if not 1.0 < a < math.inf:
+            raise ValueError(f"a must be > 1 and finite, got {a!r}")
         replacements = _integral(raw.get("replacements", 5), "replacements")
         if not 1 <= replacements <= MAX_REPLACEMENTS:
             raise ValueError(f"replacements must lie in [1, {MAX_REPLACEMENTS}]")
@@ -213,7 +214,14 @@ class ExperimentConfig:
             out_dir=out_dir,
             echo=json.loads(json.dumps(raw, sort_keys=True)),
         )
-        build_algorithm(config)  # fail fast on unresolvable presets
+        # Resolve the preset and its closed form at every n the run reads, so
+        # that an n-dependent failure is an input error, not a failed stage.
+        algorithm = build_algorithm(config)
+        for n in n_grid + (() if coverage_n is None else (coverage_n,)):
+            try:
+                closed_form(algorithm, n)
+            except ValueError as exc:
+                raise ValueError(f"algorithm fails at n={n}: {exc}") from exc
         return config
 
     @classmethod
@@ -275,12 +283,10 @@ def _gaps(config: ExperimentConfig, loss, fits, features, labels, risk_seeds, dr
     """Plain and deformed gap of each fitted row on its own sample, its true
     risk from ``draws`` Monte-Carlo points on its risk seed."""
     loss.check_examples(features, labels)
-    gaps = []
-    for h, X, y, risk_seed in zip(fits, features, labels, risk_seeds):
-        emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())
-        true = true_risk(loss, h, config.distribution, draws=draws, seed=risk_seed).value
-        gaps.append({"plain": true - emp, "deformed": deformed_gap(true, emp, config.a)})
-    return gaps
+    emp = loss.values_raw(loss.check_hypothesis(fits), features, labels).mean(axis=1)
+    true, _, _ = true_risks(loss, fits, config.distribution, draws, risk_seeds)
+    plain, deformed = true - emp, deformed_gap(true, emp, config.a)
+    return [{"plain": p, "deformed": q} for p, q in zip(plain.tolist(), deformed.tolist())]
 
 
 def _bound_constants(config: ExperimentConfig, algorithm, n: int):

@@ -607,7 +607,6 @@ class LpRermAlgorithm(_Preset):
     ):
         if not (tol > 0 and math.isfinite(tol)):
             raise ValueError("tol must be positive and finite")
-        max_iter = _integral(max_iter, "max_iter")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.penalty = penalty
@@ -678,8 +677,12 @@ def _norm_policy(value, kind: str) -> dict:
         raise ValueError(f"{kind} policy {mode!r} needs the keys {sorted(missing)}")
     if mode == "fixed":
         out["value"] = _integral(out["value"], "steps")
-    elif mode == "constant":
-        out["value"] = _real(out["value"], kind)
+    elif keys:  # a constant value or a factor of n: a positive real
+        (key,) = keys
+        name = kind if key == "value" else f"{kind} factor"
+        out[key] = _real(out[key], name)
+        if not (out[key] > 0 and math.isfinite(out[key])):
+            raise ValueError(f"{name} must be positive and finite, got {out[key]!r}")
     return out
 
 
@@ -856,8 +859,8 @@ def make_algorithm(
     if preset == "rerm-lp":
         p, lam = (_required(preset, params, name, real=True) for name in ("p", "lam"))
         penalty = PenaltySpec(p=p, lam=lam)
-        tol = params.pop("tol", 1e-9)
-        max_iter = params.pop("max_iter", 50000)
+        tol = _real(params.pop("tol", 1e-9), "tol")
+        max_iter = _integral(params.pop("max_iter", 50000), "max_iter")
         _reject_extra(preset, params)
         return LpRermAlgorithm(
             loss_kind, penalty, feature_bound, label_bound, tol=tol, max_iter=max_iter

@@ -37,25 +37,6 @@ KINDS = ("hinge", "logistic", "squared")
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    """One observation: a feature vector and a real label."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.x, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("feature vector must be one-dimensional and non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature entries must be finite")
-        if not math.isfinite(self.y):
-            raise ValueError("label must be finite")
-        object.__setattr__(self, "x", arr)
-        object.__setattr__(self, "y", float(self.y))
-
-
-@dataclass(frozen=True)
 class LossConstants:
     """Certified constants of a loss model over its declared domain."""
 
@@ -179,14 +160,16 @@ class LossModel:
     # -- domain checks -------------------------------------------------------
 
     def check_hypothesis(self, h: np.ndarray) -> np.ndarray:
+        """h as float64, a vector (d,) or a stack (C, d); DomainError if a row leaves the ball."""
         h = np.asarray(h, dtype=np.float64)
-        if h.ndim != 1:
-            raise ValueError("hypothesis must be a one-dimensional vector")
+        if h.ndim not in (1, 2):
+            raise ValueError("hypothesis must be a vector (d,) or a stack (C, d)")
         if not np.all(np.isfinite(h)):
             raise ValueError("hypothesis entries must be finite")
-        if not float(np.linalg.norm(h)) <= _slack(self.radius):
+        norms = np.linalg.norm(h, axis=-1)
+        if not np.all(norms <= _slack(self.radius)):
             raise DomainError(
-                f"hypothesis norm {np.linalg.norm(h):.6g} exceeds certified radius "
+                f"hypothesis norm {float(norms.max()):.6g} exceeds certified radius "
                 f"{self.radius:.6g}"
             )
         return h
@@ -209,27 +192,6 @@ class LossModel:
                 f"label magnitude {float(np.abs(labels).max()):.6g} exceeds bound "
                 f"{self.label_bound:.6g}"
             )
-
-    def check_example(self, z: LabeledExample) -> LabeledExample:
-        self.check_examples(z.x, z.y)
-        return z
-
-    # -- evaluation ----------------------------------------------------------
-
-    # One checked example: the batch helpers below on a one-row sample.
-
-    def _checked(self, h, z: LabeledExample):
-        h = self.check_hypothesis(h)
-        self.check_example(z)
-        if h.shape != z.x.shape:
-            raise ValueError(f"dimension mismatch: {h.size} vs {z.x.size}")
-        return h, z.x[None, :], np.array([z.y])
-
-    def evaluate(self, h, z: LabeledExample) -> float:
-        return float(self.values_raw(*self._checked(h, z))[0])
-
-    def gradient(self, h, z: LabeledExample) -> np.ndarray:
-        return self.risk_gradient_raw(*self._checked(h, z))
 
     # -- batch helpers (no domain checks; used by solvers and experiments) ---
 

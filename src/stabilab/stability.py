@@ -48,7 +48,7 @@ from .learners import (
     SgdSpec,
     _row_norms,
 )
-from .losses import LabeledExample, LossModel
+from .losses import LossModel
 from .seeding import child_seed
 
 # Replacement-column codes used in CSV rows: non-negative values are i.i.d.
@@ -293,37 +293,27 @@ class StabilityReport:
             writer.writerows(self.csv_rows())
 
 
-def adversarial_anchors(h: np.ndarray, dist: DistributionSpec) -> list:
-    """Extreme-margin replacement examples +/- B*h/||h|| with flipped labels.
+def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
+    """(codes, X (k, d), y (k,)): the extreme-margin replacement examples
+    +/- B*h/||h|| with flipped labels.
 
-    Classification anchors get the label opposite to the prediction sign;
-    regression anchors get the farthest admissible label. Returns an empty
-    list when h is (numerically) zero, since no margin direction exists.
+    The anchor at +B*h/||h|| takes the label -Y and its mirror +Y, with Y
+    the label bound (1 for classification mechanisms). k is 0 when h is
+    (numerically) zero, since no margin direction exists.
     """
     norm = float(np.linalg.norm(h))
     if norm < 1e-12:
-        return []
+        return [], np.empty((0, dist.dim)), np.empty(0)
     direction = h / norm * dist.feature_bound
-    if dist.mechanism.classification():
-        far_plus, far_minus = -1.0, 1.0
-    else:
-        far_plus, far_minus = -dist.label_bound, dist.label_bound
-    return [
-        (ANCHOR_PLUS, LabeledExample(direction, far_plus)),
-        (ANCHOR_MINUS, LabeledExample(-direction, far_minus)),
-    ]
+    far = dist.label_bound
+    return [ANCHOR_PLUS, ANCHOR_MINUS], np.stack([direction, -direction]), np.array([-far, far])
 
 
-def _loss_gap_grid(dist: DistributionSpec, eval_loss, anchors, seed):
+def _loss_gap_grid(dist: DistributionSpec, eval_loss, anchor_x, anchor_y, seed):
     if eval_loss is None:
         return None, None
     grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
-    X = [grid.features]
-    y = [grid.labels]
-    for _, z in anchors:
-        X.append(z.x[None, :])
-        y.append(np.array([z.y]))
-    return np.concatenate(X), np.concatenate(y)
+    return np.concatenate([grid.features, anchor_x]), np.concatenate([grid.labels, anchor_y])
 
 
 def measure_argument_stability(
@@ -355,11 +345,13 @@ def measure_argument_stability(
         h_base = algorithm.fit(sample, seed=base_seed)
     except Exception as exc:
         raise RuntimeError(f"base fit failed: {exc}") from exc
-    anchors = adversarial_anchors(h_base, dist) if use_anchors else []
-    grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchors, seed)
+    anchor_codes, anchor_x, anchor_y = adversarial_anchors(h_base, dist)
+    if not use_anchors:
+        anchor_codes, anchor_x, anchor_y = [], anchor_x[:0], anchor_y[:0]
+    grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchor_x, anchor_y, seed)
 
     # Index i's cells: i.i.d. draws k = 0 .. replacements - 1, then the anchors.
-    codes = list(range(replacements)) + [code for code, _ in anchors]
+    codes = list(range(replacements)) + anchor_codes
     draws_x, draws_y = draw_examples(
         dist,
         [child_seed(seed, "replacement", i, k) for i in range(n) for k in range(replacements)],
@@ -368,8 +360,7 @@ def measure_argument_stability(
     rep_y = np.empty((n, len(codes)))
     rep_x[:, :replacements] = draws_x.reshape(n, replacements, dist.dim)
     rep_y[:, :replacements] = draws_y.reshape(n, replacements)
-    for column, (_, z) in enumerate(anchors, start=replacements):
-        rep_x[:, column], rep_y[:, column] = z.x, z.y
+    rep_x[:, replacements:], rep_y[:, replacements:] = anchor_x, anchor_y
     cell_index = [i for i in range(n) for _ in codes]
     codes = codes * n
     seeds = None

@@ -1,9 +1,10 @@
 """Serial reference for the stacked SGD kernel.
 
-One example at a time through ``LossModel.gradient``, which checks the
-domain of every iterate and example it sees. The library's kernel must
-agree with it to rounding on every entry point: single runs, batched fits
-and coupled twins.
+One example at a time: each step checks the iterate and the example it
+sees against the domain (``check_hypothesis``, ``check_examples``), then
+moves along ``risk_gradient_raw`` on that one-row sample. The library's
+kernel must agree with it to rounding on every entry point: single runs,
+batched fits and coupled twins.
 """
 
 import numpy as np
@@ -23,7 +24,10 @@ def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
     h = np.zeros(sample.dim)
     traj = [h]
     for t in range(spec.steps):
-        h = h - alphas[t] * loss.gradient(h, example(sample, int(idx[t])))
+        x, y = example(sample, int(idx[t]))
+        loss.check_hypothesis(h)
+        loss.check_examples(x, y)
+        h = h - alphas[t] * loss.risk_gradient_raw(h, x[None, :], np.array([y]))
         if spec.projection_radius is not None:
             nrm = float(np.linalg.norm(h))
             if nrm > spec.projection_radius:

@@ -376,6 +376,7 @@ class TestBoundsCommand:
                 "delta": 0.1,
                 "n": 100,
             },
+            plain_constants(lipschitz="1"),
         ],
     )
     def test_bad_constants_exit_1(self, tmp_path, spec, capsys):
@@ -383,22 +384,34 @@ class TestBoundsCommand:
         assert main(["bounds", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_constant_that_is_not_a_number_is_named(self, tmp_path, capsys):
+        path = write_json(tmp_path, "constants.json", plain_constants(lipschitz="1"))
+        assert main(["bounds", path]) == 1
+        assert "lipschitz must be a number, got '1'" in capsys.readouterr().err
+
     def test_missing_constants_file_exits_2(self, tmp_path):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
 
 
+PINELIS_SPEC = {
+    "kind": "pinelis",
+    "increment_bounds": [0.25] * 16,
+    "dim": 4,
+    "trials": 100,
+    "epsilon": 2.0,
+    "seed": 3,
+}
+
+
+PINELIS_WITHOUT_A_KEY = [
+    {name: value for name, value in PINELIS_SPEC.items() if name != key}
+    for key in ("dim", "trials", "epsilon", "increment_bounds")
+]
+
+
 class TestConcentrateCommand:
     def pinelis_spec(self, **overrides):
-        raw = {
-            "kind": "pinelis",
-            "increment_bounds": [0.25] * 16,
-            "dim": 4,
-            "trials": 100,
-            "epsilon": 2.0,
-            "seed": 3,
-        }
-        raw.update(overrides)
-        return raw
+        return {**PINELIS_SPEC, **overrides}
 
     def test_pinelis_json(self, tmp_path, capsys):
         path = write_json(tmp_path, "spec.json", self.pinelis_spec())
@@ -455,12 +468,26 @@ class TestConcentrateCommand:
             {"kind": "mystery"},
             {"kind": "center", "n": 16},
             {"kind": "doob"},
+            *PINELIS_WITHOUT_A_KEY,
+            PINELIS_SPEC | {"surprise": 1},
         ],
     )
     def test_bad_specs_exit_1(self, tmp_path, spec, capsys):
         path = write_json(tmp_path, "spec.json", spec)
         assert main(["concentrate", path]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", PINELIS_WITHOUT_A_KEY)
+    def test_a_missing_pinelis_key_is_named(self, tmp_path, spec, capsys):
+        (missing,) = set(PINELIS_SPEC) - set(spec)
+        path = write_json(tmp_path, "spec.json", spec)
+        assert main(["concentrate", path]) == 1
+        assert f"pinelis spec needs the keys [{missing!r}]" in capsys.readouterr().err
+
+    def test_an_unknown_pinelis_key_is_named(self, tmp_path, capsys):
+        path = write_json(tmp_path, "spec.json", PINELIS_SPEC | {"surprise": 1})
+        assert main(["concentrate", path]) == 1
+        assert "unknown pinelis spec keys: ['surprise']" in capsys.readouterr().err
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         assert main(["concentrate", str(tmp_path / "absent.json")]) == 2
@@ -682,6 +709,36 @@ class TestExperimentCommands:
                 dict(algorithm=SGD_ALGORITHM | {"step": {"mode": "constant", "value": "0.1"}}),
                 "step must be a number",
             ),
+            (dict(a=math.inf), "a must be > 1 and finite"),
+            (dict(a=math.nan), "a must be > 1 and finite"),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"step": math.nan}),
+                "step must be positive and finite, got nan",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": "2"}}),
+                "steps factor must be a number",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": -2}}),
+                "steps factor must be positive and finite",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "n_squared", "factor": math.nan}}),
+                "steps factor must be positive and finite",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": math.inf}}),
+                "steps factor must be positive and finite",
+            ),
+            (
+                dict(algorithm={"preset": "sgd-nonconvex", "steps": 10, "c": 0.1}, n_grid=[1, 10]),
+                "algorithm fails at n=1: nonconvex regime needs n >= 2",
+            ),
+            (
+                dict(algorithm={"preset": "sgd-nonconvex", "steps": 10, "c": 0.1}, coverage_n=1),
+                "algorithm fails at n=1: nonconvex regime needs n >= 2",
+            ),
         ],
     )
     def test_run_rejects_values_it_would_truncate_or_misread(
@@ -712,6 +769,8 @@ class TestExperimentCommands:
             (dict(tol=-1), "tol must be positive and finite"),
             (dict(tol=math.nan), "tol must be positive and finite"),
             (dict(max_iter=0), "max_iter must be >= 1"),
+            (dict(tol="1e-9"), "tol must be a number"),
+            (dict(max_iter=100.5), "max_iter must be an integer"),
         ],
     )
     def test_run_rejects_bad_rerm_solver_settings(self, settings, message, tmp_path, capsys):

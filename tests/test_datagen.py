@@ -15,7 +15,8 @@ from stabilab import (
     true_risk,
 )
 from stabilab import datagen
-from stabilab.datagen import draw_examples, draw_samples
+from stabilab.datagen import draw_examples, draw_samples, true_risks
+from stabilab.exceptions import DomainError
 from stabilab.seeding import substream
 
 from stream_oracle import serial_draw, serial_draw_examples, serial_draw_samples
@@ -406,3 +407,97 @@ class TestSamplerAgainstSerialOracle:
         assert not est.exact
         assert est.value == float(vals.mean())
         assert est.std_error == float(vals.std(ddof=1) / math.sqrt(777))
+
+
+# ---------------------------------------------------------------------------
+# the stacked risk against the per-row true_risk
+
+
+def ball_hypotheses(count, dim, radius, seed):
+    """``count`` hypotheses strictly inside the radius ball, zero included."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((count, dim))
+    H *= radius * rng.random((count, 1)) / np.linalg.norm(H, axis=1, keepdims=True)
+    H[0] = 0.0
+    return H
+
+
+def assert_rows_equal_true_risk(loss, H, spec, draws, seeds):
+    """true_risks on the stack equals true_risk row by row, bit for bit."""
+    values, errors, exact = true_risks(loss, H, spec, draws, seeds)
+    assert values.shape == errors.shape == (len(H),)
+    for c, (h, seed) in enumerate(zip(H, seeds)):
+        est = true_risk(loss, h, spec, draws=draws, seed=seed)
+        assert (values[c], errors[c], exact) == (est.value, est.std_error, est.exact)
+    return values, errors, exact
+
+
+class TestStackedRisk:
+    @pytest.mark.parametrize("ridge", [0.0, 0.25])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 16])
+    @pytest.mark.parametrize("count", [1, 37])
+    def test_closed_form_rows_equal_the_scalar_formula(self, ridge, dim, count):
+        spec = linear_spec(dim=dim, teacher_scale=0.3, noise_sd=0.05)
+        loss = make_loss("squared", 1.0, 1.0, 1.0, ridge)
+        H = ball_hypotheses(count, dim, 1.0, seed=dim)
+        values, errors, exact = assert_rows_equal_true_risk(loss, H, spec, 4096, range(count))
+        assert exact and not errors.any()
+        for value, h in zip(values, H):
+            gap = h - spec.teacher
+            want = float(gap @ gap) * spec.feature_bound**2 / spec.dim + 0.05**2
+            if ridge:
+                want += ridge * float(h @ h)
+            assert value == want
+
+    @pytest.mark.parametrize(
+        "mechanism, law, kind, ridge",
+        [
+            (LinearNoise(0.02), "ball", "squared", 0.0),
+            (LinearNoise(0.02), "ball", "squared", 0.25),
+            (LogisticTeacher(), "sphere", "logistic", 0.0),
+            (LogisticTeacher(), "sphere", "logistic", 0.1),
+            (SignFlip(0.2), "ball", "hinge", 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 13])
+    def test_monte_carlo_rows_equal_the_serial_sampler(self, mechanism, law, kind, ridge, count):
+        # 777 draws a row: 5 rows a block, so 13 rows fill three blocks.
+        spec = oracle_spec(mechanism, law)
+        loss = make_loss(kind, 1.5, 1.0, spec.label_bound, ridge)
+        H = ball_hypotheses(count, 3, 1.0, seed=count)
+        seeds = SEEDS + list(range(count))
+        values, errors, exact = assert_rows_equal_true_risk(loss, H, spec, 777, seeds[:count])
+        assert not exact
+        for c, h in enumerate(H):
+            X, y = serial_draw(spec, substream(seeds[c], "risk-mc"), 777)
+            vals = loss.values_raw(h, X, y)
+            assert values[c] == float(vals.mean())
+            assert errors[c] == float(vals.std(ddof=1) / math.sqrt(777))
+
+    @pytest.mark.parametrize("block", [1, 1000, 4096])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        spec = oracle_spec(LogisticTeacher(), "ball")
+        loss = make_loss("logistic", 1.5, 1.0)
+        H = ball_hypotheses(9, 3, 1.0, seed=4)
+        want = true_risks(loss, H, spec, 512, list(range(9)))
+        monkeypatch.setattr(datagen, "_BLOCK_EXAMPLES", block)
+        got = true_risks(loss, H, spec, 512, list(range(9)))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_a_stack_is_checked_before_any_draw(self, monkeypatch):
+        spec = oracle_spec(LogisticTeacher(), "ball")
+        loss = make_loss("logistic", 1.5, 1.0)
+        H = ball_hypotheses(4, 3, 1.0, seed=6)
+        monkeypatch.setattr(datagen, "_sample_stack", None)
+        wide, nan = H.copy(), H.copy()
+        wide[2] *= 1.5 / np.linalg.norm(wide[2])
+        nan[3, 0] = np.nan
+        with pytest.raises(DomainError, match="exceeds certified radius"):
+            true_risks(loss, wide, spec, 512, range(4))
+        with pytest.raises(ValueError, match="finite"):
+            true_risks(loss, nan, spec, 512, range(4))
+        with pytest.raises(ValueError, match="one seed per hypothesis"):
+            true_risks(loss, H, spec, 512, range(3))
+        with pytest.raises(ValueError, match="dimension"):
+            true_risks(loss, H[:, :2], spec, 512, range(4))
+

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: configs, runs, reports, plot tables."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -291,13 +292,15 @@ class TestDeterminism:
 
 class TestFailureHandling:
     def test_stage_and_n_are_reported_and_partial_results_persisted(self, tmp_path):
+        # A step above the convex cap fails the closed form at every n, so
+        # from_dict refuses it; swapped into a validated config, it fails
+        # the first stage that fits.
         out = str(tmp_path / "broken")
-        raw = base_config(
-            algorithm={"preset": "sgd-convex", "steps": 10, "step": 2.0},
-            n_grid=[10],
-            out_dir=out,
-        )
-        config = ExperimentConfig.from_dict(raw)
+        broken = {"preset": "sgd-convex", "steps": 10, "step": 2.0}
+        raw = base_config(n_grid=[10], out_dir=out)
+        with pytest.raises(ValueError, match="step 2 exceeds the convex cap 1"):
+            ExperimentConfig.from_dict({**raw, "algorithm": broken})
+        config = dataclasses.replace(ExperimentConfig.from_dict(raw), algorithm=broken)
         with pytest.raises(RuntimeError) as err:
             run_experiment(config)
         assert "stage 'stability' failed at n=10" in str(err.value)

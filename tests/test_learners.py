@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from stabilab import (
     ConvergenceError,
     DomainError,
-    LabeledExample,
     NonFiniteIterateError,
     PenaltySpec,
     Sample,
@@ -48,9 +47,9 @@ class TestSample:
         s = Sample([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], [1.0, -1.0, 0.5])
         assert s.n == 3
         assert s.dim == 2
-        z = example(s, 1)
-        assert z.y == -1.0
-        assert np.array_equal(z.x, [0.0, 2.0])
+        x, y = example(s, 1)
+        assert y == -1.0 and type(y) is float
+        assert np.array_equal(x, [0.0, 2.0])
 
     def test_arrays_are_frozen(self):
         s = Sample([[1.0], [2.0]], [0.0, 0.0])
@@ -61,13 +60,13 @@ class TestSample:
 
     def test_example_returns_a_copy(self):
         s = Sample([[1.0], [2.0]], [0.0, 0.0])
-        z = example(s, 0)
-        z.x[0] = 99.0
+        x, _ = example(s, 0)
+        x[0] = 99.0
         assert s.features[0, 0] == 1.0
 
     def test_replaced_swaps_one_row_and_keeps_original(self):
         s = Sample([[1.0], [1.0]], [1.0, 1.0])
-        t = replaced(s, 1, LabeledExample(np.array([3.0]), -2.0))
+        t = replaced(s, 1, np.array([3.0]), -2.0)
         assert np.array_equal(t.features, [[1.0], [3.0]])
         assert np.array_equal(t.labels, [1.0, -2.0])
         assert np.array_equal(s.features, [[1.0], [1.0]])
@@ -93,12 +92,12 @@ class TestSample:
         with pytest.raises(ValueError):
             example(s, index)
         with pytest.raises(ValueError):
-            replaced(s, index, LabeledExample(np.array([0.0]), 0.0))
+            replaced(s, index, np.array([0.0]), 0.0)
 
     def test_replaced_rejects_wrong_dimension(self):
         s = Sample([[1.0, 0.0]], [0.0])
         with pytest.raises(ValueError):
-            replaced(s, 0, LabeledExample(np.array([1.0]), 0.0))
+            replaced(s, 0, np.array([1.0]), 0.0)
 
 
 class TestDomainChecks:
@@ -159,7 +158,7 @@ class TestFitRidge:
         s = Sample([[1.0], [1.0]], [1.0, 1.0])
         h = RidgeAlgorithm(1.0, 1.0, 1.0).fit(s)
         assert h == pytest.approx([0.5], abs=1e-12)
-        t = replaced(s, 1, LabeledExample(np.array([1.0]), 0.0))
+        t = replaced(s, 1, np.array([1.0]), 0.0)
         g = RidgeAlgorithm(1.0, 1.0, 1.0).fit(t)
         assert g == pytest.approx([0.25], abs=1e-12)
         assert abs(h[0] - g[0]) == pytest.approx(0.25, abs=1e-12)
@@ -816,7 +815,7 @@ class TestBatchedHelpers:
         for c in range(cells):
             spec = algo.spec_for(n)
             a = serial_sgd(sample, loss, spec, seeds[c])[-1]
-            twin = replaced(sample, int(repl_i[c]), LabeledExample(repl_x[c], float(repl_y[c])))
+            twin = replaced(sample, int(repl_i[c]), repl_x[c], float(repl_y[c]))
             b = serial_sgd(twin, loss, spec, seeds[c])[-1]
             assert abs(dist[c] - np.linalg.norm(a - b)) < 1e-12
 
@@ -877,7 +876,7 @@ class TestStackedRidge:
         assert HA.shape == HB.shape == (60, d)
         assert all(np.array_equal(row, base) for row in HA)
         for c, i in enumerate(index):
-            twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
             assert np.array_equal(HB[c], algo.fit(twin))
             assert np.array_equal(HB[c], serial_ridge(twin, lam))
         # The sample the cells were swapped into is left as it was.
@@ -892,7 +891,7 @@ class TestStackedRidge:
         index, repl_x, repl_y = replace_one_cells(rng, sample, 40, feature_scale=50.0)
         _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, algo.fit(sample))
         for c, i in enumerate(index):
-            twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+            twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
             assert np.array_equal(HB[c], serial_ridge(twin, 1e-9))
 
     def test_a_row_does_not_depend_on_the_other_cells(self):
@@ -1026,7 +1025,7 @@ def test_every_preset_fit_twins_rows_equal_fits_on_the_replaced_samples(
     HA, HB = algo.fit_twins(sample, index, repl_x, repl_y, seeds, base)
     assert HA.shape == HB.shape == (cells, sample.dim)
     for c, i in enumerate(index):
-        twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
         if algo.stochastic:
             assert np.abs(HA[c] - serial_fit(algo, sample, seeds[c])).max() < 1e-12
             assert np.abs(HB[c] - serial_fit(algo, twin, seeds[c])).max() < 1e-12
@@ -1108,5 +1107,5 @@ def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
     base = algo.fit(sample)
     _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, base)
     for c, i in enumerate(index):
-        twin = replaced(sample, int(i), LabeledExample(repl_x[c], float(repl_y[c])))
+        twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
         assert np.array_equal(HB[c], serial_fit(algo, twin, 0))

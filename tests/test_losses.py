@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabilab import LabeledExample, certify_loss, make_loss
+from stabilab import certify_loss, make_loss
 from stabilab.exceptions import DomainError
 from stabilab.losses import margin_slopes, margin_values
 
@@ -83,30 +83,47 @@ def test_domain_checks():
     with pytest.raises(DomainError):
         loss.check_hypothesis(np.array([0.6, 0.0]))
     with pytest.raises(DomainError):
-        loss.check_example(LabeledExample(np.array([2.0, 0.0]), 1.0))
+        loss.check_examples(np.array([2.0, 0.0]), 1.0)
     with pytest.raises(DomainError):
-        loss.check_example(LabeledExample(np.array([0.5, 0.0]), 0.5))
+        loss.check_examples(np.array([0.5, 0.0]), 0.5)
     reg = make_loss("squared", 1.0, 1.0, label_bound=0.25)
     with pytest.raises(DomainError):
-        reg.check_example(LabeledExample(np.array([0.5, 0.0]), 0.3))
+        reg.check_examples(np.array([0.5, 0.0]), 0.3)
 
 
-def test_evaluate_and_gradient_single_example():
+def test_stacked_hypothesis_check_rejects_one_bad_row():
+    loss = make_loss("hinge", 1.0, 0.5)
+    good = np.array([[0.3, 0.0], [0.0, -0.5], [0.1, 0.1]])
+    checked = loss.check_hypothesis(good)
+    assert checked.dtype == np.float64 and np.array_equal(checked, good)
+    wide = good.copy()
+    wide[1] = [0.0, 0.6]
+    with pytest.raises(DomainError, match="hypothesis norm 0.6 exceeds certified radius 0.5"):
+        loss.check_hypothesis(wide)
+    nan = good.copy()
+    nan[2, 1] = np.nan
+    with pytest.raises(ValueError, match="hypothesis entries must be finite"):
+        loss.check_hypothesis(nan)
+    with pytest.raises(ValueError, match="vector"):
+        loss.check_hypothesis(good[None])
+
+
+def test_values_and_gradient_on_one_example():
     loss = make_loss("squared", 1.0, 2.0, label_bound=1.0)
-    z = LabeledExample(np.array([1.0, 0.0]), 0.5)
+    x, y = np.array([[1.0, 0.0]]), np.array([0.5])
     h = np.array([1.0, 1.0])
-    assert loss.evaluate(h, z) == pytest.approx(0.25)
-    assert np.allclose(loss.gradient(h, z), [1.0, 0.0])
+    assert loss.values_raw(h, x, y)[0] == pytest.approx(0.25)
+    assert np.allclose(loss.risk_gradient_raw(h, x, y), [1.0, 0.0])
     aug = make_loss("squared", 1.0, 2.0, label_bound=1.0, ridge_term=0.5)
-    assert aug.evaluate(h, z) == pytest.approx(0.25 + 0.5 * 2.0)
-    assert np.allclose(aug.gradient(h, z), [2.0, 1.0])
+    assert aug.values_raw(h, x, y)[0] == pytest.approx(0.25 + 0.5 * 2.0)
+    assert np.allclose(aug.risk_gradient_raw(h, x, y), [2.0, 1.0])
     with pytest.raises(ValueError, match="dimension"):
-        loss.evaluate(np.array([1.0]), z)
+        loss.values_raw(np.array([1.0]), x, y)
     with pytest.raises(ValueError, match="dimension"):
-        loss.gradient(np.array([1.0]), z)
+        loss.risk_gradient_raw(np.array([1.0]), x, y)
 
 
-def test_values_raw_matches_evaluate():
+def test_values_raw_matches_one_example_values():
     loss = make_loss("logistic", 1.0, 1.0, ridge_term=0.1)
     rng = np.random.default_rng(2)
     h = rng.normal(size=3)
@@ -116,8 +133,7 @@ def test_values_raw_matches_evaluate():
     y = np.where(rng.random(5) < 0.5, -1.0, 1.0)
     vals = loss.values_raw(h, X, y)
     for j in range(5):
-        z = LabeledExample(X[j], float(y[j]))
-        assert vals[j] == pytest.approx(loss.evaluate(h, z))
+        assert vals[j] == pytest.approx(loss.values_raw(h, X[j : j + 1], y[j : j + 1])[0])
 
 
 def test_risk_gradient_raw_is_mean_of_example_gradients():
@@ -128,7 +144,7 @@ def test_risk_gradient_raw_is_mean_of_example_gradients():
     X = rng.normal(size=(6, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     y = rng.uniform(-0.5, 0.5, size=6)
-    grads = [loss.gradient(h, LabeledExample(X[j], float(y[j]))) for j in range(6)]
+    grads = [loss.risk_gradient_raw(h, X[j : j + 1], y[j : j + 1]) for j in range(6)]
     assert np.allclose(loss.risk_gradient_raw(h, X, y), np.mean(grads, axis=0))
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from stabilab import (
     DistributionSpec,
-    LabeledExample,
     LinearNoise,
     LogisticTeacher,
     PenaltySpec,
@@ -375,24 +374,26 @@ class TestAnchors:
             dim=2, feature_bound=2.0, teacher=[0.5, 0.0], mechanism=LogisticTeacher()
         )
         h = np.array([3.0, 4.0])
-        anchors = adversarial_anchors(h, spec)
-        assert [code for code, _ in anchors] == [ANCHOR_PLUS, ANCHOR_MINUS]
-        plus = anchors[0][1]
-        minus = anchors[1][1]
-        assert np.linalg.norm(plus.x) == pytest.approx(2.0)
-        assert plus.x == pytest.approx(np.array([1.2, 1.6]))
-        assert plus.y == -1.0
-        assert minus.x == pytest.approx(-plus.x)
-        assert minus.y == 1.0
+        codes, X, y = adversarial_anchors(h, spec)
+        assert codes == [ANCHOR_PLUS, ANCHOR_MINUS]
+        assert X.shape == (2, 2) and y.shape == (2,)
+        plus, minus = X
+        assert np.linalg.norm(plus) == pytest.approx(2.0)
+        assert plus == pytest.approx(np.array([1.2, 1.6]))
+        assert y[0] == -1.0
+        assert minus == pytest.approx(-plus)
+        assert y[1] == 1.0
 
     def test_regression_anchors_take_the_far_label(self):
         spec = regression_spec()
-        anchors = adversarial_anchors(np.array([1.0, 0.0]), spec)
-        assert anchors[0][1].y == -1.0
-        assert anchors[1][1].y == 1.0
+        _, _, y = adversarial_anchors(np.array([1.0, 0.0]), spec)
+        assert y[0] == -1.0
+        assert y[1] == 1.0
 
     def test_zero_fit_has_no_anchor_direction(self):
-        assert adversarial_anchors(np.zeros(2), regression_spec()) == []
+        codes, X, y = adversarial_anchors(np.zeros(2), regression_spec())
+        assert codes == []
+        assert X.shape == (0, 2) and y.shape == (0,)
 
 
 class TestMeasurement:
@@ -433,9 +434,9 @@ class TestMeasurement:
         worst = 0.0
         for i, code, distance, _gap in report.cells:
             if code == ANCHOR_PLUS:
-                twin = replaced(sample, i, LabeledExample(np.array([1.0]), -1.0))
+                twin = replaced(sample, i, np.array([1.0]), -1.0)
             elif code == ANCHOR_MINUS:
-                twin = replaced(sample, i, LabeledExample(np.array([-1.0]), 1.0))
+                twin = replaced(sample, i, np.array([-1.0]), 1.0)
             else:
                 continue
             expected = abs(base - float(np.mean(twin.features[:, 0] * twin.labels)) / 2.0)
@@ -524,8 +525,8 @@ class TestMeasurement:
         loss = algo.loss_for(sample.n)
         base = algo.fit(sample, seed=child_seed(17, "base-fit"))
         for i, code, distance, _gap in report.cells:
-            z = example(draw_sample(spec, 1, child_seed(17, "replacement", i, code)), 0)
-            twin = replaced(sample, i, z)
+            x, y = example(draw_sample(spec, 1, child_seed(17, "replacement", i, code)), 0)
+            twin = replaced(sample, i, x, y)
             seed = child_seed(17, i, code)
             h = serial_sgd(twin, loss, algo.spec_for(sample.n), seed)[-1]
             base_run = serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]
@@ -547,10 +548,12 @@ class TestMeasurement:
 
 
 def serial_grid(dist, anchors, seed):
-    """The loss-gap grid of measure_argument_stability: 1024 draws, then the anchors."""
+    """The loss-gap grid of measure_argument_stability: 1024 draws, then the
+    anchors, appended one row at a time."""
     grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
-    grid_X = np.concatenate([grid.features] + [z.x[None, :] for _, z in anchors])
-    grid_y = np.concatenate([grid.labels] + [np.array([z.y]) for _, z in anchors])
+    _, anchor_x, anchor_y = anchors
+    grid_X = np.concatenate([grid.features] + [x[None, :] for x in anchor_x])
+    grid_y = np.concatenate([grid.labels] + [np.array([y]) for y in anchor_y])
     return grid_X, grid_y
 
 
@@ -572,11 +575,11 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     cells = []
     for i in range(sample.n):
         draws = [
-            (k, example(draw_sample(dist, 1, child_seed(seed, "replacement", i, k)), 0))
+            (k, *example(draw_sample(dist, 1, child_seed(seed, "replacement", i, k)), 0))
             for k in range(replacements)
         ]
-        for code, z in draws + anchors:
-            h = serial_ridge(replaced(sample, i, z), algo.lam)
+        for code, x, y in draws + list(zip(*anchors)):
+            h = serial_ridge(replaced(sample, i, x, y), algo.lam)
             gap = serial_gap(eval_loss, base, h, grid_X, grid_y)
             cells.append((i, code, float(np.linalg.norm(base - h)), gap))
     per_index = []
