@@ -48,8 +48,8 @@ class BoundBreakdown:
     def __post_init__(self):
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.deformation is not None and self.deformation <= 1.0:
-            raise ValueError("deformation parameter must be > 1")
+        if self.deformation is not None:
+            _check_deformation(self.deformation)
 
     def term(self, label: str) -> float:
         for name, value in self.terms:
@@ -83,6 +83,15 @@ def _assemble(name, terms, constants, confidence, deformation=None, loss_bound=N
         vacuous=vacuous,
         notes=tuple(notes),
     )
+
+
+def _check_deformation(deformation: float) -> None:
+    """The deformation a of the gap R - a/(a-1) * R_emp must satisfy 1 < a < inf.
+
+    NaN fails the test, so it is refused with the infinities.
+    """
+    if not 1.0 < deformation < math.inf:
+        raise ValueError(f"deformation must be > 1 and finite, got {deformation!r}")
 
 
 def _check_delta(delta: float) -> None:
@@ -182,8 +191,7 @@ def fast_rate_bound(
     deformation: float = 2.0,
 ) -> BoundBreakdown:
     """Bound on the deformed gap R - a/(a-1) * R_emp at confidence 1 - 2*delta."""
-    if deformation <= 1.0:
-        raise ValueError("deformation parameter must be > 1")
+    _check_deformation(deformation)
     constants = _gap_constants(lipschitz, feature_bound, loss_bound, delta, alpha, n)
     constants["deformation"] = deformation
     stability = 8.0 * lipschitz * feature_bound * math.sqrt(2.0 * math.log(2.0 / delta)) * alpha
@@ -286,8 +294,7 @@ def sgd_gap_bound(
 
 def deformed_gap(risk_true: float, risk_emp: float, deformation: float) -> float:
     """The deformed generalization gap R - a/(a-1) * R_emp."""
-    if deformation <= 1.0:
-        raise ValueError("deformation parameter must be > 1")
+    _check_deformation(deformation)
     return risk_true - deformation / (deformation - 1.0) * risk_emp
 
 

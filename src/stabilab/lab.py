@@ -42,7 +42,7 @@ from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-4"
+ARTIFACT_VERSION = "report-5"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400

@@ -5,7 +5,8 @@ linear predictor:
 
 * ridge - exact minimizer of mean squared error plus ``lam * ||h||^2``, by
   the normal equations in one stacked, certified solve,
-  :func:`solve_ridge_stack`.
+  :func:`solve_ridge_stack`; the replace-one twins of a sample update its
+  Gram matrix by rank two.
 * :func:`fit_rerm` - minimizer of a certified margin loss plus
   ``lam * ||h||_p^p`` for ``p`` in (1, 2], by accelerated proximal
   gradient descent (proximal subgradient descent for the hinge) on a
@@ -25,7 +26,9 @@ that advances a stacked (rows, d) state: C independent runs for
 ``fit_many``, and 2C coupled rows for the twins. In both, and in the
 stacked ridge and penalized-ERM solves, a row's arithmetic does not depend
 on the other rows, so every entry point gives bitwise the same hypothesis
-for the same sample and seed.
+for the same sample and seed. The one exception is a ridge twin row: its
+normal equations come from the rank-two update, so it equals the fit on
+the replaced sample to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from .losses import (
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
+
+# Entries of one block-sized temporary (1 MiB of float64): ridge twin cells
+# and SGD steps are worked through in blocks no larger.
+_BLOCK_FLOATS = 1 << 17
 
 
 def _integral(value, name: str, what: str = "an integer") -> int:
@@ -394,6 +401,12 @@ def _sgd_kernel(
     repl_x, repl_y)`` the state has 2C rows: row C + c shares run c's stream
     but reads example ``replaced_index[c]`` as ``(repl_x[c], repl_y[c])``.
 
+    Step t moves every row in place, h <- (1 - 2 alpha_t rho) h - alpha_t
+    phi'(<h, x>, y) x, with rho the loss's ridge term, then scales each row
+    past the projection radius back onto the ball. The examples of a block
+    of steps are gathered at once, the block no larger than
+    ``_BLOCK_FLOATS`` entries.
+
     The examples, the replacements and every row after every step are
     checked against the loss's certified domain: a non-finite row raises
     NonFiniteIterateError, a row outside the certified radius DomainError.
@@ -404,42 +417,57 @@ def _sgd_kernel(
     n, d = features.shape[-2:]
     streams = _sgd_index_streams(seeds, n, spec.steps)
     runs = len(streams)
-    gather_rows = None if features.ndim == 2 else np.arange(runs)
+    flat_x, flat_y = features.reshape(-1, d), labels.reshape(-1)
+    # Run c of a stack reads rows c*n .. c*n + n - 1 of the flat view.
+    offsets = 0 if features.ndim == 2 else n * np.arange(runs)
+    rows = runs
     if twin is not None:
         rep_i, rep_x, rep_y = twin
         loss.check_examples(rep_x, rep_y)
+        rows = 2 * runs
     alphas = spec.step_sizes()
+    rho = loss.ridge_term
     radius = spec.projection_radius
     limit = _slack(loss.radius)
-    rho = loss.ridge_term
-    H = np.zeros((runs if twin is None else 2 * runs, d))
-    for t in range(spec.steps):
-        it = streams[:, t]
-        if gather_rows is None:
-            x, y = features[it], labels[it]
-        else:
-            x, y = features[gather_rows, it], labels[gather_rows, it]
-        if twin is not None:
-            hit = it == rep_i
-            x = np.concatenate([x, np.where(hit[:, None], rep_x, x)])
-            y = np.concatenate([y, np.where(hit, rep_y, y)])
-        u = np.einsum("cd,cd->c", H, x)
-        g = margin_slopes(loss.kind, u, y)[:, None] * x
-        if rho:
-            g = g + 2.0 * rho * H
-        H = H - alphas[t] * g
-        nrm = np.linalg.norm(H, axis=1)
-        if radius is not None and nrm.max() > radius:
-            over = nrm > radius
-            H[over] *= (radius / nrm[over])[:, None]
-            nrm[over] = np.linalg.norm(H[over], axis=1)
-        if not nrm.max() <= limit:  # also true when a row is NaN
-            if not np.all(np.isfinite(H)):
-                raise NonFiniteIterateError(step=t + 1)
-            raise DomainError(
-                f"SGD iterate norm {float(nrm.max()):.6g} at step {t + 1} exceeds "
-                f"certified radius {loss.radius:.6g}"
-            )
+    H = np.zeros((rows, d))
+    move = np.empty((rows, d))
+    block = max(1, min(spec.steps, _BLOCK_FLOATS // (rows * d)))
+    X, Y = np.empty((block, rows, d)), np.empty((block, rows))
+    # A row that overflows is caught below, so its warnings are not raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, spec.steps, block):
+            it = streams[:, start : start + block].T  # (steps, runs)
+            size = len(it)
+            Xb, Yb = X[:size], Y[:size]
+            np.take(flat_x, it + offsets, axis=0, out=Xb[:, :runs])
+            np.take(flat_y, it + offsets, out=Yb[:, :runs])
+            if twin is not None:
+                hit = it == rep_i
+                Xb[:, runs:], Yb[:, runs:] = Xb[:, :runs], Yb[:, :runs]
+                np.copyto(Xb[:, runs:], rep_x, where=hit[..., None])
+                np.copyto(Yb[:, runs:], rep_y, where=hit)
+            for k in range(size):
+                t = start + k
+                x = Xb[k]
+                slopes = margin_slopes(loss.kind, np.einsum("cd,cd->c", H, x), Yb[k])
+                if rho:
+                    H *= 1.0 - 2.0 * alphas[t] * rho
+                np.multiply((-alphas[t] * slopes)[:, None], x, out=move)
+                H += move
+                nrm = np.sqrt(np.einsum("cd,cd->c", H, H))
+                top = nrm.max()
+                if radius is not None and top > radius:
+                    over = nrm > radius
+                    H[over] *= (radius / nrm[over])[:, None]
+                    nrm[over] = np.sqrt(np.einsum("cd,cd->c", H[over], H[over]))
+                    top = nrm.max()
+                if not top <= limit:  # also true when a row is NaN
+                    if not np.all(np.isfinite(H)):
+                        raise NonFiniteIterateError(step=t + 1)
+                    raise DomainError(
+                        f"SGD iterate norm {float(top):.6g} at step {t + 1} exceeds "
+                        f"certified radius {loss.radius:.6g}"
+                    )
     return H
 
 
@@ -518,24 +546,6 @@ def _twin_cells(sample: Sample, replaced_index, repl_x, repl_y, seeds):
     return (index, repl_x, repl_y), seeds
 
 
-def _stack_rows(features: np.ndarray, labels: np.ndarray, twin=None):
-    """Yield the (X, y) sample of each row of a ``_fit_stack`` call.
-
-    Without ``twin`` row c is ``(features[c], labels[c])``. With ``twin``
-    each row is one scratch copy of the (n, d) sample with the cell's
-    example swapped in; the swap is undone when the next row is asked for,
-    so a consumer must be done with a row by then.
-    """
-    if twin is None:
-        yield from zip(features, labels)
-        return
-    X, y = features.copy(), labels.copy()
-    for i, x_new, y_new in zip(*twin):
-        X[i], y[i] = x_new, y_new
-        yield X, y
-        X[i], y[i] = features[i], labels[i]
-
-
 class ConstantAlgorithm(_Preset):
     """Outputs a fixed vector regardless of the sample. Used as a null case."""
 
@@ -578,12 +588,34 @@ class RidgeAlgorithm(_Preset):
         return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
-        """One stacked solve over the rows' normal equations, formed one row at a time."""
-        C, d = len(seeds), features.shape[-1]
-        A, b = np.empty((C, d, d)), np.empty((C, d))
+        """One stacked solve of the normal equations (X^T X / n + lam I) h = X^T y / n.
+
+        A stack's Gram matrices and moments are one stacked matmul each,
+        bitwise the lone ``X.T @ X`` and ``X.T @ y`` of every row. The twins
+        of one sample update its G = X^T X and g = X^T y by rank two: cell c,
+        which swaps example i for (z, y'), solves with (G + z z^T - x_i x_i^T)
+        / n + lam I and (g + z y' - x_i y_i) / n, its temporaries filled one
+        block of at most ``_BLOCK_FLOATS`` entries at a time.
+        """
+        n, d = features.shape[-2:]
         ridge = self.lam * np.eye(d)
-        for c, (X, y) in enumerate(_stack_rows(features, labels, twin)):
-            A[c], b[c] = X.T @ X / len(X) + ridge, X.T @ y / len(X)
+        if twin is None:
+            Xt = np.swapaxes(features, -1, -2)
+            return solve_ridge_stack(Xt @ features / n + ridge, _matvec(Xt, labels) / n)
+        index, z, z_y = twin
+        G, g = features.T @ features, features.T @ labels
+        x, x_y = features[index], labels[index]
+        A = np.empty((len(index), d, d))
+        block = max(1, _BLOCK_FLOATS // (d * d))
+        for start in range(0, len(index), block):
+            c = slice(start, start + block)
+            # In place, in the order of (G + z z^T - x_i x_i^T) / n + lam I.
+            Ac = np.multiply(z[c, :, None], z[c, None, :], out=A[c])
+            Ac += G
+            Ac -= x[c, :, None] * x[c, None, :]
+            Ac /= n
+            Ac += ridge
+        b = (g + z * z_y[:, None] - x * x_y[:, None]) / n
         return solve_ridge_stack(A, b)
 
 
@@ -623,18 +655,22 @@ class LpRermAlgorithm(_Preset):
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         """One :func:`fit_rerm` solve per block of ``_RERM_BLOCK`` rows.
 
-        A block is filled row by row from ``_stack_rows``. A row that does
-        not converge is named by its place in the whole stack.
+        A block of a stack is a slice of it; a block of twins repeats the
+        sample once per cell and scatters each cell's example in. A row that
+        does not converge is named by its place in the whole stack.
         """
         settings = (self._loss, self.penalty, self.tol, self.max_iter)
-        n, d = features.shape[-2:]
-        rows = _stack_rows(features, labels, twin)
         fits = []
         for start in range(0, len(seeds), _RERM_BLOCK):
-            size = min(_RERM_BLOCK, len(seeds) - start)
-            X, y = np.empty((size, n, d)), np.empty((size, n))
-            for c, row in zip(range(size), rows):
-                X[c], y[c] = row
+            rows = slice(start, start + _RERM_BLOCK)
+            if twin is None:
+                X, y = features[rows], labels[rows]
+            else:
+                index, z, z_y = (part[rows] for part in twin)
+                cells = np.arange(len(index))
+                X = np.repeat(features[None], len(index), axis=0)
+                y = np.repeat(labels[None], len(index), axis=0)
+                X[cells, index], y[cells, index] = z, z_y
             try:
                 fits.append(fit_rerm(X, y, *settings))
             except ConvergenceError as err:

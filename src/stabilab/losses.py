@@ -52,14 +52,14 @@ def _slack(bound: float) -> float:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-t)) without overflow on either tail."""
+    """1/(1+exp(-t)) without overflow on either tail, in one pass.
+
+    With e = exp(-|t|) <= 1, the value is 1/(1+e) for t >= 0 and e/(1+e)
+    below, which is bitwise the split form exp(t)/(1+exp(t)) for t < 0.
+    """
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    exp_t = np.exp(t[~pos])
-    out[~pos] = exp_t / (1.0 + exp_t)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _matvec(A: np.ndarray, h: np.ndarray) -> np.ndarray:

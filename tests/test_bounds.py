@@ -286,9 +286,19 @@ class TestDeformedGap:
         plain = 0.5 - 0.2
         assert abs(deformed_gap(0.5, 0.2, 1e9) - plain) < 1e-8
 
-    def test_rejects_unit_deformation(self):
-        with pytest.raises(ValueError):
-            deformed_gap(0.5, 0.2, 1.0)
+    @pytest.mark.parametrize("deformation", [1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_deformation_outside_one_to_infinity(self, deformation):
+        with pytest.raises(ValueError, match="deformation must be > 1 and finite"):
+            deformed_gap(0.5, 0.2, deformation)
+        with pytest.raises(ValueError, match="deformation must be > 1 and finite"):
+            BoundBreakdown(
+                name="x",
+                terms=(),
+                total=0.0,
+                constants_used={},
+                confidence=0.5,
+                deformation=deformation,
+            )
 
     def test_can_be_negative(self):
         assert deformed_gap(0.1, 0.4, 2.0) == pytest.approx(-0.7, abs=1e-15)

@@ -389,6 +389,15 @@ class TestBoundsCommand:
         assert main(["bounds", path]) == 1
         assert "lipschitz must be a number, got '1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deformation", [math.nan, math.inf, -math.inf, 1.0])
+    def test_a_deformation_outside_one_to_infinity_is_named(self, tmp_path, capsys, deformation):
+        spec = plain_constants(family="fast-rate", deformation=deformation)
+        path = write_json(tmp_path, "constants.json", spec)
+        assert main(["bounds", path, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert f"deformation must be > 1 and finite, got {deformation!r}" in captured.err
+        assert captured.out == ""
+
     def test_missing_constants_file_exits_2(self, tmp_path):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
 

@@ -96,6 +96,16 @@ PINS = {
         "sgd-strongly-convex": "de1641875128b837780942eafcc497ac05e9a4dc47c4cb8c5eda50211bb5506a",
         "rerm-lp": "c9064e6875d6655a8a17c53280a3e15b3cb6311f28d3fce8ad100ca1254ce7ea",
     },
+    # The rank-two ridge twins moved records[].stability and
+    # rate.slope_alpha_hat; the in-place SGD step moved the SGD fits and
+    # what is computed from them; rerm-lp moved only through the version.
+    "report-5 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": {
+        "acceptance": "954f3c0f70de2d33bfc5b95dab72dee91de27e8beb832bfd93c96d10325af6f8",
+        "acceptance-tail": "064a5b35c3be2cc543b0995df16b488ecffd31f851fb45b9552c145ee145bce6",
+        "sgd-strongly-convex": "7aa30085f0d0b63e6ce610641ac87779370190881cdb41cc4ab96218cac6bcd9",
+        "rerm-lp": "5b48f6ab99f07a035d676d2a19aefe9a5ee068e9e27cc457e9718aac5b8b2d83",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.

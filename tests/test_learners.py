@@ -17,6 +17,7 @@ from stabilab import (
     make_algorithm,
     make_loss,
 )
+from stabilab import learners
 from stabilab.learners import (
     ConstantAlgorithm,
     _sgd_kernel,
@@ -26,7 +27,7 @@ from stabilab.learners import (
     solve_ridge_stack,
 )
 from rerm_oracle import bisection_prox, serial_rerm
-from ridge_oracle import serial_ridge
+from ridge_oracle import serial_ridge, serial_ridge_twin, twin_normal_equations
 from sample_oracle import example, replaced
 from sgd_oracle import serial_sgd
 
@@ -851,6 +852,11 @@ def replace_one_cells(rng, sample, cells, feature_scale=1.0, label_bound=1.0):
     return index, repl_x, repl_y
 
 
+# How far a ridge twin row, a rank-two update of the sample's Gram matrix,
+# may sit from the fit on the replaced sample's own normal equations.
+TWIN_ATOL = 1e-13
+
+
 class TestStackedRidge:
     @pytest.mark.parametrize(
         "n, d, lam", [(1, 3, 0.5), (12, 1, 1e-3), (40, 6, 0.1), (400, 8, 1e-4)]
@@ -865,6 +871,27 @@ class TestStackedRidge:
             assert np.array_equal(row, algo.fit(sample))
             assert np.array_equal(row, serial_ridge(sample, lam))
 
+    @pytest.mark.parametrize("n", [1, 25, 400])
+    def test_stacked_normal_equations_equal_the_per_row_ones(self, n, monkeypatch):
+        # The stacked matmul forms bitwise the lone X.T @ X / n and X.T @ y / n.
+        rng = np.random.default_rng(n)
+        d, lam = 8, 0.05
+        samples = [unit_ball_sample(rng, n, d) for _ in range(30)]
+        solved = []
+
+        def recording_solve(A, b):
+            solved.append((A, b))
+            return solve_ridge_stack(A, b)
+
+        monkeypatch.setattr(learners, "solve_ridge_stack", recording_solve)
+        rows = RidgeAlgorithm(lam, 1.0, 1.0).fit_many(*stack(samples), range(30))
+        ((A, b),) = solved
+        for c, sample in enumerate(samples):
+            X, y = sample.features, sample.labels
+            assert np.array_equal(A[c], X.T @ X / n + lam * np.eye(d))
+            assert np.array_equal(b[c], X.T @ y / n)
+            assert np.array_equal(rows[c], serial_ridge(sample, lam))
+
     @pytest.mark.parametrize("n, d, lam", [(1, 2, 0.5), (25, 4, 1e-3), (400, 8, 0.05)])
     def test_fit_twins_rows_equal_fits_on_the_replaced_samples(self, n, d, lam):
         rng = np.random.default_rng(7 * n + d)
@@ -877,8 +904,9 @@ class TestStackedRidge:
         assert all(np.array_equal(row, base) for row in HA)
         for c, i in enumerate(index):
             twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
-            assert np.array_equal(HB[c], algo.fit(twin))
-            assert np.array_equal(HB[c], serial_ridge(twin, lam))
+            assert np.array_equal(HB[c], serial_ridge_twin(sample, lam, i, repl_x[c], repl_y[c]))
+            assert np.abs(HB[c] - algo.fit(twin)).max() <= TWIN_ATOL
+            assert np.abs(HB[c] - serial_ridge(twin, lam)).max() <= TWIN_ATOL
         # The sample the cells were swapped into is left as it was.
         assert np.array_equal(algo.fit(sample), base)
 
@@ -890,9 +918,20 @@ class TestStackedRidge:
         sample = unit_ball_sample(rng, 6, 5)
         index, repl_x, repl_y = replace_one_cells(rng, sample, 40, feature_scale=50.0)
         _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, algo.fit(sample))
+        refined = []
         for c, i in enumerate(index):
+            A, b = twin_normal_equations(sample, 1e-9, i, repl_x[c], repl_y[c])
+            refined.append(np.linalg.norm(b - A @ np.linalg.solve(A, b)) > 1e-14)
+            assert np.array_equal(HB[c], serial_ridge_twin(sample, 1e-9, i, repl_x[c], repl_y[c]))
+            # These normal equations are too ill-conditioned for the rank-two
+            # and the direct Gram matrix to agree to 1e-13 in h (they differ
+            # by about 2e-9); the twin row still passes the ridge certificate
+            # on the replaced sample's own normal equations.
             twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
-            assert np.array_equal(HB[c], serial_ridge(twin, 1e-9))
+            X, y = twin.features, twin.labels
+            A, b = X.T @ X / twin.n + 1e-9 * np.eye(twin.dim), X.T @ y / twin.n
+            assert 2.0 * np.linalg.norm(A @ HB[c] - b) < 1e-10
+        assert any(refined) and not all(refined)
 
     def test_a_row_does_not_depend_on_the_other_cells(self):
         rng = np.random.default_rng(67)
@@ -1029,6 +1068,11 @@ def test_every_preset_fit_twins_rows_equal_fits_on_the_replaced_samples(
         if algo.stochastic:
             assert np.abs(HA[c] - serial_fit(algo, sample, seeds[c])).max() < 1e-12
             assert np.abs(HB[c] - serial_fit(algo, twin, seeds[c])).max() < 1e-12
+        elif isinstance(algo, RidgeAlgorithm):
+            # Ridge twins are a rank-two update of the sample's Gram matrix.
+            assert np.array_equal(HA[c], base)
+            assert np.array_equal(HB[c], serial_ridge_twin(sample, lam, i, repl_x[c], repl_y[c]))
+            assert np.abs(HB[c] - algo.fit(twin)).max() <= TWIN_ATOL
         else:
             assert np.array_equal(HA[c], base)
             assert np.array_equal(HB[c], algo.fit(twin))

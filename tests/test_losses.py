@@ -5,7 +5,7 @@ import pytest
 
 from stabilab import certify_loss, make_loss
 from stabilab.exceptions import DomainError
-from stabilab.losses import margin_slopes, margin_values
+from stabilab.losses import _sigmoid, margin_slopes, margin_values
 
 
 def test_margin_values_hand_cases():
@@ -29,6 +29,28 @@ def test_margin_slopes_hand_cases():
     assert lg[0] == pytest.approx(-0.5)
     sq = margin_slopes("squared", np.array([2.0]), np.array([0.5]))
     assert sq[0] == pytest.approx(3.0)
+
+
+def masked_sigmoid(t):
+    """The two-pass sigmoid the one-pass form replaced, frozen as a reference."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    exp_t = np.exp(t[~pos])
+    out[~pos] = exp_t / (1.0 + exp_t)
+    return out
+
+
+def test_sigmoid_equals_the_masked_form_bitwise():
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324]
+    edges += [-5e-324, 745.0, -745.0, 745.2, -745.2, 709.8, -709.8, 36.8, -36.8, 1.0, -1.0]
+    t = np.concatenate([edges, np.random.default_rng(5).normal(scale=30.0, size=4096)])
+    got, want = _sigmoid(t), masked_sigmoid(t)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # NaN stays NaN, whatever its sign bit.
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_margin_values_rejects_unknown_kind():
