@@ -23,11 +23,9 @@ from .datagen import (
     DistributionSpec,
     LinearNoise,
     LogisticTeacher,
-    RiskEstimate,
     SignFlip,
     draw_sample,
     draw_samples,
-    true_risk,
 )
 from .stability import (
     StabilityReport,
@@ -90,10 +88,8 @@ __all__ = [
     "LinearNoise",
     "LogisticTeacher",
     "SignFlip",
-    "RiskEstimate",
     "draw_sample",
     "draw_samples",
-    "true_risk",
     "StabilityReport",
     "measure_argument_stability",
     "theoretical_alpha",

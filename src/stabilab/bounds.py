@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
-from .learners import SgdSpec, _integral
+from .learners import SgdSpec, _integral, _keys
 from .stability import rerm_alpha, sgd_alpha
 
 
@@ -313,11 +313,9 @@ class BoundFamily:
 
     def evaluate(self, constants: dict) -> BoundBreakdown:
         """The bound at the given constants; names the family does not read are ignored."""
-        missing = self.required - set(constants)
-        if missing:
-            raise ValueError(f"{self.name} constants missing: {sorted(missing)}")
         accepted = self.required | set(self.optional)
         kwargs = {**self.optional, **{k: v for k, v in constants.items() if k in accepted}}
+        _keys(kwargs, f"{self.name} family", self.required, self.optional)
         kwargs["n"] = _integral(kwargs["n"], "n", "an integer sample size")
         return self.calculate(**kwargs)
 

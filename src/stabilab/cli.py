@@ -32,11 +32,14 @@ from .concentration import (
 )
 from .datagen import draw_sample
 from .lab import (
+    MAX_CENTER_REPLICATES,
     MAX_N,
+    MIN_COVERAGE_REPLICATIONS,
     ExperimentConfig,
+    _CONFIG_KEYS,
+    _RECORD_KEYS,
+    _REPORT_KEYS,
     _as_list,
-    _center_replicates,
-    _reject_unknown,
     build_algorithm,
     complexity_stage,
     report_digest,
@@ -45,7 +48,7 @@ from .lab import (
     stability_stage,
     validate_bound_coverage,
 )
-from .learners import _integral, _real
+from .learners import _count, _integral, _keys, _real, _tagged
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
 from .stability import theoretical_alpha
@@ -66,14 +69,7 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 def _pick_n(args, config: ExperimentConfig) -> int:
-    return _check_n(args.n if args.n is not None else config.n_grid[-1])
-
-
-def _check_n(n) -> int:
-    n = _integral(n, "n")
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must lie in [1, {MAX_N}]")
-    return n
+    return _count(args.n if args.n is not None else config.n_grid[-1], "n", 1, MAX_N)
 
 
 def _print_json(payload) -> None:
@@ -138,17 +134,10 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _evaluate_bound_family(spec: dict):
-    if "family" not in spec:
-        raise ValueError("constants file needs a 'family' key")
-    name = spec["family"]
-    if name not in BOUND_FAMILIES:
-        raise ValueError(f"unknown bound family {name!r}")
-    family = BOUND_FAMILIES[name]
+def _evaluate_bound_family(spec):
+    table = {name: (family.required, family.optional) for name, family in BOUND_FAMILIES.items()}
+    family = BOUND_FAMILIES[_tagged(spec, "family", table, "constants file")]
     constants = {key: value for key, value in spec.items() if key != "family"}
-    unknown = set(constants) - family.required - set(family.optional)
-    if unknown:
-        raise ValueError(f"unknown {name} constants: {sorted(unknown)}")
     # Every constant is a number, bar the SGD regime, the counts the family
     # checks itself, and an optional constant left at its default None.
     for key, value in constants.items():
@@ -189,27 +178,17 @@ def _emit_tail(args, experiment) -> int:
     return 0
 
 
-# Per concentrate kind: the keys its spec needs, and the optional ones
-# beside 'kind' and 'seed'.
+# Per concentrate kind: the keys its spec needs beside 'kind', and the optional ones.
 _CONCENTRATE_KEYS = {
-    "pinelis": ({"increment_bounds", "dim", "trials", "epsilon"}, {"smooth_constant"}),
-    "center": ({"config", "n"}, {"center_replicates"}),
-    "doob": ({"config", "n"}, {"suffix_draws"}),
+    "pinelis": ({"increment_bounds", "dim", "trials", "epsilon"}, {"smooth_constant", "seed"}),
+    "center": ({"config", "n"}, {"center_replicates", "seed"}),
+    "doob": ({"config", "n"}, {"suffix_draws", "seed"}),
 }
 
 
 def cmd_concentrate(args) -> int:
     spec = _load_json(args.spec)
-    if "kind" not in spec:
-        raise ValueError("concentrate spec needs a 'kind' key")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _CONCENTRATE_KEYS:
-        raise ValueError(f"unknown concentrate kind {kind!r}")
-    required, optional = _CONCENTRATE_KEYS[kind]
-    _reject_unknown(spec, required | optional | {"kind", "seed"}, f"{kind} spec")
-    missing = required - set(spec)
-    if missing:
-        raise ValueError(f"{kind} spec needs the keys {sorted(missing)}")
+    kind = _tagged(spec, "kind", _CONCENTRATE_KEYS, "spec")
     seed = args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed")
     if kind == "pinelis":
         bounds = _as_list(spec["increment_bounds"], "increment_bounds")
@@ -225,9 +204,11 @@ def cmd_concentrate(args) -> int:
     config = ExperimentConfig.from_dict(spec["config"])
     algorithm = build_algorithm(config)
     dist = config.distribution
-    n = _check_n(spec["n"])
+    n = _count(spec["n"], "n", 1, MAX_N)
     if kind == "center":
         replicates = spec.get("center_replicates")
+        if replicates is not None:
+            replicates = _count(replicates, "center_replicates", 1, MAX_CENTER_REPLICATES)
         alpha = theoretical_alpha(algorithm, n)
         experiment = center_concentration_experiment(
             algorithm,
@@ -237,7 +218,7 @@ def cmd_concentrate(args) -> int:
             delta=config.delta,
             alpha=alpha,
             seed=seed,
-            center_replicates=None if replicates is None else _center_replicates(replicates),
+            center_replicates=replicates,
         )
         return _emit_tail(args, experiment)
     suffix_draws = _integral(spec.get("suffix_draws", 512), "suffix_draws")
@@ -277,15 +258,20 @@ def cmd_experiment_run(args) -> int:
     return 0
 
 
-def _check_report(payload: dict) -> list:
+def _check_report(payload) -> list:
+    _keys(payload, "report", *_REPORT_KEYS)
+    config = _keys(payload["config"], "report config", *_CONFIG_KEYS)
+    records = _as_list(payload["records"], "records")
+    for record in records:
+        _keys(record, "report record", *_RECORD_KEYS)
     problems = []
     stored = payload.get("digest")
     if stored is not None:
         recomputed = report_digest(payload)
         if stored != recomputed:
             problems.append(f"digest mismatch: stored {stored[:12]}.. != {recomputed[:12]}..")
-    preset = str(payload.get("config", {}).get("algorithm", {}).get("preset", ""))
-    for record in payload.get("records", []):
+    preset = str(config["algorithm"].get("preset", ""))
+    for record in records:
         n = record["n"]
         theory = record["stability"].get("theory_alpha")
         if theory is not None:
@@ -301,7 +287,7 @@ def _check_report(payload: dict) -> list:
                         f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
                     )
     coverage = payload.get("coverage")
-    if coverage and coverage.get("replications", 0) >= 100:
+    if coverage and coverage.get("replications", 0) >= MIN_COVERAGE_REPLICATIONS:
         for which in ("plain-gap", "fast-rate"):
             outcome = validate_bound_coverage(payload, which)
             runs, nominal = outcome["runs"], outcome["nominal"]

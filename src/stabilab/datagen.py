@@ -16,7 +16,7 @@ One private sampler, over one Philox key per sample, draws every sample:
 :func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`,
 its n = 1 view :func:`draw_examples` and the Monte-Carlo branch of
 :func:`true_risks` (exact where a closed form exists), the risks of a
-stack of hypotheses whose row 0 is :func:`true_risk`. It reads each stream
+stack of hypotheses. It reads each stream
 straight into the output buffers, then does the arithmetic in place a
 block at a time. :func:`fit_replicates` draws one stack, fits it once.
 """
@@ -233,27 +233,6 @@ def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: 
     except Exception as exc:
         raise RuntimeError(f"{label} replicate fits failed: {exc}") from exc
     return fits, X, y
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Population risk value with its Monte Carlo standard error."""
-
-    value: float
-    std_error: float
-    exact: bool
-
-
-def true_risk(
-    loss: LossModel,
-    h,
-    spec: DistributionSpec,
-    draws: int = 4096,
-    seed: int = 0,
-) -> RiskEstimate:
-    """Population risk of h, row 0 of ``true_risks(loss, [h], spec, draws, [seed])``."""
-    values, errors, exact = true_risks(loss, [h], spec, draws, [seed])
-    return RiskEstimate(value=float(values[0]), std_error=float(errors[0]), exact=exact)
 
 
 def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds):

@@ -37,7 +37,16 @@ from .datagen import (
     fit_replicates,
     true_risks,
 )
-from .learners import Sample, _integral, _real, make_algorithm
+from .learners import (
+    _PRESET_KEYS,
+    Sample,
+    _count,
+    _integral,
+    _keys,
+    _real,
+    _tagged,
+    make_algorithm,
+)
 from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
@@ -52,35 +61,26 @@ MAX_DRAWS = 4096
 MAX_REPLACEMENTS = 64
 MAX_CENTER_REPLICATES = 4000
 
-_TOP_KEYS = {
-    "name",
-    "algorithm",
-    "loss",
-    "distribution",
-    "n_grid",
-    "delta",
-    "a",
-    "replacements",
-    "trials",
-    "draws",
-    "center_replicates",
-    "seed",
-    "coverage_n",
-    "tail",
-    "out_dir",
-}
-_DIST_KEYS = {"dim", "feature_bound", "feature_law", "teacher", "mechanism", "label_bound"}
+# Coverage replications below which the violation rate is not checked or tabled.
+MIN_COVERAGE_REPLICATIONS = 100
+
+# The (required, optional) keys of a config and of its distribution.
+_CONFIG_KEYS = (
+    {"name", "algorithm", "loss", "distribution", "n_grid", "seed"},
+    {"delta", "a", "replacements", "trials", "draws", "center_replicates"}
+    | {"coverage_n", "tail", "out_dir"},
+)
+_DISTRIBUTION_KEYS = (
+    {"dim", "feature_bound", "teacher", "mechanism"},
+    {"feature_law", "label_bound"},
+)
+# Per mechanism type: its class, and the (required, optional) keys of its real parameters.
 _MECHANISMS = {
-    "linear_noise": ({"noise_sd"}, lambda p: LinearNoise(_real(p["noise_sd"], "noise_sd"))),
-    "logistic_teacher": (set(), lambda p: LogisticTeacher()),
-    "sign_flip": ({"flip_prob"}, lambda p: SignFlip(_real(p.get("flip_prob", 0.0), "flip_prob"))),
+    "linear_noise": (LinearNoise, ({"noise_sd"}, ())),
+    "logistic_teacher": (LogisticTeacher, ((), ())),
+    "sign_flip": (SignFlip, ((), {"flip_prob"})),
 }
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+_MECHANISM_KEYS = {kind: keys for kind, (_, keys) in _MECHANISMS.items()}
 
 
 def _as_list(value, name: str):
@@ -89,39 +89,19 @@ def _as_list(value, name: str):
     return value
 
 
-def _build_mechanism(raw: dict):
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise ValueError("mechanism must be a dict with a 'type' key")
-    kind = raw["type"]
-    if kind not in _MECHANISMS:
-        raise ValueError(f"unknown mechanism type {kind!r}")
-    allowed, build = _MECHANISMS[kind]
-    _reject_unknown(raw, allowed | {"type"}, f"mechanism[{kind}]")
-    return build(raw)
-
-
-def _build_distribution(raw: dict) -> DistributionSpec:
-    if not isinstance(raw, dict):
-        raise ValueError("distribution must be a dict")
-    _reject_unknown(raw, _DIST_KEYS, "distribution")
-    for key in ("dim", "feature_bound", "teacher", "mechanism"):
-        if key not in raw:
-            raise ValueError(f"distribution is missing {key!r}")
+def _build_distribution(raw) -> DistributionSpec:
+    _keys(raw, "distribution", *_DISTRIBUTION_KEYS)
+    mechanism = raw["mechanism"]
+    kind = _tagged(mechanism, "type", _MECHANISM_KEYS, "mechanism")
+    params = {key: _real(value, key) for key, value in mechanism.items() if key != "type"}
     return DistributionSpec(
-        dim=_integral(raw["dim"], "dim"),
+        dim=_count(raw["dim"], "dim", 1, MAX_DIM),
         feature_bound=_real(raw["feature_bound"], "feature_bound"),
         teacher=[_real(v, "teacher entry") for v in _as_list(raw["teacher"], "teacher")],
-        mechanism=_build_mechanism(raw["mechanism"]),
+        mechanism=_MECHANISMS[kind][0](**params),
         label_bound=_real(raw.get("label_bound", 1.0), "label_bound"),
         feature_law=raw.get("feature_law", "sphere"),
     )
-
-
-def _center_replicates(value) -> int:
-    value = _integral(value, "center_replicates")
-    if not 1 <= value <= MAX_CENTER_REPLICATES:
-        raise ValueError(f"center_replicates must lie in [1, {MAX_CENTER_REPLICATES}]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -147,25 +127,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a dict")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        for key in ("name", "algorithm", "loss", "distribution", "n_grid", "seed"):
-            if key not in raw:
-                raise ValueError(f"config is missing {key!r}")
+        _keys(raw, "config", *_CONFIG_KEYS)
         dist = _build_distribution(raw["distribution"])
-        if dist.dim > MAX_DIM:
-            raise ValueError(f"dim exceeds the desk-scale cap {MAX_DIM}")
-        n_grid = tuple(_integral(v, "n_grid entry") for v in _as_list(raw["n_grid"], "n_grid"))
-        if not n_grid or any(v < 1 for v in n_grid):
+        n_grid = tuple(
+            _count(v, "n_grid entry", 1, MAX_N) for v in _as_list(raw["n_grid"], "n_grid")
+        )
+        if not n_grid:
             raise ValueError("n_grid must be a non-empty list of positive counts")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if n_grid[-1] > MAX_N:
-            raise ValueError(f"n exceeds the desk-scale cap {MAX_N}")
-        algorithm = dict(raw["algorithm"])
-        if "preset" not in algorithm:
-            raise ValueError("algorithm needs a 'preset' key")
+        algorithm = raw["algorithm"]
+        _tagged(algorithm, "preset", _PRESET_KEYS, "algorithm")
         loss = raw["loss"]
         if loss in ("hinge", "logistic") and not dist.mechanism.classification():
             raise ValueError("classification losses need a classification mechanism")
@@ -175,30 +147,26 @@ class ExperimentConfig:
         a = _real(raw.get("a", 2.0), "a")
         if not 1.0 < a < math.inf:
             raise ValueError(f"a must be > 1 and finite, got {a!r}")
-        replacements = _integral(raw.get("replacements", 5), "replacements")
-        if not 1 <= replacements <= MAX_REPLACEMENTS:
-            raise ValueError(f"replacements must lie in [1, {MAX_REPLACEMENTS}]")
-        trials = _integral(raw.get("trials", 100), "trials")
-        if not 1 <= trials <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
-        draws = _integral(raw.get("draws", 1024), "draws")
-        if not (2 <= draws <= MAX_DRAWS and draws % 2 == 0):
-            raise ValueError(f"draws must be even and lie in [2, {MAX_DRAWS}]")
-        center_replicates = _center_replicates(raw.get("center_replicates", 64))
+        replacements = _count(raw.get("replacements", 5), "replacements", 1, MAX_REPLACEMENTS)
+        trials = _count(raw.get("trials", 100), "trials", 1, MAX_TRIALS)
+        draws = _count(raw.get("draws", 1024), "draws", 2, MAX_DRAWS)
+        if draws % 2:
+            raise ValueError(f"draws must be even, got {draws}")
+        center_replicates = _count(
+            raw.get("center_replicates", 64), "center_replicates", 1, MAX_CENTER_REPLICATES
+        )
         tail = raw.get("tail", False)
         if not isinstance(tail, bool):
             raise ValueError(f"tail must be true or false, got {tail!r}")
         coverage_n = raw.get("coverage_n")
         if coverage_n is not None:
-            coverage_n = _integral(coverage_n, "coverage_n")
-            if not 1 <= coverage_n <= MAX_N:
-                raise ValueError("coverage_n outside the desk-scale budget")
+            coverage_n = _count(coverage_n, "coverage_n", 1, MAX_N)
         out_dir = raw.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ValueError(f"out_dir must be a string, got {out_dir!r}")
         config = cls(
             name=str(raw["name"]),
-            algorithm=algorithm,
+            algorithm=dict(algorithm),
             loss=loss,
             distribution=dist,
             n_grid=n_grid,
@@ -240,6 +208,18 @@ def build_algorithm(config: ExperimentConfig):
         config.distribution.label_bound,
         **params,
     )
+
+
+# The (required, optional) keys of a written report and of each of its records.
+_REPORT_KEYS = (
+    {"version", "config", "records"},
+    {"coverage", "rate", "wall_time", "digest", "failed"},
+)
+_RECORD_KEYS = (
+    {"n", "stability", "radius", "center", "center_std_error", "rademacher", "bounds"}
+    | {"coefficients", "gaps", "tail"},
+    (),
+)
 
 
 @dataclass(frozen=True)
@@ -521,8 +501,10 @@ def validate_bound_coverage(report, which: str) -> dict:
         raise ValueError(f"unknown bound name {which!r}")
     payload = report.to_dict() if isinstance(report, ExperimentReport) else report
     coverage = payload.get("coverage")
-    if not coverage or coverage["replications"] < 100:
-        raise ValueError("report needs a coverage section with >= 100 replications")
+    if not coverage or coverage["replications"] < MIN_COVERAGE_REPLICATIONS:
+        raise ValueError(
+            f"report needs a coverage section with >= {MIN_COVERAGE_REPLICATIONS} replications"
+        )
     total = coverage["bounds"][which]["total"]
     key = "plain_gap" if which == "plain-gap" else "deformed_gap"
     violations = sum(1 for row in coverage["rows"] if row[key] > total)
@@ -606,7 +588,7 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
     paths["bound_vs_gap"] = emit_plot_data(
         report, "bound-vs-gap", os.path.join(out_dir, "bound_vs_gap.csv")
     )
-    if report.coverage:
+    if report.coverage and report.coverage["replications"] >= MIN_COVERAGE_REPLICATIONS:
         paths["coverage"] = emit_plot_data(
             report, "coverage", os.path.join(out_dir, "coverage.csv")
         )

@@ -71,6 +71,40 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _count(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi], checked as :func:`_integral` checks it."""
+    value = _integral(value, name)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _keys(raw, where: str, required=(), optional=()) -> dict:
+    """``raw``, checked to be a dict with every ``required`` key and no key
+    outside ``required`` and ``optional``: the one check of an outside dict."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a dict, got {type(raw).__name__}")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise ValueError(f"{where} needs the keys {sorted(missing)}")
+    return raw
+
+
+def _tagged(raw, tag: str, table: dict, where: str) -> str:
+    """``raw[tag]``, checked to name an entry of ``table``: the (required,
+    optional) keys ``raw`` then must and may have beside ``tag``, checked
+    by :func:`_keys` as the ``f"{name} {where}"``."""
+    name = _keys(raw, where, (tag,), raw)[tag]  # its other keys are checked below
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {where} {tag} {name!r}")
+    required, optional = table[name]
+    _keys(raw, f"{name} {where}", {tag, *required}, optional)
+    return name
+
+
 # ---------------------------------------------------------------------------
 # samples
 
@@ -678,43 +712,40 @@ class LpRermAlgorithm(_Preset):
         return np.concatenate(fits)
 
 
-# Per policy kind, the modes it takes and the keys each mode takes beside 'mode'.
-_POLICY_MODES = {
-    "step": {"constant": {"value"}, "inverse_smoothness": set(), "inverse_gamma_n": set()},
-    "steps": {"fixed": {"value"}, "multiple_of_n": {"factor"}, "n_squared": {"factor"}},
-    "c": {"constant": {"value"}, "inverse_smoothness": set()},
+# Per policy kind and mode: the keys the mode needs beside 'mode', and those it may take.
+_POLICY_KEYS = {
+    "step": {
+        "constant": ({"value"}, ()),
+        "inverse_smoothness": ((), ()),
+        "inverse_gamma_n": ((), ()),
+    },
+    "steps": {
+        "fixed": ({"value"}, ()),
+        "multiple_of_n": ({"factor"}, ()),
+        "n_squared": ((), {"factor"}),
+    },
+    "c": {"constant": ({"value"}, ()), "inverse_smoothness": ((), ())},
 }
 
 
 def _norm_policy(value, kind: str) -> dict:
-    """Normalize step/steps/c policies to {'mode': ..., ...} dictionaries."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        mode = "fixed" if kind == "steps" else "constant"
-        out = {"mode": mode, "value": float(value)}
-    elif isinstance(value, str):
-        out = {"mode": value}
-    elif isinstance(value, dict):
-        out = dict(value)
-        if "mode" not in out:
-            raise ValueError(f"{kind} policy needs a 'mode' key")
-    else:
-        raise ValueError(f"cannot interpret {kind} policy {value!r}")
-    mode = out["mode"]
-    if not isinstance(mode, str) or mode not in _POLICY_MODES[kind]:
-        raise ValueError(f"unknown {kind} policy mode {mode!r}")
-    if mode == "n_squared":
-        out.setdefault("factor", 1.0)
-    keys = _POLICY_MODES[kind][mode]
-    extra = set(out) - keys - {"mode"}
-    if extra:
-        raise ValueError(f"{kind} policy {mode!r} takes no keys {sorted(extra)}")
-    missing = keys - set(out)
-    if missing:
-        raise ValueError(f"{kind} policy {mode!r} needs the keys {sorted(missing)}")
+    """Normalize a step/steps/c policy to a checked {'mode': ..., ...} dictionary.
+
+    A string names a mode; anything else but a dict is a fixed step count or
+    a constant value.
+    """
+    if isinstance(value, str):
+        value = {"mode": value}
+    elif not isinstance(value, dict):
+        value = {"mode": "fixed" if kind == "steps" else "constant", "value": value}
+    out = dict(value)
+    mode = _tagged(out, "mode", _POLICY_KEYS[kind], f"{kind} policy")
     if mode == "fixed":
         out["value"] = _integral(out["value"], "steps")
-    elif keys:  # a constant value or a factor of n: a positive real
-        (key,) = keys
+        return out
+    if mode == "n_squared":
+        out.setdefault("factor", 1.0)
+    for key in set(out) - {"mode"}:  # a constant value or a factor of n: a positive real
         name = kind if key == "value" else f"{kind} factor"
         out[key] = _real(out[key], name)
         if not (out[key] > 0 and math.isfinite(out[key])):
@@ -753,6 +784,8 @@ class SgdAlgorithm(_Preset):
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
         self.gamma = _real(gamma, "gamma")
+        if projection_radius is not None:
+            projection_radius = _real(projection_radius, "projection_radius")
         self.projection_radius = projection_radius
         if regime == "strongly_convex":
             if not (self.gamma > 0 and math.isfinite(self.gamma)):
@@ -762,64 +795,41 @@ class SgdAlgorithm(_Preset):
         elif self.gamma:
             raise ValueError("gamma is only meaningful for the strongly_convex regime")
         self.ridge_term = self.gamma / 2.0
-        if steps is None:
-            raise ValueError("an SGD preset needs a steps policy")
+        # The one step policy: the constant c of c/t when nonconvex, else the step.
+        kind, policy = ("c", c) if regime == "nonconvex" else ("step", step)
+        if steps is None or policy is None:
+            raise ValueError(f"the {regime} regime needs a steps policy and a {kind} policy")
         self.steps_policy = _norm_policy(steps, "steps")
-        if regime == "nonconvex":
-            if c is None:
-                raise ValueError("nonconvex regime needs a step-constant policy c")
-            self.c_policy = _norm_policy(c, "c")
-            self.step_policy = None
-        else:
-            if step is None:
-                raise ValueError(f"{regime} regime needs a step policy")
-            self.step_policy = _norm_policy(step, "step")
-            self.c_policy = None
+        self.step_policy = _norm_policy(policy, kind)
         # Smoothness does not depend on the certified radius, so a probe
         # model with radius 1 yields the constant used by step policies.
         probe = make_loss(loss_kind, feature_bound, 1.0, label_bound, self.ridge_term)
         self._smoothness = probe.constants().smoothness
 
-    # -- schedule resolution --------------------------------------------------
-
-    def steps_for(self, n: int) -> int:
-        mode = self.steps_policy["mode"]
-        if mode == "fixed":
-            return self.steps_policy["value"]
+    def _resolve(self, policy: dict, n: int):
+        """A policy's value at n: a step count, a step or a step constant."""
+        mode = policy["mode"]
+        if mode in ("fixed", "constant"):
+            return policy["value"]
         if mode == "multiple_of_n":
-            return int(round(self.steps_policy["factor"] * n))
-        return int(round(self.steps_policy["factor"] * n * n))
-
-    def _inverse_smoothness(self) -> float:
+            return int(round(policy["factor"] * n))
+        if mode == "n_squared":
+            return int(round(policy["factor"] * n * n))
+        if mode == "inverse_gamma_n":
+            return 1.0 / (self.gamma * n)
         if self._smoothness is None:
-            raise ValueError(
-                "loss has no certified smoothness; give an explicit step value"
-            )
+            raise ValueError("loss has no certified smoothness; give an explicit step value")
         return 1.0 / self._smoothness
 
-    def step_for(self, n: int) -> float | None:
-        if self.step_policy is None:
-            return None
-        mode = self.step_policy["mode"]
-        if mode == "constant":
-            return float(self.step_policy["value"])
-        if mode == "inverse_smoothness":
-            return self._inverse_smoothness()
-        return 1.0 / (self.gamma * n)
-
-    def c_for(self, n: int) -> float | None:
-        if self.c_policy is None:
-            return None
-        if self.c_policy["mode"] == "constant":
-            return float(self.c_policy["value"])
-        return self._inverse_smoothness()
-
     def spec_for(self, n: int) -> SgdSpec:
+        """The run's plan at n: the one place a schedule is read."""
+        step = self._resolve(self.step_policy, n)
+        nonconvex = self.regime == "nonconvex"
         return SgdSpec(
             regime=self.regime,
-            steps=self.steps_for(n),
-            step=self.step_for(n),
-            step_constant=self.c_for(n),
+            steps=self._resolve(self.steps_policy, n),
+            step=None if nonconvex else step,
+            step_constant=step if nonconvex else None,
             projection_radius=self.projection_radius,
         )
 
@@ -872,6 +882,17 @@ def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:
     return r
 
 
+# Per preset: the parameters it needs, and those it may take.
+_PRESET_KEYS = {
+    "constant": ({"vector"}, ()),
+    "ridge": ({"lam"}, ()),
+    "rerm-lp": ({"p", "lam"}, {"tol", "max_iter"}),
+    "sgd-nonconvex": ({"steps", "c"}, {"projection_radius"}),
+    "sgd-convex": ({"steps", "step"}, {"projection_radius"}),
+    "sgd-strongly-convex": ({"steps", "step", "gamma", "projection_radius"}, ()),
+}
+
+
 def make_algorithm(
     preset: str,
     loss_kind: str,
@@ -879,53 +900,25 @@ def make_algorithm(
     label_bound: float = 1.0,
     **params,
 ):
-    """Build a named algorithm preset bound to a loss and data domain."""
+    """Build a named algorithm preset bound to a loss and data domain.
+
+    ``params`` are the preset's parameters, checked against ``_PRESET_KEYS``.
+    """
+    _tagged({"preset": preset, **params}, "preset", _PRESET_KEYS, "algorithm")
     if preset == "constant":
-        output = np.asarray(_required(preset, params, "vector"), dtype=np.float64)
-        _reject_extra(preset, params)
+        output = np.asarray(params["vector"], dtype=np.float64)
         radius = max(1.0, 2.0 * float(np.linalg.norm(output)))
-        loss = make_loss(loss_kind, feature_bound, radius, label_bound)
-        return ConstantAlgorithm(output, loss)
+        return ConstantAlgorithm(output, make_loss(loss_kind, feature_bound, radius, label_bound))
     if preset == "ridge":
         if loss_kind != "squared":
             raise ValueError("the ridge preset trains the squared loss")
-        lam = _required(preset, params, "lam", real=True)
-        _reject_extra(preset, params)
-        return RidgeAlgorithm(lam, feature_bound, label_bound)
+        return RidgeAlgorithm(_real(params["lam"], "lam"), feature_bound, label_bound)
     if preset == "rerm-lp":
-        p, lam = (_required(preset, params, name, real=True) for name in ("p", "lam"))
-        penalty = PenaltySpec(p=p, lam=lam)
-        tol = _real(params.pop("tol", 1e-9), "tol")
-        max_iter = _integral(params.pop("max_iter", 50000), "max_iter")
-        _reject_extra(preset, params)
+        penalty = PenaltySpec(p=_real(params["p"], "p"), lam=_real(params["lam"], "lam"))
+        tol = _real(params.get("tol", 1e-9), "tol")
+        max_iter = _integral(params.get("max_iter", 50000), "max_iter")
         return LpRermAlgorithm(
             loss_kind, penalty, feature_bound, label_bound, tol=tol, max_iter=max_iter
         )
-    if preset in ("sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"):
-        regime = preset[len("sgd-") :].replace("-", "_")
-        radius = params.pop("projection_radius", None)
-        kwargs = {
-            "steps": _required(preset, params, "steps"),
-            "projection_radius": None if radius is None else _real(radius, "projection_radius"),
-        }
-        if regime == "nonconvex":
-            kwargs["c"] = _required(preset, params, "c")
-        else:
-            kwargs["step"] = _required(preset, params, "step")
-        if regime == "strongly_convex":
-            kwargs["gamma"] = _required(preset, params, "gamma")
-        _reject_extra(preset, params)
-        return SgdAlgorithm(regime, loss_kind, feature_bound, label_bound, **kwargs)
-    raise ValueError(f"unknown algorithm preset {preset!r}")
-
-
-def _required(preset: str, params: dict, name: str, real: bool = False):
-    if name not in params:
-        raise ValueError(f"preset {preset!r} needs the parameter {name!r}")
-    return _real(params.pop(name), name) if real else params.pop(name)
-
-
-def _reject_extra(preset: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for preset {preset!r}: {sorted(params)}")
-
+    regime = preset[len("sgd-") :].replace("-", "_")
+    return SgdAlgorithm(regime, loss_kind, feature_bound, label_bound, **params)

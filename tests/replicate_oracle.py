@@ -12,7 +12,7 @@ import numpy as np
 
 from stabilab.bounds import deformed_gap
 from stabilab.complexity import ball_radius
-from stabilab.datagen import draw_sample, true_risk
+from stabilab.datagen import draw_sample, true_risks
 from stabilab.learners import Sample
 from stabilab.seeding import child_seed
 
@@ -75,6 +75,6 @@ def serial_coverage_rows(config, algorithm):
         loss.check_examples(X, y)
         emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())
         risk_seed = child_seed(seed, "coverage-risk", rep)
-        true = true_risk(loss, h, config.distribution, draws=2048, seed=risk_seed).value
+        true = float(true_risks(loss, [h], config.distribution, 2048, [risk_seed])[0][0])
         rows.append((true - emp, deformed_gap(true, emp, config.a)))
     return np.array(rows)

@@ -669,7 +669,10 @@ class TestExperimentCommands:
         algorithm = {"preset": "sgd-convex", **policy}
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
-        assert "takes no keys" in capsys.readouterr().err
+        ((kind, mode_keys),) = ((k, v) for k, v in policy.items() if isinstance(v, dict))
+        extra = sorted(set(mode_keys) - {"mode"})
+        message = f"unknown {mode_keys['mode']} {kind} policy keys: {extra}"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -770,7 +773,7 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         preset = algorithm["preset"]
-        assert f"preset {preset!r} needs the parameter {missing!r}" in capsys.readouterr().err
+        assert f"{preset} algorithm needs the keys [{missing!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -793,6 +796,56 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         assert "steps must be an integer" in capsys.readouterr().err
+
+    def test_thin_coverage_writes_every_file_but_the_coverage_table(self, tmp_path, capsys):
+        # Below 100 replications the violation rate is neither checked nor tabled.
+        path = write_json(tmp_path, "config.json", base_config(coverage_n=10, trials=50))
+        out = tmp_path / "out"
+        assert main(["experiment", "run", path, "--out-dir", str(out)]) == 0
+        assert sorted(os.listdir(out)) == [
+            "bound_vs_gap.csv",
+            "rate.csv",
+            "report.json",
+            "stability_cells_n10.csv",
+            "stability_cells_n20.csv",
+        ]
+        with open(out / "report.json") as fh:
+            assert json.load(fh)["coverage"]["replications"] == 50
+        assert main(["experiment", "validate", str(out / "report.json")]) == 0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload["records"][0].pop("bounds"), "needs the keys ['bounds']"),
+            (lambda payload: payload.pop("records"), "report needs the keys ['records']"),
+            (lambda payload: payload.update(surprise=1), "unknown report keys: ['surprise']"),
+        ],
+        ids=["record-without-bounds", "report-without-records", "unknown-report-key"],
+    )
+    def test_validate_names_a_malformed_report(self, run_dir, tmp_path, edit, message, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        edit(payload)
+        path = write_json(tmp_path, "malformed.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_validate_names_a_report_that_is_not_a_dict(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        path = write_json(tmp_path, "array.json", [payload])
+        assert main(["experiment", "validate", path]) == 1
+        assert "report must be a dict, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [[["preset", "ridge"], ["lam", 1.0]], "ridge"],
+        ids=["pairs", "string"],
+    )
+    def test_run_rejects_an_algorithm_that_is_not_a_dict(self, algorithm, tmp_path, capsys):
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        assert "algorithm must be a dict, got" in capsys.readouterr().err
 
     def test_seed_flag_fixes_the_digest(self, config_path, capsys):
         digests = []
@@ -839,3 +892,181 @@ class TestLosscheckCommand:
         with open(tmp_path / "losscheck.json") as fh:
             assert json.load(fh)["ok"] is True
         assert (tmp_path / "losscheck.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every outside dict goes through one reader with two message forms
+
+
+def without(mapping, key):
+    return {name: value for name, value in mapping.items() if name != key}
+
+
+def config_case(message, **overrides):
+    return "run", base_config(**overrides), message
+
+
+def mechanism_cases():
+    yield "mechanism-missing-type", config_case(
+        "mechanism needs the keys ['type']", distribution=DISTRIBUTION | {"mechanism": {}}
+    )
+    yield "linear_noise-missing", config_case(
+        "linear_noise mechanism needs the keys ['noise_sd']",
+        distribution=DISTRIBUTION | {"mechanism": {"type": "linear_noise"}},
+    )
+    for kind in ("linear_noise", "logistic_teacher", "sign_flip"):
+        mechanism = {"type": kind, "surprise": 1}
+        yield f"{kind}-unknown", config_case(
+            f"unknown {kind} mechanism keys: ['surprise']",
+            distribution=DISTRIBUTION | {"mechanism": mechanism},
+        )
+
+
+PRESET_NEEDS = {
+    "constant": ["vector"],
+    "ridge": ["lam"],
+    "rerm-lp": ["lam", "p"],
+    "sgd-nonconvex": ["c", "steps"],
+    "sgd-convex": ["step", "steps"],
+    "sgd-strongly-convex": ["gamma", "projection_radius", "step", "steps"],
+}
+
+
+def preset_cases():
+    yield "algorithm-missing-preset", config_case(
+        "algorithm needs the keys ['preset']", algorithm={"lam": 1.0}
+    )
+    for preset, needs in PRESET_NEEDS.items():
+        yield f"{preset}-unknown", config_case(
+            f"unknown {preset} algorithm keys: ['surprise']",
+            algorithm={"preset": preset, "surprise": 1},
+        )
+        yield f"{preset}-missing", config_case(
+            f"{preset} algorithm needs the keys {needs}", algorithm={"preset": preset}
+        )
+
+
+# Per policy kind: an SGD preset that reads it, and its modes with the keys they need.
+POLICY_MODES = {
+    "steps": (
+        {"preset": "sgd-convex", "step": 0.1},
+        {"fixed": ["value"], "multiple_of_n": ["factor"], "n_squared": []},
+    ),
+    "step": (
+        {"preset": "sgd-convex", "steps": 10},
+        {"constant": ["value"], "inverse_smoothness": [], "inverse_gamma_n": []},
+    ),
+    "c": (
+        {"preset": "sgd-nonconvex", "steps": 10},
+        {"constant": ["value"], "inverse_smoothness": []},
+    ),
+}
+
+
+def policy_cases():
+    for kind, (algorithm, modes) in POLICY_MODES.items():
+        yield f"{kind}-missing-mode", config_case(
+            f"{kind} policy needs the keys ['mode']", algorithm=algorithm | {kind: {"value": 1}}
+        )
+        for mode, needs in modes.items():
+            policy = {"mode": mode, "surprise": 1, **{key: 1 for key in needs}}
+            yield f"{kind}-{mode}-unknown", config_case(
+                f"unknown {mode} {kind} policy keys: ['surprise']",
+                algorithm=algorithm | {kind: policy},
+            )
+            if needs:
+                yield f"{kind}-{mode}-missing", config_case(
+                    f"{mode} {kind} policy needs the keys {needs}",
+                    algorithm=algorithm | {kind: {"mode": mode}},
+                )
+
+
+CONCENTRATE_SPECS = {
+    "pinelis": PINELIS_SPEC,
+    "center": {"kind": "center", "config": base_config(), "n": 10},
+    "doob": {"kind": "doob", "config": base_config(), "n": 10},
+}
+
+
+def concentrate_cases():
+    yield "spec-missing-kind", ("concentrate", {"n": 10}, "spec needs the keys ['kind']")
+    for kind, spec in CONCENTRATE_SPECS.items():
+        yield f"{kind}-unknown", (
+            "concentrate",
+            spec | {"surprise": 1},
+            f"unknown {kind} spec keys: ['surprise']",
+        )
+        key = "dim" if kind == "pinelis" else "n"
+        yield f"{kind}-missing", (
+            "concentrate",
+            without(spec, key),
+            f"{kind} spec needs the keys [{key!r}]",
+        )
+
+
+GAP_NEEDS = ["delta", "feature_bound", "lipschitz", "loss_bound", "n"]
+BOUND_FAMILY_NEEDS = {
+    "complexity": ["alpha", "delta", "feature_bound", "n"],
+    "plain-gap": ["alpha", *GAP_NEEDS],
+    "fast-rate": ["alpha", *GAP_NEEDS],
+    "rerm-fast-rate": ["curvature", "delta", "feature_bound", "lam", "lipschitz", "loss_bound", "n"],
+    "sgd-fast-rate": [*GAP_NEEDS, "regime", "steps"],
+}
+
+
+def bounds_cases():
+    yield "constants-missing-family", (
+        "bounds",
+        {"n": 10},
+        "constants file needs the keys ['family']",
+    )
+    for family, needs in BOUND_FAMILY_NEEDS.items():
+        yield f"{family}-unknown", (
+            "bounds",
+            {"family": family, "surprise": 1},
+            f"unknown {family} constants file keys: ['surprise']",
+        )
+        yield f"{family}-missing", (
+            "bounds",
+            {"family": family},
+            f"{family} constants file needs the keys {needs}",
+        )
+
+
+READER_CASES = [
+    ("config-unknown", config_case("unknown config keys: ['surprise']", surprise=1)),
+    ("config-missing", ("run", without(base_config(), "seed"), "config needs the keys ['seed']")),
+    (
+        "distribution-unknown",
+        config_case(
+            "unknown distribution keys: ['surprise']", distribution=DISTRIBUTION | {"surprise": 1}
+        ),
+    ),
+    (
+        "distribution-missing",
+        config_case(
+            "distribution needs the keys ['teacher']",
+            distribution=without(DISTRIBUTION, "teacher"),
+        ),
+    ),
+    *mechanism_cases(),
+    *preset_cases(),
+    *policy_cases(),
+    *concentrate_cases(),
+    *bounds_cases(),
+]
+
+COMMANDS = {"run": ["experiment", "run"], "concentrate": ["concentrate"], "bounds": ["bounds"]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [case for _, case in READER_CASES],
+    ids=[name for name, _ in READER_CASES],
+)
+def test_every_outside_dict_names_an_unknown_or_a_missing_key(
+    command, payload, message, tmp_path, capsys
+):
+    path = write_json(tmp_path, "input.json", payload)
+    assert main([*COMMANDS[command], path]) == 1
+    assert message in capsys.readouterr().err

@@ -12,7 +12,6 @@ from stabilab import (
     SignFlip,
     draw_sample,
     make_loss,
-    true_risk,
 )
 from stabilab import datagen
 from stabilab.datagen import draw_examples, draw_samples, true_risks
@@ -266,24 +265,26 @@ class TestTrueRisk:
     def test_closed_form_hand_value(self):
         spec = linear_spec(dim=2, teacher_scale=0.5, noise_sd=0.01)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
-        est = true_risk(loss, [0.0, 0.0], spec)
-        assert est.exact
-        assert est.std_error == 0.0
-        assert est.value == pytest.approx(0.25 / 2.0 + 0.0001, abs=1e-15)
+        values, errors, exact = true_risks(loss, [[0.0, 0.0]], spec, 4096, [0])
+        assert exact
+        assert errors[0] == 0.0
+        assert values[0] == pytest.approx(0.25 / 2.0 + 0.0001, abs=1e-15)
 
     def test_closed_form_includes_the_ridge_term(self):
         spec = linear_spec(dim=2, teacher_scale=0.5, noise_sd=0.0)
         plain = make_loss("squared", 1.0, 1.0, 1.0)
         ridged = make_loss("squared", 1.0, 1.0, 1.0, 0.25)
         h = [0.2, -0.4]
-        gap = true_risk(ridged, h, spec).value - true_risk(plain, h, spec).value
+        (ridged_risk,), _, _ = true_risks(ridged, [h], spec, 4096, [0])
+        (plain_risk,), _, _ = true_risks(plain, [h], spec, 4096, [0])
+        gap = ridged_risk - plain_risk
         assert gap == pytest.approx(0.25 * 0.2, abs=1e-15)
 
     def test_closed_form_agrees_with_the_sampler(self):
         spec = linear_spec(dim=3, teacher_scale=0.3, noise_sd=0.05)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         h = np.array([0.1, -0.2, 0.05])
-        exact = true_risk(loss, h, spec).value
+        (exact,), _, _ = true_risks(loss, [h], spec, 4096, [0])
         s = draw_sample(spec, 4096, seed=12)
         vals = loss.values_raw(h, s.features, s.labels)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -293,23 +294,23 @@ class TestTrueRisk:
         spec = linear_spec(dim=3, teacher_scale=0.3, noise_sd=0.05, law="ball")
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         h = np.array([0.1, -0.2, 0.05])
-        a = true_risk(loss, h, spec, draws=512, seed=8)
-        b = true_risk(loss, h, spec, draws=512, seed=8)
-        assert not a.exact
-        assert a.std_error > 0
-        assert a.value == b.value and a.std_error == b.std_error
+        a_value, a_error, exact = true_risks(loss, [h], spec, 512, [8])
+        b_value, b_error, _ = true_risks(loss, [h], spec, 512, [8])
+        assert not exact
+        assert a_error[0] > 0
+        assert a_value[0] == b_value[0] and a_error[0] == b_error[0]
 
     def test_monte_carlo_needs_at_least_two_draws(self):
         spec = linear_spec(law="ball")
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            true_risk(loss, np.zeros(3), spec, draws=1)
+            true_risks(loss, np.zeros((1, 3)), spec, 1, [0])
 
     def test_dimension_mismatch_is_rejected(self):
         spec = linear_spec(dim=3)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            true_risk(loss, np.zeros(2), spec)
+            true_risks(loss, np.zeros((1, 2)), spec, 4096, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +402,16 @@ class TestSamplerAgainstSerialOracle:
         spec = oracle_spec(mechanism, law)
         loss = make_loss(kind, 1.5, 1.0, spec.label_bound)
         h = np.array([0.3, -0.2, 0.1])
-        est = true_risk(loss, h, spec, draws=777, seed=31)
+        values, errors, exact = true_risks(loss, [h], spec, 777, [31])
         X, y = serial_draw(spec, substream(31, "risk-mc"), 777)
         vals = loss.values_raw(h, X, y)
-        assert not est.exact
-        assert est.value == float(vals.mean())
-        assert est.std_error == float(vals.std(ddof=1) / math.sqrt(777))
+        assert not exact
+        assert values[0] == float(vals.mean())
+        assert errors[0] == float(vals.std(ddof=1) / math.sqrt(777))
 
 
 # ---------------------------------------------------------------------------
-# the stacked risk against the per-row true_risk
+# the stacked risk against one-row stacks
 
 
 def ball_hypotheses(count, dim, radius, seed):
@@ -422,13 +423,13 @@ def ball_hypotheses(count, dim, radius, seed):
     return H
 
 
-def assert_rows_equal_true_risk(loss, H, spec, draws, seeds):
-    """true_risks on the stack equals true_risk row by row, bit for bit."""
+def assert_rows_equal_one_row_risks(loss, H, spec, draws, seeds):
+    """true_risks on the stack equals it on each row alone, bit for bit."""
     values, errors, exact = true_risks(loss, H, spec, draws, seeds)
     assert values.shape == errors.shape == (len(H),)
     for c, (h, seed) in enumerate(zip(H, seeds)):
-        est = true_risk(loss, h, spec, draws=draws, seed=seed)
-        assert (values[c], errors[c], exact) == (est.value, est.std_error, est.exact)
+        value, error, alone_exact = true_risks(loss, h[None], spec, draws, [seed])
+        assert (values[c], errors[c], exact) == (value[0], error[0], alone_exact)
     return values, errors, exact
 
 
@@ -440,7 +441,7 @@ class TestStackedRisk:
         spec = linear_spec(dim=dim, teacher_scale=0.3, noise_sd=0.05)
         loss = make_loss("squared", 1.0, 1.0, 1.0, ridge)
         H = ball_hypotheses(count, dim, 1.0, seed=dim)
-        values, errors, exact = assert_rows_equal_true_risk(loss, H, spec, 4096, range(count))
+        values, errors, exact = assert_rows_equal_one_row_risks(loss, H, spec, 4096, range(count))
         assert exact and not errors.any()
         for value, h in zip(values, H):
             gap = h - spec.teacher
@@ -466,7 +467,7 @@ class TestStackedRisk:
         loss = make_loss(kind, 1.5, 1.0, spec.label_bound, ridge)
         H = ball_hypotheses(count, 3, 1.0, seed=count)
         seeds = SEEDS + list(range(count))
-        values, errors, exact = assert_rows_equal_true_risk(loss, H, spec, 777, seeds[:count])
+        values, errors, exact = assert_rows_equal_one_row_risks(loss, H, spec, 777, seeds[:count])
         assert not exact
         for c, h in enumerate(H):
             X, y = serial_draw(spec, substream(seeds[c], "risk-mc"), 777)

@@ -1,6 +1,7 @@
 """Tests for samples, the three trainers, and the algorithm presets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -542,7 +543,7 @@ class TestPresets:
         rerm = make_algorithm("rerm-lp", "squared", 1.0, 1.0, p=1.5, lam=0.5, max_iter=50.0)
         assert rerm.max_iter == 50 and type(rerm.max_iter) is int
         sgd = make_algorithm("sgd-convex", "squared", 1.0, 1.0, steps=10.0, step=0.2)
-        assert sgd.steps_for(7) == 10 and type(sgd.steps_for(7)) is int
+        assert sgd.spec_for(7).steps == 10 and type(sgd.spec_for(7).steps) is int
         spec = SgdSpec("nonconvex", 10.0, step_constant=1.0)
         assert spec.steps == 10 and type(spec.steps) is int
         assert len(spec.step_sizes()) == 10
@@ -555,10 +556,9 @@ class TestPresets:
             steps={"mode": "multiple_of_n", "factor": 2.0},
             step="inverse_smoothness",
         )
-        assert algo.steps_for(50) == 100
-        assert algo.step_for(50) == pytest.approx(4.0)
         spec = algo.spec_for(50)
         assert spec.steps == 100 and spec.regime == "convex"
+        assert spec.step == pytest.approx(4.0)
 
     def test_sgd_n_squared_steps_policy(self):
         algo = make_algorithm(
@@ -568,11 +568,10 @@ class TestPresets:
             steps={"mode": "n_squared", "factor": 0.5},
             step="inverse_smoothness",
         )
-        assert algo.steps_for(10) == 50
         assert algo.spec_for(10).steps == 50
-        assert algo.steps_for(7) == 24  # round(24.5) rounds half to even
+        assert algo.spec_for(7).steps == 24  # round(24.5) rounds half to even
         default = make_algorithm("sgd-convex", "logistic", 1.0, steps="n_squared", step=0.1)
-        assert default.steps_for(7) == 49
+        assert default.spec_for(7).steps == 49
 
     def test_sgd_strongly_convex_preset_resolves_gamma_step(self):
         algo = make_algorithm(
@@ -584,7 +583,7 @@ class TestPresets:
             gamma=1.0,
             projection_radius=1.0,
         )
-        assert algo.step_for(100) == pytest.approx(0.01)
+        assert algo.spec_for(100).step == pytest.approx(0.01)
         loss = algo.loss_for(100)
         assert loss.constants().strong_convexity == pytest.approx(1.0)
 
@@ -609,7 +608,7 @@ class TestPresets:
             make_algorithm("ridge", "hinge", 1.0, lam=0.5)
         with pytest.raises(ValueError):
             make_algorithm("ridge", "squared", 1.0, lam=0.5, extra=1)
-        with pytest.raises(ValueError, match="preset 'ridge' needs the parameter 'lam'"):
+        with pytest.raises(ValueError, match="ridge algorithm needs the keys \\['lam'\\]"):
             make_algorithm("ridge", "squared", 1.0)
         with pytest.raises(ValueError):
             make_algorithm("sgd-convex", "squared", 1.0, steps=10, step={"mode": "warp"})
@@ -643,7 +642,9 @@ class TestPresets:
             del params["step"], params["gamma"]
         else:
             del params["c"]
-        with pytest.raises(ValueError, match="takes no keys"):
+        extra = sorted(set(policy) - {"mode"})
+        message = f"unknown {policy['mode']} {kind} policy keys: {extra}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             make_algorithm(preset, "logistic", 1.0, **params)
 
     def test_policy_modes_need_their_key(self):
@@ -654,7 +655,7 @@ class TestPresets:
                 "sgd-convex", "squared", 1.0, steps={"mode": "multiple_of_n"}, step=0.1
             )
         algo = make_algorithm("sgd-convex", "squared", 1.0, steps={"mode": "n_squared"}, step=0.1)
-        assert algo.steps_for(3) == 9
+        assert algo.spec_for(3).steps == 9
         with pytest.raises(ValueError, match="unknown steps policy mode"):
             make_algorithm("sgd-convex", "squared", 1.0, steps={"mode": ["fixed"]}, step=0.1)
 
