@@ -10,7 +10,7 @@ experiments at desk scale.
 __version__ = "0.1.0"
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
-from .vectorspace import parallelogram_defect, type2_check
+from .vectorspace import parallelogram_defect
 from .losses import LossModel, certify_loss, make_loss
 from .learners import (
     PenaltySpec,
@@ -75,7 +75,6 @@ __all__ = [
     "DomainError",
     "NonFiniteIterateError",
     "parallelogram_defect",
-    "type2_check",
     "LossModel",
     "make_loss",
     "certify_loss",

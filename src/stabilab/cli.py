@@ -39,7 +39,10 @@ from .lab import (
     _CONFIG_KEYS,
     _RECORD_KEYS,
     _REPORT_KEYS,
+    _STABILITY_KEYS,
     _as_list,
+    _read_bound,
+    _read_coverage,
     build_algorithm,
     complexity_stage,
     report_digest,
@@ -270,13 +273,16 @@ def _check_report(payload) -> list:
         recomputed = report_digest(payload)
         if stored != recomputed:
             problems.append(f"digest mismatch: stored {stored[:12]}.. != {recomputed[:12]}..")
-    preset = str(config["algorithm"].get("preset", ""))
+    algorithm = config["algorithm"]
+    preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
     for record in records:
         n = record["n"]
-        theory = record["stability"].get("theory_alpha")
+        stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
+        theory = stability["theory_alpha"]
         if theory is not None:
-            problems.extend(_stability_problems(record["stability"], theory, preset, n))
-        for bound in record["bounds"]:
+            problems.extend(_stability_problems(stability, theory, preset, n))
+        for bound in _as_list(record["bounds"], "record bounds"):
+            _read_bound(bound, f"n={n} bound")
             total = math.fsum(term["value"] for term in bound["terms"])
             if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
                 problems.append(f"n={n} {bound['name']}: total != sum of terms")
@@ -287,7 +293,8 @@ def _check_report(payload) -> list:
                         f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
                     )
     coverage = payload.get("coverage")
-    if coverage and coverage.get("replications", 0) >= MIN_COVERAGE_REPLICATIONS:
+    replications = 0 if coverage is None else _read_coverage(coverage)["replications"]
+    if replications >= MIN_COVERAGE_REPLICATIONS:
         for which in ("plain-gap", "fast-rate"):
             outcome = validate_bound_coverage(payload, which)
             runs, nominal = outcome["runs"], outcome["nominal"]

@@ -14,11 +14,11 @@ randomness for each example of ``out`` from a stream, and
 
 One private sampler, over one Philox key per sample, draws every sample:
 :func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`,
-its n = 1 view :func:`draw_examples` and the Monte-Carlo branch of
-:func:`true_risks` (exact where a closed form exists), the risks of a
-stack of hypotheses. It reads each stream
+the replicate stacks of :func:`fit_replicates` (one stack, fitted once)
+and the Monte-Carlo branch of :func:`true_risks` (exact where a closed
+form exists), the risks of a stack of hypotheses. It reads each stream
 straight into the output buffers, then does the arithmetic in place a
-block at a time. :func:`fit_replicates` draws one stack, fits it once.
+block at a time.
 """
 
 from __future__ import annotations
@@ -212,24 +212,24 @@ def draw_samples(spec: DistributionSpec, n: int, seeds):
     return _sample_stack(spec, n, [stream_key(seed, "datagen") for seed in seeds])
 
 
-def draw_examples(spec: DistributionSpec, seeds):
-    """(C, d) features and (C,) labels: row c is the one example of
-    ``draw_sample(spec, 1, seeds[c])``, drawn as :func:`draw_samples` draws it."""
-    X, y = draw_samples(spec, 1, seeds)
-    return X[:, 0], y[:, 0]
-
-
 def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: int, label: str):
     """(fits, features, labels) of ``count`` fresh samples of size n, drawn as
     one stack and fitted through one ``fit_many`` call.
 
-    Replicate j draws on ``(seed, f"{label}-sample", j)`` and fits on
-    ``(seed, f"{label}-fit", j)``.
+    Replicate j reads the stream keyed by ``stream_key(seed, f"{label}-sample",
+    j)``, so it depends only on (dist, n, seed, label, j). A stochastic
+    preset fits it on ``child_seed(seed, f"{label}-fit", j)``; a
+    deterministic one ignores its seed and gets 0.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     replicates = range(count)
-    X, y = draw_samples(dist, n, [child_seed(seed, f"{label}-sample", j) for j in replicates])
+    X, y = _sample_stack(dist, n, [stream_key(seed, f"{label}-sample", j) for j in replicates])
+    seeds = [0] * count
+    if algorithm.stochastic:
+        seeds = [child_seed(seed, f"{label}-fit", j) for j in replicates]
     try:
-        fits = algorithm.fit_many(X, y, [child_seed(seed, f"{label}-fit", j) for j in replicates])
+        fits = algorithm.fit_many(X, y, seeds)
     except Exception as exc:
         raise RuntimeError(f"{label} replicate fits failed: {exc}") from exc
     return fits, X, y

@@ -51,7 +51,7 @@ from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-5"
+ARTIFACT_VERSION = "report-6"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400
@@ -220,6 +220,36 @@ _RECORD_KEYS = (
     | {"coefficients", "gaps", "tail"},
     (),
 )
+# The keys of a record's written stability entry and bound entries, and of
+# a written coverage section.
+_STABILITY_KEYS = {"per_index", "alpha_hat", "beta_hat", "n", "trials", "seed", "theory_alpha"}
+_BOUND_KEYS = (
+    {"name", "terms", "total", "constants_used", "confidence", "deformation"}
+    | {"vacuous", "notes"},
+    (),
+)
+_COVERAGE_KEYS = ({"n", "replications", "delta", "a", "bounds", "rows"}, ())
+_GAP_KEYS = {"plain-gap": "plain_gap", "fast-rate": "deformed_gap"}
+
+
+def _read_bound(entry, where: str) -> dict:
+    """A written bound entry, checked by the keyed reader down to its terms."""
+    _keys(entry, where, *_BOUND_KEYS)
+    for term in _as_list(entry["terms"], f"{where} terms"):
+        _keys(term, f"{where} term", {"label", "value"})
+    _keys(entry["constants_used"], f"{where} constants_used", (), entry["constants_used"])
+    return entry
+
+
+def _read_coverage(coverage) -> dict:
+    """A written coverage section, checked by the keyed reader down to its rows."""
+    _keys(coverage, "report coverage", *_COVERAGE_KEYS)
+    bounds = _keys(coverage["bounds"], "report coverage bounds", set(_GAP_KEYS))
+    for name, entry in bounds.items():
+        _read_bound(entry, f"coverage bound {name}")
+    for row in _as_list(coverage["rows"], "coverage rows"):
+        _keys(row, "coverage row", set(_GAP_KEYS.values()))
+    return coverage
 
 
 @dataclass(frozen=True)
@@ -497,16 +527,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def validate_bound_coverage(report, which: str) -> dict:
     """Count coverage replications whose realized gap exceeds the bound."""
-    if which not in ("plain-gap", "fast-rate"):
+    if which not in _GAP_KEYS:
         raise ValueError(f"unknown bound name {which!r}")
     payload = report.to_dict() if isinstance(report, ExperimentReport) else report
     coverage = payload.get("coverage")
-    if not coverage or coverage["replications"] < MIN_COVERAGE_REPLICATIONS:
+    if coverage is None or _read_coverage(coverage)["replications"] < MIN_COVERAGE_REPLICATIONS:
         raise ValueError(
             f"report needs a coverage section with >= {MIN_COVERAGE_REPLICATIONS} replications"
         )
     total = coverage["bounds"][which]["total"]
-    key = "plain_gap" if which == "plain-gap" else "deformed_gap"
+    key = _GAP_KEYS[which]
     violations = sum(1 for row in coverage["rows"] if row[key] > total)
     return {
         "runs": coverage["replications"],

@@ -18,7 +18,7 @@ fills them; any row replays alone through ``Philox.advance``, and a row
 depends only on (seed, path, width, row index), so raising the number of
 rows leaves the earlier rows unchanged.
 
-Loops that need one stream per item (a replacement row, an SGD run) use
+Loops that need one stream per item (a sample of a stack, an SGD run) use
 :func:`draw_each`, which runs a draw on the stream of each key through one
 re-keyed generator. It gives bitwise what the per-item :func:`substream`
 draw gives, because a Philox stream is fully defined by its 128-bit key:
@@ -80,11 +80,6 @@ def substream(master_seed: int, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, *labels)))
 
 
-def rademacher_signs(rng: np.random.Generator, size) -> np.ndarray:
-    """Independent uniform ±1 variables."""
-    return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-
-
 _WORD = (1 << 64) - 1
 _EMPTY = (0, 0, 0, 0)
 
@@ -129,7 +124,7 @@ def sign_rows(master_seed: int, *labels: object, out: np.ndarray) -> np.ndarray:
     Row j reads the four-word blocks [j * B, (j + 1) * B) with
     B = ceil(n / 8): each sign is the top bit of one 32-bit half of a raw
     word, low half first, and the unused words at the end of a row are
-    skipped. So row j is ``rademacher_signs(Generator(bg), n)`` after
+    skipped. So row j is ``Generator(bg).integers(0, 2, n) * 2.0 - 1.0`` after
     ``bg = Philox(key=k); bg.advance(j * B)``, and it does not depend on
     how many rows ``out`` has. Raw words are read in chunks of whole rows,
     which bounds the memory held beside ``out``.

@@ -22,9 +22,11 @@ Measurement conventions:
   twins, both runs consuming the same example-index stream in one stacked
   SGD kernel, so a replacement that the stream never touches yields
   distance exactly zero;
-* every (index, replacement) cell draws its replacement from its own
-  seeded stream and, for stochastic presets, derives its own fit seed from
-  the master seed, making reports independent of evaluation order;
+* a record's n * R i.i.d. replacements are one sample drawn on
+  ``(seed, "replacement")``, cell (i, k) taking row i * R + k, so a
+  replacement depends on (seed, n, R, i, k); a stochastic preset's cell
+  derives its own fit seed from the master seed, making reports
+  independent of evaluation order;
 * a cell's loss gap is its largest loss difference over one shared grid,
   with the grid values taken by ``LossModel.values_raw`` on blocks of
   cells; a deterministic fit on S is evaluated on the grid once.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import DistributionSpec, draw_examples, draw_sample
+from .datagen import DistributionSpec, draw_sample
 from .learners import (
     ConstantAlgorithm,
     LpRermAlgorithm,
@@ -330,10 +332,13 @@ def measure_argument_stability(
     For every index i, ``replacements`` fresh examples are drawn from the
     distribution (plus two adversarial anchors when the base fit is
     nonzero), the algorithm is refit on the perturbed sample, and the
-    hypothesis distance is recorded. Stochastic presets are evaluated as
-    coupled twins sharing the per-cell index stream. ``beta_hat`` is the
-    maximum loss gap over a fixed grid of 1024 held-out points plus the
-    anchors, computed only when ``eval_loss`` is given.
+    hypothesis distance is recorded. The n * replacements draws are one
+    sample on ``(seed, "replacement")``, example i * replacements + k
+    replacing index i in cell k; so a cell's replacement depends on
+    (seed, n, replacements), not on its (i, k) alone. Stochastic presets
+    are evaluated as coupled twins sharing the per-cell index stream.
+    ``beta_hat`` is the maximum loss gap over a fixed grid of 1024 held-out
+    points plus the anchors, computed only when ``eval_loss`` is given.
     """
     if replacements < 1:
         raise ValueError("replacements must be >= 1")
@@ -352,14 +357,11 @@ def measure_argument_stability(
 
     # Index i's cells: i.i.d. draws k = 0 .. replacements - 1, then the anchors.
     codes = list(range(replacements)) + anchor_codes
-    draws_x, draws_y = draw_examples(
-        dist,
-        [child_seed(seed, "replacement", i, k) for i in range(n) for k in range(replacements)],
-    )
+    pool = draw_sample(dist, n * replacements, child_seed(seed, "replacement"))
     rep_x = np.empty((n, len(codes), dist.dim))
     rep_y = np.empty((n, len(codes)))
-    rep_x[:, :replacements] = draws_x.reshape(n, replacements, dist.dim)
-    rep_y[:, :replacements] = draws_y.reshape(n, replacements)
+    rep_x[:, :replacements] = pool.features.reshape(n, replacements, dist.dim)
+    rep_y[:, :replacements] = pool.labels.reshape(n, replacements)
     rep_x[:, replacements:], rep_y[:, replacements:] = anchor_x, anchor_y
     cell_index = [i for i in range(n) for _ in codes]
     codes = codes * n

@@ -1,9 +1,12 @@
 """Serial reference for the replicate path.
 
-One ``draw_sample`` and one ``algorithm.fit`` per replicate, as the center,
+One sample and one ``algorithm.fit`` per replicate, as the center,
 concentration-trial, Doob and coverage loops ran before they drew their
-samples as one (C, n, d) stack and fitted it through ``fit_many``. Every
-stacked path must give bitwise the same fits and reported values.
+samples as one (C, n, d) stack and fitted it through ``fit_many``. A
+replicate sample is drawn alone by the frozen per-row sampler of
+``stream_oracle`` on its one key, ``stream_key(seed, f"{label}-sample",
+j)``. Every stacked path must give bitwise the same fits and reported
+values.
 """
 
 import math
@@ -14,14 +17,22 @@ from stabilab.bounds import deformed_gap
 from stabilab.complexity import ball_radius
 from stabilab.datagen import draw_sample, true_risks
 from stabilab.learners import Sample
-from stabilab.seeding import child_seed
+from stabilab.seeding import child_seed, substream
+
+from stream_oracle import serial_draw
+
+
+def replicate_sample(dist, n, seed, label, j) -> Sample:
+    """Replicate j's sample, drawn alone on the key of (seed, label-sample, j)."""
+    return Sample(*serial_draw(dist, substream(seed, f"{label}-sample", j), n))
 
 
 def serial_fits(algorithm, dist, n, count, seed, label):
-    """(fits, samples): replicate j draws on (seed, label-sample, j), fits on (seed, label-fit, j)."""
+    """(fits, samples): replicate j draws on the key of (seed, label-sample, j)
+    and fits on (seed, label-fit, j)."""
     samples, fits = [], []
     for j in range(count):
-        sample = draw_sample(dist, n, child_seed(seed, f"{label}-sample", j))
+        sample = replicate_sample(dist, n, seed, label, j)
         samples.append(sample)
         fits.append(algorithm.fit(sample, seed=child_seed(seed, f"{label}-fit", j)))
     return np.stack(fits), samples
@@ -69,7 +80,7 @@ def serial_coverage_rows(config, algorithm):
     loss = algorithm.loss_for(n)
     rows = []
     for rep in range(config.trials):
-        sample = draw_sample(config.distribution, n, child_seed(seed, "coverage-sample", rep))
+        sample = replicate_sample(config.distribution, n, seed, "coverage", rep)
         h = algorithm.fit(sample, seed=child_seed(seed, "coverage-fit", rep))
         X, y = sample.features, sample.labels
         loss.check_examples(X, y)

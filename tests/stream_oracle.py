@@ -16,7 +16,12 @@ import numpy as np
 
 from stabilab.datagen import LinearNoise, LogisticTeacher, SignFlip
 from stabilab.losses import _sigmoid
-from stabilab.seeding import rademacher_signs, stream_key, substream
+from stabilab.seeding import stream_key, substream
+
+
+def rademacher_signs(rng: np.random.Generator, size) -> np.ndarray:
+    """Independent uniform ±1 variables, read as ``integers(0, 2)``."""
+    return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
 
 
 def serial_draw_each(keys, draw) -> list:
@@ -99,11 +104,6 @@ def serial_draw_samples(spec, n: int, seeds, min_norm: float = 1e-12):
     for c, seed in enumerate(seeds):
         X[c], y[c] = serial_draw(spec, substream(seed, "datagen"), n, min_norm)
     return X, y
-
-
-def serial_draw_examples(spec, seeds):
-    X, y = serial_draw_samples(spec, 1, seeds)
-    return X[:, 0], y[:, 0]
 
 
 def serial_sgd_index_streams(seeds, n: int, steps: int) -> np.ndarray:

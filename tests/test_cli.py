@@ -87,6 +87,16 @@ def run_dir(tmp_path_factory, config_path):
     return out
 
 
+@pytest.fixture(scope="module")
+def covered_run_dir(tmp_path_factory):
+    """A run whose report carries a coverage section of 100 replications."""
+    directory = tmp_path_factory.mktemp("cli-covered")
+    path = write_json(directory, "config.json", base_config(coverage_n=10))
+    out = directory / "out"
+    assert main(["experiment", "run", path, "--out-dir", str(out)]) == 0
+    return out
+
+
 class TestStabilityCommand:
     def test_json_stdout(self, config_path, capsys):
         assert main(["stability", config_path, "--n", "10"]) == 0
@@ -819,11 +829,37 @@ class TestExperimentCommands:
             (lambda payload: payload["records"][0].pop("bounds"), "needs the keys ['bounds']"),
             (lambda payload: payload.pop("records"), "report needs the keys ['records']"),
             (lambda payload: payload.update(surprise=1), "unknown report keys: ['surprise']"),
+            (
+                lambda payload: payload["records"][0]["bounds"][0].pop("terms"),
+                "n=10 bound needs the keys ['terms']",
+            ),
+            (
+                lambda payload: payload["config"].update(algorithm=[["preset", "ridge"]]),
+                "report config algorithm must be a dict, got list",
+            ),
+            (
+                lambda payload: payload["coverage"]["bounds"].pop("plain-gap"),
+                "report coverage bounds needs the keys ['plain-gap']",
+            ),
+            (
+                lambda payload: payload["records"][0].update(stability=[]),
+                "n=10 stability must be a dict, got list",
+            ),
         ],
-        ids=["record-without-bounds", "report-without-records", "unknown-report-key"],
+        ids=[
+            "record-without-bounds",
+            "report-without-records",
+            "unknown-report-key",
+            "bound-without-terms",
+            "algorithm-as-a-list",
+            "coverage-without-plain-gap",
+            "stability-as-a-list",
+        ],
     )
-    def test_validate_names_a_malformed_report(self, run_dir, tmp_path, edit, message, capsys):
-        with open(run_dir / "report.json") as fh:
+    def test_validate_names_a_malformed_report(
+        self, covered_run_dir, tmp_path, edit, message, capsys
+    ):
+        with open(covered_run_dir / "report.json") as fh:
             payload = json.load(fh)
         edit(payload)
         path = write_json(tmp_path, "malformed.json", payload)

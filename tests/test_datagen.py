@@ -14,11 +14,11 @@ from stabilab import (
     make_loss,
 )
 from stabilab import datagen
-from stabilab.datagen import draw_examples, draw_samples, true_risks
+from stabilab.datagen import draw_samples, true_risks
 from stabilab.exceptions import DomainError
 from stabilab.seeding import substream
 
-from stream_oracle import serial_draw, serial_draw_examples, serial_draw_samples
+from stream_oracle import serial_draw, serial_draw_samples
 
 
 def linear_spec(dim=3, feature_bound=1.0, teacher_scale=0.4, noise_sd=0.05, law="sphere"):
@@ -207,39 +207,6 @@ STACK_SPECS = pytest.mark.parametrize(
 )
 
 
-class TestDrawExamples:
-    @STACK_SPECS
-    def test_each_row_is_the_one_example_sample_of_its_seed(self, spec):
-        seeds = [11, 5, 11, 2**62 + 3]
-        X, y = draw_examples(spec, seeds)
-        assert X.shape == (4, spec.dim) and y.shape == (4,)
-        for row, label, seed in zip(X, y, seeds):
-            one = draw_sample(spec, 1, seed)
-            assert np.array_equal(row, one.features[0])
-            assert label == one.labels[0]
-
-    def test_non_finite_rows_raise(self):
-        class NanLabels:
-            noise_sd = 0.0
-
-            def draw_raw(self, rng, out):
-                pass
-
-            def labels_from(self, margins, raw):
-                return np.full(margins.shape, np.nan)
-
-            def classification(self):
-                return False
-
-        spec = DistributionSpec(
-            dim=2, feature_bound=1.0, teacher=[0.1, 0.0], mechanism=NanLabels()
-        )
-        with pytest.raises(ValueError, match="finite"):
-            draw_examples(spec, [1, 2])
-        with pytest.raises(ValueError, match="finite"):
-            draw_samples(spec, 3, [1, 2])
-
-
 class TestDrawSamples:
     @STACK_SPECS
     @pytest.mark.parametrize("n", [1, 7, 400])
@@ -259,6 +226,27 @@ class TestDrawSamples:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="n must be"):
             draw_samples(linear_spec(), 0, [1])
+
+    def test_non_finite_rows_raise(self):
+        class NanLabels:
+            noise_sd = 0.0
+
+            def draw_raw(self, rng, out):
+                pass
+
+            def labels_from(self, margins, raw):
+                return np.full(margins.shape, np.nan)
+
+            def classification(self):
+                return False
+
+        spec = DistributionSpec(
+            dim=2, feature_bound=1.0, teacher=[0.1, 0.0], mechanism=NanLabels()
+        )
+        with pytest.raises(ValueError, match="finite"):
+            draw_samples(spec, 1, [1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            draw_samples(spec, 3, [1, 2])
 
 
 class TestTrueRisk:
@@ -354,8 +342,6 @@ class TestSamplerAgainstSerialOracle:
         for c, seed in enumerate(SEEDS):
             sample = draw_sample(spec, n, seed)
             assert_same_stack((sample.features, sample.labels), (want[0][c], want[1][c]))
-        if n == 1:
-            assert_same_stack(draw_examples(spec, SEEDS), serial_draw_examples(spec, SEEDS))
 
     @LAWS
     def test_a_stack_of_several_blocks_matches(self, law):

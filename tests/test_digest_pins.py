@@ -106,6 +106,15 @@ PINS = {
         "sgd-strongly-convex": "7aa30085f0d0b63e6ce610641ac87779370190881cdb41cc4ab96218cac6bcd9",
         "rerm-lp": "5b48f6ab99f07a035d676d2a19aefe9a5ee068e9e27cc457e9718aac5b8b2d83",
     },
+    # One replacement pool per record and one key per replicate sample moved
+    # every stochastic field of all four configs.
+    "report-6 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+    "SkylakeX MAX_THREADS=64": {
+        "acceptance": "33d6eb7ef4113b395fce2dc28e16005d832f4e7f227f6a0a667f496733250745",
+        "acceptance-tail": "972c299947bed72b6f235887566974ca6fa2033bbcacd088439a1541a104c32f",
+        "sgd-strongly-convex": "10b6e809773b1760e1b8f2d7d0dcffb7f24551c4c4c8b13989555f5867e7f632",
+        "rerm-lp": "5221651e00a11fd8239645d1537697a480d25a7c127e72cad8c4ac89b1fd4669",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.

@@ -12,22 +12,22 @@ from stabilab import (
     pinelis_tail_experiment,
 )
 from stabilab.complexity import _antithetic_signs
-from stabilab.datagen import draw_examples
+from stabilab.datagen import draw_samples
 from stabilab.learners import _sgd_index_streams
 from stabilab import seeding
 from stabilab.seeding import (
     _rekey,
     child_seed,
     draw_each,
-    rademacher_signs,
     sign_rows,
     stream_key,
     substream,
 )
 from stream_oracle import (
+    rademacher_signs,
     serial_antithetic_signs,
     serial_draw_each,
-    serial_draw_examples,
+    serial_draw_samples,
     serial_pinelis_violations,
     serial_sgd_index_streams,
     serial_sign_row,
@@ -226,7 +226,7 @@ MECHANISMS = [LinearNoise(0.02), LogisticTeacher(), SignFlip(0.0), SignFlip(0.2)
     st.sampled_from(range(len(MECHANISMS))),
     st.sampled_from(["sphere", "ball"]),
 )
-def test_draw_examples_match_the_per_row_loop(seeds, which, law):
+def test_one_example_samples_match_the_per_row_loop(seeds, which, law):
     mechanism = MECHANISMS[which]
     label_bound = 1.0 if mechanism.classification() else 0.5
     spec = DistributionSpec(
@@ -237,8 +237,8 @@ def test_draw_examples_match_the_per_row_loop(seeds, which, law):
         label_bound=label_bound,
         feature_law=law,
     )
-    X, y = draw_examples(spec, seeds)
-    X_ref, y_ref = serial_draw_examples(spec, seeds)
+    X, y = draw_samples(spec, 1, seeds)
+    X_ref, y_ref = serial_draw_samples(spec, 1, seeds)
     assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref)
 
 
@@ -287,7 +287,7 @@ def test_pinned_pinelis_violation_counts():
     )
 
 
-def test_pinned_draw_examples_rows():
+def test_pinned_one_example_samples():
     spec = DistributionSpec(
         dim=3,
         feature_bound=1.0,
@@ -295,7 +295,7 @@ def test_pinned_draw_examples_rows():
         mechanism=SignFlip(0.2),
         feature_law="ball",
     )
-    X, y = draw_examples(spec, [0, 1, 2**63 - 1, 20250815, 7])
+    X, y = draw_samples(spec, 1, [0, 1, 2**63 - 1, 20250815, 7])
     assert _sha256(X, y) == "b569fc4d6684a4d7b70ac4d5e57004aebecc00e60c1183f3efac4ebe7cd21c8f"
 
 

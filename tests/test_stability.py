@@ -524,8 +524,10 @@ class TestMeasurement:
 
         loss = algo.loss_for(sample.n)
         base = algo.fit(sample, seed=child_seed(17, "base-fit"))
+        # Cell (i, k) replaces index i by row i * 2 + k of the record's pool.
+        pool = draw_sample(spec, sample.n * 2, child_seed(17, "replacement"))
         for i, code, distance, _gap in report.cells:
-            x, y = example(draw_sample(spec, 1, child_seed(17, "replacement", i, code)), 0)
+            x, y = example(pool, i * 2 + code)
             twin = replaced(sample, i, x, y)
             seed = child_seed(17, i, code)
             h = serial_sgd(twin, loss, algo.spec_for(sample.n), seed)[-1]
@@ -572,12 +574,11 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
     base = serial_ridge(sample, algo.lam)
     anchors = adversarial_anchors(base, dist)
     grid_X, grid_y = serial_grid(dist, anchors, seed)
+    # Cell (i, k) replaces index i by row i * replacements + k of the pool.
+    pool = draw_sample(dist, sample.n * replacements, child_seed(seed, "replacement"))
     cells = []
     for i in range(sample.n):
-        draws = [
-            (k, *example(draw_sample(dist, 1, child_seed(seed, "replacement", i, k)), 0))
-            for k in range(replacements)
-        ]
+        draws = [(k, *example(pool, i * replacements + k)) for k in range(replacements)]
         for code, x, y in draws + list(zip(*anchors)):
             h = serial_ridge(replaced(sample, i, x, y), algo.lam)
             gap = serial_gap(eval_loss, base, h, grid_X, grid_y)
@@ -753,3 +754,55 @@ class TestReportSerialization:
             assert int(row[1]) == cell[1]
             assert float(row[2]) == pytest.approx(cell[2], abs=1e-15)
             assert float(row[3]) == pytest.approx(cell[3], abs=1e-15)
+
+
+class TestKeysPerRecord:
+    """Stream keys derived per record and per replicate stack, counted at
+    every module that holds ``stream_key`` (``child_seed`` calls it too)."""
+
+    @pytest.fixture
+    def key_paths(self, monkeypatch):
+        from stabilab import datagen, learners, seeding
+
+        paths = []
+        real = seeding.stream_key
+
+        def counting(master_seed, *labels):
+            paths.append(labels)
+            return real(master_seed, *labels)
+
+        for module in (seeding, datagen, learners):
+            monkeypatch.setattr(module, "stream_key", counting)
+        return paths
+
+    @pytest.mark.parametrize("preset", ["ridge", "rerm-lp"])
+    def test_the_replacement_pool_takes_a_fixed_number_of_keys(self, key_paths, preset):
+        params = {"lam": 0.5} if preset == "ridge" else {"p": 1.5, "lam": 0.5}
+        algo = make_algorithm(preset, "squared", 1.0, 1.0, **params)
+        dist = regression_spec(dim=2)
+        counts = []
+        for n in (4, 40):
+            sample = draw_sample(dist, n, seed=n)
+            key_paths.clear()
+            measure_argument_stability(algo, sample, dist, 3, eval_loss=algo.loss_for(n), seed=5)
+            counts.append(len(key_paths))
+            assert key_paths.count(("replacement",)) == 1
+        assert counts[0] == counts[1]
+
+    def test_a_deterministic_replicate_takes_one_key(self, key_paths):
+        from stabilab.datagen import fit_replicates
+
+        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
+        fit_replicates(algo, regression_spec(dim=2), 6, 5, 9, "trial")
+        assert key_paths == [("trial-sample", j) for j in range(5)]
+
+    def test_a_stochastic_replicate_hashes_its_sample_key_once(self, key_paths):
+        from stabilab.datagen import fit_replicates
+
+        algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=6, step=0.2)
+        fit_replicates(algo, regression_spec(dim=2), 6, 5, 9, "trial")
+        assert [p for p in key_paths if p[0] == "trial-sample"] == [
+            ("trial-sample", j) for j in range(5)
+        ]
+        assert [p for p in key_paths if p[0] == "trial-fit"] == [("trial-fit", j) for j in range(5)]
+        assert ("datagen",) not in key_paths

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stabilab import parallelogram_defect, type2_check
+from stabilab import parallelogram_defect
 from stabilab.vectorspace import as_vector
 
 
@@ -32,28 +32,3 @@ def test_parallelogram_defect_loose_smoothness_is_positive():
     with pytest.raises(ValueError):
         parallelogram_defect(h, g, smoothness=0.0)
 
-
-def test_type2_check_holds_and_is_deterministic():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(10, 4))
-    first = type2_check(X, draws=512, seed=9)
-    second = type2_check(X, draws=512, seed=9)
-    assert first.lhs_estimate == second.lhs_estimate
-    assert first.holds_within >= 0.0
-    assert first.rhs == pytest.approx(np.sqrt((X * X).sum()))
-
-
-def test_type2_check_single_vector_is_exact():
-    # With one vector the sum is +-x, so E||s x|| = ||x|| = rhs exactly.
-    check = type2_check(np.array([[3.0, 4.0]]), draws=64, seed=0)
-    assert check.lhs_estimate == pytest.approx(5.0)
-    assert check.rhs == pytest.approx(5.0)
-
-
-def test_type2_check_rejects_bad_input():
-    with pytest.raises(ValueError):
-        type2_check(np.empty((0, 3)), draws=8, seed=0)
-    with pytest.raises(ValueError):
-        type2_check(np.array([[1.0, np.inf]]), draws=8, seed=0)
-    with pytest.raises(ValueError):
-        type2_check(np.eye(2), draws=0, seed=0)
