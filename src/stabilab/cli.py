@@ -272,7 +272,7 @@ def _check_report(payload) -> list:
     if stored is not None:
         recomputed = report_digest(payload)
         if stored != recomputed:
-            problems.append(f"digest mismatch: stored {stored[:12]}.. != {recomputed[:12]}..")
+            problems.append(f"digest mismatch: stored {str(stored)[:12]}.. != {recomputed[:12]}..")
     algorithm = config["algorithm"]
     preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
     for record in records:
@@ -280,6 +280,7 @@ def _check_report(payload) -> list:
         stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
         theory = stability["theory_alpha"]
         if theory is not None:
+            theory = _real(theory, f"n={n} theory_alpha")
             problems.extend(_stability_problems(stability, theory, preset, n))
         for bound in _as_list(record["bounds"], "record bounds"):
             _read_bound(bound, f"n={n} bound")
@@ -288,6 +289,7 @@ def _check_report(payload) -> list:
                 problems.append(f"n={n} {bound['name']}: total != sum of terms")
             used = bound["constants_used"].get("alpha")
             if theory is not None and used is not None:
+                used = _real(used, f"n={n} {bound['name']} constants_used alpha")
                 if not math.isclose(used, theory, rel_tol=1e-12, abs_tol=1e-15):
                     problems.append(
                         f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
@@ -319,9 +321,11 @@ def _stability_problems(stability: dict, theory: float, preset: str, n: int) -> 
     """
     if preset.startswith("sgd-"):
         label = "largest per-index mean distance"
-        measured = max(entry["mean"] for entry in stability["per_index"])
+        entries = _as_list(stability["per_index"], f"n={n} per_index")
+        means = [_keys(e, f"n={n} per_index entry", {"mean"}, e)["mean"] for e in entries]
+        measured = max(_real(mean, f"n={n} per_index mean") for mean in means)
     else:
-        label, measured = "alpha_hat", stability["alpha_hat"]
+        label, measured = "alpha_hat", _real(stability["alpha_hat"], f"n={n} alpha_hat")
     if measured > theory + 1e-8:
         return [f"n={n} stability: {label} {measured:.6g} exceeds theory_alpha {theory:.6g}"]
     return []

@@ -51,7 +51,7 @@ from .seeding import child_seed
 from .stability import StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
-ARTIFACT_VERSION = "report-6"
+ARTIFACT_VERSION = "report-7"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400
@@ -236,7 +236,8 @@ def _read_bound(entry, where: str) -> dict:
     """A written bound entry, checked by the keyed reader down to its terms."""
     _keys(entry, where, *_BOUND_KEYS)
     for term in _as_list(entry["terms"], f"{where} terms"):
-        _keys(term, f"{where} term", {"label", "value"})
+        _real(_keys(term, f"{where} term", {"label", "value"})["value"], f"{where} term value")
+    _real(entry["total"], f"{where} total")
     _keys(entry["constants_used"], f"{where} constants_used", (), entry["constants_used"])
     return entry
 
@@ -244,6 +245,7 @@ def _read_bound(entry, where: str) -> dict:
 def _read_coverage(coverage) -> dict:
     """A written coverage section, checked by the keyed reader down to its rows."""
     _keys(coverage, "report coverage", *_COVERAGE_KEYS)
+    _count(coverage["replications"], "coverage replications", 1, MAX_TRIALS)
     bounds = _keys(coverage["bounds"], "report coverage bounds", set(_GAP_KEYS))
     for name, entry in bounds.items():
         _read_bound(entry, f"coverage bound {name}")
@@ -537,11 +539,11 @@ def validate_bound_coverage(report, which: str) -> dict:
         )
     total = coverage["bounds"][which]["total"]
     key = _GAP_KEYS[which]
-    violations = sum(1 for row in coverage["rows"] if row[key] > total)
+    violations = sum(_real(row[key], f"coverage row {key}") > total for row in coverage["rows"])
     return {
         "runs": coverage["replications"],
         "violations": violations,
-        "nominal": 2.0 * coverage["delta"],
+        "nominal": 2.0 * _real(coverage["delta"], "coverage delta"),
     }
 
 

@@ -21,6 +21,10 @@ all of them, and for ridge-augmented models L is enlarged by ``2*rho*R/B``
 so that the same product L*B stays a gradient bound over the domain. The
 ridge term adds ``rho * R^2`` to M, ``2*rho`` to s, and makes the model
 ``2*rho``-strongly convex.
+
+Logistic values (and M) are the split softplus max(t, 0) + log1p(exp(-|t|))
+at t = -y*<h,x>, in place by NumPy ufuncs. NumPy's AVX512 exp and log1p can
+round unlike libm's, so logistic report digests follow its SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -75,7 +79,11 @@ def margin_values(kind: str, margins: np.ndarray, labels: np.ndarray) -> np.ndar
     if kind == "hinge":
         return np.maximum(0.0, 1.0 - y * u)
     if kind == "logistic":
-        return np.logaddexp(0.0, -y * u)
+        t = np.asarray(-y * u)
+        high = np.maximum(t, 0.0)
+        np.negative(np.abs(t, out=t), out=t)
+        np.log1p(np.exp(t, out=t), out=t)
+        return np.add(t, high, out=t)
     if kind == "squared":
         return (u - y) ** 2
     raise ValueError(f"unknown loss kind {kind!r}")
@@ -132,7 +140,7 @@ class LossModel:
             base_l, base_m, base_s = 1.0, 1.0 + rb, None
         elif self.kind == "logistic":
             base_l = 1.0
-            base_m = float(np.logaddexp(0.0, rb))
+            base_m = float(margin_values("logistic", np.array([rb]), np.array([-1.0]))[0])
             base_s = self.feature_bound**2 / 4.0
         else:
             base_l = 2.0 * (rb + self.label_bound)
@@ -151,11 +159,7 @@ class LossModel:
 
     def value_at_zero(self) -> float:
         """Largest loss value at h = 0 over labels in the domain."""
-        if self.kind == "hinge":
-            return 1.0
-        if self.kind == "logistic":
-            return math.log(2.0)
-        return self.label_bound**2
+        return float(margin_values(self.kind, np.zeros(1), np.array([self.label_bound]))[0])
 
     # -- domain checks -------------------------------------------------------
 

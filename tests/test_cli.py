@@ -87,6 +87,17 @@ def run_dir(tmp_path_factory, config_path):
     return out
 
 
+def as_sgd(edit):
+    """``edit`` applied to a report relabelled as a strongly convex SGD run,
+    whose stability check reads each per-index mean."""
+
+    def apply(payload):
+        payload["config"]["algorithm"]["preset"] = "sgd-strongly-convex"
+        edit(payload)
+
+    return apply
+
+
 @pytest.fixture(scope="module")
 def covered_run_dir(tmp_path_factory):
     """A run whose report carries a coverage section of 100 replications."""
@@ -845,6 +856,30 @@ class TestExperimentCommands:
                 lambda payload: payload["records"][0].update(stability=[]),
                 "n=10 stability must be a dict, got list",
             ),
+            (
+                lambda payload: payload["coverage"].update(replications="100"),
+                "coverage replications must be an integer, got '100'",
+            ),
+            (
+                as_sgd(lambda payload: payload["records"][0]["stability"]["per_index"][0].pop("mean")),
+                "n=10 per_index entry needs the keys ['mean']",
+            ),
+            (
+                as_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=5)),
+                "n=10 per_index must be a list, got 5",
+            ),
+            (
+                lambda payload: payload["records"][0]["stability"].update(theory_alpha="0.1"),
+                "n=10 theory_alpha must be a number, got '0.1'",
+            ),
+            (
+                lambda payload: payload["records"][0]["bounds"][0]["terms"][0].update(value="1"),
+                "n=10 bound term value must be a number, got '1'",
+            ),
+            (
+                lambda payload: payload["coverage"]["rows"][0].update(plain_gap=None),
+                "coverage row plain_gap must be a number, got None",
+            ),
         ],
         ids=[
             "record-without-bounds",
@@ -854,6 +889,12 @@ class TestExperimentCommands:
             "algorithm-as-a-list",
             "coverage-without-plain-gap",
             "stability-as-a-list",
+            "replications-as-a-string",
+            "sgd-per-index-entry-without-mean",
+            "sgd-per-index-as-a-number",
+            "theory-alpha-as-a-string",
+            "term-value-as-a-string",
+            "plain-gap-as-null",
         ],
     )
     def test_validate_names_a_malformed_report(
@@ -865,6 +906,14 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "malformed.json", payload)
         assert main(["experiment", "validate", path]) == 1
         assert message in capsys.readouterr().err
+
+    def test_validate_reports_a_digest_that_is_not_a_string(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        payload["digest"] = 5
+        path = write_json(tmp_path, "digest.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        assert "digest mismatch: stored 5.." in capsys.readouterr().out
 
     def test_validate_names_a_report_that_is_not_a_dict(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:

@@ -3,11 +3,17 @@
 Four configs run in a child process with every BLAS pinned to one thread:
 the acceptance config with and without ``tail``, one small strongly convex
 SGD config and one small penalized-ERM config. Their digests must equal the
-pins recorded for this ``ARTIFACT_VERSION``, NumPy version and BLAS build.
-With no pin for the running key the test skips and names the key, so a new
-build can be pinned by hand. The same child runs again with the BLAS on two
-threads and must give the same digests: no reported value may depend on how
-the BLAS splits a reduction.
+pins recorded for the key ``"<ARTIFACT_VERSION> numpy <version> simd
+[<targets>] <BLAS as loaded>"``. The SIMD targets are those NumPy
+dispatches on the host (``__cpu_dispatch__`` entries that
+``__cpu_features__`` marks on): with AVX512 the logistic ``exp`` and
+``log1p`` can round differently from libm, so the same NumPy and BLAS give
+two sets of digests. The child runs once as the host dispatches and once
+with ``X86_V4`` and the AVX512 targets turned off, and each run is checked
+against the pins for its own key. With no pin for a key the test skips and
+names the key, so a new build can be pinned by hand. The child runs again
+with the BLAS on two threads and must give the same digests: no reported
+value may depend on how the BLAS splits a reduction.
 """
 
 import json
@@ -22,6 +28,8 @@ from test_acceptance import ACCEPTANCE_CONFIG
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# NumPy then runs its X86_V3 (AVX2) loops, whose float64 exp is libm's.
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 LOGISTIC_DISTRIBUTION = {
     "dim": 4,
@@ -69,7 +77,9 @@ CONFIGS = {
     },
 }
 
-# Keyed "<ARTIFACT_VERSION> numpy <version> <BLAS as loaded>".
+# Keyed "<ARTIFACT_VERSION> numpy <version> <BLAS as loaded>" up to report-6,
+# and "<ARTIFACT_VERSION> numpy <version> simd [<targets>] <BLAS as loaded>"
+# from report-7 on.
 PINS = {
     "report-2 numpy 2.4.6 OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
     "SkylakeX MAX_THREADS=64": {
@@ -115,6 +125,25 @@ PINS = {
         "sgd-strongly-convex": "10b6e809773b1760e1b8f2d7d0dcffb7f24551c4c4c8b13989555f5867e7f632",
         "rerm-lp": "5221651e00a11fd8239645d1537697a480d25a7c127e72cad8c4ac89b1fd4669",
     },
+    # The split softplus moved the logistic loss values behind the coverage
+    # gaps of sgd-strongly-convex; the other three configs moved only through
+    # the version string. The two SIMD levels differ on both logistic configs
+    # (the sigmoid's exp as well). Each level was checked on one and two BLAS
+    # threads.
+    "report-7 numpy 2.4.6 simd [X86_V3 X86_V4 AVX512_ICL AVX512_SPR] OpenBLAS 0.3.31.188.0 "
+    "USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
+        "acceptance": "c5527c5891086eadb2ff09c9ff23252c3d1d0db41d2fe3747254752e4435e5fe",
+        "acceptance-tail": "cf9f038351257f61e8fb1b3030227edc1a1d0b621cd1237f31fc3ed95720c2c2",
+        "sgd-strongly-convex": "98331748194f31f720e18f1991b072f893fb7d2be833cf5e6abbf6e0f785ca22",
+        "rerm-lp": "7f45dbb5f459b6b834abde2b377d7ff54868d49abdc574c0f343aa3873bcafaa",
+    },
+    "report-7 numpy 2.4.6 simd [X86_V3] OpenBLAS 0.3.31.188.0 "
+    "USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
+        "acceptance": "c5527c5891086eadb2ff09c9ff23252c3d1d0db41d2fe3747254752e4435e5fe",
+        "acceptance-tail": "cf9f038351257f61e8fb1b3030227edc1a1d0b621cd1237f31fc3ed95720c2c2",
+        "sgd-strongly-convex": "9bf0260715d1c23e4b713fa6334c0b5563439b58ef675946831df052ddb7893e",
+        "rerm-lp": "bcb2c1f008eea909ab4e5a0b0ce9ebe88eb92cc9219b92dae3edacc834735262",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.
@@ -142,18 +171,26 @@ def blas():
     build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{build['name']} {build['version']} (build)"
 
+def simd():
+    # The SIMD targets NumPy dispatches its loops to on this host.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+
 configs = json.load(sys.stdin)
 digests = {
     name: report_digest(run_experiment(ExperimentConfig.from_dict(raw)))
     for name, raw in configs.items()
 }
-key = f"{ARTIFACT_VERSION} numpy {np.__version__} {blas()}"
+key = f"{ARTIFACT_VERSION} numpy {np.__version__} simd [{simd()}] {blas()}"
 print(json.dumps({"key": key, "digests": digests}))
 """
 
 
-def _run_child(threads: str) -> dict:
-    env = {**os.environ, **{var: threads for var in THREAD_VARS}}
+def _run_child(threads: str, extra_env=None) -> dict:
+    env = {**os.environ, **{var: threads for var in THREAD_VARS}, **(extra_env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD],
@@ -172,11 +209,19 @@ def one_thread() -> dict:
     return _run_child("1")
 
 
-def test_report_digests_match_the_pins_for_this_build(one_thread):
-    pins = PINS.get(one_thread["key"])
+def _check_pins(run: dict) -> None:
+    pins = PINS.get(run["key"])
     if pins is None:
-        pytest.skip(f"no digest pins for {one_thread['key']!r}: {one_thread['digests']}")
-    assert one_thread["digests"] == pins
+        pytest.skip(f"no digest pins for {run['key']!r}: {run['digests']}")
+    assert run["digests"] == pins
+
+
+def test_report_digests_match_the_pins_for_this_build(one_thread):
+    _check_pins(one_thread)
+
+
+def test_report_digests_match_the_pins_without_avx512():
+    _check_pins(_run_child("1", WITHOUT_AVX512))
 
 
 def test_report_digests_do_not_depend_on_blas_threads(one_thread):

@@ -1,7 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__
 
 from stabilab import certify_loss, make_loss
 from stabilab.exceptions import DomainError
@@ -56,6 +66,88 @@ def test_sigmoid_equals_the_masked_form_bitwise():
 def test_margin_values_rejects_unknown_kind():
     with pytest.raises(ValueError):
         margin_values("absolute", np.zeros(1), np.zeros(1))
+
+
+def softplus_grid():
+    """Margins t for the logistic loss: edges, then a wide and a narrow random draw."""
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0]
+    edges += [5e-324, -5e-324, tiny, -tiny, tiny / 2**20, -tiny / 2**20, 709.8, -709.8, 36.8]
+    rng = np.random.default_rng(17)
+    return np.concatenate([edges, rng.uniform(-800.0, 800.0, 200_000), rng.normal(0.0, 5.0, 200_000)])
+
+
+def logistic_of(t):
+    """The logistic loss at margin t, as margin_values sees it: label -1, so -y*u = t."""
+    return margin_values("logistic", t, -np.ones_like(t))
+
+
+def ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_logistic_values_are_the_softplus_to_two_ulp():
+    t = softplus_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic_of(t)
+    with np.errstate(invalid="ignore"):  # np.logaddexp warns on NaN
+        want = np.logaddexp(0.0, t)
+    finite = np.isfinite(t)
+    # Outside the finite margins: NaN stays NaN, and the infinities give inf and 0.
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    assert np.isnan(got[np.isnan(t)]).all()
+    t, got, want = t[finite], got[finite], want[finite]
+    if np.finfo(np.longdouble).nmant >= 63:
+        # Against the split form in extended precision (64-bit mantissa).
+        tl = t.astype(np.longdouble)
+        exact = (np.maximum(tl, 0) + np.log1p(np.exp(-np.abs(tl)))).astype(np.float64)
+        assert ulps(got, exact).max() <= 2.0
+    # Each of np.logaddexp and the SIMD split form is within 2 ulp of the
+    # exact value, so the two differ by at most 4 (3 is seen near t = -4.15).
+    assert ulps(got, want).max() <= 4.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Reads float64 margins on stdin; exits 0 if the logistic values are bitwise
+# np.logaddexp(0, t), NaN for NaN.
+LIBM_CHILD = r"""
+import sys
+import numpy as np
+from stabilab.losses import margin_values
+t = np.frombuffer(sys.stdin.buffer.read(), dtype=np.float64).copy()
+got = margin_values("logistic", t, -np.ones_like(t))
+with np.errstate(invalid="ignore"):
+    want = np.logaddexp(0.0, t)
+same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+print(int((~same).sum()), "values differ")
+sys.exit(0 if same.all() else 1)
+"""
+
+
+@pytest.mark.skipif("X86_V4" not in __cpu_dispatch__, reason="NumPy dispatches no X86_V4 loops")
+def test_logistic_values_are_bitwise_logaddexp_without_avx512():
+    # Below X86_V4 NumPy's float64 exp and log1p are libm's, and so are
+    # np.logaddexp's, which takes the same split.
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LIBM_CHILD],
+        input=softplus_grid().tobytes(),
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, (done.stdout, done.stderr)
+
+
+@pytest.mark.parametrize("radius, feature_bound", [(1.0, 1.0), (2.5, 1.0), (1.0, 7.3), (30.0, 30.0)])
+def test_logistic_bound_is_the_value_at_the_extreme_margin(radius, feature_bound):
+    # One SIMD lane or many, the loss at t = R*B is bitwise the certified M.
+    bound = make_loss("logistic", feature_bound, radius).constants().bound
+    for size in (1, 37):
+        assert np.all(logistic_of(np.full(size, radius * feature_bound)) == bound)
 
 
 @pytest.mark.parametrize(
