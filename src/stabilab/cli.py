@@ -10,6 +10,9 @@ family from a constants file, ``concentrate`` runs a tail experiment,
 re-checks a written report, and ``losscheck`` certifies loss gradients
 and constants.
 
+Each subcommand takes only the flags its handler reads (see
+:func:`build_parser`); any other flag is a usage error, exit code 2.
+
 Exit codes: 0 on success, 1 when inputs or reports fail validation, 2 on
 runtime errors (fit failures, missing files, and similar).
 """
@@ -40,7 +43,6 @@ from .lab import (
     _RECORD_KEYS,
     _REPORT_KEYS,
     _STABILITY_KEYS,
-    _as_list,
     _read_bound,
     _read_coverage,
     build_algorithm,
@@ -50,11 +52,13 @@ from .lab import (
     sample_stage,
     stability_stage,
     validate_bound_coverage,
+    write_csv,
+    write_json,
 )
-from .learners import _count, _integral, _keys, _real, _tagged
+from .learners import _as_list, _count, _integral, _keys, _real, _tagged
 from .losses import certify_loss, make_loss
 from .seeding import child_seed
-from .stability import theoretical_alpha
+from .stability import CELL_HEADER, theoretical_alpha
 
 
 def _load_json(path) -> dict:
@@ -67,7 +71,7 @@ def _load_json(path) -> dict:
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_dict(_load_json(args.config))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
@@ -79,8 +83,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _print_csv(header, rows, fh=None) -> None:
-    writer = csv.writer(sys.stdout if fh is None else fh)
+def _print_csv(header, rows) -> None:
+    writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
 
@@ -89,12 +93,9 @@ def _write_outputs(args, name: str, payload, header=None, rows=None) -> None:
     if not args.out_dir:
         return
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, f"{name}.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out_dir, f"{name}.json"), payload)
     if header is not None:
-        with open(os.path.join(args.out_dir, f"{name}.csv"), "w", newline="") as fh:
-            _print_csv(header, rows, fh)
+        write_csv(os.path.join(args.out_dir, f"{name}.csv"), header, rows)
 
 
 def _emit(args, name: str, payload, header=None, rows=None) -> None:
@@ -112,8 +113,7 @@ def cmd_stability(args) -> int:
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
     report = stability_stage(config, algorithm, sample_stage(config, n))
-    rows = list(report.csv_rows())
-    _emit(args, "stability", report.to_dict(), ["i", "replacement", "distance", "loss_gap"], rows)
+    _emit(args, "stability", report.to_dict(), CELL_HEADER, list(report.csv_rows()))
     return 0
 
 
@@ -276,7 +276,7 @@ def _check_report(payload) -> list:
     algorithm = config["algorithm"]
     preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
     for record in records:
-        n = record["n"]
+        n = _integral(record["n"], "record n")
         stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
         theory = stability["theory_alpha"]
         if theory is not None:
@@ -322,6 +322,8 @@ def _stability_problems(stability: dict, theory: float, preset: str, n: int) -> 
     if preset.startswith("sgd-"):
         label = "largest per-index mean distance"
         entries = _as_list(stability["per_index"], f"n={n} per_index")
+        if len(entries) != n:
+            raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
         means = [_keys(e, f"n={n} per_index entry", {"mean"}, e)["mean"] for e in entries]
         measured = max(_real(mean, f"n={n} per_index mean") for mean in means)
     else:
@@ -368,12 +370,12 @@ def cmd_losscheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the master seed")
-    common.add_argument("--out-dir", default=None, help="directory for JSON/CSV outputs")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="stdout format"
-    )
+    # One parent per flag: a subcommand takes only the flags its handler reads.
+    seed, out_dir, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=None, help="override the master seed")
+    out_dir.add_argument("--out-dir", default=None, help="directory for JSON/CSV outputs")
+    fmt.add_argument("--format", choices=("json", "csv"), default=None, help="stdout format")
+    every = [seed, out_dir, fmt]
 
     parser = argparse.ArgumentParser(
         prog="stabilab",
@@ -381,16 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "stability", parents=[common], help="measure replace-one stability at one n"
-    )
+    p = sub.add_parser("stability", parents=every, help="measure replace-one stability at one n")
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--n", type=int, default=None, help="sample size (default: last of n_grid)")
     p.set_defaults(handler=cmd_stability)
 
     p = sub.add_parser(
         "complexity",
-        parents=[common],
+        parents=every,
         help="estimate the confidence-ball Rademacher complexity",
     )
     p.add_argument("config", help="experiment config JSON")
@@ -398,29 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_complexity)
 
     p = sub.add_parser(
-        "bounds", parents=[common], help="evaluate one bound family from a constants file"
+        "bounds", parents=[out_dir, fmt], help="evaluate one bound family from a constants file"
     )
     p.add_argument("constants", help="JSON file of constants with a 'family' key")
     p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser(
-        "concentrate", parents=[common], help="run a tail/concentration experiment"
-    )
+    p = sub.add_parser("concentrate", parents=every, help="run a tail/concentration experiment")
     p.add_argument("spec", help="JSON experiment description with a 'kind' key")
     p.set_defaults(handler=cmd_concentrate)
 
     p = sub.add_parser("experiment", help="run or validate a full experiment")
     esub = p.add_subparsers(dest="subcommand", required=True)
-    run_p = esub.add_parser("run", parents=[common], help="execute a config end to end")
+    run_p = esub.add_parser("run", parents=[seed, out_dir], help="execute a config end to end")
     run_p.add_argument("config", help="experiment config JSON")
     run_p.set_defaults(handler=cmd_experiment_run)
-    val_p = esub.add_parser("validate", parents=[common], help="re-check a written report")
+    val_p = esub.add_parser("validate", help="re-check a written report")
     val_p.add_argument("report", help="report.json produced by 'experiment run'")
     val_p.set_defaults(handler=cmd_experiment_validate)
 
-    p = sub.add_parser(
-        "losscheck", parents=[common], help="certify loss gradients and constants"
-    )
+    p = sub.add_parser("losscheck", parents=every, help="certify loss gradients and constants")
     p.add_argument(
         "--kind",
         choices=("hinge", "logistic", "squared", "all"),

@@ -48,10 +48,6 @@ class TailExperiment:
         if not 0 <= self.violations <= self.trials:
             raise ValueError("violations must lie in [0, trials]")
 
-    def binomial_std_error(self) -> float:
-        p = self.empirical_rate
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -138,9 +134,6 @@ class DoobDecomposition:
         total = self.increments.sum(axis=0)
         direct = self.conditional_means[-1] - self.conditional_means[0]
         return float(np.linalg.norm(total - direct))
-
-    def combined_std_error(self) -> float:
-        return float(np.sqrt(np.sum(self.std_errors**2)))
 
 
 def doob_decomposition(

@@ -40,6 +40,7 @@ from .datagen import (
 from .learners import (
     _PRESET_KEYS,
     Sample,
+    _as_list,
     _count,
     _integral,
     _keys,
@@ -48,7 +49,7 @@ from .learners import (
     make_algorithm,
 )
 from .seeding import child_seed
-from .stability import StabilityReport, closed_form, measure_argument_stability
+from .stability import CELL_HEADER, StabilityReport, closed_form, measure_argument_stability
 from .concentration import center_concentration_experiment
 
 ARTIFACT_VERSION = "report-7"
@@ -67,8 +68,7 @@ MIN_COVERAGE_REPLICATIONS = 100
 # The (required, optional) keys of a config and of its distribution.
 _CONFIG_KEYS = (
     {"name", "algorithm", "loss", "distribution", "n_grid", "seed"},
-    {"delta", "a", "replacements", "trials", "draws", "center_replicates"}
-    | {"coverage_n", "tail", "out_dir"},
+    {"delta", "a", "replacements", "trials", "draws", "center_replicates", "coverage_n", "tail"},
 )
 _DISTRIBUTION_KEYS = (
     {"dim", "feature_bound", "teacher", "mechanism"},
@@ -81,12 +81,6 @@ _MECHANISMS = {
     "sign_flip": (SignFlip, ((), {"flip_prob"})),
 }
 _MECHANISM_KEYS = {kind: keys for kind, (_, keys) in _MECHANISMS.items()}
-
-
-def _as_list(value, name: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
 
 
 def _build_distribution(raw) -> DistributionSpec:
@@ -106,7 +100,12 @@ def _build_distribution(raw) -> DistributionSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; build with :meth:`from_dict`."""
+    """Validated experiment description; build with :meth:`from_dict`.
+
+    ``out_dir``, where :func:`run_experiment` writes the report files, is
+    not a config key: set it with ``dataclasses.replace``, so that it stays
+    out of the config echo and the digest.
+    """
 
     name: str
     algorithm: dict
@@ -122,8 +121,8 @@ class ExperimentConfig:
     seed: int
     coverage_n: int | None
     tail: bool
-    out_dir: str | None
     echo: dict
+    out_dir: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -161,9 +160,6 @@ class ExperimentConfig:
         coverage_n = raw.get("coverage_n")
         if coverage_n is not None:
             coverage_n = _count(coverage_n, "coverage_n", 1, MAX_N)
-        out_dir = raw.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ValueError(f"out_dir must be a string, got {out_dir!r}")
         config = cls(
             name=str(raw["name"]),
             algorithm=dict(algorithm),
@@ -179,23 +175,20 @@ class ExperimentConfig:
             seed=_integral(raw["seed"], "seed"),
             coverage_n=coverage_n,
             tail=tail,
-            out_dir=out_dir,
             echo=json.loads(json.dumps(raw, sort_keys=True)),
         )
         # Resolve the preset and its closed form at every n the run reads, so
         # that an n-dependent failure is an input error, not a failed stage.
         algorithm = build_algorithm(config)
+        if algorithm.name == "constant" and algorithm.output.size != dist.dim:
+            size = algorithm.output.size
+            raise ValueError(f"vector must have distribution.dim = {dist.dim} entries, got {size}")
         for n in n_grid + (() if coverage_n is None else (coverage_n,)):
             try:
                 closed_form(algorithm, n)
             except ValueError as exc:
                 raise ValueError(f"algorithm fails at n={n}: {exc}") from exc
         return config
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def build_algorithm(config: ExperimentConfig):
@@ -275,11 +268,6 @@ class ExperimentReport:
             "rate": self.rate,
             "wall_time": self.wall_time,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        payload = self.to_dict()
-        payload["digest"] = report_digest(self)
-        return json.dumps(payload, indent=indent, sort_keys=True)
 
 
 def report_digest(report) -> str:
@@ -486,9 +474,7 @@ def _persist_failure(config: ExperimentConfig, records, error: str) -> None:
         "records": list(records),
         "failed": error,
     }
-    with open(os.path.join(config.out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(config.out_dir, "report.json"), payload)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -547,9 +533,17 @@ def validate_bound_coverage(report, which: str) -> dict:
     }
 
 
-def _write_csv(path, comment: str, header, rows) -> None:
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys, indent 2 and a trailing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write a CSV table, after a ``# comment`` line when given, streaming ``rows``."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -558,52 +552,31 @@ def _write_csv(path, comment: str, header, rows) -> None:
 def emit_plot_data(report, kind: str, path) -> str:
     """Write one tidy CSV (rate, coverage, or bound-vs-gap) and return its path."""
     payload = report.to_dict() if isinstance(report, ExperimentReport) else report
+    records = payload["records"]
     if kind == "rate":
+        comment = "measured vs theoretical stability coefficient by sample size"
+        header = ["n", "alpha_hat", "alpha_theory"]
         rows = [
-            (r["n"], r["stability"]["alpha_hat"], r["stability"]["theory_alpha"])
-            for r in payload["records"]
+            (r["n"], r["stability"]["alpha_hat"], r["stability"]["theory_alpha"]) for r in records
         ]
-        _write_csv(
-            path,
-            "measured vs theoretical stability coefficient by sample size",
-            ["n", "alpha_hat", "alpha_theory"],
-            rows,
-        )
     elif kind == "coverage":
         coverage = payload.get("coverage")
         if not coverage:
             raise ValueError("report has no coverage section")
-        rows = []
-        for which in ("plain-gap", "fast-rate"):
-            outcome = validate_bound_coverage(payload, which)
-            rows.append(
-                (
-                    coverage["delta"],
-                    outcome["nominal"],
-                    outcome["violations"] / outcome["runs"],
-                )
-            )
-        _write_csv(
-            path,
-            "bound coverage: nominal vs empirical violation rate",
-            ["delta", "nominal", "empirical"],
-            rows,
-        )
+        comment = "bound coverage: nominal vs empirical violation rate"
+        header = ["delta", "nominal", "empirical"]
+        outcomes = [validate_bound_coverage(payload, which) for which in ("plain-gap", "fast-rate")]
+        rows = [(coverage["delta"], o["nominal"], o["violations"] / o["runs"]) for o in outcomes]
     elif kind == "bound-vs-gap":
+        comment = "realized plain gap vs its bound by sample size"
+        header = ["n", "gap", "bound_total", "vacuous_flag"]
         rows = []
-        for r in payload["records"]:
+        for r in records:
             plain = next(b for b in r["bounds"] if b["name"] == "plain-gap")
-            rows.append(
-                (r["n"], r["gaps"]["plain"], plain["total"], plain["vacuous"])
-            )
-        _write_csv(
-            path,
-            "realized plain gap vs its bound by sample size",
-            ["n", "gap", "bound_total", "vacuous_flag"],
-            rows,
-        )
+            rows.append((r["n"], r["gaps"]["plain"], plain["total"], plain["vacuous"]))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
+    write_csv(path, header, rows, comment)
     return str(path)
 
 
@@ -612,9 +585,7 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(report_path, {**report.to_dict(), "digest": report_digest(report)})
     paths["report"] = report_path
     paths["rate"] = emit_plot_data(report, "rate", os.path.join(out_dir, "rate.csv"))
     paths["bound_vs_gap"] = emit_plot_data(
@@ -626,6 +597,6 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
         )
     for stab in report.stability_reports:
         cells_path = os.path.join(out_dir, f"stability_cells_n{stab.n}.csv")
-        stab.write_csv(cells_path)
+        write_csv(cells_path, CELL_HEADER, stab.csv_rows())
         paths[f"stability_n{stab.n}"] = cells_path
     return paths

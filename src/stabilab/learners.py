@@ -79,6 +79,13 @@ def _count(value, name: str, lo: int, hi: int) -> int:
     return value
 
 
+def _as_list(value, name: str):
+    """``value``, checked to be a list (or tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _keys(raw, where: str, required=(), optional=()) -> dict:
     """``raw``, checked to be a dict with every ``required`` key and no key
     outside ``required`` and ``optional``: the one check of an outside dict."""
@@ -585,15 +592,14 @@ class ConstantAlgorithm(_Preset):
 
     name = "constant"
 
-    def __init__(self, output, loss: LossModel | None = None):
+    def __init__(self, output, loss: LossModel):
         out = np.asarray(output, dtype=np.float64)
         if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
             raise ValueError("output must be a finite non-empty vector")
         self.output = out
         self._loss = loss
-        self.feature_bound = loss.feature_bound if loss is not None else 1.0
 
-    def loss_for(self, n: int) -> LossModel | None:
+    def loss_for(self, n: int) -> LossModel:
         return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
@@ -906,7 +912,7 @@ def make_algorithm(
     """
     _tagged({"preset": preset, **params}, "preset", _PRESET_KEYS, "algorithm")
     if preset == "constant":
-        output = np.asarray(params["vector"], dtype=np.float64)
+        output = np.array([_real(v, "vector entry") for v in _as_list(params["vector"], "vector")])
         radius = max(1.0, 2.0 * float(np.linalg.norm(output)))
         return ConstantAlgorithm(output, make_loss(loss_kind, feature_bound, radius, label_bound))
     if preset == "ridge":

@@ -34,7 +34,6 @@ Measurement conventions:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,9 @@ from .seeding import child_seed
 # replacement draws, the anchors carry negative codes.
 ANCHOR_PLUS = -1
 ANCHOR_MINUS = -2
+
+# The header of a stability cell table, one row per :meth:`StabilityReport.csv_rows` entry.
+CELL_HEADER = ("i", "replacement", "distance", "loss_gap")
 
 # Cells whose grid loss values are evaluated at once: a (cells, grid) block.
 _GAP_BLOCK = 64
@@ -197,11 +199,9 @@ def closed_form(algorithm, n: int) -> ClosedForm:
         raise ValueError("n must be >= 1")
     if isinstance(algorithm, ConstantAlgorithm):
         return ClosedForm(0.0, None, {}, {})
-    if not hasattr(algorithm, "loss_for"):
-        raise ValueError("algorithm does not expose loss_for(n)")
+    if not isinstance(algorithm, (RidgeAlgorithm, LpRermAlgorithm, SgdAlgorithm)):
+        raise ValueError(f"no closed-form alpha for algorithm {algorithm!r}")
     loss = algorithm.loss_for(n)
-    if loss is None:
-        raise ValueError("algorithm has no certified loss model")
     consts = loss.constants()
     if isinstance(algorithm, (RidgeAlgorithm, LpRermAlgorithm)):
         # Ridge is the p = 2 case of the l_p^p penalty.
@@ -225,22 +225,20 @@ def closed_form(algorithm, n: int) -> ClosedForm:
             coefficients = {"curvature": curvature, "exponent": exponent}
         constants = {"curvature": curvature, "lam": lam, "exponent": exponent}
         return ClosedForm(alpha, "rerm-fast-rate", constants, coefficients)
-    if isinstance(algorithm, SgdAlgorithm):
-        spec = algorithm.spec_for(n)
-        gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
-        alpha = sgd_alpha(
-            spec,
-            consts.lipschitz,
-            loss.feature_bound,
-            n,
-            smoothness=consts.smoothness,
-            gamma=gamma,
-        )
-        # The family rebuilds the run's plan from these SgdSpec fields.
-        plan = ("regime", "steps", "step", "step_constant", "projection_radius")
-        constants = {name: getattr(spec, name) for name in plan} | {"gamma": gamma}
-        return ClosedForm(alpha, "sgd-fast-rate", constants, {})
-    raise ValueError(f"no closed-form alpha for algorithm {algorithm!r}")
+    spec = algorithm.spec_for(n)
+    gamma = algorithm.gamma if algorithm.regime == "strongly_convex" else None
+    alpha = sgd_alpha(
+        spec,
+        consts.lipschitz,
+        loss.feature_bound,
+        n,
+        smoothness=consts.smoothness,
+        gamma=gamma,
+    )
+    # The family rebuilds the run's plan from these SgdSpec fields.
+    plan = ("regime", "steps", "step", "step_constant", "projection_radius")
+    constants = {name: getattr(spec, name) for name in plan} | {"gamma": gamma}
+    return ClosedForm(alpha, "sgd-fast-rate", constants, {})
 
 
 def theoretical_alpha(algorithm, n: int) -> float:
@@ -284,15 +282,9 @@ class StabilityReport:
         }
 
     def csv_rows(self):
-        """Rows (i, replacement, distance, loss_gap); anchors use codes -1, -2."""
+        """Rows under :data:`CELL_HEADER`; anchors use codes -1, -2."""
         for i, code, distance, gap in self.cells:
             yield (i, code, distance, "" if gap is None else gap)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "replacement", "distance", "loss_gap"])
-            writer.writerows(self.csv_rows())
 
 
 def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
@@ -325,7 +317,6 @@ def measure_argument_stability(
     replacements: int,
     eval_loss: LossModel | None = None,
     seed: int = 0,
-    use_anchors: bool = True,
 ) -> StabilityReport:
     """Estimate alpha(n) (and beta(n)) by replacing each example in turn.
 
@@ -351,8 +342,6 @@ def measure_argument_stability(
     except Exception as exc:
         raise RuntimeError(f"base fit failed: {exc}") from exc
     anchor_codes, anchor_x, anchor_y = adversarial_anchors(h_base, dist)
-    if not use_anchors:
-        anchor_codes, anchor_x, anchor_y = [], anchor_x[:0], anchor_y[:0]
     grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchor_x, anchor_y, seed)
 
     # Index i's cells: i.i.d. draws k = 0 .. replacements - 1, then the anchors.

@@ -702,7 +702,8 @@ class TestExperimentCommands:
             (dict(n_grid=[25.9, 50.5]), "n_grid entry must be an integer"),
             (dict(replacements=2.9), "replacements must be an integer"),
             (dict(tail="false"), "tail must be true or false"),
-            (dict(out_dir=5), "out_dir must be a string"),
+            # The output directory is --out-dir's alone, never a config key.
+            (dict(out_dir="out"), "unknown config keys: ['out_dir']"),
             (dict(delta="0.2"), "delta must be a number"),
             (dict(a=True), "a must be a number"),
             (
@@ -771,6 +772,18 @@ class TestExperimentCommands:
             (
                 dict(algorithm={"preset": "sgd-nonconvex", "steps": 10, "c": 0.1}, coverage_n=1),
                 "algorithm fails at n=1: nonconvex regime needs n >= 2",
+            ),
+            (
+                dict(algorithm={"preset": "constant", "vector": [0.1, 0.2, 0.3]}),
+                "vector must have distribution.dim = 2 entries, got 3",
+            ),
+            (
+                dict(algorithm={"preset": "constant", "vector": {"a": 1}}),
+                "vector must be a list, got {'a': 1}",
+            ),
+            (
+                dict(algorithm={"preset": "constant", "vector": [True, 0.0]}),
+                "vector entry must be a number, got True",
             ),
         ],
     )
@@ -880,6 +893,18 @@ class TestExperimentCommands:
                 lambda payload: payload["coverage"]["rows"][0].update(plain_gap=None),
                 "coverage row plain_gap must be a number, got None",
             ),
+            (
+                as_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=[])),
+                "n=10 per_index must have 10 entries, got 0",
+            ),
+            (
+                as_sgd(lambda payload: payload["records"][0]["stability"]["per_index"].pop()),
+                "n=10 per_index must have 10 entries, got 9",
+            ),
+            (
+                lambda payload: payload["records"][0].update(n="10"),
+                "record n must be an integer, got '10'",
+            ),
         ],
         ids=[
             "record-without-bounds",
@@ -895,6 +920,9 @@ class TestExperimentCommands:
             "theory-alpha-as-a-string",
             "term-value-as-a-string",
             "plain-gap-as-null",
+            "sgd-per-index-empty",
+            "sgd-per-index-one-short",
+            "record-n-as-a-string",
         ],
     )
     def test_validate_names_a_malformed_report(
@@ -931,6 +959,29 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         assert "algorithm must be a dict, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["experiment", "validate"], ["--seed", "5"]),
+            (["experiment", "validate"], ["--out-dir", "zz"]),
+            (["experiment", "validate"], ["--format", "csv"]),
+            (["experiment", "run"], ["--format", "csv"]),
+            (["bounds"], ["--seed", "5"]),
+        ],
+    )
+    def test_a_flag_the_handler_does_not_read_exits_2(
+        self, command, flag, run_dir, config_path, tmp_path, capsys
+    ):
+        path = {
+            "validate": str(run_dir / "report.json"),
+            "run": config_path,
+            "bounds": write_json(tmp_path, "constants.json", plain_constants()),
+        }[command[-1]]
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, path, *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_seed_flag_fixes_the_digest(self, config_path, capsys):
         digests = []

@@ -31,19 +31,6 @@ def regression_spec(dim=2, teacher_scale=0.3, noise_sd=0.05):
 
 
 class TestTailExperiment:
-    def test_std_error_hand_value(self):
-        exp = TailExperiment(
-            threshold=1.0,
-            trials=400,
-            violations=100,
-            empirical_rate=0.25,
-            theoretical_rate=0.5,
-            seed=0,
-        )
-        assert exp.binomial_std_error() == pytest.approx(
-            math.sqrt(0.25 * 0.75 / 400), rel=1e-12
-        )
-
     def test_to_dict_round_trip(self):
         exp = TailExperiment(
             threshold=1.0,
@@ -95,7 +82,8 @@ class TestPinelis:
             exp = pinelis_tail_experiment(
                 np.full(64, 0.25), dim=4, trials=2000, epsilon=epsilon, seed=7
             )
-            envelope = exp.theoretical_rate + 3.0 * exp.binomial_std_error()
+            p = exp.empirical_rate
+            envelope = exp.theoretical_rate + 3.0 * math.sqrt(p * (1.0 - p) / exp.trials)
             assert exp.empirical_rate <= envelope + 1e-12
 
     def test_counts_the_prefix_maximum_not_the_endpoint(self):
@@ -145,7 +133,6 @@ class TestDoob:
         assert np.max(np.abs(doob.increments)) < 1e-14
         assert max(doob.increment_norms()) < 1e-14
         assert doob.telescoping_residual() < 1e-14
-        assert doob.combined_std_error() < 1e-14
 
     def test_telescoping_is_exact_by_construction(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
@@ -164,7 +151,7 @@ class TestDoob:
         sample = draw_sample(spec, n, seed=5)
         doob = doob_decomposition(algo, sample, spec, suffix_draws=512, seed=6)
         alpha = theoretical_alpha(algo, n)
-        slack = alpha + 3.0 * doob.combined_std_error()
+        slack = alpha + 3.0 * float(np.sqrt(np.sum(doob.std_errors**2)))
         for norm in doob.increment_norms():
             assert norm <= slack
 

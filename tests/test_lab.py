@@ -54,12 +54,6 @@ class TestConfigValidation:
         assert config.echo == json.loads(json.dumps(raw))
         assert config.distribution.dim == 2
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config()))
-        config = ExperimentConfig.from_file(path)
-        assert config.seed == 7
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -197,8 +191,8 @@ def report():
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("artifacts"))
-    raw = base_config(coverage_n=20, out_dir=out)
-    artifact_report = run_experiment(ExperimentConfig.from_dict(raw))
+    config = ExperimentConfig.from_dict(base_config(coverage_n=20))
+    artifact_report = run_experiment(dataclasses.replace(config, out_dir=out))
     return artifact_report, out
 
 
@@ -297,10 +291,11 @@ class TestFailureHandling:
         # the first stage that fits.
         out = str(tmp_path / "broken")
         broken = {"preset": "sgd-convex", "steps": 10, "step": 2.0}
-        raw = base_config(n_grid=[10], out_dir=out)
+        raw = base_config(n_grid=[10])
         with pytest.raises(ValueError, match="step 2 exceeds the convex cap 1"):
             ExperimentConfig.from_dict({**raw, "algorithm": broken})
-        config = dataclasses.replace(ExperimentConfig.from_dict(raw), algorithm=broken)
+        config = ExperimentConfig.from_dict(raw)
+        config = dataclasses.replace(config, algorithm=broken, out_dir=out)
         with pytest.raises(RuntimeError) as err:
             run_experiment(config)
         assert "stage 'stability' failed at n=10" in str(err.value)

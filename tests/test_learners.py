@@ -480,7 +480,7 @@ class TestRunSgd:
 
 class TestPresets:
     def test_constant_algorithm_ignores_the_sample(self):
-        algo = ConstantAlgorithm(np.array([0.5, -0.5]))
+        algo = ConstantAlgorithm(np.array([0.5, -0.5]), make_loss("squared", 1.0, 1.0, 1.0))
         out = algo.fit(Sample([[1.0, 0.0]], [1.0]))
         assert np.array_equal(out, [0.5, -0.5])
         out[0] = 99.0
@@ -489,7 +489,7 @@ class TestPresets:
     @pytest.mark.parametrize("output", [np.zeros((2, 2)), np.zeros(0), np.array([np.nan])])
     def test_constant_algorithm_rejects_bad_output(self, output):
         with pytest.raises(ValueError):
-            ConstantAlgorithm(output)
+            ConstantAlgorithm(output, make_loss("squared", 1.0, 1.0, 1.0))
 
     def test_ridge_preset_matches_direct_solver(self):
         rng = np.random.default_rng(41)
