@@ -2,13 +2,16 @@
 
 Subcommands mirror the library stages: ``stability`` measures replace-one
 argument stability for one config at one n, ``complexity`` estimates the
-confidence-ball Rademacher complexity (both through the per-n stages that
+confidence-ball Rademacher complexity and ``concentrate center`` runs the
+center-concentration tail (all three through the per-n stages that
 ``experiment run`` records, so they print the record's numbers at the same
-n and seed), ``bounds`` evaluates one bound
-family from a constants file, ``concentrate`` runs a tail experiment,
-``experiment run`` executes a full config, ``experiment validate``
-re-checks a written report, and ``losscheck`` certifies loss gradients
-and constants.
+n and seed), ``bounds`` evaluates one bound family from a constants file,
+``concentrate`` also runs the Pinelis and Doob experiments, ``experiment
+run`` executes a full config, ``experiment validate`` re-checks a written
+report, and ``losscheck`` certifies loss gradients and constants.
+
+``--seed`` replaces a config's seed before the config is read, so the
+config echo and the digest name the run that was measured.
 
 Each subcommand takes only the flags its handler reads (see
 :func:`build_parser`); any other flag is a usage error, exit code 2.
@@ -28,14 +31,8 @@ import os
 import sys
 
 from .bounds import BOUND_FAMILIES
-from .concentration import (
-    center_concentration_experiment,
-    doob_decomposition,
-    pinelis_tail_experiment,
-)
-from .datagen import draw_sample
+from .concentration import doob_decomposition, pinelis_tail_experiment
 from .lab import (
-    MAX_CENTER_REPLICATES,
     MAX_N,
     MIN_COVERAGE_REPLICATIONS,
     ExperimentConfig,
@@ -51,13 +48,13 @@ from .lab import (
     run_experiment,
     sample_stage,
     stability_stage,
+    tail_stage,
     validate_bound_coverage,
     write_csv,
     write_json,
 )
 from .learners import _as_list, _count, _integral, _keys, _real, _tagged
 from .losses import certify_loss, make_loss
-from .seeding import child_seed
 from .stability import CELL_HEADER, theoretical_alpha
 
 
@@ -69,18 +66,20 @@ def _load_json(path) -> dict:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+def _load_config(raw, seed) -> ExperimentConfig:
+    """The config of ``raw``, its seed replaced by ``--seed`` when one is given,
+    so that the fields, the config echo and the digest name the same run."""
+    if seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed}
+    return ExperimentConfig.from_dict(raw)
+
 
 def _pick_n(args, config: ExperimentConfig) -> int:
     return _count(args.n if args.n is not None else config.n_grid[-1], "n", 1, MAX_N)
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _print_csv(header, rows) -> None:
@@ -109,16 +108,16 @@ def _emit(args, name: str, payload, header=None, rows=None) -> None:
 
 
 def cmd_stability(args) -> int:
-    config = _load_config(args)
+    config = _load_config(_load_json(args.config), args.seed)
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
     report = stability_stage(config, algorithm, sample_stage(config, n))
-    _emit(args, "stability", report.to_dict(), CELL_HEADER, list(report.csv_rows()))
+    _emit(args, "stability", report.to_dict(), CELL_HEADER, report.cells)
     return 0
 
 
 def cmd_complexity(args) -> int:
-    config = _load_config(args)
+    config = _load_config(_load_json(args.config), args.seed)
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
     alpha = theoretical_alpha(algorithm, n)
@@ -182,17 +181,17 @@ def _emit_tail(args, experiment) -> int:
 
 
 # Per concentrate kind: the keys its spec needs beside 'kind', and the optional ones.
+# center and doob run their nested config at n, on its seed and sizes.
 _CONCENTRATE_KEYS = {
     "pinelis": ({"increment_bounds", "dim", "trials", "epsilon"}, {"smooth_constant", "seed"}),
-    "center": ({"config", "n"}, {"center_replicates", "seed"}),
-    "doob": ({"config", "n"}, {"suffix_draws", "seed"}),
+    "center": ({"config", "n"}, ()),
+    "doob": ({"config", "n"}, {"suffix_draws"}),
 }
 
 
 def cmd_concentrate(args) -> int:
     spec = _load_json(args.spec)
     kind = _tagged(spec, "kind", _CONCENTRATE_KEYS, "spec")
-    seed = args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed")
     if kind == "pinelis":
         bounds = _as_list(spec["increment_bounds"], "increment_bounds")
         experiment = pinelis_tail_experiment(
@@ -201,32 +200,20 @@ def cmd_concentrate(args) -> int:
             _integral(spec["trials"], "trials"),
             _real(spec["epsilon"], "epsilon"),
             smooth_constant=_real(spec.get("smooth_constant", 1.0), "smooth_constant"),
-            seed=seed,
+            seed=args.seed if args.seed is not None else _integral(spec.get("seed", 0), "seed"),
         )
         return _emit_tail(args, experiment)
-    config = ExperimentConfig.from_dict(spec["config"])
+    config = _load_config(spec["config"], args.seed)
     algorithm = build_algorithm(config)
-    dist = config.distribution
     n = _count(spec["n"], "n", 1, MAX_N)
     if kind == "center":
-        replicates = spec.get("center_replicates")
-        if replicates is not None:
-            replicates = _count(replicates, "center_replicates", 1, MAX_CENTER_REPLICATES)
-        alpha = theoretical_alpha(algorithm, n)
-        experiment = center_concentration_experiment(
-            algorithm,
-            dist,
-            n,
-            trials=config.trials,
-            delta=config.delta,
-            alpha=alpha,
-            seed=seed,
-            center_replicates=replicates,
-        )
-        return _emit_tail(args, experiment)
+        # The record's tail at n: the same stage on the same streams.
+        return _emit_tail(args, tail_stage(config, algorithm, n, theoretical_alpha(algorithm, n)))
     suffix_draws = _integral(spec.get("suffix_draws", 512), "suffix_draws")
-    sample = draw_sample(dist, n, child_seed(seed, "sample", n))
-    decomposition = doob_decomposition(algorithm, sample, dist, suffix_draws, seed)
+    sample = sample_stage(config, n)
+    decomposition = doob_decomposition(
+        algorithm, sample, config.distribution, suffix_draws, config.seed
+    )
     norms = decomposition.increment_norms()
     errors = decomposition.std_errors
     payload = {
@@ -243,7 +230,7 @@ def cmd_concentrate(args) -> int:
 
 
 def cmd_experiment_run(args) -> int:
-    config = _load_config(args)
+    config = _load_config(_load_json(args.config), args.seed)
     if args.out_dir:
         config = dataclasses.replace(config, out_dir=args.out_dir)
     report = run_experiment(config)

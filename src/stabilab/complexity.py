@@ -78,26 +78,22 @@ class CenterEstimate:
     """Average of fitted hypotheses with per-coordinate standard errors."""
 
     vector: np.ndarray
-    std_error: np.ndarray | None
+    std_error: np.ndarray
     replicates: int
     seed: int
 
     def std_error_norm(self) -> float:
-        if self.std_error is None:
-            return math.inf
         return float(np.linalg.norm(self.std_error))
 
 
 def estimate_center(algorithm, dist, n: int, m: int = 64, seed: int = 0) -> CenterEstimate:
-    """Estimate the mean hypothesis by averaging m independent refits."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    """Estimate the mean hypothesis by averaging m >= 2 independent refits,
+    whose spread gives its standard error."""
+    if m < 2:
+        raise ValueError("m must be >= 2 to estimate the spread")
     fits, _, _ = fit_replicates(algorithm, dist, n, m, seed, "center")
-    vector = fits.mean(axis=0)
-    if m == 1:
-        return CenterEstimate(vector=vector, std_error=None, replicates=1, seed=seed)
     se = fits.std(axis=0, ddof=1) / math.sqrt(m)
-    return CenterEstimate(vector=vector, std_error=se, replicates=m, seed=seed)
+    return CenterEstimate(vector=fits.mean(axis=0), std_error=se, replicates=m, seed=seed)
 
 
 def _check_features(X) -> np.ndarray:

@@ -235,9 +235,8 @@ def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: 
     return fits, X, y
 
 
-def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds):
-    """(values, std_errors, exact): the population risk of each row of a
-    (C, d) stack of hypotheses.
+def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds) -> np.ndarray:
+    """The population risk of each row of a (C, d) stack of hypotheses.
 
     Squared loss with LinearNoise on the uniform sphere has the closed
     form ||h - teacher||^2 * B^2 / d + noise_sd^2 (plus the determinate
@@ -262,15 +261,13 @@ def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds):
         values += spec.mechanism.noise_sd**2
         if loss.ridge_term:
             values += loss.ridge_term * _matvec(H[:, None, :], H)[:, 0]
-        return values, np.zeros(len(H)), True
+        return values
     if draws < 2:
         raise ValueError("draws must be >= 2 for a Monte Carlo estimate")
-    values, errors = np.empty(len(H)), np.empty(len(H))
+    values = np.empty(len(H))
     step = max(1, _BLOCK_EXAMPLES // draws)
     for start in range(0, len(H), step):
         rows = slice(start, start + step)
         X, y = _sample_stack(spec, draws, [stream_key(seed, "risk-mc") for seed in seeds[rows]])
-        vals = loss.values_raw(H[rows], X, y)
-        values[rows] = vals.mean(axis=1)
-        errors[rows] = vals.std(ddof=1, axis=1) / math.sqrt(draws)
-    return values, errors, False
+        values[rows] = loss.values_raw(H[rows], X, y).mean(axis=1)
+    return values

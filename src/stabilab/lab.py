@@ -50,7 +50,7 @@ from .learners import (
 )
 from .seeding import child_seed
 from .stability import CELL_HEADER, StabilityReport, closed_form, measure_argument_stability
-from .concentration import center_concentration_experiment
+from .concentration import TailExperiment, center_concentration_experiment
 
 ARTIFACT_VERSION = "report-7"
 
@@ -152,7 +152,7 @@ class ExperimentConfig:
         if draws % 2:
             raise ValueError(f"draws must be even, got {draws}")
         center_replicates = _count(
-            raw.get("center_replicates", 64), "center_replicates", 1, MAX_CENTER_REPLICATES
+            raw.get("center_replicates", 64), "center_replicates", 2, MAX_CENTER_REPLICATES
         )
         tail = raw.get("tail", False)
         if not isinstance(tail, bool):
@@ -284,7 +284,7 @@ def _gaps(config: ExperimentConfig, loss, fits, features, labels, risk_seeds, dr
     risk from ``draws`` Monte-Carlo points on its risk seed."""
     loss.check_examples(features, labels)
     emp = loss.values_raw(loss.check_hypothesis(fits), features, labels).mean(axis=1)
-    true, _, _ = true_risks(loss, fits, config.distribution, draws, risk_seeds)
+    true = true_risks(loss, fits, config.distribution, draws, risk_seeds)
     plain, deformed = true - emp, deformed_gap(true, emp, config.a)
     return [{"plain": p, "deformed": q} for p, q in zip(plain.tolist(), deformed.tolist())]
 
@@ -321,7 +321,8 @@ def _bound_set(config: ExperimentConfig, algorithm, n: int):
 
 
 # The per-n stages below are shared by run_experiment and the CLI's
-# ``stability`` and ``complexity`` subcommands, so both read the same streams.
+# ``stability``, ``complexity`` and ``concentrate`` subcommands, so both read
+# the same streams.
 
 
 def sample_stage(config: ExperimentConfig, n: int) -> Sample:
@@ -331,14 +332,12 @@ def sample_stage(config: ExperimentConfig, n: int) -> Sample:
 
 def stability_stage(config: ExperimentConfig, algorithm, sample: Sample) -> StabilityReport:
     """Replace-one stability of the algorithm on the stage sample."""
-    n = sample.n
     return measure_argument_stability(
         algorithm,
         sample,
         config.distribution,
         config.replacements,
-        eval_loss=algorithm.loss_for(n),
-        seed=child_seed(config.seed, "stability", n),
+        seed=child_seed(config.seed, "stability", sample.n),
     )
 
 
@@ -358,6 +357,19 @@ def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha:
         ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
     )
     return radius, center, rademacher
+
+
+def tail_stage(config: ExperimentConfig, algorithm, n: int, alpha: float) -> TailExperiment:
+    """The center-concentration tail experiment at n, at the closed form's alpha."""
+    return center_concentration_experiment(
+        algorithm,
+        config.distribution,
+        n,
+        trials=config.trials,
+        delta=config.delta,
+        alpha=alpha,
+        seed=child_seed(config.seed, "tail", n),
+    )
 
 
 def _run_record(config: ExperimentConfig, algorithm, n: int):
@@ -380,17 +392,7 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         fit = algorithm.fit_many(X, y, [child_seed(seed, "record-fit", n)])
         (gaps,) = _gaps(config, loss, fit, X, y, [child_seed(seed, "risk", n)], draws=4096)
         stage = "tail"
-        tail = None
-        if config.tail:
-            tail = center_concentration_experiment(
-                algorithm,
-                config.distribution,
-                n,
-                trials=config.trials,
-                delta=config.delta,
-                alpha=alpha,
-                seed=child_seed(seed, "tail", n),
-            ).to_dict()
+        tail = tail_stage(config, algorithm, n, alpha).to_dict() if config.tail else None
     except Exception as exc:
         raise RuntimeError(f"stage {stage!r} failed at n={n}: {exc}") from exc
     record = {
@@ -534,9 +536,13 @@ def validate_bound_coverage(report, which: str) -> dict:
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as JSON with sorted keys, indent 2 and a trailing newline."""
+    """Write ``payload`` as JSON with sorted keys, indent 2 and a trailing newline.
+
+    A non-finite number raises ValueError, so no file holds ``Infinity`` or ``NaN``.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
@@ -597,6 +603,6 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
         )
     for stab in report.stability_reports:
         cells_path = os.path.join(out_dir, f"stability_cells_n{stab.n}.csv")
-        write_csv(cells_path, CELL_HEADER, stab.csv_rows())
+        write_csv(cells_path, CELL_HEADER, stab.cells)
         paths[f"stability_n{stab.n}"] = cells_path
     return paths

@@ -359,8 +359,9 @@ class SgdSpec:
     ``regime`` selects the step-size rule: "nonconvex" uses the decaying
     schedule ``alpha_t = c/t``; "convex" and "strongly_convex" use a
     constant step, capped at 2/s and 1/s respectively against the loss's
-    certified smoothness when the run starts. The strongly convex regime
-    additionally requires projection onto a centered ball.
+    certified smoothness by :meth:`check_step_cap`, which
+    :meth:`SgdAlgorithm.spec_for` and :func:`sgd_alpha` call. The strongly
+    convex regime additionally requires projection onto a centered ball.
     """
 
     regime: str
@@ -403,20 +404,6 @@ class SgdSpec:
                 f"step {self.step:.6g} exceeds the {self.regime} cap {cap:.6g}"
             )
 
-    def validate_against(self, loss: LossModel) -> None:
-        """Check the regime's step cap against the loss's certified constants."""
-        consts = loss.constants()
-        if self.regime == "nonconvex":
-            return
-        if consts.smoothness is None:
-            raise ValueError(f"{self.regime} regime requires a certified smoothness")
-        self.check_step_cap(consts.smoothness)
-        if self.regime == "strongly_convex" and consts.strong_convexity <= 0:
-            raise ValueError(
-                "strongly_convex regime needs a strongly convex objective; "
-                "augment the loss with a ridge term first"
-            )
-
 
 def _sgd_index_streams(seeds, n: int, steps: int) -> np.ndarray:
     """(len(seeds), steps) example indices: row c is the with-replacement
@@ -451,9 +438,9 @@ def _sgd_kernel(
     The examples, the replacements and every row after every step are
     checked against the loss's certified domain: a non-finite row raises
     NonFiniteIterateError, a row outside the certified radius DomainError.
-    Returns the final (rows, d) state.
+    Returns the final (rows, d) state. The spec's step rules are checked
+    where it is made, :meth:`SgdAlgorithm.spec_for`.
     """
-    spec.validate_against(loss)
     loss.check_examples(features, labels)
     n, d = features.shape[-2:]
     streams = _sgd_index_streams(seeds, n, spec.steps)
@@ -619,8 +606,6 @@ class RidgeAlgorithm(_Preset):
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError("lam must be positive and finite")
         self.lam = float(lam)
-        self.feature_bound = float(feature_bound)
-        self.label_bound = float(label_bound)
         probe = make_loss("squared", feature_bound, 1.0, label_bound)
         self._loss = _dc_replace(probe, radius=math.sqrt(probe.value_at_zero() / lam))
 
@@ -682,7 +667,6 @@ class LpRermAlgorithm(_Preset):
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         self.penalty = penalty
-        self.feature_bound = float(feature_bound)
         self.tol = tol
         self.max_iter = max_iter
         probe = make_loss(loss_kind, feature_bound, 1.0, label_bound)
@@ -808,7 +792,7 @@ class SgdAlgorithm(_Preset):
         self.steps_policy = _norm_policy(steps, "steps")
         self.step_policy = _norm_policy(policy, kind)
         # Smoothness does not depend on the certified radius, so a probe
-        # model with radius 1 yields the constant used by step policies.
+        # model with radius 1 yields the constant the step policies and cap read.
         probe = make_loss(loss_kind, feature_bound, 1.0, label_bound, self.ridge_term)
         self._smoothness = probe.constants().smoothness
 
@@ -828,16 +812,26 @@ class SgdAlgorithm(_Preset):
         return 1.0 / self._smoothness
 
     def spec_for(self, n: int) -> SgdSpec:
-        """The run's plan at n: the one place a schedule is read."""
+        """The run's plan at n: the one place a schedule is read and checked.
+
+        A constant step must come with a certified smoothness and stay under
+        its regime's cap; the strongly convex regime's gamma > 0 already
+        makes the objective strongly convex.
+        """
         step = self._resolve(self.step_policy, n)
         nonconvex = self.regime == "nonconvex"
-        return SgdSpec(
+        spec = SgdSpec(
             regime=self.regime,
             steps=self._resolve(self.steps_policy, n),
             step=None if nonconvex else step,
             step_constant=step if nonconvex else None,
             projection_radius=self.projection_radius,
         )
+        if not nonconvex:
+            if self._smoothness is None:
+                raise ValueError(f"{self.regime} regime requires a certified smoothness")
+            spec.check_step_cap(self._smoothness)
+        return spec
 
     def loss_for(self, n: int) -> LossModel:
         if self.projection_radius is not None:

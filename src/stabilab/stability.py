@@ -49,7 +49,6 @@ from .learners import (
     SgdSpec,
     _row_norms,
 )
-from .losses import LossModel
 from .seeding import child_seed
 
 # Replacement-column codes used in CSV rows: non-negative values are i.i.d.
@@ -57,7 +56,7 @@ from .seeding import child_seed
 ANCHOR_PLUS = -1
 ANCHOR_MINUS = -2
 
-# The header of a stability cell table, one row per :meth:`StabilityReport.csv_rows` entry.
+# The header of a stability cell table, one row per :attr:`StabilityReport.cells` entry.
 CELL_HEADER = ("i", "replacement", "distance", "loss_gap")
 
 # Cells whose grid loss values are evaluated at once: a (cells, grid) block.
@@ -256,14 +255,14 @@ class StabilityReport:
 
     ``per_index[i]`` summarizes the distances observed when example i was
     replaced; ``alpha_hat`` is the maximum over all cells, ``beta_hat`` the
-    matching maximum loss gap over the evaluation grid (None when no
-    evaluation loss was supplied). ``cells`` holds one (i, replacement
-    code, distance, loss gap) tuple per fit pair, ``trials`` their count.
+    matching maximum loss gap over the evaluation grid. ``cells`` holds one
+    (i, replacement code, distance, loss gap) tuple per fit pair, ``trials``
+    their count.
     """
 
     per_index: tuple
     alpha_hat: float
-    beta_hat: float | None
+    beta_hat: float
     n: int
     trials: int
     seed: int
@@ -280,11 +279,6 @@ class StabilityReport:
             "seed": self.seed,
             "theory_alpha": self.theory_alpha,
         }
-
-    def csv_rows(self):
-        """Rows under :data:`CELL_HEADER`; anchors use codes -1, -2."""
-        for i, code, distance, gap in self.cells:
-            yield (i, code, distance, "" if gap is None else gap)
 
 
 def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
@@ -303,19 +297,11 @@ def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
     return [ANCHOR_PLUS, ANCHOR_MINUS], np.stack([direction, -direction]), np.array([-far, far])
 
 
-def _loss_gap_grid(dist: DistributionSpec, eval_loss, anchor_x, anchor_y, seed):
-    if eval_loss is None:
-        return None, None
-    grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
-    return np.concatenate([grid.features, anchor_x]), np.concatenate([grid.labels, anchor_y])
-
-
 def measure_argument_stability(
     algorithm,
     sample: Sample,
     dist: DistributionSpec,
     replacements: int,
-    eval_loss: LossModel | None = None,
     seed: int = 0,
 ) -> StabilityReport:
     """Estimate alpha(n) (and beta(n)) by replacing each example in turn.
@@ -328,8 +314,9 @@ def measure_argument_stability(
     replacing index i in cell k; so a cell's replacement depends on
     (seed, n, replacements), not on its (i, k) alone. Stochastic presets
     are evaluated as coupled twins sharing the per-cell index stream.
-    ``beta_hat`` is the maximum loss gap over a fixed grid of 1024 held-out
-    points plus the anchors, computed only when ``eval_loss`` is given.
+    ``beta_hat`` is the maximum gap of the preset's loss at n,
+    ``algorithm.loss_for(n)``, over a fixed grid of 1024 held-out points plus
+    the anchors.
     """
     if replacements < 1:
         raise ValueError("replacements must be >= 1")
@@ -342,7 +329,9 @@ def measure_argument_stability(
     except Exception as exc:
         raise RuntimeError(f"base fit failed: {exc}") from exc
     anchor_codes, anchor_x, anchor_y = adversarial_anchors(h_base, dist)
-    grid_X, grid_y = _loss_gap_grid(dist, eval_loss, anchor_x, anchor_y, seed)
+    grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
+    grid_X = np.concatenate([grid.features, anchor_x])
+    grid_y = np.concatenate([grid.labels, anchor_y])
 
     # Index i's cells: i.i.d. draws k = 0 .. replacements - 1, then the anchors.
     codes = list(range(replacements)) + anchor_codes
@@ -365,21 +354,19 @@ def measure_argument_stability(
         raise RuntimeError(f"replace-one fits failed: {exc}") from exc
 
     distances = _row_norms(HA - HB).tolist()
-    if eval_loss is None:
-        gaps = [None] * len(distances)
-    else:
-        # A deterministic fit on S is the same in every cell: evaluate it once.
-        base_values = None
-        if not algorithm.stochastic:
-            base_values = eval_loss.values_raw(h_base, grid_X, grid_y)
-        gaps = []
-        for start in range(0, len(HB), _GAP_BLOCK):
-            block = slice(start, start + _GAP_BLOCK)
-            va = base_values
-            if va is None:
-                va = eval_loss.values_raw(HA[block], grid_X, grid_y)
-            vb = eval_loss.values_raw(HB[block], grid_X, grid_y)
-            gaps.extend(np.abs(va - vb).max(axis=1).tolist())
+    loss = algorithm.loss_for(n)
+    # A deterministic fit on S is the same in every cell: evaluate it once.
+    base_values = None
+    if not algorithm.stochastic:
+        base_values = loss.values_raw(h_base, grid_X, grid_y)
+    gaps = []
+    for start in range(0, len(HB), _GAP_BLOCK):
+        block = slice(start, start + _GAP_BLOCK)
+        va = base_values
+        if va is None:
+            va = loss.values_raw(HA[block], grid_X, grid_y)
+        vb = loss.values_raw(HB[block], grid_X, grid_y)
+        gaps.extend(np.abs(va - vb).max(axis=1).tolist())
     cells = list(zip(cell_index, codes, distances, gaps))
     by_index = np.array(distances).reshape(n, -1)
     per_index = [
@@ -387,7 +374,6 @@ def measure_argument_stability(
         for top, mean in zip(by_index.max(axis=1), by_index.mean(axis=1))
     ]
     alpha_hat = max(distances)
-    beta_hat = None if eval_loss is None else max(gaps)
     try:
         theory = theoretical_alpha(algorithm, n)
     except ValueError:
@@ -395,7 +381,7 @@ def measure_argument_stability(
     return StabilityReport(
         per_index=tuple(per_index),
         alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        beta_hat=max(gaps),
         n=n,
         trials=len(cells),
         seed=seed,

@@ -39,10 +39,9 @@ def serial_fits(algorithm, dist, n, count, seed, label):
 
 
 def serial_center(algorithm, dist, n, m, seed):
-    """(mean, per-coordinate standard error or None) of m refits, as estimate_center reports them."""
+    """(mean, per-coordinate standard error) of m >= 2 refits, as estimate_center reports them."""
     fits, _ = serial_fits(algorithm, dist, n, m, seed, "center")
-    se = None if m == 1 else fits.std(axis=0, ddof=1) / math.sqrt(m)
-    return fits.mean(axis=0), se
+    return fits.mean(axis=0), fits.std(axis=0, ddof=1) / math.sqrt(m)
 
 
 def serial_trials(algorithm, dist, n, trials, delta, alpha, seed):
@@ -86,6 +85,6 @@ def serial_coverage_rows(config, algorithm):
         loss.check_examples(X, y)
         emp = float(loss.values_raw(loss.check_hypothesis(h), X, y).mean())
         risk_seed = child_seed(seed, "coverage-risk", rep)
-        true = float(true_risks(loss, [h], config.distribution, 2048, [risk_seed])[0][0])
+        true = float(true_risks(loss, [h], config.distribution, 2048, [risk_seed])[0])
         rows.append((true - emp, deformed_gap(true, emp, config.a)))
     return np.array(rows)

@@ -17,7 +17,13 @@ from sample_oracle import example
 
 def serial_sgd(sample, loss, spec, seed) -> np.ndarray:
     """The trajectory h_0 .. h_T of one SGD pass with ``seed``, as a (T + 1, d) array."""
-    spec.validate_against(loss)
+    consts = loss.constants()
+    if spec.regime != "nonconvex":
+        if consts.smoothness is None:
+            raise ValueError(f"{spec.regime} regime requires a certified smoothness")
+        spec.check_step_cap(consts.smoothness)
+        if spec.regime == "strongly_convex" and consts.strong_convexity <= 0:
+            raise ValueError("strongly_convex regime needs a strongly convex objective")
     loss.check_examples(sample.features, sample.labels)
     alphas = spec.step_sizes()
     idx = substream(seed, "sgd-indices").integers(0, sample.n, size=spec.steps)

@@ -463,18 +463,50 @@ class TestConcentrateCommand:
         assert int(rows[0][2]) == payload["violations"]
 
     def test_center_kind_reports_the_radius_threshold(self, tmp_path, capsys):
-        spec = {
-            "kind": "center",
-            "config": base_config(trials=25),
-            "n": 16,
-            "center_replicates": 100,
-        }
+        spec = {"kind": "center", "config": base_config(trials=25), "n": 16}
         path = write_json(tmp_path, "spec.json", spec)
         assert main(["concentrate", path, "--seed", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trials"] == 25
         assert payload["threshold"] > 0.0
         assert payload["theoretical_rate"] == 0.1
+
+    @pytest.mark.parametrize("kind", ["center", "doob"])
+    def test_the_config_seed_drives_the_run(self, kind, tmp_path, capsys):
+        outputs = {}
+        for seed in (1, 999):
+            raw = base_config(seed=seed, trials=25)
+            spec = {"kind": kind, "config": raw, "n": 8}
+            if kind == "doob":
+                spec["suffix_draws"] = 256
+            path = write_json(tmp_path, f"spec{seed}.json", spec)
+            assert main(["concentrate", path]) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs[1] != outputs[999]
+        # --seed replaces the config's seed, as it does for experiment run.
+        assert main(["concentrate", str(tmp_path / "spec1.json"), "--seed", "999"]) == 0
+        assert capsys.readouterr().out == outputs[999]
+
+    def test_center_prints_the_record_tail(self, tmp_path, capsys):
+        raw = base_config(trials=25, tail=True)
+        path = write_json(tmp_path, "spec.json", {"kind": "center", "config": raw, "n": 20})
+        for seed in (None, 3):
+            flag = [] if seed is None else ["--seed", str(seed)]
+            run = raw if seed is None else {**raw, "seed": seed}
+            (_, record) = run_experiment(ExperimentConfig.from_dict(run)).records
+            assert record["n"] == 20
+            assert main(["concentrate", path, *flag]) == 0
+            assert json.loads(capsys.readouterr().out) == record["tail"]
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [("center", {"seed": 3}), ("center", {"center_replicates": 100}), ("doob", {"seed": 3})],
+    )
+    def test_a_spec_key_that_restates_the_config_is_named(self, kind, extra, tmp_path, capsys):
+        spec = {"kind": kind, "config": base_config(trials=25), "n": 8, **extra}
+        path = write_json(tmp_path, "spec.json", spec)
+        assert main(["concentrate", path]) == 1
+        assert f"unknown {kind} spec keys: {sorted(extra)}" in capsys.readouterr().err
 
     def test_doob_kind_emits_one_row_per_index(self, tmp_path, capsys):
         spec = {"kind": "doob", "config": base_config(), "n": 8, "suffix_draws": 256}
@@ -527,8 +559,6 @@ class TestConcentrateCommand:
         [
             ({"kind": "center", "n": 401}, "n must lie in"),
             ({"kind": "center", "n": 20.9}, "n must be an integer"),
-            ({"kind": "center", "n": 16, "center_replicates": 5000}, "center_replicates must lie"),
-            ({"kind": "center", "n": 16, "center_replicates": 100.5}, "center_replicates must be"),
             ({"kind": "doob", "n": 401}, "n must lie in"),
             ({"kind": "doob", "n": 8.5}, "n must be an integer"),
         ],
@@ -785,6 +815,8 @@ class TestExperimentCommands:
                 dict(algorithm={"preset": "constant", "vector": [True, 0.0]}),
                 "vector entry must be a number, got True",
             ),
+            # One replicate has no spread: its standard error would be Infinity.
+            (dict(center_replicates=1), "center_replicates must lie in [2, 4000], got 1"),
         ],
     )
     def test_run_rejects_values_it_would_truncate_or_misread(
@@ -990,6 +1022,21 @@ class TestExperimentCommands:
             digests.append(json.loads(capsys.readouterr().out)["digest"])
         assert digests[0] == digests[1]
         assert digests[2] != digests[0]
+
+    def test_seed_flag_enters_the_config_echo(self, tmp_path):
+        # The report of a run at --seed 5 is the report of its config written
+        # with seed 5, byte for byte but for the wall time.
+        flagged = write_json(tmp_path, "c.json", base_config(seed=1))
+        written = write_json(tmp_path, "c5.json", base_config(seed=5))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["experiment", "run", flagged, "--seed", "5", "--out-dir", str(a)]) == 0
+        assert main(["experiment", "run", written, "--out-dir", str(b)]) == 0
+        texts = []
+        for out in (a, b):
+            lines = (out / "report.json").read_text().splitlines()
+            texts.append([line for line in lines if not line.startswith('  "wall_time": ')])
+        assert texts[0] == texts[1]
+        assert json.loads((a / "report.json").read_text())["config"]["seed"] == 5
 
 
 class TestLosscheckCommand:

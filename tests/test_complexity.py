@@ -287,11 +287,11 @@ class TestEstimateCenter:
         target = np.array([0.3 * shrink, 0.0])
         assert np.linalg.norm(est.vector - target) <= 6.0 * est.std_error_norm()
 
-    def test_single_replicate_has_no_spread_estimate(self):
+    def test_a_single_replicate_raises(self):
+        # One refit has no spread, so the center would have no standard error.
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        est = estimate_center(algo, self.regression_spec(), n=10, m=1, seed=0)
-        assert est.std_error is None
-        assert est.std_error_norm() == math.inf
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            estimate_center(algo, self.regression_spec(), n=10, m=1, seed=0)
 
     def test_rejects_bad_budgets(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)

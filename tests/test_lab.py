@@ -17,7 +17,7 @@ from stabilab import (
     run_experiment,
     validate_bound_coverage,
 )
-from stabilab.lab import build_algorithm, write_report_files
+from stabilab.lab import build_algorithm, write_json, write_report_files
 
 
 def base_config(**overrides):
@@ -78,6 +78,7 @@ class TestConfigValidation:
             dict(algorithm={"lam": 1.0}),
             dict(algorithm={"preset": "warp"}),
             dict(algorithm={"preset": "ridge", "lam": 1.0, "bonus": 2}),
+            dict(center_replicates=1),
         ],
     )
     def test_rejects_bad_top_level_values(self, overrides):
@@ -286,9 +287,10 @@ class TestDeterminism:
 
 class TestFailureHandling:
     def test_stage_and_n_are_reported_and_partial_results_persisted(self, tmp_path):
-        # A step above the convex cap fails the closed form at every n, so
+        # A step above the convex cap fails the schedule at every n, so
         # from_dict refuses it; swapped into a validated config, it fails
-        # the first stage that fits.
+        # the first stage that reads the schedule: the sample stage, which
+        # certifies the loss over the schedule's reach.
         out = str(tmp_path / "broken")
         broken = {"preset": "sgd-convex", "steps": 10, "step": 2.0}
         raw = base_config(n_grid=[10])
@@ -298,7 +300,7 @@ class TestFailureHandling:
         config = dataclasses.replace(config, algorithm=broken, out_dir=out)
         with pytest.raises(RuntimeError) as err:
             run_experiment(config)
-        assert "stage 'stability' failed at n=10" in str(err.value)
+        assert "stage 'sample' failed at n=10" in str(err.value)
         with open(os.path.join(out, "report.json")) as fh:
             payload = json.load(fh)
         assert "failed" in payload
@@ -440,3 +442,10 @@ class TestValidateAndPlots:
             ]
         }
         assert fitted_rate_slope(payload, "alpha_hat") == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_write_json_refuses_a_non_finite_number(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"x": float("inf")})
+    assert not path.exists()

@@ -395,30 +395,39 @@ class TestSgdSpec:
             SgdSpec(**kwargs)
 
     def test_convex_step_cap_uses_certified_smoothness(self):
-        loss = make_loss("squared", 1.0, 1.0, 1.0)
-        SgdSpec(regime="convex", steps=1, step=1.0).validate_against(loss)
-        with pytest.raises(ValueError):
-            SgdSpec(regime="convex", steps=1, step=1.1).validate_against(loss)
+        # The squared loss on unit features certifies s = 2: the cap 2/s is 1.
+        def convex(step):
+            return make_algorithm("sgd-convex", "squared", 1.0, 1.0, steps=1, step=step)
+
+        assert convex(1.0).spec_for(4).step == 1.0
+        with pytest.raises(ValueError, match="exceeds the convex cap"):
+            convex(1.1).spec_for(4)
 
     def test_strongly_convex_cap_and_curvature_requirement(self):
-        plain = make_loss("squared", 1.0, 1.0, 1.0)
-        curved = make_loss("squared", 1.0, 1.0, 1.0, ridge_term=0.5)
-        spec = SgdSpec(
-            regime="strongly_convex", steps=1, step=0.25, projection_radius=1.0
-        )
-        spec.validate_against(curved)
-        with pytest.raises(ValueError):
-            SgdSpec(
-                regime="strongly_convex", steps=1, step=0.4, projection_radius=1.0
-            ).validate_against(curved)
-        with pytest.raises(ValueError):
-            spec.validate_against(plain)
+        # gamma = 1 adds a ridge term 1/2, so s = 3 and the cap 1/s is 1/3.
+        def strongly_convex(step, gamma=1.0):
+            return make_algorithm(
+                "sgd-strongly-convex",
+                "squared",
+                1.0,
+                1.0,
+                steps=1,
+                step=step,
+                gamma=gamma,
+                projection_radius=1.0,
+            )
+
+        assert strongly_convex(0.25).spec_for(4).step == 0.25
+        with pytest.raises(ValueError, match="exceeds the strongly_convex cap"):
+            strongly_convex(0.4).spec_for(4)
+        with pytest.raises(ValueError, match="gamma > 0"):
+            strongly_convex(0.25, gamma=0.0)
 
     def test_hinge_has_no_certified_smoothness(self):
-        loss = make_loss("hinge", 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SgdSpec(regime="convex", steps=1, step=0.1).validate_against(loss)
-        SgdSpec(regime="nonconvex", steps=1, step_constant=0.5).validate_against(loss)
+        convex = make_algorithm("sgd-convex", "hinge", 1.0, steps=1, step=0.1)
+        with pytest.raises(ValueError, match="requires a certified smoothness"):
+            convex.spec_for(4)
+        make_algorithm("sgd-nonconvex", "hinge", 1.0, steps=1, c=0.5).spec_for(4)
 
 
 def sgd_iterates(sample, seed, steps, label_bound=1.0, preset="sgd-convex", **params):

@@ -450,9 +450,7 @@ class TestMeasurement:
         spec = regression_spec(dim=3)
         sample = draw_sample(spec, 12, seed=4)
         loss = algo.loss_for(12)
-        report = measure_argument_stability(
-            algo, sample, spec, replacements=3, eval_loss=loss, seed=7
-        )
+        report = measure_argument_stability(algo, sample, spec, replacements=3, seed=7)
         assert report.n == 12
         assert len(report.per_index) == 12
         assert report.trials == len(report.cells) == 12 * 5
@@ -461,7 +459,6 @@ class TestMeasurement:
             assert 0.0 <= stats["mean"] <= stats["max_over_replacements"]
             assert stats["max_over_replacements"] <= report.alpha_hat + 1e-15
         consts = loss.constants()
-        assert report.beta_hat is not None
         assert report.beta_hat <= (
             consts.lipschitz * loss.feature_bound * report.alpha_hat + 1e-9
         )
@@ -561,7 +558,7 @@ def serial_gap(loss, a, b, grid_X, grid_y):
     return float(np.abs(va - loss.values_raw(b, grid_X, grid_y)).max())
 
 
-def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
+def serial_ridge_report(algo, sample, dist, replacements, loss, seed):
     """measure_argument_stability for ridge, one replaced Sample and one fit per cell.
 
     Returns (cells, per_index, alpha_hat, beta_hat), the loss gaps two-sided:
@@ -577,7 +574,7 @@ def serial_ridge_report(algo, sample, dist, replacements, eval_loss, seed):
         draws = [(k, *example(pool, i * replacements + k)) for k in range(replacements)]
         for code, x, y in draws + list(zip(*anchors)):
             h = serial_ridge(replaced(sample, i, x, y), algo.lam)
-            gap = serial_gap(eval_loss, base, h, grid_X, grid_y)
+            gap = serial_gap(loss, base, h, grid_X, grid_y)
             cells.append((i, code, float(np.linalg.norm(base - h)), gap))
     per_index = []
     for i in range(sample.n):
@@ -615,9 +612,7 @@ class TestRidgeMeasurementAgainstSerialFits:
         dist = regression_spec(dim=d)
         sample = draw_sample(dist, n, seed=n)
         loss = algo.loss_for(n)
-        report = measure_argument_stability(
-            algo, sample, dist, replacements, eval_loss=loss, seed=23
-        )
+        report = measure_argument_stability(algo, sample, dist, replacements, seed=23)
         cells, per_index, alpha_hat, beta_hat = serial_ridge_report(
             algo, sample, dist, replacements, loss, 23
         )
@@ -702,7 +697,7 @@ class TestStochasticGapsAgainstPerCellReference:
             return twins[-1]
 
         monkeypatch.setattr(algo, "fit_twins", recorded)
-        report = measure_argument_stability(algo, sample, dist, 2, eval_loss=loss, seed=29)
+        report = measure_argument_stability(algo, sample, dist, 2, seed=29)
         (HA, HB), = twins
         assert report.trials == len(HA) == 80
         assert len({tuple(a) for a in HA}) > 1
@@ -719,10 +714,7 @@ class TestReportSerialization:
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
         spec = regression_spec(dim=2)
         sample = draw_sample(spec, 5, seed=3)
-        loss = algo.loss_for(5)
-        return measure_argument_stability(
-            algo, sample, spec, replacements=2, eval_loss=loss, seed=19
-        )
+        return measure_argument_stability(algo, sample, spec, replacements=2, seed=19)
 
     def test_json_round_trip(self):
         report = self.make_report()
@@ -785,7 +777,7 @@ class TestKeysPerRecord:
         for n in (4, 40):
             sample = draw_sample(dist, n, seed=n)
             key_paths.clear()
-            measure_argument_stability(algo, sample, dist, 3, eval_loss=algo.loss_for(n), seed=5)
+            measure_argument_stability(algo, sample, dist, 3, seed=5)
             counts.append(len(key_paths))
             assert key_paths.count(("replacement",)) == 1
         assert counts[0] == counts[1]
