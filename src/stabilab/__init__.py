@@ -63,7 +63,7 @@ from .concentration import (
 from .lab import (
     ExperimentConfig,
     ExperimentReport,
-    emit_plot_data,
+    check_report,
     fitted_rate_slope,
     report_digest,
     run_experiment,
@@ -119,6 +119,6 @@ __all__ = [
     "run_experiment",
     "report_digest",
     "validate_bound_coverage",
-    "emit_plot_data",
+    "check_report",
     "fitted_rate_slope",
 ]

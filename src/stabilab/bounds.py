@@ -25,7 +25,7 @@ both evaluate bounds through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import Callable
 
 from .learners import SgdSpec, _integral, _keys
@@ -58,14 +58,11 @@ class BoundBreakdown:
         raise KeyError(label)
 
     def to_dict(self) -> dict:
+        """Every field, the terms as ``{"label", "value"}`` entries."""
         return {
-            "name": self.name,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "terms": [{"label": label, "value": value} for label, value in self.terms],
-            "total": self.total,
             "constants_used": dict(self.constants_used),
-            "confidence": self.confidence,
-            "deformation": self.deformation,
-            "vacuous": self.vacuous,
             "notes": list(self.notes),
         }
 

@@ -34,35 +34,38 @@ from .bounds import BOUND_FAMILIES
 from .concentration import doob_decomposition, pinelis_tail_experiment
 from .lab import (
     MAX_N,
-    MIN_COVERAGE_REPLICATIONS,
     ExperimentConfig,
-    _CONFIG_KEYS,
-    _RECORD_KEYS,
-    _REPORT_KEYS,
-    _STABILITY_KEYS,
-    _read_bound,
-    _read_coverage,
     build_algorithm,
+    check_report,
     complexity_stage,
     report_digest,
     run_experiment,
     sample_stage,
     stability_stage,
     tail_stage,
-    validate_bound_coverage,
     write_csv,
     write_json,
 )
-from .learners import _as_list, _count, _integral, _keys, _real, _tagged
+from .learners import _as_list, _count, _integral, _real, _tagged
 from .losses import certify_loss, make_loss
 from .stability import CELL_HEADER, theoretical_alpha
 
 
+def _finite(literal: str) -> float:
+    """A JSON real: ``NaN``, ``Infinity``, ``-Infinity`` and numerals beyond
+    the float range (``1e400``) raise ValueError naming the literal."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
 def _load_json(path) -> dict:
+    """The JSON file at ``path``, every real in it finite (see :func:`_finite`)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_finite, parse_float=_finite)
+    except ValueError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -248,87 +251,14 @@ def cmd_experiment_run(args) -> int:
     return 0
 
 
-def _check_report(payload) -> list:
-    _keys(payload, "report", *_REPORT_KEYS)
-    config = _keys(payload["config"], "report config", *_CONFIG_KEYS)
-    records = _as_list(payload["records"], "records")
-    for record in records:
-        _keys(record, "report record", *_RECORD_KEYS)
-    problems = []
-    stored = payload.get("digest")
-    if stored is not None:
-        recomputed = report_digest(payload)
-        if stored != recomputed:
-            problems.append(f"digest mismatch: stored {str(stored)[:12]}.. != {recomputed[:12]}..")
-    algorithm = config["algorithm"]
-    preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
-    for record in records:
-        n = _integral(record["n"], "record n")
-        stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
-        theory = stability["theory_alpha"]
-        if theory is not None:
-            theory = _real(theory, f"n={n} theory_alpha")
-            problems.extend(_stability_problems(stability, theory, preset, n))
-        for bound in _as_list(record["bounds"], "record bounds"):
-            _read_bound(bound, f"n={n} bound")
-            total = math.fsum(term["value"] for term in bound["terms"])
-            if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
-                problems.append(f"n={n} {bound['name']}: total != sum of terms")
-            used = bound["constants_used"].get("alpha")
-            if theory is not None and used is not None:
-                used = _real(used, f"n={n} {bound['name']} constants_used alpha")
-                if not math.isclose(used, theory, rel_tol=1e-12, abs_tol=1e-15):
-                    problems.append(
-                        f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
-                    )
-    coverage = payload.get("coverage")
-    replications = 0 if coverage is None else _read_coverage(coverage)["replications"]
-    if replications >= MIN_COVERAGE_REPLICATIONS:
-        for which in ("plain-gap", "fast-rate"):
-            outcome = validate_bound_coverage(payload, which)
-            runs, nominal = outcome["runs"], outcome["nominal"]
-            envelope = runs * nominal + 3.0 * math.sqrt(runs * nominal * (1.0 - nominal))
-            if outcome["violations"] > envelope:
-                problems.append(
-                    f"coverage {which}: {outcome['violations']} violations exceed "
-                    f"envelope {envelope:.1f} at nominal {nominal:g}"
-                )
-    if payload.get("failed"):
-        problems.append(f"report carries a failure marker: {payload['failed']}")
-    return problems
-
-
-def _stability_problems(stability: dict, theory: float, preset: str, n: int) -> list:
-    """Measured stability above the closed form by more than 1e-8.
-
-    Ridge and penalized ERM bound every replace-one distance, so their
-    ``alpha_hat`` is checked. The SGD closed forms bound the coupled-twin
-    distance in expectation over the shared index stream, so SGD presets
-    check each index's mean distance over its replacements instead.
-    """
-    if preset.startswith("sgd-"):
-        label = "largest per-index mean distance"
-        entries = _as_list(stability["per_index"], f"n={n} per_index")
-        if len(entries) != n:
-            raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
-        means = [_keys(e, f"n={n} per_index entry", {"mean"}, e)["mean"] for e in entries]
-        measured = max(_real(mean, f"n={n} per_index mean") for mean in means)
-    else:
-        label, measured = "alpha_hat", _real(stability["alpha_hat"], f"n={n} alpha_hat")
-    if measured > theory + 1e-8:
-        return [f"n={n} stability: {label} {measured:.6g} exceeds theory_alpha {theory:.6g}"]
-    return []
-
-
 def cmd_experiment_validate(args) -> int:
     payload = _load_json(args.report)
-    problems = _check_report(payload)
+    problems = check_report(payload)
+    for problem in problems:
+        print(f"invalid: {problem}")
     if problems:
-        for problem in problems:
-            print(f"invalid: {problem}")
         return 1
-    digest = payload.get("digest", report_digest(payload))
-    print(f"report valid; digest {digest}")
+    print(f"report valid; digest {payload['digest']}")
     return 0
 
 

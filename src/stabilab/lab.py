@@ -8,10 +8,11 @@ bound, and records the realized plain and deformed generalization gaps.
 Optional sections add bound-coverage replications at one fixed n and a
 center-concentration tail experiment per n.
 
-Reports are plain dictionaries serialized as JSON plus tidy CSV tables.
-All randomness is pre-split from the master seed by (stage, n, index)
-labels, so reruns of the same config are bitwise identical; the digest
-over the wall-time-stripped report makes that checkable.
+Reports are plain dictionaries serialized as JSON plus tidy CSV tables,
+and :func:`check_report` re-checks a written one. All randomness is
+pre-split from the master seed by (stage, n, index) labels, so reruns of
+the same config are bitwise identical; the digest over the
+wall-time-stripped report makes that checkable.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import BOUND_FAMILIES, deformed_gap
+from .bounds import BOUND_FAMILIES, BoundBreakdown, deformed_gap
 from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, estimate_center
 from .datagen import (
     DistributionSpec,
@@ -203,31 +204,26 @@ def build_algorithm(config: ExperimentConfig):
     )
 
 
-# The (required, optional) keys of a written report and of each of its records.
+# The (required, optional) keys of a written report, and the keys of each
+# of its records, of their stability entries and bound entries (the fields
+# their ``to_dict`` writes) and of a written coverage section.
 _REPORT_KEYS = (
     {"version", "config", "records"},
     {"coverage", "rate", "wall_time", "digest", "failed"},
 )
 _RECORD_KEYS = (
     {"n", "stability", "radius", "center", "center_std_error", "rademacher", "bounds"}
-    | {"coefficients", "gaps", "tail"},
-    (),
+    | {"coefficients", "gaps", "tail"}
 )
-# The keys of a record's written stability entry and bound entries, and of
-# a written coverage section.
-_STABILITY_KEYS = {"per_index", "alpha_hat", "beta_hat", "n", "trials", "seed", "theory_alpha"}
-_BOUND_KEYS = (
-    {"name", "terms", "total", "constants_used", "confidence", "deformation"}
-    | {"vacuous", "notes"},
-    (),
-)
-_COVERAGE_KEYS = ({"n", "replications", "delta", "a", "bounds", "rows"}, ())
+_STABILITY_KEYS = {f.name for f in fields(StabilityReport)} - {"cells"}
+_BOUND_KEYS = {f.name for f in fields(BoundBreakdown)}
+_COVERAGE_KEYS = {"n", "replications", "delta", "a", "bounds", "rows"}
 _GAP_KEYS = {"plain-gap": "plain_gap", "fast-rate": "deformed_gap"}
 
 
 def _read_bound(entry, where: str) -> dict:
     """A written bound entry, checked by the keyed reader down to its terms."""
-    _keys(entry, where, *_BOUND_KEYS)
+    _keys(entry, where, _BOUND_KEYS)
     for term in _as_list(entry["terms"], f"{where} terms"):
         _real(_keys(term, f"{where} term", {"label", "value"})["value"], f"{where} term value")
     _real(entry["total"], f"{where} total")
@@ -237,7 +233,7 @@ def _read_bound(entry, where: str) -> dict:
 
 def _read_coverage(coverage) -> dict:
     """A written coverage section, checked by the keyed reader down to its rows."""
-    _keys(coverage, "report coverage", *_COVERAGE_KEYS)
+    _keys(coverage, "report coverage", _COVERAGE_KEYS)
     _count(coverage["replications"], "coverage replications", 1, MAX_TRIALS)
     bounds = _keys(coverage["bounds"], "report coverage bounds", set(_GAP_KEYS))
     for name, entry in bounds.items():
@@ -415,27 +411,23 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
 
 
 def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
-    n = config.coverage_n
-    seed = config.seed
-    loss = algorithm.loss_for(n)
-    _, constants = _bound_constants(config, algorithm, n)
-    bounds = {
-        name: BOUND_FAMILIES[name].evaluate(constants).to_dict()
-        for name in ("plain-gap", "fast-rate")
-    }
-    fits, X, y = fit_replicates(algorithm, config.distribution, n, config.trials, seed, "coverage")
-    risk_seeds = [child_seed(seed, "coverage-risk", rep) for rep in range(config.trials)]
-    rows = [
-        {"plain_gap": gaps["plain"], "deformed_gap": gaps["deformed"]}
-        for gaps in _gaps(config, loss, fits, X, y, risk_seeds, draws=2048)
-    ]
+    n, seed, trials = config.coverage_n, config.seed, config.trials
+    try:
+        loss = algorithm.loss_for(n)
+        _, constants = _bound_constants(config, algorithm, n)
+        bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
+        fits, X, y = fit_replicates(algorithm, config.distribution, n, trials, seed, "coverage")
+        risk_seeds = [child_seed(seed, "coverage-risk", rep) for rep in range(trials)]
+        gaps = _gaps(config, loss, fits, X, y, risk_seeds, draws=2048)
+    except Exception as exc:
+        raise RuntimeError(f"stage 'coverage' failed at n={n}: {exc}") from exc
     return {
         "n": n,
-        "replications": config.trials,
+        "replications": trials,
         "delta": config.delta,
         "a": config.a,
         "bounds": bounds,
-        "rows": rows,
+        "rows": [{"plain_gap": g["plain"], "deformed_gap": g["deformed"]} for g in gaps],
     }
 
 
@@ -456,51 +448,36 @@ def fitted_rate_slope(report, field: str = "alpha_hat") -> float:
 def _rate_summary(records) -> dict | None:
     if len(records) < 2:
         return None
-    payload = {"records": list(records)}
     summary = {}
     for field, key in (("alpha_hat", "slope_alpha_hat"), ("theory_alpha", "slope_alpha_theory")):
         try:
-            summary[key] = fitted_rate_slope(payload, field)
+            summary[key] = fitted_rate_slope({"records": records}, field)
         except ValueError:
             summary[key] = None
     return summary
 
 
-def _persist_failure(config: ExperimentConfig, records, error: str) -> None:
-    if not config.out_dir:
-        return
-    os.makedirs(config.out_dir, exist_ok=True)
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "config": config.echo,
-        "records": list(records),
-        "failed": error,
-    }
-    write_json(os.path.join(config.out_dir, "report.json"), payload)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the config and return (and optionally persist) the report."""
+    """Execute the config and return (and optionally persist) the report.
+
+    When a stage fails, the records finished before it are persisted as a
+    partial report with a ``failed`` marker, and the stage's error is raised.
+    """
     start = time.perf_counter()
     algorithm = build_algorithm(config)
-    records = []
-    stability_reports = []
-    for n in config.n_grid:
-        try:
+    records, stability_reports = [], []
+    try:
+        for n in config.n_grid:
             record, stab = _run_record(config, algorithm, n)
-        except Exception as exc:
-            _persist_failure(config, records, str(exc))
-            raise
-        records.append(record)
-        stability_reports.append(stab)
-    coverage = None
-    if config.coverage_n is not None:
-        try:
-            coverage = _run_coverage(config, algorithm)
-        except Exception as exc:
-            message = f"stage 'coverage' failed at n={config.coverage_n}: {exc}"
-            _persist_failure(config, records, message)
-            raise RuntimeError(message) from exc
+            records.append(record)
+            stability_reports.append(stab)
+        coverage = None if config.coverage_n is None else _run_coverage(config, algorithm)
+    except Exception as exc:
+        if config.out_dir:
+            os.makedirs(config.out_dir, exist_ok=True)
+            partial = {"version": ARTIFACT_VERSION, "config": config.echo, "records": records}
+            write_json(os.path.join(config.out_dir, "report.json"), {**partial, "failed": str(exc)})
+        raise
     report = ExperimentReport(
         config=config.echo,
         records=tuple(records),
@@ -527,12 +504,92 @@ def validate_bound_coverage(report, which: str) -> dict:
         )
     total = coverage["bounds"][which]["total"]
     key = _GAP_KEYS[which]
-    violations = sum(_real(row[key], f"coverage row {key}") > total for row in coverage["rows"])
+    gaps = [_real(row[key], f"coverage row {key}") for row in coverage["rows"]]
+    violations = sum(not gap <= total for gap in gaps)  # a NaN gap counts
     return {
         "runs": coverage["replications"],
         "violations": violations,
         "nominal": 2.0 * _real(coverage["delta"], "coverage delta"),
     }
+
+
+def _measured_stability(stability: dict, preset: str, n: int):
+    """(label, values) of the measured stability a record's closed form bounds.
+
+    Ridge and penalized ERM bound every replace-one distance, so their
+    ``alpha_hat`` is checked. The SGD closed forms bound the coupled-twin
+    distance in expectation over the shared index stream, so SGD presets
+    check each index's mean distance over its replacements instead.
+    """
+    if not preset.startswith("sgd-"):
+        return "alpha_hat", [_real(stability["alpha_hat"], f"n={n} alpha_hat")]
+    entries = _as_list(stability["per_index"], f"n={n} per_index")
+    if len(entries) != n:
+        raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
+    means = [_keys(e, f"n={n} per_index entry", {"mean"}, e)["mean"] for e in entries]
+    return "largest per-index mean distance", [_real(m, f"n={n} per_index mean") for m in means]
+
+
+def check_report(payload) -> list:
+    """The problems of a written report, one line each; empty when it checks out.
+
+    A malformed report raises ValueError naming the key or field. A report
+    must carry its digest unless it is a partial one, which carries a
+    failure marker instead. Every comparison is written as "within the
+    limit", so a NaN fails it.
+    """
+    _keys(payload, "report", *_REPORT_KEYS)
+    config = _keys(payload["config"], "report config", *_CONFIG_KEYS)
+    records = _as_list(payload["records"], "records")
+    problems = []
+    stored = payload.get("digest")
+    if stored is not None:
+        recomputed = report_digest(payload)
+        if stored != recomputed:
+            problems.append(f"digest mismatch: stored {str(stored)[:12]}.. != {recomputed[:12]}..")
+    elif not payload.get("failed"):
+        problems.append("report has no digest")
+    algorithm = config["algorithm"]
+    preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
+    for record in records:
+        n = _integral(_keys(record, "report record", _RECORD_KEYS)["n"], "record n")
+        stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
+        theory = stability["theory_alpha"]
+        if theory is not None:
+            theory = _real(theory, f"n={n} theory_alpha")
+            label, measured = _measured_stability(stability, preset, n)
+            over = [value for value in measured if not value <= theory + 1e-8]
+            if over:
+                problems.append(
+                    f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {theory:.6g}"
+                )
+        for bound in _as_list(record["bounds"], "record bounds"):
+            _read_bound(bound, f"n={n} bound")
+            total = math.fsum(term["value"] for term in bound["terms"])
+            if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
+                problems.append(f"n={n} {bound['name']}: total != sum of terms")
+            used = bound["constants_used"].get("alpha")
+            if theory is not None and used is not None:
+                used = _real(used, f"n={n} {bound['name']} constants_used alpha")
+                if not math.isclose(used, theory, rel_tol=1e-12, abs_tol=1e-15):
+                    problems.append(
+                        f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
+                    )
+    coverage = payload.get("coverage")
+    replications = 0 if coverage is None else _read_coverage(coverage)["replications"]
+    if replications >= MIN_COVERAGE_REPLICATIONS:
+        for which in _GAP_KEYS:
+            outcome = validate_bound_coverage(payload, which)
+            runs, nominal = outcome["runs"], outcome["nominal"]
+            envelope = runs * nominal + 3.0 * math.sqrt(runs * nominal * (1.0 - nominal))
+            if not outcome["violations"] <= envelope:
+                problems.append(
+                    f"coverage {which}: {outcome['violations']} violations exceed "
+                    f"envelope {envelope:.1f} at nominal {nominal:g}"
+                )
+    if payload.get("failed"):
+        problems.append(f"report carries a failure marker: {payload['failed']}")
+    return problems
 
 
 def write_json(path, payload) -> None:
@@ -555,54 +612,42 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
         writer.writerows(rows)
 
 
-def emit_plot_data(report, kind: str, path) -> str:
-    """Write one tidy CSV (rate, coverage, or bound-vs-gap) and return its path."""
-    payload = report.to_dict() if isinstance(report, ExperimentReport) else report
-    records = payload["records"]
-    if kind == "rate":
-        comment = "measured vs theoretical stability coefficient by sample size"
-        header = ["n", "alpha_hat", "alpha_theory"]
-        rows = [
-            (r["n"], r["stability"]["alpha_hat"], r["stability"]["theory_alpha"]) for r in records
-        ]
-    elif kind == "coverage":
-        coverage = payload.get("coverage")
-        if not coverage:
-            raise ValueError("report has no coverage section")
-        comment = "bound coverage: nominal vs empirical violation rate"
-        header = ["delta", "nominal", "empirical"]
-        outcomes = [validate_bound_coverage(payload, which) for which in ("plain-gap", "fast-rate")]
-        rows = [(coverage["delta"], o["nominal"], o["violations"] / o["runs"]) for o in outcomes]
-    elif kind == "bound-vs-gap":
-        comment = "realized plain gap vs its bound by sample size"
-        header = ["n", "gap", "bound_total", "vacuous_flag"]
-        rows = []
-        for r in records:
-            plain = next(b for b in r["bounds"] if b["name"] == "plain-gap")
-            rows.append((r["n"], r["gaps"]["plain"], plain["total"], plain["vacuous"]))
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    write_csv(path, header, rows, comment)
-    return str(path)
-
-
 def write_report_files(report: ExperimentReport, out_dir) -> dict:
-    """Persist report.json plus the standard CSV tables; returns the paths."""
+    """Persist report.json, the rate, bound-vs-gap and (at enough
+    replications) coverage tables, and each n's stability cells; returns
+    the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    report_path = os.path.join(out_dir, "report.json")
-    write_json(report_path, {**report.to_dict(), "digest": report_digest(report)})
-    paths["report"] = report_path
-    paths["rate"] = emit_plot_data(report, "rate", os.path.join(out_dir, "rate.csv"))
-    paths["bound_vs_gap"] = emit_plot_data(
-        report, "bound-vs-gap", os.path.join(out_dir, "bound_vs_gap.csv")
-    )
-    if report.coverage and report.coverage["replications"] >= MIN_COVERAGE_REPLICATIONS:
-        paths["coverage"] = emit_plot_data(
-            report, "coverage", os.path.join(out_dir, "coverage.csv")
+    paths = {"report": os.path.join(out_dir, "report.json")}
+    write_json(paths["report"], {**report.to_dict(), "digest": report_digest(report)})
+    records, coverage = report.records, report.coverage
+    stability = [r["stability"] for r in records]
+    plain = [next(b for b in r["bounds"] if b["name"] == "plain-gap") for r in records]
+    tables = {
+        "rate": (
+            ["n", "alpha_hat", "alpha_theory"],
+            [(r["n"], s["alpha_hat"], s["theory_alpha"]) for r, s in zip(records, stability)],
+            "measured vs theoretical stability coefficient by sample size",
+        ),
+        "bound_vs_gap": (
+            ["n", "gap", "bound_total", "vacuous_flag"],
+            [
+                (r["n"], r["gaps"]["plain"], b["total"], b["vacuous"])
+                for r, b in zip(records, plain)
+            ],
+            "realized plain gap vs its bound by sample size",
+        ),
+    }
+    if coverage and coverage["replications"] >= MIN_COVERAGE_REPLICATIONS:
+        outcomes = [validate_bound_coverage(report, which) for which in _GAP_KEYS]
+        tables["coverage"] = (
+            ["delta", "nominal", "empirical"],
+            [(coverage["delta"], o["nominal"], o["violations"] / o["runs"]) for o in outcomes],
+            "bound coverage: nominal vs empirical violation rate",
         )
+    for name, (header, rows, comment) in tables.items():
+        paths[name] = os.path.join(out_dir, f"{name}.csv")
+        write_csv(paths[name], header, rows, comment)
     for stab in report.stability_reports:
-        cells_path = os.path.join(out_dir, f"stability_cells_n{stab.n}.csv")
-        write_csv(cells_path, CELL_HEADER, stab.cells)
-        paths[f"stability_n{stab.n}"] = cells_path
+        paths[f"stability_n{stab.n}"] = os.path.join(out_dir, f"stability_cells_n{stab.n}.csv")
+        write_csv(paths[f"stability_n{stab.n}"], CELL_HEADER, stab.cells)
     return paths

@@ -34,7 +34,7 @@ Measurement conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -270,15 +270,9 @@ class StabilityReport:
     cells: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "per_index": [dict(entry) for entry in self.per_index],
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "theory_alpha": self.theory_alpha,
-        }
+        """Every field but ``cells``, which a report writes as its own table."""
+        written = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cells"}
+        return {**written, "per_index": [dict(entry) for entry in self.per_index]}
 
 
 def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):

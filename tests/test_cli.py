@@ -410,13 +410,29 @@ class TestBoundsCommand:
         assert main(["bounds", path]) == 1
         assert "lipschitz must be a number, got '1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("deformation", [math.nan, math.inf, -math.inf, 1.0])
+    @pytest.mark.parametrize("deformation", [0.5, 1.0])
     def test_a_deformation_outside_one_to_infinity_is_named(self, tmp_path, capsys, deformation):
         spec = plain_constants(family="fast-rate", deformation=deformation)
         path = write_json(tmp_path, "constants.json", spec)
         assert main(["bounds", path, "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert f"deformation must be > 1 and finite, got {deformation!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "constants, literal",
+        [
+            (dict(alpha=math.nan), "NaN"),
+            (dict(lipschitz=math.inf), "Infinity"),
+            (dict(family="fast-rate", deformation=-math.inf), "-Infinity"),
+        ],
+        ids=["alpha-nan", "lipschitz-infinity", "deformation-minus-infinity"],
+    )
+    def test_a_non_finite_constant_is_refused(self, tmp_path, capsys, constants, literal):
+        path = write_json(tmp_path, "constants.json", plain_constants(**constants))
+        assert main(["bounds", path]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}: not valid JSON ({literal} is not a finite number)" in captured.err
         assert captured.out == ""
 
     def test_missing_constants_file_exits_2(self, tmp_path):
@@ -590,6 +606,7 @@ class TestConcentrateCommand:
             (dict(smooth_constant="2"), "smooth_constant must be a number"),
             (dict(increment_bounds=["1", "2"]), "increment bound must be a number"),
             (dict(increment_bounds=1.0), "increment_bounds must be a list"),
+            (dict(increment_bounds=[1.0, -math.inf]), "(-Infinity is not a finite number)"),
         ],
     )
     def test_pinelis_rejects_reals_it_would_misread(self, tmp_path, overrides, message, capsys):
@@ -700,6 +717,41 @@ class TestExperimentCommands:
         assert main(["experiment", "validate", path]) == 1
         assert "failure marker" in capsys.readouterr().out
 
+    def test_validate_refuses_non_finite_literals(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        payload["records"][0]["stability"]["alpha_hat"] = math.nan
+        payload["records"][0]["center_std_error"] = math.inf
+        payload["digest"] = report_digest(payload)
+        path = write_json(tmp_path, "non-finite.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        captured = capsys.readouterr()
+        # The reader stops at the first literal: center_std_error sorts before stability.
+        assert f"{path}: not valid JSON (Infinity is not a finite number)" in captured.err
+        assert captured.out == ""
+
+    def test_validate_refuses_a_numeral_beyond_the_float_range(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        payload["records"][0]["center_std_error"] = math.inf
+        payload["digest"] = report_digest(payload)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
+        assert main(["experiment", "validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}: not valid JSON (1e400 is not a finite number)" in captured.err
+        assert captured.out == ""
+
+    def test_validate_requires_the_digest_of_a_complete_report(self, run_dir, tmp_path, capsys):
+        with open(run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        payload["records"][0]["gaps"]["plain"] -= 0.5
+        payload["records"][1]["radius"] *= 0.5
+        del payload["digest"]
+        path = write_json(tmp_path, "undigested.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        assert capsys.readouterr().out == "invalid: report has no digest\n"
+
     def test_validate_missing_report_exits_2(self, tmp_path):
         assert main(["experiment", "validate", str(tmp_path / "absent.json")]) == 2
 
@@ -773,11 +825,12 @@ class TestExperimentCommands:
                 dict(algorithm=SGD_ALGORITHM | {"step": {"mode": "constant", "value": "0.1"}}),
                 "step must be a number",
             ),
-            (dict(a=math.inf), "a must be > 1 and finite"),
-            (dict(a=math.nan), "a must be > 1 and finite"),
+            # A non-finite real is not JSON: the reader refuses the literal by name.
+            (dict(a=math.inf), "not valid JSON (Infinity is not a finite number)"),
+            (dict(a=math.nan), "not valid JSON (NaN is not a finite number)"),
             (
                 dict(algorithm=SGD_ALGORITHM | {"step": math.nan}),
-                "step must be positive and finite, got nan",
+                "not valid JSON (NaN is not a finite number)",
             ),
             (
                 dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": "2"}}),
@@ -789,11 +842,11 @@ class TestExperimentCommands:
             ),
             (
                 dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "n_squared", "factor": math.nan}}),
-                "steps factor must be positive and finite",
+                "not valid JSON (NaN is not a finite number)",
             ),
             (
                 dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": math.inf}}),
-                "steps factor must be positive and finite",
+                "not valid JSON (Infinity is not a finite number)",
             ),
             (
                 dict(algorithm={"preset": "sgd-nonconvex", "steps": 10, "c": 0.1}, n_grid=[1, 10]),
@@ -845,7 +898,7 @@ class TestExperimentCommands:
         "settings, message",
         [
             (dict(tol=-1), "tol must be positive and finite"),
-            (dict(tol=math.nan), "tol must be positive and finite"),
+            (dict(tol=math.nan), "not valid JSON (NaN is not a finite number)"),
             (dict(max_iter=0), "max_iter must be >= 1"),
             (dict(tol="1e-9"), "tol must be a number"),
             (dict(max_iter=100.5), "max_iter must be an integer"),

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -11,13 +12,22 @@ import pytest
 from stabilab import (
     ExperimentConfig,
     ExperimentReport,
-    emit_plot_data,
     fitted_rate_slope,
     report_digest,
     run_experiment,
     validate_bound_coverage,
 )
-from stabilab.lab import build_algorithm, write_json, write_report_files
+from stabilab import lab
+from stabilab.lab import build_algorithm, check_report, write_json, write_report_files
+
+
+SGD_ALGORITHM = {
+    "preset": "sgd-strongly-convex",
+    "steps": {"mode": "multiple_of_n", "factor": 2},
+    "step": "inverse_smoothness",
+    "gamma": 0.5,
+    "projection_radius": 2.0,
+}
 
 
 def base_config(**overrides):
@@ -100,6 +110,18 @@ class TestConfigValidation:
             (dict(n_grid=["10", "20"]), "n_grid entry must be an integer"),
             (dict(tail="false"), "tail must be true or false"),
             (dict(tail=0), "tail must be true or false"),
+            # Non-finite reals, which no JSON file can hold, reach the library only.
+            (dict(a=math.inf), "a must be > 1 and finite"),
+            (dict(a=math.nan), "a must be > 1 and finite"),
+            (dict(algorithm=SGD_ALGORITHM | {"step": math.nan}), "step must be positive and finite"),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "n_squared", "factor": math.nan}}),
+                "steps factor must be positive and finite",
+            ),
+            (
+                dict(algorithm=SGD_ALGORITHM | {"steps": {"mode": "multiple_of_n", "factor": math.inf}}),
+                "steps factor must be positive and finite",
+            ),
         ],
     )
     def test_rejects_values_it_would_truncate_or_misread(self, overrides, message):
@@ -306,6 +328,21 @@ class TestFailureHandling:
         assert "failed" in payload
         assert payload["records"] == []
 
+    def test_a_failed_coverage_stage_persists_every_record(self, report, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no replicates")
+
+        monkeypatch.setattr(lab, "fit_replicates", fail)
+        out = str(tmp_path / "coverage")
+        config = ExperimentConfig.from_dict(base_config(coverage_n=20))
+        with pytest.raises(RuntimeError, match="stage 'coverage' failed at n=20: no replicates"):
+            run_experiment(dataclasses.replace(config, out_dir=out))
+        with open(os.path.join(out, "report.json")) as fh:
+            payload = json.load(fh)
+        assert payload["failed"] == "stage 'coverage' failed at n=20: no replicates"
+        assert payload["records"] == json.loads(json.dumps(report.to_dict()["records"]))
+        assert check_report(payload) == [f"report carries a failure marker: {payload['failed']}"]
+
 
 class TestConstantPreset:
     def test_constant_algorithm_runs_with_zero_stability(self):
@@ -391,6 +428,20 @@ class TestArtifacts:
             assert rows[0] == ["i", "replacement", "distance", "loss_gap"]
             assert len(rows) - 1 == n * 4
 
+    def test_check_report_counts_a_nan_as_outside_the_limit(self, outputs):
+        _, out = outputs
+        with open(os.path.join(out, "report.json")) as fh:
+            payload = json.load(fh)
+        assert check_report(payload) == []
+        payload["records"][0]["stability"]["alpha_hat"] = math.nan
+        for row in payload["coverage"]["rows"]:
+            row["plain_gap"] = math.nan
+        payload["digest"] = report_digest(payload)
+        problems = check_report(payload)
+        assert len(problems) == 2
+        assert problems[0].startswith("n=10 stability: alpha_hat nan exceeds theory_alpha")
+        assert problems[1].startswith("coverage plain-gap: 100 violations exceed envelope")
+
     def test_write_report_files_returns_every_path(self, outputs):
         report, out = outputs
         paths = write_report_files(report, out)
@@ -411,13 +462,6 @@ class TestValidateAndPlots:
         )
         with pytest.raises(ValueError):
             validate_bound_coverage(thin, "plain-gap")
-
-    def test_emit_plot_data_rejects_unknown_kinds(self, tmp_path):
-        report = run_experiment(ExperimentConfig.from_dict(base_config()))
-        with pytest.raises(ValueError):
-            emit_plot_data(report, "histogram", tmp_path / "x.csv")
-        with pytest.raises(ValueError):
-            emit_plot_data(report, "coverage", tmp_path / "x.csv")
 
     def test_fitted_rate_slope_needs_two_positive_points(self):
         payload = {

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import stabilab
+import stabilab.cli
 import stabilab.datagen
 
 
@@ -89,6 +90,19 @@ def _callers(path: Path, name: str) -> list:
 
     visit(ast.parse(path.read_text()), None)
     return found
+
+
+def test_the_cli_imports_no_private_name_from_lab():
+    # lab owns the report format; the CLI reaches it through public names only.
+    tree = ast.parse(Path(stabilab.cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("lab", "stabilab.lab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_loss_arithmetic_goes_through_loss_model():
