@@ -11,18 +11,26 @@ come from a fixed teacher vector through one of three mechanisms:
 A mechanism labels in two steps: ``draw_raw(rng, out)`` reads its
 randomness for each example of ``out`` from a stream, and
 ``labels_from(margins, raw)`` labels a whole block from margins and draws.
+The ±1 mechanisms also give ``label_mean(margins)``, E[y | margin].
 
 One private sampler, over one Philox key per sample, draws every sample:
-:func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`,
-the replicate stacks of :func:`fit_replicates` (one stack, fitted once)
-and the Monte-Carlo branch of :func:`true_risks` (exact where a closed
-form exists), the risks of a stack of hypotheses. It reads each stream
-straight into the output buffers, then does the arithmetic in place a
-block at a time.
+:func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`
+and the replicate stacks of :func:`fit_replicates` (one stack, fitted
+once). It reads each stream straight into the output buffers, then does
+the arithmetic in place a block at a time.
+
+:func:`true_risks` takes the population risk of a stack of hypotheses
+exactly, with no sampling. The projection of a uniform point of the unit
+sphere in R^D onto a k-dimensional subspace has density proportional to
+(1 - ||u||^2)^((D - k)/2 - 1) (Fang, Kotz & Ng 1990), and a linear
+hypothesis's risk depends on x only through its projection onto
+span(h, teacher). So each risk is a closed form or an integral of at most
+two dimensions, taken by Gauss-Legendre rules split at the kinks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,8 +48,13 @@ FEATURE_LAWS = ("sphere", "ball")
 _CLIP_MASS = 1e-12
 # A Gaussian feature row with a norm below this is redrawn before scaling.
 _MIN_NORM = 1e-12
-# Examples per block of the sampler's in-place arithmetic.
+# Examples per block of the sampler's in-place arithmetic, and quadrature
+# nodes per block of the exact risk.
 _BLOCK_EXAMPLES = 4096
+# Gauss-Legendre nodes per piece of the exact risk's quadrature; doubling
+# them moves no risk by 1e-12 relative (see _nodes for steep margins).
+_NODES = 32
+_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,10 @@ class LogisticTeacher:
     def labels_from(self, margins: np.ndarray, raw: np.ndarray) -> np.ndarray:
         return np.where(raw < _sigmoid(margins), 1.0, -1.0)
 
+    def label_mean(self, margins: np.ndarray) -> np.ndarray:
+        """E[y | margin] = 2 sigmoid(margin) - 1."""
+        return np.tanh(0.5 * np.asarray(margins, dtype=np.float64))
+
     def classification(self) -> bool:
         return True
 
@@ -100,6 +117,10 @@ class SignFlip:
         if self.flip_prob == 0:
             return base
         return base * np.where(raw < self.flip_prob, -1.0, 1.0)
+
+    def label_mean(self, margins: np.ndarray) -> np.ndarray:
+        """E[y | margin], with a zero margin labelled +1 as labels_from does."""
+        return (1.0 - 2.0 * self.flip_prob) * np.where(np.asarray(margins) >= 0, 1.0, -1.0)
 
     def classification(self) -> bool:
         return True
@@ -235,39 +256,192 @@ def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: 
     return fits, X, y
 
 
-def true_risks(loss: LossModel, H, spec: DistributionSpec, draws: int, seeds) -> np.ndarray:
-    """The population risk of each row of a (C, d) stack of hypotheses.
+def _sphere_dim(spec: DistributionSpec) -> int:
+    """D such that x / B is distributed as the first dim coordinates of a
+    uniform point of the unit sphere in R^D: dim for the sphere law and
+    dim + 2 for the ball (the uniform ball in R^d is the projection of the
+    uniform sphere in R^(d+2))."""
+    return spec.dim + (2 if spec.feature_law == "ball" else 0)
 
-    Squared loss with LinearNoise on the uniform sphere has the closed
-    form ||h - teacher||^2 * B^2 / d + noise_sd^2 (plus the determinate
-    ridge term); everything else falls back to Monte Carlo with the given
-    number of draws, row c's drawn on ``(seeds[c], "risk-mc")``. Rows are
-    drawn and scored by ``values_raw`` in blocks of at most
-    ``_BLOCK_EXAMPLES`` points (one row at least); no row reads another.
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use.
+
+    Newton's method on P_n(cos theta) from Tricomi's estimates of the root
+    angles; a root x = cos theta has weight 2 / (sin theta P_n'(x))^2.
+    Elementwise arithmetic only: no LAPACK call, and no import of
+    numpy.polynomial, which costs about 1.3 MiB of resident memory.
+    """
+
+    def legendre(x):
+        # P_n and P_n' by P_(k+1) = ((2k+1) x P_k - k P_(k-1)) / (k+1) and
+        # P_(k+1)' = P_(k-1)' + (2k+1) P_k.
+        p0, p1, d0, d1 = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            d0, d1 = d1, d0 + (2 * k + 1) * p0
+        return p1, d1
+
+    theta = math.pi * (np.arange(n) + 0.75) / (n + 0.5)
+    for _ in range(6):
+        value, slope = legendre(np.cos(theta))
+        theta = theta + value / (np.sin(theta) * slope)
+    _, slope = legendre(np.cos(theta))
+    nodes, weights = np.cos(theta), 2.0 / (np.sin(theta) * slope) ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _cos_mass(k: int) -> float:
+    """The integral of cos^k over [-pi/2, pi/2]."""
+    mass = math.pi if k % 2 == 0 else 2.0
+    for j in range(k % 2 + 2, k + 1, 2):
+        mass *= (j - 1) / j
+    return mass
+
+
+def _arc_rule(lo, hi, power: int, n: int, bent: bool = False):
+    """Angles (..., n) and weights of an n-point Gauss-Legendre rule for the
+    integral over [lo, hi] against cos^power / _cos_mass(power).
+
+    A bent rule puts the nodes at hi - (hi - lo) w^2 for Gauss nodes w in
+    [0, 1], which makes an integrand that behaves as sqrt(hi - angle)
+    polynomial in w.
+    """
+    x, g = _legendre(n)
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    if bent:
+        w = 0.5 * (x + 1.0)
+        angles, weights = hi - (hi - lo) * w * w, (hi - lo) * w * g
+    else:
+        angles, weights = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * g
+    return angles, weights * np.cos(angles) ** power / _cos_mass(power)
+
+
+def _nodes(steepest: float) -> int:
+    """Nodes per piece for a smooth integrand of margins up to ``steepest``:
+    _NODES up to 16, and more in proportion beyond."""
+    return _NODES * max(1, math.ceil(steepest / 16.0))
+
+
+def _hinge_excess(mech, D: int, M, cos_b, sin_b, c: float, n: int) -> np.ndarray:
+    """E[(M p - 1)_+ (1 + mu(a))] for each row with M > 1, where p is the
+    coordinate along h, a = c (cos_b p + sin_b q) the teacher margin and mu
+    the label mean.
+
+    The outer integral runs over the angle psi = arcsin p from arcsin(1/M),
+    the hinge kink, to pi/2. It is split where the line a = 0 leaves the
+    circle (tan psi = |tan b|); just below that angle the inner mean moves
+    as a half-integer power of the distance to it, which a bent rule makes
+    polynomial. Given p, q is sqrt(1 - p^2) sin phi, and the inner integral
+    over phi is split where a changes sign, so that a SignFlip mean is
+    constant on each piece. D = 2 has the two-point inner law
+    q = ±sqrt(1 - p^2).
+    """
+    lo = np.arcsin(1.0 / M)
+    mid = np.clip(np.arctan2(sin_b, np.abs(cos_b)), lo, _HALF_PI)
+    bent_at, bent_w = _arc_rule(lo, mid, D - 2, n, bent=True)
+    flat_at, flat_w = _arc_rule(mid, np.full_like(mid, _HALF_PI), D - 2, n)
+    psi = np.concatenate([bent_at, flat_at], axis=-1)
+    weights = np.concatenate([bent_w, flat_w], axis=-1)
+    ramp = M[:, None] * np.sin(psi) - 1.0
+    if c == 0.0:
+        return np.einsum("ri,ri->r", ramp, weights)
+    along = c * cos_b[:, None] * np.sin(psi)
+    across = c * sin_b[:, None] * np.cos(psi)
+    if D == 2:
+        mean = 0.5 * (mech.label_mean(along - across) + mech.label_mean(along + across))
+    else:
+        edge = np.where(along >= 0.0, -1.0, 1.0)
+        np.divide(-along, across, out=edge, where=across > 0.0)
+        edge = np.arcsin(np.clip(edge, -1.0, 1.0))
+        below = _arc_rule(np.full_like(edge, -_HALF_PI), edge, D - 3, n)
+        above = _arc_rule(edge, np.full_like(edge, _HALF_PI), D - 3, n)
+        phi = np.concatenate([below[0], above[0]], axis=-1)
+        inner = np.concatenate([below[1], above[1]], axis=-1)
+        margins = along[..., None] + across[..., None] * np.sin(phi)
+        mean = np.einsum("rij,rij->ri", mech.label_mean(margins), inner)
+    return np.einsum("ri,ri->r", ramp * (1.0 + mean), weights)
+
+
+def _classification_risks(loss: LossModel, H: np.ndarray, spec: DistributionSpec):
+    """Risks without the ridge term of each row under a ±1 label mechanism.
+
+    With mu(a) = E[y | teacher margin a] and the margin m = <h, x>, the risk
+    is E[S(m)] + E[mu(a) A(m)] for S and A the even and odd parts
+    (phi(m, +1) +- phi(m, -1)) / 2. A is linear for the squared (-2m) and
+    logistic (-m/2) losses, and E[mu(a) <h, x>] = B <h, t/||t||> J with
+    J = E[u mu(c u)] over one coordinate u of the unit sphere in R^D and
+    c = B ||t||; so both are one-dimensional. The hinge's A is
+    -(m + clip(m, -1, 1)) / 2, which leaves the two-dimensional
+    :func:`_hinge_excess` for rows with B ||h|| > 1.
+    """
+    kind, mech, B, t = loss.kind, spec.mechanism, spec.feature_bound, spec.teacher
+    D = _sphere_dim(spec)
+    if D == 1:
+        x = np.array([-B, B])
+        return 0.5 * np.einsum("ci->c", loss.expected_values(H * x, mech.label_mean(t[0] * x)))
+    t_norm = math.sqrt(float(np.einsum("d,d->", t, t)))
+    c = B * t_norm
+    ht = np.einsum("cd,d->c", H, t / t_norm) if t_norm else np.zeros(len(H))
+    hh = np.einsum("cd,cd->c", H, H)
+    along = B * ht
+    n = _nodes(c)
+    psi, w = _arc_rule(0.0, _HALF_PI, D - 2, n)
+    J = 2.0 * float(np.einsum("i,i->", np.sin(psi) * mech.label_mean(c * np.sin(psi)), w))
+    if kind == "squared":
+        return B * B * hh / D + 1.0 - 2.0 * along * J
+    M = B * np.sqrt(hh)
+    if kind == "logistic":
+        # The even part varies on the margin scale, up to B times the certified radius.
+        n = _nodes(B * loss.radius)
+        psi, w = _arc_rule(0.0, _HALF_PI, D - 2, n)
+        values = np.empty(len(H))
+        step = max(1, _BLOCK_EXAMPLES // n)
+        for start in range(0, len(H), step):
+            even = loss.expected_values(M[start : start + step, None] * np.sin(psi), 0.0)
+            values[start : start + step] = 2.0 * np.einsum("ri,i->r", even, w)
+        return values - 0.5 * along * J
+    # hinge: S(m) = 1 + (|m| - 1)_+ / 2, and by the symmetry u -> -u
+    # E[mu(a) A(m)] = -B <h, t/||t||> J + E[(M p - 1)_+ mu(a)]; the two
+    # expectations with a ramp are _hinge_excess, which only rows with M > 1 reach.
+    values = 1.0 - along * J
+    rows = np.flatnonzero(M > 1.0)
+    step = max(1, _BLOCK_EXAMPLES // (4 * n * n))
+    for start in range(0, len(rows), step):
+        r = rows[start : start + step]
+        norm = np.sqrt(hh[r])
+        cos_b, sin_b = ht[r] / norm, np.sqrt(np.maximum(hh[r] - ht[r] ** 2, 0.0)) / norm
+        values[r] += _hinge_excess(mech, D, M[r], cos_b, sin_b, c, n)
+    return values
+
+
+def true_risks(loss: LossModel, H, spec: DistributionSpec) -> np.ndarray:
+    """The exact population risk of each row of a (C, d) stack of hypotheses.
+
+    A linear hypothesis's risk depends on x only through (<teacher, x>,
+    <h, x>), whose law is that of a 2-D projection of the uniform sphere
+    (see :func:`_sphere_dim`). Squared loss with LinearNoise has the closed
+    form ||h - teacher||^2 * B^2 / D + noise_sd^2; the ±1 mechanisms, which
+    provide ``label_mean``, reduce to the one- and two-dimensional
+    integrals of :func:`_classification_risks`, taken by Gauss-Legendre
+    rules split at every kink. The ridge term is added as rho * ||h||^2.
+    Sums run in a fixed order, and a row reads no other row.
     """
     H = loss.check_hypothesis(H)
     if H.ndim != 2 or H.shape[1] != spec.dim:
         raise ValueError("hypothesis dimension does not match the distribution")
-    if len(seeds) != len(H):
-        raise ValueError("true_risks needs one seed per hypothesis")
-    closed = (
-        loss.kind == "squared"
-        and isinstance(spec.mechanism, LinearNoise)
-        and spec.feature_law == "sphere"
-    )
-    if closed:
+    mech = spec.mechanism
+    if isinstance(mech, LinearNoise) and loss.kind == "squared":
         G = H - spec.teacher
-        values = _matvec(G[:, None, :], G)[:, 0] * spec.feature_bound**2 / spec.dim
-        values += spec.mechanism.noise_sd**2
-        if loss.ridge_term:
-            values += loss.ridge_term * _matvec(H[:, None, :], H)[:, 0]
-        return values
-    if draws < 2:
-        raise ValueError("draws must be >= 2 for a Monte Carlo estimate")
-    values = np.empty(len(H))
-    step = max(1, _BLOCK_EXAMPLES // draws)
-    for start in range(0, len(H), step):
-        rows = slice(start, start + step)
-        X, y = _sample_stack(spec, draws, [stream_key(seed, "risk-mc") for seed in seeds[rows]])
-        values[rows] = loss.values_raw(H[rows], X, y).mean(axis=1)
+        values = _matvec(G[:, None, :], G)[:, 0] * spec.feature_bound**2 / _sphere_dim(spec)
+        values += mech.noise_sd**2
+    elif mech.classification() and hasattr(mech, "label_mean"):
+        values = _classification_risks(loss, H, spec)
+    else:
+        raise ValueError(f"no exact risk for {loss.kind} loss under {type(mech).__name__}")
+    if loss.ridge_term:
+        values += loss.ridge_term * _matvec(H[:, None, :], H)[:, 0]
     return values

@@ -53,7 +53,7 @@ from .seeding import child_seed
 from .stability import CELL_HEADER, StabilityReport, closed_form, measure_argument_stability
 from .concentration import TailExperiment, center_concentration_experiment
 
-ARTIFACT_VERSION = "report-7"
+ARTIFACT_VERSION = "report-8"
 
 # Desk-scale budget caps; configs beyond these are refused up front.
 MAX_N = 400
@@ -275,12 +275,12 @@ def report_digest(report) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _gaps(config: ExperimentConfig, loss, fits, features, labels, risk_seeds, draws):
-    """Plain and deformed gap of each fitted row on its own sample, its true
-    risk from ``draws`` Monte-Carlo points on its risk seed."""
+def _gaps(config: ExperimentConfig, loss, fits, features, labels):
+    """Plain and deformed gap of each fitted row on its own sample, against
+    its exact population risk."""
     loss.check_examples(features, labels)
     emp = loss.values_raw(loss.check_hypothesis(fits), features, labels).mean(axis=1)
-    true = true_risks(loss, fits, config.distribution, draws, risk_seeds)
+    true = true_risks(loss, fits, config.distribution)
     plain, deformed = true - emp, deformed_gap(true, emp, config.a)
     return [{"plain": p, "deformed": q} for p, q in zip(plain.tolist(), deformed.tolist())]
 
@@ -386,7 +386,7 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
         fit = algorithm.fit_many(X, y, [child_seed(seed, "record-fit", n)])
-        (gaps,) = _gaps(config, loss, fit, X, y, [child_seed(seed, "risk", n)], draws=4096)
+        (gaps,) = _gaps(config, loss, fit, X, y)
         stage = "tail"
         tail = tail_stage(config, algorithm, n, alpha).to_dict() if config.tail else None
     except Exception as exc:
@@ -417,8 +417,7 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
         _, constants = _bound_constants(config, algorithm, n)
         bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
         fits, X, y = fit_replicates(algorithm, config.distribution, n, trials, seed, "coverage")
-        risk_seeds = [child_seed(seed, "coverage-risk", rep) for rep in range(trials)]
-        gaps = _gaps(config, loss, fits, X, y, risk_seeds, draws=2048)
+        gaps = _gaps(config, loss, fits, X, y)
     except Exception as exc:
         raise RuntimeError(f"stage 'coverage' failed at n={n}: {exc}") from exc
     return {

@@ -68,7 +68,12 @@ def _real(value, name: str) -> float:
     """``value`` as a float: a real number, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a finite number, got an integer beyond the float range"
+        ) from None
 
 
 def _count(value, name: str, lo: int, hi: int) -> int:

@@ -211,6 +211,13 @@ class LossModel:
             vals = vals + self.ridge_term * sq
         return vals
 
+    def expected_values(self, margins: np.ndarray, label_means) -> np.ndarray:
+        """E[phi(m, y)] at each margin m for a ±1 label y with the given mean,
+        without the ridge term."""
+        up = 0.5 * (1.0 + np.asarray(label_means, dtype=np.float64))
+        plus = margin_values(self.kind, margins, np.ones_like(margins))
+        return up * plus + (1.0 - up) * margin_values(self.kind, margins, -np.ones_like(margins))
+
     def risk_gradient_raw(self, h: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The gradient of the mean loss: (d,), or (C, d) for a stack."""
         slopes = margin_slopes(self.kind, _matvec(X, h), y)

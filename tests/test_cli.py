@@ -435,6 +435,14 @@ class TestBoundsCommand:
         assert f"{path}: not valid JSON ({literal} is not a finite number)" in captured.err
         assert captured.out == ""
 
+    def test_an_integer_beyond_the_float_range_is_named(self, tmp_path, capsys):
+        path = write_json(tmp_path, "constants.json", plain_constants(lipschitz=10**400))
+        assert main(["bounds", path]) == 1
+        captured = capsys.readouterr()
+        want = "lipschitz must be a finite number, got an integer beyond the float range"
+        assert want in captured.err
+        assert captured.out == ""
+
     def test_missing_constants_file_exits_2(self, tmp_path):
         assert main(["bounds", str(tmp_path / "absent.json")]) == 2
 

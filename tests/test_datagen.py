@@ -16,9 +16,10 @@ from stabilab import (
 from stabilab import datagen
 from stabilab.datagen import draw_samples, true_risks
 from stabilab.exceptions import DomainError
-from stabilab.seeding import substream
+from stabilab.losses import _sigmoid, margin_values
 
-from stream_oracle import serial_draw, serial_draw_samples
+from risk_oracle import serial_risks
+from stream_oracle import serial_draw_samples
 
 
 def linear_spec(dim=3, feature_bound=1.0, teacher_scale=0.4, noise_sd=0.05, law="sphere"):
@@ -91,6 +92,14 @@ class TestMechanisms:
         assert set(np.unique(strong)) <= {-1.0, 1.0}
         assert np.mean(strong > 0) > 0.9
         assert abs(np.mean(weak > 0) - 0.5) < 0.03
+
+    def test_label_means_are_the_mean_labels(self):
+        margins = np.array([-2.0, -0.3, 0.0, 0.3, 2.0])
+        np.testing.assert_allclose(
+            LogisticTeacher().label_mean(margins), 2.0 * _sigmoid(margins) - 1.0, rtol=0, atol=1e-15
+        )
+        mean = 1.0 - 2.0 * 0.2
+        assert np.array_equal(SignFlip(0.2).label_mean(margins), [-mean, -mean, mean, mean, mean])
 
     def test_classification_flags(self):
         assert not LinearNoise(0.1).classification()
@@ -250,19 +259,26 @@ class TestDrawSamples:
 
 
 class TestTrueRisk:
-    def test_closed_form_hand_value(self):
+    def test_sphere_closed_form_hand_value(self):
         spec = linear_spec(dim=2, teacher_scale=0.5, noise_sd=0.01)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
-        values = true_risks(loss, [[0.0, 0.0]], spec, 4096, [0])
+        values = true_risks(loss, [[0.0, 0.0]], spec)
         assert values[0] == pytest.approx(0.25 / 2.0 + 0.0001, abs=1e-15)
+
+    def test_ball_closed_form_hand_value(self):
+        # ||h - t||^2 B^2 / (d + 2) + sd^2 = (0.3^2 + 0.4^2) * 2^2 / 5 + 0.01^2
+        spec = linear_spec(dim=3, feature_bound=2.0, teacher_scale=0.3, noise_sd=0.01, law="ball")
+        loss = make_loss("squared", 2.0, 1.0, 1.0)
+        values = true_risks(loss, [[0.0, 0.4, 0.0]], spec)
+        assert values[0] == pytest.approx(0.2001, abs=1e-15)
 
     def test_closed_form_includes_the_ridge_term(self):
         spec = linear_spec(dim=2, teacher_scale=0.5, noise_sd=0.0)
         plain = make_loss("squared", 1.0, 1.0, 1.0)
         ridged = make_loss("squared", 1.0, 1.0, 1.0, 0.25)
         h = [0.2, -0.4]
-        (ridged_risk,) = true_risks(ridged, [h], spec, 4096, [0])
-        (plain_risk,) = true_risks(plain, [h], spec, 4096, [0])
+        (ridged_risk,) = true_risks(ridged, [h], spec)
+        (plain_risk,) = true_risks(plain, [h], spec)
         gap = ridged_risk - plain_risk
         assert gap == pytest.approx(0.25 * 0.2, abs=1e-15)
 
@@ -270,34 +286,84 @@ class TestTrueRisk:
         spec = linear_spec(dim=3, teacher_scale=0.3, noise_sd=0.05)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         h = np.array([0.1, -0.2, 0.05])
-        (exact,) = true_risks(loss, [h], spec, 4096, [0])
+        (exact,) = true_risks(loss, [h], spec)
         s = draw_sample(spec, 4096, seed=12)
         vals = loss.values_raw(h, s.features, s.labels)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 4.0 * se
 
-    def test_monte_carlo_path_replays(self):
-        spec = linear_spec(dim=3, teacher_scale=0.3, noise_sd=0.05, law="ball")
-        loss = make_loss("squared", 1.0, 1.0, 1.0)
-        h = np.array([0.1, -0.2, 0.05])
-        (a_value,) = true_risks(loss, [h], spec, 512, [8])
-        (b_value,) = true_risks(loss, [h], spec, 512, [8])
-        (other,) = true_risks(loss, [h], spec, 512, [9])
-        assert a_value == b_value
-        assert other != a_value  # the ball law has no closed form: the seed moves it
+    @pytest.mark.parametrize("law, mean_abs", [("sphere", 0.5), ("ball", 0.375)])
+    def test_squared_loss_under_sign_flip_hand_value(self, law, mean_abs):
+        # E[y x] = (1 - 2p) B E|u| t / ||t||, with E|u| = 1/2 for a coordinate
+        # of the unit sphere in R^3 and 3/8 for one of the unit ball.
+        spec = DistributionSpec(
+            dim=3,
+            feature_bound=1.5,
+            teacher=[0.5, 0.0, 0.0],
+            mechanism=SignFlip(0.1),
+            feature_law=law,
+        )
+        loss = make_loss("squared", 1.5, 1.0, 1.0)
+        second = 1.0 / 3.0 if law == "sphere" else 1.0 / 5.0
+        want = 0.2 * 1.5**2 * second - 2.0 * 1.5 * 0.4 * 0.8 * mean_abs + 1.0
+        (value,) = true_risks(loss, [[0.4, 0.2, 0.0]], spec)
+        assert value == pytest.approx(want, rel=1e-14)
 
-    def test_monte_carlo_needs_at_least_two_draws(self):
-        spec = linear_spec(law="ball")
-        loss = make_loss("squared", 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            true_risks(loss, np.zeros((1, 3)), spec, 1, [0])
+    @pytest.mark.parametrize(
+        "mechanism", [LogisticTeacher(), SignFlip(0.2)], ids=["logistic", "flip"]
+    )
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    @pytest.mark.parametrize(
+        "kind, value", [("squared", 1.0), ("logistic", math.log(2.0)), ("hinge", 1.0)]
+    )
+    def test_the_zero_hypothesis_scores_the_loss_at_zero(self, mechanism, law, kind, value):
+        for d in (1, 2, 5):
+            spec = DistributionSpec(
+                dim=d, feature_bound=1.5, teacher=[0.6] * d, mechanism=mechanism, feature_law=law
+            )
+            loss = make_loss(kind, 1.5, 1.0)
+            assert true_risks(loss, np.zeros((1, d)), spec)[0] == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "hinge"])
+    def test_a_zero_teacher_under_sign_flip_labels_every_point_plus_one(self, kind):
+        # The sampler labels a zero margin +1, so every label is +1, flipped
+        # with probability p: the risk is (1 - p) E[phi(m, +1)] + p E[phi(m, -1)].
+        p, B = 0.2, 1.5
+        line = DistributionSpec(dim=1, feature_bound=B, teacher=[0.0], mechanism=SignFlip(p))
+        unflipped = DistributionSpec(dim=1, feature_bound=B, teacher=[0.0], mechanism=SignFlip(0.0))
+        assert np.all(draw_samples(unflipped, 64, [3])[1] == 1.0)
+        loss = make_loss(kind, B, 1.0)
+        m = np.array([-B * 0.9, B * 0.9])
+        want = np.mean((1 - p) * margin_values(kind, m, 1.0) + p * margin_values(kind, m, -1.0))
+        assert true_risks(loss, [[0.9]], line)[0] == pytest.approx(want, rel=1e-15)
+        disc = DistributionSpec(dim=3, feature_bound=B, teacher=np.zeros(3), mechanism=SignFlip(p))
+        H = np.array([[0.9, 0.0, 0.0], [0.2, -0.5, 0.6]])
+        np.testing.assert_allclose(
+            true_risks(loss, H, disc), serial_risks(loss, H, disc), rtol=0, atol=1e-6
+        )
 
     def test_dimension_mismatch_is_rejected(self):
         spec = linear_spec(dim=3)
         loss = make_loss("squared", 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            true_risks(loss, np.zeros((1, 2)), spec, 4096, [0])
+            true_risks(loss, np.zeros((1, 2)), spec)
 
+    def test_a_mechanism_without_a_label_mean_has_no_exact_risk(self):
+        class Coin:
+            def draw_raw(self, rng, out):
+                rng.random(out=out)
+
+            def labels_from(self, margins, raw):
+                return np.where(raw < 0.5, 1.0, -1.0)
+
+            def classification(self):
+                return True
+
+        coin = DistributionSpec(dim=3, feature_bound=1.0, teacher=[0.1, 0.0, 0.0], mechanism=Coin())
+        with pytest.raises(ValueError, match="no exact risk"):
+            true_risks(make_loss("logistic", 1.0, 1.0), np.zeros((1, 3)), coin)
+        with pytest.raises(ValueError, match="no exact risk"):
+            true_risks(make_loss("hinge", 1.0, 1.0), np.zeros((1, 3)), linear_spec(dim=3))
 
 # ---------------------------------------------------------------------------
 # the one sampler against the frozen per-row oracle
@@ -372,27 +438,142 @@ class TestSamplerAgainstSerialOracle:
         assert not np.array_equal(want[0], serial_draw_samples(spec, n, seeds)[0])
         assert_same_stack(draw_samples(spec, n, seeds), want)
 
-    @pytest.mark.parametrize(
-        "mechanism, law, kind",
-        [
-            (LinearNoise(0.02), "ball", "squared"),
-            (LinearNoise(0.0), "ball", "squared"),
-            (LogisticTeacher(), "sphere", "logistic"),
-            (SignFlip(0.0), "ball", "hinge"),
-            (SignFlip(0.2), "sphere", "logistic"),
-        ],
-    )
-    def test_monte_carlo_risk_matches_the_serial_sampler(self, mechanism, law, kind):
-        spec = oracle_spec(mechanism, law)
-        loss = make_loss(kind, 1.5, 1.0, spec.label_bound)
-        h = np.array([0.3, -0.2, 0.1])
-        values = true_risks(loss, [h], spec, 777, [31])
-        X, y = serial_draw(spec, substream(31, "risk-mc"), 777)
-        assert values[0] == float(loss.values_raw(h, X, y).mean())
-
 
 # ---------------------------------------------------------------------------
-# the stacked risk against one-row stacks
+# the exact risk against the dense-grid oracle, a doubled rule, the sampler,
+# and one-row stacks
+
+COMBINATIONS = [
+    (law, kind, mechanism)
+    for law in ("sphere", "ball")
+    for kind, mechanism in [
+        ("squared", LinearNoise(0.05)),
+        ("squared", LogisticTeacher()),
+        ("squared", SignFlip(0.2)),
+        ("logistic", LogisticTeacher()),
+        ("logistic", SignFlip(0.2)),
+        ("hinge", LogisticTeacher()),
+        ("hinge", SignFlip(0.2)),
+    ]
+]
+COMBINATION = pytest.mark.parametrize(
+    "law, kind, mechanism",
+    COMBINATIONS,
+    ids=[f"{law}-{kind}-{type(m).__name__}" for law, kind, m in COMBINATIONS],
+)
+
+
+def risk_case(law, kind, mechanism, d, ridge=0.0):
+    """(loss, spec) of one combination on d dimensions: B = 1.5, a teacher of
+    norm 0.6 off every axis, and a certified radius of 2."""
+    teacher = 0.6 * np.resize([1.0, -1.0], d) / math.sqrt(d)
+    label_bound = 1.0 if mechanism.classification() else 1.5
+    spec = DistributionSpec(
+        dim=d,
+        feature_bound=1.5,
+        teacher=teacher,
+        mechanism=mechanism,
+        label_bound=label_bound,
+        feature_law=law,
+    )
+    return make_loss(kind, 1.5, 2.0, label_bound, ridge), spec
+
+
+def generic_rows(d, seed):
+    """Two hypotheses in general position: B ||h|| = 1.5, past the hinge's
+    kink, and B ||h|| = 0.45."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((2, d))
+    return H * np.array([[1.0], [0.3]]) / np.linalg.norm(H, axis=1, keepdims=True)
+
+
+def special_rows(spec):
+    """Hypotheses along, against and across the teacher, and zero."""
+    unit = spec.teacher / np.linalg.norm(spec.teacher)
+    across = np.zeros(spec.dim)
+    if spec.dim > 1:
+        across[:2] = unit[1], -unit[0]
+        across *= 1.1 / np.linalg.norm(across)
+    return np.stack([1.3 * unit, -0.9 * unit, across, np.zeros(spec.dim)])
+
+
+class TestExactRisk:
+    @pytest.mark.parametrize("n", [1, 2, 5, 32, 64])
+    def test_the_legendre_rule_is_exact_to_degree_2n_minus_1(self, n):
+        nodes, weights = datagen._legendre(n)
+        for k in range(2 * n):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(weights @ nodes**k) == pytest.approx(want, rel=0, abs=1e-14)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        order = np.argsort(nodes)
+        np.testing.assert_allclose(nodes[order], ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights[order], ref_weights, rtol=1e-11, atol=0)
+
+    @COMBINATION
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_matches_the_dense_grid_oracle(self, law, kind, mechanism, d):
+        loss, spec = risk_case(law, kind, mechanism, d)
+        H = generic_rows(d, seed=d)
+        np.testing.assert_allclose(
+            true_risks(loss, H, spec), serial_risks(loss, H, spec), rtol=0, atol=1e-6
+        )
+
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    @pytest.mark.parametrize(
+        "mechanism", [LogisticTeacher(), SignFlip(0.2)], ids=["logistic", "flip"]
+    )
+    def test_hinge_rows_along_and_across_the_teacher_match_the_oracle(self, law, mechanism):
+        loss, spec = risk_case(law, "hinge", mechanism, 3)
+        H = special_rows(spec)
+        np.testing.assert_allclose(
+            true_risks(loss, H, spec), serial_risks(loss, H, spec), rtol=0, atol=1e-6
+        )
+
+    @COMBINATION
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_doubling_the_nodes_moves_no_risk(self, monkeypatch, law, kind, mechanism, d):
+        loss, spec = risk_case(law, kind, mechanism, d)
+        H = np.vstack([generic_rows(d, seed=d), special_rows(spec)])
+        want = true_risks(loss, H, spec)
+        monkeypatch.setattr(datagen, "_NODES", 2 * datagen._NODES)
+        np.testing.assert_allclose(true_risks(loss, H, spec), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["logistic", "hinge"])
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    def test_steep_margins_get_more_nodes(self, monkeypatch, kind, law):
+        # B ||teacher|| = 20 and B ||h|| up to 60: the rule scales its nodes
+        # with the certified radius and the teacher.
+        spec = DistributionSpec(
+            dim=5,
+            feature_bound=4.0,
+            teacher=[5.0, 0, 0, 0, 0],
+            mechanism=LogisticTeacher(),
+            feature_law=law,
+        )
+        loss = make_loss(kind, 4.0, 15.0)
+        H = generic_rows(5, seed=9) * 12.5
+        want = true_risks(loss, H, spec)
+        monkeypatch.setattr(datagen, "_NODES", 2 * datagen._NODES)
+        np.testing.assert_allclose(true_risks(loss, H, spec), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    @pytest.mark.parametrize(
+        "mechanism",
+        [LinearNoise(0.05), LogisticTeacher(), SignFlip(0.2)],
+        ids=["noise", "logistic", "flip"],
+    )
+    def test_lies_within_five_sigma_of_the_sampler(self, law, mechanism):
+        # Every combination at d = 4, its kinds scored on one 200,000-draw sample.
+        kinds = ["squared", "logistic", "hinge"] if mechanism.classification() else ["squared"]
+        for kind in kinds:
+            loss, spec = risk_case(law, kind, mechanism, 4)
+            if kind == "squared":
+                X, y = draw_samples(spec, 200_000, [17])
+            H = generic_rows(4, seed=4)
+            for h, exact in zip(H, true_risks(loss, H, spec)):
+                values = loss.values_raw(h, X[0], y[0])
+                sigma = values.std(ddof=1) / math.sqrt(values.size)
+                assert abs(values.mean() - exact) <= 5.0 * sigma
 
 
 def ball_hypotheses(count, dim, radius, seed):
@@ -404,15 +585,6 @@ def ball_hypotheses(count, dim, radius, seed):
     return H
 
 
-def assert_rows_equal_one_row_risks(loss, H, spec, draws, seeds):
-    """true_risks on the stack equals it on each row alone, bit for bit."""
-    values = true_risks(loss, H, spec, draws, seeds)
-    assert values.shape == (len(H),)
-    for c, (h, seed) in enumerate(zip(H, seeds)):
-        assert values[c] == true_risks(loss, h[None], spec, draws, [seed])[0]
-    return values
-
-
 class TestStackedRisk:
     @pytest.mark.parametrize("ridge", [0.0, 0.25])
     @pytest.mark.parametrize("dim", [1, 3, 8, 16])
@@ -421,60 +593,44 @@ class TestStackedRisk:
         spec = linear_spec(dim=dim, teacher_scale=0.3, noise_sd=0.05)
         loss = make_loss("squared", 1.0, 1.0, 1.0, ridge)
         H = ball_hypotheses(count, dim, 1.0, seed=dim)
-        values = assert_rows_equal_one_row_risks(loss, H, spec, 4096, range(count))
+        values = true_risks(loss, H, spec)
         for value, h in zip(values, H):
+            assert value == true_risks(loss, h[None], spec)[0]
             gap = h - spec.teacher
             want = float(gap @ gap) * spec.feature_bound**2 / spec.dim + 0.05**2
             if ridge:
                 want += ridge * float(h @ h)
             assert value == want
 
-    @pytest.mark.parametrize(
-        "mechanism, law, kind, ridge",
-        [
-            (LinearNoise(0.02), "ball", "squared", 0.0),
-            (LinearNoise(0.02), "ball", "squared", 0.25),
-            (LogisticTeacher(), "sphere", "logistic", 0.0),
-            (LogisticTeacher(), "sphere", "logistic", 0.1),
-            (SignFlip(0.2), "ball", "hinge", 0.0),
-        ],
-    )
-    @pytest.mark.parametrize("count", [1, 13])
-    def test_monte_carlo_rows_equal_the_serial_sampler(self, mechanism, law, kind, ridge, count):
-        # 777 draws a row: 5 rows a block, so 13 rows fill three blocks.
-        spec = oracle_spec(mechanism, law)
-        loss = make_loss(kind, 1.5, 1.0, spec.label_bound, ridge)
-        H = ball_hypotheses(count, 3, 1.0, seed=count)
-        seeds = SEEDS + list(range(count))
-        values = assert_rows_equal_one_row_risks(loss, H, spec, 777, seeds[:count])
+    @COMBINATION
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_a_stack_equals_each_row_alone(self, law, kind, mechanism, d):
+        loss, spec = risk_case(law, kind, mechanism, d, ridge=0.1)
+        H = np.vstack([ball_hypotheses(5, d, 2.0, seed=d), special_rows(spec)])
+        values = true_risks(loss, H, spec)
+        assert values.shape == (len(H),)
         for c, h in enumerate(H):
-            X, y = serial_draw(spec, substream(seeds[c], "risk-mc"), 777)
-            assert values[c] == float(loss.values_raw(h, X, y).mean())
+            assert values[c] == true_risks(loss, h[None], spec)[0]
 
-    @pytest.mark.parametrize("block", [1, 1000, 4096])
-    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, block):
-        spec = oracle_spec(LogisticTeacher(), "ball")
-        loss = make_loss("logistic", 1.5, 1.0)
-        H = ball_hypotheses(9, 3, 1.0, seed=4)
-        want = true_risks(loss, H, spec, 512, list(range(9)))
+    @pytest.mark.parametrize("kind", ["logistic", "hinge"])
+    @pytest.mark.parametrize("block", [1, 100, 4096])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, kind, block):
+        loss, spec = risk_case("ball", kind, SignFlip(0.2), 3)
+        H = ball_hypotheses(9, 3, 2.0, seed=4)
+        want = true_risks(loss, H, spec)
         monkeypatch.setattr(datagen, "_BLOCK_EXAMPLES", block)
-        got = true_risks(loss, H, spec, 512, list(range(9)))
-        assert np.array_equal(got, want)
+        assert np.array_equal(true_risks(loss, H, spec), want)
 
-    def test_a_stack_is_checked_before_any_draw(self, monkeypatch):
-        spec = oracle_spec(LogisticTeacher(), "ball")
-        loss = make_loss("logistic", 1.5, 1.0)
-        H = ball_hypotheses(4, 3, 1.0, seed=6)
-        monkeypatch.setattr(datagen, "_sample_stack", None)
+    def test_a_stack_is_checked_before_any_quadrature(self, monkeypatch):
+        loss, spec = risk_case("ball", "logistic", LogisticTeacher(), 3)
+        H = ball_hypotheses(4, 3, 2.0, seed=6)
+        monkeypatch.setattr(datagen, "_classification_risks", None)
         wide, nan = H.copy(), H.copy()
-        wide[2] *= 1.5 / np.linalg.norm(wide[2])
+        wide[2] *= 2.5 / np.linalg.norm(wide[2])
         nan[3, 0] = np.nan
         with pytest.raises(DomainError, match="exceeds certified radius"):
-            true_risks(loss, wide, spec, 512, range(4))
+            true_risks(loss, wide, spec)
         with pytest.raises(ValueError, match="finite"):
-            true_risks(loss, nan, spec, 512, range(4))
-        with pytest.raises(ValueError, match="one seed per hypothesis"):
-            true_risks(loss, H, spec, 512, range(3))
+            true_risks(loss, nan, spec)
         with pytest.raises(ValueError, match="dimension"):
-            true_risks(loss, H[:, :2], spec, 512, range(4))
-
+            true_risks(loss, H[:, :2], spec)

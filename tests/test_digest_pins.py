@@ -144,6 +144,24 @@ PINS = {
         "sgd-strongly-convex": "9bf0260715d1c23e4b713fa6334c0b5563439b58ef675946831df052ddb7893e",
         "rerm-lp": "bcb2c1f008eea909ab4e5a0b0ce9ebe88eb92cc9219b92dae3edacc834735262",
     },
+    # Exact population risks replaced the Monte-Carlo ones behind the gaps of
+    # sgd-strongly-convex and rerm-lp; the two acceptance configs (squared
+    # loss with linear noise on the sphere, already exact) moved only through
+    # the version string. Each level was checked on one and two BLAS threads.
+    "report-8 numpy 2.4.6 simd [X86_V3 X86_V4 AVX512_ICL AVX512_SPR] OpenBLAS 0.3.31.188.0 "
+    "USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
+        "acceptance": "b887a42eee8c295b61e62ceeba0349e2362065026144f28ed96d271b12e1eaed",
+        "acceptance-tail": "76c8164fbca18f820ec662969b2ebc172555194a2e582fdf7c07fa1fc54c49fc",
+        "sgd-strongly-convex": "f665c01c55743c0b08bd6e6b55a45f0187ceff7bc556163af47b2c41c5f525fc",
+        "rerm-lp": "eadf8304bf95cbddbc3be5cffe8917e939bbd9e04d14d18d4dbb36b9c813fecf",
+    },
+    "report-8 numpy 2.4.6 simd [X86_V3] OpenBLAS 0.3.31.188.0 "
+    "USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64": {
+        "acceptance": "b887a42eee8c295b61e62ceeba0349e2362065026144f28ed96d271b12e1eaed",
+        "acceptance-tail": "76c8164fbca18f820ec662969b2ebc172555194a2e582fdf7c07fa1fc54c49fc",
+        "sgd-strongly-convex": "4506b43d890a26370986d83a42983682d5411aaec6f94eeb8ccd0b5d457d0bd3",
+        "rerm-lp": "753f5a3186beb3df4e6961ecd3b24536129e3530a8bf8d3bdd1ebf24da8ae03f",
+    },
 }
 
 # Reads the configs as JSON on stdin and prints {"key": ..., "digests": ...}.

@@ -283,7 +283,7 @@ class TestRunExperiment:
     def test_report_dict_hides_working_state(self, report):
         payload = report.to_dict()
         assert "stability_reports" not in payload
-        assert payload["version"] == "report-7"
+        assert payload["version"] == "report-8"
         assert payload["config"]["name"] == "ridge-smoke"
 
     def test_digest_ignores_wall_time(self, report):
