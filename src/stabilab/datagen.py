@@ -343,7 +343,7 @@ def _hinge_excess(mech, D: int, M, cos_b, sin_b, c: float, n: int) -> np.ndarray
     lo = np.arcsin(1.0 / M)
     mid = np.clip(np.arctan2(sin_b, np.abs(cos_b)), lo, _HALF_PI)
     bent_at, bent_w = _arc_rule(lo, mid, D - 2, n, bent=True)
-    flat_at, flat_w = _arc_rule(mid, np.full_like(mid, _HALF_PI), D - 2, n)
+    flat_at, flat_w = _arc_rule(mid, _HALF_PI, D - 2, n)
     psi = np.concatenate([bent_at, flat_at], axis=-1)
     weights = np.concatenate([bent_w, flat_w], axis=-1)
     ramp = M[:, None] * np.sin(psi) - 1.0
@@ -357,8 +357,8 @@ def _hinge_excess(mech, D: int, M, cos_b, sin_b, c: float, n: int) -> np.ndarray
         edge = np.where(along >= 0.0, -1.0, 1.0)
         np.divide(-along, across, out=edge, where=across > 0.0)
         edge = np.arcsin(np.clip(edge, -1.0, 1.0))
-        below = _arc_rule(np.full_like(edge, -_HALF_PI), edge, D - 3, n)
-        above = _arc_rule(edge, np.full_like(edge, _HALF_PI), D - 3, n)
+        below = _arc_rule(-_HALF_PI, edge, D - 3, n)
+        above = _arc_rule(edge, _HALF_PI, D - 3, n)
         phi = np.concatenate([below[0], above[0]], axis=-1)
         inner = np.concatenate([below[1], above[1]], axis=-1)
         margins = along[..., None] + across[..., None] * np.sin(phi)

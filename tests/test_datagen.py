@@ -465,7 +465,7 @@ COMBINATION = pytest.mark.parametrize(
 
 def risk_case(law, kind, mechanism, d, ridge=0.0):
     """(loss, spec) of one combination on d dimensions: B = 1.5, a teacher of
-    norm 0.6 off every axis, and a certified radius of 2."""
+    norm 0.6 along (1, -1, 1, ...), and a certified radius of 2."""
     teacher = 0.6 * np.resize([1.0, -1.0], d) / math.sqrt(d)
     label_bound = 1.0 if mechanism.classification() else 1.5
     spec = DistributionSpec(
