@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import Callable
 
-from .learners import SgdSpec, _integral, _keys
+from .learners import SgdSpec, _integral, _keys, _real
 from .stability import rerm_alpha, sgd_alpha
 
 
@@ -309,10 +309,16 @@ class BoundFamily:
     optional: dict
 
     def evaluate(self, constants: dict) -> BoundBreakdown:
-        """The bound at the given constants; names the family does not read are ignored."""
+        """The bound at the given constants, each read as a real number bar the SGD regime,
+        the counts and an optional None; names the family does not read are ignored."""
         accepted = self.required | set(self.optional)
-        kwargs = {**self.optional, **{k: v for k, v in constants.items() if k in accepted}}
-        _keys(kwargs, f"{self.name} family", self.required, self.optional)
+        given = {k: v for k, v in constants.items() if k in accepted}
+        _keys(given, f"{self.name} family", self.required, self.optional)
+        for key, value in given.items():
+            default_none = key in self.optional and self.optional[key] is None
+            if key not in ("regime", "n", "steps") and not (value is None and default_none):
+                given[key] = _real(value, key)
+        kwargs = {**self.optional, **given}
         kwargs["n"] = _integral(kwargs["n"], "n", "an integer sample size")
         return self.calculate(**kwargs)
 

@@ -124,54 +124,35 @@ def cmd_complexity(args) -> int:
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
     alpha = theoretical_alpha(algorithm, n)
-    radius, center, estimate = complexity_stage(config, algorithm, sample_stage(config, n), alpha)
-    payload = {
-        "n": n,
-        "delta": config.delta,
-        "alpha_theory": alpha,
-        "radius": radius,
-        "center_std_error": center.std_error_norm(),
-        "rademacher": estimate.to_dict(),
-    }
+    ball = complexity_stage(config, algorithm, sample_stage(config, n), alpha)
+    payload = {"n": n, "delta": config.delta, "alpha_theory": alpha, **ball}
+    estimate = ball["rademacher"]
     header = ["n", "delta", "alpha_theory", "radius", "rademacher_mean", "rademacher_std_error"]
-    rows = [[n, config.delta, alpha, radius, estimate.mean, estimate.std_error]]
+    rows = [[n, config.delta, alpha, ball["radius"], estimate["mean"], estimate["std_error"]]]
     _emit(args, "complexity", payload, header, rows)
     return 0
 
 
-def _evaluate_bound_family(spec):
-    table = {name: (family.required, family.optional) for name, family in BOUND_FAMILIES.items()}
-    family = BOUND_FAMILIES[_tagged(spec, "family", table, "constants file")]
-    constants = {key: value for key, value in spec.items() if key != "family"}
-    # Every constant is a number, bar the SGD regime, the counts the family
-    # checks itself, and an optional constant left at its default None.
-    for key, value in constants.items():
-        may_be_none = key in family.optional and family.optional[key] is None
-        if key not in ("regime", "n", "steps") and not (value is None and may_be_none):
-            constants[key] = _real(value, key)
-    return family.evaluate(constants)
-
-
 def cmd_bounds(args) -> int:
-    breakdown = _evaluate_bound_family(_load_json(args.constants))
+    spec = _load_json(args.constants)
+    table = {name: (family.required, family.optional) for name, family in BOUND_FAMILIES.items()}
+    breakdown = BOUND_FAMILIES[_tagged(spec, "family", table, "constants file")].evaluate(spec)
     payload = breakdown.to_dict()
     header = ["name", "term", "value"]
     rows = [[breakdown.name, label, value] for label, value in breakdown.terms]
     rows.append([breakdown.name, "total", breakdown.total])
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(header, rows)
-    else:
-        width = max(len(label) for label, _ in breakdown.terms) + 2
-        print(f"bound: {breakdown.name}   confidence: {breakdown.confidence:g}")
-        for label, value in breakdown.terms:
-            print(f"  {label:<{width}} {value:.6g}")
-        print(f"  {'total':<{width}} {breakdown.total:.6g}")
-        if breakdown.vacuous:
-            print("  (vacuous: total exceeds the loss bound)")
-        for note in breakdown.notes:
-            print(f"  note: {note}")
+    if args.format is not None:
+        _emit(args, "bounds", payload, header, rows)
+        return 0
+    width = max(len(label) for label, _ in breakdown.terms) + 2
+    print(f"bound: {breakdown.name}   confidence: {breakdown.confidence:g}")
+    for label, value in breakdown.terms:
+        print(f"  {label:<{width}} {value:.6g}")
+    print(f"  {'total':<{width}} {breakdown.total:.6g}")
+    if breakdown.vacuous:
+        print("  (vacuous: total exceeds the loss bound)")
+    for note in breakdown.notes:
+        print(f"  note: {note}")
     _write_outputs(args, "bounds", payload, header, rows)
     return 0
 

@@ -211,7 +211,8 @@ def brute_force_rademacher(
         block = 1 << 14
         for start in range(0, patterns, block):
             count = min(block, patterns - start)
-            total += float(finite_class_draw_values(H, X, _exhaustive_signs(n, start, count)).sum())
+            sums = _sign_sums(_exhaustive_signs(n, start, count), X)
+            total += float(_finite_class_values(H, sums, n).sum())
         return RademacherEstimate(
             mean=total / patterns, std_error=0.0, draws=patterns, seed=seed
         )

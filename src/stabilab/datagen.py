@@ -181,8 +181,10 @@ def _sample_stack(spec: DistributionSpec, n: int, keys: list):
     stream of ``keys[c]``: its n x d standard normals, its n radii (ball law
     only), then its raw label draws. Rows with a norm below ``_MIN_NORM``
     get fresh normals before the radii. Raises ValueError if a label is not
-    finite.
+    finite, or if n < 1.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     C, d = len(keys), spec.dim
     X, y = np.empty((C, n, d)), np.empty((C, n))
     step = max(1, _BLOCK_EXAMPLES // n)
@@ -228,8 +230,6 @@ def draw_samples(spec: DistributionSpec, n: int, seeds):
     """(C, n, d) features and (C, n) labels; row c is drawn on ``(seeds[c],
     "datagen")``, so it depends only on (spec, n, seeds[c]). Raises
     ValueError if a label is not finite."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _sample_stack(spec, n, [stream_key(seed, "datagen") for seed in seeds])
 
 
@@ -242,8 +242,6 @@ def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: 
     preset fits it on ``child_seed(seed, f"{label}-fit", j)``; a
     deterministic one ignores its seed and gets 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     replicates = range(count)
     X, y = _sample_stack(dist, n, [stream_key(seed, f"{label}-sample", j) for j in replicates])
     seeds = [0] * count

@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields
@@ -337,8 +338,8 @@ def stability_stage(config: ExperimentConfig, algorithm, sample: Sample) -> Stab
     )
 
 
-def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha: float):
-    """(radius, center, Rademacher estimate) of the confidence ball at the sample's n."""
+def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha: float) -> dict:
+    """The record's radius, center and Rademacher estimate of the confidence ball at n."""
     n = sample.n
     radius = ball_radius(1.0, alpha, n, config.delta)
     center = estimate_center(
@@ -352,7 +353,12 @@ def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha:
     rademacher = ball_rademacher(
         ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
     )
-    return radius, center, rademacher
+    return {
+        "radius": radius,
+        "center": [float(v) for v in center.vector],
+        "center_std_error": center.std_error_norm(),
+        "rademacher": {**rademacher.to_dict(), "radius": radius, "delta": config.delta},
+    }
 
 
 def tail_stage(config: ExperimentConfig, algorithm, n: int, alpha: float) -> TailExperiment:
@@ -369,7 +375,6 @@ def tail_stage(config: ExperimentConfig, algorithm, n: int, alpha: float) -> Tai
 
 
 def _run_record(config: ExperimentConfig, algorithm, n: int):
-    seed = config.seed
     stage = "sample"
     try:
         sample = sample_stage(config, n)
@@ -377,15 +382,13 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         stage = "stability"
         stability = stability_stage(config, algorithm, sample)
         alpha = stability.theory_alpha
-        if alpha is None:
-            raise ValueError("no theoretical alpha for this preset")
         stage = "complexity"
-        radius, center, rademacher = complexity_stage(config, algorithm, sample, alpha)
+        complexity = complexity_stage(config, algorithm, sample, alpha)
         stage = "bounds"
         breakdowns, coefficients = _bound_set(config, algorithm, n)
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
-        fit = algorithm.fit_many(X, y, [child_seed(seed, "record-fit", n)])
+        fit = algorithm.fit_many(X, y, [child_seed(config.seed, "record-fit", n)])
         (gaps,) = _gaps(config, loss, fit, X, y)
         stage = "tail"
         tail = tail_stage(config, algorithm, n, alpha).to_dict() if config.tail else None
@@ -394,14 +397,7 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
     record = {
         "n": n,
         "stability": stability.to_dict(),
-        "radius": radius,
-        "center": [float(v) for v in center.vector],
-        "center_std_error": center.std_error_norm(),
-        "rademacher": {
-            **rademacher.to_dict(),
-            "radius": radius,
-            "delta": config.delta,
-        },
+        **complexity,
         "bounds": [b.to_dict() for b in breakdowns],
         "coefficients": coefficients,
         "gaps": gaps,
@@ -497,7 +493,7 @@ def validate_bound_coverage(report, which: str) -> dict:
         raise ValueError(f"unknown bound name {which!r}")
     payload = report.to_dict() if isinstance(report, ExperimentReport) else report
     coverage = payload.get("coverage")
-    if coverage is None or _read_coverage(coverage)["replications"] < MIN_COVERAGE_REPLICATIONS:
+    if coverage is None or len(_read_coverage(coverage)["rows"]) < MIN_COVERAGE_REPLICATIONS:
         raise ValueError(
             f"report needs a coverage section with >= {MIN_COVERAGE_REPLICATIONS} replications"
         )
@@ -506,21 +502,21 @@ def validate_bound_coverage(report, which: str) -> dict:
     gaps = [_real(row[key], f"coverage row {key}") for row in coverage["rows"]]
     violations = sum(not gap <= total for gap in gaps)  # a NaN gap counts
     return {
-        "runs": coverage["replications"],
+        "runs": len(gaps),
         "violations": violations,
         "nominal": 2.0 * _real(coverage["delta"], "coverage delta"),
     }
 
 
-def _measured_stability(stability: dict, preset: str, n: int):
+def _measured_stability(stability: dict, stochastic: bool, n: int):
     """(label, values) of the measured stability a record's closed form bounds.
 
     Ridge and penalized ERM bound every replace-one distance, so their
     ``alpha_hat`` is checked. The SGD closed forms bound the coupled-twin
-    distance in expectation over the shared index stream, so SGD presets
-    check each index's mean distance over its replacements instead.
+    distance in expectation over the shared index stream, so stochastic
+    presets check each index's mean distance over its replacements instead.
     """
-    if not preset.startswith("sgd-"):
+    if not stochastic:
         return "alpha_hat", [_real(stability["alpha_hat"], f"n={n} alpha_hat")]
     entries = _as_list(stability["per_index"], f"n={n} per_index")
     if len(entries) != n:
@@ -529,56 +525,104 @@ def _measured_stability(stability: dict, preset: str, n: int):
     return "largest per-index mean distance", [_real(m, f"n={n} per_index mean") for m in means]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _agrees(stated, expected) -> bool:
+    """Numbers agree to a relative 1e-12, so a one-ulp difference passes; other values are equal."""
+    if not _is_real(expected):
+        return stated == expected
+    return _is_real(stated) and math.isclose(stated, expected, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _mismatches(where: str, stated: dict, expected: dict) -> list:
+    """A line for each value ``stated`` shares with ``expected`` and gives otherwise."""
+    def shown(value):
+        return f"{value:.6g}" if _is_real(value) else repr(value)
+
+    return [
+        f"{where}: {key} {shown(value)} != "
+        f"{'theoretical' if 'alpha' in key else 'config'} {shown(expected[key])}"
+        for key, value in stated.items()
+        if key in expected and not _agrees(value, expected[key])
+    ]
+
+
 def check_report(payload) -> list:
     """The problems of a written report, one line each; empty when it checks out.
 
-    A malformed report raises ValueError naming the key or field. A report
+    The report's config is read as :func:`run_experiment` reads it and its
+    preset built; every theoretical alpha and bound constant is recomputed
+    from them, never taken from the report, and the records' n grid and the
+    coverage section's settings and row count must be the config's. A
+    malformed report raises ValueError naming the key or field. A report
     must carry its digest unless it is a partial one, which carries a
-    failure marker instead. Every comparison is written as "within the
-    limit", so a NaN fails it.
+    failure marker instead and may hold a prefix of the n grid. Every
+    comparison is written as "within the limit", so a NaN fails it.
     """
     _keys(payload, "report", *_REPORT_KEYS)
-    config = _keys(payload["config"], "report config", *_CONFIG_KEYS)
+    try:
+        config = ExperimentConfig.from_dict(payload["config"])
+    except ValueError as exc:
+        raise ValueError(f"report config {str(exc).removeprefix('config ')}") from exc
+    algorithm = build_algorithm(config)
     records = _as_list(payload["records"], "records")
+    failed = payload.get("failed")
     problems = []
     stored = payload.get("digest")
     if stored is not None:
         recomputed = report_digest(payload)
         if stored != recomputed:
             problems.append(f"digest mismatch: stored {str(stored)[:12]}.. != {recomputed[:12]}..")
-    elif not payload.get("failed"):
+    elif not failed:
         problems.append("report has no digest")
-    algorithm = config["algorithm"]
-    preset = str(_keys(algorithm, "report config algorithm", {"preset"}, algorithm)["preset"])
-    for record in records:
-        n = _integral(_keys(record, "report record", _RECORD_KEYS)["n"], "record n")
+    grid = [_integral(_keys(r, "report record", _RECORD_KEYS)["n"], "record n") for r in records]
+    expected = config.n_grid[: len(grid)] if failed else config.n_grid
+    if grid != list(expected):
+        problems.append(f"records hold n = {grid}, not the config n_grid {list(config.n_grid)}")
+    for n, record in zip(grid, records):
+        if n not in config.n_grid:
+            continue
+        form, constants = _bound_constants(config, algorithm, n)
         stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
-        theory = stability["theory_alpha"]
-        if theory is not None:
-            theory = _real(theory, f"n={n} theory_alpha")
-            label, measured = _measured_stability(stability, preset, n)
-            over = [value for value in measured if not value <= theory + 1e-8]
-            if over:
-                problems.append(
-                    f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {theory:.6g}"
-                )
+        stated = {"theory_alpha": _real(stability["theory_alpha"], f"n={n} theory_alpha")}
+        problems += _mismatches(f"n={n} stability", stated, {"theory_alpha": form.alpha})
+        label, measured = _measured_stability(stability, algorithm.stochastic, n)
+        over = [value for value in measured if not value <= form.alpha + 1e-8]
+        if over:
+            problems.append(
+                f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {form.alpha:.6g}"
+            )
         for bound in _as_list(record["bounds"], "record bounds"):
             _read_bound(bound, f"n={n} bound")
             total = math.fsum(term["value"] for term in bound["terms"])
             if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
                 problems.append(f"n={n} {bound['name']}: total != sum of terms")
-            used = bound["constants_used"].get("alpha")
-            if theory is not None and used is not None:
-                used = _real(used, f"n={n} {bound['name']} constants_used alpha")
-                if not math.isclose(used, theory, rel_tol=1e-12, abs_tol=1e-15):
-                    problems.append(
-                        f"n={n} {bound['name']}: alpha {used:.6g} != theoretical {theory:.6g}"
-                    )
+            problems += _mismatches(f"n={n} {bound['name']}", bound["constants_used"], constants)
     coverage = payload.get("coverage")
-    replications = 0 if coverage is None else _read_coverage(coverage)["replications"]
-    if replications >= MIN_COVERAGE_REPLICATIONS:
+    if coverage is not None:
+        problems += _coverage_problems(config, algorithm, _read_coverage(coverage))
+    elif config.coverage_n is not None and not failed:
+        problems.append(f"report has no coverage section for coverage_n={config.coverage_n}")
+    if failed:
+        problems.append(f"report carries a failure marker: {failed}")
+    return problems
+
+
+def _coverage_problems(config: ExperimentConfig, algorithm, coverage: dict) -> list:
+    """The problems of a read coverage section, against the config it was run from."""
+    # Rows are counted as replications, so both must number the config's trials.
+    stated = {**coverage, "rows": len(coverage["rows"])}
+    counts = {"n": config.coverage_n, "replications": config.trials, "rows": config.trials}
+    problems = _mismatches("coverage", stated, {**counts, "delta": config.delta, "a": config.a})
+    if config.coverage_n is not None:
+        _, constants = _bound_constants(config, algorithm, config.coverage_n)
+        for name, bound in coverage["bounds"].items():
+            problems += _mismatches(f"coverage {name}", bound["constants_used"], constants)
+    if stated["rows"] >= MIN_COVERAGE_REPLICATIONS:
         for which in _GAP_KEYS:
-            outcome = validate_bound_coverage(payload, which)
+            outcome = validate_bound_coverage({"coverage": coverage}, which)
             runs, nominal = outcome["runs"], outcome["nominal"]
             envelope = runs * nominal + 3.0 * math.sqrt(runs * nominal * (1.0 - nominal))
             if not outcome["violations"] <= envelope:
@@ -586,8 +630,6 @@ def check_report(payload) -> list:
                     f"coverage {which}: {outcome['violations']} violations exceed "
                     f"envelope {envelope:.1f} at nominal {nominal:g}"
                 )
-    if payload.get("failed"):
-        problems.append(f"report carries a failure marker: {payload['failed']}")
     return problems
 
 

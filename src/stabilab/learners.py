@@ -545,12 +545,15 @@ class _Preset:
 
         Cell c swaps example ``replaced_index[c]`` for ``(repl_x[c],
         repl_y[c])`` and fits with ``seeds[c]``; ``seeds=None`` fits every
-        cell with the default seed 0. A deterministic fit on S does not
-        depend on the cell, so HA repeats ``base``, the fit on S.
+        cell with the default seed 0. A stochastic preset's twins are coupled,
+        each pair on its cell's index stream; a deterministic fit on S does
+        not depend on the cell, so HA repeats ``base``, the fit on S.
         """
         twin, seeds = _twin_cells(sample, replaced_index, repl_x, repl_y, seeds)
-        HB = self._fit_stack(sample.features, sample.labels, seeds, twin)
-        return np.broadcast_to(base, HB.shape), HB
+        H = self._fit_stack(sample.features, sample.labels, seeds, twin)
+        if self.stochastic:
+            return np.split(H, 2)
+        return np.broadcast_to(base, H.shape), H
 
 
 def _twin_cells(sample: Sample, replaced_index, repl_x, repl_y, seeds):
@@ -866,11 +869,6 @@ class SgdAlgorithm(_Preset):
         """Final kernel states, ``features`` and ``twin`` as :func:`_sgd_kernel` takes them."""
         n = features.shape[-2]
         return _sgd_kernel(self.loss_for(n), self.spec_for(n), seeds, features, labels, twin)
-
-    def fit_twins(self, sample: Sample, replaced_index, repl_x, repl_y, seeds, base):
-        """Coupled twins: HA and HB share each cell's index stream; ``base`` is not read."""
-        twin, seeds = _twin_cells(sample, replaced_index, repl_x, repl_y, seeds)
-        return np.split(self._fit_stack(sample.features, sample.labels, seeds, twin), 2)
 
 
 def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:

@@ -17,7 +17,7 @@ from stabilab.bounds import (
     sgd_gap_bound,
 )
 from stabilab.cli import main
-from stabilab.lab import ExperimentConfig, report_digest, run_experiment
+from stabilab.lab import ExperimentConfig, check_report, report_digest, run_experiment
 
 
 MECHANISM = {"type": "linear_noise", "noise_sd": 0.05}
@@ -87,25 +87,64 @@ def run_dir(tmp_path_factory, config_path):
     return out
 
 
-def as_sgd(edit):
-    """``edit`` applied to a report relabelled as a strongly convex SGD run,
+def on_sgd(edit):
+    """``edit``, marked to apply to the report of a strongly convex SGD run,
     whose stability check reads each per-index mean."""
+    edit.sgd = True
+    return edit
 
-    def apply(payload):
-        payload["config"]["algorithm"]["preset"] = "sgd-strongly-convex"
-        edit(payload)
 
-    return apply
+def run_config(tmp_path_factory, name, raw):
+    """The output directory of ``experiment run`` on the config ``raw``."""
+    directory = tmp_path_factory.mktemp(name)
+    path, out = write_json(directory, "config.json", raw), directory / "out"
+    assert main(["experiment", "run", path, "--out-dir", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def sgd_run_dir(tmp_path_factory):
+    """A run of a small strongly convex SGD config."""
+    return run_config(tmp_path_factory, "cli-sgd", base_config(algorithm=SGD_ALGORITHM))
 
 
 @pytest.fixture(scope="module")
 def covered_run_dir(tmp_path_factory):
     """A run whose report carries a coverage section of 100 replications."""
-    directory = tmp_path_factory.mktemp("cli-covered")
-    path = write_json(directory, "config.json", base_config(coverage_n=10))
-    out = directory / "out"
-    assert main(["experiment", "run", path, "--out-dir", str(out)]) == 0
-    return out
+    return run_config(tmp_path_factory, "cli-covered", base_config(coverage_n=10))
+
+
+@pytest.fixture(scope="module")
+def wide_run_dir(tmp_path_factory):
+    """A run whose coverage section holds 200 replications at delta 0.25, so
+    the violation envelope (nominal rate 0.5) is wide."""
+    raw = base_config(coverage_n=10, delta=0.25, trials=200)
+    return run_config(tmp_path_factory, "cli-wide", raw)
+
+
+def scale_every_alpha(payload):
+    """Every stated theory_alpha and every bound's alpha, times 10 together."""
+    bounds = list(payload["coverage"]["bounds"].values())
+    for record in payload["records"]:
+        record["stability"]["theory_alpha"] *= 10.0
+        bounds += record["bounds"]
+    for bound in bounds:
+        if "alpha" in bound["constants_used"]:
+            bound["constants_used"]["alpha"] *= 10.0
+
+
+def violating_coverage(rows, violations, **fields):
+    """A coverage edit: keep ``rows`` rows, the first ``violations`` of them
+    above the plain-gap bound, and overwrite ``fields`` of the section."""
+
+    def apply(payload):
+        coverage = payload["coverage"]
+        coverage["rows"] = coverage["rows"][:rows]
+        for row in coverage["rows"][:violations]:
+            row["plain_gap"] = coverage["bounds"]["plain-gap"]["total"] + 1.0
+        coverage.update(fields)
+
+    return apply
 
 
 class TestStabilityCommand:
@@ -222,11 +261,8 @@ class TestStagesMatchTheExperiment:
         path, records = setup
         assert main(["complexity", path, "--n", str(n)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        record = records[n]
-        assert payload["radius"] == record["radius"]
-        assert payload["center_std_error"] == record["center_std_error"]
-        for key in ("mean", "std_error", "draws", "seed"):
-            assert payload["rademacher"][key] == record["rademacher"][key]
+        for key in ("radius", "center", "center_std_error", "rademacher"):
+            assert payload[key] == records[n][key]
 
 
 class TestBoundsCommand:
@@ -697,10 +733,10 @@ class TestExperimentCommands:
         assert "exceeds theory_alpha" in out
         assert out.count("invalid:") == 1
 
-    def test_validate_checks_sgd_records_on_per_index_means(self, run_dir, tmp_path, capsys):
-        with open(run_dir / "report.json") as fh:
+    def test_validate_checks_sgd_records_on_per_index_means(self, sgd_run_dir, tmp_path, capsys):
+        with open(sgd_run_dir / "report.json") as fh:
             payload = json.load(fh)
-        payload["config"]["algorithm"]["preset"] = "sgd-strongly-convex"
+        assert check_report(payload) == []
         stability = payload["records"][0]["stability"]
         theory = stability["theory_alpha"]
         # One realization above the closed form is allowed for SGD ...
@@ -715,6 +751,48 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "sgd-mean.json", payload)
         assert main(["experiment", "validate", path]) == 1
         assert "largest per-index mean distance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (scale_every_alpha, "n=10 stability: theory_alpha"),
+            (
+                lambda payload: payload["config"].update(delta=0.45),
+                "n=10 plain-gap: delta 0.25 != config 0.45",
+            ),
+            (
+                lambda payload: payload["records"].pop(0),
+                "records hold n = [20], not the config n_grid [10, 20]",
+            ),
+            (violating_coverage(120, 120), "coverage: rows 120 != config 200"),
+            (
+                violating_coverage(200, 130, replications=500),
+                "coverage: replications 500 != config 200",
+            ),
+            (violating_coverage(200, 150, delta=0.49), "coverage: delta 0.49 != config 0.25"),
+        ],
+        ids=[
+            "every-alpha-times-10",
+            "config-delta-edited",
+            "record-deleted",
+            "coverage-rows-cut",
+            "coverage-replications-raised",
+            "coverage-delta-edited",
+        ],
+    )
+    def test_validate_rebuilds_the_run_from_the_config(
+        self, wide_run_dir, tmp_path, tamper, message, capsys
+    ):
+        # Each tamper keeps the report self-consistent, its digest recomputed;
+        # only the config the run is rebuilt from shows it.
+        with open(wide_run_dir / "report.json") as fh:
+            payload = json.load(fh)
+        assert check_report(payload) == []
+        tamper(payload)
+        payload["digest"] = report_digest(payload)
+        path = write_json(tmp_path, "tampered.json", payload)
+        assert main(["experiment", "validate", path]) == 1
+        assert message in capsys.readouterr().out
 
     def test_validate_flags_a_failure_marker(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:
@@ -954,6 +1032,7 @@ class TestExperimentCommands:
                 lambda payload: payload["config"].update(algorithm=[["preset", "ridge"]]),
                 "report config algorithm must be a dict, got list",
             ),
+            (lambda payload: payload.update(config=[]), "report config must be a dict, got list"),
             (
                 lambda payload: payload["coverage"]["bounds"].pop("plain-gap"),
                 "report coverage bounds needs the keys ['plain-gap']",
@@ -967,11 +1046,11 @@ class TestExperimentCommands:
                 "coverage replications must be an integer, got '100'",
             ),
             (
-                as_sgd(lambda payload: payload["records"][0]["stability"]["per_index"][0].pop("mean")),
+                on_sgd(lambda payload: payload["records"][0]["stability"]["per_index"][0].pop("mean")),
                 "n=10 per_index entry needs the keys ['mean']",
             ),
             (
-                as_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=5)),
+                on_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=5)),
                 "n=10 per_index must be a list, got 5",
             ),
             (
@@ -987,11 +1066,11 @@ class TestExperimentCommands:
                 "coverage row plain_gap must be a number, got None",
             ),
             (
-                as_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=[])),
+                on_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=[])),
                 "n=10 per_index must have 10 entries, got 0",
             ),
             (
-                as_sgd(lambda payload: payload["records"][0]["stability"]["per_index"].pop()),
+                on_sgd(lambda payload: payload["records"][0]["stability"]["per_index"].pop()),
                 "n=10 per_index must have 10 entries, got 9",
             ),
             (
@@ -1005,6 +1084,7 @@ class TestExperimentCommands:
             "unknown-report-key",
             "bound-without-terms",
             "algorithm-as-a-list",
+            "config-as-a-list",
             "coverage-without-plain-gap",
             "stability-as-a-list",
             "replications-as-a-string",
@@ -1018,10 +1098,9 @@ class TestExperimentCommands:
             "record-n-as-a-string",
         ],
     )
-    def test_validate_names_a_malformed_report(
-        self, covered_run_dir, tmp_path, edit, message, capsys
-    ):
-        with open(covered_run_dir / "report.json") as fh:
+    def test_validate_names_a_malformed_report(self, request, tmp_path, edit, message, capsys):
+        source = "sgd_run_dir" if getattr(edit, "sgd", False) else "covered_run_dir"
+        with open(request.getfixturevalue(source) / "report.json") as fh:
             payload = json.load(fh)
         edit(payload)
         path = write_json(tmp_path, "malformed.json", payload)

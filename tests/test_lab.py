@@ -442,6 +442,30 @@ class TestArtifacts:
         assert problems[0].startswith("n=10 stability: alpha_hat nan exceeds theory_alpha")
         assert problems[1].startswith("coverage plain-gap: 100 violations exceed envelope")
 
+    def test_a_partial_report_may_hold_a_prefix_of_the_grid(self, outputs):
+        _, out = outputs
+        with open(os.path.join(out, "report.json")) as fh:
+            payload = json.load(fh)
+        failed = "stage 'stability' failed at n=20: boom"
+        partial = {key: payload[key] for key in ("version", "config")}
+        partial.update(records=payload["records"][:1], failed=failed)
+        assert check_report(partial) == [f"report carries a failure marker: {failed}"]
+        partial["records"] = payload["records"][1:]
+        problems = check_report(partial)
+        assert problems[0] == "records hold n = [20], not the config n_grid [10, 20]"
+
+    def test_a_coverage_section_goes_with_the_config_coverage_n(self, outputs):
+        _, out = outputs
+        with open(os.path.join(out, "report.json")) as fh:
+            payload = json.load(fh)
+        coverage = payload.pop("coverage")
+        payload["digest"] = report_digest(payload)
+        assert check_report(payload) == ["report has no coverage section for coverage_n=20"]
+        payload["coverage"] = coverage
+        del payload["config"]["coverage_n"]
+        payload["digest"] = report_digest(payload)
+        assert check_report(payload) == ["coverage: n 20 != config None"]
+
     def test_write_report_files_returns_every_path(self, outputs):
         report, out = outputs
         paths = write_report_files(report, out)

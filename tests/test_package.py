@@ -75,16 +75,23 @@ def test_docstring_references_resolve():
     assert references >= 30
 
 
-def _callers(path: Path, name: str) -> list:
-    """The enclosing function (None at module level) of each call to ``name``."""
+def _calls(func, name: str, module: str | None) -> bool:
+    """Whether a call's ``func`` names ``name``; with ``module``, as ``module.name``."""
+    if module is None:
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+    owner = getattr(func, "value", None)
+    return getattr(func, "attr", None) == name and getattr(owner, "id", None) == module
+
+
+def _callers(path: Path, name: str, module: str | None = None) -> list:
+    """The enclosing function (None at module level) of each call to ``name``,
+    or with ``module`` to ``module.name``."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == name:
-                    found.append(owner)
+            if isinstance(child, ast.Call) and _calls(child.func, name, module):
+                found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
 
@@ -105,12 +112,12 @@ def test_the_cli_imports_no_private_name_from_lab():
     assert private == []
 
 
-def test_loss_arithmetic_goes_through_loss_model():
-    # LossModel's batch helpers are the one loss evaluator; the SGD kernel's
-    # inline row gradient is the one other caller of the margin slopes. The
-    # logistic values and bound are the one softplus: no np.logaddexp at all.
+def _stray_loss_arithmetic(paths) -> list:
+    """Loss arithmetic outside ``losses.py``: a call to a margin helper (bar
+    the SGD kernel's slopes), or to NumPy's ``exp`` or ``log1p``, the parts
+    of a softplus; and any ``logaddexp`` at all."""
     stray = []
-    for path in sorted(Path(stabilab.__file__).parent.glob("*.py")):
+    for path in paths:
         stray += [f"{path.name}: {owner} calls logaddexp" for owner in _callers(path, "logaddexp")]
         if path.name == "losses.py":
             continue
@@ -120,8 +127,29 @@ def test_loss_arithmetic_goes_through_loss_model():
                 for owner in _callers(path, name)
                 if owner not in allowed
             ]
-    assert stray == []
+        for name in ("exp", "log1p"):
+            stray += [f"{path.name}: {owner} calls np.{name}" for owner in _callers(path, name, "np")]
+    return stray
 
+
+def test_loss_arithmetic_goes_through_loss_model():
+    # LossModel's batch helpers are the one loss evaluator; the SGD kernel's
+    # inline row gradient is the one other caller of the margin slopes. The
+    # logistic values and bound are the one softplus: no np.logaddexp at all,
+    # and no np.exp or np.log1p to build a second one from.
+    assert _stray_loss_arithmetic(sorted(Path(stabilab.__file__).parent.glob("*.py"))) == []
+
+
+def test_an_inline_softplus_is_stray_loss_arithmetic(tmp_path):
+    path = tmp_path / "risk.py"
+    path.write_text("import numpy as np\n\n\ndef even_part(m):\n    return 0.5 * m + np.log1p(np.exp(-m))\n")
+    assert _stray_loss_arithmetic([path]) == [
+        "risk.py: even_part calls np.exp",
+        "risk.py: even_part calls np.log1p",
+    ]
+    # math.exp, as the Pinelis rate calls it, is not a softplus part.
+    path.write_text("import math\n\n\ndef rate(t):\n    return 2.0 * math.exp(-t)\n")
+    assert _stray_loss_arithmetic([path]) == []
 
 
 def test_sampling_draws_only_in_the_one_sampler():
