@@ -308,13 +308,13 @@ def _bound_constants(config: ExperimentConfig, algorithm, n: int):
     }
 
 
-def _bound_set(config: ExperimentConfig, algorithm, n: int):
-    """Every applicable bound at n, and the preset's coefficient table."""
-    form, constants = _bound_constants(config, algorithm, n)
+def _bound_set(form, constants: dict) -> list:
+    """Every bound that applies to a closed form, at the constants
+    :func:`_bound_constants` gives with it."""
     names = ["complexity", "plain-gap", "fast-rate"]
     if form.family is not None:
         names.append(form.family)
-    return [BOUND_FAMILIES[name].evaluate(constants) for name in names], form.coefficients
+    return [BOUND_FAMILIES[name].evaluate(constants) for name in names]
 
 
 # The per-n stages below are shared by run_experiment and the CLI's
@@ -385,7 +385,8 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         stage = "complexity"
         complexity = complexity_stage(config, algorithm, sample, alpha)
         stage = "bounds"
-        breakdowns, coefficients = _bound_set(config, algorithm, n)
+        form, constants = _bound_constants(config, algorithm, n)
+        breakdowns = _bound_set(form, constants)
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
         fit = algorithm.fit_many(X, y, [child_seed(config.seed, "record-fit", n)])
@@ -399,7 +400,7 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         "stability": stability.to_dict(),
         **complexity,
         "bounds": [b.to_dict() for b in breakdowns],
-        "coefficients": coefficients,
+        "coefficients": form.coefficients,
         "gaps": gaps,
         "tail": tail,
     }
@@ -536,30 +537,49 @@ def _agrees(stated, expected) -> bool:
     return _is_real(stated) and math.isclose(stated, expected, rel_tol=1e-12, abs_tol=1e-15)
 
 
-def _mismatches(where: str, stated: dict, expected: dict) -> list:
-    """A line for each value ``stated`` shares with ``expected`` and gives otherwise."""
+def _mismatches(where: str, stated: dict, expected: dict, source: str | None = None) -> list:
+    """A line for each value ``stated`` shares with ``expected`` and gives
+    otherwise, the expected value called ``source``: by default
+    "theoretical" for an alpha and "config" for any other key."""
     def shown(value):
         return f"{value:.6g}" if _is_real(value) else repr(value)
 
     return [
         f"{where}: {key} {shown(value)} != "
-        f"{'theoretical' if 'alpha' in key else 'config'} {shown(expected[key])}"
+        f"{source or ('theoretical' if 'alpha' in key else 'config')} {shown(expected[key])}"
         for key, value in stated.items()
         if key in expected and not _agrees(value, expected[key])
     ]
+
+
+def _bound_problems(where: str, bound: dict, constants: dict, expected: BoundBreakdown) -> list:
+    """The problems of a read bound entry: its total against the sum of its
+    terms, and its constants, term labels, total and term values against
+    ``expected``, its family evaluated on the rebuilt ``constants``."""
+    problems = []
+    total = math.fsum(term["value"] for term in bound["terms"])
+    if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
+        problems.append(f"{where}: total != sum of terms")
+    problems += _mismatches(where, bound["constants_used"], constants)
+    stated = {"total": bound["total"], **{t["label"]: t["value"] for t in bound["terms"]}}
+    evaluated = {"total": expected.total, **dict(expected.terms)}
+    if stated.keys() != evaluated.keys():
+        problems.append(f"{where}: terms {list(stated)[1:]} != evaluated {list(evaluated)[1:]}")
+    return problems + _mismatches(where, stated, evaluated, "evaluated")
 
 
 def check_report(payload) -> list:
     """The problems of a written report, one line each; empty when it checks out.
 
     The report's config is read as :func:`run_experiment` reads it and its
-    preset built; every theoretical alpha and bound constant is recomputed
-    from them, never taken from the report, and the records' n grid and the
-    coverage section's settings and row count must be the config's. A
-    malformed report raises ValueError naming the key or field. A report
-    must carry its digest unless it is a partial one, which carries a
-    failure marker instead and may hold a prefix of the n grid. Every
-    comparison is written as "within the limit", so a NaN fails it.
+    preset built; every theoretical alpha, ball radius, bound constant and
+    bound value (each term and total) is recomputed from them, never taken
+    from the report, and the records' n grid and the coverage section's
+    settings and row count must be the config's. A malformed report raises
+    ValueError naming the key or field. A report must carry its digest
+    unless it is a partial one, which carries a failure marker instead and
+    may hold a prefix of the n grid. Every comparison is written as "within
+    the limit", so a NaN fails it.
     """
     _keys(payload, "report", *_REPORT_KEYS)
     try:
@@ -594,12 +614,20 @@ def check_report(payload) -> list:
             problems.append(
                 f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {form.alpha:.6g}"
             )
-        for bound in _as_list(record["bounds"], "record bounds"):
-            _read_bound(bound, f"n={n} bound")
-            total = math.fsum(term["value"] for term in bound["terms"])
-            if not math.isclose(total, bound["total"], rel_tol=1e-12, abs_tol=1e-15):
-                problems.append(f"n={n} {bound['name']}: total != sum of terms")
-            problems += _mismatches(f"n={n} {bound['name']}", bound["constants_used"], constants)
+        rademacher = record["rademacher"]
+        _keys(rademacher, f"n={n} rademacher", {"radius"}, rademacher)  # its other keys are free
+        radii = {"radius": record["radius"], "rademacher radius": rademacher["radius"]}
+        radius = ball_radius(1.0, form.alpha, n, config.delta)
+        problems += _mismatches(f"n={n}", radii, dict.fromkeys(radii, radius), "theoretical")
+        bounds = _as_list(record["bounds"], "record bounds")
+        bounds = [_read_bound(bound, f"n={n} bound") for bound in bounds]
+        expected = _bound_set(form, constants)
+        names, evaluated = [b["name"] for b in bounds], [b.name for b in expected]
+        if names != evaluated:
+            problems.append(f"n={n} bounds {names} != evaluated {evaluated}")
+        for bound, want in zip(bounds, expected):
+            if bound["name"] == want.name:
+                problems += _bound_problems(f"n={n} {want.name}", bound, constants, want)
     coverage = payload.get("coverage")
     if coverage is not None:
         problems += _coverage_problems(config, algorithm, _read_coverage(coverage))
@@ -619,7 +647,8 @@ def _coverage_problems(config: ExperimentConfig, algorithm, coverage: dict) -> l
     if config.coverage_n is not None:
         _, constants = _bound_constants(config, algorithm, config.coverage_n)
         for name, bound in coverage["bounds"].items():
-            problems += _mismatches(f"coverage {name}", bound["constants_used"], constants)
+            want = BOUND_FAMILIES[name].evaluate(constants)
+            problems += _bound_problems(f"coverage {name}", bound, constants, want)
     if stated["rows"] >= MIN_COVERAGE_REPLICATIONS:
         for which in _GAP_KEYS:
             outcome = validate_bound_coverage({"coverage": coverage}, which)

@@ -51,8 +51,8 @@ from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
 
-# Entries of one block-sized temporary (1 MiB of float64): ridge twin cells
-# and SGD steps are worked through in blocks no larger.
+# Entries of one block-sized temporary (1 MiB of float64): ridge twin cells,
+# penalized-ERM rows and SGD steps are worked through in blocks no larger.
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -438,7 +438,10 @@ def _sgd_kernel(
     phi'(<h, x>, y) x, with rho the loss's ridge term, then scales each row
     past the projection radius back onto the ball. The examples of a block
     of steps are gathered at once, the block no larger than
-    ``_BLOCK_FLOATS`` entries.
+    ``_BLOCK_FLOATS`` entries. The block's examples and gather indices, and
+    each step's margins, slopes, moves and norms, live in buffers allocated
+    once per call; the index streams are checked against [0, n) once, up
+    front, so the gathers need no range check of their own.
 
     The examples, the replacements and every row after every step are
     checked against the loss's certified domain: a non-finite row raises
@@ -449,6 +452,8 @@ def _sgd_kernel(
     loss.check_examples(features, labels)
     n, d = features.shape[-2:]
     streams = _sgd_index_streams(seeds, n, spec.steps)
+    if streams.size and not (streams.min() >= 0 and streams.max() < n):
+        raise IndexError(f"SGD index streams must lie in [0, {n})")
     runs = len(streams)
     flat_x, flat_y = features.reshape(-1, d), labels.reshape(-1)
     # Run c of a stack reads rows c*n .. c*n + n - 1 of the flat view.
@@ -464,16 +469,19 @@ def _sgd_kernel(
     limit = _slack(loss.radius)
     H = np.zeros((rows, d))
     move = np.empty((rows, d))
+    margins, slopes, nrm = np.empty(rows), np.empty(rows), np.empty(rows)
     block = max(1, min(spec.steps, _BLOCK_FLOATS // (rows * d)))
     X, Y = np.empty((block, rows, d)), np.empty((block, rows))
+    index = np.empty((block, runs), dtype=np.int64)
     # A row that overflows is caught below, so its warnings are not raised.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, spec.steps, block):
             it = streams[:, start : start + block].T  # (steps, runs)
             size = len(it)
             Xb, Yb = X[:size], Y[:size]
-            np.take(flat_x, it + offsets, axis=0, out=Xb[:, :runs])
-            np.take(flat_y, it + offsets, out=Yb[:, :runs])
+            at = np.add(it, offsets, out=index[:size])
+            np.take(flat_x, at, axis=0, out=Xb[:, :runs], mode="clip")
+            np.take(flat_y, at, out=Yb[:, :runs], mode="clip")
             if twin is not None:
                 hit = it == rep_i
                 Xb[:, runs:], Yb[:, runs:] = Xb[:, :runs], Yb[:, :runs]
@@ -482,12 +490,14 @@ def _sgd_kernel(
             for k in range(size):
                 t = start + k
                 x = Xb[k]
-                slopes = margin_slopes(loss.kind, np.einsum("cd,cd->c", H, x), Yb[k])
+                np.einsum("cd,cd->c", H, x, out=margins)
+                margin_slopes(loss.kind, margins, Yb[k], out=slopes)
                 if rho:
                     H *= 1.0 - 2.0 * alphas[t] * rho
-                np.multiply((-alphas[t] * slopes)[:, None], x, out=move)
+                slopes *= -alphas[t]
+                np.multiply(slopes[:, None], x, out=move)
                 H += move
-                nrm = np.sqrt(np.einsum("cd,cd->c", H, H))
+                np.sqrt(np.einsum("cd,cd->c", H, H, out=nrm), out=nrm)
                 top = nrm.max()
                 if radius is not None and top > radius:
                     over = nrm > radius
@@ -652,10 +662,6 @@ class RidgeAlgorithm(_Preset):
         return solve_ridge_stack(A, b)
 
 
-# Rows per fit_rerm call: bounds the (rows, n, d) stack one call holds.
-_RERM_BLOCK = 32
-
-
 class LpRermAlgorithm(_Preset):
     """A certified margin loss with an l_p^p penalty, p in (1, 2]."""
 
@@ -685,16 +691,21 @@ class LpRermAlgorithm(_Preset):
         return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
-        """One :func:`fit_rerm` solve per block of ``_RERM_BLOCK`` rows.
+        """One :func:`fit_rerm` solve per block of rows, the block's (rows,
+        n, d) features no larger than ``_BLOCK_FLOATS`` entries.
 
         A block of a stack is a slice of it; a block of twins repeats the
-        sample once per cell and scatters each cell's example in. A row that
-        does not converge is named by its place in the whole stack.
+        sample once per cell and scatters each cell's example in. Every row
+        is bitwise its sample's lone fit, so the block size moves no result.
+        A row that does not converge is named by its place in the whole
+        stack.
         """
+        n, d = features.shape[-2:]
+        block = max(1, _BLOCK_FLOATS // (n * d))
         settings = (self._loss, self.penalty, self.tol, self.max_iter)
         fits = []
-        for start in range(0, len(seeds), _RERM_BLOCK):
-            rows = slice(start, start + _RERM_BLOCK)
+        for start in range(0, len(seeds), block):
+            rows = slice(start, start + block)
             if twin is None:
                 X, y = features[rows], labels[rows]
             else:

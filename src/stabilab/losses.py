@@ -89,20 +89,36 @@ def margin_values(kind: str, margins: np.ndarray, labels: np.ndarray) -> np.ndar
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def margin_slopes(kind: str, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def margin_slopes(kind: str, margins: np.ndarray, labels: np.ndarray, out=None) -> np.ndarray:
     """d phi / d u for a batch of margins, without domain checks.
 
-    The hinge slope at margin exactly 1 is taken to be 0 (a valid
-    subgradient, and the convention every calculation here relies on).
+    The slopes are computed in place in ``out``, a float64 array of the
+    broadcast shape that shares no memory with the inputs, allocated when
+    not given. The hinge slope at margin exactly 1 is taken to be 0 (a
+    valid subgradient, and the convention every calculation here relies
+    on). The logistic slope is -y sigmoid(t) with t = -y u: with e =
+    exp(-|t|), one 1 + e divides a numerator that is 1 where t >= 0 and e
+    elsewhere, bitwise :func:`_sigmoid`.
     """
     u = np.asarray(margins, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(u.shape, y.shape))
     if kind == "hinge":
-        return np.where(y * u < 1.0, -y, 0.0)
+        below = np.multiply(y, u, out=out) < 1.0
+        out.fill(0.0)
+        return np.negative(y, out=out, where=below)
     if kind == "logistic":
-        return -y * _sigmoid(-y * u)
+        t = np.multiply(np.negative(y, out=out), u, out=out)
+        high = t >= 0.0
+        e = np.exp(np.negative(np.abs(t, out=t), out=t), out=t)
+        den = e + 1.0
+        np.copyto(e, 1.0, where=high)
+        np.divide(e, den, out=e)
+        return np.multiply(np.negative(y, out=den), e, out=out)
     if kind == "squared":
-        return 2.0 * (u - y)
+        np.subtract(u, y, out=out)
+        return np.multiply(out, 2.0, out=out)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 

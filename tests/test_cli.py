@@ -133,6 +133,34 @@ def scale_every_alpha(payload):
             bound["constants_used"]["alpha"] *= 10.0
 
 
+def scale_bound_values(section):
+    """An edit: every term and total of the record bounds (``section`` is
+    "records") or of the coverage bounds ("coverage"), times 0.1."""
+
+    def apply(payload):
+        if section == "records":
+            bounds = [bound for record in payload["records"] for bound in record["bounds"]]
+        else:
+            bounds = list(payload["coverage"]["bounds"].values())
+        for bound in bounds:
+            bound["total"] *= 0.1
+            for term in bound["terms"]:
+                term["value"] *= 0.1
+
+    return apply
+
+
+def scale_radii(section):
+    """An edit: every record's ``radius`` (``section`` is "records") or its
+    Rademacher estimate's radius ("rademacher"), times 10."""
+
+    def apply(payload):
+        for record in payload["records"]:
+            (record if section == "records" else record["rademacher"])["radius"] *= 10.0
+
+    return apply
+
+
 def violating_coverage(rows, violations, **fields):
     """A coverage edit: keep ``rows`` rows, the first ``violations`` of them
     above the plain-gap bound, and overwrite ``fields`` of the section."""
@@ -770,6 +798,18 @@ class TestExperimentCommands:
                 "coverage: replications 500 != config 200",
             ),
             (violating_coverage(200, 150, delta=0.49), "coverage: delta 0.49 != config 0.25"),
+            (scale_bound_values("records"), "n=10 complexity: total "),
+            (scale_bound_values("coverage"), "coverage plain-gap: total "),
+            (scale_radii("records"), "n=10: radius "),
+            (scale_radii("rademacher"), "n=10: rademacher radius "),
+            (
+                lambda payload: payload["records"][0]["bounds"].pop(),
+                "n=10 bounds ['complexity', 'plain-gap', 'fast-rate'] != evaluated",
+            ),
+            (
+                lambda payload: payload["records"][0]["bounds"][1]["terms"][1].update(label="x"),
+                "n=10 plain-gap: terms ['stability', 'x'] != evaluated",
+            ),
         ],
         ids=[
             "every-alpha-times-10",
@@ -778,6 +818,12 @@ class TestExperimentCommands:
             "coverage-rows-cut",
             "coverage-replications-raised",
             "coverage-delta-edited",
+            "record-bound-values-times-0.1",
+            "coverage-bound-values-times-0.1",
+            "radius-times-10",
+            "rademacher-radius-times-10",
+            "record-bound-deleted",
+            "bound-term-relabelled",
         ],
     )
     def test_validate_rebuilds_the_run_from_the_config(
@@ -832,7 +878,7 @@ class TestExperimentCommands:
         with open(run_dir / "report.json") as fh:
             payload = json.load(fh)
         payload["records"][0]["gaps"]["plain"] -= 0.5
-        payload["records"][1]["radius"] *= 0.5
+        payload["records"][1]["center_std_error"] *= 0.5
         del payload["digest"]
         path = write_json(tmp_path, "undigested.json", payload)
         assert main(["experiment", "validate", path]) == 1

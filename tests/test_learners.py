@@ -339,9 +339,10 @@ class TestFitRerm:
         with pytest.raises(ConvergenceError, match="row 1 "):
             fit_rerm(X, y, loss, pen, max_iter=2)
 
-    def test_a_failing_row_past_the_first_block_is_named_by_its_cell(self):
+    def test_a_failing_row_past_the_first_block_is_named_by_its_cell(self, monkeypatch):
         # Every cell's labels are 0, so it stops at h = 0 after one step,
         # except cell 35 (the fourth row of the preset's second block).
+        calls = rerm_blocks(monkeypatch, 32, 10, 3)
         rng = np.random.default_rng(8)
         algo = make_algorithm("rerm-lp", "squared", 1.0, 0.5, p=1.5, lam=0.5, max_iter=2)
         X = np.stack([unit_ball_sample(rng, 10, 3).features] * 40)
@@ -349,10 +350,13 @@ class TestFitRerm:
         y[35] = 0.4
         with pytest.raises(ConvergenceError, match=r"in row 35 \("):
             algo.fit_many(X, y, range(40))
+        assert calls == [32, 8]
+        calls.clear()
         index = np.arange(40) % 10
         repl_y = np.where(np.arange(40) == 35, 0.4, 0.0)
         with pytest.raises(ConvergenceError, match=r"in row 35 \("):
             algo.fit_twins(Sample(X[0], y[0]), index, X[0, index], repl_y, None, None)
+        assert calls == [32, 8]
 
     @pytest.mark.parametrize(
         "tol, max_iter",
@@ -364,6 +368,21 @@ class TestFitRerm:
         pen = PenaltySpec(p=2.0, lam=1.0)
         with pytest.raises(ValueError):
             fit_rerm(s.features[None], s.labels[None], loss, pen, tol=tol, max_iter=max_iter)[0]
+
+
+def rerm_blocks(monkeypatch, rows, n, d) -> list:
+    """Size the rerm-lp preset's blocks to ``rows`` rows of (n, d) samples,
+    or leave them unbounded when ``rows`` is None; returns the list that
+    each :func:`fit_rerm` call appends its row count to."""
+    monkeypatch.setattr(learners, "_BLOCK_FLOATS", (rows or 1 << 40) * n * d)
+    calls = []
+
+    def counted(features, *args):
+        calls.append(len(features))
+        return fit_rerm(features, *args)
+
+    monkeypatch.setattr(learners, "fit_rerm", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +746,25 @@ class TestBatchedHelpers:
                 assert np.array_equal(row, alone)
                 assert np.array_equal(row, fitted)
                 assert np.array_equal(row, shared[0])
+
+    @pytest.mark.parametrize("stray", [-1, 12])
+    def test_an_index_stream_outside_the_sample_raises(self, stray, monkeypatch):
+        # The kernel's gathers clip, so the streams are range-checked once, up front.
+        rng = np.random.default_rng(71)
+        algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=40, step=0.2)
+        sample = unit_ball_sample(rng, 12, 3, label_bound=0.5)
+        draw = learners._sgd_index_streams
+
+        def leaving(seeds, n, steps):
+            streams = draw(seeds, n, steps)
+            streams[-1, -1] = stray
+            return streams
+
+        monkeypatch.setattr(learners, "_sgd_index_streams", leaving)
+        with pytest.raises(IndexError, match=r"lie in \[0, 12\)"):
+            algo.fit_many(*stack([sample, sample]), [1, 2])
+        with pytest.raises(IndexError, match=r"lie in \[0, 12\)"):
+            algo.fit_twins(sample, [0, 5], sample.features[:2], sample.labels[:2], [1, 2], None)
 
     def test_batched_paths_check_the_certified_radius(self):
         rng = np.random.default_rng(67)
@@ -1140,11 +1178,13 @@ def serial_fit(algo, sample, seed):
 
 @pytest.mark.parametrize("kind", ["logistic", "squared", "hinge"])
 @pytest.mark.parametrize("cells", [1, 33, 70])
-def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
-    # 33 and 70 cells span more than one block of the preset's stacked solve.
+def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells, monkeypatch):
+    # 33 and 70 cells span more than one block of 32 rows of the preset's stacked solve.
     rng = np.random.default_rng(cells)
     algo = make_algorithm("rerm-lp", kind, 1.0, 0.5, p=1.5, lam=0.3, tol=1e-7)
     n, d = 12, 3
+    calls = rerm_blocks(monkeypatch, 32, n, d)
+    blocks = [min(32, cells - start) for start in range(0, cells, 32)]
 
     def draw(count):
         X = rng.standard_normal((count, n, d))
@@ -1155,6 +1195,7 @@ def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
 
     X, y = draw(cells)
     rows = algo.fit_many(X, y, range(cells))
+    assert calls == blocks
     for row, Xc, yc in zip(rows, X, y):
         assert np.array_equal(row, serial_fit(algo, Sample(Xc, yc), 0))
 
@@ -1162,7 +1203,34 @@ def test_rerm_fit_many_and_twin_rows_equal_the_serial_oracle(kind, cells):
     index = rng.integers(0, n, size=cells)
     repl_x, repl_y = (part[:, 0] for part in draw(cells))
     base = algo.fit(sample)
+    calls.clear()
     _, HB = algo.fit_twins(sample, index, repl_x, repl_y, None, base)
+    assert calls == blocks
     for c, i in enumerate(index):
         twin = replaced(sample, int(i), repl_x[c], float(repl_y[c]))
         assert np.array_equal(HB[c], serial_fit(algo, twin, 0))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared", "hinge"])
+def test_rerm_rows_do_not_depend_on_the_block_size(kind, monkeypatch):
+    # One row per block, three, and every row in one block give the same bits.
+    rng = np.random.default_rng(17)
+    algo = make_algorithm("rerm-lp", kind, 1.0, 0.5, p=1.5, lam=0.3, tol=1e-7)
+    cells, n, d = 7, 12, 3
+    X = rng.standard_normal((cells, n, d))
+    X /= np.maximum(np.linalg.norm(X, axis=2), 1.0)[..., None]
+    if kind == "squared":
+        y = rng.uniform(-0.5, 0.5, size=(cells, n))
+    else:
+        y = np.where(rng.uniform(size=(cells, n)) < 0.5, -1.0, 1.0)
+    sample, index = Sample(X[0], y[0]), rng.integers(0, n, size=cells)
+    fits = {}
+    for rows, blocks in ((1, [1] * 7), (3, [3, 3, 1]), (None, [7])):
+        calls = rerm_blocks(monkeypatch, rows, n, d)
+        many = algo.fit_many(X, y, range(cells))
+        _, twins = algo.fit_twins(sample, index, X[:, 1], y[:, 1], None, many[0])
+        assert calls == blocks + blocks
+        fits[rows] = many, twins
+    for many, twins in fits.values():
+        assert np.array_equal(many, fits[None][0])
+        assert np.array_equal(twins, fits[None][1])

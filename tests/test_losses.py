@@ -41,6 +41,23 @@ def test_margin_slopes_hand_cases():
     assert sq[0] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("kind", ["logistic", "squared", "hinge"])
+def test_buffered_slopes_equal_the_unbuffered_forms_bitwise(kind):
+    # The forms margin_slopes took before it computed in place, frozen as a
+    # reference; tobytes() also compares zero signs and NaN bits.
+    u = np.repeat([0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, np.nan], 2)
+    y = np.tile([1.0, -1.0], len(u) // 2)
+    reference = {
+        "hinge": np.where(y * u < 1.0, -y, 0.0),
+        "logistic": -y * _sigmoid(-y * u),
+        "squared": 2.0 * (u - y),
+    }[kind]
+    buffer = np.full(len(u), 7.0)
+    assert margin_slopes(kind, u, y, out=buffer) is buffer
+    assert buffer.tobytes() == reference.tobytes()
+    assert margin_slopes(kind, u, y).tobytes() == reference.tobytes()
+
+
 def masked_sigmoid(t):
     """The two-pass sigmoid the one-pass form replaced, frozen as a reference."""
     t = np.asarray(t, dtype=np.float64)
