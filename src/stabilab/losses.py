@@ -55,15 +55,21 @@ def _slack(bound: float) -> float:
     return bound * (1.0 + 1e-9) + 1e-12
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def _sigmoid(t: np.ndarray, out=None) -> np.ndarray:
     """1/(1+exp(-t)) without overflow on either tail, in one pass.
 
-    With e = exp(-|t|) <= 1, the value is 1/(1+e) for t >= 0 and e/(1+e)
-    below, which is bitwise the split form exp(t)/(1+exp(t)) for t < 0.
+    With e = exp(-|t|) <= 1, one 1 + e divides a numerator that is 1 where
+    t >= 0 and e below, which is bitwise the split form exp(t)/(1+exp(t))
+    for t < 0. The value is computed in place in ``out``, a float64 array of
+    t's shape (``t`` itself allowed), allocated when not given.
     """
     t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    high = t >= 0
+    e = np.abs(t, out=np.empty_like(t) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=high)
+    return np.divide(e, den, out=e)
 
 
 def _matvec(A: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -96,9 +102,7 @@ def margin_slopes(kind: str, margins: np.ndarray, labels: np.ndarray, out=None) 
     broadcast shape that shares no memory with the inputs, allocated when
     not given. The hinge slope at margin exactly 1 is taken to be 0 (a
     valid subgradient, and the convention every calculation here relies
-    on). The logistic slope is -y sigmoid(t) with t = -y u: with e =
-    exp(-|t|), one 1 + e divides a numerator that is 1 where t >= 0 and e
-    elsewhere, bitwise :func:`_sigmoid`.
+    on). The logistic slope is -y sigmoid(-y u), by :func:`_sigmoid`.
     """
     u = np.asarray(margins, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -109,13 +113,9 @@ def margin_slopes(kind: str, margins: np.ndarray, labels: np.ndarray, out=None) 
         out.fill(0.0)
         return np.negative(y, out=out, where=below)
     if kind == "logistic":
-        t = np.multiply(np.negative(y, out=out), u, out=out)
-        high = t >= 0.0
-        e = np.exp(np.negative(np.abs(t, out=t), out=t), out=t)
-        den = e + 1.0
-        np.copyto(e, 1.0, where=high)
-        np.divide(e, den, out=e)
-        return np.multiply(np.negative(y, out=den), e, out=out)
+        neg_y = np.negative(y)
+        _sigmoid(np.multiply(neg_y, u, out=out), out=out)
+        return np.multiply(neg_y, out, out=out)
     if kind == "squared":
         np.subtract(u, y, out=out)
         return np.multiply(out, 2.0, out=out)
