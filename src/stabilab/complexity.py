@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datagen import fit_replicates
+from .datagen import FitGroup, fit_plan
 from .seeding import sign_rows
 
 
@@ -88,10 +88,17 @@ class CenterEstimate:
 
 def estimate_center(algorithm, dist, n: int, m: int = 64, seed: int = 0) -> CenterEstimate:
     """Estimate the mean hypothesis by averaging m >= 2 independent refits,
-    whose spread gives its standard error."""
+    the replicate group ``FitGroup("center", seed, m)``, whose spread gives
+    its standard error."""
     if m < 2:
         raise ValueError("m must be >= 2 to estimate the spread")
-    fits, _, _ = fit_replicates(algorithm, dist, n, m, seed, "center")
+    (fits,) = fit_plan(algorithm, dist, n, [FitGroup("center", seed, m)])
+    return center_of(fits, seed)
+
+
+def center_of(fits, seed: int) -> CenterEstimate:
+    """The center estimate of m >= 2 replicate fits drawn on ``seed``."""
+    m = len(fits)
     se = fits.std(axis=0, ddof=1) / math.sqrt(m)
     return CenterEstimate(vector=fits.mean(axis=0), std_error=se, replicates=m, seed=seed)
 

@@ -15,7 +15,8 @@ Three experiments:
 
 Both refit experiments draw each batch of replicate samples as one
 (C, n, d) stack and fit it through the preset's ``fit_many``, so SGD and
-ridge presets fit all replicates of a batch at once.
+ridge presets fit all replicates of a batch at once; the center
+experiment's two replicate groups are one fit plan (``datagen.fit_plan``).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexity import ball_radius, estimate_center
-from .datagen import DistributionSpec, draw_samples, fit_replicates
+from .complexity import ball_radius
+from .datagen import DistributionSpec, FitGroup, draw_samples, fit_plan
 from .learners import Sample
 from .seeding import child_seed, sign_rows
 
@@ -182,6 +183,12 @@ def doob_decomposition(
     )
 
 
+def tail_groups(trials: int, seed: int, center_replicates: int | None = None) -> list:
+    """The (center, trial) replicate groups of :func:`center_concentration_experiment`."""
+    m = 4 * trials if center_replicates is None else center_replicates
+    return [FitGroup("center", child_seed(seed, "center"), m), FitGroup("trial", seed, trials)]
+
+
 def center_concentration_experiment(
     algorithm,
     dist: DistributionSpec,
@@ -196,22 +203,26 @@ def center_concentration_experiment(
 
     The center is estimated from at least 4 * trials replicates drawn
     independently of the trial fits; the theoretical rate is delta itself.
+    The fits are those of :func:`tail_groups`, and :func:`tail_of` summarizes them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if center_replicates is None:
-        center_replicates = 4 * trials
-    if center_replicates < 4 * trials:
+    ball_radius(1.0, alpha, n, delta)  # checks alpha and n before any fit
+    groups = tail_groups(trials, seed, center_replicates)
+    if groups[0].count < 4 * trials:
         raise ValueError("center_replicates must be at least 4 * trials")
+    center_fits, trial_fits = fit_plan(algorithm, dist, n, groups)
+    return tail_of(center_fits, trial_fits, n, delta, alpha, seed)
+
+
+def tail_of(center_fits, trial_fits, n: int, delta: float, alpha: float, seed: int):
+    """The tail experiment of trial fits around the mean of the center fits."""
     radius = ball_radius(1.0, alpha, n, delta)
-    center = estimate_center(
-        algorithm, dist, n, m=center_replicates, seed=child_seed(seed, "center")
-    )
-    fits, _, _ = fit_replicates(algorithm, dist, n, trials, seed, "trial")
-    distances = np.linalg.norm(fits - center.vector[None, :], axis=1)
+    distances = np.linalg.norm(trial_fits - center_fits.mean(axis=0)[None, :], axis=1)
     violations = int(np.sum(distances > radius))
+    trials = len(trial_fits)
     return TailExperiment(
         threshold=radius,
         trials=trials,

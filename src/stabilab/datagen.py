@@ -15,9 +15,10 @@ The ±1 mechanisms also give ``label_mean(margins)``, E[y | margin].
 
 One private sampler, over one Philox key per sample, draws every sample:
 :func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`
-and the replicate stacks of :func:`fit_replicates` (one stack, fitted
-once). It reads each stream straight into the output buffers, then does
-the arithmetic in place a block at a time.
+and the replicate stacks of :func:`fit_replicates` and :func:`fit_plan`.
+It reads each stream straight into the output buffers, then does the
+arithmetic in place a block at a time. :func:`fit_plan` fits several
+groups of replicates, and fits of a sample S, in few ``fit_many`` calls.
 
 :func:`true_risks` takes the population risk of a stack of hypotheses
 exactly, with no sampling. The projection of a uniform point of the unit
@@ -176,17 +177,18 @@ class DistributionSpec:
                 )
 
 
-def _sample_stack(spec: DistributionSpec, n: int, keys: list):
+def _sample_stack(spec: DistributionSpec, n: int, keys: list, out=None):
     """(C, n, d) features and (C, n) labels, sample c read from the Philox
     stream of ``keys[c]``: its n x d standard normals, its n radii (ball law
     only), then its raw label draws. Rows with a norm below ``_MIN_NORM``
-    get fresh normals before the radii. Raises ValueError if a label is not
+    get fresh normals before the radii. ``out``, a pair of such arrays, is
+    filled in place and returned. Raises ValueError if a label is not
     finite, or if n < 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     C, d = len(keys), spec.dim
-    X, y = np.empty((C, n, d)), np.empty((C, n))
+    X, y = (np.empty((C, n, d)), np.empty((C, n))) if out is None else out
     step = max(1, _BLOCK_EXAMPLES // n)
     radii = np.empty((step, n)) if spec.feature_law == "ball" else None
 
@@ -233,25 +235,85 @@ def draw_samples(spec: DistributionSpec, n: int, seeds):
     return _sample_stack(spec, n, [stream_key(seed, "datagen") for seed in seeds])
 
 
-def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: int, label: str):
-    """(fits, features, labels) of ``count`` fresh samples of size n, drawn as
-    one stack and fitted through one ``fit_many`` call.
+@dataclass(frozen=True)
+class FitGroup:
+    """Rows of a fit plan: ``count`` replicate samples, or one fit of the sample S.
 
-    Replicate j reads the stream keyed by ``stream_key(seed, f"{label}-sample",
-    j)``, so it depends only on (dist, n, seed, label, j). A stochastic
-    preset fits it on ``child_seed(seed, f"{label}-fit", j)``; a
-    deterministic one ignores its seed and gets 0.
+    Replicate j of a group reads the stream keyed by ``stream_key(seed,
+    f"{label}-sample", j)``, so it depends only on (dist, n, seed, label,
+    j); a stochastic preset fits it on ``child_seed(seed, f"{label}-fit",
+    j)``, a deterministic one on 0. With ``count=None`` the group is one fit
+    of S on the fit seed ``seed``; ``label`` then only names it.
     """
-    replicates = range(count)
-    X, y = _sample_stack(dist, n, [stream_key(seed, f"{label}-sample", j) for j in replicates])
-    seeds = [0] * count
+
+    label: str
+    seed: int
+    count: int | None = None
+
+
+def _draw_group(algorithm, dist, group: FitGroup, X, y, sample=None) -> list:
+    """Fill the stack slices ``X``, ``y`` with the group's samples; returns its fit seeds."""
+    if group.count is None:
+        X[...], y[...] = sample.features, sample.labels
+        return [group.seed]
+    seed, label, replicates = group.seed, group.label, range(group.count)
+    keys = [stream_key(seed, f"{label}-sample", j) for j in replicates]
+    _sample_stack(dist, X.shape[1], keys, (X, y))
     if algorithm.stochastic:
-        seeds = [child_seed(seed, f"{label}-fit", j) for j in replicates]
+        return [child_seed(seed, f"{label}-fit", j) for j in replicates]
+    return [0] * group.count
+
+
+def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: int, label: str):
+    """(fits, features, labels) of ``count`` fresh samples of size n: the
+    replicate group ``FitGroup(label, seed, count)``, drawn as one stack and
+    fitted through one ``fit_many`` call."""
+    X, y = np.empty((count, n, dist.dim)), np.empty((count, n))
+    seeds = _draw_group(algorithm, dist, FitGroup(label, seed, count), X, y)
     try:
         fits = algorithm.fit_many(X, y, seeds)
     except Exception as exc:
         raise RuntimeError(f"{label} replicate fits failed: {exc}") from exc
     return fits, X, y
+
+
+def fit_plan(algorithm, dist: DistributionSpec, n: int, groups, sample=None) -> list:
+    """The (rows, d) fits of each :class:`FitGroup` at n, in few ``fit_many`` calls.
+
+    Groups are packed largest first, each into the call with the most room
+    left, so that no call holds more freshly drawn samples than the largest
+    group; S's rows count for nothing, since S is held anyway. The calls run
+    largest first. A call's stack is drawn in place, each replicate group by
+    the sampler on its own keys and S copied into its rows, and is freed when
+    the call returns. Every preset fits a row as it fits that sample alone,
+    so a group's fits do not depend on the packing.
+    """
+    fresh = [0 if group.count is None else group.count for group in groups]
+    calls = []  # [room left, member groups]
+    for i in sorted(range(len(groups)), key=lambda i: -fresh[i]):
+        call = max(calls, key=lambda call: call[0], default=None)
+        if call is None or call[0] < fresh[i]:
+            call = [max(fresh), []]
+            calls.append(call)
+        call[0] -= fresh[i]
+        call[1].append(i)
+    fits = [None] * len(groups)
+    for _, members in calls:
+        sizes = [1 if groups[i].count is None else fresh[i] for i in members]
+        X, y = np.empty((sum(sizes), n, dist.dim)), np.empty((sum(sizes), n))
+        seeds, ends = [], np.cumsum(sizes)
+        for i, end, size in zip(members, ends, sizes):
+            rows = slice(end - size, end)
+            seeds += _draw_group(algorithm, dist, groups[i], X[rows], y[rows], sample)
+        try:
+            H = algorithm.fit_many(X, y, seeds)
+        except Exception as exc:
+            names = ", ".join(groups[i].label for i in members)
+            raise RuntimeError(f"{names} fits failed: {exc}") from exc
+        del X, y
+        for i, part in zip(members, np.split(H, ends[:-1])):
+            fits[i] = part
+    return fits
 
 
 def _sphere_dim(spec: DistributionSpec) -> int:

@@ -29,13 +29,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import BOUND_FAMILIES, BoundBreakdown, deformed_gap
-from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, estimate_center
+from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, center_of
 from .datagen import (
     DistributionSpec,
+    FitGroup,
     LinearNoise,
     LogisticTeacher,
     SignFlip,
     draw_sample,
+    fit_plan,
     fit_replicates,
     true_risks,
 )
@@ -51,8 +53,14 @@ from .learners import (
     make_algorithm,
 )
 from .seeding import child_seed
-from .stability import CELL_HEADER, StabilityReport, closed_form, measure_argument_stability
-from .concentration import TailExperiment, center_concentration_experiment
+from .stability import (
+    CELL_HEADER,
+    StabilityReport,
+    base_fit_group,
+    closed_form,
+    measure_argument_stability,
+)
+from .concentration import TailExperiment, tail_groups, tail_of
 
 ARTIFACT_VERSION = "report-8"
 
@@ -319,7 +327,8 @@ def _bound_set(form, constants: dict) -> list:
 
 # The per-n stages below are shared by run_experiment and the CLI's
 # ``stability``, ``complexity`` and ``concentrate`` subcommands, so both read
-# the same streams.
+# the same streams. Each takes the fits of its groups from the record's fit
+# plan, or runs the same plan on its own groups.
 
 
 def sample_stage(config: ExperimentConfig, n: int) -> Sample:
@@ -327,28 +336,51 @@ def sample_stage(config: ExperimentConfig, n: int) -> Sample:
     return draw_sample(config.distribution, n, child_seed(config.seed, "sample", n))
 
 
-def stability_stage(config: ExperimentConfig, algorithm, sample: Sample) -> StabilityReport:
+def _record_groups(config: ExperimentConfig, n: int) -> dict:
+    """The fit groups of the record at n, by name: the base and record fits
+    on the sample S, the complexity center's replicates, and the tail's
+    center and trials."""
+    seed = config.seed
+    tail_center, trial = tail_groups(config.trials, child_seed(seed, "tail", n))
+    return {
+        "base": base_fit_group(child_seed(seed, "stability", n)),
+        "record": FitGroup("record", child_seed(seed, "record-fit", n)),
+        "center": FitGroup("center", child_seed(seed, "center", n), config.center_replicates),
+        "tail-center": tail_center,
+        "trial": trial,
+    }
+
+
+def record_fits(config: ExperimentConfig, algorithm, n: int, names, sample=None) -> dict:
+    """The fits of the named record groups at n, by name, through one fit plan."""
+    groups = _record_groups(config, n)
+    fits = fit_plan(algorithm, config.distribution, n, [groups[name] for name in names], sample)
+    return dict(zip(names, fits))
+
+
+def stability_stage(
+    config: ExperimentConfig, algorithm, sample: Sample, fits=None
+) -> StabilityReport:
     """Replace-one stability of the algorithm on the stage sample."""
+    fits = fits or record_fits(config, algorithm, sample.n, ["base"], sample)
     return measure_argument_stability(
         algorithm,
         sample,
         config.distribution,
         config.replacements,
         seed=child_seed(config.seed, "stability", sample.n),
+        base=fits["base"][0],
     )
 
 
-def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha: float) -> dict:
+def complexity_stage(
+    config: ExperimentConfig, algorithm, sample: Sample, alpha: float, fits=None
+) -> dict:
     """The record's radius, center and Rademacher estimate of the confidence ball at n."""
     n = sample.n
+    fits = fits or record_fits(config, algorithm, n, ["center"])
     radius = ball_radius(1.0, alpha, n, config.delta)
-    center = estimate_center(
-        algorithm,
-        config.distribution,
-        n,
-        m=config.center_replicates,
-        seed=child_seed(config.seed, "center", n),
-    )
+    center = center_of(fits["center"], child_seed(config.seed, "center", n))
     ball = AlgorithmicBall(center.vector, radius, n, config.delta)
     rademacher = ball_rademacher(
         ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
@@ -361,17 +393,13 @@ def complexity_stage(config: ExperimentConfig, algorithm, sample: Sample, alpha:
     }
 
 
-def tail_stage(config: ExperimentConfig, algorithm, n: int, alpha: float) -> TailExperiment:
+def tail_stage(
+    config: ExperimentConfig, algorithm, n: int, alpha: float, fits=None
+) -> TailExperiment:
     """The center-concentration tail experiment at n, at the closed form's alpha."""
-    return center_concentration_experiment(
-        algorithm,
-        config.distribution,
-        n,
-        trials=config.trials,
-        delta=config.delta,
-        alpha=alpha,
-        seed=child_seed(config.seed, "tail", n),
-    )
+    fits = fits or record_fits(config, algorithm, n, ["tail-center", "trial"])
+    seed = child_seed(config.seed, "tail", n)
+    return tail_of(fits["tail-center"], fits["trial"], n, config.delta, alpha, seed)
 
 
 def _run_record(config: ExperimentConfig, algorithm, n: int):
@@ -379,20 +407,22 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
     try:
         sample = sample_stage(config, n)
         loss = algorithm.loss_for(n)
+        stage = "fits"
+        names = ["base", "record", "center"] + (["tail-center", "trial"] if config.tail else [])
+        fits = record_fits(config, algorithm, n, names, sample)
         stage = "stability"
-        stability = stability_stage(config, algorithm, sample)
+        stability = stability_stage(config, algorithm, sample, fits)
         alpha = stability.theory_alpha
         stage = "complexity"
-        complexity = complexity_stage(config, algorithm, sample, alpha)
+        complexity = complexity_stage(config, algorithm, sample, alpha, fits)
         stage = "bounds"
         form, constants = _bound_constants(config, algorithm, n)
         breakdowns = _bound_set(form, constants)
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
-        fit = algorithm.fit_many(X, y, [child_seed(config.seed, "record-fit", n)])
-        (gaps,) = _gaps(config, loss, fit, X, y)
+        (gaps,) = _gaps(config, loss, fits["record"], X, y)
         stage = "tail"
-        tail = tail_stage(config, algorithm, n, alpha).to_dict() if config.tail else None
+        tail = tail_stage(config, algorithm, n, alpha, fits).to_dict() if config.tail else None
     except Exception as exc:
         raise RuntimeError(f"stage {stage!r} failed at n={n}: {exc}") from exc
     record = {

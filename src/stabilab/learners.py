@@ -41,6 +41,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .losses import (
+    _BLOCK_FLOATS,
     LossModel,
     _matvec,
     _slack,
@@ -50,10 +51,6 @@ from .losses import (
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
-
-# Entries of one block-sized temporary (1 MiB of float64): ridge twin cells,
-# penalized-ERM rows and SGD steps are worked through in blocks no larger.
-_BLOCK_FLOATS = 1 << 17
 
 
 def _integral(value, name: str, what: str = "an integer") -> int:
@@ -264,11 +261,14 @@ def fit_rerm(
     drops below ``tol`` (the penalty is differentiable for p > 1). The
     hinge uses a projected proximal-subgradient iteration with diminishing
     steps, and a row stops when its best objective value improves by less
-    than ``tol`` over a sweep of 64 iterations. Rows that stop leave the
-    iteration; every row goes through the arithmetic of a one-sample fit,
-    so it is bitwise the fit of its sample alone. Raises ConvergenceError,
-    naming the first row still running and its certificate, if
-    ``max_iter`` is exhausted.
+    than ``tol`` over a sweep of 64 iterations. A row's result is stored
+    when it stops; stopped rows stay in the held block, iterating unread,
+    until at most half of the held rows run, and then the block is compacted
+    to its running rows, so each compaction copies at most twice the
+    running rows. Every row goes through the arithmetic of a one-sample
+    fit, so it is bitwise the fit of its sample alone. Raises
+    ConvergenceError, naming the first row still running and its
+    certificate, if ``max_iter`` is exhausted.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -286,7 +286,8 @@ def fit_rerm(
         return loss.values_raw(H, X, Y).mean(axis=1) + penalty.lam * penalty.value(H)
 
     out = np.empty((C, d))
-    rows = np.arange(C)  # the result row of each running row
+    rows = np.arange(C)  # the result row of each held row
+    live = np.ones(C, dtype=bool)  # the held rows still running
     H = np.zeros((C, d))
     F = objective(H, X, Y)
     smoothness = loss.constants().smoothness
@@ -310,16 +311,18 @@ def fit_rerm(
             H, F, T = Z, FZ, T_next
             G = loss.risk_gradient_raw(H, X, Y)
             gnorm = _row_norms(G + penalty.lam * penalty.gradient(H))
-            done = gnorm < tol
+            done = live & (gnorm < tol)
             if done.any():
                 out[rows[done]] = H[done]
-                run = ~done
-                if not run.any():
+                live &= ~done
+                if not live.any():
                     return out
-                rows, X, Y, H, F, G, M, T = (a[run] for a in (rows, X, Y, H, F, G, M, T))
-                gnorm = gnorm[run]
+                if 2 * np.count_nonzero(live) <= len(live):
+                    held = (rows, X, Y, H, F, G, M, T, gnorm, live)
+                    rows, X, Y, H, F, G, M, T, gnorm, live = (a[live] for a in held)
+        first = np.flatnonzero(live)[0]
         raise ConvergenceError(
-            "proximal gradient exhausted max_iter", float(gnorm[0]), int(rows[0])
+            "proximal gradient exhausted max_iter", float(gnorm[first]), int(rows[first])
         )
 
     # Hinge path. Iterates are projected onto the ball that provably
@@ -341,15 +344,18 @@ def fit_rerm(
         best = np.where(better[:, None], Z, best)
         F = np.where(better, FZ, F)
         if (k + 1) % sweep == 0:
-            done = mark - F < tol
+            done = live & (mark - F < tol)
             out[rows[done]] = best[done]
-            run = ~done
-            if not run.any():
+            live &= ~done
+            if not live.any():
                 return out
-            rows, X, Y, H, F, best = (a[run] for a in (rows, X, Y, H, F, best))
+            if 2 * np.count_nonzero(live) <= len(live):
+                held = (rows, X, Y, H, F, best, live)
+                rows, X, Y, H, F, best, live = (a[live] for a in held)
             mark = F
+    first = np.flatnonzero(live)[0]
     raise ConvergenceError(
-        "subgradient method exhausted max_iter", float(mark[0] - F[0]), int(rows[0])
+        "subgradient method exhausted max_iter", float(mark[first] - F[first]), int(rows[first])
     )
 
 
@@ -412,11 +418,37 @@ class SgdSpec:
 
 def _sgd_index_streams(seeds, n: int, steps: int) -> np.ndarray:
     """(len(seeds), steps) example indices: row c is the with-replacement
-    stream of ``substream(seeds[c], "sgd-indices")`` over n examples."""
+    stream of ``substream(seeds[c], "sgd-indices")`` over n examples.
+
+    Row c is bitwise ``rng.integers(0, n, size=steps)`` on that stream, read
+    from its raw words. For n <= 2**32 (any sample) NumPy takes index t as
+    the high word of u * n, with u the next 32-bit half of the raw words
+    (the low half of each word first), and draws u again when the low word
+    of the product falls below 2**32 mod n (Lemire 2019). So ceil(steps / 2)
+    words give a row, and a row with such a rejection is drawn through
+    ``integers`` itself; n = 1 draws nothing. The raw words are read a block
+    of rows at a time, each block's products no larger than
+    ``_BLOCK_FLOATS`` entries.
+    """
     keys = [stream_key(s, "sgd-indices") for s in seeds]
-    return np.array(
-        draw_each(keys, lambda rng: rng.integers(0, n, size=steps)), dtype=np.int64
-    ).reshape(len(keys), steps)
+    out = np.zeros((len(keys), steps), dtype=np.int64)
+    if n == 1 or steps == 0:
+        return out
+    words, reject = (steps + 1) // 2, (1 << 32) % n
+    block = max(1, _BLOCK_FLOATS // steps)
+    raw = np.empty((min(block, len(keys)), words), dtype=np.uint64)
+    for start in range(0, len(keys), block):
+        rows = iter(raw)
+        chunk = keys[start : start + block]
+        draw_each(chunk, lambda rng: np.copyto(next(rows), rng.bit_generator.random_raw(words)))
+        halves = raw[: len(chunk)].astype("<u8", copy=False).view("<u4")[:, :steps]
+        product = np.multiply(halves, np.uint64(n), dtype=np.uint64)
+        np.right_shift(product, 32, out=out[start : start + len(chunk)], casting="unsafe")
+        if reject:
+            low = np.bitwise_and(product, 0xFFFFFFFF, out=product)
+            for c in start + np.flatnonzero((low < reject).any(axis=1)):
+                out[c] = draw_each([keys[c]], lambda rng: rng.integers(0, n, size=steps))[0]
+    return out
 
 
 def _sgd_kernel(

@@ -39,6 +39,11 @@ from .seeding import substream
 
 KINDS = ("hinge", "logistic", "squared")
 
+# Entries of one block-sized temporary (1 MiB of float64): feature norms,
+# ridge twin cells, penalized-ERM rows and SGD steps are worked through in
+# blocks no larger.
+_BLOCK_FLOATS = 1 << 17
+
 
 @dataclass(frozen=True)
 class LossConstants:
@@ -198,8 +203,18 @@ class LossModel:
         """Raise DomainError if an example leaves the domain: features (..., d), labels (...).
 
         Every test is written as "all within the limit", so NaN fails it.
+        The norms are np.linalg.norm's, sqrt(add.reduce(x * x)), with the
+        squares taken a block of at most ``_BLOCK_FLOATS`` entries at a time,
+        so no temporary the size of a stack is made.
         """
-        norms = np.linalg.norm(features, axis=-1)
+        flat = np.asarray(features, dtype=np.float64)
+        flat = flat.reshape(-1, flat.shape[-1])
+        norms = np.empty(len(flat))
+        block = max(1, _BLOCK_FLOATS // max(1, flat.shape[-1]))
+        for start in range(0, len(flat), block):
+            rows = flat[start : start + block]
+            np.add.reduce(rows * rows, axis=-1, out=norms[start : start + block])
+        np.sqrt(norms, out=norms)
         if not np.all(norms <= _slack(self.feature_bound)):
             raise DomainError(
                 f"feature norm {float(norms.max()):.6g} exceeds bound {self.feature_bound:.6g}"

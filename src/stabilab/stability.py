@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datagen import DistributionSpec, draw_sample
+from .datagen import DistributionSpec, FitGroup, draw_sample, fit_plan
 from .learners import (
     ConstantAlgorithm,
     LpRermAlgorithm,
@@ -291,22 +291,30 @@ def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
     return [ANCHOR_PLUS, ANCHOR_MINUS], np.stack([direction, -direction]), np.array([-far, far])
 
 
+def base_fit_group(seed: int) -> FitGroup:
+    """The base fit on S of :func:`measure_argument_stability` at ``seed``."""
+    return FitGroup("base", child_seed(seed, "base-fit"))
+
+
 def measure_argument_stability(
     algorithm,
     sample: Sample,
     dist: DistributionSpec,
     replacements: int,
     seed: int = 0,
+    base: np.ndarray | None = None,
 ) -> StabilityReport:
     """Estimate alpha(n) (and beta(n)) by replacing each example in turn.
 
-    For every index i, ``replacements`` fresh examples are drawn from the
-    distribution (plus two adversarial anchors when the base fit is
-    nonzero), the algorithm is refit on the perturbed sample, and the
-    hypothesis distance is recorded. The n * replacements draws are one
-    sample on ``(seed, "replacement")``, example i * replacements + k
-    replacing index i in cell k; so a cell's replacement depends on
-    (seed, n, replacements), not on its (i, k) alone. Stochastic presets
+    The base fit h_S on ``sample`` is the fit of ``base_fit_group(seed)``:
+    ``base`` when given (a record's fit plan fits it beside its other
+    groups), else fitted here. For every index i, ``replacements`` fresh
+    examples are drawn from the distribution (plus two adversarial anchors
+    when the base fit is nonzero), the algorithm is refit on the perturbed
+    sample, and the hypothesis distance is recorded. The n * replacements
+    draws are one sample on ``(seed, "replacement")``, example
+    i * replacements + k replacing index i in cell k; so a cell's
+    replacement depends on (seed, n, replacements), not on its (i, k) alone. Stochastic presets
     are evaluated as coupled twins sharing the per-cell index stream.
     ``beta_hat`` is the maximum gap of the preset's loss at n,
     ``algorithm.loss_for(n)``, over a fixed grid of 1024 held-out points plus
@@ -317,12 +325,9 @@ def measure_argument_stability(
     if sample.dim != dist.dim:
         raise ValueError("sample dimension does not match the distribution")
     n = sample.n
-    base_seed = child_seed(seed, "base-fit")
-    try:
-        h_base = algorithm.fit(sample, seed=base_seed)
-    except Exception as exc:
-        raise RuntimeError(f"base fit failed: {exc}") from exc
-    anchor_codes, anchor_x, anchor_y = adversarial_anchors(h_base, dist)
+    if base is None:
+        base = fit_plan(algorithm, dist, n, [base_fit_group(seed)], sample)[0][0]
+    anchor_codes, anchor_x, anchor_y = adversarial_anchors(base, dist)
     grid = draw_sample(dist, 1024, child_seed(seed, "loss-grid"))
     grid_X = np.concatenate([grid.features, anchor_x])
     grid_y = np.concatenate([grid.labels, anchor_y])
@@ -342,7 +347,7 @@ def measure_argument_stability(
         seeds = [child_seed(seed, i, code) for i, code in zip(cell_index, codes)]
     try:
         HA, HB = algorithm.fit_twins(
-            sample, cell_index, rep_x.reshape(-1, dist.dim), rep_y.ravel(), seeds, h_base
+            sample, cell_index, rep_x.reshape(-1, dist.dim), rep_y.ravel(), seeds, base
         )
     except Exception as exc:
         raise RuntimeError(f"replace-one fits failed: {exc}") from exc
@@ -352,7 +357,7 @@ def measure_argument_stability(
     # A deterministic fit on S is the same in every cell: evaluate it once.
     base_values = None
     if not algorithm.stochastic:
-        base_values = loss.values_raw(h_base, grid_X, grid_y)
+        base_values = loss.values_raw(base, grid_X, grid_y)
     gaps = []
     for start in range(0, len(HB), _GAP_BLOCK):
         block = slice(start, start + _GAP_BLOCK)

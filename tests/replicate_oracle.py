@@ -38,6 +38,19 @@ def serial_fits(algorithm, dist, n, count, seed, label):
     return np.stack(fits), samples
 
 
+def serial_plan(algorithm, dist, n, groups, sample=None) -> list:
+    """The fits of each group of a fit plan, one group at a time: a fit of
+    the sample alone on the group's seed, or a replicate group's serial
+    fits."""
+    fits = []
+    for group in groups:
+        if group.count is None:
+            fits.append(algorithm.fit(sample, seed=group.seed)[None])
+        else:
+            fits.append(serial_fits(algorithm, dist, n, group.count, group.seed, group.label)[0])
+    return fits
+
+
 def serial_center(algorithm, dist, n, m, seed):
     """(mean, per-coordinate standard error) of m >= 2 refits, as estimate_center reports them."""
     fits, _ = serial_fits(algorithm, dist, n, m, seed, "center")

@@ -18,7 +18,7 @@ from stabilab import (
     make_algorithm,
     make_loss,
 )
-from stabilab import learners
+from stabilab import learners, losses
 from stabilab.learners import (
     ConstantAlgorithm,
     _sgd_kernel,
@@ -132,6 +132,21 @@ class TestDomainChecks:
             loss.check_examples(np.array([[bad, 0.0], [0.0, 0.5]]), y)
         with pytest.raises(DomainError):
             loss.check_examples(X, np.array([1.0, bad]))
+
+    def test_feature_norms_are_checked_a_block_at_a_time(self, monkeypatch):
+        # Three rows of d = 2 per block: the longest row sits in the last of
+        # three blocks, and the message names the largest norm of them all.
+        monkeypatch.setattr(losses, "_BLOCK_FLOATS", 6)
+        loss = make_loss("squared", 1.0, 1.0, 1.0)
+        X, y = np.zeros((2, 4, 2)), np.zeros((2, 4))
+        X[..., 0] = 0.5
+        loss.check_examples(X, y)
+        X[0, 1, 0], X[1, 3, 1] = 1.5, 2.0
+        with pytest.raises(DomainError, match="feature norm 2.06155 exceeds bound 1"):
+            loss.check_examples(X, y)
+        X[0, 1, 0], X[1, 3, 1] = 0.5, np.nan
+        with pytest.raises(DomainError):
+            loss.check_examples(X, y)
 
     def test_non_finite_twin_replacement_is_rejected_up_front(self):
         # With a [nan, 0] row the coupled run used to fail late with a
@@ -338,6 +353,41 @@ class TestFitRerm:
         assert np.array_equal(fit_rerm(X[:1], y[:1], loss, pen, max_iter=1), [[0.0, 0.0, 0.0]])
         with pytest.raises(ConvergenceError, match="row 1 "):
             fit_rerm(X, y, loss, pen, max_iter=2)
+
+    def test_a_failing_row_behind_a_held_stopped_row_is_named(self):
+        # The zero-label row stops at h = 0 after one step while two of three
+        # rows still run, so it stays in the block uncompacted; the error
+        # still names the first running row by its place in the stack.
+        rng = np.random.default_rng(4)
+        loss = make_loss("squared", 1.0, 1.0, 0.5)
+        X = np.stack([unit_ball_sample(rng, 10, 3).features] * 3)
+        y = np.stack([rng.uniform(-0.5, 0.5, size=10) for _ in range(3)])
+        pen = PenaltySpec(p=1.5, lam=0.5)
+        for stopper, named in ((0, 1), (1, 0)):
+            held = y.copy()
+            held[stopper] = 0.0
+            with pytest.raises(ConvergenceError, match=f"row {named} "):
+                fit_rerm(X, held, loss, pen, max_iter=2)
+
+    @pytest.mark.parametrize("kind", ["squared", "hinge"])
+    def test_rows_held_after_stopping_equal_their_lone_fits(self, kind):
+        # Row 1 stops first (at h = 0: zero labels, or for the hinge mirrored
+        # features, whose subgradients at 0 cancel), then the others one by
+        # one; each is stored when it stops, whether or not it is compacted.
+        rng = np.random.default_rng(9)
+        loss = make_loss(kind, 1.0, 1.0, 0.5 if kind == "squared" else 1.0)
+        pen = PenaltySpec(p=1.5, lam=0.3)
+        X = np.stack([unit_ball_sample(rng, 12, 3).features for _ in range(5)])
+        if kind == "squared":
+            y = rng.uniform(-0.5, 0.5, size=(5, 12))
+            y[1] = 0.0
+        else:
+            y = np.where(rng.uniform(size=(5, 12)) < 0.5, -1.0, 1.0)
+            X[1, 6:], y[1] = -X[1, :6], 1.0
+        rows = fit_rerm(X, y, loss, pen, tol=1e-9)
+        assert np.array_equal(rows[1], np.zeros(3))
+        for c, row in enumerate(rows):
+            assert np.array_equal(row, fit_rerm(X[c, None], y[c, None], loss, pen, tol=1e-9)[0])
 
     def test_a_failing_row_past_the_first_block_is_named_by_its_cell(self, monkeypatch):
         # Every cell's labels are 0, so it stops at h = 0 after one step,

@@ -1,27 +1,38 @@
-"""The stacked replicate path against its serial oracle, for every preset."""
+"""The stacked replicate path and a record's fit plan against their serial
+oracles, for every preset."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabilab import learners, lab
 from stabilab.complexity import estimate_center
 from stabilab.concentration import center_concentration_experiment, doob_decomposition
 from stabilab.datagen import draw_sample, fit_replicates
-from stabilab.lab import ExperimentConfig, _run_coverage, build_algorithm
+from stabilab.lab import (
+    ExperimentConfig,
+    _run_coverage,
+    build_algorithm,
+    report_digest,
+    run_experiment,
+    sample_stage,
+)
 
 from replicate_oracle import (
     serial_center,
     serial_coverage_rows,
     serial_doob,
     serial_fits,
+    serial_plan,
     serial_trials,
 )
 
 PRESETS = ["constant", "ridge", "rerm-lp", "sgd-nonconvex", "sgd-convex", "sgd-strongly-convex"]
 
 
-def replicate_config(preset, kind, law, d, lam, n, trials, seed):
-    """A config for ``preset`` on d dimensions, with coverage at n over ``trials`` replications."""
+def replicate_config(preset, kind, law, d, lam, n, trials, seed, **overrides):
+    """A config for ``preset`` on d dimensions, with coverage at n over
+    ``trials`` replications; ``overrides`` replace its top-level keys."""
     steps = {"mode": "multiple_of_n", "factor": 2}
     # rerm-lp at p = 2 and a loose tolerance keeps the 256-draw Doob check
     # fast; its fits take the same replicate path at any p or tolerance.
@@ -61,6 +72,7 @@ def replicate_config(preset, kind, law, d, lam, n, trials, seed):
             "trials": trials,
             "coverage_n": n,
             "seed": seed,
+            **overrides,
         }
     )
 
@@ -125,3 +137,64 @@ def test_doob_decomposition_equals_the_serial_loop(preset, kind, d, lam, seed):
     means, errors = serial_doob(algorithm, sample, config.distribution, 256, seed)
     assert np.array_equal(doob.conditional_means, means)
     assert np.array_equal(doob.std_errors, errors)
+
+
+def plan_config(preset, seed, **overrides):
+    kind = "squared" if preset == "ridge" else "logistic"
+    settings = dict(n_grid=[5, 8], replacements=1, draws=8, center_replicates=4)
+    return replicate_config(preset, kind, "sphere", 2, 0.5, 6, 3, seed, **{**settings, **overrides})
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("coverage_n", [None, 6])
+@pytest.mark.parametrize(
+    "tail, center_replicates",
+    # With a tail, 12 center replicates fill one call; 4 more center
+    # replicates share the next with the 3 trials, 10 do not.
+    [(False, 4), (True, 4), (True, 10)],
+)
+def test_a_record_plan_equals_its_groups_fitted_alone(
+    preset, coverage_n, tail, center_replicates, monkeypatch
+):
+    config = plan_config(
+        preset, 31, coverage_n=coverage_n, tail=tail, center_replicates=center_replicates
+    )
+    packed = report_digest(run_experiment(config))
+    plans = []
+
+    def alone(*args):
+        plans.append(args[3])
+        return serial_plan(*args)
+
+    monkeypatch.setattr(lab, "fit_plan", alone)
+    assert report_digest(run_experiment(config)) == packed
+    assert len(plans) == len(config.n_grid)
+    assert [len(groups) for groups in plans] == [5 if tail else 3] * len(config.n_grid)
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_a_stochastic_record_makes_few_kernel_calls(tail, monkeypatch):
+    # Per n: one call for the base fit, the record fit, the center and the
+    # trials, one for the tail's center (4 * trials), and one for the twins.
+    config = plan_config("sgd-strongly-convex", 5, coverage_n=None, tail=tail)
+    samples = {n: sample_stage(config, n) for n in config.n_grid}
+    kernel, fit_many = learners._sgd_kernel, learners._Preset.fit_many
+    kernel_calls, fresh = [], []
+
+    def counted_kernel(loss, spec, seeds, features, *args):
+        kernel_calls.append(features.shape[-2])
+        return kernel(loss, spec, seeds, features, *args)
+
+    def counted_fit_many(self, features, labels, seeds):
+        S = samples[features.shape[1]].features
+        fresh.append(int(np.sum(~np.all(features == S, axis=(1, 2)))))
+        return fit_many(self, features, labels, seeds)
+
+    monkeypatch.setattr(learners, "_sgd_kernel", counted_kernel)
+    monkeypatch.setattr(learners._Preset, "fit_many", counted_fit_many)
+    run_experiment(config)
+    per_n = 3 if tail else 2
+    assert kernel_calls == [n for n in config.n_grid for _ in range(per_n)]
+    largest = max(4 * config.trials, config.center_replicates) if tail else config.center_replicates
+    assert len(fresh) == (per_n - 1) * len(config.n_grid)
+    assert max(fresh) == largest

@@ -253,6 +253,33 @@ def test_sgd_index_streams_match_the_per_run_loop(seeds, n, steps):
     assert np.array_equal(got, serial_sgd_index_streams(seeds, n, steps))
 
 
+@pytest.mark.parametrize("steps", [0, 1, 51, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 200, 2**31 + 11, 3 * 2**30])
+def test_sgd_index_streams_read_from_raw_words_equal_integers(n, steps, monkeypatch):
+    # At n = 3 * 2**30 a quarter of the 32-bit draws are rejected (2**32
+    # mod n = 2**30), so rows go through the redraw; a power of two rejects
+    # none, and n = 1 draws nothing.
+    from stabilab import learners
+
+    redrawn = []
+
+    def counted(keys, draw):
+        redrawn.extend(keys)
+        return draw_each(keys, draw)
+
+    monkeypatch.setattr(learners, "draw_each", counted)
+    seeds = [0, 5, 2**63 - 1, 20250815, *range(40, 60)]
+    got = _sgd_index_streams(seeds, n, steps)
+    assert got.dtype == np.int64 and got.shape == (len(seeds), steps)
+    assert np.array_equal(got, serial_sgd_index_streams(seeds, n, steps))
+    # Every row reads its raw words once; only a rejected row draws again.
+    redraws = len(redrawn) - (len(seeds) if n > 1 and steps else 0)
+    if n == 3 * 2**30 and steps >= 51:
+        assert redraws == len(seeds)
+    elif n in (1, 2) or steps == 0:
+        assert redraws == 0
+
+
 # ---------------------------------------------------------------------------
 # pinned streams: sha256 of outputs recorded before the batched primitives
 # (the sign rows: when each sign batch became one stream), so a change to
