@@ -13,10 +13,12 @@ Three experiments:
   trained hypothesis leaves the radius-r ball around the estimated mean,
   compared to the nominal level delta.
 
-Both refit experiments draw each batch of replicate samples as one
-(C, n, d) stack and fit it through the preset's ``fit_many``, so SGD and
-ridge presets fit all replicates of a batch at once; the center
-experiment's two replicate groups are one fit plan (``datagen.fit_plan``).
+Both refit experiments draw replicate samples as (C, n, d) stacks and fit
+them through the preset's ``fit_many``, so SGD and ridge presets fit many
+replicates at once. The Doob experiment fits each prefix's batch as one
+stack; the center experiment's two replicate groups are one fit plan
+(``datagen.fit_plan``), drawn and fitted in stacks of one fixed memory
+budget.
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@ The ±1 mechanisms also give ``label_mean(margins)``, E[y | margin].
 
 One private sampler, over one Philox key per sample, draws every sample:
 :func:`draw_samples` (a (C, n, d) stack), its row 0 :func:`draw_sample`
-and the replicate stacks of :func:`fit_replicates` and :func:`fit_plan`.
-It reads each stream straight into the output buffers, then does the
-arithmetic in place a block at a time. :func:`fit_plan` fits several
-groups of replicates, and fits of a sample S, in few ``fit_many`` calls.
+and the replicate stacks of :func:`plan_blocks`. It reads each stream
+straight into the output buffers, then does the arithmetic in place a
+block at a time. :func:`plan_blocks` draws and fits groups of replicates,
+and fits of a sample S, in ``fit_many`` calls of one fixed memory budget,
+drawing each call's stack in the buffer of the last; :func:`fit_plan`
+collects their fits.
 
 :func:`true_risks` takes the population risk of a stack of hypotheses
 exactly, with no sampling. The projection of a uniform point of the unit
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learners import Sample
-from .losses import LossModel, _matvec, _sigmoid
+from .losses import _STACK_FLOATS, LossModel, _matvec, _sigmoid
 from .seeding import child_seed, draw_each, stream_key
 
 FEATURE_LAWS = ("sphere", "ball")
@@ -243,76 +245,91 @@ class FitGroup:
     f"{label}-sample", j)``, so it depends only on (dist, n, seed, label,
     j); a stochastic preset fits it on ``child_seed(seed, f"{label}-fit",
     j)``, a deterministic one on 0. With ``count=None`` the group is one fit
-    of S on the fit seed ``seed``; ``label`` then only names it.
+    of S on the fit seed ``seed``; ``label`` then only names it. Any run of
+    a group's replicates can be drawn and fitted apart from the others.
     """
 
     label: str
     seed: int
     count: int | None = None
 
+    @property
+    def rows(self) -> int:
+        """The group's rows in a fit plan: its replicates, or S's one row."""
+        return 1 if self.count is None else self.count
 
-def _draw_group(algorithm, dist, group: FitGroup, X, y, sample=None) -> list:
-    """Fill the stack slices ``X``, ``y`` with the group's samples; returns its fit seeds."""
+
+def _draw_group(algorithm, dist, group: FitGroup, rows: slice, X, y, sample=None) -> list:
+    """Fill the stack slices ``X``, ``y`` with the group's samples ``rows``;
+    returns their fit seeds."""
     if group.count is None:
         X[...], y[...] = sample.features, sample.labels
         return [group.seed]
-    seed, label, replicates = group.seed, group.label, range(group.count)
+    seed, label, replicates = group.seed, group.label, range(group.count)[rows]
     keys = [stream_key(seed, f"{label}-sample", j) for j in replicates]
     _sample_stack(dist, X.shape[1], keys, (X, y))
     if algorithm.stochastic:
         return [child_seed(seed, f"{label}-fit", j) for j in replicates]
-    return [0] * group.count
+    return [0] * len(replicates)
 
 
-def fit_replicates(algorithm, dist: DistributionSpec, n: int, count: int, seed: int, label: str):
-    """(fits, features, labels) of ``count`` fresh samples of size n: the
-    replicate group ``FitGroup(label, seed, count)``, drawn as one stack and
-    fitted through one ``fit_many`` call."""
-    X, y = np.empty((count, n, dist.dim)), np.empty((count, n))
-    seeds = _draw_group(algorithm, dist, FitGroup(label, seed, count), X, y)
-    try:
-        fits = algorithm.fit_many(X, y, seeds)
-    except Exception as exc:
-        raise RuntimeError(f"{label} replicate fits failed: {exc}") from exc
-    return fits, X, y
+def _cut(groups, cap: int) -> list:
+    """The parts of each call: the groups' rows laid out group after group
+    and cut every ``cap`` rows. A part (i, rows, at) puts the rows ``rows``
+    of group i at the call's rows ``at``."""
+    calls, filled = [], cap
+    for i, group in enumerate(groups):
+        start = 0
+        while start < group.rows:
+            if filled == cap:
+                calls.append([])
+                filled = 0
+            take = min(cap - filled, group.rows - start)
+            calls[-1].append((i, slice(start, start + take), slice(filled, filled + take)))
+            start, filled = start + take, filled + take
+    return calls
 
 
-def fit_plan(algorithm, dist: DistributionSpec, n: int, groups, sample=None) -> list:
-    """The (rows, d) fits of each :class:`FitGroup` at n, in few ``fit_many`` calls.
+def plan_blocks(algorithm, dist: DistributionSpec, n: int, groups, sample=None):
+    """Yield (parts, X, y, H) for each ``fit_many`` call of a fit plan.
 
-    Groups are packed largest first, each into the call with the most room
-    left, so that no call holds more freshly drawn samples than the largest
-    group; S's rows count for nothing, since S is held anyway. The calls run
-    largest first. A call's stack is drawn in place, each replicate group by
-    the sampler on its own keys and S copied into its rows, and is freed when
-    the call returns. Every preset fits a row as it fits that sample alone,
-    so a group's fits do not depend on the packing.
+    The groups' rows (S's one row for a group of S) are laid out group after
+    group and cut every ``max(1, _STACK_FLOATS // (n (d + 1)))`` rows, so no
+    call's features and labels exceed ``_STACK_FLOATS`` floats. A part (i,
+    rows, at) puts the rows ``rows`` of group i at the call's rows ``at``.
+    Each call draws its stack ``X``, ``y`` in place in one buffer, on each
+    group's own keys and fit seeds, and fits it to ``H``; the next call
+    redraws the buffer. A replicate is drawn from its key alone and every
+    preset fits a row as it fits that sample alone, so no row depends on
+    the cut. Raises ValueError if n < 1.
     """
-    fresh = [0 if group.count is None else group.count for group in groups]
-    calls = []  # [room left, member groups]
-    for i in sorted(range(len(groups)), key=lambda i: -fresh[i]):
-        call = max(calls, key=lambda call: call[0], default=None)
-        if call is None or call[0] < fresh[i]:
-            call = [max(fresh), []]
-            calls.append(call)
-        call[0] -= fresh[i]
-        call[1].append(i)
-    fits = [None] * len(groups)
-    for _, members in calls:
-        sizes = [1 if groups[i].count is None else fresh[i] for i in members]
-        X, y = np.empty((sum(sizes), n, dist.dim)), np.empty((sum(sizes), n))
-        seeds, ends = [], np.cumsum(sizes)
-        for i, end, size in zip(members, ends, sizes):
-            rows = slice(end - size, end)
-            seeds += _draw_group(algorithm, dist, groups[i], X[rows], y[rows], sample)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cap = max(1, _STACK_FLOATS // (n * (dist.dim + 1)))
+    size = min(cap, sum(group.rows for group in groups))
+    features, labels = np.empty((size, n, dist.dim)), np.empty((size, n))
+    for parts in _cut(groups, cap):
+        end = parts[-1][2].stop
+        X, y = features[:end], labels[:end]
+        seeds = []
+        for i, rows, at in parts:
+            seeds += _draw_group(algorithm, dist, groups[i], rows, X[at], y[at], sample)
         try:
             H = algorithm.fit_many(X, y, seeds)
         except Exception as exc:
-            names = ", ".join(groups[i].label for i in members)
+            names = ", ".join(groups[i].label for i, _, _ in parts)
             raise RuntimeError(f"{names} fits failed: {exc}") from exc
-        del X, y
-        for i, part in zip(members, np.split(H, ends[:-1])):
-            fits[i] = part
+        yield parts, X, y, H
+
+
+def fit_plan(algorithm, dist: DistributionSpec, n: int, groups, sample=None) -> list:
+    """The (rows, d) fits of each :class:`FitGroup` at n, through the calls
+    of :func:`plan_blocks`; they do not depend on how the calls cut the
+    groups."""
+    fits = [np.empty((group.rows, dist.dim)) for group in groups]
+    for parts, _, _, H in plan_blocks(algorithm, dist, n, groups, sample):
+        for i, rows, at in parts:
+            fits[i][rows] = H[at]
     return fits
 
 

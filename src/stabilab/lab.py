@@ -38,7 +38,7 @@ from .datagen import (
     SignFlip,
     draw_sample,
     fit_plan,
-    fit_replicates,
+    plan_blocks,
     true_risks,
 )
 from .learners import (
@@ -327,8 +327,8 @@ def _bound_set(form, constants: dict) -> list:
 
 # The per-n stages below are shared by run_experiment and the CLI's
 # ``stability``, ``complexity`` and ``concentrate`` subcommands, so both read
-# the same streams. Each takes the fits of its groups from the record's fit
-# plan, or runs the same plan on its own groups.
+# the same streams. Each takes the fits of its groups and its seed from the
+# record's fit plan, or runs the same plan on its own groups.
 
 
 def sample_stage(config: ExperimentConfig, n: int) -> Sample:
@@ -336,26 +336,21 @@ def sample_stage(config: ExperimentConfig, n: int) -> Sample:
     return draw_sample(config.distribution, n, child_seed(config.seed, "sample", n))
 
 
-def _record_groups(config: ExperimentConfig, n: int) -> dict:
-    """The fit groups of the record at n, by name: the base and record fits
-    on the sample S, the complexity center's replicates, and the tail's
-    center and trials."""
-    seed = config.seed
-    tail_center, trial = tail_groups(config.trials, child_seed(seed, "tail", n))
-    return {
-        "base": base_fit_group(child_seed(seed, "stability", n)),
-        "record": FitGroup("record", child_seed(seed, "record-fit", n)),
-        "center": FitGroup("center", child_seed(seed, "center", n), config.center_replicates),
-        "tail-center": tail_center,
-        "trial": trial,
-    }
-
-
 def record_fits(config: ExperimentConfig, algorithm, n: int, names, sample=None) -> dict:
-    """The fits of the named record groups at n, by name, through one fit plan."""
-    groups = _record_groups(config, n)
+    """The fits of the named record groups at n, by name, through one fit
+    plan, and under ``"seeds"`` the stability, center and tail stage seeds
+    at n, each derived once. The groups are the base and record fits on the
+    sample S, the complexity center's replicates, and the tail's center and
+    trials."""
+    seeds = {stage: child_seed(config.seed, stage, n) for stage in ("stability", "center", "tail")}
+    groups = {
+        "base": base_fit_group(seeds["stability"]),
+        "record": FitGroup("record", child_seed(config.seed, "record-fit", n)),
+        "center": FitGroup("center", seeds["center"], config.center_replicates),
+        **dict(zip(["tail-center", "trial"], tail_groups(config.trials, seeds["tail"]))),
+    }
     fits = fit_plan(algorithm, config.distribution, n, [groups[name] for name in names], sample)
-    return dict(zip(names, fits))
+    return {"seeds": seeds, **dict(zip(names, fits))}
 
 
 def stability_stage(
@@ -368,7 +363,7 @@ def stability_stage(
         sample,
         config.distribution,
         config.replacements,
-        seed=child_seed(config.seed, "stability", sample.n),
+        seed=fits["seeds"]["stability"],
         base=fits["base"][0],
     )
 
@@ -380,7 +375,7 @@ def complexity_stage(
     n = sample.n
     fits = fits or record_fits(config, algorithm, n, ["center"])
     radius = ball_radius(1.0, alpha, n, config.delta)
-    center = center_of(fits["center"], child_seed(config.seed, "center", n))
+    center = center_of(fits["center"], fits["seeds"]["center"])
     ball = AlgorithmicBall(center.vector, radius, n, config.delta)
     rademacher = ball_rademacher(
         ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
@@ -398,7 +393,7 @@ def tail_stage(
 ) -> TailExperiment:
     """The center-concentration tail experiment at n, at the closed form's alpha."""
     fits = fits or record_fits(config, algorithm, n, ["tail-center", "trial"])
-    seed = child_seed(config.seed, "tail", n)
+    seed = fits["seeds"]["tail"]
     return tail_of(fits["tail-center"], fits["trial"], n, config.delta, alpha, seed)
 
 
@@ -443,8 +438,11 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
         loss = algorithm.loss_for(n)
         _, constants = _bound_constants(config, algorithm, n)
         bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
-        fits, X, y = fit_replicates(algorithm, config.distribution, n, trials, seed, "coverage")
-        gaps = _gaps(config, loss, fits, X, y)
+        # Each call's rows are scored before the next call redraws its stack.
+        gaps = []
+        group = FitGroup("coverage", seed, trials)
+        for _, X, y, fits in plan_blocks(algorithm, config.distribution, n, [group]):
+            gaps += _gaps(config, loss, fits, X, y)
     except Exception as exc:
         raise RuntimeError(f"stage 'coverage' failed at n={n}: {exc}") from exc
     return {

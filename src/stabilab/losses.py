@@ -43,6 +43,9 @@ KINDS = ("hinge", "logistic", "squared")
 # ridge twin cells, penalized-ERM rows and SGD steps are worked through in
 # blocks no larger.
 _BLOCK_FLOATS = 1 << 17
+# Features and labels of one fit plan call (8 MiB of float64): replicate
+# stacks are drawn and fitted in calls no larger (see datagen.plan_blocks).
+_STACK_FLOATS = 8 * _BLOCK_FLOATS
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,7 @@ class TestFailureHandling:
         def fail(*args, **kwargs):
             raise ValueError("no replicates")
 
-        monkeypatch.setattr(lab, "fit_replicates", fail)
+        monkeypatch.setattr(lab, "plan_blocks", fail)
         out = str(tmp_path / "coverage")
         config = ExperimentConfig.from_dict(base_config(coverage_n=20))
         with pytest.raises(RuntimeError, match="stage 'coverage' failed at n=20: no replicates"):

@@ -783,17 +783,17 @@ class TestKeysPerRecord:
         assert counts[0] == counts[1]
 
     def test_a_deterministic_replicate_takes_one_key(self, key_paths):
-        from stabilab.datagen import fit_replicates
+        from stabilab.datagen import FitGroup, fit_plan
 
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        fit_replicates(algo, regression_spec(dim=2), 6, 5, 9, "trial")
+        fit_plan(algo, regression_spec(dim=2), 6, [FitGroup("trial", 9, 5)])
         assert key_paths == [("trial-sample", j) for j in range(5)]
 
     def test_a_stochastic_replicate_hashes_its_sample_key_once(self, key_paths):
-        from stabilab.datagen import fit_replicates
+        from stabilab.datagen import FitGroup, fit_plan
 
         algo = make_algorithm("sgd-convex", "squared", 1.0, 0.5, steps=6, step=0.2)
-        fit_replicates(algo, regression_spec(dim=2), 6, 5, 9, "trial")
+        fit_plan(algo, regression_spec(dim=2), 6, [FitGroup("trial", 9, 5)])
         assert [p for p in key_paths if p[0] == "trial-sample"] == [
             ("trial-sample", j) for j in range(5)
         ]
