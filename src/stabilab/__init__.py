@@ -42,7 +42,6 @@ from .complexity import (
     ball_rademacher,
     ball_radius,
     brute_force_rademacher,
-    estimate_center,
 )
 from .bounds import (
     BoundBreakdown,
@@ -101,7 +100,6 @@ __all__ = [
     "ball_radius",
     "ball_rademacher",
     "brute_force_rademacher",
-    "estimate_center",
     "BoundBreakdown",
     "complexity_bound",
     "plain_gap_bound",

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datagen import FitGroup, fit_plan
 from .seeding import sign_rows
 
 
@@ -71,36 +70,6 @@ class RademacherEstimate:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CenterEstimate:
-    """Average of fitted hypotheses with per-coordinate standard errors."""
-
-    vector: np.ndarray
-    std_error: np.ndarray
-    replicates: int
-    seed: int
-
-    def std_error_norm(self) -> float:
-        return float(np.linalg.norm(self.std_error))
-
-
-def estimate_center(algorithm, dist, n: int, m: int = 64, seed: int = 0) -> CenterEstimate:
-    """Estimate the mean hypothesis by averaging m >= 2 independent refits,
-    the replicate group ``FitGroup("center", seed, m)``, whose spread gives
-    its standard error."""
-    if m < 2:
-        raise ValueError("m must be >= 2 to estimate the spread")
-    (fits,) = fit_plan(algorithm, dist, n, [FitGroup("center", seed, m)])
-    return center_of(fits, seed)
-
-
-def center_of(fits, seed: int) -> CenterEstimate:
-    """The center estimate of m >= 2 replicate fits drawn on ``seed``."""
-    m = len(fits)
-    se = fits.std(axis=0, ddof=1) / math.sqrt(m)
-    return CenterEstimate(vector=fits.mean(axis=0), std_error=se, replicates=m, seed=seed)
 
 
 def _check_features(X) -> np.ndarray:

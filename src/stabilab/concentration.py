@@ -220,9 +220,12 @@ def center_concentration_experiment(
 
 
 def tail_of(center_fits, trial_fits, n: int, delta: float, alpha: float, seed: int):
-    """The tail experiment of trial fits around the mean of the center fits."""
+    """The tail experiment of trial fits around the mean of the center fits,
+    or around their one vector when all are equal, which a mean would round."""
     radius = ball_radius(1.0, alpha, n, delta)
-    distances = np.linalg.norm(trial_fits - center_fits.mean(axis=0)[None, :], axis=1)
+    same = (center_fits == center_fits[0]).all()
+    center = center_fits[0] if same else center_fits.mean(axis=0)
+    distances = np.linalg.norm(trial_fits - center[None, :], axis=1)
     violations = int(np.sum(distances > radius))
     trials = len(trial_fits)
     return TailExperiment(

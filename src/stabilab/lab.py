@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import BOUND_FAMILIES, BoundBreakdown, deformed_gap
-from .complexity import AlgorithmicBall, ball_radius, ball_rademacher, center_of
+from .complexity import AlgorithmicBall, ball_radius, ball_rademacher
 from .datagen import (
     DistributionSpec,
     FitGroup,
@@ -228,6 +228,8 @@ _STABILITY_KEYS = {f.name for f in fields(StabilityReport)} - {"cells"}
 _BOUND_KEYS = {f.name for f in fields(BoundBreakdown)}
 _COVERAGE_KEYS = {"n", "replications", "delta", "a", "bounds", "rows"}
 _GAP_KEYS = {"plain-gap": "plain_gap", "fast-rate": "deformed_gap"}
+_PER_INDEX_KEYS = {"max_over_replacements", "mean"}
+_TAIL_KEYS = {f.name for f in fields(TailExperiment)}
 
 
 def _read_bound(entry, where: str) -> dict:
@@ -316,13 +318,36 @@ def _bound_constants(config: ExperimentConfig, algorithm, n: int):
     }
 
 
-def _bound_set(form, constants: dict) -> list:
-    """Every bound that applies to a closed form, at the constants
-    :func:`_bound_constants` gives with it."""
-    names = ["complexity", "plain-gap", "fast-rate"]
-    if form.family is not None:
-        names.append(form.family)
-    return [BOUND_FAMILIES[name].evaluate(constants) for name in names]
+def _expected_record(config: ExperimentConfig, algorithm, n: int, seeds: dict) -> dict:
+    """The part of the record at n that the config fixes, at the stage seeds
+    ``seeds`` (:func:`stage_seeds`): the document :func:`run_experiment`
+    takes its bounds and coefficients from, and :func:`check_report` walks a
+    written record against."""
+    form, constants = _bound_constants(config, algorithm, n)
+    names = ["complexity", "plain-gap", "fast-rate"] + ([form.family] if form.family else [])
+    radius = ball_radius(1.0, form.alpha, n, config.delta)
+    ball = {"radius": radius, "delta": config.delta}
+    tail = {"threshold": radius, "trials": config.trials, "theoretical_rate": config.delta}
+    return {
+        "stability": {"n": n, "seed": seeds["stability"], "theory_alpha": form.alpha},
+        "radius": radius,
+        "rademacher": {**ball, "draws": config.draws, "seed": seeds["sigma"]},
+        "bounds": [BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in names],
+        "coefficients": form.coefficients,
+        "tail": {**tail, "seed": seeds["tail"]} if config.tail else None,
+    }
+
+
+def _expected_coverage(config: ExperimentConfig, algorithm) -> dict | None:
+    """The coverage section the config fixes, its rows counted: all of it
+    but the gaps, or None without ``coverage_n``."""
+    n = config.coverage_n
+    if n is None:
+        return None
+    _, constants = _bound_constants(config, algorithm, n)
+    bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
+    counts = {"n": n, "replications": config.trials, "rows": config.trials}
+    return {**counts, "delta": config.delta, "a": config.a, "bounds": bounds}
 
 
 # The per-n stages below are shared by run_experiment and the CLI's
@@ -336,13 +361,18 @@ def sample_stage(config: ExperimentConfig, n: int) -> Sample:
     return draw_sample(config.distribution, n, child_seed(config.seed, "sample", n))
 
 
+def stage_seeds(config: ExperimentConfig, n: int) -> dict:
+    """The stability, center, sigma and tail stage seeds at n, each derived once."""
+    stages = ("stability", "center", "sigma", "tail")
+    return {stage: child_seed(config.seed, stage, n) for stage in stages}
+
+
 def record_fits(config: ExperimentConfig, algorithm, n: int, names, sample=None) -> dict:
     """The fits of the named record groups at n, by name, through one fit
-    plan, and under ``"seeds"`` the stability, center and tail stage seeds
-    at n, each derived once. The groups are the base and record fits on the
-    sample S, the complexity center's replicates, and the tail's center and
-    trials."""
-    seeds = {stage: child_seed(config.seed, stage, n) for stage in ("stability", "center", "tail")}
+    plan, and under ``"seeds"`` the stage seeds at n (:func:`stage_seeds`).
+    The groups are the base and record fits on the sample S, the complexity
+    center's replicates, and the tail's center and trials."""
+    seeds = stage_seeds(config, n)
     groups = {
         "base": base_fit_group(seeds["stability"]),
         "record": FitGroup("record", child_seed(config.seed, "record-fit", n)),
@@ -375,15 +405,15 @@ def complexity_stage(
     n = sample.n
     fits = fits or record_fits(config, algorithm, n, ["center"])
     radius = ball_radius(1.0, alpha, n, config.delta)
-    center = center_of(fits["center"], fits["seeds"]["center"])
-    ball = AlgorithmicBall(center.vector, radius, n, config.delta)
-    rademacher = ball_rademacher(
-        ball, sample.features, config.draws, seed=child_seed(config.seed, "sigma", n)
-    )
+    replicates = fits["center"]
+    center = replicates.mean(axis=0)
+    std_error = replicates.std(axis=0, ddof=1) / math.sqrt(len(replicates))
+    ball = AlgorithmicBall(center, radius, n, config.delta)
+    rademacher = ball_rademacher(ball, sample.features, config.draws, seed=fits["seeds"]["sigma"])
     return {
         "radius": radius,
-        "center": [float(v) for v in center.vector],
-        "center_std_error": center.std_error_norm(),
+        "center": [float(v) for v in center],
+        "center_std_error": float(np.linalg.norm(std_error)),
         "rademacher": {**rademacher.to_dict(), "radius": radius, "delta": config.delta},
     }
 
@@ -411,8 +441,7 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         stage = "complexity"
         complexity = complexity_stage(config, algorithm, sample, alpha, fits)
         stage = "bounds"
-        form, constants = _bound_constants(config, algorithm, n)
-        breakdowns = _bound_set(form, constants)
+        expected = _expected_record(config, algorithm, n, fits["seeds"])
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
         (gaps,) = _gaps(config, loss, fits["record"], X, y)
@@ -424,8 +453,8 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
         "n": n,
         "stability": stability.to_dict(),
         **complexity,
-        "bounds": [b.to_dict() for b in breakdowns],
-        "coefficients": form.coefficients,
+        "bounds": expected["bounds"],
+        "coefficients": expected["coefficients"],
         "gaps": gaps,
         "tail": tail,
     }
@@ -433,26 +462,19 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
 
 
 def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
-    n, seed, trials = config.coverage_n, config.seed, config.trials
+    n = config.coverage_n
     try:
         loss = algorithm.loss_for(n)
-        _, constants = _bound_constants(config, algorithm, n)
-        bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
+        coverage = _expected_coverage(config, algorithm)
         # Each call's rows are scored before the next call redraws its stack.
         gaps = []
-        group = FitGroup("coverage", seed, trials)
+        group = FitGroup("coverage", config.seed, config.trials)
         for _, X, y, fits in plan_blocks(algorithm, config.distribution, n, [group]):
             gaps += _gaps(config, loss, fits, X, y)
     except Exception as exc:
         raise RuntimeError(f"stage 'coverage' failed at n={n}: {exc}") from exc
-    return {
-        "n": n,
-        "replications": trials,
-        "delta": config.delta,
-        "a": config.a,
-        "bounds": bounds,
-        "rows": [{"plain_gap": g["plain"], "deformed_gap": g["deformed"]} for g in gaps],
-    }
+    rows = [{"plain_gap": g["plain"], "deformed_gap": g["deformed"]} for g in gaps]
+    return {**coverage, "rows": rows}
 
 
 def fitted_rate_slope(report, field: str = "alpha_hat") -> float:
@@ -537,6 +559,14 @@ def validate_bound_coverage(report, which: str) -> dict:
     }
 
 
+def _per_index(stability: dict, n: int) -> list:
+    """A record's n per-index entries, each checked by the keyed reader."""
+    entries = _as_list(stability["per_index"], f"n={n} per_index")
+    if len(entries) != n:
+        raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
+    return [_keys(entry, f"n={n} per_index entry", _PER_INDEX_KEYS) for entry in entries]
+
+
 def _measured_stability(stability: dict, stochastic: bool, n: int):
     """(label, values) of the measured stability a record's closed form bounds.
 
@@ -547,10 +577,7 @@ def _measured_stability(stability: dict, stochastic: bool, n: int):
     """
     if not stochastic:
         return "alpha_hat", [_real(stability["alpha_hat"], f"n={n} alpha_hat")]
-    entries = _as_list(stability["per_index"], f"n={n} per_index")
-    if len(entries) != n:
-        raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
-    means = [_keys(e, f"n={n} per_index entry", {"mean"}, e)["mean"] for e in entries]
+    means = [entry["mean"] for entry in _per_index(stability, n)]
     return "largest per-index mean distance", [_real(m, f"n={n} per_index mean") for m in means]
 
 
@@ -559,51 +586,68 @@ def _is_real(value) -> bool:
 
 
 def _agrees(stated, expected) -> bool:
-    """Numbers agree to a relative 1e-12, so a one-ulp difference passes; other values are equal."""
-    if not _is_real(expected):
+    """Integers agree when equal and other numbers to a relative 1e-12, so a
+    one-ulp difference passes; any other value must be equal and of its type."""
+    if not (_is_real(expected) and _is_real(stated)):
+        return type(stated) is type(expected) and stated == expected
+    if isinstance(expected, numbers.Integral):
         return stated == expected
-    return _is_real(stated) and math.isclose(stated, expected, rel_tol=1e-12, abs_tol=1e-15)
+    return math.isclose(stated, expected, rel_tol=1e-12, abs_tol=1e-15)
 
 
-def _mismatches(where: str, stated: dict, expected: dict, source: str | None = None) -> list:
-    """A line for each value ``stated`` shares with ``expected`` and gives
-    otherwise, the expected value called ``source``: by default
-    "theoretical" for an alpha and "config" for any other key."""
-    def shown(value):
-        return f"{value:.6g}" if _is_real(value) else repr(value)
-
-    return [
-        f"{where}: {key} {shown(value)} != "
-        f"{source or ('theoretical' if 'alpha' in key else 'config')} {shown(expected[key])}"
-        for key, value in stated.items()
-        if key in expected and not _agrees(value, expected[key])
-    ]
+def _named(entry, default):
+    """A list entry's name in a problem line: a bound's family or a term's label."""
+    return entry.get("name", entry.get("label", default)) if isinstance(entry, dict) else default
 
 
-def _bound_problems(where: str, bound: dict, constants: dict, expected: BoundBreakdown) -> list:
-    """The problems of a read bound entry: its constants, term labels, total
-    and term values against ``expected``, its family evaluated on the
-    rebuilt ``constants``."""
-    problems = _mismatches(where, bound["constants_used"], constants)
-    stated = {"total": bound["total"], **{t["label"]: t["value"] for t in bound["terms"]}}
-    evaluated = {"total": expected.total, **dict(expected.terms)}
-    if stated.keys() != evaluated.keys():
-        problems.append(f"{where}: terms {list(stated)[1:]} != evaluated {list(evaluated)[1:]}")
-    return problems + _mismatches(where, stated, evaluated, "evaluated")
+def _shown(value) -> str:
+    if isinstance(value, list):
+        return repr([_named(entry, entry) for entry in value])
+    return "a dict" if isinstance(value, dict) else repr(value)
+
+
+def _differences(where: str, stated, expected) -> list:
+    """A line for each place where ``stated`` differs from ``expected``,
+    named by its path from ``where``: dicts are walked by the expected keys,
+    lists of one length entry by entry, and every other value compared by
+    :func:`_agrees`."""
+    if isinstance(stated, dict) and isinstance(expected, dict):
+        pairs = [(key, stated.get(key), value) for key, value in expected.items()]
+    elif isinstance(stated, list) and isinstance(expected, list) and len(stated) == len(expected):
+        pairs = [(_named(e, i), s, e) for i, (s, e) in enumerate(zip(stated, expected))]
+    elif _agrees(stated, expected):
+        return []
+    else:
+        return [f"{where}: {_shown(stated)} != expected {_shown(expected)}"]
+    return [line for key, s, e in pairs for line in _differences(f"{where} {key}", s, e)]
+
+
+def _beyond_envelope(where: str, violations, runs: int, nominal: float) -> list:
+    """A line when ``violations`` of ``runs`` lie more than three binomial
+    standard deviations above the nominal rate."""
+    limit = runs * nominal + 3.0 * math.sqrt(runs * nominal * (1.0 - nominal))
+    if violations <= limit:
+        return []
+    return [f"{where}: {violations} violations exceed envelope {limit:.1f} at nominal {nominal:g}"]
 
 
 def check_report(payload) -> list:
     """The problems of a written report, one line each; empty when it checks out.
 
     The report's config is read as :func:`run_experiment` reads it and its
-    preset built; every theoretical alpha, ball radius, bound constant and
-    bound value (each term and total) is recomputed from them, never taken
-    from the report, and the records' n grid and the coverage section's
-    settings and row count must be the config's. A malformed report raises
-    ValueError naming the key or field. A report must carry its digest
-    unless it is a partial one, which carries a failure marker instead and
-    may hold a prefix of the n grid. Every comparison is written as "within
-    the limit", so a NaN fails it.
+    preset built, and the part of each record and of the coverage section
+    that they fix is rebuilt (:func:`_expected_record`,
+    :func:`_expected_coverage`). One walk compares the report with them and
+    with the fields its numbers derive: each ``alpha_hat`` is the largest
+    per-index maximum, a tail's ``empirical_rate`` its violations over its
+    trials, and the ``rate`` is refitted from the records. The measured
+    stability must stay under its closed form, and at 100 or more runs the
+    tail and coverage violations within three binomial standard deviations
+    of their nominal counts. A malformed report raises ValueError naming
+    the key or field. A report must carry its digest unless it is a partial
+    one, which carries a failure marker instead and may hold a prefix of
+    the n grid. Every comparison is written as "within the limit", so a NaN
+    fails it.
     """
     _keys(payload, "report", *_REPORT_KEYS)
     try:
@@ -622,67 +666,50 @@ def check_report(payload) -> list:
     elif not failed:
         problems.append("report has no digest")
     grid = [_integral(_keys(r, "report record", _RECORD_KEYS)["n"], "record n") for r in records]
-    expected = config.n_grid[: len(grid)] if failed else config.n_grid
-    if grid != list(expected):
+    expected_grid = list(config.n_grid[: len(grid)] if failed else config.n_grid)
+    if grid != expected_grid:
         problems.append(f"records hold n = {grid}, not the config n_grid {list(config.n_grid)}")
     for n, record in zip(grid, records):
         if n not in config.n_grid:
             continue
-        form, constants = _bound_constants(config, algorithm, n)
+        expected = _expected_record(config, algorithm, n, stage_seeds(config, n))
+        for bound in _as_list(record["bounds"], "record bounds"):
+            _read_bound(bound, f"n={n} bound")
         stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
-        stated = {"theory_alpha": _real(stability["theory_alpha"], f"n={n} theory_alpha")}
-        problems += _mismatches(f"n={n} stability", stated, {"theory_alpha": form.alpha})
+        theory = expected["stability"]["theory_alpha"]
+        _real(stability["theory_alpha"], f"n={n} theory_alpha")
+        _real(stability["alpha_hat"], f"n={n} alpha_hat")
+        maxima = [entry["max_over_replacements"] for entry in _per_index(stability, n)]
+        expected["stability"]["alpha_hat"] = max(_real(m, f"n={n} per_index max") for m in maxima)
         label, measured = _measured_stability(stability, algorithm.stochastic, n)
-        over = [value for value in measured if not value <= form.alpha + 1e-8]
+        over = [value for value in measured if not value <= theory + 1e-8]
         if over:
             problems.append(
-                f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {form.alpha:.6g}"
+                f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {theory:.6g}"
             )
-        rademacher = record["rademacher"]
-        _keys(rademacher, f"n={n} rademacher", {"radius"}, rademacher)  # its other keys are free
-        radii = {"radius": record["radius"], "rademacher radius": rademacher["radius"]}
-        radius = ball_radius(1.0, form.alpha, n, config.delta)
-        problems += _mismatches(f"n={n}", radii, dict.fromkeys(radii, radius), "theoretical")
-        bounds = _as_list(record["bounds"], "record bounds")
-        bounds = [_read_bound(bound, f"n={n} bound") for bound in bounds]
-        expected = _bound_set(form, constants)
-        names, evaluated = [b["name"] for b in bounds], [b.name for b in expected]
-        if names != evaluated:
-            problems.append(f"n={n} bounds {names} != evaluated {evaluated}")
-        for bound, want in zip(bounds, expected):
-            if bound["name"] == want.name:
-                problems += _bound_problems(f"n={n} {want.name}", bound, constants, want)
+        tail = record["tail"]
+        if tail is not None and config.tail:
+            _keys(tail, f"n={n} tail", _TAIL_KEYS)
+            violations = _count(tail["violations"], f"n={n} tail violations", 0, config.trials)
+            expected["tail"]["empirical_rate"] = violations / config.trials
+            if config.trials >= MIN_COVERAGE_REPLICATIONS:
+                problems += _beyond_envelope(f"n={n} tail", violations, config.trials, config.delta)
+        problems += _differences(f"n={n}", record, expected)
+    if grid == expected_grid and not failed:
+        problems += _differences("rate", payload.get("rate"), _rate_summary(records))
     coverage = payload.get("coverage")
+    stated = coverage
     if coverage is not None:
-        problems += _coverage_problems(config, algorithm, _read_coverage(coverage))
-    elif config.coverage_n is not None and not failed:
-        problems.append(f"report has no coverage section for coverage_n={config.coverage_n}")
-    if failed:
-        problems.append(f"report carries a failure marker: {failed}")
-    return problems
-
-
-def _coverage_problems(config: ExperimentConfig, algorithm, coverage: dict) -> list:
-    """The problems of a read coverage section, against the config it was run from."""
-    # Rows are counted as replications, so both must number the config's trials.
-    stated = {**coverage, "rows": len(coverage["rows"])}
-    counts = {"n": config.coverage_n, "replications": config.trials, "rows": config.trials}
-    problems = _mismatches("coverage", stated, {**counts, "delta": config.delta, "a": config.a})
-    if config.coverage_n is not None:
-        _, constants = _bound_constants(config, algorithm, config.coverage_n)
-        for name, bound in coverage["bounds"].items():
-            want = BOUND_FAMILIES[name].evaluate(constants)
-            problems += _bound_problems(f"coverage {name}", bound, constants, want)
-    if stated["rows"] >= MIN_COVERAGE_REPLICATIONS:
+        stated = {**_read_coverage(coverage), "rows": len(coverage["rows"])}
+    if stated is not None or not failed:
+        problems += _differences("coverage", stated, _expected_coverage(config, algorithm))
+    if stated is not None and stated["rows"] >= MIN_COVERAGE_REPLICATIONS:
         for which in _GAP_KEYS:
             outcome = validate_bound_coverage({"coverage": coverage}, which)
-            runs, nominal = outcome["runs"], outcome["nominal"]
-            envelope = runs * nominal + 3.0 * math.sqrt(runs * nominal * (1.0 - nominal))
-            if not outcome["violations"] <= envelope:
-                problems.append(
-                    f"coverage {which}: {outcome['violations']} violations exceed "
-                    f"envelope {envelope:.1f} at nominal {nominal:g}"
-                )
+            args = outcome["violations"], outcome["runs"], outcome["nominal"]
+            problems += _beyond_envelope(f"coverage {which}", *args)
+    if failed:
+        problems.append(f"report carries a failure marker: {failed}")
     return problems
 
 

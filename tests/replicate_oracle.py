@@ -52,14 +52,20 @@ def serial_plan(algorithm, dist, n, groups, sample=None) -> list:
 
 
 def serial_center(algorithm, dist, n, m, seed):
-    """(mean, per-coordinate standard error) of m >= 2 refits, as estimate_center reports them."""
+    """(mean, per-coordinate standard error) of m >= 2 refits, as a record's
+    complexity stage summarizes its center replicates."""
     fits, _ = serial_fits(algorithm, dist, n, m, seed, "center")
     return fits.mean(axis=0), fits.std(axis=0, ddof=1) / math.sqrt(m)
 
 
 def serial_trials(algorithm, dist, n, trials, delta, alpha, seed):
-    """(trial fits, violations) of center_concentration_experiment with 4 * trials center replicates."""
-    center, _ = serial_center(algorithm, dist, n, 4 * trials, child_seed(seed, "center"))
+    """(trial fits, violations) of center_concentration_experiment with 4 *
+    trials center replicates, centered on their mean, or on their one
+    vector when every replicate is the same."""
+    center_seed = child_seed(seed, "center")
+    replicates, _ = serial_fits(algorithm, dist, n, 4 * trials, center_seed, "center")
+    same = all(np.array_equal(row, replicates[0]) for row in replicates)
+    center = replicates[0] if same else replicates.mean(axis=0)
     fits, _ = serial_fits(algorithm, dist, n, trials, seed, "trial")
     distances = np.linalg.norm(fits - center[None, :], axis=1)
     return fits, int(np.sum(distances > ball_radius(1.0, alpha, n, delta)))

@@ -17,7 +17,13 @@ from stabilab.bounds import (
     sgd_gap_bound,
 )
 from stabilab.cli import main
-from stabilab.lab import ExperimentConfig, check_report, report_digest, run_experiment
+from stabilab.lab import (
+    ExperimentConfig,
+    _rate_summary,
+    check_report,
+    report_digest,
+    run_experiment,
+)
 
 
 MECHANISM = {"type": "linear_noise", "noise_sd": 0.05}
@@ -738,22 +744,30 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "tampered.json", payload)
         assert main(["experiment", "validate", path]) == 1
         out = capsys.readouterr().out
-        assert ": total " in out and "!= evaluated" in out
+        assert out.startswith("invalid: n=10 bounds complexity total: ")
+        assert "!= expected" in out
 
     def test_validate_detects_an_alpha_mismatch(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:
             payload = json.load(fh)
+        alpha = payload["records"][0]["stability"]["theory_alpha"]
         payload["records"][0]["bounds"][0]["constants_used"]["alpha"] *= 2.0
         payload["digest"] = report_digest(payload)
         path = write_json(tmp_path, "tampered.json", payload)
         assert main(["experiment", "validate", path]) == 1
-        assert "!= theoretical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        where = "n=10 bounds complexity constants_used alpha"
+        assert out == f"invalid: {where}: {2 * alpha!r} != expected {alpha!r}\n"
 
     def test_validate_flags_stability_above_the_closed_form(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:
             payload = json.load(fh)
         stability = payload["records"][1]["stability"]
+        # The largest per-index maximum and the rate follow alpha_hat, so
+        # that only the gate on the closed form sees the edit.
         stability["alpha_hat"] = stability["theory_alpha"] * 1.5
+        stability["per_index"][0]["max_over_replacements"] = stability["alpha_hat"]
+        payload["rate"] = _rate_summary(payload["records"])
         payload["digest"] = report_digest(payload)
         path = write_json(tmp_path, "tampered.json", payload)
         assert main(["experiment", "validate", path]) == 1
@@ -770,6 +784,7 @@ class TestExperimentCommands:
         theory = stability["theory_alpha"]
         # One realization above the closed form is allowed for SGD ...
         stability["alpha_hat"] = stability["per_index"][3]["max_over_replacements"] = 2 * theory
+        payload["rate"] = _rate_summary(payload["records"])
         payload["digest"] = report_digest(payload)
         path = write_json(tmp_path, "sgd.json", payload)
         assert main(["experiment", "validate", path]) == 0
@@ -784,32 +799,34 @@ class TestExperimentCommands:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (scale_every_alpha, "n=10 stability: theory_alpha"),
+            (scale_every_alpha, "n=10 stability theory_alpha: "),
             (
                 lambda payload: payload["config"].update(delta=0.45),
-                "n=10 plain-gap: delta 0.25 != config 0.45",
+                "n=10 bounds plain-gap constants_used delta: 0.25 != expected 0.45",
             ),
             (
                 lambda payload: payload["records"].pop(0),
                 "records hold n = [20], not the config n_grid [10, 20]",
             ),
-            (violating_coverage(120, 120), "coverage: rows 120 != config 200"),
+            (violating_coverage(120, 120), "coverage rows: 120 != expected 200"),
             (
                 violating_coverage(200, 130, replications=500),
-                "coverage: replications 500 != config 200",
+                "coverage replications: 500 != expected 200",
             ),
-            (violating_coverage(200, 150, delta=0.49), "coverage: delta 0.49 != config 0.25"),
-            (scale_bound_values("records"), "n=10 complexity: total "),
-            (scale_bound_values("coverage"), "coverage plain-gap: total "),
-            (scale_radii("records"), "n=10: radius "),
-            (scale_radii("rademacher"), "n=10: rademacher radius "),
+            (violating_coverage(200, 150, delta=0.49), "coverage delta: 0.49 != expected 0.25"),
+            (scale_bound_values("records"), "n=10 bounds complexity total: "),
+            (scale_bound_values("coverage"), "coverage bounds plain-gap total: "),
+            (scale_radii("records"), "n=10 radius: "),
+            (scale_radii("rademacher"), "n=10 rademacher radius: "),
             (
                 lambda payload: payload["records"][0]["bounds"].pop(),
-                "n=10 bounds ['complexity', 'plain-gap', 'fast-rate'] != evaluated",
+                "n=10 bounds: ['complexity', 'plain-gap', 'fast-rate'] != expected "
+                "['complexity', 'plain-gap', 'fast-rate', 'rerm-fast-rate']",
             ),
             (
                 lambda payload: payload["records"][0]["bounds"][1]["terms"][1].update(label="x"),
-                "n=10 plain-gap: terms ['stability', 'x'] != evaluated",
+                "n=10 bounds plain-gap terms bounded-differences label: 'x' != expected "
+                "'bounded-differences'",
             ),
         ],
         ids=[

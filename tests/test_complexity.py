@@ -7,15 +7,20 @@ import pytest
 
 from stabilab import (
     AlgorithmicBall,
-    DistributionSpec,
-    LinearNoise,
     ball_radius,
     ball_rademacher,
     brute_force_rademacher,
-    estimate_center,
-    make_algorithm,
 )
 from stabilab.complexity import _antithetic_signs, ball_draw_values, finite_class_draw_values
+from stabilab.datagen import FitGroup, fit_plan
+from stabilab.lab import (
+    ExperimentConfig,
+    build_algorithm,
+    complexity_stage,
+    sample_stage,
+    stage_seeds,
+)
+from stabilab.stability import theoretical_alpha
 
 
 def sphere_features(rng, n, d, bound=1.0):
@@ -254,48 +259,66 @@ class TestBruteForce:
             brute_force_rademacher(np.ones((0, 2)), np.ones((4, 2)), exhaustive=True)
 
 
-class TestEstimateCenter:
-    def regression_spec(self, dim=2):
-        teacher = np.zeros(dim)
-        teacher[0] = 0.3
-        return DistributionSpec(
-            dim=dim,
-            feature_bound=1.0,
-            teacher=teacher,
-            mechanism=LinearNoise(noise_sd=0.05),
-            label_bound=1.0,
-        )
+class TestComplexityStageCenter:
+    """The record's center: the mean of ``center_replicates`` refits, with
+    the norm of its per-coordinate standard error."""
+
+    def config(self, **overrides):
+        raw = {
+            "name": "center",
+            "algorithm": {"preset": "ridge", "lam": 0.5},
+            "loss": "squared",
+            "distribution": {
+                "dim": 2,
+                "feature_bound": 1.0,
+                "teacher": [0.3, 0.0],
+                "mechanism": {"type": "linear_noise", "noise_sd": 0.05},
+                "label_bound": 1.0,
+            },
+            "n_grid": [20],
+            "draws": 16,
+            "center_replicates": 16,
+            "seed": 3,
+        }
+        return ExperimentConfig.from_dict({**raw, **overrides})
+
+    def center(self, config, n):
+        algorithm = build_algorithm(config)
+        sample = sample_stage(config, n)
+        return complexity_stage(config, algorithm, sample, theoretical_alpha(algorithm, n))
 
     def test_replays_and_reports_spread(self):
-        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        spec = self.regression_spec()
-        a = estimate_center(algo, spec, n=20, m=16, seed=3)
-        b = estimate_center(algo, spec, n=20, m=16, seed=3)
-        assert np.array_equal(a.vector, b.vector)
-        assert np.array_equal(a.std_error, b.std_error)
-        assert a.replicates == 16
-        assert a.std_error_norm() > 0
-        assert np.all(a.std_error > 0)
+        config = self.config()
+        a, b = self.center(config, 20), self.center(config, 20)
+        assert a["center"] == b["center"]
+        assert a["center_std_error"] == b["center_std_error"] > 0
+        (fits,) = fit_plan(
+            build_algorithm(config),
+            config.distribution,
+            20,
+            [FitGroup("center", stage_seeds(config, 20)["center"], 16)],
+        )
+        assert np.all(fits.std(axis=0, ddof=1) > 0)
 
     def test_center_approaches_the_ridge_population_solution(self):
         # On the sphere E[x x^T] = B^2/d I, so the population ridge solution
         # is teacher * (B^2/d) / (B^2/d + lam).
-        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        spec = self.regression_spec()
-        est = estimate_center(algo, spec, n=200, m=64, seed=5)
+        config = self.config(n_grid=[200], center_replicates=64, seed=5)
+        est = self.center(config, 200)
         shrink = 0.5 / (0.5 + 0.5)
         target = np.array([0.3 * shrink, 0.0])
-        assert np.linalg.norm(est.vector - target) <= 6.0 * est.std_error_norm()
+        assert np.linalg.norm(np.array(est["center"]) - target) <= 6.0 * est["center_std_error"]
 
     def test_a_single_replicate_raises(self):
         # One refit has no spread, so the center would have no standard error.
-        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        with pytest.raises(ValueError, match="m must be >= 2"):
-            estimate_center(algo, self.regression_spec(), n=10, m=1, seed=0)
+        with pytest.raises(ValueError, match=r"center_replicates must lie in \[2, 4000\], got 1"):
+            self.config(center_replicates=1)
 
     def test_rejects_bad_budgets(self):
-        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
-        with pytest.raises(ValueError):
-            estimate_center(algo, self.regression_spec(), n=10, m=0)
-        with pytest.raises(ValueError):
-            estimate_center(algo, self.regression_spec(), n=0, m=4)
+        with pytest.raises(ValueError, match="center_replicates must lie in"):
+            self.config(center_replicates=0)
+        with pytest.raises(ValueError, match="n_grid entry must lie in"):
+            self.config(n_grid=[0])
+        algorithm = build_algorithm(self.config())
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fit_plan(algorithm, self.config().distribution, 0, [FitGroup("center", 0, 4)])

@@ -436,11 +436,15 @@ class TestArtifacts:
         payload["records"][0]["stability"]["alpha_hat"] = math.nan
         for row in payload["coverage"]["rows"]:
             row["plain_gap"] = math.nan
+        # The rate is refitted from the edited records, so that only the
+        # gate, the per-index maximum and the coverage count see the NaN.
+        payload["rate"] = lab._rate_summary(payload["records"])
         payload["digest"] = report_digest(payload)
         problems = check_report(payload)
-        assert len(problems) == 2
+        assert len(problems) == 3
         assert problems[0].startswith("n=10 stability: alpha_hat nan exceeds theory_alpha")
-        assert problems[1].startswith("coverage plain-gap: 100 violations exceed envelope")
+        assert problems[1].startswith("n=10 stability alpha_hat: nan != expected ")
+        assert problems[2].startswith("coverage plain-gap: 100 violations exceed envelope")
 
     def test_a_partial_report_may_hold_a_prefix_of_the_grid(self, outputs):
         _, out = outputs
@@ -460,11 +464,11 @@ class TestArtifacts:
             payload = json.load(fh)
         coverage = payload.pop("coverage")
         payload["digest"] = report_digest(payload)
-        assert check_report(payload) == ["report has no coverage section for coverage_n=20"]
+        assert check_report(payload) == ["coverage: None != expected a dict"]
         payload["coverage"] = coverage
         del payload["config"]["coverage_n"]
         payload["digest"] = report_digest(payload)
-        assert check_report(payload) == ["coverage: n 20 != config None"]
+        assert check_report(payload) == ["coverage: a dict != expected None"]
 
     def test_write_report_files_returns_every_path(self, outputs):
         report, out = outputs

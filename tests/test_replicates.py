@@ -1,6 +1,7 @@
 """The stacked replicate path and a record's fit plan against their serial
 oracles, for every preset."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabilab import datagen, learners, lab
-from stabilab.complexity import estimate_center
 from stabilab.concentration import center_concentration_experiment, doob_decomposition
 from stabilab.datagen import FitGroup, draw_sample, plan_blocks
 from stabilab.lab import (
@@ -21,10 +21,12 @@ from stabilab.lab import (
     ExperimentConfig,
     _run_coverage,
     build_algorithm,
+    complexity_stage,
     record_fits,
     report_digest,
     run_experiment,
     sample_stage,
+    stage_seeds,
 )
 
 from replicate_oracle import (
@@ -136,10 +138,12 @@ def test_replicate_path_equals_the_serial_loops(
         dist = config.distribution
 
         # A center averages m >= 2 refits, so that their spread is its standard error.
-        center = estimate_center(algorithm, dist, n, m=count + 1, seed=seed)
-        vector, std_error = serial_center(algorithm, dist, n, count + 1, seed)
-        assert np.array_equal(center.vector, vector)
-        assert np.array_equal(center.std_error, std_error)
+        centered = dataclasses.replace(config, center_replicates=count + 1)
+        complexity = complexity_stage(centered, algorithm, sample_stage(config, n), alpha)
+        center_seed = stage_seeds(config, n)["center"]
+        vector, std_error = serial_center(algorithm, dist, n, count + 1, center_seed)
+        assert np.array_equal(complexity["center"], vector)
+        assert complexity["center_std_error"] == float(np.linalg.norm(std_error))
 
         fits, X, y = blocked_fits(algorithm, dist, n, FitGroup("trial", seed, count))
         trial_fits, samples = serial_fits(algorithm, dist, n, count, seed, "trial")
