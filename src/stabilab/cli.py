@@ -3,8 +3,8 @@
 Subcommands mirror the library stages: ``stability`` measures replace-one
 argument stability for one config at one n, ``complexity`` estimates the
 confidence-ball Rademacher complexity and ``concentrate center`` runs the
-center-concentration tail (all three through the per-n stages that
-``experiment run`` records, so they print the record's numbers at the same
+center-concentration tail (all three through the stage functions that
+``experiment run`` calls, so they print the record's numbers at the same
 n and seed), ``bounds`` evaluates one bound family from a constants file,
 ``concentrate`` also runs the Pinelis and Doob experiments, ``experiment
 run`` executes a full config, ``experiment validate`` re-checks a written
@@ -31,24 +31,29 @@ import os
 import sys
 
 from .bounds import BOUND_FAMILIES
-from .concentration import doob_decomposition, pinelis_tail_experiment
+from .concentration import (
+    center_concentration_experiment,
+    doob_decomposition,
+    pinelis_tail_experiment,
+)
 from .lab import (
+    MAX_CENTER_REPLICATES,
     MAX_N,
     ExperimentConfig,
     build_algorithm,
     check_report,
     complexity_stage,
+    record_fits,
     report_digest,
     run_experiment,
     sample_stage,
-    stability_stage,
-    tail_stage,
+    stage_seeds,
     write_csv,
     write_json,
 )
 from .learners import _as_list, _count, _integral, _real, _tagged
 from .losses import certify_loss, make_loss
-from .stability import CELL_HEADER, theoretical_alpha
+from .stability import CELL_HEADER, measure_argument_stability, theoretical_alpha
 
 
 def _finite(literal: str) -> float:
@@ -113,8 +118,11 @@ def _emit(args, name: str, payload, header=None, rows=None) -> None:
 def cmd_stability(args) -> int:
     config = _load_config(_load_json(args.config), args.seed)
     n = _pick_n(args, config)
-    algorithm = build_algorithm(config)
-    report = stability_stage(config, algorithm, sample_stage(config, n))
+    seed = stage_seeds(config, n)["stability"]
+    sample = sample_stage(config, n)
+    report = measure_argument_stability(
+        build_algorithm(config), sample, config.distribution, config.replacements, seed=seed
+    )
     _emit(args, "stability", report.to_dict(), CELL_HEADER, report.cells)
     return 0
 
@@ -124,7 +132,9 @@ def cmd_complexity(args) -> int:
     n = _pick_n(args, config)
     algorithm = build_algorithm(config)
     alpha = theoretical_alpha(algorithm, n)
-    ball = complexity_stage(config, algorithm, sample_stage(config, n), alpha)
+    seeds = stage_seeds(config, n)
+    center = record_fits(config, algorithm, n, ["center"], seeds)["center"]
+    ball = complexity_stage(config, sample_stage(config, n), alpha, center, seeds["sigma"])
     payload = {"n": n, "delta": config.delta, "alpha_theory": alpha, **ball}
     estimate = ball["rademacher"]
     header = ["n", "delta", "alpha_theory", "radius", "rademacher_mean", "rademacher_std_error"]
@@ -191,9 +201,13 @@ def cmd_concentrate(args) -> int:
     algorithm = build_algorithm(config)
     n = _count(spec["n"], "n", 1, MAX_N)
     if kind == "center":
-        # The record's tail at n: the same stage on the same streams.
-        return _emit_tail(args, tail_stage(config, algorithm, n, theoretical_alpha(algorithm, n)))
-    suffix_draws = _integral(spec.get("suffix_draws", 512), "suffix_draws")
+        # The record's tail at n: the same groups on the same streams.
+        alpha, seed = theoretical_alpha(algorithm, n), stage_seeds(config, n)["tail"]
+        experiment = center_concentration_experiment(
+            algorithm, config.distribution, n, config.trials, config.delta, alpha, seed
+        )
+        return _emit_tail(args, experiment)
+    suffix_draws = _count(spec.get("suffix_draws", 512), "suffix_draws", 256, MAX_CENTER_REPLICATES)
     sample = sample_stage(config, n)
     decomposition = doob_decomposition(
         algorithm, sample, config.distribution, suffix_draws, config.seed

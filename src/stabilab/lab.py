@@ -350,10 +350,9 @@ def _expected_coverage(config: ExperimentConfig, algorithm) -> dict | None:
     return {**counts, "delta": config.delta, "a": config.a, "bounds": bounds}
 
 
-# The per-n stages below are shared by run_experiment and the CLI's
-# ``stability``, ``complexity`` and ``concentrate`` subcommands, so both read
-# the same streams. Each takes the fits of its groups and its seed from the
-# record's fit plan, or runs the same plan on its own groups.
+# The per-n helpers below are shared by run_experiment and the CLI's
+# ``stability``, ``complexity`` and ``concentrate center`` subcommands, so
+# both read the same sample, stage seeds and record groups at n.
 
 
 def sample_stage(config: ExperimentConfig, n: int) -> Sample:
@@ -367,12 +366,11 @@ def stage_seeds(config: ExperimentConfig, n: int) -> dict:
     return {stage: child_seed(config.seed, stage, n) for stage in stages}
 
 
-def record_fits(config: ExperimentConfig, algorithm, n: int, names, sample=None) -> dict:
+def record_fits(config: ExperimentConfig, algorithm, n: int, names, seeds, sample=None) -> dict:
     """The fits of the named record groups at n, by name, through one fit
-    plan, and under ``"seeds"`` the stage seeds at n (:func:`stage_seeds`).
-    The groups are the base and record fits on the sample S, the complexity
-    center's replicates, and the tail's center and trials."""
-    seeds = stage_seeds(config, n)
+    plan at the stage seeds ``seeds`` (:func:`stage_seeds`). The groups are
+    the base and record fits on the sample S, the complexity center's
+    replicates, and the tail's center and trials."""
     groups = {
         "base": base_fit_group(seeds["stability"]),
         "record": FitGroup("record", child_seed(config.seed, "record-fit", n)),
@@ -380,36 +378,21 @@ def record_fits(config: ExperimentConfig, algorithm, n: int, names, sample=None)
         **dict(zip(["tail-center", "trial"], tail_groups(config.trials, seeds["tail"]))),
     }
     fits = fit_plan(algorithm, config.distribution, n, [groups[name] for name in names], sample)
-    return {"seeds": seeds, **dict(zip(names, fits))}
-
-
-def stability_stage(
-    config: ExperimentConfig, algorithm, sample: Sample, fits=None
-) -> StabilityReport:
-    """Replace-one stability of the algorithm on the stage sample."""
-    fits = fits or record_fits(config, algorithm, sample.n, ["base"], sample)
-    return measure_argument_stability(
-        algorithm,
-        sample,
-        config.distribution,
-        config.replacements,
-        seed=fits["seeds"]["stability"],
-        base=fits["base"][0],
-    )
+    return dict(zip(names, fits))
 
 
 def complexity_stage(
-    config: ExperimentConfig, algorithm, sample: Sample, alpha: float, fits=None
+    config: ExperimentConfig, sample: Sample, alpha: float, replicates: np.ndarray, seed: int
 ) -> dict:
-    """The record's radius, center and Rademacher estimate of the confidence ball at n."""
+    """The record's radius, center and Rademacher estimate of the confidence
+    ball at n: the center is the mean of the center ``replicates``, and the
+    estimate draws its signs on ``seed``."""
     n = sample.n
-    fits = fits or record_fits(config, algorithm, n, ["center"])
     radius = ball_radius(1.0, alpha, n, config.delta)
-    replicates = fits["center"]
     center = replicates.mean(axis=0)
     std_error = replicates.std(axis=0, ddof=1) / math.sqrt(len(replicates))
     ball = AlgorithmicBall(center, radius, n, config.delta)
-    rademacher = ball_rademacher(ball, sample.features, config.draws, seed=fits["seeds"]["sigma"])
+    rademacher = ball_rademacher(ball, sample.features, config.draws, seed=seed)
     return {
         "radius": radius,
         "center": [float(v) for v in center],
@@ -418,35 +401,33 @@ def complexity_stage(
     }
 
 
-def tail_stage(
-    config: ExperimentConfig, algorithm, n: int, alpha: float, fits=None
-) -> TailExperiment:
-    """The center-concentration tail experiment at n, at the closed form's alpha."""
-    fits = fits or record_fits(config, algorithm, n, ["tail-center", "trial"])
-    seed = fits["seeds"]["tail"]
-    return tail_of(fits["tail-center"], fits["trial"], n, config.delta, alpha, seed)
-
-
 def _run_record(config: ExperimentConfig, algorithm, n: int):
     stage = "sample"
     try:
         sample = sample_stage(config, n)
+        seeds = stage_seeds(config, n)
         loss = algorithm.loss_for(n)
         stage = "fits"
         names = ["base", "record", "center"] + (["tail-center", "trial"] if config.tail else [])
-        fits = record_fits(config, algorithm, n, names, sample)
+        fits = record_fits(config, algorithm, n, names, seeds, sample)
         stage = "stability"
-        stability = stability_stage(config, algorithm, sample, fits)
+        seed, base = seeds["stability"], fits["base"][0]
+        stability = measure_argument_stability(
+            algorithm, sample, config.distribution, config.replacements, seed=seed, base=base
+        )
         alpha = stability.theory_alpha
         stage = "complexity"
-        complexity = complexity_stage(config, algorithm, sample, alpha, fits)
+        complexity = complexity_stage(config, sample, alpha, fits["center"], seeds["sigma"])
         stage = "bounds"
-        expected = _expected_record(config, algorithm, n, fits["seeds"])
+        expected = _expected_record(config, algorithm, n, seeds)
         stage = "gaps"
         X, y = sample.features[None], sample.labels[None]
         (gaps,) = _gaps(config, loss, fits["record"], X, y)
         stage = "tail"
-        tail = tail_stage(config, algorithm, n, alpha, fits).to_dict() if config.tail else None
+        tail = None
+        if config.tail:
+            center_fits, trial_fits = fits["tail-center"], fits["trial"]
+            tail = tail_of(center_fits, trial_fits, n, config.delta, alpha, seeds["tail"]).to_dict()
     except Exception as exc:
         raise RuntimeError(f"stage {stage!r} failed at n={n}: {exc}") from exc
     record = {
@@ -559,26 +540,14 @@ def validate_bound_coverage(report, which: str) -> dict:
     }
 
 
-def _per_index(stability: dict, n: int) -> list:
-    """A record's n per-index entries, each checked by the keyed reader."""
+def _per_index(stability: dict, n: int):
+    """A record's n per-index maxima and means, each entry checked by the keyed reader."""
     entries = _as_list(stability["per_index"], f"n={n} per_index")
     if len(entries) != n:
         raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
-    return [_keys(entry, f"n={n} per_index entry", _PER_INDEX_KEYS) for entry in entries]
-
-
-def _measured_stability(stability: dict, stochastic: bool, n: int):
-    """(label, values) of the measured stability a record's closed form bounds.
-
-    Ridge and penalized ERM bound every replace-one distance, so their
-    ``alpha_hat`` is checked. The SGD closed forms bound the coupled-twin
-    distance in expectation over the shared index stream, so stochastic
-    presets check each index's mean distance over its replacements instead.
-    """
-    if not stochastic:
-        return "alpha_hat", [_real(stability["alpha_hat"], f"n={n} alpha_hat")]
-    means = [entry["mean"] for entry in _per_index(stability, n)]
-    return "largest per-index mean distance", [_real(m, f"n={n} per_index mean") for m in means]
+    entries = [_keys(entry, f"n={n} per_index entry", _PER_INDEX_KEYS) for entry in entries]
+    maxima = [_real(entry["max_over_replacements"], f"n={n} per_index max") for entry in entries]
+    return maxima, [_real(entry["mean"], f"n={n} per_index mean") for entry in entries]
 
 
 def _is_real(value) -> bool:
@@ -678,10 +647,25 @@ def check_report(payload) -> list:
         stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
         theory = expected["stability"]["theory_alpha"]
         _real(stability["theory_alpha"], f"n={n} theory_alpha")
-        _real(stability["alpha_hat"], f"n={n} alpha_hat")
-        maxima = [entry["max_over_replacements"] for entry in _per_index(stability, n)]
-        expected["stability"]["alpha_hat"] = max(_real(m, f"n={n} per_index max") for m in maxima)
-        label, measured = _measured_stability(stability, algorithm.stochastic, n)
+        alpha_hat = _real(stability["alpha_hat"], f"n={n} alpha_hat")
+        maxima, means = _per_index(stability, n)
+        expected["stability"]["alpha_hat"] = max(maxima)
+        # Each index has its replacements and, unless the base fit is zero,
+        # two anchors; the report does not show the base fit, so either count holds.
+        cells = n * config.replacements
+        expected["stability"]["trials"] = cells if stability["trials"] == cells else cells + 2 * n
+        # A mean of equal distances may round one ulp above them.
+        above = [i for i, m in enumerate(means) if not m <= maxima[i] + 1e-12 * abs(maxima[i])]
+        if above:
+            i = above[0]
+            where = f"n={n} stability per_index {i} mean"
+            problems.append(f"{where}: {means[i]!r} exceeds max_over_replacements {maxima[i]!r}")
+        # Ridge and penalized ERM bound every replace-one distance; the SGD closed
+        # forms bound the coupled-twin distance in expectation over the shared
+        # index stream, so stochastic presets check each index's mean distance.
+        label, measured = "alpha_hat", [alpha_hat]
+        if algorithm.stochastic:
+            label, measured = "largest per-index mean distance", means
         over = [value for value in measured if not value <= theory + 1e-8]
         if over:
             problems.append(

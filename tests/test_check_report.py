@@ -109,6 +109,11 @@ def scale_per_index_maxima(record):
         entry["max_over_replacements"] *= 0.1
 
 
+def mean_above_its_maximum(record):
+    entry = record["stability"]["per_index"][0]
+    entry["mean"] = 1.5 * entry["max_over_replacements"]
+
+
 def every_trial_violating(record):
     record["tail"].update(violations=100, empirical_rate=1.0)
 
@@ -189,6 +194,14 @@ EDITS = {
     "every-per-index-maximum-times-0.1": (
         every_record(scale_per_index_maxima),
         "n=10 stability alpha_hat: ",
+    ),
+    "stability-trials-times-2": (
+        first_record(lambda r: r["stability"].update(trials=2 * r["stability"]["trials"])),
+        "n=10 stability trials: 80 != expected 40",
+    ),
+    "per-index-mean-above-its-maximum": (
+        first_record(mean_above_its_maximum),
+        "n=10 stability per_index 0 mean: ",
     ),
     "every-tail-trial-violating": (
         every_record(every_trial_violating),

@@ -655,6 +655,10 @@ class TestConcentrateCommand:
             ({"kind": "center", "n": 20.9}, "n must be an integer"),
             ({"kind": "doob", "n": 401}, "n must lie in"),
             ({"kind": "doob", "n": 8.5}, "n must be an integer"),
+            (
+                {"kind": "doob", "n": 8, "suffix_draws": 4001},
+                "suffix_draws must lie in [256, 4000], got 4001",
+            ),
         ],
     )
     def test_desk_scale_caps_hold(self, tmp_path, spec, message, capsys):

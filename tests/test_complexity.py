@@ -17,6 +17,7 @@ from stabilab.lab import (
     ExperimentConfig,
     build_algorithm,
     complexity_stage,
+    record_fits,
     sample_stage,
     stage_seeds,
 )
@@ -284,8 +285,10 @@ class TestComplexityStageCenter:
 
     def center(self, config, n):
         algorithm = build_algorithm(config)
-        sample = sample_stage(config, n)
-        return complexity_stage(config, algorithm, sample, theoretical_alpha(algorithm, n))
+        seeds = stage_seeds(config, n)
+        replicates = record_fits(config, algorithm, n, ["center"], seeds)["center"]
+        alpha = theoretical_alpha(algorithm, n)
+        return complexity_stage(config, sample_stage(config, n), alpha, replicates, seeds["sigma"])
 
     def test_replays_and_reports_spread(self):
         config = self.config()

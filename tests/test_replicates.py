@@ -139,9 +139,11 @@ def test_replicate_path_equals_the_serial_loops(
 
         # A center averages m >= 2 refits, so that their spread is its standard error.
         centered = dataclasses.replace(config, center_replicates=count + 1)
-        complexity = complexity_stage(centered, algorithm, sample_stage(config, n), alpha)
-        center_seed = stage_seeds(config, n)["center"]
-        vector, std_error = serial_center(algorithm, dist, n, count + 1, center_seed)
+        seeds = stage_seeds(config, n)
+        replicates = record_fits(centered, algorithm, n, ["center"], seeds)["center"]
+        sample = sample_stage(config, n)
+        complexity = complexity_stage(centered, sample, alpha, replicates, seeds["sigma"])
+        vector, std_error = serial_center(algorithm, dist, n, count + 1, seeds["center"])
         assert np.array_equal(complexity["center"], vector)
         assert complexity["center_std_error"] == float(np.linalg.norm(std_error))
 
@@ -287,11 +289,11 @@ def test_a_plan_holds_one_stack_at_a_time(monkeypatch):
         "constant", "squared", "sphere", MAX_DIM, 0.5, MAX_N, 1, 7, center_replicates=400
     )
     algorithm = build_algorithm(config)
-    sample = sample_stage(config, MAX_N)
+    sample, seeds = sample_stage(config, MAX_N), stage_seeds(config, MAX_N)
     stacks = spy_stacks(monkeypatch)
     tracemalloc.start()
     try:
-        record_fits(config, algorithm, MAX_N, ["base", "record", "center"], sample)
+        record_fits(config, algorithm, MAX_N, ["base", "record", "center"], seeds, sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -799,3 +799,38 @@ class TestKeysPerRecord:
         ]
         assert [p for p in key_paths if p[0] == "trial-fit"] == [("trial-fit", j) for j in range(5)]
         assert ("datagen",) not in key_paths
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            {"preset": "ridge", "lam": 0.5},
+            {"preset": "sgd-convex", "steps": 12, "step": "inverse_smoothness"},
+        ],
+        ids=["ridge", "sgd-convex"],
+    )
+    def test_a_record_hashes_each_stage_key_once(self, key_paths, algorithm):
+        from stabilab.lab import ExperimentConfig, run_experiment
+
+        raw = {
+            "name": "keys",
+            "algorithm": algorithm,
+            "loss": "squared",
+            "distribution": {
+                "dim": 2,
+                "feature_bound": 1.0,
+                "teacher": [0.3, 0.0],
+                "mechanism": {"type": "linear_noise", "noise_sd": 0.05},
+            },
+            "n_grid": [6],
+            "replacements": 2,
+            "trials": 4,
+            "draws": 8,
+            "center_replicates": 4,
+            "tail": True,
+            "seed": 3,
+        }
+        config = ExperimentConfig.from_dict(raw)
+        key_paths.clear()
+        run_experiment(config)
+        for stage in ("sample", "stability", "center", "sigma", "tail", "record-fit"):
+            assert key_paths.count((stage, 6)) == 1, stage
