@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .seeding import sign_rows
+from .seeding import sign_blocks
 
 
 def ball_radius(smooth_constant: float, alpha: float, n: int, delta: float) -> float:
@@ -116,24 +116,22 @@ def finite_class_draw_values(hypotheses, X, signs) -> np.ndarray:
     return _finite_class_values(H, _sign_sums(signs, X), X.shape[0])
 
 
-def _antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
-    """(pairs, n) signs; row k is sigma of pair k, whose other draw is -sigma.
-
-    Row k is row k of the one sign stream ``(seed, "sigma")`` (see
-    :func:`sign_rows`), so it replays alone and does not depend on ``pairs``.
-    """
-    return sign_rows(seed, "sigma", out=np.empty((pairs, n)))
-
-
 def _antithetic_estimate(values_from_sums, X, draws: int, seed: int) -> RademacherEstimate:
     """Mean of ``values_from_sums(signs @ X, n)`` over antithetic pairs, with its std error.
 
-    The sums of -sigma are exactly the negated sums of sigma, so each pair is summed once.
+    Pair k's sigma is row k of the one sign stream ``(seed, "sigma")`` (see
+    :func:`sign_blocks`), so it replays alone and does not depend on ``draws``;
+    its other draw is -sigma. Each block of the stream is folded into the
+    (pairs, d) sign sums as it arrives, and the values are taken once over
+    all of them, since a BLAS product's rows may round differently with the
+    number of rows. The sums of -sigma are exactly the negated sums of sigma,
+    so each pair is summed once.
     """
     if draws < 2 or draws % 2 != 0:
         raise ValueError("draws must be an even number >= 2 (antithetic pairing)")
     pairs, n = draws // 2, X.shape[0]
-    sums = _sign_sums(_antithetic_signs(seed, pairs, n), X)
+    blocks = sign_blocks(seed, "sigma", rows=range(pairs), n=n)
+    sums = np.vstack([_sign_sums(bits * 2.0 - 1.0, X) for bits in blocks])
     pair_means = 0.5 * (values_from_sums(sums, n) + values_from_sums(-sums, n))
     mean = float(pair_means.mean())
     se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))

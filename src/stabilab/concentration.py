@@ -31,7 +31,8 @@ import numpy as np
 from .complexity import ball_radius
 from .datagen import DistributionSpec, FitGroup, draw_samples, fit_plan
 from .learners import Sample
-from .seeding import child_seed, sign_rows
+from .losses import _BLOCK_FLOATS
+from .seeding import child_seed, child_seeds, sign_blocks
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,11 @@ def pinelis_tail_experiment(
     against the theoretical rate min(1, 2 exp(-epsilon^2 / (2 D^2))).
 
     Trial k's signs are row k of the one sign stream ``(seed, "pinelis")``
-    (see :func:`sign_rows`), so a trial replays alone and does not depend
-    on ``trials``.
+    (see :func:`sign_blocks`), so a trial replays alone and does not depend
+    on ``trials``. The trials run in blocks of at most
+    ``_BLOCK_FLOATS // dim``, each holding its coordinates and one sign
+    byte a step, so memory does not grow with ``trials`` and the steps run
+    once a block; a trial's arithmetic does not depend on its block.
     """
     bounds = np.asarray(increment_bounds, dtype=np.float64)
     if bounds.ndim != 1 or bounds.size == 0:
@@ -91,14 +95,23 @@ def pinelis_tail_experiment(
     steps = bounds.size
     c = float(np.sqrt(np.sum(bounds**2)))
     threshold_sq = (c * epsilon) ** 2
-    signs = sign_rows(seed, "pinelis", out=np.empty((trials, steps)))
-    coords = np.zeros((trials, dim))
-    violated = np.zeros(trials, dtype=bool)
-    for t in range(steps):
-        coords[:, t % dim] += bounds[t] * signs[:, t]
-        norm_sq = np.einsum("kd,kd->k", coords, coords)
-        violated |= norm_sq >= threshold_sq
-    violations = int(violated.sum())
+    block = max(1, _BLOCK_FLOATS // dim)
+    violations = 0
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        # Step t's signs are the contiguous row bits[t], one byte a trial.
+        bits = np.empty((steps, hi - lo), dtype=np.uint8)
+        at = 0
+        for chunk in sign_blocks(seed, "pinelis", rows=range(lo, hi), n=steps):
+            bits[:, at : at + len(chunk)] = chunk.T
+            at += len(chunk)
+        coords = np.zeros((hi - lo, dim))
+        violated = np.zeros(hi - lo, dtype=bool)
+        for t in range(steps):
+            # A bit b gives b * 2 b_t - b_t, which is exactly +b_t or -b_t.
+            coords[:, t % dim] += bits[t] * (2.0 * bounds[t]) - bounds[t]
+            violated |= np.einsum("kd,kd->k", coords, coords) >= threshold_sq
+        violations += int(violated.sum())
     theoretical = min(1.0, 2.0 * math.exp(-(epsilon**2) / (2.0 * smooth_constant**2)))
     return TailExperiment(
         threshold=epsilon,
@@ -162,10 +175,9 @@ def doob_decomposition(
         # Every replicate keeps the first t examples and resamples the rest.
         X, y = np.empty((suffix_draws, n, dim)), np.empty((suffix_draws, n))
         X[:, :t], y[:, :t] = sample.features[:t], sample.labels[:t]
-        suffix_seeds = [child_seed(seed, "suffix", t, k) for k in draws]
-        X[:, t:], y[:, t:] = draw_samples(dist, n - t, suffix_seeds)
+        X[:, t:], y[:, t:] = draw_samples(dist, n - t, child_seeds(seed, "suffix", t, items=draws))
         try:
-            fits = algorithm.fit_many(X, y, [child_seed(seed, "suffix-fit", t, k) for k in draws])
+            fits = algorithm.fit_many(X, y, child_seeds(seed, "suffix-fit", t, items=draws))
         except Exception as exc:
             raise RuntimeError(f"conditional mean at t={t} failed: {exc}") from exc
         means[t] = fits.mean(axis=0)

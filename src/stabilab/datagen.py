@@ -41,7 +41,7 @@ import numpy as np
 
 from .learners import Sample
 from .losses import _STACK_FLOATS, LossModel, _matvec, _sigmoid
-from .seeding import child_seed, draw_each, stream_key
+from .seeding import child_seeds, draw_each, stream_key, stream_keys
 
 FEATURE_LAWS = ("sphere", "ball")
 
@@ -266,10 +266,9 @@ def _draw_group(algorithm, dist, group: FitGroup, rows: slice, X, y, sample=None
         X[...], y[...] = sample.features, sample.labels
         return [group.seed]
     seed, label, replicates = group.seed, group.label, range(group.count)[rows]
-    keys = [stream_key(seed, f"{label}-sample", j) for j in replicates]
-    _sample_stack(dist, X.shape[1], keys, (X, y))
+    _sample_stack(dist, X.shape[1], stream_keys(seed, f"{label}-sample", items=replicates), (X, y))
     if algorithm.stochastic:
-        return [child_seed(seed, f"{label}-fit", j) for j in replicates]
+        return child_seeds(seed, f"{label}-fit", items=replicates)
     return [0] * len(replicates)
 
 

@@ -13,10 +13,11 @@ carries an index. Other label types are rejected.
 A batch of sign rows (the antithetic pairs of a Rademacher estimate, the
 trials of a martingale tail) reads one Philox stream keyed by the batch
 path, with each row at a fixed block offset (Salmon, Moraes, Dror & Shaw
-2011, "Parallel random numbers: as easy as 1, 2, 3"). :func:`sign_rows`
-fills them; any row replays alone through ``Philox.advance``, and a row
-depends only on (seed, path, width, row index), so raising the number of
-rows leaves the earlier rows unchanged.
+2011, "Parallel random numbers: as easy as 1, 2, 3"). :func:`sign_blocks`
+reads any run of rows a block at a time, as one byte a sign; any row
+replays alone through ``Philox.advance``, and a row depends only on (seed,
+path, width, row index), so raising the number of rows leaves the earlier
+rows unchanged.
 
 Loops that need one stream per item (a sample of a stack, an SGD run) use
 :func:`draw_each`, which runs a draw on the stream of each key through one
@@ -53,8 +54,9 @@ def _canonical_label(label):
     )
 
 
-def _extend(h, label) -> None:
+def _extend(h, label):
     h.update(b"/" + repr(_canonical_label(label)).encode())
+    return h
 
 
 def _path_hash(master_seed: int, labels):
@@ -70,9 +72,24 @@ def stream_key(master_seed: int, *labels: object) -> int:
     return int.from_bytes(_path_hash(master_seed, labels).digest(), "big")
 
 
+_SEED_BITS = (1 << 63) - 1
+
+
 def child_seed(master_seed: int, *labels: object) -> int:
     """63-bit integer seed for handing to APIs that take a plain seed."""
-    return stream_key(master_seed, *labels) & ((1 << 63) - 1)
+    return stream_key(master_seed, *labels) & _SEED_BITS
+
+
+def stream_keys(master_seed: int, *labels: object, items) -> list:
+    """``[stream_key(master_seed, *labels, i) for i in items]``, hashing the
+    shared path prefix once and extending a copy of its state per item."""
+    prefix = _path_hash(master_seed, labels)
+    return [int.from_bytes(_extend(prefix.copy(), item).digest(), "big") for item in items]
+
+
+def child_seeds(master_seed: int, *labels: object, items) -> list:
+    """``[child_seed(master_seed, *labels, i) for i in items]``, through :func:`stream_keys`."""
+    return [key & _SEED_BITS for key in stream_keys(master_seed, *labels, items=items)]
 
 
 def substream(master_seed: int, *labels: object) -> np.random.Generator:
@@ -113,30 +130,29 @@ def draw_each(keys, draw) -> list:
     return results
 
 
-# Raw 64-bit words held at once by sign_rows (at least one row's worth).
+# Raw 64-bit words read at once by sign_blocks (at least one row's worth).
 _CHUNK_WORDS = 1 << 16
 
 
-def sign_rows(master_seed: int, *labels: object, out: np.ndarray) -> np.ndarray:
-    """Fill the (rows, n) array ``out`` with uniform ±1 signs; returns ``out``.
+def sign_blocks(master_seed: int, *labels: object, rows: range, n: int):
+    """Yield the sign bits of rows ``rows`` (a step-1 range) of width ``n``,
+    as consecutive (k, n) uint8 blocks: 1 for +1, 0 for -1.
 
     All rows come from one ``Philox(key=stream_key(master_seed, *labels))``.
     Row j reads the four-word blocks [j * B, (j + 1) * B) with
     B = ceil(n / 8): each sign is the top bit of one 32-bit half of a raw
     word, low half first, and the unused words at the end of a row are
-    skipped. So row j is ``Generator(bg).integers(0, 2, n) * 2.0 - 1.0`` after
-    ``bg = Philox(key=k); bg.advance(j * B)``, and it does not depend on
-    how many rows ``out`` has. Raw words are read in chunks of whole rows,
-    which bounds the memory held beside ``out``.
+    skipped. So row j as ±1 is ``Generator(bg).integers(0, 2, n) * 2.0 - 1.0``
+    after ``bg = Philox(key=k); bg.advance(j * B)``; it does not depend on
+    which rows are read with it. A block holds at most ``_CHUNK_WORDS`` raw
+    words' rows, so memory stays flat however many rows are read.
     """
-    rows, n = out.shape
     words = 4 * ((n + 7) // 8)
     bit_generator = np.random.Philox(key=stream_key(master_seed, *labels))
+    bit_generator.advance(rows.start * (words // 4))
     step = max(1, _CHUNK_WORDS // max(words, 1))
-    for start in range(0, rows, step):
-        block = out[start : start + step]
-        raw = bit_generator.random_raw(len(block) * words).reshape(len(block), words)
-        halves = raw.astype("<u8", copy=False).view("<u4")
-        np.multiply(halves[:, :n] >> 31, 2.0, out=block)
-        block -= 1.0
-    return out
+    for start in range(rows.start, rows.stop, step):
+        count = min(step, rows.stop - start)
+        raw = bit_generator.random_raw(count * words).reshape(count, words)
+        # Byte 3 of each little-endian 32-bit half holds its top bit.
+        yield raw.astype("<u8", copy=False).view(np.uint8)[:, 3::4][:, :n] >> 7

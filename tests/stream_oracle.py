@@ -4,13 +4,16 @@ Per-item streams get one fresh ``Generator(Philox(key=k))`` per item, as
 the per-row and per-run loops built them before the batched primitives of
 ``stabilab.seeding`` replaced them. Sign rows are replayed one at a time:
 row j is the batch's Philox stream advanced to block j * ceil(n / 8), read
-by ``rademacher_signs``, so the raw-word reading of ``sign_rows`` is not
-shared. Samples are drawn one at a time by a frozen copy of the per-row
-sampler that ``stabilab.datagen`` used before its one blocked sampler: the
-features, their norms, scaling and margins, then the mechanism's labels,
-all from one generator per sample. Every batched path must give bitwise
-the same values.
+by ``rademacher_signs``, so the raw-word reading of ``sign_blocks`` is
+not shared, and an antithetic estimate reduces the whole serial sign
+matrix at once. Samples are drawn one at a time by a frozen copy of the
+per-row sampler that ``stabilab.datagen`` used before its one blocked
+sampler: the features, their norms, scaling and margins, then the
+mechanism's labels, all from one generator per sample. Every batched path
+must give bitwise the same values.
 """
+
+import math
 
 import numpy as np
 
@@ -61,6 +64,16 @@ def serial_pinelis_violations(bounds, dim: int, trials: int, epsilon: float, see
 def serial_antithetic_signs(seed: int, pairs: int, n: int) -> np.ndarray:
     """The sigma of each antithetic pair, replayed one pair at a time."""
     return serial_sign_rows(seed, ("sigma",), pairs, n)
+
+
+def serial_antithetic_estimate(draw_values, seed: int, draws: int, n: int) -> tuple:
+    """(mean, std error) over the antithetic pairs of the whole (pairs, n) sigma
+    matrix; ``draw_values(signs)`` gives one value per row of signs."""
+    pairs = draws // 2
+    sigma = serial_antithetic_signs(seed, pairs, n)
+    pair_means = 0.5 * (draw_values(sigma) + draw_values(-sigma))
+    se = 0.0 if pairs == 1 else float(pair_means.std(ddof=1) / math.sqrt(pairs))
+    return float(pair_means.mean()), se
 
 
 def _serial_labels(mechanism, rng, margins):

@@ -11,7 +11,7 @@ from stabilab import (
     ball_rademacher,
     brute_force_rademacher,
 )
-from stabilab.complexity import _antithetic_signs, ball_draw_values, finite_class_draw_values
+from stabilab.complexity import ball_draw_values, finite_class_draw_values
 from stabilab.datagen import FitGroup, fit_plan
 from stabilab.lab import (
     ExperimentConfig,
@@ -22,6 +22,7 @@ from stabilab.lab import (
     stage_seeds,
 )
 from stabilab.stability import theoretical_alpha
+from stream_oracle import serial_antithetic_signs
 
 
 def sphere_features(rng, n, d, bound=1.0):
@@ -193,7 +194,7 @@ class TestBallRademacher:
         X = sphere_features(rng, n, 4)
         ball = AlgorithmicBall(center=rng.standard_normal(4), radius=0.3, n=n, delta=0.1)
         H = rng.standard_normal((7, 4))
-        sigma = _antithetic_signs(19, pairs, n)
+        sigma = serial_antithetic_signs(19, pairs, n)
         signs = np.empty((2 * pairs, n))
         signs[0::2], signs[1::2] = sigma, -sigma
         for values, est in (

@@ -1,6 +1,7 @@
 """Tests for the martingale and concentration experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stabilab import (
     LinearNoise,
     TailExperiment,
     center_concentration_experiment,
+    concentration,
     doob_decomposition,
     draw_sample,
     make_algorithm,
@@ -100,6 +102,19 @@ class TestPinelis:
         b = pinelis_tail_experiment([1.0], dim=1, trials=100, epsilon=3.0, smooth_constant=2.0)
         assert a.theoretical_rate == pytest.approx(2.0 * math.exp(-4.5))
         assert b.theoretical_rate == pytest.approx(2.0 * math.exp(-9.0 / 8.0))
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # Holding every trial's signs and coordinates at once took 31 MiB
+        # here; the trials run in blocks of a fixed budget instead.
+        tracemalloc.start()
+        try:
+            got = pinelis_tail_experiment([1.0] * 10, 8, 200_000, 1.0).violations
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        monkeypatch.setattr(concentration, "_BLOCK_FLOATS", 1 << 40)
+        assert got == pinelis_tail_experiment([1.0] * 10, 8, 200_000, 1.0).violations
 
     def test_replays_for_a_fixed_seed(self):
         a = pinelis_tail_experiment([0.5] * 8, dim=2, trials=300, epsilon=1.5, seed=9)

@@ -4,6 +4,7 @@ oracles, for every preset."""
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from stabilab import datagen, learners, lab
 from stabilab.concentration import center_concentration_experiment, doob_decomposition
-from stabilab.datagen import FitGroup, draw_sample, plan_blocks
+from stabilab.datagen import FitGroup, _draw_group, draw_sample, plan_blocks
 from stabilab.lab import (
     MAX_CENTER_REPLICATES,
     MAX_DIM,
@@ -28,6 +29,7 @@ from stabilab.lab import (
     sample_stage,
     stage_seeds,
 )
+from stabilab.seeding import child_seed, stream_key
 
 from replicate_oracle import (
     serial_center,
@@ -279,6 +281,22 @@ def test_the_largest_stack_at_the_caps_fits_the_budget():
     assert max(sizes) * MAX_N * (MAX_DIM + 1) * 8 <= 8 << 20
     laid_out = [(i, j) for parts in calls for i, rows, _ in parts for j in range(rows.stop)[rows]]
     assert laid_out == [(i, j) for i, group in enumerate(groups) for j in range(group.rows)]
+
+
+@pytest.mark.parametrize("seed", [20250815, np.int64(2**63 - 1)])
+@pytest.mark.parametrize("rows", [slice(0, 9), slice(0, 1), slice(4, 7), slice(8, 9), slice(3, 3)])
+def test_a_group_draws_and_fits_on_the_per_replicate_keys(seed, rows, monkeypatch):
+    # The group hashes its (seed, label) prefixes once; every key and fit
+    # seed must still be the one its replicate index names alone.
+    keys = []
+    monkeypatch.setattr(datagen, "_sample_stack", lambda spec, n, k, out: keys.extend(k))
+    replicates = range(9)[rows]
+    X, y = np.empty((len(replicates), 5, 2)), np.empty((len(replicates), 5))
+    stochastic = SimpleNamespace(stochastic=True)
+    fit_seeds = _draw_group(stochastic, None, FitGroup("trial", seed, 9), rows, X, y)
+    for index in (int, np.int64):
+        assert keys == [stream_key(seed, "trial-sample", index(j)) for j in replicates]
+        assert fit_seeds == [child_seed(seed, "trial-fit", index(j)) for j in replicates]
 
 
 def test_a_plan_holds_one_stack_at_a_time(monkeypatch):

@@ -5,27 +5,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabilab import (
+    AlgorithmicBall,
     DistributionSpec,
     LinearNoise,
     LogisticTeacher,
     SignFlip,
+    ball_rademacher,
+    brute_force_rademacher,
     pinelis_tail_experiment,
 )
-from stabilab.complexity import _antithetic_signs
+from stabilab.complexity import ball_draw_values, finite_class_draw_values
 from stabilab.datagen import draw_samples
 from stabilab.learners import _sgd_index_streams
-from stabilab import seeding
+from stabilab import concentration, seeding
 from stabilab.seeding import (
     _rekey,
     child_seed,
+    child_seeds,
     draw_each,
-    sign_rows,
+    sign_blocks,
     stream_key,
+    stream_keys,
     substream,
 )
 from stream_oracle import (
     rademacher_signs,
-    serial_antithetic_signs,
+    serial_antithetic_estimate,
     serial_draw_each,
     serial_draw_samples,
     serial_pinelis_violations,
@@ -116,6 +121,15 @@ DRAWS = [
 ]
 
 
+@given(st.integers(0, 2**63 - 1), st.lists(INT_LABELS, max_size=2), st.lists(INT_LABELS, max_size=6))
+def test_stream_keys_hash_a_shared_prefix_to_the_per_item_keys(master_seed, labels, items):
+    keys = stream_keys(master_seed, *labels, items=items)
+    assert keys == [stream_key(master_seed, *labels, i) for i in items]
+    assert child_seeds(master_seed, *labels, items=items) == [
+        child_seed(master_seed, *labels, i) for i in items
+    ]
+
+
 @given(st.lists(KEYS, max_size=12), st.sampled_from(range(len(DRAWS))))
 def test_draw_each_matches_fresh_generators(keys, which):
     draw = DRAWS[which]
@@ -149,60 +163,108 @@ def test_rekey_rejects_keys_outside_128_bits(key):
         draw_each([key], lambda rng: rng.random())
 
 
+def read_signs(master_seed, labels, rows: range, n: int) -> np.ndarray:
+    """The ±1 rows ``rows`` of a sign stream, read block by block."""
+    blocks = sign_blocks(master_seed, *labels, rows=rows, n=n)
+    return np.vstack([np.empty((0, n), np.uint8), *blocks]) * 2.0 - 1.0
+
+
 @given(MASTER_SEEDS, st.lists(INT_LABELS, max_size=3), st.integers(0, 12), WIDTHS)
-def test_sign_rows_match_per_row_replays(master_seed, labels, rows, n):
-    out = sign_rows(master_seed, *labels, out=np.empty((rows, n)))
+def test_sign_blocks_match_per_row_replays(master_seed, labels, rows, n):
+    out = read_signs(master_seed, labels, range(rows), n)
     assert np.array_equal(out, serial_sign_rows(master_seed, labels, rows, n))
 
 
-@given(MASTER_SEEDS, st.integers(0, 300), WIDTHS)
-def test_one_sign_row_replays_alone(master_seed, j, n):
-    out = sign_rows(master_seed, "sigma", out=np.empty((j + 1, n)))
-    assert np.array_equal(out[j], serial_sign_row(master_seed, ("sigma",), n, j))
+@given(MASTER_SEEDS, st.integers(0, 300), st.integers(1, 40), WIDTHS)
+def test_one_sign_row_replays_alone(master_seed, j, count, n):
+    # A read of rows [j, j + count) starts at row j's block offset.
+    alone = read_signs(master_seed, ("sigma",), range(j, j + count), n)
+    assert np.array_equal(alone[0], serial_sign_row(master_seed, ("sigma",), n, j))
+    whole = read_signs(master_seed, ("sigma",), range(j + count), n)
+    assert np.array_equal(alone, whole[j:])
 
 
 @pytest.mark.parametrize("n", [1, 37, 400])
-def test_sign_rows_are_prefix_stable(n):
-    short = sign_rows(20250815, "pinelis", out=np.empty((100, n)))
-    long = sign_rows(20250815, "pinelis", out=np.empty((1000, n)))
+def test_sign_blocks_are_prefix_stable(n):
+    short = read_signs(20250815, ("pinelis",), range(100), n)
+    long = read_signs(20250815, ("pinelis",), range(1000), n)
     assert np.array_equal(short, long[:100])
 
 
-def test_sign_rows_across_chunk_boundaries(monkeypatch):
-    # 400 signs take 200 raw words, so 700 rows span three chunks.
-    out = sign_rows(11, "rows", out=np.empty((700, 400)))
+def test_sign_blocks_across_chunk_boundaries(monkeypatch):
+    # 400 signs take 200 raw words, so 700 rows span three blocks of at
+    # most _CHUNK_WORDS words, one byte a sign.
+    blocks = list(sign_blocks(11, "rows", rows=range(700), n=400))
+    assert [len(b) for b in blocks] == [327, 327, 46]
+    assert all(b.dtype == np.uint8 and b.shape[1] == 400 for b in blocks)
+    out = read_signs(11, ("rows",), range(700), 400)
     assert np.array_equal(out, serial_sign_rows(11, ("rows",), 700, 400))
     for n in (1, 3, 9, 17):
-        whole = sign_rows(11, "rows", out=np.empty((130, n)))
-        with monkeypatch.context() as m:
-            m.setattr(seeding, "_CHUNK_WORDS", 8)
-            chunked = sign_rows(11, "rows", out=np.empty((130, n)))
-        assert np.array_equal(chunked, whole)
+        for rows in (range(130), range(5, 130)):
+            whole = read_signs(11, ("rows",), rows, n)
+            with monkeypatch.context() as m:
+                m.setattr(seeding, "_CHUNK_WORDS", 8)
+                chunked = read_signs(11, ("rows",), rows, n)
+            assert np.array_equal(chunked, whole)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 9, 15, 17, 399])
-def test_sign_rows_of_odd_width(n):
-    out = sign_rows(3, "odd", out=np.empty((40, n)))
+def test_sign_blocks_of_odd_width(n):
+    out = read_signs(3, ("odd",), range(40), n)
     assert np.array_equal(out, serial_sign_rows(3, ("odd",), 40, n))
     assert set(np.unique(out)) == {-1.0, 1.0}
     # An odd width leaves one 32-bit half of its row unread; one more sign
     # reads it from the same blocks, so it only appends a column.
-    wider = sign_rows(3, "odd", out=np.empty((40, n + 1)))
+    wider = read_signs(3, ("odd",), range(40), n + 1)
     assert np.array_equal(out, wider[:, :n])
 
 
-@given(MASTER_SEEDS, st.integers(1, 8), WIDTHS)
-def test_sign_rows_fill_a_strided_view(master_seed, rows, n):
-    block = np.full((2 * rows, n), 7.0)
-    returned = sign_rows(master_seed, "sigma", out=block[0::2])
-    assert returned.base is block
-    assert np.array_equal(block[0::2], serial_sign_rows(master_seed, ("sigma",), rows, n))
-    assert np.all(block[1::2] == 7.0)
+def _estimates(X, H, ball, draws: int, seed: int) -> list:
+    return [
+        ball_rademacher(ball, X, draws, seed=seed),
+        brute_force_rademacher(H, X, exhaustive=False, seed=seed, draws=draws),
+    ]
 
 
+def _serial_estimates(X, H, ball, draws: int, seed: int) -> list:
+    return [
+        serial_antithetic_estimate(lambda s: ball_draw_values(ball, X, s), seed, draws, len(X)),
+        serial_antithetic_estimate(lambda s: finite_class_draw_values(H, X, s), seed, draws, len(X)),
+    ]
+
+
+@settings(max_examples=30)
 @given(MASTER_SEEDS, st.integers(1, 5), WIDTHS)
-def test_antithetic_signs_match_the_per_pair_loop(seed, pairs, n):
-    assert np.array_equal(_antithetic_signs(seed, pairs, n), serial_antithetic_signs(seed, pairs, n))
+def test_antithetic_estimates_match_the_per_pair_loop(seed, pairs, n):
+    rng = np.random.default_rng(n)
+    X, H = rng.standard_normal((n, 3)), rng.standard_normal((4, 3))
+    ball = AlgorithmicBall(center=rng.standard_normal(3), radius=0.3, n=n, delta=0.1)
+    got = [(e.mean, e.std_error) for e in _estimates(X, H, ball, 2 * pairs, seed)]
+    assert got == _serial_estimates(X, H, ball, 2 * pairs, seed)
+
+
+@pytest.mark.parametrize("n, draws", [(5, 2), (37, 128), (400, 1000)])
+def test_blocks_of_eight_words_and_three_trials_move_no_bit(n, draws, monkeypatch):
+    rng = np.random.default_rng(n)
+    X, H = rng.standard_normal((n, 4)), rng.standard_normal((7, 4))
+    ball = AlgorithmicBall(center=rng.standard_normal(4), radius=0.3, n=n, delta=0.1)
+    bounds = np.linspace(1.0, 0.5, 40)
+    # A budget of 9 floats runs trials of 3 coordinates 3 at a time.
+    grid = [(3, 1000, 0.8), (3, 101, 1.1)]
+
+    def run():
+        estimates = [(e.mean, e.std_error) for e in _estimates(X, H, ball, draws, 29)]
+        counts = [pinelis_tail_experiment(bounds, d, k, eps, seed=29).violations for d, k, eps in grid]
+        return estimates, counts
+
+    whole = run()
+    with monkeypatch.context() as m:
+        m.setattr(seeding, "_CHUNK_WORDS", 8)
+        m.setattr(concentration, "_BLOCK_FLOATS", 9)
+        blocked = run()
+    assert blocked == whole
+    assert whole[0] == _serial_estimates(X, H, ball, draws, 29)
+    assert whole[1] == [serial_pinelis_violations(bounds, d, k, eps, 29) for d, k, eps in grid]
 
 
 @settings(max_examples=20)
@@ -294,10 +356,10 @@ def _sha256(*arrays) -> str:
 
 
 def test_pinned_antithetic_signs():
-    assert _sha256(_antithetic_signs(20250815, 64, 37)) == (
+    assert _sha256(read_signs(20250815, ("sigma",), range(64), 37)) == (
         "6212f0939667bd8a44f38b054d07baf06566d9628039fac19c79defda31a6842"
     )
-    assert _sha256(_antithetic_signs(0, 3, 400)) == (
+    assert _sha256(read_signs(0, ("sigma",), range(3), 400)) == (
         "5dbf24459f416fb3d91aba352c8d254afbd591b552dd3fefdac538f8acbf1c45"
     )
 
@@ -312,6 +374,28 @@ def test_pinned_pinelis_violation_counts():
     assert _sha256(np.array(counts, dtype=np.int64)) == (
         "448b5b6b50b2ad050f754c52875f1e364fca872a1129e083554ed9c057267054"
     )
+
+
+def test_pinned_c06_violation_counts():
+    # c06's grid (tests/test_acceptance.py). Its unit bounds keep every
+    # coordinate an integer, so a second grid with non-integer bounds pins
+    # the order of each trial's sums too.
+    c06 = [
+        pinelis_tail_experiment(
+            [1.0] * steps, 8, 10000, eps, seed=child_seed(20250815, "c6", steps, str(eps))
+        ).violations
+        for steps in (10, 100)
+        for eps in (0.5, 1.0, 2.0, 3.0)
+    ]
+    assert c06 == [10000, 4983, 0, 0, 9999, 5798, 1, 0]
+    bounds = np.linspace(1.0, 0.5, 37)
+    graded = [
+        pinelis_tail_experiment(
+            bounds, 8, 10000, eps, seed=child_seed(20250815, "c6", 37, str(eps))
+        ).violations
+        for eps in (0.75, 1.0, 1.25, 1.5)
+    ]
+    assert graded == [9455, 5852, 1528, 112]
 
 
 def test_pinned_one_example_samples():

@@ -751,21 +751,29 @@ class TestReportSerialization:
 
 class TestKeysPerRecord:
     """Stream keys derived per record and per replicate stack, counted at
-    every module that holds ``stream_key`` (``child_seed`` calls it too)."""
+    every module that holds ``stream_key`` or ``stream_keys`` (``child_seed``
+    and ``child_seeds`` call them too), one path per key."""
 
     @pytest.fixture
     def key_paths(self, monkeypatch):
         from stabilab import datagen, learners, seeding
 
         paths = []
-        real = seeding.stream_key
+        real, real_keys = seeding.stream_key, seeding.stream_keys
 
         def counting(master_seed, *labels):
             paths.append(labels)
             return real(master_seed, *labels)
 
+        def counting_keys(master_seed, *labels, items):
+            items = list(items)
+            paths.extend((*labels, item) for item in items)
+            return real_keys(master_seed, *labels, items=items)
+
         for module in (seeding, datagen, learners):
             monkeypatch.setattr(module, "stream_key", counting)
+        for module in (seeding, datagen):
+            monkeypatch.setattr(module, "stream_keys", counting_keys)
         return paths
 
     @pytest.mark.parametrize("preset", ["ridge", "rerm-lp"])
