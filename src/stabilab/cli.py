@@ -38,6 +38,7 @@ from .concentration import (
 )
 from .lab import (
     MAX_CENTER_REPLICATES,
+    MAX_DIM,
     MAX_N,
     ExperimentConfig,
     build_algorithm,
@@ -187,10 +188,12 @@ def cmd_concentrate(args) -> int:
     spec = _load_json(args.spec)
     kind = _tagged(spec, "kind", _CONCENTRATE_KEYS, "spec")
     if kind == "pinelis":
+        # One increment per example; the trials run in blocks of a fixed budget.
         bounds = _as_list(spec["increment_bounds"], "increment_bounds")
+        _count(len(bounds), "increment_bounds length", 1, MAX_N)
         experiment = pinelis_tail_experiment(
             [_real(v, "increment bound") for v in bounds],
-            _integral(spec["dim"], "dim"),
+            _count(spec["dim"], "dim", 1, MAX_DIM),
             _integral(spec["trials"], "trials"),
             _real(spec["epsilon"], "epsilon"),
             smooth_constant=_real(spec.get("smooth_constant", 1.0), "smooth_constant"),

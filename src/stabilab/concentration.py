@@ -197,10 +197,10 @@ def doob_decomposition(
     )
 
 
-def tail_groups(trials: int, seed: int, center_replicates: int | None = None) -> list:
+def tail_groups(trials: int, seed: int) -> list:
     """The (center, trial) replicate groups of :func:`center_concentration_experiment`."""
-    m = 4 * trials if center_replicates is None else center_replicates
-    return [FitGroup("center", child_seed(seed, "center"), m), FitGroup("trial", seed, trials)]
+    center = FitGroup("center", child_seed(seed, "center"), 4 * trials)
+    return [center, FitGroup("trial", seed, trials)]
 
 
 def center_concentration_experiment(
@@ -211,12 +211,11 @@ def center_concentration_experiment(
     delta: float,
     alpha: float,
     seed: int = 0,
-    center_replicates: int | None = None,
 ) -> TailExperiment:
     """Rate of ||h_S - center|| exceeding the stability radius r(n, delta).
 
-    The center is estimated from at least 4 * trials replicates drawn
-    independently of the trial fits; the theoretical rate is delta itself.
+    The center is estimated from 4 * trials replicates drawn independently
+    of the trial fits; the theoretical rate is delta itself.
     The fits are those of :func:`tail_groups`, and :func:`tail_of` summarizes them.
     """
     if trials < 1:
@@ -224,10 +223,7 @@ def center_concentration_experiment(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     ball_radius(1.0, alpha, n, delta)  # checks alpha and n before any fit
-    groups = tail_groups(trials, seed, center_replicates)
-    if groups[0].count < 4 * trials:
-        raise ValueError("center_replicates must be at least 4 * trials")
-    center_fits, trial_fits = fit_plan(algorithm, dist, n, groups)
+    center_fits, trial_fits = fit_plan(algorithm, dist, n, tail_groups(trials, seed))
     return tail_of(center_fits, trial_fits, n, delta, alpha, seed)
 
 

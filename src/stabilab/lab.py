@@ -24,11 +24,11 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUND_FAMILIES, BoundBreakdown, deformed_gap
+from .bounds import BOUND_FAMILIES, deformed_gap
 from .complexity import AlgorithmicBall, ball_radius, ball_rademacher
 from .datagen import (
     DistributionSpec,
@@ -53,14 +53,8 @@ from .learners import (
     make_algorithm,
 )
 from .seeding import child_seed
-from .stability import (
-    CELL_HEADER,
-    StabilityReport,
-    base_fit_group,
-    closed_form,
-    measure_argument_stability,
-)
-from .concentration import TailExperiment, tail_groups, tail_of
+from .stability import CELL_HEADER, base_fit_group, closed_form, measure_argument_stability
+from .concentration import tail_groups, tail_of
 
 ARTIFACT_VERSION = "report-8"
 
@@ -213,45 +207,8 @@ def build_algorithm(config: ExperimentConfig):
     )
 
 
-# The (required, optional) keys of a written report, and the keys of each
-# of its records, of their stability entries and bound entries (the fields
-# their ``to_dict`` writes) and of a written coverage section.
-_REPORT_KEYS = (
-    {"version", "config", "records"},
-    {"coverage", "rate", "wall_time", "digest", "failed"},
-)
-_RECORD_KEYS = (
-    {"n", "stability", "radius", "center", "center_std_error", "rademacher", "bounds"}
-    | {"coefficients", "gaps", "tail"}
-)
-_STABILITY_KEYS = {f.name for f in fields(StabilityReport)} - {"cells"}
-_BOUND_KEYS = {f.name for f in fields(BoundBreakdown)}
-_COVERAGE_KEYS = {"n", "replications", "delta", "a", "bounds", "rows"}
-_GAP_KEYS = {"plain-gap": "plain_gap", "fast-rate": "deformed_gap"}
-_PER_INDEX_KEYS = {"max_over_replacements", "mean"}
-_TAIL_KEYS = {f.name for f in fields(TailExperiment)}
-
-
-def _read_bound(entry, where: str) -> dict:
-    """A written bound entry, checked by the keyed reader down to its terms."""
-    _keys(entry, where, _BOUND_KEYS)
-    for term in _as_list(entry["terms"], f"{where} terms"):
-        _real(_keys(term, f"{where} term", {"label", "value"})["value"], f"{where} term value")
-    _real(entry["total"], f"{where} total")
-    _keys(entry["constants_used"], f"{where} constants_used", (), entry["constants_used"])
-    return entry
-
-
-def _read_coverage(coverage) -> dict:
-    """A written coverage section, checked by the keyed reader down to its rows."""
-    _keys(coverage, "report coverage", _COVERAGE_KEYS)
-    _count(coverage["replications"], "coverage replications", 1, MAX_TRIALS)
-    bounds = _keys(coverage["bounds"], "report coverage bounds", set(_GAP_KEYS))
-    for name, entry in bounds.items():
-        _read_bound(entry, f"coverage bound {name}")
-    for row in _as_list(coverage["rows"], "coverage rows"):
-        _keys(row, "coverage row", set(_GAP_KEYS.values()))
-    return coverage
+# The coverage bound families, each with the row field of the gap it bounds.
+_GAP_FIELDS = {"plain-gap": "plain_gap", "fast-rate": "deformed_gap"}
 
 
 @dataclass(frozen=True)
@@ -290,8 +247,8 @@ def _gaps(config: ExperimentConfig, loss, fits, features, labels):
     """Plain and deformed gap of each fitted row on its own sample, against
     its exact population risk."""
     loss.check_examples(features, labels)
-    emp = loss.values_raw(loss.check_hypothesis(fits), features, labels).mean(axis=1)
-    true = true_risks(loss, fits, config.distribution)
+    true = true_risks(loss, fits, config.distribution)  # checks the rows
+    emp = loss.values_raw(fits, features, labels).mean(axis=1)
     plain, deformed = true - emp, deformed_gap(true, emp, config.a)
     return [{"plain": p, "deformed": q} for p, q in zip(plain.tolist(), deformed.tolist())]
 
@@ -318,36 +275,107 @@ def _bound_constants(config: ExperimentConfig, algorithm, n: int):
     }
 
 
+# A leaf of a rebuilt document reads a measured field: given a stated value and its
+# path, it raises ValueError naming the path unless the value has the field's type.
+
+
+def _number(least: float = -math.inf, nullable: bool = False):
+    """A finite number at least ``least``, or None where ``nullable``."""
+
+    def read(value, where: str):
+        if value is None and nullable:
+            return
+        if not least <= _real(value, where) < math.inf:
+            floor = "" if least == -math.inf else f" >= {least:g}"
+            raise ValueError(f"{where} must be a finite number{floor}, got {value!r}")
+
+    return read
+
+
+def _text(value, where: str):
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+
+
+def _entries(entry, count: int):
+    """``count`` entries, each of the document ``entry``; any difference raises."""
+
+    def read(value, where: str):
+        if len(_as_list(value, where)) != count:
+            raise ValueError(f"{where} must have {count} entries, got {len(value)}")
+        for i, item in enumerate(value):
+            for line in _differences(f"{where} {i}", item, entry):
+                raise ValueError(line)
+
+    return read
+
+
+_REAL, _SIZE = _number(), _number(0.0)
+
+
+def _filled(document, measured):
+    """``document`` with each leaf replaced by the value at its path in ``measured``."""
+    if callable(document):
+        return measured
+    if isinstance(document, dict):
+        return {key: _filled(value, measured.get(key, {})) for key, value in document.items()}
+    return document
+
+
 def _expected_record(config: ExperimentConfig, algorithm, n: int, seeds: dict) -> dict:
-    """The part of the record at n that the config fixes, at the stage seeds
-    ``seeds`` (:func:`stage_seeds`): the document :func:`run_experiment`
-    takes its bounds and coefficients from, and :func:`check_report` walks a
-    written record against."""
+    """The record at n at the stage seeds ``seeds``: the values the config
+    fixes and a leaf for each measured field. :func:`_run_record` fills
+    it, and :func:`check_report` walks a written record against it."""
     form, constants = _bound_constants(config, algorithm, n)
     names = ["complexity", "plain-gap", "fast-rate"] + ([form.family] if form.family else [])
     radius = ball_radius(1.0, form.alpha, n, config.delta)
-    ball = {"radius": radius, "delta": config.delta}
     tail = {"threshold": radius, "trials": config.trials, "theoretical_rate": config.delta}
+    tail.update(seed=seeds["tail"], empirical_rate=_SIZE)
+    tail["violations"] = lambda value, where: _count(value, where, 0, config.trials)
+    stability = {"n": n, "seed": seeds["stability"], "theory_alpha": form.alpha}
+    distances = _entries({"max_over_replacements": _SIZE, "mean": _SIZE}, n)
+    stability.update(per_index=distances, alpha_hat=_SIZE, beta_hat=_SIZE, trials=_integral)
+    rademacher = {"radius": radius, "delta": config.delta, "draws": config.draws}
+    rademacher.update(seed=seeds["sigma"], mean=_SIZE, std_error=_SIZE)
     return {
-        "stability": {"n": n, "seed": seeds["stability"], "theory_alpha": form.alpha},
+        "n": n,
+        "stability": stability,
         "radius": radius,
-        "rademacher": {**ball, "draws": config.draws, "seed": seeds["sigma"]},
+        "center": _entries(_REAL, config.distribution.dim),
+        "center_std_error": _SIZE,
+        "rademacher": rademacher,
         "bounds": [BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in names],
         "coefficients": form.coefficients,
-        "tail": {**tail, "seed": seeds["tail"]} if config.tail else None,
+        "gaps": {"plain": _REAL, "deformed": _REAL},
+        "tail": tail if config.tail else None,
     }
 
 
 def _expected_coverage(config: ExperimentConfig, algorithm) -> dict | None:
-    """The coverage section the config fixes, its rows counted: all of it
-    but the gaps, or None without ``coverage_n``."""
+    """The coverage section, as :func:`_expected_record` holds a record:
+    its ``trials`` rows measured, or None without ``coverage_n``."""
     n = config.coverage_n
     if n is None:
         return None
     _, constants = _bound_constants(config, algorithm, n)
-    bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_KEYS}
-    counts = {"n": n, "replications": config.trials, "rows": config.trials}
+    bounds = {name: BOUND_FAMILIES[name].evaluate(constants).to_dict() for name in _GAP_FIELDS}
+    rows = _entries(dict.fromkeys(_GAP_FIELDS.values(), _REAL), config.trials)
+    counts = {"n": n, "replications": config.trials, "rows": rows}
     return {**counts, "delta": config.delta, "a": config.a, "bounds": bounds}
+
+
+def _expected_report(config: ExperimentConfig, algorithm) -> dict:
+    """The report around its config and records: the version, the coverage
+    section, the rate's two slopes (no rate on one n), wall time and digest."""
+    slope = _number(nullable=True)  # None without two positive values
+    rate = {"slope_alpha_hat": slope, "slope_alpha_theory": slope}
+    return {
+        "version": ARTIFACT_VERSION,
+        "coverage": _expected_coverage(config, algorithm),
+        "rate": rate if len(config.n_grid) > 1 else None,
+        "wall_time": _SIZE,
+        "digest": _text,
+    }
 
 
 # The per-n helpers below are shared by run_experiment and the CLI's
@@ -430,16 +458,8 @@ def _run_record(config: ExperimentConfig, algorithm, n: int):
             tail = tail_of(center_fits, trial_fits, n, config.delta, alpha, seeds["tail"]).to_dict()
     except Exception as exc:
         raise RuntimeError(f"stage {stage!r} failed at n={n}: {exc}") from exc
-    record = {
-        "n": n,
-        "stability": stability.to_dict(),
-        **complexity,
-        "bounds": expected["bounds"],
-        "coefficients": expected["coefficients"],
-        "gaps": gaps,
-        "tail": tail,
-    }
-    return record, stability
+    measured = {"stability": stability.to_dict(), **complexity, "gaps": gaps, "tail": tail}
+    return _filled(expected, measured), stability
 
 
 def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
@@ -455,7 +475,7 @@ def _run_coverage(config: ExperimentConfig, algorithm) -> dict:
     except Exception as exc:
         raise RuntimeError(f"stage 'coverage' failed at n={n}: {exc}") from exc
     rows = [{"plain_gap": g["plain"], "deformed_gap": g["deformed"]} for g in gaps]
-    return {**coverage, "rows": rows}
+    return _filled(coverage, {"rows": rows})
 
 
 def fitted_rate_slope(report, field: str = "alpha_hat") -> float:
@@ -520,34 +540,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def validate_bound_coverage(report, which: str) -> dict:
-    """Count coverage replications whose realized gap exceeds the bound."""
-    if which not in _GAP_KEYS:
+    """Count coverage replications whose realized gap exceeds the bound, on
+    a coverage section :func:`check_report` has read."""
+    if which not in _GAP_FIELDS:
         raise ValueError(f"unknown bound name {which!r}")
     payload = report.to_dict() if isinstance(report, ExperimentReport) else report
     coverage = payload.get("coverage")
-    if coverage is None or len(_read_coverage(coverage)["rows"]) < MIN_COVERAGE_REPLICATIONS:
+    if coverage is None or len(coverage["rows"]) < MIN_COVERAGE_REPLICATIONS:
         raise ValueError(
             f"report needs a coverage section with >= {MIN_COVERAGE_REPLICATIONS} replications"
         )
     total = coverage["bounds"][which]["total"]
-    key = _GAP_KEYS[which]
-    gaps = [_real(row[key], f"coverage row {key}") for row in coverage["rows"]]
+    gaps = [row[_GAP_FIELDS[which]] for row in coverage["rows"]]
     violations = sum(not gap <= total for gap in gaps)  # a NaN gap counts
-    return {
-        "runs": len(gaps),
-        "violations": violations,
-        "nominal": 2.0 * _real(coverage["delta"], "coverage delta"),
-    }
-
-
-def _per_index(stability: dict, n: int):
-    """A record's n per-index maxima and means, each entry checked by the keyed reader."""
-    entries = _as_list(stability["per_index"], f"n={n} per_index")
-    if len(entries) != n:
-        raise ValueError(f"n={n} per_index must have {n} entries, got {len(entries)}")
-    entries = [_keys(entry, f"n={n} per_index entry", _PER_INDEX_KEYS) for entry in entries]
-    maxima = [_real(entry["max_over_replacements"], f"n={n} per_index max") for entry in entries]
-    return maxima, [_real(entry["mean"], f"n={n} per_index mean") for entry in entries]
+    return {"runs": len(gaps), "violations": violations, "nominal": 2.0 * coverage["delta"]}
 
 
 def _is_real(value) -> bool:
@@ -576,12 +582,17 @@ def _shown(value) -> str:
 
 
 def _differences(where: str, stated, expected) -> list:
-    """A line for each place where ``stated`` differs from ``expected``,
-    named by its path from ``where``: dicts are walked by the expected keys,
-    lists of one length entry by entry, and every other value compared by
-    :func:`_agrees`."""
-    if isinstance(stated, dict) and isinstance(expected, dict):
-        pairs = [(key, stated.get(key), value) for key, value in expected.items()]
+    """A line for each place where ``stated`` differs from the document
+    ``expected``, named by its path from ``where``. A leaf reads its value
+    and a dict must hold the expected keys, or ValueError names the path.
+    Lists of one length are walked entry by entry, and any other value is
+    compared by :func:`_agrees`: a None in place of a section is one line."""
+    if callable(expected):
+        expected(stated, where)
+        return []
+    if isinstance(expected, dict) and stated is not None:
+        _keys(stated, where, expected)
+        pairs = [(key, stated[key], e) for key, e in expected.items()]
     elif isinstance(stated, list) and isinstance(expected, list) and len(stated) == len(expected):
         pairs = [(_named(e, i), s, e) for i, (s, e) in enumerate(zip(stated, expected))]
     elif _agrees(stated, expected):
@@ -600,100 +611,94 @@ def _beyond_envelope(where: str, violations, runs: int, nominal: float) -> list:
     return [f"{where}: {violations} violations exceed envelope {limit:.1f} at nominal {nominal:g}"]
 
 
+def _record_problems(config: ExperimentConfig, algorithm, n: int, record) -> list:
+    """The problems of the record at n: its differences from
+    :func:`_expected_record`, or, once it reads clean, those of its derived
+    fields, its closed form and its tail envelope."""
+    expected = _expected_record(config, algorithm, n, stage_seeds(config, n))
+    problems = _differences(f"n={n}", record, expected)
+    if problems:
+        return problems
+    stability, tail = record["stability"], record["tail"]
+    maxima, means = zip(*[(e["max_over_replacements"], e["mean"]) for e in stability["per_index"]])
+    # The report does not show the base fit, so either count of anchors holds.
+    cells = n * config.replacements
+    derived = {"alpha_hat": max(maxima)}
+    derived["trials"] = cells if stability["trials"] == cells else cells + 2 * n
+    problems = _differences(f"n={n} stability", {key: stability[key] for key in derived}, derived)
+    # A mean of equal distances may round one ulp above them.
+    i = next((i for i, m in enumerate(means) if not m <= maxima[i] + 1e-12 * maxima[i]), None)
+    if i is not None:
+        where = f"n={n} stability per_index {i} mean"
+        problems.append(f"{where}: {means[i]!r} exceeds max_over_replacements {maxima[i]!r}")
+    # Ridge and penalized ERM bound every replace-one distance; the SGD closed
+    # forms bound the coupled-twin distance in expectation over the shared
+    # index stream, so stochastic presets check each index's mean distance.
+    theory = stability["theory_alpha"]
+    label, measured = "alpha_hat", [stability["alpha_hat"]]
+    if algorithm.stochastic:
+        label, measured = "largest per-index mean distance", means
+    over = [value for value in measured if not value <= theory + 1e-8]
+    if over:
+        where = f"n={n} stability: {label} {max(over):.6g}"
+        problems.append(f"{where} exceeds theory_alpha {theory:.6g}")
+    if tail is not None:
+        violations = tail["violations"]
+        rate = violations / config.trials
+        problems += _differences(f"n={n} tail empirical_rate", tail["empirical_rate"], rate)
+        if config.trials >= MIN_COVERAGE_REPLICATIONS:
+            problems += _beyond_envelope(f"n={n} tail", violations, config.trials, config.delta)
+    return problems
+
+
 def check_report(payload) -> list:
     """The problems of a written report, one line each; empty when it checks out.
 
-    The report's config is read as :func:`run_experiment` reads it and its
-    preset built, and the part of each record and of the coverage section
-    that they fix is rebuilt (:func:`_expected_record`,
-    :func:`_expected_coverage`). One walk compares the report with them and
-    with the fields its numbers derive: each ``alpha_hat`` is the largest
-    per-index maximum, a tail's ``empirical_rate`` its violations over its
-    trials, and the ``rate`` is refitted from the records. The measured
-    stability must stay under its closed form, and at 100 or more runs the
-    tail and coverage violations within three binomial standard deviations
-    of their nominal counts. A malformed report raises ValueError naming
-    the key or field. A report must carry its digest unless it is a partial
-    one, which carries a failure marker instead and may hold a prefix of
-    the n grid. Every comparison is written as "within the limit", so a NaN
-    fails it.
+    The config is read as :func:`run_experiment` reads it, and the report
+    rebuilt as it fixes it (:func:`_expected_report`, :func:`_expected_record`).
+    :func:`_differences` walks the report against them: a missing or unknown
+    key, a leaf of the wrong type or a measured list of the wrong length
+    raises ValueError naming its path, and any other difference is one line.
+    A section's derived checks (:func:`_record_problems`, the refitted
+    ``rate``, the coverage envelope) run once it reads clean, so no value
+    of the wrong type reaches them. A partial report carries a failure marker
+    in place of its digest, the keys written before its run failed and a
+    prefix of the n grid.
     """
-    _keys(payload, "report", *_REPORT_KEYS)
+    _keys(payload, "report", ("version", "config", "records"), payload)
     try:
         config = ExperimentConfig.from_dict(payload["config"])
     except ValueError as exc:
         raise ValueError(f"report config {str(exc).removeprefix('config ')}") from exc
     algorithm = build_algorithm(config)
     records = _as_list(payload["records"], "records")
-    failed = payload.get("failed")
+    document = _expected_report(config, algorithm)
+    failed = "failed" in payload
+    if failed:
+        document = {key: doc for key, doc in document.items() if key in payload} | {"failed": _text}
+    _keys(payload, "report", {"config", "records", *document})
+    grid = [_integral(_keys(r, "report record", ("n",), r)["n"], "record n") for r in records]
     problems = []
-    stored = payload.get("digest")
-    if stored is not None:
-        recomputed = report_digest(payload)
-        if stored != recomputed:
-            problems.append(f"digest mismatch: stored {str(stored)[:12]}.. != {recomputed[:12]}..")
-    elif not failed:
-        problems.append("report has no digest")
-    grid = [_integral(_keys(r, "report record", _RECORD_KEYS)["n"], "record n") for r in records]
-    expected_grid = list(config.n_grid[: len(grid)] if failed else config.n_grid)
-    if grid != expected_grid:
+    if grid != list(config.n_grid[: len(grid)] if failed else config.n_grid):
         problems.append(f"records hold n = {grid}, not the config n_grid {list(config.n_grid)}")
     for n, record in zip(grid, records):
-        if n not in config.n_grid:
-            continue
-        expected = _expected_record(config, algorithm, n, stage_seeds(config, n))
-        for bound in _as_list(record["bounds"], "record bounds"):
-            _read_bound(bound, f"n={n} bound")
-        stability = _keys(record["stability"], f"n={n} stability", _STABILITY_KEYS)
-        theory = expected["stability"]["theory_alpha"]
-        _real(stability["theory_alpha"], f"n={n} theory_alpha")
-        alpha_hat = _real(stability["alpha_hat"], f"n={n} alpha_hat")
-        maxima, means = _per_index(stability, n)
-        expected["stability"]["alpha_hat"] = max(maxima)
-        # Each index has its replacements and, unless the base fit is zero,
-        # two anchors; the report does not show the base fit, so either count holds.
-        cells = n * config.replacements
-        expected["stability"]["trials"] = cells if stability["trials"] == cells else cells + 2 * n
-        # A mean of equal distances may round one ulp above them.
-        above = [i for i, m in enumerate(means) if not m <= maxima[i] + 1e-12 * abs(maxima[i])]
-        if above:
-            i = above[0]
-            where = f"n={n} stability per_index {i} mean"
-            problems.append(f"{where}: {means[i]!r} exceeds max_over_replacements {maxima[i]!r}")
-        # Ridge and penalized ERM bound every replace-one distance; the SGD closed
-        # forms bound the coupled-twin distance in expectation over the shared
-        # index stream, so stochastic presets check each index's mean distance.
-        label, measured = "alpha_hat", [alpha_hat]
-        if algorithm.stochastic:
-            label, measured = "largest per-index mean distance", means
-        over = [value for value in measured if not value <= theory + 1e-8]
-        if over:
-            problems.append(
-                f"n={n} stability: {label} {max(over):.6g} exceeds theory_alpha {theory:.6g}"
-            )
-        tail = record["tail"]
-        if tail is not None and config.tail:
-            _keys(tail, f"n={n} tail", _TAIL_KEYS)
-            violations = _count(tail["violations"], f"n={n} tail violations", 0, config.trials)
-            expected["tail"]["empirical_rate"] = violations / config.trials
-            if config.trials >= MIN_COVERAGE_REPLICATIONS:
-                problems += _beyond_envelope(f"n={n} tail", violations, config.trials, config.delta)
-        problems += _differences(f"n={n}", record, expected)
-    if grid == expected_grid and not failed:
-        problems += _differences("rate", payload.get("rate"), _rate_summary(records))
-    coverage = payload.get("coverage")
-    stated = coverage
-    if coverage is not None:
-        stated = {**_read_coverage(coverage), "rows": len(coverage["rows"])}
-    if stated is not None or not failed:
-        problems += _differences("coverage", stated, _expected_coverage(config, algorithm))
-    if stated is not None and stated["rows"] >= MIN_COVERAGE_REPLICATIONS:
-        for which in _GAP_KEYS:
-            outcome = validate_bound_coverage({"coverage": coverage}, which)
+        if n in config.n_grid:
+            problems += _record_problems(config, algorithm, n, record)
+    read = {key: _differences(key, payload[key], doc) for key, doc in document.items()}
+    if not (failed or problems or read["rate"]):
+        problems += _differences("rate", payload["rate"], _rate_summary(records))
+    problems += [line for section in read.values() for line in section]
+    counted = config.trials >= MIN_COVERAGE_REPLICATIONS
+    if counted and payload.get("coverage") and not read["coverage"]:
+        for which in _GAP_FIELDS:
+            outcome = validate_bound_coverage(payload, which)
             args = outcome["violations"], outcome["runs"], outcome["nominal"]
             problems += _beyond_envelope(f"coverage {which}", *args)
+    stored, recomputed = payload.get("digest"), report_digest(payload)
+    if stored is not None and stored != recomputed:
+        problems.append(f"digest mismatch: stored {stored[:12]}.. != {recomputed[:12]}..")
     if failed:
-        problems.append(f"report carries a failure marker: {failed}")
+        problems.append(f"report carries a failure marker: {payload['failed']}")
     return problems
 
 
@@ -743,7 +748,7 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
         ),
     }
     if coverage and coverage["replications"] >= MIN_COVERAGE_REPLICATIONS:
-        outcomes = [validate_bound_coverage(report, which) for which in _GAP_KEYS]
+        outcomes = [validate_bound_coverage(report, which) for which in _GAP_FIELDS]
         tables["coverage"] = (
             ["delta", "nominal", "empirical"],
             [(coverage["delta"], o["nominal"], o["violations"] / o["runs"]) for o in outcomes],

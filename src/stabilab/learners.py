@@ -565,6 +565,10 @@ class _Preset:
 
     stochastic = False
 
+    def loss_for(self, n: int) -> LossModel:
+        """The certified loss the preset fits at n; only SGD's depends on n."""
+        return self._loss
+
     def fit(self, sample: Sample, seed: int = 0) -> np.ndarray:
         """Fit one sample with ``seed``: the one-sample case of ``fit_many``."""
         return self.fit_many(sample.features[None], sample.labels[None], [seed])[0]
@@ -636,9 +640,6 @@ class ConstantAlgorithm(_Preset):
         self.output = out
         self._loss = loss
 
-    def loss_for(self, n: int) -> LossModel:
-        return self._loss
-
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         return np.tile(self.output, (len(seeds), 1))
 
@@ -658,9 +659,6 @@ class RidgeAlgorithm(_Preset):
         self.lam = float(lam)
         probe = make_loss("squared", feature_bound, 1.0, label_bound)
         self._loss = _dc_replace(probe, radius=math.sqrt(probe.value_at_zero() / lam))
-
-    def loss_for(self, n: int) -> LossModel:
-        return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         """One stacked solve of the normal equations (X^T X / n + lam I) h = X^T y / n.
@@ -718,9 +716,6 @@ class LpRermAlgorithm(_Preset):
         probe = make_loss(loss_kind, feature_bound, 1.0, label_bound)
         radius = (probe.value_at_zero() / penalty.lam) ** (1.0 / penalty.p)
         self._loss = _dc_replace(probe, radius=radius)
-
-    def loss_for(self, n: int) -> LossModel:
-        return self._loss
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
         """One :func:`fit_rerm` solve per block of rows, the block's (rows,

@@ -282,7 +282,6 @@ def test_c05_center_concentration_coverage():
                 delta=delta,
                 alpha=alpha,
                 seed=child_seed(SEED, "c5", n, str(delta)),
-                center_replicates=2000,
             )
             envelope = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / 500.0)
             worst_excess = max(worst_excess, experiment.empirical_rate - envelope)

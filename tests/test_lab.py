@@ -428,23 +428,32 @@ class TestArtifacts:
             assert rows[0] == ["i", "replacement", "distance", "loss_gap"]
             assert len(rows) - 1 == n * 4
 
-    def test_check_report_counts_a_nan_as_outside_the_limit(self, outputs):
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("records", 0, "stability", "alpha_hat"), "n=10 stability alpha_hat"),
+            (("records", 0, "stability", "per_index", 3, "mean"), "n=10 stability per_index 3 mean"),
+            (("records", 0, "center", 1), "n=10 center 1"),
+            (("records", 1, "gaps", "deformed"), "n=20 gaps deformed"),
+            (("records", 1, "rademacher", "std_error"), "n=20 rademacher std_error"),
+            (("coverage", "rows", 0, "plain_gap"), "coverage rows 0 plain_gap"),
+            (("rate", "slope_alpha_hat"), "rate slope_alpha_hat"),
+        ],
+    )
+    def test_check_report_refuses_a_nan_in_a_measured_field(self, outputs, path, where):
+        # JSON has no NaN, but a report handed over as a dict may hold one.
         _, out = outputs
         with open(os.path.join(out, "report.json")) as fh:
             payload = json.load(fh)
         assert check_report(payload) == []
-        payload["records"][0]["stability"]["alpha_hat"] = math.nan
-        for row in payload["coverage"]["rows"]:
-            row["plain_gap"] = math.nan
-        # The rate is refitted from the edited records, so that only the
-        # gate, the per-index maximum and the coverage count see the NaN.
-        payload["rate"] = lab._rate_summary(payload["records"])
+        *parents, key = path
+        parent = payload
+        for step in parents:
+            parent = parent[step]
+        parent[key] = math.nan
         payload["digest"] = report_digest(payload)
-        problems = check_report(payload)
-        assert len(problems) == 3
-        assert problems[0].startswith("n=10 stability: alpha_hat nan exceeds theory_alpha")
-        assert problems[1].startswith("n=10 stability alpha_hat: nan != expected ")
-        assert problems[2].startswith("coverage plain-gap: 100 violations exceed envelope")
+        with pytest.raises(ValueError, match=f"^{where} must be a finite number"):
+            check_report(payload)
 
     def test_a_partial_report_may_hold_a_prefix_of_the_grid(self, outputs):
         _, out = outputs
@@ -462,9 +471,12 @@ class TestArtifacts:
         _, out = outputs
         with open(os.path.join(out, "report.json")) as fh:
             payload = json.load(fh)
-        coverage = payload.pop("coverage")
+        coverage, payload["coverage"] = payload["coverage"], None
         payload["digest"] = report_digest(payload)
         assert check_report(payload) == ["coverage: None != expected a dict"]
+        del payload["coverage"]
+        with pytest.raises(ValueError, match=r"report needs the keys \['coverage'\]"):
+            check_report(payload)
         payload["coverage"] = coverage
         del payload["config"]["coverage_n"]
         payload["digest"] = report_digest(payload)
