@@ -97,19 +97,16 @@ def _print_csv(header, rows) -> None:
     writer.writerows(rows)
 
 
-def _write_outputs(args, name: str, payload, header=None, rows=None) -> None:
+def _write_outputs(args, name: str, payload, header, rows) -> None:
     if not args.out_dir:
         return
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(os.path.join(args.out_dir, f"{name}.json"), payload)
-    if header is not None:
-        write_csv(os.path.join(args.out_dir, f"{name}.csv"), header, rows)
+    write_csv(os.path.join(args.out_dir, f"{name}.csv"), header, rows)
 
 
-def _emit(args, name: str, payload, header=None, rows=None) -> None:
+def _emit(args, name: str, payload, header, rows) -> None:
     if args.format == "csv":
-        if header is None:
-            raise ValueError(f"{name} has no CSV form; use --format json")
         _print_csv(header, rows)
     else:
         _print_json(payload)
@@ -124,7 +121,7 @@ def cmd_stability(args) -> int:
     report = measure_argument_stability(
         build_algorithm(config), sample, config.distribution, config.replacements, seed=seed
     )
-    _emit(args, "stability", report.to_dict(), CELL_HEADER, report.cells)
+    _emit(args, "stability", report.to_dict(), CELL_HEADER, report.rows())
     return 0
 
 

@@ -75,9 +75,10 @@ def pinelis_tail_experiment(
     Trial k's signs are row k of the one sign stream ``(seed, "pinelis")``
     (see :func:`sign_blocks`), so a trial replays alone and does not depend
     on ``trials``. The trials run in blocks of at most
-    ``_BLOCK_FLOATS // dim``, each holding its coordinates and one sign
-    byte a step, so memory does not grow with ``trials`` and the steps run
-    once a block; a trial's arithmetic does not depend on its block.
+    ``_BLOCK_FLOATS // dim`` and ``8 * _BLOCK_FLOATS // steps``, so that
+    neither a block's coordinates nor its one sign byte a step pass 1 MiB
+    and the steps run once a block; a trial's arithmetic does not depend on
+    its block.
     """
     bounds = np.asarray(increment_bounds, dtype=np.float64)
     if bounds.ndim != 1 or bounds.size == 0:
@@ -95,7 +96,7 @@ def pinelis_tail_experiment(
     steps = bounds.size
     c = float(np.sqrt(np.sum(bounds**2)))
     threshold_sq = (c * epsilon) ** 2
-    block = max(1, _BLOCK_FLOATS // dim)
+    block = max(1, min(_BLOCK_FLOATS // dim, 8 * _BLOCK_FLOATS // steps))
     violations = 0
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)

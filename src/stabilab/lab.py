@@ -759,5 +759,5 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict:
         write_csv(paths[name], header, rows, comment)
     for stab in report.stability_reports:
         paths[f"stability_n{stab.n}"] = os.path.join(out_dir, f"stability_cells_n{stab.n}.csv")
-        write_csv(paths[f"stability_n{stab.n}"], CELL_HEADER, stab.cells)
+        write_csv(paths[f"stability_n{stab.n}"], CELL_HEADER, stab.rows())
     return paths

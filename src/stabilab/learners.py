@@ -4,9 +4,9 @@ Three trainers are provided, each returning a hypothesis vector for a
 linear predictor:
 
 * ridge - exact minimizer of mean squared error plus ``lam * ||h||^2``, by
-  the normal equations in one stacked, certified solve,
+  the normal equations in stacked, certified solves,
   :func:`solve_ridge_stack`; the replace-one twins of a sample update its
-  Gram matrix by rank two.
+  Gram matrix by rank two, and are solved a block at a time.
 * :func:`fit_rerm` - minimizer of a certified margin loss plus
   ``lam * ||h||_p^p`` for ``p`` in (1, 2], by accelerated proximal
   gradient descent (proximal subgradient descent for the hinge) on a
@@ -22,13 +22,14 @@ stack of samples at once (``fit_many``, the one batch entry point); a
 single ``fit`` is the one-sample stack. The replace-one twins of one sample
 (``fit_twins``) are one more stack: row c is the sample with one example
 swapped in, checked once for every preset. All SGD goes through one kernel
-that advances a stacked (rows, d) state: C independent runs for
-``fit_many``, and 2C coupled rows for the twins. In both, and in the
-stacked ridge and penalized-ERM solves, a row's arithmetic does not depend
-on the other rows, so every entry point gives bitwise the same hypothesis
-for the same sample and seed. The one exception is a ridge twin row: its
-normal equations come from the rank-two update, so it equals the fit on
-the replaced sample to rounding, not bitwise.
+that advances a stacked (rows, d) state, in calls whose index streams fit
+the stack budget: C independent runs for ``fit_many``, and 2C coupled rows
+for the twins. In both, and in the stacked ridge and penalized-ERM solves,
+a row's arithmetic does not depend on the other rows, so every entry point
+gives bitwise the same hypothesis for the same sample and seed. The one
+exception is a ridge twin row: its normal equations come from the rank-two
+update, so it equals the fit on the replaced sample to rounding, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError, NonFiniteIterateError
 from .losses import (
     _BLOCK_FLOATS,
+    _STACK_FLOATS,
     LossModel,
     _matvec,
     _slack,
@@ -51,6 +53,9 @@ from .losses import (
 from .seeding import draw_each, stream_key
 
 SGD_REGIMES = ("nonconvex", "convex", "strongly_convex")
+# The most steps an SGD run takes: 400^2, what the n_squared policy gives at
+# the largest sample size (lab.MAX_N).
+MAX_SGD_STEPS = 160_000
 
 
 def _integral(value, name: str, what: str = "an integer") -> int:
@@ -152,14 +157,15 @@ class Sample:
 # ridge regression
 
 
-def solve_ridge_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_ridge_stack(A: np.ndarray, b: np.ndarray, first: int = 0) -> np.ndarray:
     """Solve C ridge normal equations A[c] h = b[c] at once; (C, d, d), (C, d) -> (C, d).
 
     One stacked solve, then one refinement pass for every cell whose
     residual norm exceeds 1e-14, then a per-cell certificate: the gradient
     norm 2 ||A h - b|| must stay below 1e-10, or ConvergenceError names the
-    first failing cell. Every cell goes through the same LAPACK and BLAS
-    calls as a lone solve, so a row does not depend on the other cells.
+    first failing cell, the cells numbered from ``first``. Every cell goes
+    through the same LAPACK and BLAS calls as a lone solve, so a row does
+    not depend on the other cells.
     """
     H = np.linalg.solve(A, b[..., None])[..., 0]
     resid = b - _matvec(A, H)
@@ -171,7 +177,7 @@ def solve_ridge_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if failed.size:
         cell = int(failed[0])
         raise ConvergenceError(
-            f"ridge normal equations of cell {cell} left a large residual",
+            f"ridge normal equations of cell {first + cell} left a large residual",
             float(grad_norms[cell]),
         )
     return H
@@ -373,6 +379,7 @@ class SgdSpec:
     certified smoothness by :meth:`check_step_cap`, which
     :meth:`SgdAlgorithm.spec_for` and :func:`sgd_alpha` call. The strongly
     convex regime additionally requires projection onto a centered ball.
+    ``steps`` lies in [0, MAX_SGD_STEPS], checked before any schedule is built.
     """
 
     regime: str
@@ -384,9 +391,7 @@ class SgdSpec:
     def __post_init__(self):
         if self.regime not in SGD_REGIMES:
             raise ValueError(f"unknown SGD regime {self.regime!r}")
-        object.__setattr__(self, "steps", _integral(self.steps, "steps"))
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        object.__setattr__(self, "steps", _count(self.steps, "steps", 0, MAX_SGD_STEPS))
         if self.regime == "nonconvex":
             if self.step_constant is None or not (
                 self.step_constant > 0 and math.isfinite(self.step_constant)
@@ -667,8 +672,9 @@ class RidgeAlgorithm(_Preset):
         bitwise the lone ``X.T @ X`` and ``X.T @ y`` of every row. The twins
         of one sample update its G = X^T X and g = X^T y by rank two: cell c,
         which swaps example i for (z, y'), solves with (G + z z^T - x_i x_i^T)
-        / n + lam I and (g + z y' - x_i y_i) / n, its temporaries filled one
-        block of at most ``_BLOCK_FLOATS`` entries at a time.
+        / n + lam I and (g + z y' - x_i y_i) / n. The cells are filled and
+        solved one block of at most ``_BLOCK_FLOATS`` matrix entries at a
+        time, a failed certificate naming its cell's place in the whole stack.
         """
         n, d = features.shape[-2:]
         ridge = self.lam * np.eye(d)
@@ -677,19 +683,21 @@ class RidgeAlgorithm(_Preset):
             return solve_ridge_stack(Xt @ features / n + ridge, _matvec(Xt, labels) / n)
         index, z, z_y = twin
         G, g = features.T @ features, features.T @ labels
-        x, x_y = features[index], labels[index]
-        A = np.empty((len(index), d, d))
+        H = np.empty((len(index), d))
         block = max(1, _BLOCK_FLOATS // (d * d))
+        A = np.empty((min(block, len(index)), d, d))
         for start in range(0, len(index), block):
             c = slice(start, start + block)
+            x, x_y = features[index[c]], labels[index[c]]
             # In place, in the order of (G + z z^T - x_i x_i^T) / n + lam I.
-            Ac = np.multiply(z[c, :, None], z[c, None, :], out=A[c])
+            Ac = np.multiply(z[c, :, None], z[c, None, :], out=A[: len(x)])
             Ac += G
-            Ac -= x[c, :, None] * x[c, None, :]
+            Ac -= x[:, :, None] * x[:, None, :]
             Ac /= n
             Ac += ridge
-        b = (g + z * z_y[:, None] - x * x_y[:, None]) / n
-        return solve_ridge_stack(A, b)
+            b = (g + z[c] * z_y[c, None] - x * x_y[:, None]) / n
+            H[c] = solve_ridge_stack(Ac, b, start)
+        return H
 
 
 class LpRermAlgorithm(_Preset):
@@ -904,9 +912,24 @@ class SgdAlgorithm(_Preset):
         )
 
     def _fit_stack(self, features, labels, seeds, twin=None) -> np.ndarray:
-        """Final kernel states, ``features`` and ``twin`` as :func:`_sgd_kernel` takes them."""
+        """Final kernel states, ``features`` and ``twin`` as :func:`_sgd_kernel`
+        takes them, in calls of at most ``_STACK_FLOATS // steps`` runs, so no
+        call's index streams exceed the stack budget; a run does not depend on its call.
+        """
         n = features.shape[-2]
-        return _sgd_kernel(self.loss_for(n), self.spec_for(n), seeds, features, labels, twin)
+        loss, spec = self.loss_for(n), self.spec_for(n)
+        size = max(1, _STACK_FLOATS // max(spec.steps, 1))
+        parts = []
+        for start in range(0, len(seeds), size):
+            rows = slice(start, start + size)
+            if twin is None:
+                part = (features[rows], labels[rows], None)
+            else:
+                part = (features, labels, tuple(t[rows] for t in twin))
+            parts.append(_sgd_kernel(loss, spec, seeds[rows], *part))
+        if twin is not None:  # every call's HA rows, then every call's HB rows
+            parts = [half for side in zip(*(np.split(H, 2) for H in parts)) for half in side]
+        return np.concatenate(parts)
 
 
 def _drift_radius(kind: str, alphas: np.ndarray, B: float, Y: float) -> float:

@@ -15,11 +15,11 @@ Measurement conventions:
 * the supremum over replacement examples is approximated by i.i.d. draws
   plus two adversarial anchors at the extreme-margin points
   ``+/- B * h_S / ||h_S||`` with flipped labels;
-* every preset fits the whole cell list as one stack through its
+* every preset fits the whole cell table as one stack through its
   ``fit_twins``, which checks every cell (index in range, finite
   replacement, one seed) before any fit and returns the fits on S and on
   each replaced sample; stochastic algorithms are compared as coupled
-  twins, both runs consuming the same example-index stream in one stacked
+  twins, both runs consuming the same example-index stream in the stacked
   SGD kernel, so a replacement that the stream never touches yields
   distance exactly zero;
 * a record's n * R i.i.d. replacements are one sample drawn on
@@ -56,8 +56,9 @@ from .seeding import child_seed
 ANCHOR_PLUS = -1
 ANCHOR_MINUS = -2
 
-# The header of a stability cell table, one row per :attr:`StabilityReport.cells` entry.
+# The columns of a stability cell table, :attr:`StabilityReport.cells`.
 CELL_HEADER = ("i", "replacement", "distance", "loss_gap")
+_CELL_TYPES = np.dtype(list(zip(CELL_HEADER, ("i8", "i8", "f8", "f8"))))
 
 # Cells whose grid loss values are evaluated at once: a (cells, grid) block.
 _GAP_BLOCK = 64
@@ -249,30 +250,33 @@ def theoretical_alpha(algorithm, n: int) -> float:
 # empirical measurement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Replace-one measurement over every index of one sample.
 
-    ``per_index[i]`` summarizes the distances observed when example i was
-    replaced; ``alpha_hat`` is the maximum over all cells, ``beta_hat`` the
-    matching maximum loss gap over the evaluation grid. ``cells`` holds one
-    (i, replacement code, distance, loss gap) tuple per fit pair, ``trials``
-    their count.
+    ``cells`` is the cell table, one row per fit pair and one column per
+    ``CELL_HEADER`` name; the other measured fields are read off it.
+    ``per_index[i]`` summarizes the distances when example i was replaced;
+    ``alpha_hat`` is the maximum distance, ``beta_hat`` the maximum loss gap
+    over the evaluation grid, ``trials`` the number of cells.
     """
 
-    per_index: tuple
+    per_index: list
     alpha_hat: float
     beta_hat: float
     n: int
     trials: int
     seed: int
     theory_alpha: float | None
-    cells: tuple
+    cells: np.ndarray
 
     def to_dict(self) -> dict:
         """Every field but ``cells``, which a report writes as its own table."""
-        written = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cells"}
-        return {**written, "per_index": [dict(entry) for entry in self.per_index]}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cells"}
+
+    def rows(self) -> list:
+        """The cell table as ``CELL_HEADER`` rows of Python numbers, one per cell."""
+        return self.cells.tolist()
 
 
 def adversarial_anchors(h: np.ndarray, dist: DistributionSpec):
@@ -340,50 +344,43 @@ def measure_argument_stability(
     rep_x[:, :replacements] = pool.features.reshape(n, replacements, dist.dim)
     rep_y[:, :replacements] = pool.labels.reshape(n, replacements)
     rep_x[:, replacements:], rep_y[:, replacements:] = anchor_x, anchor_y
-    cell_index = [i for i in range(n) for _ in codes]
-    codes = codes * n
+    cells = np.empty(n * len(codes), _CELL_TYPES)
+    cells["i"], cells["replacement"] = np.repeat(np.arange(n), len(codes)), np.tile(codes, n)
     seeds = None
     if algorithm.stochastic:
-        seeds = [child_seed(seed, i, code) for i, code in zip(cell_index, codes)]
+        seeds = [child_seed(seed, i, code) for i in range(n) for code in codes]
     try:
         HA, HB = algorithm.fit_twins(
-            sample, cell_index, rep_x.reshape(-1, dist.dim), rep_y.ravel(), seeds, base
+            sample, cells["i"], rep_x.reshape(-1, dist.dim), rep_y.ravel(), seeds, base
         )
     except Exception as exc:
         raise RuntimeError(f"replace-one fits failed: {exc}") from exc
 
-    distances = _row_norms(HA - HB).tolist()
+    cells["distance"] = _row_norms(HA - HB)
     loss = algorithm.loss_for(n)
     # A deterministic fit on S is the same in every cell: evaluate it once.
-    base_values = None
-    if not algorithm.stochastic:
-        base_values = loss.values_raw(base, grid_X, grid_y)
-    gaps = []
+    base_values = None if algorithm.stochastic else loss.values_raw(base, grid_X, grid_y)
     for start in range(0, len(HB), _GAP_BLOCK):
         block = slice(start, start + _GAP_BLOCK)
-        va = base_values
-        if va is None:
-            va = loss.values_raw(HA[block], grid_X, grid_y)
+        va = loss.values_raw(HA[block], grid_X, grid_y) if base_values is None else base_values
         vb = loss.values_raw(HB[block], grid_X, grid_y)
-        gaps.extend(np.abs(va - vb).max(axis=1).tolist())
-    cells = list(zip(cell_index, codes, distances, gaps))
-    by_index = np.array(distances).reshape(n, -1)
+        cells["loss_gap"][block] = np.abs(va - vb).max(axis=1)
+    by_index = cells["distance"].reshape(n, -1)
     per_index = [
-        (("max_over_replacements", float(top)), ("mean", float(mean)))
-        for top, mean in zip(by_index.max(axis=1), by_index.mean(axis=1))
+        {"max_over_replacements": top, "mean": mean}
+        for top, mean in zip(by_index.max(axis=1).tolist(), by_index.mean(axis=1).tolist())
     ]
-    alpha_hat = max(distances)
     try:
         theory = theoretical_alpha(algorithm, n)
     except ValueError:
         theory = None
     return StabilityReport(
-        per_index=tuple(per_index),
-        alpha_hat=alpha_hat,
-        beta_hat=max(gaps),
+        per_index=per_index,
+        alpha_hat=float(cells["distance"].max()),
+        beta_hat=float(cells["loss_gap"].max()),
         n=n,
         trials=len(cells),
         seed=seed,
         theory_alpha=theory,
-        cells=tuple(cells),
+        cells=cells,
     )

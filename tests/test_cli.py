@@ -475,6 +475,23 @@ class TestBoundsCommand:
         assert main(["bounds", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_step_count_past_the_cap_is_refused(self, tmp_path, capsys):
+        spec = {
+            "family": "sgd-fast-rate",
+            "regime": "convex",
+            "steps": 160_001,
+            "step": 0.25,
+            "lipschitz": 1.0,
+            "feature_bound": 1.0,
+            "loss_bound": 1.0,
+            "smoothness": 2.0,
+            "delta": 0.1,
+            "n": 100,
+        }
+        path = write_json(tmp_path, "constants.json", spec)
+        assert main(["bounds", path]) == 1
+        assert "steps must lie in [0, 160000], got 160001" in capsys.readouterr().err
+
     def test_a_constant_that_is_not_a_number_is_named(self, tmp_path, capsys):
         path = write_json(tmp_path, "constants.json", plain_constants(lipschitz="1"))
         assert main(["bounds", path]) == 1
@@ -1073,6 +1090,13 @@ class TestExperimentCommands:
         path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
         assert main(["experiment", "run", path]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [160_001, 10_000_000])
+    def test_run_refuses_a_step_count_past_the_cap(self, steps, tmp_path, capsys):
+        algorithm = {**SGD_ALGORITHM, "steps": {"mode": "fixed", "value": steps}}
+        path = write_json(tmp_path, "config.json", base_config(algorithm=algorithm))
+        assert main(["experiment", "run", path]) == 1
+        assert f"steps must lie in [0, 160000], got {steps}" in capsys.readouterr().err
 
     def test_run_rejects_a_non_integral_fixed_step_count(self, tmp_path, capsys):
         algorithm = {**SGD_ALGORITHM, "steps": {"mode": "fixed", "value": 10.7}}

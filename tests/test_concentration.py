@@ -116,6 +116,32 @@ class TestPinelis:
         monkeypatch.setattr(concentration, "_BLOCK_FLOATS", 1 << 40)
         assert got == pinelis_tail_experiment([1.0] * 10, 8, 200_000, 1.0).violations
 
+    def test_sign_bytes_stay_within_the_block_budget(self, monkeypatch):
+        # One sign byte a step: 20,000 trials of 400 steps in dimension 1
+        # held 7.6 MiB of signs in one block; blocks of 8 * _BLOCK_FLOATS //
+        # steps trials hold 1 MiB.
+        tracemalloc.start()
+        try:
+            got = pinelis_tail_experiment([1.0] * 400, 1, 20_000, 1.0).violations
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        monkeypatch.setattr(concentration, "_BLOCK_FLOATS", 1 << 40)
+        assert got == pinelis_tail_experiment([1.0] * 400, 1, 20_000, 1.0).violations
+
+    @pytest.mark.parametrize("budget", [1, 64])
+    def test_counts_do_not_depend_on_the_block_budget(self, budget, monkeypatch):
+        # 64 floats cut the trials into blocks of min(64 // 2, 512 // 50) =
+        # 10, 1 float into blocks of one trial.
+        def count():
+            return pinelis_tail_experiment([0.3] * 50, 2, 300, 1.0, seed=3).violations
+
+        expected = count()
+        assert 0 < expected < 300
+        monkeypatch.setattr(concentration, "_BLOCK_FLOATS", budget)
+        assert count() == expected
+
     def test_replays_for_a_fixed_seed(self):
         a = pinelis_tail_experiment([0.5] * 8, dim=2, trials=300, epsilon=1.5, seed=9)
         b = pinelis_tail_experiment([0.5] * 8, dim=2, trials=300, epsilon=1.5, seed=9)
@@ -177,6 +203,22 @@ class TestDoob:
         a = doob_decomposition(algo, sample, spec, suffix_draws=256, seed=10)
         b = doob_decomposition(algo, sample, spec, suffix_draws=256, seed=10)
         assert np.array_equal(a.conditional_means, b.conditional_means)
+
+    def test_fit_failures_name_their_stage(self, monkeypatch):
+        algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
+        spec = regression_spec()
+        sample = draw_sample(spec, 4, seed=9)
+
+        def failed(*args, **kwargs):
+            raise ValueError("no fit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(algo, "fit_many", failed)
+            with pytest.raises(RuntimeError, match="conditional mean at t=0 failed: no fit"):
+                doob_decomposition(algo, sample, spec, suffix_draws=256, seed=10)
+        monkeypatch.setattr(algo, "fit", failed)
+        with pytest.raises(RuntimeError, match="final fit failed: no fit"):
+            doob_decomposition(algo, sample, spec, suffix_draws=256, seed=10)
 
     def test_rejects_oversized_or_undersampled_requests(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)

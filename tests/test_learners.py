@@ -18,8 +18,9 @@ from stabilab import (
     make_algorithm,
     make_loss,
 )
-from stabilab import learners, losses
+from stabilab import lab, learners, losses
 from stabilab.learners import (
+    MAX_SGD_STEPS,
     ConstantAlgorithm,
     _sgd_kernel,
     LpRermAlgorithm,
@@ -332,6 +333,17 @@ class TestFitRerm:
         with pytest.raises(ConvergenceError):
             fit_rerm(s.features[None], s.labels[None], loss, pen, tol=1e-14, max_iter=1)[0]
 
+    def test_the_hinge_path_exhausting_max_iter_raises(self):
+        # The subgradient method checks for a stop once a sweep of 64
+        # iterations, so a shorter budget always runs out.
+        rng = np.random.default_rng(3)
+        s = unit_ball_sample(rng, 10, 3)
+        y = np.where(rng.uniform(size=10) < 0.5, -1.0, 1.0)
+        loss = make_loss("hinge", 1.0, 2.0)
+        pen = PenaltySpec(p=1.5, lam=0.5)
+        with pytest.raises(ConvergenceError, match="subgradient method exhausted max_iter in row 0 "):
+            fit_rerm(s.features[None], y[None], loss, pen, max_iter=63)
+
     def test_a_ridge_term_loss_matches_the_serial_oracle(self):
         rng = np.random.default_rng(6)
         loss = make_loss("logistic", 1.0, 2.0, ridge_term=0.1)
@@ -462,6 +474,26 @@ class TestSgdSpec:
     def test_rejects_bad_plans(self, kwargs):
         with pytest.raises(ValueError):
             SgdSpec(**kwargs)
+
+    def test_steps_stop_at_the_n_squared_schedule_of_the_largest_sample(self):
+        assert MAX_SGD_STEPS == lab.MAX_N**2
+        assert SgdSpec(regime="convex", steps=MAX_SGD_STEPS, step=0.1).steps == MAX_SGD_STEPS
+        with pytest.raises(ValueError, match=r"steps must lie in \[0, 160000\], got 160001"):
+            SgdSpec(regime="convex", steps=MAX_SGD_STEPS + 1, step=0.1)
+
+        def nonconvex(steps):
+            return make_algorithm("sgd-nonconvex", "logistic", 1.0, steps=steps, c=0.5)
+
+        assert nonconvex("n_squared").spec_for(lab.MAX_N).steps == MAX_SGD_STEPS
+        with pytest.raises(ValueError, match="steps must lie in"):
+            nonconvex({"mode": "n_squared", "factor": 1.01}).spec_for(lab.MAX_N)
+
+    def test_an_unprojected_reach_that_overflows_is_refused(self):
+        # The squared loss's reach grows threefold a step at the cap step 1,
+        # past the float range within 1,000 steps.
+        algo = make_algorithm("sgd-convex", "squared", 1.0, 1.0, steps=1000, step=1.0)
+        with pytest.raises(ValueError, match="cannot certify a finite reach radius"):
+            algo.loss_for(10)
 
     def test_convex_step_cap_uses_certified_smoothness(self):
         # The squared loss on unit features certifies s = 2: the cap 2/s is 1.
@@ -1089,11 +1121,55 @@ class TestStackedRidge:
         with pytest.raises(ConvergenceError, match="cell 0 "):
             algo.fit(sample)
 
+    def test_twin_blocks_move_no_row(self, monkeypatch):
+        # 16 matrix entries a block at d = 2: 10 cells are solved 4, 4 and 2 at a time.
+        rng = np.random.default_rng(83)
+        algo = RidgeAlgorithm(0.3, 1.0, 1.0)
+        sample = unit_ball_sample(rng, 9, 2)
+        cells = replace_one_cells(rng, sample, 10)
+        base = algo.fit(sample)
+        _, whole = algo.fit_twins(sample, *cells, None, base)
+        solved = []
+
+        def recording_solve(A, b, first=0):
+            solved.append((len(A), first))
+            return solve_ridge_stack(A, b, first)
+
+        monkeypatch.setattr(learners, "_BLOCK_FLOATS", 16)
+        monkeypatch.setattr(learners, "solve_ridge_stack", recording_solve)
+        _, blocked = algo.fit_twins(sample, *cells, None, base)
+        assert np.array_equal(blocked, whole)
+        assert solved == [(4, 0), (4, 4), (2, 8)]
+
+    def test_a_failed_certificate_names_its_place_in_the_whole_stack(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        algo = RidgeAlgorithm(0.5, 1.0, 1.0)
+        sample = unit_ball_sample(rng, 8, 2)
+        cells = replace_one_cells(rng, sample, 10)
+        base = algo.fit(sample)
+        solve, calls = np.linalg.solve, []
+
+        def off_in_the_second_block(a, b):
+            # Spoil the last cell of the block of cells 4 to 7, and of its refinement.
+            out = solve(a, b)
+            calls.append(len(a))
+            if len(calls) > 1:
+                out[-1] += 1.0
+            return out
+
+        monkeypatch.setattr(learners, "_BLOCK_FLOATS", 16)
+        monkeypatch.setattr(np.linalg, "solve", off_in_the_second_block)
+        with pytest.raises(ConvergenceError, match="cell 7 "):
+            algo.fit_twins(sample, *cells, None, base)
+        assert calls == [4, 4, 1]
+
     def test_certificate_checks_every_cell(self):
         A = np.stack([np.eye(2), np.eye(2)])
         b = np.array([[1.0, 2.0], [np.nan, 0.0]])
         with pytest.raises(ConvergenceError, match="cell 1 "):
             solve_ridge_stack(A, b)
+        with pytest.raises(ConvergenceError, match="cell 6 "):
+            solve_ridge_stack(A, b, first=5)
         assert np.array_equal(solve_ridge_stack(A[:1], b[:1]), [[1.0, 2.0]])
 
 

@@ -102,6 +102,18 @@ def spy_stacks(monkeypatch) -> list:
     return stacks
 
 
+def spy_kernel(monkeypatch) -> list:
+    """(runs, index-stream entries, whether twins) of every ``_sgd_kernel`` call."""
+    calls, kernel = [], learners._sgd_kernel
+
+    def spied(loss, spec, seeds, features, labels, twin=None):
+        calls.append((len(seeds), len(seeds) * spec.steps, twin is not None))
+        return kernel(loss, spec, seeds, features, labels, twin)
+
+    monkeypatch.setattr(learners, "_sgd_kernel", spied)
+    return calls
+
+
 def within(stacks, budget) -> bool:
     return all(floats <= budget or rows == 1 for rows, floats in stacks)
 
@@ -233,10 +245,31 @@ def test_a_record_does_not_depend_on_the_stack_budget(preset, budget, monkeypatc
     with monkeypatch.context() as patch:
         patch.setattr(lab, "fit_plan", serial_plan)
         alone = report_digest(run_experiment(config))
+    # The budget cuts the plan's stacks and the SGD kernel calls, the twins' too.
     monkeypatch.setattr(datagen, "_STACK_FLOATS", budget)
-    stacks = spy_stacks(monkeypatch)
+    monkeypatch.setattr(learners, "_STACK_FLOATS", budget)
+    stacks, kernel_calls = spy_stacks(monkeypatch), spy_kernel(monkeypatch)
     assert report_digest(run_experiment(config)) == alone
     assert within(stacks, budget)
+    assert within([(runs, entries) for runs, entries, _ in kernel_calls], budget)
+    if preset.startswith("sgd") and budget < BUDGETS[-1]:
+        # 15 and 24 twin cells of 10 and 16 steps: one call at n = 5 and
+        # two at n = 8 at 240 floats, one call a cell at 1.
+        twin_calls = sum(twin for _, _, twin in kernel_calls)
+        assert twin_calls == (3 if budget == 240 else 15 + 24)
+
+
+def test_a_failed_call_names_its_groups(monkeypatch):
+    config = plan_config("ridge", 31)
+    algorithm = build_algorithm(config)
+
+    def failed(*args):
+        raise ValueError("no fit")
+
+    monkeypatch.setattr(algorithm, "fit_many", failed)
+    groups = [FitGroup("center", 1, 2), FitGroup("trial", 2, 3)]
+    with pytest.raises(RuntimeError, match="^center, trial fits failed: no fit$"):
+        next(plan_blocks(algorithm, config.distribution, 5, groups))
 
 
 @pytest.mark.parametrize("tail", [False, True])

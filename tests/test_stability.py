@@ -28,6 +28,7 @@ from stabilab.seeding import child_seed
 from stabilab.stability import (
     ANCHOR_MINUS,
     ANCHOR_PLUS,
+    CELL_HEADER,
     adversarial_anchors,
     closed_form,
 )
@@ -414,9 +415,9 @@ class TestMeasurement:
             algo, sample, spec, 4, seed=child_seed(11, "rerm-stab", str(p), n)
         )
         theory = closed_form(algo, n).alpha
-        distances = [distance for _, _, distance, _ in report.cells]
+        distances = report.cells["distance"]
         assert len(distances) == n * 6
-        assert max(distances) <= theory + 1e-8
+        assert distances.max() <= theory + 1e-8
 
     def test_ridge_hand_measurement(self):
         lam = 1.0
@@ -431,19 +432,20 @@ class TestMeasurement:
         )
         report = measure_argument_stability(algo, sample, spec, replacements=2, seed=3)
         base = 0.5
-        worst = 0.0
-        for i, code, distance, _gap in report.cells:
-            if code == ANCHOR_PLUS:
-                twin = replaced(sample, i, np.array([1.0]), -1.0)
-            elif code == ANCHOR_MINUS:
-                twin = replaced(sample, i, np.array([-1.0]), 1.0)
-            else:
-                continue
-            expected = abs(base - float(np.mean(twin.features[:, 0] * twin.labels)) / 2.0)
-            assert distance == pytest.approx(expected, abs=1e-12)
-            worst = max(worst, expected)
-        assert worst == pytest.approx(0.5, abs=1e-12)
-        assert report.alpha_hat == pytest.approx(worst, abs=1e-12)
+        # Each index's cells are the two draws, then the anchors.
+        assert np.array_equal(report.cells["i"], [0, 0, 0, 0, 1, 1, 1, 1])
+        codes = [0, 1, ANCHOR_PLUS, ANCHOR_MINUS]
+        assert np.array_equal(report.cells["replacement"], codes * 2)
+        anchors = {ANCHOR_PLUS: (np.array([1.0]), -1.0), ANCHOR_MINUS: (np.array([-1.0]), 1.0)}
+        expected = []
+        for i in range(2):
+            for code in (ANCHOR_PLUS, ANCHOR_MINUS):
+                twin = replaced(sample, i, *anchors[code])
+                expected.append(abs(base - float(np.mean(twin.features[:, 0] * twin.labels)) / 2.0))
+        at_anchors = report.cells["distance"][report.cells["replacement"] < 0]
+        assert np.allclose(at_anchors, expected, rtol=0.0, atol=1e-12)
+        assert max(expected) == pytest.approx(0.5, abs=1e-12)
+        assert report.alpha_hat == pytest.approx(max(expected), abs=1e-12)
 
     def test_report_shape_and_invariants(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
@@ -454,10 +456,12 @@ class TestMeasurement:
         assert report.n == 12
         assert len(report.per_index) == 12
         assert report.trials == len(report.cells) == 12 * 5
-        for entry in report.per_index:
-            stats = dict(entry)
-            assert 0.0 <= stats["mean"] <= stats["max_over_replacements"]
-            assert stats["max_over_replacements"] <= report.alpha_hat + 1e-15
+        by_index = report.cells["distance"].reshape(12, 5)
+        maxima = [entry["max_over_replacements"] for entry in report.per_index]
+        means = [entry["mean"] for entry in report.per_index]
+        assert np.array_equal(maxima, by_index.max(axis=1))
+        assert np.array_equal(means, by_index.mean(axis=1))
+        assert all(0.0 <= mean <= top <= report.alpha_hat for mean, top in zip(means, maxima))
         consts = loss.constants()
         assert report.beta_hat <= (
             consts.lipschitz * loss.feature_bound * report.alpha_hat + 1e-9
@@ -471,9 +475,9 @@ class TestMeasurement:
         sample = draw_sample(spec, 8, seed=1)
         a = measure_argument_stability(algo, sample, spec, replacements=2, seed=5)
         b = measure_argument_stability(algo, sample, spec, replacements=2, seed=5)
-        assert a.cells == b.cells
+        assert all(np.array_equal(a.cells[name], b.cells[name]) for name in CELL_HEADER)
         c = measure_argument_stability(algo, sample, spec, replacements=2, seed=6)
-        assert a.cells != c.cells
+        assert not np.array_equal(a.cells["distance"], c.cells["distance"])
 
     def test_constant_algorithm_measures_zero(self):
         algo = make_algorithm("constant", "squared", 1.0, vector=[0.2, 0.1])
@@ -481,7 +485,7 @@ class TestMeasurement:
         sample = draw_sample(spec, 6, seed=2)
         report = measure_argument_stability(algo, sample, spec, replacements=2, seed=0)
         assert report.alpha_hat == 0.0
-        assert all(cell[2] == 0.0 for cell in report.cells)
+        assert np.array_equal(report.cells["distance"], np.zeros(report.trials))
         assert report.theory_alpha == 0.0
 
     def test_sgd_untouched_streams_give_exact_zero_distance(self):
@@ -494,17 +498,14 @@ class TestMeasurement:
         sample = draw_sample(spec, n, seed=9)
         report = measure_argument_stability(algo, sample, spec, replacements=2, seed=11)
         # The i.i.d. cells and their fit seeds do not depend on the anchors.
-        iid = [cell for cell in report.cells if cell[1] >= 0]
+        iid = report.cells[report.cells["replacement"] >= 0]
         assert len(iid) == n * 2
-        untouched = 0
-        for i, code, distance, _gap in iid:
-            stream = substream(child_seed(11, i, code), "sgd-indices").integers(
-                0, n, size=6
-            )
-            if i not in stream:
-                untouched += 1
-                assert distance == 0.0
-        assert untouched > 0
+        untouched = [
+            i not in substream(child_seed(11, i, code), "sgd-indices").integers(0, n, size=6)
+            for i, code in zip(iid["i"].tolist(), iid["replacement"].tolist())
+        ]
+        assert any(untouched)
+        assert np.array_equal(iid["distance"][untouched], np.zeros(sum(untouched)))
 
     def test_sgd_batched_measurement_matches_serial_fits(self):
         # The label bound is the distribution's, which the anchors' labels reach.
@@ -519,16 +520,28 @@ class TestMeasurement:
         base = algo.fit(sample, seed=child_seed(17, "base-fit"))
         # Cell (i, k) replaces index i by row i * 2 + k of the record's pool.
         pool = draw_sample(spec, sample.n * 2, child_seed(17, "replacement"))
-        for i, code, distance, _gap in (cell for cell in report.cells if cell[1] >= 0):
-            x, y = example(pool, i * 2 + code)
-            twin = replaced(sample, i, x, y)
+        iid = report.cells[report.cells["replacement"] >= 0]
+        serial = []
+        for i, code in zip(iid["i"].tolist(), iid["replacement"].tolist()):
+            twin = replaced(sample, i, *example(pool, i * 2 + code))
             seed = child_seed(17, i, code)
             h = serial_sgd(twin, loss, algo.spec_for(sample.n), seed)[-1]
             base_run = serial_sgd(sample, loss, algo.spec_for(sample.n), seed)[-1]
-            assert distance == pytest.approx(
-                float(np.linalg.norm(base_run - h)), abs=1e-12
-            )
+            serial.append(float(np.linalg.norm(base_run - h)))
+        assert np.allclose(iid["distance"], serial, rtol=0.0, atol=1e-12)
         assert base.shape == (2,)
+
+    def test_a_closed_form_that_fails_at_n_is_recorded_as_none(self):
+        # The nonconvex closed form needs n >= 2; the measurement runs at n = 1.
+        algo = make_algorithm(
+            "sgd-nonconvex", "squared", 1.0, 1.0, steps=4, c=0.2, projection_radius=1.0
+        )
+        spec = regression_spec(dim=2, teacher_scale=0.2, noise_sd=0.02)
+        with pytest.raises(ValueError, match="n >= 2"):
+            theoretical_alpha(algo, 1)
+        report = measure_argument_stability(algo, draw_sample(spec, 1, seed=3), spec, 2, seed=5)
+        assert report.theory_alpha is None
+        assert report.trials == len(report.cells) == 4
 
     def test_rejects_bad_requests(self):
         algo = make_algorithm("ridge", "squared", 1.0, 1.0, lam=0.5)
@@ -561,33 +574,31 @@ def serial_gap(loss, a, b, grid_X, grid_y):
 def serial_ridge_report(algo, sample, dist, replacements, loss, seed):
     """measure_argument_stability for ridge, one replaced Sample and one fit per cell.
 
-    Returns (cells, per_index, alpha_hat, beta_hat), the loss gaps two-sided:
-    the base fit's grid values are evaluated again for every cell.
+    Returns (cells, per_index, alpha_hat, beta_hat), ``cells`` one list per
+    ``CELL_HEADER`` column and the loss gaps two-sided: the base fit's grid
+    values are evaluated again for every cell.
     """
     base = serial_ridge(sample, algo.lam)
     anchors = adversarial_anchors(base, dist)
     grid_X, grid_y = serial_grid(dist, anchors, seed)
     # Cell (i, k) replaces index i by row i * replacements + k of the pool.
     pool = draw_sample(dist, sample.n * replacements, child_seed(seed, "replacement"))
-    cells = []
-    for i in range(sample.n):
-        draws = [(k, *example(pool, i * replacements + k)) for k in range(replacements)]
-        for code, x, y in draws + list(zip(*anchors)):
-            h = serial_ridge(replaced(sample, i, x, y), algo.lam)
-            gap = serial_gap(loss, base, h, grid_X, grid_y)
-            cells.append((i, code, float(np.linalg.norm(base - h)), gap))
+    cells = {name: [] for name in CELL_HEADER}
     per_index = []
     for i in range(sample.n):
-        distances = [cell[2] for cell in cells if cell[0] == i]
+        draws = [(k, *example(pool, i * replacements + k)) for k in range(replacements)]
+        distances = []
+        for code, x, y in draws + list(zip(*anchors)):
+            h = serial_ridge(replaced(sample, i, x, y), algo.lam)
+            distances.append(float(np.linalg.norm(base - h)))
+            cells["i"].append(i)
+            cells["replacement"].append(code)
+            cells["loss_gap"].append(serial_gap(loss, base, h, grid_X, grid_y))
+        cells["distance"] += distances
         per_index.append(
-            (("max_over_replacements", max(distances)), ("mean", float(np.mean(distances))))
+            {"max_over_replacements": max(distances), "mean": float(np.mean(distances))}
         )
-    return (
-        tuple(cells),
-        tuple(per_index),
-        max(cell[2] for cell in cells),
-        max(cell[3] for cell in cells),
-    )
+    return cells, per_index, max(cells["distance"]), max(cells["loss_gap"])
 
 
 class _NanLabels:
@@ -622,14 +633,14 @@ class TestRidgeMeasurementAgainstSerialFits:
             return np.abs(np.subtract(got, want)).max() <= 1e-13
 
         def values(per_index):
-            return [[value for _, value in row] for row in per_index]
+            return [list(entry.values()) for entry in per_index]
 
         assert report.trials == n * (replacements + 2)
-        assert [cell[:2] for cell in report.cells] == [cell[:2] for cell in cells]
-        assert close([cell[2:] for cell in report.cells], [cell[2:] for cell in cells])
-        assert [[key for key, _ in row] for row in report.per_index] == [
-            [key for key, _ in row] for row in per_index
-        ]
+        assert np.array_equal(report.cells["i"], cells["i"])
+        assert np.array_equal(report.cells["replacement"], cells["replacement"])
+        assert close(report.cells["distance"], cells["distance"])
+        assert close(report.cells["loss_gap"], cells["loss_gap"])
+        assert [list(entry) for entry in report.per_index] == [list(entry) for entry in per_index]
         assert close(values(report.per_index), values(per_index))
         assert close(report.alpha_hat, alpha_hat)
         assert close(report.beta_hat, beta_hat)
@@ -703,10 +714,11 @@ class TestStochasticGapsAgainstPerCellReference:
         assert len({tuple(a) for a in HA}) > 1
         base = algo.fit(sample, seed=child_seed(29, "base-fit"))
         grid_X, grid_y = serial_grid(dist, adversarial_anchors(base, dist), 29)
-        for (_, _, distance, gap), a, b in zip(report.cells, HA, HB):
-            assert distance == float(np.linalg.norm(a - b))
-            assert gap == serial_gap(loss, a, b, grid_X, grid_y)
-        assert report.beta_hat == max(cell[3] for cell in report.cells)
+        distances = [float(np.linalg.norm(a - b)) for a, b in zip(HA, HB)]
+        gaps = [serial_gap(loss, a, b, grid_X, grid_y) for a, b in zip(HA, HB)]
+        assert np.array_equal(report.cells["distance"], distances)
+        assert np.array_equal(report.cells["loss_gap"], gaps)
+        assert report.beta_hat == max(gaps)
 
 
 class TestReportSerialization:
@@ -740,13 +752,11 @@ class TestReportSerialization:
             rows = list(csv.reader(fh))
         assert rows[0] == ["i", "replacement", "distance", "loss_gap"]
         assert len(rows) - 1 == report.trials
-        codes = {int(row[1]) for row in rows[1:]}
-        assert {ANCHOR_PLUS, ANCHOR_MINUS} <= codes
-        for row, cell in zip(rows[1:], report.cells):
-            assert int(row[0]) == cell[0]
-            assert int(row[1]) == cell[1]
-            assert float(row[2]) == pytest.approx(cell[2], abs=1e-15)
-            assert float(row[3]) == pytest.approx(cell[3], abs=1e-15)
+        assert {ANCHOR_PLUS, ANCHOR_MINUS} <= {int(row[1]) for row in rows[1:]}
+        # Every column reads back exactly: Python's repr round-trips a float.
+        for k, name in enumerate(CELL_HEADER):
+            read = [(int if k < 2 else float)(row[k]) for row in rows[1:]]
+            assert np.array_equal(read, report.cells[name])
 
 
 class TestKeysPerRecord:
